@@ -12,6 +12,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"hpop/internal/hpop"
@@ -177,44 +178,36 @@ func fleetOnePoint(sources, rounds, serves, keySpace int, seed uint64) (fleetPoi
 		}
 	}
 
-	// Measured ingest: a worker per core drains the report stream, the way
-	// concurrent HTTP handlers would hit the sharded aggregator.
+	// Measured ingest: a worker per core, the way concurrent HTTP handlers
+	// would hit the sharded aggregator. Each worker owns the sources
+	// i ≡ w (mod workers) and walks their reports in round order, so one
+	// source's sequence numbers arrive in order (as a peer's own uploads do)
+	// and the aggregator never has a lower seq to drop.
 	workers := runtime.GOMAXPROCS(0)
 	pt.IngestWorkers = workers
-	var idx, applied int64
-	var mu sync.Mutex
-	next := func() *hpop.TelemetryReport {
-		mu.Lock()
-		defer mu.Unlock()
-		if idx >= int64(len(reports)) {
-			return nil
-		}
-		r := reports[idx]
-		idx++
-		return r
-	}
+	var applied atomic.Int64
 	var wg sync.WaitGroup
 	errCh := make(chan error, workers)
 	start := time.Now()
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func() {
+		go func(w int) {
 			defer wg.Done()
 			var n int64
-			for rep := next(); rep != nil; rep = next() {
-				ok, err := a.Ingest(rep)
-				if err != nil {
-					errCh <- err
-					return
-				}
-				if ok {
-					n++
+			defer func() { applied.Add(n) }()
+			for round := 0; round < rounds; round++ {
+				for i := w; i < sources; i += workers {
+					ok, err := a.Ingest(reports[round*sources+i])
+					if err != nil {
+						errCh <- err
+						return
+					}
+					if ok {
+						n++
+					}
 				}
 			}
-			mu.Lock()
-			applied += n
-			mu.Unlock()
-		}()
+		}(w)
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
@@ -223,8 +216,8 @@ func fleetOnePoint(sources, rounds, serves, keySpace int, seed uint64) (fleetPoi
 		return pt, err
 	default:
 	}
-	pt.ReportsIngested = applied
-	pt.IngestPerSec = float64(applied) / elapsed.Seconds()
+	pt.ReportsIngested = applied.Load()
+	pt.IngestPerSec = float64(pt.ReportsIngested) / elapsed.Seconds()
 
 	// Measured /debug/fleet serves with the full fleet resident. The
 	// ingest burst leaves a pile of garbage (300k decoded report maps at

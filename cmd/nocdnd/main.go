@@ -84,7 +84,7 @@ func run(args []string) error {
 	originURL := fs.String("origin", "", "load: origin base URL")
 	page := fs.String("page", "index", "load: page name to fetch")
 	clientID := fs.String("client", "",
-		"load: stable client identity — the origin serves a pooled wrapper map for it (empty: per-request map)")
+		"load: stable client identity — the origin serves a pooled wrapper map for it (empty: the origin keys the map on this host's address)")
 	concurrency := fs.Int("concurrency", nocdn.DefaultConcurrency,
 		"load: max simultaneous object/chunk fetches (1 = serial)")
 	views := fs.Int("views", 1, "load: number of page views")
@@ -215,11 +215,7 @@ func run(args []string) error {
 				ticker := time.NewTicker(*probeInterval)
 				defer ticker.Stop()
 				for range ticker.C {
-					if sample > 0 {
-						o.ProbeSample(context.Background(), sample)
-					} else {
-						o.ProbePeers(context.Background())
-					}
+					o.ProbeSample(context.Background(), sample) // 0 probes every peer
 				}
 			}()
 			if sample > 0 {

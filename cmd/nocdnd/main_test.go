@@ -58,7 +58,7 @@ func TestLoadContent(t *testing.T) {
 	}
 	o.RegisterPeer("p", "http://p", 1)
 	// Root page: index.html + style.css.
-	w, err := o.GenerateWrapper("index")
+	w, err := o.AssignWrapper("index", "c")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestLoadContent(t *testing.T) {
 		t.Errorf("root wrapper = %+v", w)
 	}
 	// Subdirectory page.
-	w, err = o.GenerateWrapper("blog")
+	w, err = o.AssignWrapper("blog", "c")
 	if err != nil {
 		t.Fatal(err)
 	}

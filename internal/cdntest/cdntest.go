@@ -111,7 +111,7 @@ type Config struct {
 	DiskCache bool
 	// Replicas is passed to the origin's wrapper generation.
 	Replicas int
-	// OriginOpts appends origin options (cache policy, wrapper reuse, ...).
+	// OriginOpts appends origin options (cache policy, chunking, ...).
 	OriginOpts []nocdn.OriginOption
 }
 

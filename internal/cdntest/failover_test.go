@@ -16,17 +16,14 @@ func TestFailoverToReplicaPeer(t *testing.T) {
 	s := NewStack(t, Config{
 		Peers:    3,
 		Replicas: 2,
-		OriginOpts: []nocdn.OriginOption{
-			// Pin the wrapper so the assignment we inspect below is exactly
-			// the one the loader receives.
-			nocdn.WithWrapperReuse(time.Minute),
-		},
 	})
 	container := []byte("<html>replicated</html>")
 	s.Publish("/page.html", container)
 	s.PublishPage("front", "/page.html")
 
-	w, err := s.Origin.GenerateWrapper("front")
+	// Same client identity as the loader below, so the assignment inspected
+	// here is exactly the pooled map the loader receives.
+	w, err := s.Origin.AssignWrapper("front", "viewer")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +37,9 @@ func TestFailoverToReplicaPeer(t *testing.T) {
 		}
 	}
 
-	res, err := s.Loader().LoadPage("front")
+	loader := s.Loader()
+	loader.ClientID = "viewer"
+	res, err := loader.LoadPage("front")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -139,12 +139,7 @@ func TestHashEpochGatesStale(t *testing.T) {
 // unchanged, hash-epoch freshness lets the peers serve their (wall-clock
 // stale) copies and the page loads fully — no fallback, no degradation.
 func TestBrownoutServeStaleInterplay(t *testing.T) {
-	s := NewStack(t, Config{
-		Peers: 2,
-		OriginOpts: []nocdn.OriginOption{
-			nocdn.WithWrapperReuse(10 * time.Minute),
-		},
-	})
+	s := NewStack(t, Config{Peers: 2})
 	container := []byte("<html>brownout page</html>")
 	script := []byte("console.log('brownout')")
 	s.Publish("/page.html", container)

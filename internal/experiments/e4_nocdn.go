@@ -182,15 +182,11 @@ func RunE4(cfg E4Config) (*Table, error) {
 	// --- Collusion ---
 	rig5 := buildRig(cfg)
 	defer rig5.close()
-	w, err := rig5.origin.GenerateWrapper("front")
+	w, err := rig5.origin.AssignWrapper("front", "colluding-client")
 	if err != nil {
 		return nil, err
 	}
-	var colluder string
-	for id := range w.Keys {
-		colluder = id
-		break
-	}
+	colluder := w.Objects[0].PeerID
 	fabricated := fabricateCollusion(w, colluder, 100)
 	rig5.origin.SettleRecords(fabricated)
 	acc := rig5.origin.AccountingFor(colluder)
@@ -204,7 +200,8 @@ func RunE4(cfg E4Config) (*Table, error) {
 }
 
 // RunE4Selection runs the peer-selection ablation (DESIGN.md): mean RTT of
-// assigned peers and assignment spread per policy.
+// assigned peers and assignment spread per policy, over ten clients' pooled
+// maps.
 func RunE4Selection(cfg E4Config) (*Table, error) {
 	t := &Table{
 		ID:      "E4b",
@@ -215,7 +212,7 @@ func RunE4Selection(cfg E4Config) (*Table, error) {
 	for _, policy := range []nocdn.SelectionPolicy{nocdn.SelectRandom, nocdn.SelectProximity, nocdn.SelectLoadAware} {
 		rig := buildRig(cfg, nocdn.WithPolicy(policy))
 		for v := 0; v < 10; v++ {
-			if _, err := rig.origin.GenerateWrapper("front"); err != nil {
+			if _, err := rig.origin.AssignWrapper("front", fmt.Sprintf("client-%d", v)); err != nil {
 				rig.close()
 				return nil, err
 			}
@@ -245,8 +242,8 @@ func RunE4Selection(cfg E4Config) (*Table, error) {
 		t.AddRow(policy.String(), fmt.Sprintf("%.1f ms", mean), fmt.Sprintf("%d/%d", maxLoad, minLoad))
 		rig.close()
 	}
-	t.Notef("proximity minimizes RTT but concentrates load; random spreads load and keeps the")
-	t.Notef("payment path unpredictable (the paper's collusion mitigation); load-aware balances")
+	t.Notef("proximity lowers RTT inside the same per-map load bound; random (ring order) keeps the")
+	t.Notef("payment path unpredictable (the paper's collusion mitigation); load-aware tightens the bound")
 	return t, nil
 }
 

@@ -50,10 +50,15 @@ type Decision struct {
 	Status int
 }
 
-// Injector evaluates a Schedule request by request. All state is atomic;
-// one injector may be shared by many clients and listeners.
+// Injector evaluates a Schedule request by request; one injector may be
+// shared by many clients and listeners.
 type Injector struct {
 	sched *Schedule
+	// mu makes one request's walk over the rules atomic: it takes its window
+	// position in every matching rule at once, so which positions meet in
+	// one request — and with it each rule's fired total — does not depend on
+	// goroutine interleaving.
+	mu sync.Mutex
 	// counts[i] counts requests matching rule i's filter (window position).
 	counts []atomic.Uint64
 	// injected[k] counts fired faults per kind.
@@ -78,6 +83,7 @@ func (in *Injector) Schedule() *Schedule { return in.sched }
 // per-rule fault budgets are a pure function of the seed.
 func (in *Injector) Decide(target string) Decision {
 	d := Decision{Rule: -1}
+	in.mu.Lock()
 	for i := range in.sched.Rules {
 		r := &in.sched.Rules[i]
 		if r.Match != "" && !strings.Contains(target, r.Match) {
@@ -95,6 +101,7 @@ func (in *Injector) Decide(target string) Decision {
 		}
 		d = Decision{Kind: r.Kind, Rule: i, Dur: r.Dur, Status: r.Status}
 	}
+	in.mu.Unlock()
 	if d.Kind != KindNone {
 		in.injected[d.Kind].Add(1)
 		in.Metrics.Inc("faults.injected." + d.Kind.String())

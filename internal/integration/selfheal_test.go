@@ -151,12 +151,12 @@ func TestSelfHealingClosedLoop(t *testing.T) {
 	// The origin's probe loop notices independently and ejects beta from
 	// fresh wrapper maps.
 	ctx := context.Background()
-	origin.ProbePeers(ctx)
-	origin.ProbePeers(ctx)
+	origin.ProbeSample(ctx, 0)
+	origin.ProbeSample(ctx, 0)
 	if originReg.Healthy("beta") {
 		t.Fatalf("origin still trusts beta after failed probes (state %v)", originReg.State("beta"))
 	}
-	w, err := origin.GenerateWrapper("home")
+	w, err := origin.AssignWrapper("home", "c")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestSelfHealingClosedLoop(t *testing.T) {
 			t.Fatalf("origin never readmitted beta (state %v)", originReg.State("beta"))
 		}
 		time.Sleep(25 * time.Millisecond)
-		origin.ProbePeers(ctx)
+		origin.ProbeSample(ctx, 0)
 	}
 	if originMetrics.Counter("nocdn.origin.peer_readmissions") < 1 {
 		t.Fatal("no readmission transition recorded")

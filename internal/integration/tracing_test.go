@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -280,6 +281,8 @@ func TestAuditFlagsInflatingPeer(t *testing.T) {
 
 	loader := &nocdn.Loader{OriginURL: originSrv.URL, Tracer: hpop.NewTracer(0)}
 	for view := 0; view < 6; view++ {
+		// Six visitors: their pooled maps between them name every peer.
+		loader.ClientID = "visitor-" + strconv.Itoa(view)
 		if _, err := loader.LoadPage("home"); err != nil {
 			t.Fatalf("view %d: %v", view+1, err)
 		}

@@ -290,7 +290,7 @@ func (h truncatingHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // TestFaultLoaderFallbackOrderingAcrossConcurrency pins the determinism
 // contract under partial peer failure: with identical wrapper assignments
-// (fixed RNG seed) and peers that fail mid-chunk, Body, PeerBytes,
+// (the ring is a pure function of the fleet) and peers that fail mid-chunk, Body, PeerBytes,
 // FallbackObjects, and TamperDetected must be identical whether the loader
 // runs serially or fans out — fallback handling must not depend on fetch
 // interleaving.
@@ -298,7 +298,7 @@ func TestFaultLoaderFallbackOrderingAcrossConcurrency(t *testing.T) {
 	load := func(t *testing.T, concurrency int) *PageResult {
 		t.Helper()
 		// Mixed layout: /index.html stays whole, images chunk across 2
-		// peers. Peers 1 and 3 truncate everything they serve, so chunks
+		// peers. Peers 2 and 3 truncate everything they serve, so chunks
 		// they carry fail the length check and whole objects they carry
 		// fail the hash check — both must route to origin fallback.
 		o := NewOrigin("example.com", WithRNG(sim.NewRNG(11)), WithChunking(2, 5000))
@@ -319,7 +319,7 @@ func TestFaultLoaderFallbackOrderingAcrossConcurrency(t *testing.T) {
 			p := NewPeer(peerID(i), 0)
 			p.SignUp("example.com", originSrv.URL)
 			var h http.Handler = p.Handler()
-			if i == 1 || i == 3 {
+			if i >= 2 {
 				h = truncatingHandler{inner: h}
 			}
 			srv := httptest.NewServer(h)
@@ -444,7 +444,7 @@ func TestOriginConcurrentMixedLoad(t *testing.T) {
 		go func() { // wrapper generations
 			defer wg.Done()
 			for i := 0; i < 25; i++ {
-				if _, err := s.origin.GenerateWrapper("home"); err != nil {
+				if _, err := s.origin.AssignWrapper("home", "c"); err != nil {
 					t.Error(err)
 					return
 				}

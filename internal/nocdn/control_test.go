@@ -1,11 +1,20 @@
 package nocdn
 
 import (
+	"bytes"
 	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
+	"testing/quick"
 	"time"
 
 	"hpop/internal/hpop"
@@ -128,8 +137,9 @@ func TestAssignWrapperSlotting(t *testing.T) {
 }
 
 // TestAssignWrapperPublishInvalidates: a publish advances the content epoch
-// and the next serve rebuilds (pooled maps are hash-epoch authorities, like
-// the legacy cache).
+// and the next serve rebuilds (pooled maps are hash-epoch authorities); with
+// the epoch stable again reuse resumes, and a header override — published
+// content too — invalidates the same way.
 func TestAssignWrapperPublishInvalidates(t *testing.T) {
 	o := controlOrigin(t, 8)
 	w1, err := o.AssignWrapper("p", "client-a")
@@ -146,6 +156,13 @@ func TestAssignWrapperPublishInvalidates(t *testing.T) {
 	}
 	if w2.Container.Size != 500 {
 		t.Fatalf("rebuilt wrapper container size = %d, want 500", w2.Container.Size)
+	}
+	if w3, _ := o.AssignWrapper("p", "client-a"); w3 != w2 {
+		t.Fatal("wrapper not reused after the epoch settled")
+	}
+	o.SetObjectHeader("/c", "Cache-Control", "no-store")
+	if w4, _ := o.AssignWrapper("p", "client-a"); w4 == w2 {
+		t.Fatal("pooled wrapper survived a header publish")
 	}
 }
 
@@ -216,6 +233,11 @@ func TestEpochTickRefreshesPool(t *testing.T) {
 	}
 	if w2 == w1 {
 		t.Fatal("tick did not refresh the pooled map")
+	}
+	for id, k := range w2.Keys {
+		if k.KeyID == w1.Keys[id].KeyID {
+			t.Fatalf("refreshed map reuses peer %s's old short-term key", id)
+		}
 	}
 	if got := o.WrapperGenerations(); got != builds {
 		t.Fatalf("serve after tick built a wrapper (%d -> %d): generation on the hot path", builds, got)
@@ -438,8 +460,8 @@ func TestNeighborsAndGossip(t *testing.T) {
 }
 
 // TestConcurrentControlPlaneHammer is the -race regression for the sharded
-// refactor: settlement (legacy and batched), registration, pooled and
-// legacy wrapper serving, ticks, and accounting reads all run concurrently.
+// refactor: settlement (root-less and committed), registration, pooled
+// wrapper serving, ticks, and accounting reads all run concurrently.
 // Before the ledger refactor, SettleRecords held the origin mutex per
 // record and raced registration for it; now every combination must be
 // race-clean and deadlock-free.
@@ -454,7 +476,7 @@ func TestConcurrentControlPlaneHammer(t *testing.T) {
 	var wg sync.WaitGroup
 	start := make(chan struct{})
 
-	// Settlers: half legacy uploads, half Merkle batches, with valid and
+	// Settlers: half root-less uploads, half Merkle batches, with valid and
 	// garbage records mixed in.
 	for s := 0; s < settlers; s++ {
 		wg.Add(1)
@@ -492,7 +514,7 @@ func TestConcurrentControlPlaneHammer(t *testing.T) {
 			}
 		}(r)
 	}
-	// Servers: pooled and legacy wrapper paths, plus ticks.
+	// Servers: pooled wrapper serves, plus ticks.
 	for v := 0; v < servers; v++ {
 		wg.Add(1)
 		go func(v int) {
@@ -503,11 +525,7 @@ func TestConcurrentControlPlaneHammer(t *testing.T) {
 					o.EpochTick()
 					continue
 				}
-				if v%2 == 0 {
-					o.AssignWrapper("p", fmt.Sprintf("hammer-viewer-%d-%d", v, i%7))
-				} else {
-					o.GenerateWrapper("p")
-				}
+				o.AssignWrapper("p", fmt.Sprintf("hammer-viewer-%d-%d", v, i%7))
 			}
 		}(v)
 	}
@@ -520,5 +538,211 @@ func TestConcurrentControlPlaneHammer(t *testing.T) {
 		if acct.CreditedBytes < 0 || acct.AssignedBytes < 0 || acct.Rejected < 0 {
 			t.Fatalf("negative ledger row for %s: %+v", p.ID, acct)
 		}
+	}
+}
+
+// settleShape is everything one settlement leaves behind: the verdict, the
+// peer's ledger and audit rows, and the journaled settle records.
+type settleShape struct {
+	credited int
+	err      error
+	row      Accounting
+	audit    PeerAudit
+	journal  []walSettleRec
+}
+
+// settleOnce boots a durable origin, settles five records for one peer either
+// root-less or as a committed batch (optionally breaking one signature after
+// signing), and collects the shape. Nonces are normalized to what survives
+// across origins: record nonces lose their random key ID, and the commitment's
+// own "batch|root" nonce — checked here — is dropped with the root.
+func settleOnce(t *testing.T, committed, badSignature bool) settleShape {
+	t.Helper()
+	dir := t.TempDir()
+	o := walOrigin(t, dir, WALOptions{Fsync: FsyncNever}, 4)
+	w, err := o.AssignWrapper("p", "client-a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer := anyPeer(w)
+	records := make([]UsageRecord, 5)
+	for i := range records {
+		records[i] = signedRecord(t, w, peer, 10+int64(i), fmt.Sprintf("op-%d", i))
+	}
+	if badSignature {
+		records[2].Bytes++ // after signing: the signature no longer covers it
+	}
+	var got settleShape
+	if committed {
+		got.credited, got.err = o.SettleBatch(NewRecordBatch(peer, records))
+	} else {
+		got.credited = o.SettleRecords(records)
+	}
+	got.row = o.AccountingFor(peer)
+	for _, pa := range o.Audit().Snapshot().Peers {
+		if pa.PeerID == peer {
+			got.audit = pa
+		}
+	}
+	if _, err := scanWALDir(dir, 0, [32]byte{}, func(fr walFrame) error {
+		if fr.typ != walSettle {
+			return nil
+		}
+		var rec walSettleRec
+		if err := json.Unmarshal(fr.payload, &rec); err != nil {
+			return err
+		}
+		if committed != (rec.Root != "") {
+			t.Errorf("committed=%v journaled root %q", committed, rec.Root)
+		}
+		nonces := rec.Nonces[:0:0]
+		for _, n := range rec.Nonces {
+			if n == "batch|"+rec.Root {
+				continue
+			}
+			nonces = append(nonces, n[strings.IndexByte(n, '|')+1:])
+		}
+		if committed && len(nonces) != len(rec.Nonces)-1 {
+			t.Errorf("committed settle consumed no batch nonce: %v", rec.Nonces)
+		}
+		rec.Root, rec.At, rec.Nonces = "", 0, nonces
+		got.journal = append(got.journal, rec)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
+// TestSettleOnePipeline: SettleRecords and SettleBatch are two input shapes
+// of one function. Honest records leave identical ledger rows, audit rows
+// and journal records (root aside) either way; a bad signature costs one
+// record without a commitment and the whole batch, plus a tamper flag, with
+// one.
+func TestSettleOnePipeline(t *testing.T) {
+	rootless, committed := settleOnce(t, false, false), settleOnce(t, true, false)
+	if rootless.credited != 5 || committed.credited != 5 || committed.err != nil {
+		t.Fatalf("honest records credited %d root-less, %d committed (err %v); want 5 and 5",
+			rootless.credited, committed.credited, committed.err)
+	}
+	if rootless.row.CreditedBytes != 10+11+12+13+14 || len(rootless.journal) != 1 {
+		t.Fatalf("credited %d bytes in %d journal records, want 60 in 1",
+			rootless.row.CreditedBytes, len(rootless.journal))
+	}
+	if !reflect.DeepEqual(rootless, committed) {
+		t.Fatalf("the two input shapes diverge on honest records:\nroot-less %+v\ncommitted %+v", rootless, committed)
+	}
+
+	rootless, committed = settleOnce(t, false, true), settleOnce(t, true, true)
+	if rootless.credited != 4 || rootless.row.Rejected != 1 || rootless.row.Suspended || rootless.audit.Flagged {
+		t.Fatalf("root-less bad signature: %+v; want 4 credited, 1 rejected, peer in good standing", rootless)
+	}
+	if !errors.Is(committed.err, ErrBadBatch) || committed.credited != 0 || committed.row.CreditedBytes != 0 ||
+		committed.row.Rejected != 5 || !committed.row.Suspended || !committed.audit.Flagged {
+		t.Fatalf("committed bad signature: %+v; want ErrBadBatch, all 5 rejected, peer flagged and suspended", committed)
+	}
+}
+
+// TestAnonymousWrapperStablePerHost: /wrapper without client= keys the pooled
+// map on the remote host, so one host sees a byte-identical map within an
+// epoch, and a publish or an ejection still rebuilds it.
+func TestAnonymousWrapperStablePerHost(t *testing.T) {
+	o := controlOrigin(t, 10)
+	srv := httptest.NewServer(o.Handler())
+	defer srv.Close()
+	fetch := func() []byte {
+		t.Helper()
+		resp, err := http.Get(srv.URL + "/wrapper?page=p")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET /wrapper = %d, %v: %s", resp.StatusCode, err, body)
+		}
+		return body
+	}
+	first := fetch()
+	if again := fetch(); !bytes.Equal(again, first) {
+		t.Fatalf("same host, same epoch, different maps:\n%s\n%s", first, again)
+	}
+	if builds := o.WrapperGenerations(); builds != 1 {
+		t.Fatalf("two anonymous views took %d builds, want 1", builds)
+	}
+	o.AddObject("/c", make([]byte, 500))
+	published := fetch()
+	if bytes.Equal(published, first) {
+		t.Fatal("anonymous map survived a publish")
+	}
+	var w Wrapper
+	if err := json.Unmarshal(published, &w); err != nil {
+		t.Fatal(err)
+	}
+	victim := anyPeer(&w)
+	o.Audit().FlagTampered(victim, errors.New("test evidence"))
+	var rebuilt Wrapper // fresh: Unmarshal merges into an existing Keys map
+	if err := json.Unmarshal(fetch(), &rebuilt); err != nil {
+		t.Fatal(err)
+	}
+	if wrapperPeers(&rebuilt)[victim] {
+		t.Fatalf("anonymous map still names ejected peer %s", victim)
+	}
+	if resp, err := http.Post(srv.URL+"/usage", "application/json", strings.NewReader("[]")); err != nil {
+		t.Fatal(err)
+	} else if resp.Body.Close(); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("POST /usage = %d, want 404 (route deleted)", resp.StatusCode)
+	}
+}
+
+// TestPolicyShapesRingWalk: on the pooled path, over fleets of 8–64 peers
+// with distinct RTTs, SelectProximity's mean assigned RTT never exceeds
+// SelectRandom's, and SelectLoadAware's max/min peer load never exceeds
+// SelectRandom's.
+func TestPolicyShapesRingWalk(t *testing.T) {
+	measure := func(policy SelectionPolicy, peers, objects int) (meanRTT, spread float64) {
+		o := NewOrigin("x", WithPolicy(policy))
+		page := Page{Name: "p", Container: "/c"}
+		o.AddObject("/c", make([]byte, 100))
+		for i := 0; i < objects; i++ {
+			path := fmt.Sprintf("/o%d", i)
+			o.AddObject(path, make([]byte, 100))
+			page.Embedded = append(page.Embedded, path)
+		}
+		if err := o.AddPage(page); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < peers; i++ {
+			o.RegisterPeer(fmt.Sprintf("peer-%02d", i), "http://p", float64(5+7*i))
+		}
+		for c := 0; c < 32; c++ {
+			if _, err := o.AssignWrapper("p", fmt.Sprintf("client-%d", c)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var rttSum float64
+		total, minLoad, maxLoad := 0, 1<<30, 0
+		for _, p := range o.Peers() {
+			rttSum += p.RTTMillis * float64(p.Assigned)
+			total += p.Assigned
+			minLoad, maxLoad = min(minLoad, p.Assigned), max(maxLoad, p.Assigned)
+		}
+		// +1 keeps the ratio finite when the ring leaves a thin peer unassigned.
+		return rttSum / float64(total), float64(maxLoad+1) / float64(minLoad+1)
+	}
+	prop := func(peersRaw, objectsRaw uint8) bool {
+		peers, objects := 8+int(peersRaw)%57, 20+int(objectsRaw)%60
+		randomRTT, randomSpread := measure(SelectRandom, peers, objects)
+		proxRTT, _ := measure(SelectProximity, peers, objects)
+		_, loadSpread := measure(SelectLoadAware, peers, objects)
+		if proxRTT > randomRTT || loadSpread > randomSpread {
+			t.Logf("%d peers, %d objects: RTT proximity %.1f vs random %.1f; spread loadAware %.2f vs random %.2f",
+				peers, objects, proxRTT, randomRTT, loadSpread, randomSpread)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 25, Rand: rand.New(rand.NewSource(1))}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -4,21 +4,22 @@ import (
 	"testing"
 )
 
-// FuzzDecodeRecords hardens the usage-record batch parser: arbitrary bytes
-// must never panic, and decoded records must re-encode cleanly.
+// FuzzDecodeRecords hardens the usage-record batch parser (the body of POST
+// /usage/batch): arbitrary bytes must never panic, and a decoded batch must
+// re-encode cleanly.
 func FuzzDecodeRecords(f *testing.F) {
-	good, _ := EncodeRecords([]UsageRecord{{Provider: "p", PeerID: "x", Bytes: 5}})
+	good, _ := EncodeBatch(NewRecordBatch("x", []UsageRecord{{Provider: "p", PeerID: "x", Bytes: 5}}))
 	f.Add(good)
 	f.Add([]byte("null"))
-	f.Add([]byte("[{}]"))
+	f.Add([]byte(`{"records":[{}]}`))
 	f.Add([]byte("not json at all"))
-	f.Add([]byte(`[{"bytes": -1}]`))
+	f.Add([]byte(`{"peerId":"x","root":"00","records":[{"bytes": -1}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		records, err := DecodeRecords(data)
+		batch, err := DecodeBatch(data)
 		if err != nil {
 			return
 		}
-		if _, err := EncodeRecords(records); err != nil {
+		if _, err := EncodeBatch(batch); err != nil {
 			t.Fatalf("decoded batch failed to re-encode: %v", err)
 		}
 	})

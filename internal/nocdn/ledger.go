@@ -309,10 +309,10 @@ func (l *ledger) keyInfo(keyID string) (peerID string, maxBytes int64, ok bool) 
 	return peerID, sh.keyBytes[keyID], ok
 }
 
-// registry is the origin's peer directory: registration-ordered for the
-// legacy selection policies, indexed by ID for the ring's id→URL
-// resolution. Static fields only (ID, URL, RTT) — the mutable settlement
-// state lives in the sharded ledger.
+// registry is the origin's peer directory: registration-ordered for Peers
+// and probe sampling, indexed by ID for the ring's id→URL resolution. Static
+// fields only (ID, URL, RTT) — the mutable settlement state lives in the
+// sharded ledger.
 type registry struct {
 	mu   sync.RWMutex
 	list []peerStatic

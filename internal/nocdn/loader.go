@@ -46,9 +46,8 @@ type Loader struct {
 	// OriginURL is the content provider's base URL.
 	OriginURL string
 	// ClientID, when set, identifies this client to the origin's wrapper
-	// endpoint, opting into the pooled consistent-hash assignment path:
-	// the same client keeps hitting the same precomputed peer map within
-	// an epoch. Empty keeps the legacy per-request wrapper.
+	// endpoint: the same client keeps hitting the same precomputed peer map
+	// within an epoch. Empty lets the origin key the map on the remote host.
 	ClientID string
 	// HTTPClient, when set, is used as-is. When nil a client with
 	// FetchTimeout is built lazily (the previous default —
@@ -636,6 +635,11 @@ func (l *Loader) deliverRecords(ctx context.Context, gate fetchGate, parent *hpo
 		}
 		for _, c := range ref.Chunks {
 			peerURLs[c.PeerID] = c.PeerURL
+		}
+		// A failover serve is paid too, and the ring may name a peer only
+		// as a replica.
+		for _, rp := range ref.Replicas {
+			peerURLs[rp.PeerID] = rp.PeerURL
 		}
 	}
 	// Deterministic order for reproducible tests.

@@ -2,6 +2,7 @@ package nocdn
 
 import (
 	"bytes"
+	"encoding/hex"
 	"fmt"
 	"testing"
 	"time"
@@ -98,7 +99,7 @@ func TestMerkleProofs(t *testing.T) {
 			}
 			// Trailing path garbage is not a valid proof.
 			padded := proof
-			extra := hexEncode(make([]byte, 32))
+			extra := hex.EncodeToString(make([]byte, 32))
 			padded.Path = append(append([]string(nil), proof.Path...), extra)
 			if VerifyMerkleProof(leaves[i], padded, root) {
 				t.Fatalf("n=%d i=%d: padded path accepted", n, i)

@@ -23,10 +23,8 @@ package nocdn
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -168,20 +166,6 @@ func (r UsageRecord) VerifySignature(secret []byte) error {
 	return auth.Verify(secret, r.CanonicalBytes(), r.Signature)
 }
 
-// EncodeRecords serializes a usage-record batch for upload.
-func EncodeRecords(records []UsageRecord) ([]byte, error) {
-	return json.Marshal(records)
-}
-
-// DecodeRecords parses a usage-record batch.
-func DecodeRecords(data []byte) ([]UsageRecord, error) {
-	var out []UsageRecord
-	if err := json.Unmarshal(data, &out); err != nil {
-		return nil, fmt.Errorf("nocdn: decode records: %w", err)
-	}
-	return out, nil
-}
-
 // ---- Peer selection ----
 
 // PeerInfo is the origin's view of one recruited peer.
@@ -196,17 +180,21 @@ type PeerInfo struct {
 	Suspended bool
 }
 
-// SelectionPolicy picks peers for page objects.
+// SelectionPolicy shapes how the assignment ring picks a peer for each page
+// object.
 type SelectionPolicy int
 
 // Selection policies — the peer-selection ablation from DESIGN.md.
 const (
-	// SelectRandom assigns uniformly (and is the collusion mitigation: the
-	// payment path stays unpredictable).
+	// SelectRandom takes the ring's choice: the hash of (page, object, slot)
+	// spreads objects uniformly and, keyed per client slot, keeps the
+	// payment path unpredictable (the collusion mitigation).
 	SelectRandom SelectionPolicy = iota + 1
-	// SelectProximity prefers low-RTT peers.
+	// SelectProximity prefers the lowest-RTT peer among the first few
+	// eligible ring successors.
 	SelectProximity
-	// SelectLoadAware prefers the least-loaded peers.
+	// SelectLoadAware tightens the per-map load bound from
+	// DefaultRingLoadFactor to 1.
 	SelectLoadAware
 )
 
@@ -222,34 +210,4 @@ func (p SelectionPolicy) String() string {
 	default:
 		return fmt.Sprintf("SelectionPolicy(%d)", int(p))
 	}
-}
-
-// rank returns candidate peers in policy order; the caller takes prefixes.
-// rnd supplies randomness (uniform [0,1) draws).
-func rank(peers []*PeerInfo, policy SelectionPolicy, rnd func() float64) []*PeerInfo {
-	live := make([]*PeerInfo, 0, len(peers))
-	for _, p := range peers {
-		if !p.Suspended {
-			live = append(live, p)
-		}
-	}
-	switch policy {
-	case SelectProximity:
-		sort.SliceStable(live, func(i, j int) bool {
-			return live[i].RTTMillis < live[j].RTTMillis
-		})
-	case SelectLoadAware:
-		sort.SliceStable(live, func(i, j int) bool {
-			return live[i].Assigned < live[j].Assigned
-		})
-	default: // SelectRandom: Fisher-Yates with the supplied source
-		for i := len(live) - 1; i > 0; i-- {
-			j := int(rnd() * float64(i+1))
-			if j > i {
-				j = i
-			}
-			live[i], live[j] = live[j], live[i]
-		}
-	}
-	return live
 }

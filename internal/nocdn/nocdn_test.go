@@ -3,8 +3,11 @@ package nocdn
 import (
 	"bytes"
 	"encoding/hex"
+	"errors"
+	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -56,7 +59,7 @@ func peerID(i int) string { return "peer-" + string(rune('a'+i)) }
 
 func TestWrapperGeneration(t *testing.T) {
 	s := newTestSite(t, 3)
-	w, err := s.origin.GenerateWrapper("home")
+	w, err := s.origin.AssignWrapper("home", "c")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +81,7 @@ func TestWrapperGeneration(t *testing.T) {
 			t.Errorf("no key for peer %s", ref.PeerID)
 		}
 	}
-	if _, err := s.origin.GenerateWrapper("ghost"); err != ErrUnknownPage {
+	if _, err := s.origin.AssignWrapper("ghost", "c"); err != ErrUnknownPage {
 		t.Errorf("ghost page err = %v", err)
 	}
 }
@@ -87,7 +90,7 @@ func TestWrapperRequiresPeers(t *testing.T) {
 	o := NewOrigin("x")
 	o.AddObject("/i", []byte("c"))
 	o.AddPage(Page{Name: "p", Container: "/i"})
-	if _, err := o.GenerateWrapper("p"); err != ErrNoPeers {
+	if _, err := o.AssignWrapper("p", "c"); err != ErrNoPeers {
 		t.Errorf("err = %v, want ErrNoPeers", err)
 	}
 }
@@ -308,20 +311,16 @@ func TestCollusionDetection(t *testing.T) {
 	// the damage and suspend the peer.
 	s := newTestSite(t, 2)
 	// Issue a genuine wrapper so the colluder holds a real key.
-	w, err := s.origin.GenerateWrapper("home")
+	w, err := s.origin.AssignWrapper("home", "c")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The colluding pair picks the first peer that actually has a key.
-	var colluder string
-	var key PeerKey
-	for id, k := range w.Keys {
-		colluder, key = id, k
-		break
-	}
+	// The colluding partner is a peer the wrapper assigned an image to.
+	colluder := w.Objects[0].PeerID
+	key := w.Keys[colluder]
 	secret, _ := hex.DecodeString(key.Secret)
-	// Forge many records claiming the per-key max each time (each has a
-	// fresh nonce and a VALID signature — pure collusion).
+	// Forge many records claiming that image each time (within the per-key
+	// cap; each has a fresh nonce and a VALID signature — pure collusion).
 	var records []UsageRecord
 	for i := 0; i < 50; i++ {
 		rec := UsageRecord{
@@ -329,8 +328,8 @@ func TestCollusionDetection(t *testing.T) {
 			PeerID:   colluder,
 			KeyID:    key.KeyID,
 			Page:     "home",
-			Bytes:    20000,
-			Objects:  5,
+			Bytes:    10000,
+			Objects:  1,
 			Nonce:    auth.NewNonce(),
 			IssuedAt: time.Now(),
 		}
@@ -343,7 +342,7 @@ func TestCollusionDetection(t *testing.T) {
 		t.Errorf("colluding peer not suspended: %+v", acc)
 	}
 	// And suspended peers drop out of future wrappers.
-	w2, err := s.origin.GenerateWrapper("home")
+	w2, err := s.origin.AssignWrapper("home", "c")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +370,7 @@ func TestChunkedMultiPeerFetch(t *testing.T) {
 		defer srv.Close()
 		o.RegisterPeer(peerID(i), srv.URL, 10)
 	}
-	w, err := o.GenerateWrapper("dl")
+	w, err := o.AssignWrapper("dl", "c")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,33 +388,6 @@ func TestChunkedMultiPeerFetch(t *testing.T) {
 	// Load was spread: more than one peer served bytes.
 	if len(res.PeerBytes) < 2 {
 		t.Errorf("chunks served by %d peers, want >= 2", len(res.PeerBytes))
-	}
-}
-
-func TestSelectionPolicies(t *testing.T) {
-	peers := []*PeerInfo{
-		{ID: "far", RTTMillis: 200, Assigned: 0},
-		{ID: "near", RTTMillis: 5, Assigned: 9},
-		{ID: "mid", RTTMillis: 50, Assigned: 1},
-		{ID: "dead", RTTMillis: 1, Suspended: true},
-	}
-	rnd := sim.NewRNG(1).Float64
-	prox := rank(peers, SelectProximity, rnd)
-	if prox[0].ID != "near" {
-		t.Errorf("proximity first = %s", prox[0].ID)
-	}
-	load := rank(peers, SelectLoadAware, rnd)
-	if load[0].ID != "far" {
-		t.Errorf("load-aware first = %s (loads 0)", load[0].ID)
-	}
-	random := rank(peers, SelectRandom, rnd)
-	if len(random) != 3 {
-		t.Errorf("random kept %d peers, want 3 (suspended excluded)", len(random))
-	}
-	for _, p := range random {
-		if p.ID == "dead" {
-			t.Error("suspended peer ranked")
-		}
 	}
 }
 
@@ -453,21 +425,6 @@ func TestUsageRecordCanonicalSigning(t *testing.T) {
 		if err := r2.VerifySignature(secret); err == nil {
 			t.Errorf("mutation %d left signature valid", i)
 		}
-	}
-}
-
-func TestRecordsEncodeDecode(t *testing.T) {
-	in := []UsageRecord{{Provider: "p", Bytes: 5}, {Provider: "q", Bytes: 7}}
-	data, err := EncodeRecords(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := DecodeRecords(data)
-	if err != nil || len(out) != 2 || out[1].Bytes != 7 {
-		t.Errorf("decode = %+v, %v", out, err)
-	}
-	if _, err := DecodeRecords([]byte("not json")); err == nil {
-		t.Error("bad json accepted")
 	}
 }
 
@@ -515,133 +472,6 @@ func TestByteLRUEviction(t *testing.T) {
 	c.put("d", make([]byte, 50))
 	if _, ok := c.get("a"); !ok {
 		t.Error("a lost after shrink-replace")
-	}
-}
-
-func TestWrapperReuse(t *testing.T) {
-	current := time.Now()
-	clock := func() time.Time { return current }
-	o := NewOrigin("x", WithRNG(sim.NewRNG(1)), WithClock(clock), WithWrapperReuse(time.Minute))
-	o.AddObject("/i", []byte("content"))
-	o.AddPage(Page{Name: "p", Container: "/i"})
-	o.RegisterPeer("peer", "http://peer", 10)
-
-	w1, err := o.GenerateWrapper("p")
-	if err != nil {
-		t.Fatal(err)
-	}
-	w2, err := o.GenerateWrapper("p")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w1 != w2 {
-		t.Error("wrapper not reused within TTL")
-	}
-	if o.WrapperGenerations() != 1 {
-		t.Errorf("generations = %d, want 1", o.WrapperGenerations())
-	}
-	// TTL expiry forces a rebuild with fresh keys.
-	current = current.Add(2 * time.Minute)
-	w3, err := o.GenerateWrapper("p")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w3 == w1 {
-		t.Error("expired wrapper still served")
-	}
-	if o.WrapperGenerations() != 2 {
-		t.Errorf("generations = %d, want 2", o.WrapperGenerations())
-	}
-	if w3.Keys["peer"].KeyID == w1.Keys["peer"].KeyID {
-		t.Error("rebuilt wrapper reused old short-term key")
-	}
-}
-
-func TestWrapperCacheHashEpochInvalidation(t *testing.T) {
-	// A publish inside the reuse TTL must invalidate the cached wrapper:
-	// a wrapper advertising superseded hashes would force every loader
-	// into origin fallback against peers holding the fresh bytes.
-	current := time.Now()
-	clock := func() time.Time { return current }
-	o := NewOrigin("x", WithRNG(sim.NewRNG(1)), WithClock(clock), WithWrapperReuse(time.Minute))
-	o.AddObject("/i", []byte("v1"))
-	o.AddPage(Page{Name: "p", Container: "/i"})
-	o.RegisterPeer("peer", "http://peer", 10)
-
-	w1, err := o.GenerateWrapper("p")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w1.Container.Hash != HashBytes([]byte("v1")) {
-		t.Fatalf("wrapper hash = %s, want hash of v1", w1.Container.Hash)
-	}
-
-	// Republish well inside the TTL window; the clock barely moves.
-	current = current.Add(time.Second)
-	o.AddObject("/i", []byte("v2"))
-	w2, err := o.GenerateWrapper("p")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w2 == w1 {
-		t.Fatal("cached wrapper survived a publish inside its TTL")
-	}
-	if w2.Container.Hash != HashBytes([]byte("v2")) {
-		t.Fatalf("rebuilt wrapper hash = %s, want hash of v2", w2.Container.Hash)
-	}
-	if o.WrapperGenerations() != 2 {
-		t.Errorf("generations = %d, want 2", o.WrapperGenerations())
-	}
-
-	// With the epoch stable again, reuse resumes.
-	w3, err := o.GenerateWrapper("p")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w3 != w2 {
-		t.Error("wrapper not reused after the epoch settled")
-	}
-
-	// Header overrides are published content too: changing one must also
-	// invalidate (loaders see headers via peers, and peers key revalidation
-	// off them).
-	o.SetObjectHeader("/i", "Cache-Control", "no-store")
-	w4, err := o.GenerateWrapper("p")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w4 == w3 {
-		t.Error("cached wrapper survived a header publish inside its TTL")
-	}
-}
-
-func TestWrapperReuseSettlementStillWorks(t *testing.T) {
-	// Records signed under a reused wrapper's key settle normally, and the
-	// nonce cache still kills replays across users sharing the wrapper.
-	o := NewOrigin("x", WithRNG(sim.NewRNG(2)), WithWrapperReuse(time.Minute))
-	o.AddObject("/i", make([]byte, 1000))
-	o.AddPage(Page{Name: "p", Container: "/i"})
-	o.RegisterPeer("peer", "http://peer", 10)
-	w, err := o.GenerateWrapper("p")
-	if err != nil {
-		t.Fatal(err)
-	}
-	secret, _ := hex.DecodeString(w.Keys["peer"].Secret)
-	mkRecord := func(nonce string) UsageRecord {
-		r := UsageRecord{
-			Provider: "x", PeerID: "peer", KeyID: w.Keys["peer"].KeyID,
-			Page: "p", Bytes: 1000, Objects: 1, Nonce: nonce, IssuedAt: time.Now(),
-		}
-		r.Sign(secret)
-		return r
-	}
-	// Two different users' records under the shared wrapper: both credit.
-	if n := o.SettleRecords([]UsageRecord{mkRecord("user-a"), mkRecord("user-b")}); n != 2 {
-		t.Errorf("credited %d of 2 distinct-user records", n)
-	}
-	// Replaying user-a's nonce fails.
-	if n := o.SettleRecords([]UsageRecord{mkRecord("user-a")}); n != 0 {
-		t.Errorf("replay credited %d", n)
 	}
 }
 
@@ -707,6 +537,52 @@ func TestFlushRetryAfterOriginOutage(t *testing.T) {
 	acc := s.origin.AccountingFor(peerID(0))
 	if acc.CreditedBytes == 0 {
 		t.Error("retried records not credited")
+	}
+}
+
+// TestFlushKeepsRecordsOnNotFound: a 404 (mis-routed origin URL, a proxy)
+// is not a settlement decision. The batch must requeue and arm the backoff
+// gate like a 5xx, then settle in full once the origin answers.
+func TestFlushKeepsRecordsOnNotFound(t *testing.T) {
+	s := newTestSite(t, 1)
+	res, err := s.loader.LoadPage("home")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pending := s.peers[0].PendingRecords()
+	if pending == 0 {
+		t.Fatal("no records to flush")
+	}
+	now := time.Now()
+	s.peers[0].SetClock(func() time.Time { return now })
+	var posts atomic.Int32
+	front := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if posts.Add(1) == 1 {
+			http.NotFound(w, r)
+			return
+		}
+		s.origin.Handler().ServeHTTP(w, r)
+	}))
+	defer front.Close()
+
+	if n, err := s.peers[0].Flush(front.URL); err == nil || n != 0 {
+		t.Fatalf("flush answered 404 = %d, %v; want 0 and an error", n, err)
+	}
+	if got := s.peers[0].PendingRecords(); got != pending {
+		t.Fatalf("records after 404 = %d, want %d (retained)", got, pending)
+	}
+	if _, err := s.peers[0].Flush(front.URL); !errors.Is(err, ErrFlushDeferred) {
+		t.Fatalf("flush right after a 404 = %v, want ErrFlushDeferred", err)
+	}
+	now = now.Add(time.Minute)
+	if n, err := s.peers[0].Flush(front.URL); err != nil || n != pending {
+		t.Fatalf("retry flush = %d, %v; want %d, nil", n, err, pending)
+	}
+	if s.peers[0].PendingRecords() != 0 {
+		t.Error("records linger after the settled retry")
+	}
+	if got, want := s.origin.AccountingFor(peerID(0)).CreditedBytes, res.PeerBytes[peerID(0)]; got != want || want == 0 {
+		t.Errorf("credited %d bytes after the retry, want the %d served", got, want)
 	}
 }
 

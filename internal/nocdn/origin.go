@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"mime"
+	"net"
 	"net/http"
 	"sort"
 	"strconv"
@@ -42,13 +43,15 @@ const (
 // the peer directory lives in an RWMutex'd registry; the settlement ledger
 // and short-term key table are sharded 32 ways by hash with per-shard locks
 // (settlement for disjoint peers never contends); client→peer assignment
-// reads a consistent-hash ring; and the byte counters are atomics. The only
-// origin-wide mutex left (selMu) guards the legacy randomized wrapper build
-// path and its cache.
+// reads a consistent-hash ring; and the byte counters are atomics. Wrapper
+// serving takes no origin-wide lock; settlement's one (commitMu) only orders
+// commits against snapshot cuts.
 type Origin struct {
 	// Provider is the site identity peers virtual-host under.
 	Provider string
-	// Policy selects peers for objects (legacy randomized wrapper path).
+	// Policy shapes the ring walk that picks each object's peer: ring order
+	// (SelectRandom), lowest RTT among the first few eligible successors
+	// (SelectProximity), or a tighter load bound (SelectLoadAware).
 	Policy SelectionPolicy
 	// ChunkPeers > 1 splits large objects into that many ranges served by
 	// disparate peers ("Leveraging Redundancy").
@@ -64,14 +67,6 @@ type Origin struct {
 	// AnomalyFactor: a peer whose credited bytes exceed assigned bytes by
 	// this factor is flagged and suspended (default 1.5).
 	AnomalyFactor float64
-	// WrapperTTL > 0 lets the origin reuse one generated wrapper per page
-	// for that long instead of regenerating per view — the paper's "even
-	// the wrapper page may be reused among users and/or allowed to be
-	// cached by the user for a certain time", trading per-view key
-	// freshness for origin CPU/selection work. A publish always invalidates
-	// the cached wrapper regardless of TTL: the wrapper is the hash-epoch
-	// authority, so it must never advertise hashes of superseded bytes.
-	WrapperTTL time.Duration
 	// PoolSlots is how many precomputed wrapper variants the pool keeps per
 	// page (default 16). Clients hash onto a slot, so one page's load
 	// spreads over PoolSlots distinct peer maps while any one client sees a
@@ -94,7 +89,7 @@ type Origin struct {
 	StaleIfError         time.Duration
 
 	// metrics, when set, receives the origin-side histograms:
-	// nocdn.origin.wrapper_seconds (actual wrapper builds, reused serves
+	// nocdn.origin.wrapper_seconds (actual wrapper builds, pooled serves
 	// excluded) and nocdn.origin.settle_seconds (usage-record batch
 	// settlement), plus nocdn.origin.records_rejected and the nocdn.audit.*
 	// family.
@@ -127,9 +122,9 @@ type Origin struct {
 	pages      map[string]*Page
 	objHeaders map[string]http.Header
 
-	// contentEpoch advances on every publish. Cached and pooled wrappers
-	// record the epoch they were built under, so a publish invalidates them
-	// immediately even inside WrapperTTL (hash-epoch-aware expiry).
+	// contentEpoch advances on every publish. Pooled wrappers record the
+	// epoch they were built under, so a publish invalidates them immediately
+	// (hash-epoch-aware expiry).
 	contentEpoch atomic.Int64
 	// assignEpoch advances whenever the assignable peer set changes
 	// (registration, ejection, readmission, anomaly suspension) and on
@@ -161,14 +156,13 @@ type Origin struct {
 	walRecovery  RecoveryStats
 	snapshotGate atomic.Bool
 
-	// selMu guards the legacy wrapper build path: the selection RNG and the
-	// per-page wrapper cache.
-	selMu        sync.Mutex
-	rng          *sim.RNG
-	wrapperCache map[string]cachedWrapper
+	// rngMu guards the deterministic RNG that probe sampling and gossip
+	// spot-checks draw from.
+	rngMu sync.Mutex
+	rng   *sim.RNG
 
-	// probeMu guards probe bookkeeping: the per-peer health verdict as of
-	// the last probe pass (so transitions are detected) and the lazy client.
+	// probeMu guards the per-peer health verdict as of the last probe pass
+	// (so transitions are detected); probeClient bounds every direct probe.
 	probeMu      sync.Mutex
 	probeHealthy map[string]bool
 	probeClient  *http.Client
@@ -178,8 +172,8 @@ type Origin struct {
 	gossipMu       sync.Mutex
 	gossipMismatch map[string]int
 
-	// wrapperGenerations counts actual wrapper builds (vs serves) for the
-	// reuse experiment and the control-plane sweep's hot-path assertion.
+	// wrapperGenerations counts actual wrapper builds (vs pooled serves) for
+	// the reuse experiment and the control-plane sweep's hot-path assertion.
 	wrapperGenerations atomic.Int64
 
 	// served tracks origin bytes out (wrapper + cache-miss backfill), the
@@ -222,11 +216,6 @@ func WithRNG(rng *sim.RNG) OriginOption {
 // WithClock injects a time source.
 func WithClock(now func() time.Time) OriginOption {
 	return func(o *Origin) { o.now = now }
-}
-
-// WithWrapperReuse enables wrapper-page reuse for the given TTL.
-func WithWrapperReuse(ttl time.Duration) OriginOption {
-	return func(o *Origin) { o.WrapperTTL = ttl }
 }
 
 // Default object cache policy: short freshness with modest serve-stale
@@ -295,14 +284,6 @@ func (o *Origin) SetHealthRegistry(h *hpop.HealthRegistry) {
 // HealthRegistry returns the wired peer-health registry (nil when unset).
 func (o *Origin) HealthRegistry() *hpop.HealthRegistry { return o.health }
 
-// cachedWrapper is one reusable wrapper with its build time and the
-// content epoch it was built under.
-type cachedWrapper struct {
-	wrapper *Wrapper
-	builtAt time.Time
-	epoch   int64
-}
-
 // NewOrigin creates a content provider.
 func NewOrigin(provider string, opts ...OriginOption) *Origin {
 	o := &Origin{
@@ -320,8 +301,8 @@ func NewOrigin(provider string, opts ...OriginOption) *Origin {
 		now:                  time.Now,
 		registry:             newRegistry(),
 		ledger:               newLedger(),
-		wrapperCache:         make(map[string]cachedWrapper),
 		probeHealthy:         make(map[string]bool),
+		probeClient:          &http.Client{Timeout: 2 * time.Second},
 		gossipMismatch:       make(map[string]int),
 		pool:                 newWrapperPool(),
 		audit:                NewAuditor(),
@@ -404,7 +385,7 @@ func (o *Origin) SLOEngine() *hpop.SLOEngine { return o.slo }
 // neither wrapper generation nor content serving ever hashes on a hot path.
 // The Content-Type is detected from the path extension (falling back to
 // content sniffing); use AddObjectWithType to set it explicitly. Publishing
-// advances the content epoch, which invalidates any cached wrappers — they
+// advances the content epoch, which invalidates every pooled wrapper — they
 // carry per-object hashes and must never outlive the bytes they attest.
 func (o *Origin) AddObject(path string, data []byte) {
 	o.AddObjectWithType(path, data, detectContentType(path, data))
@@ -433,8 +414,8 @@ func detectContentType(path string, data []byte) string {
 // SetObjectHeader overrides (or, with an empty value, clears) one response
 // header /content sends for path — how a provider opts an object into
 // no-store, a longer max-age, an Expires date, or Vary keying. Counts as a
-// publish for wrapper-cache purposes: policy changes take effect on the
-// next wrapper, not after WrapperTTL.
+// publish for the wrapper pool: policy changes take effect on the next
+// wrapper.
 func (o *Origin) SetObjectHeader(path, name, value string) {
 	o.contentMu.Lock()
 	h := o.objHeaders[path]
@@ -482,29 +463,19 @@ func (o *Origin) RegisterPeer(id, url string, rttMillis float64) {
 	o.journalPeerRegister(id, url, rttMillis, ep)
 }
 
-// peerSnapshot materializes the legacy []*PeerInfo view: directory rows
-// with the mutable Assigned/Suspended state filled from the ledger.
-func (o *Origin) peerSnapshot() []*PeerInfo {
+// Peers returns a snapshot of the registry: directory rows with the mutable
+// Assigned/Suspended state filled from the ledger.
+func (o *Origin) Peers() []PeerInfo {
 	static := o.registry.snapshot()
-	out := make([]*PeerInfo, len(static))
+	out := make([]PeerInfo, len(static))
 	for i, p := range static {
-		out[i] = &PeerInfo{
+		out[i] = PeerInfo{
 			ID:        p.id,
 			URL:       p.url,
 			RTTMillis: p.rtt,
 			Assigned:  int(o.ledger.assignedCount(p.id)),
 			Suspended: o.ledger.isSuspended(p.id),
 		}
-	}
-	return out
-}
-
-// Peers returns a snapshot of the registry.
-func (o *Origin) Peers() []PeerInfo {
-	ptrs := o.peerSnapshot()
-	out := make([]PeerInfo, len(ptrs))
-	for i, p := range ptrs {
-		out[i] = *p
 	}
 	return out
 }
@@ -536,166 +507,24 @@ func (o *Origin) pageMeta(page string) ([]string, map[string]refMeta, error) {
 	return paths, meta, nil
 }
 
-// GenerateWrapper builds the wrapper page for one page view: peer
-// assignments, hashes, per-peer short-term keys, and a nonce. With
-// WrapperTTL set, an unexpired previously built wrapper is reused instead.
-//
-// This is the legacy randomized path (policy-ranked, fresh selection per
-// build). AssignWrapper is the pooled consistent-hash path; /wrapper routes
-// to it when the client identifies itself.
-func (o *Origin) GenerateWrapper(page string) (*Wrapper, error) {
-	paths, meta, err := o.pageMeta(page)
-	if err != nil {
-		return nil, err
-	}
-
-	epoch := o.contentEpoch.Load()
-	o.selMu.Lock()
-	defer o.selMu.Unlock()
-	if o.WrapperTTL > 0 {
-		// Reuse demands both an unexpired TTL and an unchanged content
-		// epoch: a publish inside the TTL window supersedes object hashes,
-		// and a wrapper advertising superseded hashes would force every
-		// loader into origin fallback (peers' fresh bytes would "fail"
-		// verification against the stale wrapper).
-		if cw, ok := o.wrapperCache[page]; ok && cw.epoch == epoch && o.now().Sub(cw.builtAt) < o.WrapperTTL {
-			return cw.wrapper, nil
-		}
-	}
-	o.wrapperGenerations.Add(1)
-	buildStart := time.Now()
-	defer func() {
-		o.metrics.Observe("nocdn.origin.wrapper_seconds", time.Since(buildStart).Seconds())
-	}()
-	ranked := rank(o.peerSnapshot(), o.Policy, o.rng.Float64)
-	if len(ranked) == 0 {
-		return nil, ErrNoPeers
-	}
-	// Health gate: eject open-circuit and audit-flagged peers from the new
-	// map. If that would empty a non-empty candidate list, keep the full
-	// list (degraded — the loader's own breakers and origin fallback still
-	// protect the page) rather than refusing to serve wrappers at all.
-	if o.health != nil {
-		healthy := make([]*PeerInfo, 0, len(ranked))
-		for _, p := range ranked {
-			if o.health.Healthy(p.ID) {
-				healthy = append(healthy, p)
-			}
-		}
-		if len(healthy) > 0 {
-			ranked = healthy
-		} else {
-			o.metrics.Inc("nocdn.origin.wrapper_degraded")
-		}
-	}
-
-	w := &Wrapper{
-		Provider: o.Provider,
-		Page:     page,
-		Keys:     make(map[string]PeerKey),
-		Nonce:    auth.NewNonce(),
-		IssuedAt: o.now(),
-		Loader:   "loader-v1",
-	}
-	var charges []charge
-	next := 0
-	pick := func() *PeerInfo {
-		peer := ranked[next%len(ranked)]
-		next++
-		peer.Assigned++
-		return peer
-	}
-	ensureKey := func(peer *PeerInfo, size int) {
-		if _, ok := w.Keys[peer.ID]; !ok {
-			k := o.keys.Issue(peer.ID)
-			w.Keys[peer.ID] = PeerKey{KeyID: k.ID, Secret: hexEncode(k.Secret)}
-			o.ledger.issueKey(k.ID, peer.ID)
-		}
-		kid := w.Keys[peer.ID].KeyID
-		o.ledger.addKeyBytes(kid, int64(size))
-		charges = append(charges, charge{peerID: peer.ID, bytes: int64(size)})
-	}
-	makeRef := func(path string) ObjectRef {
-		m := meta[path]
-		ref := ObjectRef{Path: path, Hash: m.hash, Size: m.size}
-		if o.ChunkPeers > 1 && m.size >= o.ChunkThreshold && len(ranked) > 1 {
-			n := o.ChunkPeers
-			if n > len(ranked) {
-				n = len(ranked)
-			}
-			chunk := (m.size + n - 1) / n
-			for i := 0; i < n; i++ {
-				off := i * chunk
-				ln := chunk
-				if off+ln > m.size {
-					ln = m.size - off
-				}
-				peer := pick()
-				ensureKey(peer, ln)
-				ref.Chunks = append(ref.Chunks, ChunkRef{
-					PeerID: peer.ID, PeerURL: peer.URL, Offset: off, Length: ln,
-				})
-			}
-			return ref
-		}
-		peer := pick()
-		ensureKey(peer, m.size)
-		ref.PeerID = peer.ID
-		ref.PeerURL = peer.URL
-		// Replicas: the next distinct peers in the ranking. Each gets a key
-		// and a byte assignment too, so a failover serve settles exactly.
-		if o.Replicas > 0 && len(ranked) > 1 {
-			seen := map[string]bool{peer.ID: true}
-			for i := 0; len(ref.Replicas) < o.Replicas && i < len(ranked); i++ {
-				rp := ranked[(next+i)%len(ranked)]
-				if seen[rp.ID] {
-					continue
-				}
-				seen[rp.ID] = true
-				ensureKey(rp, m.size)
-				ref.Replicas = append(ref.Replicas, PeerRef{PeerID: rp.ID, PeerURL: rp.URL})
-			}
-		}
-		return ref
-	}
-	w.Container = makeRef(paths[0])
-	for _, e := range paths[1:] {
-		w.Objects = append(w.Objects, makeRef(e))
-	}
-	o.ledger.assignCharges(charges)
-	// The key table must be durable before the wrapper leaves the origin:
-	// records signed under these keys must still settle after a crash.
-	// Charges are already in the ledger here, so no pending delta.
-	o.journalKeysIssued(w, nil)
-	if o.WrapperTTL > 0 {
-		o.wrapperCache[page] = cachedWrapper{wrapper: w, builtAt: o.now(), epoch: epoch}
-	}
-	return w, nil
-}
-
-// WrapperGenerations returns how many wrappers were actually built (reused
-// and pooled serves do not count) — the savings metric for wrapper reuse
-// and the control-plane sweep's hot-path assertion.
+// WrapperGenerations returns how many wrappers were actually built (pooled
+// serves do not count) — the savings metric for wrapper reuse and the
+// control-plane sweep's hot-path assertion.
 func (o *Origin) WrapperGenerations() int64 {
 	return o.wrapperGenerations.Load()
 }
 
-func hexEncode(b []byte) string { return fmt.Sprintf("%x", b) }
-
-// randIntn draws from the origin's deterministic RNG under the selection
-// lock (probe sampling and gossip spot-checks share it).
+// randIntn draws from the origin's deterministic RNG (probe sampling and
+// gossip spot-checks share it).
 func (o *Origin) randIntn(n int) int {
-	o.selMu.Lock()
-	defer o.selMu.Unlock()
+	o.rngMu.Lock()
+	defer o.rngMu.Unlock()
 	return o.rng.Intn(n)
 }
 
-// invalidateWrappers drops every cached legacy wrapper and advances the
-// assignment epoch so pooled maps rebuild on their next serve.
+// invalidateWrappers advances the assignment epoch so pooled maps rebuild
+// on their next serve.
 func (o *Origin) invalidateWrappers() {
-	o.selMu.Lock()
-	o.wrapperCache = make(map[string]cachedWrapper)
-	o.selMu.Unlock()
 	o.assignEpoch.Add(1)
 }
 
@@ -718,33 +547,117 @@ func etagMatches(ifNoneMatch, etag string) bool {
 
 // ---- settlement ----
 
-// SettleRecords processes a batch of uploaded usage records from one peer.
-// Each record must carry a valid signature under a key this origin issued
-// for that peer, a fresh nonce, and a plausible byte count. It returns how
-// many records were credited.
+// SettleRecords settles an upload that carries no Merkle commitment: every
+// record's signature is verified and each is credited or rejected on its
+// own, so the records may name different peers. It returns how many records
+// were credited.
 func (o *Origin) SettleRecords(records []UsageRecord) int {
-	return o.settleBatch(hpop.TraceContext{}, records)
+	credited, _ := o.settle(hpop.TraceContext{}, RecordBatch{Records: records})
+	return credited
 }
 
-// settleBatch settles one legacy (uncommitted) upload. Verification runs
-// per record, but the ledger writes are accumulated and applied once per
-// involved shard at the end — the ledger lock is no longer taken per
-// record. The batch span continues the uploading peer's flush trace
-// (parent, from the request's traceparent header); each per-record span
-// continues the page view's trace via the traceparent the loader embedded
-// (and signed) in the record — if that is absent or malformed, the record
-// span falls back to a child of the batch span.
-func (o *Origin) settleBatch(parent hpop.TraceContext, records []UsageRecord) int {
-	sp := o.tracer.StartRemote("nocdn.origin", "settle_records", parent)
-	sp.SetLabel("records", strconv.Itoa(len(records)))
-	defer sp.End()
+// SettleBatch settles a Merkle-committed record batch: the root is
+// recomputed over the uploaded records (any tampered, dropped, reordered,
+// or injected record changes it and rejects the batch), the root's nonce
+// guards whole-batch replay, and K deterministically sampled leaves get
+// full signature verification. A sampled leaf that fails is cryptographic
+// evidence — the peer committed to a record that does not verify — so the
+// peer is flagged straight into the audit pipeline and the batch is
+// rejected. Accepted batches settle every record under one per-shard ledger
+// acquisition: cheap bounds/nonce checks keep accounting exact while the
+// expensive HMAC work stays O(K).
+func (o *Origin) SettleBatch(b RecordBatch) (int, error) {
+	return o.settle(hpop.TraceContext{}, b)
+}
+
+// settle is the one settlement pipeline: verify, then commitSettlement. A
+// batch with a root gets SettleBatch's commitment checks; one without gets
+// every signature checked, no batch nonce, and per-record rejection. Ledger
+// writes are accumulated and applied once per involved shard at commit. The
+// batch span continues the uploading peer's flush trace (parent, from the
+// request's traceparent header); each per-record span continues the page
+// view's trace via the traceparent the loader embedded (and signed) in the
+// record — if that is absent or malformed, it falls back to a child of the
+// batch span.
+func (o *Origin) settle(parent hpop.TraceContext, b RecordBatch) (credited int, err error) {
+	committed := b.Root != ""
+	spanName := "settle_records"
+	if committed {
+		spanName = "settle_batch"
+		o.metrics.Inc("nocdn.origin.batches")
+	}
+	sp := o.tracer.StartRemote("nocdn.origin", spanName, parent)
+	sp.SetLabel("records", strconv.Itoa(len(b.Records)))
+	defer func() {
+		if err != nil {
+			sp.SetError(err)
+		}
+		sp.End()
+	}()
 	start := time.Now()
-	creditDeltas := make(map[string]int64)
-	rejectCounts := make(map[string]int64)
+
+	rec := walSettleRec{PeerID: b.PeerID, Root: b.Root}
 	involved := make(map[string]struct{})
-	outcomes := make([]settleOutcome, 0, len(records))
-	batchPeer, mixedPeers := "", false
-	for _, r := range records {
+	batchNonce := ""
+	if committed {
+		sp.SetLabel("peer", b.PeerID)
+		involved[b.PeerID] = struct{}{}
+		// A rejection is still a settlement outcome — the peer must not
+		// retry it — so it journals like one.
+		rejectBatch := func(nonce string, evidence []settleOutcome) error {
+			o.metrics.Inc("nocdn.origin.batches_rejected")
+			rec.Rejects = map[string]int64{b.PeerID: int64(len(b.Records))}
+			_, cerr := o.commitSettlement(rec, nonce, involved, evidence)
+			return cerr
+		}
+		leaves := make([][]byte, len(b.Records))
+		for i := range b.Records {
+			leaves[i] = b.Records[i].LeafBytes()
+		}
+		if MerkleRoot(leaves) != b.Root {
+			rejectBatch("", nil) // no nonce consumed: the root was never this batch's
+			return 0, fmt.Errorf("%w: root mismatch", ErrBadBatch)
+		}
+		// The batch nonce (the whole-batch replay guard) is NOT consumed
+		// here: commitSettlement consumes it under the commit lock,
+		// atomically with the journal append, and aborts the commit when the
+		// root was already settled. A replayed batch therefore wastes the
+		// sampling work below, but replays are rare and a nonce consumed
+		// before the journal cut could strand the peer's credit across a
+		// crash.
+		batchNonce = "batch|" + b.Root
+		idxs := sampleIndices(b.Root, len(b.Records), o.settleSampleK())
+		sp.SetLabel("sampled", strconv.Itoa(len(idxs)))
+		for _, i := range idxs {
+			o.metrics.Inc("nocdn.origin.sampled_leaves")
+			verr := o.checkRecord(b.Records[i], b.PeerID, true)
+			if verr == nil {
+				continue
+			}
+			// Feed the auditor both statistically (the record observation)
+			// and directly (tamper evidence flags without waiting for a
+			// score), then reject the whole batch. The batch nonce is
+			// consumed with the rejection's journal record — a crash must
+			// not reopen the root to a "fixed" replay.
+			o.metrics.Inc("nocdn.origin.sample_failures")
+			if cerr := rejectBatch(batchNonce, []settleOutcome{{rec: b.Records[i], err: verr}}); cerr != nil {
+				// Replayed root: the first settlement of this commitment
+				// already journaled the rejection and flagged the peer.
+				return 0, o.batchReplayed(cerr)
+			}
+			o.audit.FlagTampered(b.PeerID, verr)
+			return 0, fmt.Errorf("%w: sampled leaf %d: %v", ErrBadBatch, i, verr)
+		}
+	}
+	if len(b.Records) == 0 {
+		return 0, nil
+	}
+
+	rec.Credits = make(map[string]int64)
+	rec.Rejects = make(map[string]int64)
+	outcomes := make([]settleOutcome, 0, len(b.Records))
+	for i := range b.Records {
+		r := b.Records[i]
 		var rsp *hpop.Span
 		if rtc, perr := hpop.ParseTraceparent(r.Traceparent); perr == nil {
 			rsp = o.tracer.StartRemote("nocdn.origin", "settle_record", rtc)
@@ -753,44 +666,45 @@ func (o *Origin) settleBatch(parent hpop.TraceContext, records []UsageRecord) in
 		}
 		rsp.SetLabel("peer", r.PeerID)
 		rsp.SetLabel("bytes", strconv.FormatInt(r.Bytes, 10))
-		err := o.settleOne(r)
-		oc := settleOutcome{rec: r, err: err}
-		involved[r.PeerID] = struct{}{}
-		if batchPeer == "" {
-			batchPeer = r.PeerID
-		} else if r.PeerID != batchPeer {
-			mixedPeers = true
+		// A commitment speaks for the one peer that signed up to its root;
+		// without one each record speaks for itself and is fully verified.
+		from := b.PeerID
+		if !committed {
+			from = r.PeerID
+			involved[from] = struct{}{}
 		}
-		if err != nil {
-			outcomes = append(outcomes, oc)
-			rejectCounts[r.PeerID]++
+		oc := settleOutcome{rec: r, err: o.checkRecord(r, from, !committed)}
+		if oc.err != nil {
+			rec.Rejects[r.PeerID]++
 			o.metrics.Inc("nocdn.origin.records_rejected")
-			rsp.SetError(err)
-			rsp.End()
-			continue
+			rsp.SetError(oc.err)
+		} else {
+			// Credit is tentative until the commit consumes the nonce; a
+			// replay detected there demotes the record to a rejection.
+			oc.nonceKey = r.KeyID + "|" + r.Nonce
+			rec.Credits[r.PeerID] += r.Bytes
 		}
-		// Credit is tentative until the commit consumes the nonce; a replay
-		// detected there demotes the record to a rejection.
-		oc.nonceKey = r.KeyID + "|" + r.Nonce
 		outcomes = append(outcomes, oc)
-		creditDeltas[r.PeerID] += r.Bytes
 		rsp.End()
 	}
-	if mixedPeers {
-		// A legacy /usage batch may mix peers; naming any single one in the
-		// journal would be misleading metadata (credits/rejects are per-peer
-		// maps either way).
-		batchPeer = ""
+	if !committed && len(involved) == 1 {
+		// The journal names the peer only of a single-peer upload; any one
+		// peer of a mixed upload would be misleading metadata.
+		rec.PeerID = b.Records[0].PeerID
 	}
-	credited, _ := o.commitSettlement(walSettleRec{
-		PeerID:  batchPeer,
-		At:      o.now().UnixNano(),
-		Credits: creditDeltas,
-		Rejects: rejectCounts,
-	}, "", involved, outcomes)
+	credited, cerr := o.commitSettlement(rec, batchNonce, involved, outcomes)
+	if cerr != nil {
+		return 0, o.batchReplayed(cerr)
+	}
 	sp.SetLabel("credited", strconv.Itoa(credited))
 	o.metrics.Observe("nocdn.origin.settle_seconds", time.Since(start).Seconds())
-	return credited
+	return credited, nil
+}
+
+// batchReplayed counts and wraps a commit aborted by a consumed batch nonce.
+func (o *Origin) batchReplayed(cerr error) error {
+	o.metrics.Inc("nocdn.origin.batches_replayed")
+	return fmt.Errorf("%w: %w", ErrBadBatch, cerr)
 }
 
 // commitSettlement is the durable apply step every settlement path funnels
@@ -814,6 +728,7 @@ func (o *Origin) settleBatch(parent hpop.TraceContext, records []UsageRecord) in
 // many records were actually credited.
 func (o *Origin) commitSettlement(rec walSettleRec, batchNonce string, involved map[string]struct{}, outcomes []settleOutcome) (int, error) {
 	var endSeq uint64
+	rec.At = o.now().UnixNano()
 	o.commitMu.Lock()
 	if batchNonce != "" {
 		if err := o.nonces.Use(batchNonce); err != nil {
@@ -878,62 +793,15 @@ func (o *Origin) commitSettlement(rec walSettleRec, batchNonce string, involved 
 	return credited, nil
 }
 
-// settleOne fully verifies one record (signature included). It does NOT
-// consume the nonce or write credits — both happen under the commit lock in
-// commitSettlement, so verification never serializes other committers and a
-// snapshot can never observe a nonce ahead of its journal record.
-func (o *Origin) settleOne(r UsageRecord) error {
-	if r.Provider != o.Provider {
-		return ErrBadRecord
-	}
-	key, err := o.keys.Lookup(r.KeyID)
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrBadRecord, err)
-	}
-	issuedFor, maxBytes, _ := o.ledger.keyInfo(r.KeyID)
-	if issuedFor != r.PeerID {
-		return fmt.Errorf("%w: key issued for different peer", ErrBadRecord)
-	}
-	if err := r.VerifySignature(key.Secret); err != nil {
-		return fmt.Errorf("%w: %v", ErrBadRecord, err)
-	}
-	// A single key covers one wrapper issuance; claiming more bytes than
-	// were assigned under it is definitionally inflation.
-	if r.Bytes < 0 || r.Bytes > maxBytes {
-		return fmt.Errorf("%w: implausible byte count", ErrBadRecord)
-	}
-	return nil
-}
-
-// commitRecord runs the cheap (non-cryptographic) settlement checks for one
-// record inside an accepted Merkle batch. Signature verification is what
-// sampling elides: the batch root committed the peer to these exact bytes,
-// and the sampled leaves' signatures all verified. The nonce is consumed at
-// commit time, not here.
-func (o *Origin) commitRecord(r UsageRecord, batchPeer string) error {
-	if r.Provider != o.Provider {
-		return ErrBadRecord
-	}
-	if r.PeerID != batchPeer {
-		return fmt.Errorf("%w: record peer %q in batch from %q", ErrBadRecord, r.PeerID, batchPeer)
-	}
-	if _, err := o.keys.Lookup(r.KeyID); err != nil {
-		return fmt.Errorf("%w: %v", ErrBadRecord, err)
-	}
-	issuedFor, maxBytes, _ := o.ledger.keyInfo(r.KeyID)
-	if issuedFor != r.PeerID {
-		return fmt.Errorf("%w: key issued for different peer", ErrBadRecord)
-	}
-	if r.Bytes < 0 || r.Bytes > maxBytes {
-		return fmt.Errorf("%w: implausible byte count", ErrBadRecord)
-	}
-	return nil
-}
-
-// verifyRecordFull is the sampled-leaf check: everything settleOne verifies
-// except the nonce (nonces are only consumed once the whole batch is
-// accepted, so a rejected batch leaves settlement state untouched).
-func (o *Origin) verifyRecordFull(r UsageRecord, batchPeer string) error {
+// checkRecord verifies one record of an upload speaking for batchPeer. It
+// does NOT consume the nonce or write credits — both happen under the commit
+// lock in commitSettlement, so verification never serializes other
+// committers, a rejected batch leaves settlement state untouched, and a
+// snapshot can never observe a nonce ahead of its journal record. verifySig
+// is what Merkle sampling elides for the unsampled leaves of a committed
+// batch: the root committed the peer to these exact bytes, and the sampled
+// leaves' signatures all verified.
+func (o *Origin) checkRecord(r UsageRecord, batchPeer string, verifySig bool) error {
 	if r.Provider != o.Provider {
 		return ErrBadRecord
 	}
@@ -948,9 +816,13 @@ func (o *Origin) verifyRecordFull(r UsageRecord, batchPeer string) error {
 	if issuedFor != r.PeerID {
 		return fmt.Errorf("%w: key issued for different peer", ErrBadRecord)
 	}
-	if err := r.VerifySignature(key.Secret); err != nil {
-		return fmt.Errorf("%w: %v", ErrBadRecord, err)
+	if verifySig {
+		if err := r.VerifySignature(key.Secret); err != nil {
+			return fmt.Errorf("%w: %v", ErrBadRecord, err)
+		}
 	}
+	// A single key covers one wrapper build; claiming more bytes than were
+	// assigned under it is definitionally inflation.
 	if r.Bytes < 0 || r.Bytes > maxBytes {
 		return fmt.Errorf("%w: implausible byte count", ErrBadRecord)
 	}
@@ -996,139 +868,6 @@ func sampleIndices(root string, n, k int) []int {
 	return out
 }
 
-// SettleBatch settles a Merkle-committed record batch: the root is
-// recomputed over the uploaded records (any tampered, dropped, reordered,
-// or injected record changes it and rejects the batch), the root's nonce
-// guards whole-batch replay, and K deterministically sampled leaves get
-// full signature verification. A sampled leaf that fails is cryptographic
-// evidence — the peer committed to a record that does not verify — so the
-// peer is flagged straight into the audit pipeline and the batch is
-// rejected with no nonce consumed. Accepted batches settle every record
-// under one per-shard ledger acquisition: cheap bounds/nonce checks keep
-// accounting exact while the expensive HMAC work stays O(K).
-func (o *Origin) SettleBatch(b RecordBatch) (int, error) {
-	return o.settleMerkle(hpop.TraceContext{}, b)
-}
-
-func (o *Origin) settleMerkle(parent hpop.TraceContext, b RecordBatch) (int, error) {
-	sp := o.tracer.StartRemote("nocdn.origin", "settle_batch", parent)
-	sp.SetLabel("peer", b.PeerID)
-	sp.SetLabel("records", strconv.Itoa(len(b.Records)))
-	defer sp.End()
-	start := time.Now()
-	o.metrics.Inc("nocdn.origin.batches")
-
-	leaves := make([][]byte, len(b.Records))
-	for i := range b.Records {
-		leaves[i] = b.Records[i].LeafBytes()
-	}
-	involved := map[string]struct{}{b.PeerID: {}}
-	if MerkleRoot(leaves) != b.Root {
-		o.metrics.Inc("nocdn.origin.batches_rejected")
-		// A rejection is still a settlement outcome — the peer must not
-		// retry it — so it journals like one (no nonce was consumed).
-		o.commitSettlement(walSettleRec{
-			PeerID:  b.PeerID,
-			Root:    b.Root,
-			At:      o.now().UnixNano(),
-			Rejects: map[string]int64{b.PeerID: int64(len(b.Records))},
-		}, "", involved, nil)
-		err := fmt.Errorf("%w: root mismatch", ErrBadBatch)
-		sp.SetError(err)
-		return 0, err
-	}
-	if len(b.Records) == 0 {
-		return 0, nil
-	}
-	// The batch nonce ("batch|root", the whole-batch replay guard) is NOT
-	// consumed here: commitSettlement consumes it under the commit lock,
-	// atomically with the journal append, and aborts the commit when the
-	// root was already settled. A replayed batch therefore wastes the
-	// sampling work below, but replays are rare and a nonce consumed before
-	// the journal cut could strand the peer's credit across a crash.
-	batchNonce := "batch|" + b.Root
-
-	idxs := sampleIndices(b.Root, len(b.Records), o.settleSampleK())
-	sp.SetLabel("sampled", strconv.Itoa(len(idxs)))
-	for _, i := range idxs {
-		o.metrics.Inc("nocdn.origin.sampled_leaves")
-		if err := o.verifyRecordFull(b.Records[i], b.PeerID); err != nil {
-			// Feed the auditor both statistically (the record observation)
-			// and directly (tamper evidence flags without waiting for a
-			// score), then reject the whole batch. The batch nonce is
-			// consumed with the rejection's journal record — a crash must
-			// not reopen the root to a "fixed" replay.
-			o.metrics.Inc("nocdn.origin.sample_failures")
-			o.metrics.Inc("nocdn.origin.batches_rejected")
-			if _, cerr := o.commitSettlement(walSettleRec{
-				PeerID:  b.PeerID,
-				Root:    b.Root,
-				At:      o.now().UnixNano(),
-				Rejects: map[string]int64{b.PeerID: int64(len(b.Records))},
-			}, batchNonce, involved, []settleOutcome{{rec: b.Records[i], err: err}}); cerr != nil {
-				// Replayed root: the first settlement of this commitment
-				// already journaled the rejection and flagged the peer.
-				o.metrics.Inc("nocdn.origin.batches_replayed")
-				cerr = fmt.Errorf("%w: %w", ErrBadBatch, cerr)
-				sp.SetError(cerr)
-				return 0, cerr
-			}
-			o.audit.FlagTampered(b.PeerID, err)
-			err = fmt.Errorf("%w: sampled leaf %d: %v", ErrBadBatch, i, err)
-			sp.SetError(err)
-			return 0, err
-		}
-	}
-
-	creditDeltas := make(map[string]int64)
-	rejectCounts := make(map[string]int64)
-	outcomes := make([]settleOutcome, 0, len(b.Records))
-	for i := range b.Records {
-		r := b.Records[i]
-		// Each record's span continues the page view's trace via the signed
-		// traceparent, exactly as the legacy per-record path does — batching
-		// must not sever the loader→peer→origin settlement leg.
-		var rsp *hpop.Span
-		if rtc, perr := hpop.ParseTraceparent(r.Traceparent); perr == nil {
-			rsp = o.tracer.StartRemote("nocdn.origin", "settle_record", rtc)
-		} else {
-			rsp = sp.Child("settle_record")
-		}
-		rsp.SetLabel("peer", r.PeerID)
-		rsp.SetLabel("bytes", strconv.FormatInt(r.Bytes, 10))
-		err := o.commitRecord(r, b.PeerID)
-		oc := settleOutcome{rec: r, err: err}
-		if err != nil {
-			outcomes = append(outcomes, oc)
-			rejectCounts[r.PeerID]++
-			o.metrics.Inc("nocdn.origin.records_rejected")
-			rsp.SetError(err)
-			rsp.End()
-			continue
-		}
-		oc.nonceKey = r.KeyID + "|" + r.Nonce
-		outcomes = append(outcomes, oc)
-		creditDeltas[r.PeerID] += r.Bytes
-		rsp.End()
-	}
-	credited, cerr := o.commitSettlement(walSettleRec{
-		PeerID:  b.PeerID,
-		Root:    b.Root,
-		At:      o.now().UnixNano(),
-		Credits: creditDeltas,
-		Rejects: rejectCounts,
-	}, batchNonce, involved, outcomes)
-	if cerr != nil {
-		o.metrics.Inc("nocdn.origin.batches_replayed")
-		cerr = fmt.Errorf("%w: %w", ErrBadBatch, cerr)
-		sp.SetError(cerr)
-		return 0, cerr
-	}
-	sp.SetLabel("credited", strconv.Itoa(credited))
-	o.metrics.Observe("nocdn.origin.settle_seconds", time.Since(start).Seconds())
-	return credited, nil
-}
-
 // suspendAnomalous runs anomaly detection over the peers a settlement
 // touched (credits only move for peers in the batch, so scanning the fleet
 // would find nothing more) and pulls pooled wrapper maps naming newly
@@ -1147,8 +886,8 @@ func (o *Origin) suspendAnomalous(involved map[string]struct{}) {
 
 // ejectFlagged pulls an audit-flagged peer from rotation: it is marked in
 // the health registry (so wrapper generation and the loader both shun it),
-// suspended in the ledger, and cached/pooled wrappers naming it are
-// invalidated so the next page view gets a clean map.
+// suspended in the ledger, and pooled wrappers naming it are invalidated so
+// the next page view gets a clean map.
 func (o *Origin) ejectFlagged(peerID string) {
 	o.health.SetFlagged(peerID, true)
 	o.ledger.suspend(peerID)
@@ -1162,48 +901,34 @@ func (o *Origin) ejectFlagged(peerID string) {
 
 // ---- health probing ----
 
-// ProbePeers runs one full health-probe pass: every registered peer's GET
-// /health endpoint is polled. At fleet scale prefer ProbeSample plus
-// delegated gossip (ReportGossip) — this full scan is O(fleet).
-func (o *Origin) ProbePeers(ctx context.Context) {
-	if o.health == nil {
-		return
-	}
-	sp := o.tracer.Start("nocdn.origin", "probe_peers")
-	defer sp.End()
-	o.probeList(ctx, sp, o.registry.snapshot())
-}
-
-// ProbeSample probes k randomly sampled registered peers — the origin's
-// trust-but-verify share of delegated health probing. Gossip covers the
-// fleet; the sample keeps reporters honest and catches silent corners.
+// ProbeSample runs one health-probe pass over k randomly sampled registered
+// peers — the origin's trust-but-verify share of delegated probing: gossip
+// (ReportGossip) covers the fleet, the sample keeps reporters honest. k <= 0
+// probes every registered peer, an O(fleet) scan for deployments too small
+// to need gossip.
+//
+// Outcomes and self-reported saturation feed the health registry,
+// respecting each peer's breaker (an open one skips the network until its
+// cooldown grants a half-open probe). A peer reporting saturation >= 1
+// (actively shedding) counts as a failure: new maps route around it until
+// it drains. Readmission has hysteresis by construction — it takes the
+// breaker's full half-open probe cycle, never a single good poll.
 func (o *Origin) ProbeSample(ctx context.Context, k int) {
 	if o.health == nil {
 		return
 	}
+	if k <= 0 {
+		k = o.registry.count()
+	}
 	sp := o.tracer.Start("nocdn.origin", "probe_sample")
 	sp.SetLabel("k", strconv.Itoa(k))
 	defer sp.End()
-	o.probeList(ctx, sp, o.registry.sample(k, o.randIntn))
-}
-
-// probeList probes one set of peers, feeding outcomes and self-reported
-// saturation into the health registry (respecting each peer's breaker — an
-// open breaker skips the network until its cooldown grants a half-open
-// probe). Any ejection or readmission transition invalidates cached and
-// pooled wrappers so the next wrapper reflects the new peer map. A peer
-// reporting saturation >= 1 (actively shedding) counts as a probe failure:
-// new maps route around it until it drains. Readmission has hysteresis by
-// construction — it takes the breaker's full half-open probe cycle, never a
-// single good poll.
-func (o *Origin) probeList(ctx context.Context, sp *hpop.Span, peers []peerStatic) {
-	client := o.httpProbeClient()
-	for _, p := range peers {
+	for _, p := range o.registry.sample(k, o.randIntn) {
 		if !o.health.Allow(p.id) {
 			continue // open breaker: wait out the cooldown
 		}
 		start := time.Now()
-		ok, saturation := o.probeOne(ctx, client, p.url)
+		ok, saturation := o.probeOne(ctx, p.url)
 		if ok {
 			o.health.RecordSuccess(p.id, time.Since(start).Seconds())
 			o.health.ReportSaturation(p.id, saturation)
@@ -1212,16 +937,6 @@ func (o *Origin) probeList(ctx context.Context, sp *hpop.Span, peers []peerStati
 		}
 		o.noteHealthTransition(sp, p.id)
 	}
-}
-
-// httpProbeClient lazily builds the bounded probe client.
-func (o *Origin) httpProbeClient() *http.Client {
-	o.probeMu.Lock()
-	defer o.probeMu.Unlock()
-	if o.probeClient == nil {
-		o.probeClient = &http.Client{Timeout: 2 * time.Second}
-	}
-	return o.probeClient
 }
 
 // noteHealthTransition compares a peer's current health verdict against the
@@ -1257,12 +972,12 @@ func (o *Origin) noteHealthTransition(sp *hpop.Span, peerID string) {
 // peer's self-reported saturation. A shedding peer (saturation >= 1) fails
 // the probe. A 200 with an unparsable body still counts as up (older peers
 // without the report shape).
-func (o *Origin) probeOne(ctx context.Context, client *http.Client, peerURL string) (ok bool, saturation float64) {
+func (o *Origin) probeOne(ctx context.Context, peerURL string) (ok bool, saturation float64) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, peerURL+"/health", nil)
 	if err != nil {
 		return false, 0
 	}
-	resp, err := client.Do(req)
+	resp, err := o.probeClient.Do(req)
 	if err != nil {
 		return false, 0
 	}
@@ -1334,7 +1049,7 @@ func (o *Origin) ReportGossip(ctx context.Context, rep GossipReport) int {
 	// mismatch strike and the report is dropped.
 	pick := rep.Observations[o.randIntn(len(rep.Observations))]
 	if p, ok := o.registry.get(pick.PeerID); ok {
-		probeOK, _ := o.probeOne(ctx, o.httpProbeClient(), p.url)
+		probeOK, _ := o.probeOne(ctx, p.url)
 		if probeOK != pick.Healthy {
 			o.gossipMu.Lock()
 			o.gossipMismatch[rep.From]++
@@ -1433,10 +1148,9 @@ func (o *Origin) TotalPageBytes(page string) (int64, error) {
 
 // Handler returns the origin's HTTP handler:
 //
-//	GET  /wrapper?page=NAME[&client=ID] -> wrapper page JSON (client set:
-//	                                       pooled consistent-hash map)
+//	GET  /wrapper?page=NAME[&client=ID] -> wrapper page JSON (pooled map for
+//	                                       the client; default: remote host)
 //	GET  /content/PATH        -> raw object (peer backfill / client fallback)
-//	POST /usage               -> usage-record batch upload (legacy)
 //	POST /usage/batch         -> Merkle-committed record batch upload
 //	POST /gossip              -> delegated neighbor-health report
 //	GET  /neighbors?peer=ID   -> the peer's ring-successor probe set
@@ -1457,18 +1171,16 @@ func (o *Origin) Handler() http.Handler {
 		page := q.Get("page")
 		client := q.Get("client")
 		sp.SetLabel("page", page)
-		var wrapper *Wrapper
-		var err error
-		if client != "" {
-			sp.SetLabel("client", client)
-			wrapper, err = o.AssignWrapper(page, client)
-		} else {
-			wrapper, err = o.GenerateWrapper(page)
+		if client == "" {
+			// An anonymous view is its remote host ("" when unparsable).
+			client, _, _ = net.SplitHostPort(r.RemoteAddr)
 		}
+		sp.SetLabel("client", client)
+		wrapper, err := o.AssignWrapper(page, client)
 		if err != nil {
 			sp.SetError(err)
 			status := http.StatusNotFound
-			if err == ErrNoPeers {
+			if errors.Is(err, ErrNoPeers) {
 				status = http.StatusServiceUnavailable
 			}
 			http.Error(w, err.Error(), status)
@@ -1526,25 +1238,6 @@ func (o *Origin) Handler() http.Handler {
 		o.originBytes.Add(int64(len(obj.Data)))
 		w.Write(obj.Data)
 	})
-	mux.HandleFunc("/usage", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "POST required", http.StatusMethodNotAllowed)
-			return
-		}
-		body, err := io.ReadAll(io.LimitReader(r.Body, 8<<20))
-		if err != nil {
-			http.Error(w, "read body", http.StatusBadRequest)
-			return
-		}
-		records, err := DecodeRecords(body)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		n := o.settleBatch(hpop.ExtractTraceparent(r.Header), records)
-		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprintf(w, `{"credited":%d,"submitted":%d}`, n, len(records))
-	})
 	mux.HandleFunc("/usage/batch", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			http.Error(w, "POST required", http.StatusMethodNotAllowed)
@@ -1560,7 +1253,11 @@ func (o *Origin) Handler() http.Handler {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		n, err := o.settleMerkle(hpop.ExtractTraceparent(r.Header), batch)
+		if batch.Root == "" {
+			http.Error(w, "nocdn: batch root required", http.StatusBadRequest)
+			return
+		}
+		n, err := o.settle(hpop.ExtractTraceparent(r.Header), batch)
 		if err != nil {
 			// 400: the batch is settled from the peer's perspective (it must
 			// not retry a rejected or replayed commitment).

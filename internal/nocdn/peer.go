@@ -117,11 +117,6 @@ type Peer struct {
 
 	droppedRecords atomic.Int64
 
-	// legacyUsage flips on when the origin answers /usage/batch with
-	// 404/405 — an older control plane without Merkle settlement. Flushes
-	// then fall back to the uncommitted /usage upload permanently.
-	legacyUsage atomic.Bool
-
 	// gossipMu guards the background neighbor-gossip lifecycle.
 	gossipMu   sync.Mutex
 	gossipStop chan struct{}
@@ -653,12 +648,14 @@ func (p *Peer) handleFlush(w http.ResponseWriter, r *http.Request) {
 }
 
 // Flush uploads accumulated records to the provider at originURL, returning
-// how many were sent. Records are cleared on any settled decision (2xx or a
-// 4xx rejection) — settlement disputes are the provider's ledger, not the
-// peer's queue. On a transport failure or 5xx the batch is requeued (capped
-// at the pending limit, oldest shed first) and a backoff gate opens:
+// how many were sent. Records are cleared only on a settled decision — 2xx,
+// or the origin's 400 "rejected or replayed, do not retry"; settlement
+// disputes are the provider's ledger, not the peer's queue. Anything else
+// (transport failure, 5xx, or a 404/405/408/429 from a mis-routed URL or a
+// proxy) decides nothing about the records: the batch is requeued (capped
+// at the pending limit, oldest shed first) and a backoff gate opens, so
 // further Flush calls return ErrFlushDeferred without touching the network
-// until the gate expires, so a dead origin is never hot-retried.
+// until it expires and a dead origin is never hot-retried.
 func (p *Peer) Flush(originURL string) (int, error) {
 	now := p.now()
 	p.recordsMu.Lock()
@@ -679,42 +676,21 @@ func (p *Peer) Flush(originURL string) (int, error) {
 	sp.SetLabel("records", strconv.Itoa(len(batch)))
 	defer sp.End()
 	start := time.Now()
-	// Preferred upload is the Merkle-committed batch: the peer commits to
-	// the exact record set under one root, and the origin verifies the root
-	// plus a sample of leaves instead of every signature. Origins without
-	// /usage/batch (404/405) switch this peer to the legacy per-record
-	// upload permanently.
-	endpoint := "/usage/batch"
-	var body []byte
-	var err error
-	if p.legacyUsage.Load() {
-		endpoint = "/usage"
-		body, err = EncodeRecords(batch)
-	} else {
-		body, err = EncodeBatch(NewRecordBatch(p.ID, batch))
-	}
+	// The upload is a Merkle-committed batch: the peer commits to the exact
+	// record set under one root, and the origin verifies the root plus a
+	// sample of leaves instead of every signature.
+	body, err := EncodeBatch(NewRecordBatch(p.ID, batch))
 	if err != nil {
 		sp.SetError(err)
 		return 0, err
 	}
-	resp, err := p.postRecords(sp, originURL, endpoint, body)
-	if err == nil && endpoint == "/usage/batch" &&
-		(resp.StatusCode == http.StatusNotFound || resp.StatusCode == http.StatusMethodNotAllowed) {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4<<10))
-		resp.Body.Close()
-		p.legacyUsage.Store(true)
-		p.metrics.Inc("nocdn.peer.flush_legacy_fallback")
-		sp.SetLabel("fallback", "legacy_usage")
-		if body, err = EncodeRecords(batch); err == nil {
-			resp, err = p.postRecords(sp, originURL, "/usage", body)
-		}
-	}
+	resp, err := p.postRecords(sp, originURL, body)
 	p.metrics.Observe("nocdn.peer.flush_seconds", time.Since(start).Seconds())
 	if err == nil {
 		code := resp.StatusCode
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 4<<10))
 		resp.Body.Close()
-		if code < 500 {
+		if code/100 == 2 || code == http.StatusBadRequest {
 			p.recordsMu.Lock()
 			p.flushFailures = 0
 			p.nextFlushAt = time.Time{}
@@ -757,18 +733,18 @@ func (p *Peer) Flush(originURL string) (int, error) {
 	return 0, err
 }
 
-// postRecords uploads one settlement payload. The flush span's context
+// postRecords uploads one settlement batch. The flush span's context
 // rides the upload, so the origin's batch settlement span parents under
 // this flush cycle; the goroutine carries pprof labels for the duration of
 // the network round trip.
-func (p *Peer) postRecords(sp *hpop.Span, originURL, endpoint string, body []byte) (*http.Response, error) {
+func (p *Peer) postRecords(sp *hpop.Span, originURL string, body []byte) (*http.Response, error) {
 	var resp *http.Response
 	var err error
 	pprof.Do(context.Background(), pprof.Labels("service", "nocdn.peer", "span", "flush"),
 		func(ctx context.Context) {
 			var req *http.Request
 			req, err = http.NewRequestWithContext(ctx, http.MethodPost,
-				strings.TrimSuffix(originURL, "/")+endpoint, bytes.NewReader(body))
+				strings.TrimSuffix(originURL, "/")+"/usage/batch", bytes.NewReader(body))
 			if err != nil {
 				return
 			}

@@ -357,10 +357,8 @@ func (o *Origin) journalAuditFlag(id, cause string) {
 // assigned bytes at its post-charge figure: per-serve assignment charges
 // are not journaled, so without the floor a peer whose first settlement
 // lands after a restart would replay as credited-with-no-assignment and be
-// suspended as anomalous. pending holds this build's charges when the
-// caller has not applied them to the ledger yet (the pooled path journals
-// at build time, before the serve charges); pass nil if they are already
-// in.
+// suspended as anomalous. pending holds this build's charges, which the
+// serve that triggered the build has not applied to the ledger yet.
 func (o *Origin) journalKeysIssued(w *Wrapper, pending []charge) {
 	if o.wal == nil || len(w.Keys) == 0 {
 		return
@@ -382,7 +380,7 @@ func (o *Origin) journalKeysIssued(w *Wrapper, pending []charge) {
 		rec.Keys = append(rec.Keys, walKeyRec{
 			ID:        pk.KeyID,
 			PeerID:    peerID,
-			SecretHex: hexEncode(k.Secret),
+			SecretHex: hex.EncodeToString(k.Secret),
 			Expires:   k.Expires.UnixNano(),
 			MaxBytes:  maxBytes,
 		})
@@ -463,7 +461,7 @@ func (o *Origin) captureState(seq uint64, chain [32]byte) originSnapshot {
 		snap.Keys = append(snap.Keys, walKeyRec{
 			ID:        k.ID,
 			PeerID:    peerID,
-			SecretHex: hexEncode(k.Secret),
+			SecretHex: hex.EncodeToString(k.Secret),
 			Expires:   k.Expires.UnixNano(),
 			MaxBytes:  maxBytes,
 		})

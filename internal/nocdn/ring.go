@@ -204,13 +204,20 @@ func (r *hashRing) successors(key string, n int, ok func(id string) bool) []stri
 	return out
 }
 
+// proximityChoices is how many bounded-load-eligible successors a
+// proximity pick compares: enough to pull assignments toward near peers,
+// few enough that the ring (not the RTT table) still decides most of the map.
+const proximityChoices = 4
+
 // pickBounded is the bounded-load variant: the first member clockwise of
 // key passing ok whose current load (in the caller's loads map) is below
-// cap. If every eligible member is at capacity the plain ring choice wins
-// (the bound shapes balance, it never refuses service). The chosen member's
-// load is incremented.
-func (r *hashRing) pickBounded(key string, loads map[string]int, cap int, ok func(id string) bool) (string, bool) {
+// cap — or, when rtt is non-nil, the lowest-RTT of the first
+// proximityChoices such members. If every eligible member is at capacity
+// the plain ring choice wins (the bound shapes balance, it never refuses
+// service). The chosen member's load is incremented.
+func (r *hashRing) pickBounded(key string, loads map[string]int, cap int, ok func(id string) bool, rtt func(id string) float64) (string, bool) {
 	var first, chosen string
+	seen := 0
 	r.walk(key, func(id string) bool {
 		if ok != nil && !ok(id) {
 			return true
@@ -218,11 +225,14 @@ func (r *hashRing) pickBounded(key string, loads map[string]int, cap int, ok fun
 		if first == "" {
 			first = id
 		}
-		if loads[id] < cap {
-			chosen = id
-			return false
+		if loads[id] >= cap {
+			return true
 		}
-		return true
+		if chosen == "" || rtt(id) < rtt(chosen) {
+			chosen = id
+		}
+		seen++
+		return rtt != nil && seen < proximityChoices
 	})
 	if chosen == "" {
 		chosen = first // every candidate at capacity: take the ring choice

@@ -24,7 +24,7 @@ func TestRingBoundedBalance(t *testing.T) {
 	mean := float64(keys) / float64(peers)
 	capacity := int(DefaultRingLoadFactor * mean)
 	for i := 0; i < keys; i++ {
-		if _, ok := r.pickBounded(fmt.Sprintf("key-%d", i), loads, capacity, nil); !ok {
+		if _, ok := r.pickBounded(fmt.Sprintf("key-%d", i), loads, capacity, nil, nil); !ok {
 			t.Fatalf("key %d unassigned", i)
 		}
 	}
@@ -188,7 +188,7 @@ func TestRingFilteredLookup(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		loads[fmt.Sprintf("peer-%04d", i)] = 100
 	}
-	id, ok := r.pickBounded("k2", loads, 1, nil)
+	id, ok := r.pickBounded("k2", loads, 1, nil, nil)
 	if !ok || id == "" {
 		t.Fatal("pickBounded refused service with all members at capacity")
 	}

@@ -168,7 +168,7 @@ func TestOriginProbeEjectsAndReadmits(t *testing.T) {
 
 	wrapperPeers := func() map[string]bool {
 		t.Helper()
-		w, err := o.GenerateWrapper("home")
+		w, err := o.AssignWrapper("home", "c")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,8 +187,8 @@ func TestOriginProbeEjectsAndReadmits(t *testing.T) {
 
 	// Two failed probes open the breaker: ejected from new maps.
 	mode.Store(modeDown)
-	o.ProbePeers(ctx)
-	o.ProbePeers(ctx)
+	o.ProbeSample(ctx, 0)
+	o.ProbeSample(ctx, 0)
 	if reg.Healthy("bad") {
 		t.Fatalf("bad still healthy after 2 failed probes (state %v)", reg.State("bad"))
 	}
@@ -203,7 +203,7 @@ func TestOriginProbeEjectsAndReadmits(t *testing.T) {
 	// probe fails and the peer stays out.
 	mode.Store(modeShedding)
 	time.Sleep(25 * time.Millisecond) // let the cooldown arm a probe
-	o.ProbePeers(ctx)
+	o.ProbeSample(ctx, 0)
 	if reg.Healthy("bad") {
 		t.Fatal("shedding peer must not be readmitted")
 	}
@@ -214,11 +214,11 @@ func TestOriginProbeEjectsAndReadmits(t *testing.T) {
 	// Recovery: readmission takes ReadmitAfter consecutive probe successes.
 	mode.Store(modeHealthy)
 	time.Sleep(25 * time.Millisecond)
-	o.ProbePeers(ctx)
+	o.ProbeSample(ctx, 0)
 	if reg.Healthy("bad") {
 		t.Fatal("one good probe must not readmit (hysteresis)")
 	}
-	o.ProbePeers(ctx)
+	o.ProbeSample(ctx, 0)
 	if !reg.Healthy("bad") {
 		t.Fatalf("bad not readmitted after probe cycle (state %v)", reg.State("bad"))
 	}
@@ -253,7 +253,7 @@ func TestAuditFlagEjectsFromWrappers(t *testing.T) {
 		t.Fatalf("peer_ejections = %v, want 1", got)
 	}
 	for i := 0; i < 5; i++ {
-		w, err := o.GenerateWrapper("home")
+		w, err := o.AssignWrapper("home", "c")
 		if err != nil {
 			t.Fatal(err)
 		}

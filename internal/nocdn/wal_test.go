@@ -309,7 +309,7 @@ func recoverOrigin(t *testing.T, dir string, opts WALOptions) (*Origin, Recovery
 func TestOriginRecoveryExactlyOnce(t *testing.T) {
 	dir := t.TempDir()
 	o := walOrigin(t, dir, WALOptions{Fsync: FsyncNever}, 8)
-	w, err := o.GenerateWrapper("p")
+	w, err := o.AssignWrapper("p", "c")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,7 +399,7 @@ func TestOriginRecoveryStableAssignment(t *testing.T) {
 func TestSnapshotCompactsAndRecovers(t *testing.T) {
 	dir := t.TempDir()
 	o := walOrigin(t, dir, WALOptions{Fsync: FsyncNever, SnapshotEvery: 8}, 8)
-	w, err := o.GenerateWrapper("p")
+	w, err := o.AssignWrapper("p", "c")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,7 +441,7 @@ func TestSnapshotCompactsAndRecovers(t *testing.T) {
 func TestSnapshotFallbackOnCorruption(t *testing.T) {
 	dir := t.TempDir()
 	o := walOrigin(t, dir, WALOptions{Fsync: FsyncNever, SnapshotEvery: 8}, 8)
-	w, err := o.GenerateWrapper("p")
+	w, err := o.AssignWrapper("p", "c")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -487,7 +487,7 @@ func TestSnapshotFallbackOnCorruption(t *testing.T) {
 func TestJournalGapFailsLoudly(t *testing.T) {
 	dir := t.TempDir()
 	o := walOrigin(t, dir, WALOptions{Fsync: FsyncNever, SnapshotEvery: 8}, 8)
-	w, err := o.GenerateWrapper("p")
+	w, err := o.AssignWrapper("p", "c")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -540,7 +540,7 @@ func TestJournalGapFailsLoudly(t *testing.T) {
 func TestShutdownSnapshotThenCleanRecovery(t *testing.T) {
 	dir := t.TempDir()
 	o := walOrigin(t, dir, WALOptions{Fsync: FsyncNever}, 8)
-	w, err := o.GenerateWrapper("p")
+	w, err := o.AssignWrapper("p", "c")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -580,7 +580,7 @@ func TestNonceWindowReanchoredOnRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	o.RegisterPeer("peer-00", "http://peer-00", 10)
-	w, err := o.GenerateWrapper("p")
+	w, err := o.AssignWrapper("p", "c")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package nocdn
 
 import (
+	"encoding/hex"
 	"strconv"
 	"sync"
 	"time"
@@ -115,14 +116,14 @@ func (o *Origin) AssignWrapper(page, client string) (*Wrapper, error) {
 // very next serve, even before any epoch advances.
 func (o *Origin) entryServable(e *poolEntry) bool {
 	for _, id := range e.peerIDs {
-		if o.ledger.isSuspended(id) || !o.health.Healthy(id) {
+		if !o.ringServable(id) {
 			return false
 		}
 	}
 	return true
 }
 
-// ringServable is the assignment-time peer filter.
+// ringServable is the peer filter, at assignment and again on every serve.
 func (o *Origin) ringServable(id string) bool {
 	return !o.ledger.isSuspended(id) && o.health.Healthy(id)
 }
@@ -131,9 +132,9 @@ func (o *Origin) ringServable(id string) bool {
 // consistent-hash ring keyed by (page, object path, slot) — deterministic
 // across restarts, disrupted only ~1/N by membership changes — with
 // bounded-load picking so no peer is handed more than ~loadFactor times its
-// fair share of the page's objects. If the ring has members but none pass
-// the health gate, the gate drops (degraded, like the legacy path) rather
-// than refusing wrappers.
+// fair share of the page's objects; o.Policy shapes that pick (see
+// pickBounded). If the ring has members but none pass the health gate, the
+// gate drops (degraded) rather than refusing wrappers.
 func (o *Origin) buildPoolEntry(page string, slot int) (*poolEntry, error) {
 	paths, meta, err := o.pageMeta(page)
 	if err != nil {
@@ -169,11 +170,22 @@ func (o *Origin) buildPoolEntry(page string, slot int) (*poolEntry, error) {
 	if o.Replicas > 0 {
 		picks += len(paths) * o.Replicas
 	}
+	loadFactor := DefaultRingLoadFactor
+	if o.Policy == SelectLoadAware {
+		loadFactor = 1 // the tightest bound: no peer above the ceiling of the mean
+	}
 	capacity := 1
 	if live := o.ring.size(); live > 0 {
-		capacity = int(DefaultRingLoadFactor*float64(picks)/float64(live)) + 1
+		capacity = int(loadFactor*float64(picks)/float64(live)) + 1
 	}
 	loads := make(map[string]int)
+	var rtt func(id string) float64
+	if o.Policy == SelectProximity {
+		rtt = func(id string) float64 {
+			p, _ := o.registry.get(id)
+			return p.rtt
+		}
+	}
 
 	w := &Wrapper{
 		Provider: o.Provider,
@@ -187,7 +199,7 @@ func (o *Origin) buildPoolEntry(page string, slot int) (*poolEntry, error) {
 	ensureKey := func(id string, size int) {
 		if _, ok := w.Keys[id]; !ok {
 			k := o.keys.Issue(id)
-			w.Keys[id] = PeerKey{KeyID: k.ID, Secret: hexEncode(k.Secret)}
+			w.Keys[id] = PeerKey{KeyID: k.ID, Secret: hex.EncodeToString(k.Secret)}
 			o.ledger.issueKey(k.ID, id)
 		}
 		o.ledger.addKeyBytes(w.Keys[id].KeyID, int64(size))
@@ -225,7 +237,7 @@ func (o *Origin) buildPoolEntry(page string, slot int) (*poolEntry, error) {
 			}
 			return ref, nil
 		}
-		primary, ok := o.ring.pickBounded(key, loads, capacity, servable)
+		primary, ok := o.ring.pickBounded(key, loads, capacity, servable, rtt)
 		if !ok {
 			return ref, ErrNoPeers
 		}
