@@ -695,6 +695,73 @@ func TestAnonymousWrapperStablePerHost(t *testing.T) {
 	}
 }
 
+// TestWrapperServeWritesPooledEncoding: /wrapper writes the pool entry's
+// bytes, encoded once at build, and they are what a fresh json.Marshal of
+// the pooled map gives. Every serve still counts into WrapperBytes and still
+// charges the named peers' assigned bytes; a rebuilt entry carries its own
+// encoding.
+func TestWrapperServeWritesPooledEncoding(t *testing.T) {
+	o := controlOrigin(t, 10)
+	srv := httptest.NewServer(o.Handler())
+	defer srv.Close()
+	serve := func() []byte {
+		t.Helper()
+		resp, err := http.Get(srv.URL + "/wrapper?page=p&client=c")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET /wrapper = %d, %v: %s", resp.StatusCode, err, body)
+		}
+		if resp.ContentLength != int64(len(body)) {
+			t.Errorf("Content-Length %d on a %d-byte wrapper", resp.ContentLength, len(body))
+		}
+		return body
+	}
+	check := func(body []byte) {
+		t.Helper()
+		w, err := o.AssignWrapper("p", "c")
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := json.Marshal(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(body, fresh) {
+			t.Fatalf("served bytes differ from a fresh encoding:\n%s\n%s", body, fresh)
+		}
+	}
+	first := serve()
+	check(first)
+	var w Wrapper
+	if err := json.Unmarshal(first, &w); err != nil {
+		t.Fatal(err)
+	}
+	peer := anyPeer(&w)
+	sentBefore, assignedBefore := o.WrapperBytes(), o.AccountingFor(peer).AssignedBytes
+	if again := serve(); !bytes.Equal(again, first) {
+		t.Fatal("pooled hit served different bytes")
+	}
+	if got := o.WrapperBytes() - sentBefore; got != int64(len(first)) {
+		t.Errorf("a pooled serve added %d to WrapperBytes, want %d", got, len(first))
+	}
+	if o.AccountingFor(peer).AssignedBytes <= assignedBefore {
+		t.Errorf("a pooled serve charged %s no assigned bytes", peer)
+	}
+	if builds := o.WrapperGenerations(); builds != 1 {
+		t.Fatalf("%d builds before the tick, want 1", builds)
+	}
+	o.EpochTick()
+	rebuilt := serve()
+	if bytes.Equal(rebuilt, first) {
+		t.Fatal("the rebuilt entry served the previous epoch's bytes")
+	}
+	check(rebuilt)
+}
+
 // TestPolicyShapesRingWalk: on the pooled path, over fleets of 8–64 peers
 // with distinct RTTs, SelectProximity's mean assigned RTT never exceeds
 // SelectRandom's, and SelectLoadAware's max/min peer load never exceeds

@@ -3,7 +3,6 @@ package nocdn
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"strconv"
@@ -538,16 +537,20 @@ func (a *FleetAggregator) Handler() http.HandlerFunc {
 }
 
 // BatchHandler serves POST /telemetry/batch: decode, ingest, ack. Malformed
-// JSON or reports are a 400; applied and duplicate reports both ack so
-// retrying peers converge.
+// JSON or reports are a 400, an upload past 8 MiB a 413; applied and
+// duplicate reports both ack so retrying peers converge.
 func (a *FleetAggregator) BatchHandler() http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			http.Error(w, "POST required", http.StatusMethodNotAllowed)
 			return
 		}
+		body, ok := readUpload(w, r, 8<<20)
+		if !ok {
+			return
+		}
 		var batch TelemetryBatch
-		if err := json.NewDecoder(io.LimitReader(r.Body, 8<<20)).Decode(&batch); err != nil {
+		if err := json.Unmarshal(body, &batch); err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -164,11 +165,24 @@ type fetchGate chan struct{}
 func (g fetchGate) enter() { g <- struct{}{} }
 func (g fetchGate) leave() { <-g }
 
+// maxUnsizedBody caps a response the wrapper did not size — the wrapper
+// itself, a /record acknowledgement, an object whose ref carries no Size —
+// so a lying Content-Length cannot make the loader allocate without bound.
+const maxUnsizedBody = 64 << 20
+
 // fetchBytes issues one logical request, rebuilding it per attempt and
 // retrying transient failures (network errors, mid-body truncation, 5xx)
 // with capped backoff. Non-5xx unacceptable statuses are permanent. The
 // retry/giveup counters land in Metrics.
-func (l *Loader) fetchBytes(ctx context.Context, method, url string, hdr map[string]string, body []byte, okStatus func(int) bool) ([]byte, error) {
+//
+// The response body is read with readBody, once, into memory whose size is
+// known up front. A non-nil dst is that memory: the body must be exactly
+// len(dst) bytes and is returned as dst — the wrapper states every object's
+// size and every chunk's length — and a retry overwrites the same range.
+// With dst nil the slice is sized by the response's Content-Length. A body
+// that ends cleanly at another length (errBodyLength) is the sender's whole
+// answer and is never retried.
+func (l *Loader) fetchBytes(ctx context.Context, method, url string, hdr map[string]string, body []byte, okStatus func(int) bool, dst []byte) ([]byte, error) {
 	pol := l.Retry
 	if pol.AttemptTimeout <= 0 {
 		pol.AttemptTimeout = l.fetchTimeout()
@@ -199,7 +213,10 @@ func (l *Loader) fetchBytes(ctx context.Context, method, url string, hdr map[str
 			}
 			return faults.Permanent(serr)
 		}
-		data, err := io.ReadAll(resp.Body)
+		data, err := readBody(resp.Body, dst, resp.ContentLength, maxUnsizedBody)
+		if errors.Is(err, errBodyLength) || errors.Is(err, errBodyTooLarge) {
+			return faults.Permanent(fmt.Errorf("nocdn: %s %s: %w", method, url, err))
+		}
 		if err != nil {
 			return err // transient: truncated mid-body
 		}
@@ -242,7 +259,7 @@ func (l *Loader) fetchWrapper(ctx context.Context, parent *hpop.Span, page strin
 	if l.ClientID != "" {
 		wurl += "&client=" + url.QueryEscape(l.ClientID)
 	}
-	data, err := l.fetchBytes(ctx, http.MethodGet, wurl, traceHeader(sp, nil), nil, statusOK)
+	data, err := l.fetchBytes(ctx, http.MethodGet, wurl, traceHeader(sp, nil), nil, statusOK, nil)
 	if err != nil {
 		sp.SetError(err)
 		return nil, fmt.Errorf("nocdn: wrapper fetch: %w", err)
@@ -279,8 +296,9 @@ func traceHeader(sp *hpop.Span, hdr map[string]string) map[string]string {
 // expectHash, when non-empty, rides the request as X-NoCDN-Hash: the
 // wrapper's hash for the object, which lets the peer apply the hash-epoch
 // freshness rule (a matching cached entry is current at any age; a
-// mismatched one must be refetched, never served stale).
-func (l *Loader) getFrom(ctx context.Context, gate fetchGate, sp *hpop.Span, peerID, peerURL, provider, path, expectHash string, chunk *ChunkRef) ([]byte, error) {
+// mismatched one must be refetched, never served stale). The body is read
+// into dst (see fetchBytes).
+func (l *Loader) getFrom(ctx context.Context, gate fetchGate, sp *hpop.Span, peerID, peerURL, provider, path, expectHash string, chunk *ChunkRef, dst []byte) ([]byte, error) {
 	gate.enter()
 	defer gate.leave()
 	var hdr map[string]string
@@ -295,7 +313,7 @@ func (l *Loader) getFrom(ctx context.Context, gate fetchGate, sp *hpop.Span, pee
 	}
 	hdr = traceHeader(sp, hdr)
 	start := time.Now()
-	data, err := l.fetchBytes(ctx, http.MethodGet, peerURL+"/proxy/"+provider+path, hdr, nil, statusOKPartial)
+	data, err := l.fetchBytes(ctx, http.MethodGet, peerURL+"/proxy/"+provider+path, hdr, nil, statusOKPartial, dst)
 	elapsed := time.Since(start).Seconds()
 	l.Metrics.Observe("nocdn.loader.fetch_seconds", elapsed)
 	if peerID != "" {
@@ -310,13 +328,15 @@ func (l *Loader) getFrom(ctx context.Context, gate fetchGate, sp *hpop.Span, pee
 	return data, err
 }
 
-// originFallback fetches an object straight from the provider, recording an
-// origin_fallback span under parent. peerID names the peer responsible for
-// forcing the fallback ("" when no single peer is): it is charged an extra
-// breaker failure on top of the failed attempt itself, because a fallback
-// costs the page an extra origin round trip — a peer that keeps forcing them
-// must stop looking healthy just because the page still loads.
-func (l *Loader) originFallback(ctx context.Context, gate fetchGate, parent *hpop.Span, peerID, path, reason string) ([]byte, error) {
+// originFallback fetches an object straight from the provider into dst (see
+// fetchBytes), recording an origin_fallback span under parent. peerID names
+// the peer responsible for forcing the fallback ("" when no single peer is):
+// it is charged an extra breaker failure on top of the failed attempt itself,
+// because a fallback costs the page an extra origin round trip — a peer that
+// keeps forcing them must stop looking healthy just because the page still
+// loads. An origin copy of another length than the wrapper declared comes
+// back as no bytes and no error: the caller's hash check refuses it.
+func (l *Loader) originFallback(ctx context.Context, gate fetchGate, parent *hpop.Span, peerID, path, reason string, dst []byte) ([]byte, error) {
 	gate.enter()
 	defer gate.leave()
 	l.Metrics.Inc("nocdn.loader.fallbacks")
@@ -329,9 +349,12 @@ func (l *Loader) originFallback(ctx context.Context, gate fetchGate, parent *hpo
 	}
 	defer sp.End()
 	start := time.Now()
-	data, err := l.fetchBytes(ctx, http.MethodGet, l.OriginURL+"/content"+path, traceHeader(sp, nil), nil, statusOK)
+	data, err := l.fetchBytes(ctx, http.MethodGet, l.OriginURL+"/content"+path, traceHeader(sp, nil), nil, statusOK, dst)
 	l.Metrics.Observe("nocdn.loader.fetch_seconds", time.Since(start).Seconds())
 	sp.SetError(err)
+	if errors.Is(err, errBodyLength) {
+		return nil, nil
+	}
 	return data, err
 }
 
@@ -464,10 +487,18 @@ func (l *Loader) candidates(ref ObjectRef) []PeerRef {
 // the serving peer's ID. On total failure, reason is "circuit_open" when no
 // candidate was even admitted by its breaker (nothing hit the network) and
 // "peer_failure" otherwise. Chunked refs keep their multi-peer fan-out.
-func (l *Loader) fetchFromCandidates(ctx context.Context, gate fetchGate, sp *hpop.Span, provider string, ref ObjectRef) (data []byte, fromPeers map[string]int64, servedBy, reason string, err error) {
+// Bodies land in dst: ref.Size bytes when the wrapper sized the object, nil
+// when it did not (see fetchBytes).
+//
+// A peer whose whole-object body ends cleanly at another length than the
+// wrapper declared has answered in full with other bytes. That is the hash
+// mismatch it would have been had the bytes been kept: the transfer returns
+// that peer with no data and no credit, and loadObject's verification fails
+// it into the tampered fallback.
+func (l *Loader) fetchFromCandidates(ctx context.Context, gate fetchGate, sp *hpop.Span, provider string, ref ObjectRef, dst []byte) (data []byte, fromPeers map[string]int64, servedBy, reason string, err error) {
 	if len(ref.Chunks) > 0 {
-		data, fromPeers, err = l.fetchObject(ctx, gate, sp, provider, ref)
-		return data, fromPeers, "", "peer_failure", err
+		fromPeers, err = l.fetchChunks(ctx, gate, sp, provider, ref, dst)
+		return dst, fromPeers, "", "peer_failure", err
 	}
 	tried := 0
 	var lastErr error
@@ -477,7 +508,10 @@ func (l *Loader) fetchFromCandidates(ctx context.Context, gate fetchGate, sp *hp
 			continue
 		}
 		tried++
-		data, ferr := l.getFrom(ctx, gate, sp, c.PeerID, c.PeerURL, provider, ref.Path, ref.Hash, nil)
+		data, ferr := l.getFrom(ctx, gate, sp, c.PeerID, c.PeerURL, provider, ref.Path, ref.Hash, nil, dst)
+		if errors.Is(ferr, errBodyLength) {
+			return nil, nil, c.PeerID, "", nil
+		}
 		if ferr != nil {
 			lastErr = ferr
 			continue
@@ -517,13 +551,21 @@ func (l *Loader) loadObject(ctx context.Context, gate fetchGate, parent *hpop.Sp
 		out.err = nil
 		return out
 	}
-	data, fromPeers, servedBy, reason, err := l.fetchFromCandidates(ctx, gate, osp, provider, ref)
+	// The one payload allocation of this object: peer bodies, chunks and any
+	// origin fallback are all read into it, and it becomes the rendered
+	// bytes once it verifies. A ref without a size (a hand-built wrapper)
+	// leaves it nil and each read sizes itself by Content-Length.
+	var dst []byte
+	if ref.Size > 0 {
+		dst = make([]byte, ref.Size)
+	}
+	data, fromPeers, servedBy, reason, err := l.fetchFromCandidates(ctx, gate, osp, provider, ref, dst)
 	if err != nil {
 		// Every candidate peer unreachable, failing, or open-circuit: fall
 		// back to the origin, exactly as for tampered content — "one
 		// problematic peer — be it malicious or overloaded — [must not]
 		// have a large overall impact on the client."
-		fallback, ferr := l.originFallback(ctx, gate, osp, ref.PeerID, ref.Path, reason)
+		fallback, ferr := l.originFallback(ctx, gate, osp, ref.PeerID, ref.Path, reason, dst)
 		if ferr != nil {
 			out.err = fmt.Errorf("nocdn: object %s: peer: %v; origin fallback: %w", ref.Path, err, ferr)
 			if l.Brownout {
@@ -542,7 +584,7 @@ func (l *Loader) loadObject(ctx context.Context, gate fetchGate, parent *hpop.Sp
 	if !l.verify(data, ref.Hash) {
 		out.tampered = true
 		osp.SetLabel("tampered", "true")
-		fallback, ferr := l.originFallback(ctx, gate, osp, servedBy, ref.Path, "tampered")
+		fallback, ferr := l.originFallback(ctx, gate, osp, servedBy, ref.Path, "tampered", dst)
 		if ferr != nil {
 			out.err = fmt.Errorf("nocdn: tampered %s and fallback failed: %w", ref.Path, ferr)
 			if l.Brownout {
@@ -568,19 +610,17 @@ func (l *Loader) loadObject(ctx context.Context, gate fetchGate, parent *hpop.Sp
 	return out
 }
 
-// fetchObject retrieves one object whole or chunked, returning the bytes
-// and per-peer byte attribution. Chunks fetch concurrently into disjoint
-// ranges of the assembly buffer. Whole-object and range requests alike
-// carry sp's traceparent to the serving peer.
-func (l *Loader) fetchObject(ctx context.Context, gate fetchGate, sp *hpop.Span, provider string, ref ObjectRef) ([]byte, map[string]int64, error) {
-	if len(ref.Chunks) == 0 {
-		data, err := l.getFrom(ctx, gate, sp, ref.PeerID, ref.PeerURL, provider, ref.Path, ref.Hash, nil)
-		if err != nil {
-			return nil, nil, err
+// fetchChunks retrieves a chunked object, returning the per-peer byte
+// attribution. Chunks fetch concurrently, each straight into its own range
+// of the assembly buffer buf — the ranges the wrapper declared, which must
+// lie inside it. Range requests carry sp's traceparent to the serving peer.
+func (l *Loader) fetchChunks(ctx context.Context, gate fetchGate, sp *hpop.Span, provider string, ref ObjectRef, buf []byte) (map[string]int64, error) {
+	for i, c := range ref.Chunks {
+		if c.Offset < 0 || c.Length < 0 || c.Offset+c.Length > len(buf) {
+			return nil, fmt.Errorf("nocdn: %s chunk %d: range %d+%d outside the object's %d bytes",
+				ref.Path, i, c.Offset, c.Length, len(buf))
 		}
-		return data, map[string]int64{ref.PeerID: int64(len(data))}, nil
 	}
-	buf := make([]byte, ref.Size)
 	errs := make([]error, len(ref.Chunks))
 	var wg sync.WaitGroup
 	for i := range ref.Chunks {
@@ -593,29 +633,26 @@ func (l *Loader) fetchObject(ctx context.Context, gate fetchGate, sp *hpop.Span,
 				errs[i] = fmt.Errorf("chunk %d: peer %s open-circuit", i, c.PeerID)
 				return
 			}
-			data, err := l.getFrom(ctx, gate, sp, c.PeerID, c.PeerURL, provider, ref.Path, ref.Hash, c)
+			// A chunk of any other length is an error here (the peer_failure
+			// fallback), not a shorter slice.
+			_, err := l.getFrom(ctx, gate, sp, c.PeerID, c.PeerURL, provider, ref.Path, ref.Hash, c,
+				buf[c.Offset:c.Offset+c.Length])
 			if err != nil {
 				errs[i] = fmt.Errorf("chunk %d: %w", i, err)
-				return
 			}
-			if len(data) != c.Length {
-				errs[i] = fmt.Errorf("chunk %d: got %d bytes, want %d", i, len(data), c.Length)
-				return
-			}
-			copy(buf[c.Offset:], data)
 		}(i)
 	}
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
 	attribution := make(map[string]int64)
 	for i := range ref.Chunks {
 		attribution[ref.Chunks[i].PeerID] += int64(ref.Chunks[i].Length)
 	}
-	return buf, attribution, nil
+	return attribution, nil
 }
 
 // deliverRecords signs and posts one usage record per peer that served
@@ -686,7 +723,7 @@ func (l *Loader) deliverRecords(ctx context.Context, gate fetchGate, parent *hpo
 			defer gate.leave()
 			hdr := traceHeader(dsp, map[string]string{"Content-Type": "application/json"})
 			if _, err := l.fetchBytes(ctx, http.MethodPost, url+"/record", hdr, body,
-				func(code int) bool { return code == http.StatusAccepted }); err != nil {
+				func(code int) bool { return code == http.StatusAccepted }, nil); err != nil {
 				dsp.SetError(err)
 				return
 			}

@@ -63,7 +63,7 @@ func MerkleRoot(leaves [][]byte) string {
 		level[i] = merkleLeaf(l)
 	}
 	for len(level) > 1 {
-		next := level[:0:len(level)/2+1]
+		next := level[: 0 : len(level)/2+1]
 		for i := 0; i+1 < len(level); i += 2 {
 			next = append(next, merkleNode(level[i], level[i+1]))
 		}

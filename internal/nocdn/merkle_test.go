@@ -204,9 +204,9 @@ func FuzzMerkleProof(f *testing.F) {
 			t.Fatal("proof with junk sibling prefix accepted")
 		}
 		wild := MerkleProof{Index: int(idxRaw) - 128, Leaves: int(nRaw) - 64, Path: []string{string(junk), string(data)}}
-		VerifyMerkleProof(leaves[i], wild, root)             // must not panic
-		VerifyMerkleProof(junk, proof, string(data))         // must not panic
-		VerifyMerkleProof(nil, MerkleProof{}, "")            // must not panic
+		VerifyMerkleProof(leaves[i], wild, root)     // must not panic
+		VerifyMerkleProof(junk, proof, string(data)) // must not panic
+		VerifyMerkleProof(nil, MerkleProof{}, "")    // must not panic
 		if VerifyMerkleProof(leaves[i], proof, string(junk)) {
 			t.Fatal("proof accepted under junk root")
 		}

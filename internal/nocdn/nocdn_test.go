@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/hex"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -583,6 +584,85 @@ func TestFlushKeepsRecordsOnNotFound(t *testing.T) {
 	}
 	if got, want := s.origin.AccountingFor(peerID(0)).CreditedBytes, res.PeerBytes[peerID(0)]; got != want || want == 0 {
 		t.Errorf("credited %d bytes after the retry, want the %d served", got, want)
+	}
+}
+
+// TestFlushKeepsRecordsOnOversizeBatch: a batch past /usage/batch's 8 MiB
+// cap used to be cut at the cap, fail to parse and answer 400 — which Flush
+// takes as a settlement decision, discarding every paid-for record in it.
+// The origin now refuses it with 413, which decides nothing: the batch
+// requeues and the backoff gate arms.
+func TestFlushKeepsRecordsOnOversizeBatch(t *testing.T) {
+	s := newTestSite(t, 1)
+	if _, err := s.loader.LoadPage("home"); err != nil {
+		t.Fatal(err)
+	}
+	p := s.peers[0]
+	// Nine records with a 1 MiB page name stand in for the ~18k ordinary
+	// ones a raised SetMaxPendingRecords lets a peer accumulate.
+	p.recordsMu.Lock()
+	for i := 0; i < 9; i++ {
+		p.records = append(p.records, UsageRecord{Provider: "example.com", PeerID: p.ID,
+			Page: strings.Repeat("x", 1<<20), Bytes: 1, Nonce: auth.NewNonce()})
+	}
+	p.recordsMu.Unlock()
+	pending := p.PendingRecords()
+	now := time.Now()
+	p.SetClock(func() time.Time { return now })
+
+	n, err := p.Flush(s.originSrv.URL)
+	if err == nil || n != 0 || !strings.Contains(err.Error(), "413") {
+		t.Fatalf("oversize flush = %d, %v; want 0 and a 413", n, err)
+	}
+	if got := p.PendingRecords(); got != pending {
+		t.Fatalf("records after 413 = %d, want %d (retained)", got, pending)
+	}
+	if _, err := p.Flush(s.originSrv.URL); !errors.Is(err, ErrFlushDeferred) {
+		t.Fatalf("flush right after a 413 = %v, want ErrFlushDeferred", err)
+	}
+	if got := s.origin.AccountingFor(p.ID).CreditedBytes; got != 0 {
+		t.Errorf("credited %d bytes from a refused batch", got)
+	}
+}
+
+// TestOversizeUploadIs413: every capped upload endpoint refuses a body past
+// its cap with 413 — on the Content-Length alone, and on reading past the
+// cap when the upload is chunked — and never cuts it and parses the stump.
+func TestOversizeUploadIs413(t *testing.T) {
+	s := newTestSite(t, 1)
+	for _, ep := range []struct {
+		url string
+		cap int
+	}{
+		{s.originSrv.URL + "/usage/batch", 8 << 20},
+		{s.originSrv.URL + "/telemetry/batch", 8 << 20},
+		{s.peerSrvs[0].URL + "/record", 1 << 20},
+	} {
+		// A JSON string one byte past the cap: well-formed, were it read whole.
+		body := []byte(`"` + strings.Repeat("x", ep.cap-1) + `"`)
+		for _, chunked := range []bool{false, true} {
+			var rdr io.Reader = bytes.NewReader(body)
+			if chunked {
+				rdr = struct{ io.Reader }{rdr} // hides the length from net/http
+			}
+			resp, err := http.Post(ep.url, "application/json", rdr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusRequestEntityTooLarge {
+				t.Errorf("%s (chunked=%v): %d bytes answered %d, want 413", ep.url, chunked, len(body), resp.StatusCode)
+			}
+		}
+		// At the cap the body is read whole and judged on its content.
+		resp, err := http.Post(ep.url, "application/json", bytes.NewReader(body[1:]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: %d malformed bytes answered %d, want 400", ep.url, len(body)-1, resp.StatusCode)
+		}
 	}
 }
 

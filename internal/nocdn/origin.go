@@ -1176,7 +1176,7 @@ func (o *Origin) Handler() http.Handler {
 			client, _, _ = net.SplitHostPort(r.RemoteAddr)
 		}
 		sp.SetLabel("client", client)
-		wrapper, err := o.AssignWrapper(page, client)
+		e, err := o.assignEntry(page, client)
 		if err != nil {
 			sp.SetError(err)
 			status := http.StatusNotFound
@@ -1186,15 +1186,10 @@ func (o *Origin) Handler() http.Handler {
 			http.Error(w, err.Error(), status)
 			return
 		}
-		body, err := json.Marshal(wrapper)
-		if err != nil {
-			sp.SetError(err)
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		o.wrapperBytes.Add(int64(len(body)))
+		o.wrapperBytes.Add(int64(len(e.body)))
 		w.Header().Set("Content-Type", "application/json")
-		w.Write(body)
+		w.Header().Set("Content-Length", strconv.Itoa(len(e.body)))
+		w.Write(e.body)
 	})
 	mux.HandleFunc("/content/", func(w http.ResponseWriter, r *http.Request) {
 		sp := o.tracer.StartRemote("nocdn.origin", "serve_content", hpop.ExtractTraceparent(r.Header))
@@ -1236,6 +1231,9 @@ func (o *Origin) Handler() http.Handler {
 			return
 		}
 		o.originBytes.Add(int64(len(obj.Data)))
+		// Declared, so a peer's fill and a loader's fallback read into an
+		// exact-size slice (net/http would chunk a body this large).
+		hdr.Set("Content-Length", strconv.Itoa(len(obj.Data)))
 		w.Write(obj.Data)
 	})
 	mux.HandleFunc("/usage/batch", func(w http.ResponseWriter, r *http.Request) {
@@ -1243,9 +1241,8 @@ func (o *Origin) Handler() http.Handler {
 			http.Error(w, "POST required", http.StatusMethodNotAllowed)
 			return
 		}
-		body, err := io.ReadAll(io.LimitReader(r.Body, 8<<20))
-		if err != nil {
-			http.Error(w, "read body", http.StatusBadRequest)
+		body, ok := readUpload(w, r, 8<<20)
+		if !ok {
 			return
 		}
 		batch, err := DecodeBatch(body)

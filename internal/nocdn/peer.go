@@ -400,15 +400,17 @@ func (t cacheTier) label() string {
 }
 
 // cachePut fills the memory tier and spills whatever that evicts into the
-// disk tier. Objects too large for a memory shard go straight to disk (the
-// memory LRU would reject them), so Internet@home-scale blobs are still
-// cacheable on the appliance's disk. Hashing and segment appends happen
-// outside the shard locks.
-func (p *Peer) cachePut(key string, data []byte) {
+// disk tier. sum is data's SHA-256, which every caller already holds (the
+// backfill's metadata hash, the promoted entry's at-rest checksum). Objects
+// too large for a memory shard go straight to disk under it (the memory LRU
+// would reject them), so Internet@home-scale blobs are still cacheable on
+// the appliance's disk. Hashing of evicted entries and segment appends
+// happen outside the shard locks.
+func (p *Peer) cachePut(key string, data []byte, sum [sha256.Size]byte) {
 	st := p.store.Load()
 	if len(data) > p.cache.maxObjectBytes() {
 		if st != nil {
-			st.put(key, data, sha256.Sum256(data))
+			st.put(key, data, sum)
 		}
 		return
 	}
@@ -421,29 +423,10 @@ func (p *Peer) cachePut(key string, data []byte) {
 	}
 }
 
-// readBodyPooled drains a response body through a pooled buffer, returning
-// an exact-size owned slice. io.ReadAll's repeated grow-and-copy was the
-// dominant allocation on the miss path; the pool flattens it to one
-// exact-size allocation per object (the slice the cache keeps).
-func readBodyPooled(resp *http.Response) ([]byte, error) {
-	bp := bodyBufPool.Get().(*bytes.Buffer)
-	defer func() {
-		bp.Reset()
-		bodyBufPool.Put(bp)
-	}()
-	if n := resp.ContentLength; n > 0 && int64(bp.Cap()) < n {
-		bp.Grow(int(n))
-	}
-	if _, err := bp.ReadFrom(resp.Body); err != nil {
-		return nil, err
-	}
-	data := make([]byte, bp.Len())
-	copy(data, bp.Bytes())
-	return data, nil
-}
-
-// bodyBufPool recycles origin-backfill read buffers across misses.
-var bodyBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+// maxOriginBody caps one origin /content response on the fill path — the
+// default size of the whole disk tier — so a lying Content-Length cannot
+// make a home box allocate without bound.
+const maxOriginBody = DefaultDiskCacheBytes
 
 // Handler returns the peer's HTTP surface:
 //
@@ -595,9 +578,8 @@ func (p *Peer) handleRecord(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST required", http.StatusMethodNotAllowed)
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-	if err != nil {
-		http.Error(w, "read body", http.StatusBadRequest)
+	body, ok := readUpload(w, r, 1<<20)
+	if !ok {
 		return
 	}
 	var rec UsageRecord

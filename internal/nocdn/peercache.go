@@ -8,6 +8,8 @@ package nocdn
 // directive parser and the hash-epoch freshness rule this implements.
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"net/http"
 	"sort"
@@ -315,7 +317,7 @@ func (p *Peer) cacheGet(key string) (data []byte, tier cacheTier, ok bool) {
 		// sees a clean miss and refetches — corrupt bytes are never served.
 		return nil, tierOrigin, false
 	}
-	p.cachePut(key, promoted)
+	p.cachePut(key, promoted, e.sum)
 	p.metrics.Inc("nocdn.cache.promotions")
 	return promoted, tierDisk, true
 }
@@ -382,11 +384,14 @@ func (p *Peer) backfill(origin, base, key, provider, path string, reqHdr http.He
 		if resp.StatusCode != http.StatusOK {
 			return nil, tierOrigin, fmt.Errorf("nocdn: origin status %d for %s", resp.StatusCode, path)
 		}
-		data, err := readBodyPooled(resp)
+		// One exact-size allocation per filled object — the slice the cache
+		// keeps — and one hash, shared by the metadata and the disk tier.
+		data, err := readBody(resp.Body, nil, resp.ContentLength, maxOriginBody)
 		if err != nil {
-			return nil, tierOrigin, err
+			return nil, tierOrigin, fmt.Errorf("nocdn: origin fetch: %w", err)
 		}
-		m := metaFromHeaders(resp.Header, HashBytes(data), p.now())
+		sum := sha256.Sum256(data)
+		m := metaFromHeaders(resp.Header, hex.EncodeToString(sum[:]), p.now())
 		if vary := resp.Header.Get("Vary"); vary != "" {
 			p.setVaryNames(base, parseVaryNames(vary))
 		}
@@ -397,7 +402,7 @@ func (p *Peer) backfill(origin, base, key, provider, path string, reqHdr http.He
 			p.cacheRemove(key, false)
 			p.setMeta(key, m) // keep headers for this serve
 		} else {
-			p.cachePut(key, data)
+			p.cachePut(key, data, sum)
 		}
 		return data, tierOrigin, nil
 	})
@@ -449,11 +454,12 @@ func (p *Peer) revalidate(origin, base, key, path string, old *entryMeta, reqHdr
 		return nil, nm, true, nil
 	case resp.StatusCode == http.StatusOK:
 		p.originFetches.Add(1)
-		body, err := readBodyPooled(resp)
+		body, err := readBody(resp.Body, nil, resp.ContentLength, maxOriginBody)
 		if err != nil {
-			return nil, nil, false, err
+			return nil, nil, false, fmt.Errorf("nocdn: revalidate: %w", err)
 		}
-		nm := metaFromHeaders(resp.Header, HashBytes(body), p.now())
+		sum := sha256.Sum256(body)
+		nm := metaFromHeaders(resp.Header, hex.EncodeToString(sum[:]), p.now())
 		if vary := resp.Header.Get("Vary"); vary != "" {
 			p.setVaryNames(base, parseVaryNames(vary))
 		}
@@ -462,7 +468,7 @@ func (p *Peer) revalidate(origin, base, key, path string, old *entryMeta, reqHdr
 			p.cacheRemove(key, false)
 			p.setMeta(key, nm)
 		} else {
-			p.cachePut(key, body)
+			p.cachePut(key, body, sum)
 		}
 		return body, nm, false, nil
 	default:

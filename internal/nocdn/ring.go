@@ -58,7 +58,7 @@ type hashRing struct {
 	vnodes int
 
 	mu      sync.RWMutex
-	members []string       // index -> id ("" = tombstone)
+	members []string // index -> id ("" = tombstone)
 	byID    map[string]int32
 	points  []ringPoint
 	dirty   bool

@@ -341,15 +341,24 @@ func (s *segmentStore) put(key string, data []byte, sum [sha256.Size]byte) error
 	seg := s.active
 	off := seg.size
 
-	rec := make([]byte, recLen)
-	copy(rec, segMagic)
-	binary.LittleEndian.PutUint16(rec[4:6], uint16(len(key)))
-	binary.LittleEndian.PutUint32(rec[6:10], uint32(len(data)))
-	copy(rec[10:10+sha256.Size], sum[:])
-	copy(rec[segHeaderSize:], key)
-	copy(rec[segHeaderSize+len(key):], data)
-
-	if _, err := seg.f.WriteAt(rec, off); err != nil {
+	// Two sequential writes — header+key from a small buffer, then the
+	// payload straight from the caller's slice — instead of assembling the
+	// record in a payload-sized copy under mu. A crash between (or inside)
+	// them leaves a record whose declared end lies past EOF, which is the
+	// torn tail scanSegment already truncates (end > size); a failed second
+	// write leaves seg.size unmoved, so the next append overwrites the
+	// orphaned header.
+	head := make([]byte, segHeaderSize+len(key))
+	copy(head, segMagic)
+	binary.LittleEndian.PutUint16(head[4:6], uint16(len(key)))
+	binary.LittleEndian.PutUint32(head[6:10], uint32(len(data)))
+	copy(head[10:10+sha256.Size], sum[:])
+	copy(head[segHeaderSize:], key)
+	_, err := seg.f.WriteAt(head, off)
+	if err == nil {
+		_, err = seg.f.WriteAt(data, off+int64(len(head)))
+	}
+	if err != nil {
 		s.mu.Unlock()
 		return fmt.Errorf("nocdn: segment append: %w", err)
 	}

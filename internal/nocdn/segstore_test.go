@@ -93,9 +93,14 @@ func TestSegmentStoreDedupeRewrite(t *testing.T) {
 	}
 }
 
-// TestSegmentStoreCrashRecovery kills the store mid-append: a torn tail
-// record (header promising more bytes than the file holds) must be
-// discarded by the recovery scan while every complete record survives.
+// TestSegmentStoreCrashRecovery kills the store mid-append at every byte of
+// the in-flight record. put writes header+key and payload as two sequential
+// writes, so a crash can leave any prefix of the record — a partial header,
+// header+key with no payload at all (the boundary between the two writes),
+// or a partial payload. Each is a torn tail (a header promising more bytes
+// than the file holds, or too short to be a header): the recovery scan must
+// discard it, truncate the file back to the previous record boundary, keep
+// every complete record, and leave the segment appendable.
 func TestSegmentStoreCrashRecovery(t *testing.T) {
 	dir := t.TempDir()
 	s, err := openSegmentStore(dir, 1<<20, 1<<20)
@@ -110,8 +115,6 @@ func TestSegmentStoreCrashRecovery(t *testing.T) {
 	}
 	s.close()
 
-	// Simulate a crash mid-append: write a valid header + partial payload
-	// by appending a full record and chopping the file before its end.
 	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.seg"))
 	if err != nil || len(segs) == 0 {
 		t.Fatalf("no segment files: %v", err)
@@ -122,43 +125,55 @@ func TestSegmentStoreCrashRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	intactSize := fi.Size()
+	const tornKey = "prov|/torn"
 	{
 		s2, err := openSegmentStore(dir, 1<<20, 1<<20)
 		if err != nil {
 			t.Fatal(err)
 		}
-		storePut(t, s2, "prov|/torn", obj(99, 4096))
+		storePut(t, s2, tornKey, obj(99, 300))
 		s2.close()
 	}
-	fi2, err := os.Stat(last)
+	raw, err := os.ReadFile(last)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fi2.Size() <= intactSize {
-		t.Fatalf("torn-record setup failed: %d -> %d", intactSize, fi2.Size())
+	if want := intactSize + segHeaderSize + int64(len(tornKey)) + 300; int64(len(raw)) != want {
+		t.Fatalf("torn-record setup failed: file is %d bytes, want %d", len(raw), want)
 	}
-	// Chop the torn record's payload: keep the header + half the data.
-	if err := os.Truncate(last, intactSize+segHeaderSize+int64(len("prov|/torn"))+2048); err != nil {
-		t.Fatal(err)
-	}
+	betweenWrites := intactSize + segHeaderSize + int64(len(tornKey))
 
-	s3, err := openSegmentStore(dir, 1<<20, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s3.close()
-	if s3.contains("prov|/torn") {
-		t.Fatal("torn tail entry survived recovery")
-	}
-	for key, data := range want {
-		if got := storeGet(t, s3, key); !bytes.Equal(got, data) {
-			t.Fatalf("recovered %s differs", key)
+	// Crash with the file cut at every offset inside the in-flight record.
+	for cut := intactSize + 1; cut < int64(len(raw)); cut++ {
+		if err := os.WriteFile(last, raw[:cut], 0o644); err != nil {
+			t.Fatal(err)
 		}
-	}
-	// The file was truncated back to a record boundary, so appends work.
-	storePut(t, s3, "prov|/after", obj(7, 512))
-	if got := storeGet(t, s3, "prov|/after"); !bytes.Equal(got, obj(7, 512)) {
-		t.Fatal("append after recovery failed")
+		s3, err := openSegmentStore(dir, 1<<20, 1<<20)
+		if err != nil {
+			t.Fatalf("cut at +%d: %v", cut-intactSize, err)
+		}
+		where := fmt.Sprintf("cut at +%d", cut-intactSize)
+		if cut == betweenWrites {
+			where += " (header+key written, payload not)"
+		}
+		if s3.contains(tornKey) {
+			t.Fatalf("%s: torn tail entry survived recovery", where)
+		}
+		if fi, err := os.Stat(last); err != nil || fi.Size() != intactSize {
+			t.Fatalf("%s: file is %d bytes after recovery (%v), want the previous record boundary %d",
+				where, fi.Size(), err, intactSize)
+		}
+		for key, data := range want {
+			if got := storeGet(t, s3, key); !bytes.Equal(got, data) {
+				t.Fatalf("%s: recovered %s differs", where, key)
+			}
+		}
+		// The file ends on a record boundary again, so appends work.
+		storePut(t, s3, "prov|/after", obj(7, 512))
+		if got := storeGet(t, s3, "prov|/after"); !bytes.Equal(got, obj(7, 512)) {
+			t.Fatalf("%s: append after recovery failed", where)
+		}
+		s3.close()
 	}
 }
 

@@ -2,6 +2,8 @@ package nocdn
 
 import (
 	"encoding/hex"
+	"encoding/json"
+	"fmt"
 	"strconv"
 	"sync"
 	"time"
@@ -17,11 +19,14 @@ import (
 // of O(page views).
 const DefaultPoolSlots = 16
 
-// poolEntry is one precomputed wrapper map: the wrapper, the distinct peers
-// it names (revalidated against health/suspension on every serve), the
-// per-serve byte charges, and the epochs it was built under.
+// poolEntry is one precomputed wrapper map: the wrapper and its JSON
+// encoding (both immutable, so /wrapper writes body on every serve instead
+// of re-marshalling a map that is byte-stable for the entry's lifetime), the
+// distinct peers it names (revalidated against health/suspension on every
+// serve), the per-serve byte charges, and the epochs it was built under.
 type poolEntry struct {
 	w       *Wrapper
+	body    []byte // json.Marshal(w), encoded once at build
 	peerIDs []string
 	charges []charge
 	content int64 // contentEpoch at build
@@ -92,6 +97,16 @@ func (o *Origin) poolSlots() int {
 // ledger rows, so honest settlement of a widely shared map never looks
 // like inflation.
 func (o *Origin) AssignWrapper(page, client string) (*Wrapper, error) {
+	e, err := o.assignEntry(page, client)
+	if err != nil {
+		return nil, err
+	}
+	return e.w, nil
+}
+
+// assignEntry is AssignWrapper returning the whole pool entry, so the
+// /wrapper handler can write the entry's encoded bytes.
+func (o *Origin) assignEntry(page, client string) (*poolEntry, error) {
 	slot := int(fnv64a("slot|"+client) % uint64(o.poolSlots()))
 	cep := o.contentEpoch.Load()
 	aep := o.assignEpoch.Load()
@@ -99,7 +114,7 @@ func (o *Origin) AssignWrapper(page, client string) (*Wrapper, error) {
 		e.content == cep && e.assign == aep && o.entryServable(e) {
 		o.ledger.assignCharges(e.charges)
 		o.metrics.Inc("nocdn.origin.pool_hits")
-		return e.w, nil
+		return e, nil
 	}
 	e, err := o.buildPoolEntry(page, slot)
 	if err != nil {
@@ -107,7 +122,7 @@ func (o *Origin) AssignWrapper(page, client string) (*Wrapper, error) {
 	}
 	o.pool.put(page, slot, o.poolSlots(), e)
 	o.ledger.assignCharges(e.charges)
-	return e.w, nil
+	return e, nil
 }
 
 // entryServable revalidates a pooled map on serve: every peer it names must
@@ -279,10 +294,14 @@ func (o *Origin) buildPoolEntry(page string, slot int) (*poolEntry, error) {
 	for id := range w.Keys {
 		ids = append(ids, id)
 	}
+	body, err := json.Marshal(w)
+	if err != nil {
+		return nil, fmt.Errorf("nocdn: wrapper encode: %w", err)
+	}
 	// Durable keys before the map can serve: a settlement for this map must
 	// survive an origin restart between the serve and the flush.
 	o.journalKeysIssued(w, charges)
-	return &poolEntry{w: w, peerIDs: ids, charges: charges, content: cep, assign: aep}, nil
+	return &poolEntry{w: w, body: body, peerIDs: ids, charges: charges, content: cep, assign: aep}, nil
 }
 
 // EpochTick advances the assignment epoch and refreshes every pooled
