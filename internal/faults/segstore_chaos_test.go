@@ -12,6 +12,7 @@ import (
 	"hpop/internal/faults"
 	"hpop/internal/hpop"
 	"hpop/internal/nocdn"
+	"hpop/internal/sim"
 )
 
 // TestChaosSegmentBitflipAtRest extends the bitflip fault to the peer's
@@ -201,6 +202,156 @@ func TestChaosSegmentBitflipWithoutScrub(t *testing.T) {
 		resp.Body.Close()
 		if !bytes.Equal(body, truth[path]) {
 			t.Fatalf("%s: promotion served corrupt bytes without scrub", path)
+		}
+	}
+}
+
+// TestChaosSegmentBitflipStreamed is the at-rest bitflip on the path the two
+// tests above never reach: objects too large for a memory shard, which are
+// not promoted but streamed off the segment file, fetched the way a browser
+// fetches them — a Loader following a chunked wrapper, four Range requests
+// per object over the peers. A streamed serve verifies the blocks covering
+// the bytes it was asked for, so a rotten block fails only the chunk that
+// covers it; the invariants are the same:
+//
+//  1. no response carries a flipped byte — every view renders the published
+//     bytes with no tamper detection and no origin fallback on the loader's
+//     side, because the peer caught the flip before writing a header;
+//  2. every victim ends quarantined, by the serve whose chunk covered the
+//     flip or, for a (peer, object) nobody asked for that chunk of, by the
+//     scrubber;
+//  3. every victim is refetched from the origin exactly once, and nothing
+//     else is.
+//
+// Deterministic per seed; CI runs seeds 1, 7, and 1337.
+func TestChaosSegmentBitflipStreamed(t *testing.T) {
+	seed := chaosSeed(t)
+	inj := faults.NewInjector(mustSchedule(t, seed, `bitflip p=0.5 match=/o/`))
+
+	const (
+		objects    = 6
+		objectSize = 512 << 10 // eight 64 KiB blocks; four 128 KiB chunks
+		peerCount  = 2
+	)
+	rng := sim.NewRNG(seed)
+	published := map[string][]byte{"/index.html": []byte("<html>streamed chaos</html>")}
+	page := nocdn.Page{Name: "home", Container: "/index.html"}
+	for i := 0; i < objects; i++ {
+		path := fmt.Sprintf("/o/%02d", i)
+		data := make([]byte, objectSize)
+		for j := range data {
+			data[j] = byte(rng.Intn(256))
+		}
+		published[path] = data
+		page.Embedded = append(page.Embedded, path)
+	}
+	origin := nocdn.NewOrigin("example.com", nocdn.WithRNG(sim.NewRNG(seed)), nocdn.WithChunking(4, 64<<10))
+	for path, data := range published {
+		origin.AddObject(path, data)
+	}
+	if err := origin.AddPage(page); err != nil {
+		t.Fatal(err)
+	}
+	originSrv := httptest.NewServer(origin.Handler())
+	defer originSrv.Close()
+
+	type diskPeer struct {
+		*nocdn.Peer
+		metrics *hpop.Metrics
+	}
+	var peers []diskPeer
+	for i := 0; i < peerCount; i++ {
+		// 256 KiB of memory is 16 KiB shards: the container fits, the
+		// objects can only live on disk.
+		p := diskPeer{nocdn.NewPeer(fmt.Sprintf("home-%d", i), 256<<10), hpop.NewMetrics()}
+		p.SetMetrics(p.metrics)
+		if err := p.AttachDiskCache(t.TempDir(), 64<<20, 8<<20); err != nil {
+			t.Fatal(err)
+		}
+		defer p.CloseDiskCache()
+		p.SignUp("example.com", originSrv.URL)
+		srv := httptest.NewServer(p.Handler())
+		defer srv.Close()
+		origin.RegisterPeer(p.ID, srv.URL, 10)
+		peers = append(peers, p)
+	}
+
+	// Several clients, so the pooled maps between them ask every peer for
+	// more than one chunk position of an object.
+	const clients = 8
+	viewAll := func(phase string) {
+		t.Helper()
+		for c := 0; c < clients; c++ {
+			l := &nocdn.Loader{OriginURL: originSrv.URL, ClientID: fmt.Sprintf("client-%d", c), Retry: fastRetry(2)}
+			res, err := l.LoadPage("home")
+			if err != nil {
+				t.Fatalf("%s: client %d: %v", phase, c, err)
+			}
+			if res.TamperDetected || len(res.FallbackObjects) != 0 || len(res.Degraded) != 0 {
+				t.Fatalf("%s: client %d saw a peer's bad bytes: tamper=%v fallbacks=%v degraded=%v",
+					phase, c, res.TamperDetected, res.FallbackObjects, res.Degraded)
+			}
+			for path, want := range published {
+				if !bytes.Equal(res.Body[path], want) {
+					t.Fatalf("%s: client %d rendered %s as bytes that are not the published ones", phase, c, path)
+				}
+			}
+		}
+	}
+	viewAll("fill")  // misses: every peer fetches every object it is asked a chunk of
+	viewAll("earn")  // streamed serves: whole-object pass, block sums earned
+	viewAll("clean") // windowed serves
+	for _, p := range peers {
+		if got := p.metrics.Counter("nocdn.cache.quarantined"); got != 0 {
+			t.Fatalf("%s quarantined %v entries before anything rotted", p.ID, got)
+		}
+	}
+
+	// Rot: the injector picks (peer, object) victims; CorruptDiskEntry flips
+	// the middle byte, which lies in the third of the four chunks.
+	victims := make(map[string]int) // peer ID -> flipped entries
+	fetchesBefore := make(map[string]int64)
+	total := 0
+	for _, p := range peers {
+		fetchesBefore[p.ID] = p.OriginFetches()
+		for i := 0; i < objects; i++ {
+			path := fmt.Sprintf("/o/%02d", i)
+			if d := inj.Decide(p.ID + path); d.Kind == faults.KindBitflip && p.CorruptDiskEntry("example.com", path) {
+				victims[p.ID]++
+				total++
+			}
+		}
+	}
+	if total == 0 {
+		t.Fatalf("seed %d flipped no disk-resident entries; loosen the schedule", seed)
+	}
+
+	viewAll("rotten")
+	served := 0
+	for _, p := range peers {
+		served += int(p.metrics.Counter("nocdn.cache.quarantined"))
+	}
+	if served == 0 || served > total {
+		t.Fatalf("serves quarantined %d of %d victims; want some (a chunk over the flip was asked for) and no more than all", served, total)
+	}
+	scrubbed := 0
+	for _, p := range peers {
+		_, q := p.ScrubCache()
+		scrubbed += q
+	}
+	if served+scrubbed != total {
+		t.Fatalf("serves quarantined %d and the scrubber %d of %d victims", served, scrubbed, total)
+	}
+	t.Logf("seed %d: %d of %d (peer, object) entries flipped; %d caught by a Range serve, %d by the scrubber",
+		seed, total, peerCount*objects, served, scrubbed)
+
+	viewAll("healed") // refetches what the scrubber dropped
+	for _, p := range peers {
+		if got := p.OriginFetches() - fetchesBefore[p.ID]; got != int64(victims[p.ID]) {
+			t.Errorf("%s refetched %d objects for %d victims", p.ID, got, victims[p.ID])
+		}
+		if _, q := p.ScrubCache(); q != 0 {
+			t.Errorf("%s: a second scrub still quarantined %d entries", p.ID, q)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package nocdn
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/hex"
 	"errors"
 	"io"
@@ -453,10 +454,19 @@ func TestParseRange(t *testing.T) {
 
 func TestByteLRUEviction(t *testing.T) {
 	c := newByteLRU(100)
-	c.put("a", make([]byte, 40))
-	c.put("b", make([]byte, 40))
-	c.get("a")                   // refresh a
-	c.put("c", make([]byte, 40)) // evicts b (LRU)
+	put := func(key string, n int) []lruEntry {
+		data := bytes.Repeat([]byte(key[:1]), n)
+		return c.put(key, data, sha256.Sum256(data))
+	}
+	put("a", 40)
+	put("b", 40)
+	c.get("a") // refresh a
+	// Evicts b (LRU), handing back the sum it was stored with: a spill
+	// writes that, it does not hash the entry again.
+	evicted := put("c", 40)
+	if len(evicted) != 1 || evicted[0].key != "b" || evicted[0].sum != sha256.Sum256(evicted[0].data) {
+		t.Errorf("evicted = %v, want b with the SHA-256 of its bytes", evicted)
+	}
 	if _, ok := c.get("b"); ok {
 		t.Error("b survived eviction")
 	}
@@ -464,15 +474,20 @@ func TestByteLRUEviction(t *testing.T) {
 		t.Error("recently used a evicted")
 	}
 	// Oversized object is not cached.
-	c.put("huge", make([]byte, 1000))
+	put("huge", 1000)
 	if _, ok := c.get("huge"); ok {
 		t.Error("oversized object cached")
 	}
-	// Replacing a key adjusts usage.
-	c.put("a", make([]byte, 10))
-	c.put("d", make([]byte, 50))
+	// Replacing a key adjusts usage, and the sum follows the bytes.
+	put("a", 10)
+	put("d", 50)
 	if _, ok := c.get("a"); !ok {
 		t.Error("a lost after shrink-replace")
+	}
+	for _, e := range put("e", 90) {
+		if e.sum != sha256.Sum256(e.data) {
+			t.Errorf("evicted %s carries a sum that is not its bytes'", e.key)
+		}
 	}
 }
 

@@ -142,7 +142,7 @@ type Peer struct {
 	// stats
 	hits, misses, servedBytes atomic.Int64
 	// Tier split: hits = memHits + diskHits. Disk hits include both
-	// promoted reads and zero-copy streams off the segment files.
+	// promoted reads and streams off the segment files.
 	memHits, diskHits atomic.Int64
 	// originFetches counts actual backfill requests to the origin; with
 	// miss coalescing it can be far below misses under concurrent load.
@@ -187,7 +187,7 @@ func NewPeer(id string, cacheBytes int) *Peer {
 
 // AttachDiskCache adds the warm tier: an append-only segment store under
 // dir. Objects evicted from the memory LRU spill there; disk hits are
-// hash-verified and promoted back (or streamed zero-copy when they don't
+// hash-verified and promoted back (or streamed when they don't
 // fit a memory shard). maxBytes caps the tier's disk footprint and
 // segBytes the per-segment rotation size (<= 0 picks the defaults).
 // Without this call the peer runs in the seed's memory-only mode.
@@ -383,7 +383,7 @@ const (
 	// the memory tier (the returned slice is the promoted copy).
 	tierDisk
 	// tierDiskStream: found in the segment store but larger than a memory
-	// shard; the caller should stream it zero-copy off the segment file
+	// shard; the caller should stream it off the segment file
 	// (fetch returns no data for this tier).
 	tierDiskStream
 )
@@ -404,8 +404,9 @@ func (t cacheTier) label() string {
 // backfill's metadata hash, the promoted entry's at-rest checksum). Objects
 // too large for a memory shard go straight to disk under it (the memory LRU
 // would reject them), so Internet@home-scale blobs are still cacheable on
-// the appliance's disk. Hashing of evicted entries and segment appends
-// happen outside the shard locks.
+// the appliance's disk. The memory tier keeps each entry's sum, so an
+// eviction spills without being hashed again; segment appends happen outside
+// the shard locks.
 func (p *Peer) cachePut(key string, data []byte, sum [sha256.Size]byte) {
 	st := p.store.Load()
 	if len(data) > p.cache.maxObjectBytes() {
@@ -414,12 +415,12 @@ func (p *Peer) cachePut(key string, data []byte, sum [sha256.Size]byte) {
 		}
 		return
 	}
-	evicted := p.cache.put(key, data)
+	evicted := p.cache.put(key, data, sum)
 	if st == nil {
 		return
 	}
 	for _, e := range evicted {
-		st.put(e.key, e.data, sha256.Sum256(e.data))
+		st.put(e.key, e.data, e.sum)
 	}
 }
 
@@ -535,10 +536,9 @@ func (p *Peer) handleProxy(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if out.tier == tierDiskStream && out.data == nil {
-		// Too large for the memory tier: verify at rest, then let
-		// http.ServeContent stream the segment file section zero-copy
-		// (Range handling included). Tamper mode needs mutable bytes, so
-		// it falls back to a full read.
+		// Too large for the memory tier: verify at rest the blocks the
+		// response will carry, then let http.ServeContent stream them off
+		// the segment file (Range handling included).
 		base := provider + "|" + path
 		key := varyKey(base, p.varyNamesFor(base), r.Header)
 		p.streamOutcome(w, r, sp, origin, provider, path, key, out)
@@ -547,10 +547,11 @@ func (p *Peer) handleProxy(w http.ResponseWriter, r *http.Request) {
 	p.writeOutcome(w, r, out)
 }
 
-// countingResponseWriter counts bytes written so zero-copy serves still
+// countingResponseWriter counts bytes written so streamed serves still
 // feed the servedBytes ledger. It forwards ReadFrom when the underlying
-// writer supports it, preserving the sendfile fast path ServeContent's
-// io.Copy probes for.
+// writer supports it, so ServeContent's io.Copy uses net/http's pooled copy
+// buffer. (Not sendfile: that needs the source to be an *os.File, and a
+// verified window of one is not.)
 type countingResponseWriter struct {
 	http.ResponseWriter
 	n int64
@@ -1020,10 +1021,10 @@ func (s *shardedLRU) get(key string) ([]byte, bool) {
 // put stores the entry and returns whatever the shard evicted to make room,
 // collected outside the shard lock's critical path so callers can spill
 // evictions to the disk tier without holding up that shard's lookups.
-func (s *shardedLRU) put(key string, data []byte) []lruEntry {
+func (s *shardedLRU) put(key string, data []byte, sum [sha256.Size]byte) []lruEntry {
 	sh := s.shardFor(key)
 	sh.mu.Lock()
-	evicted := sh.lru.put(key, data)
+	evicted := sh.lru.put(key, data, sum)
 	sh.mu.Unlock()
 	return evicted
 }
@@ -1056,6 +1057,7 @@ type byteLRU struct {
 type lruEntry struct {
 	key  string
 	data []byte
+	sum  [sha256.Size]byte // SHA-256 of data, carried so a spill need not rehash
 }
 
 func newByteLRU(capacity int) *byteLRU {
@@ -1089,16 +1091,17 @@ func (c *byteLRU) remove(key string) {
 
 // put stores the entry, returning the entries evicted to stay within
 // capacity (the two-tier cache spills these to disk).
-func (c *byteLRU) put(key string, data []byte) []lruEntry {
+func (c *byteLRU) put(key string, data []byte, sum [sha256.Size]byte) []lruEntry {
 	if len(data) > c.capacity {
 		return nil // never cache objects larger than the whole cache
 	}
 	if el, ok := c.items[key]; ok {
-		c.used += len(data) - len(el.Value.(*lruEntry).data)
-		el.Value.(*lruEntry).data = data
+		entry := el.Value.(*lruEntry)
+		c.used += len(data) - len(entry.data)
+		entry.data, entry.sum = data, sum
 		c.order.MoveToFront(el)
 	} else {
-		el := c.order.PushFront(&lruEntry{key: key, data: data})
+		el := c.order.PushFront(&lruEntry{key: key, data: data, sum: sum})
 		c.items[key] = el
 		c.used += len(data)
 	}

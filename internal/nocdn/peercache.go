@@ -11,7 +11,10 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"io"
+	"mime"
 	"net/http"
+	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -631,34 +634,21 @@ func (p *Peer) countServe(out serveOutcome, err error, elapsed float64) {
 	p.metrics.Observe("nocdn.cache.miss_seconds", elapsed)
 }
 
-// streamOutcome finishes a tierDiskStream serve: verify at rest, then hand
-// http.ServeContent an *io.SectionReader over the segment file (zero-copy,
-// Range included). Falls back to a full origin fetch when the entry
-// vanished or failed verification mid-flight.
+// streamOutcome finishes a tierDiskStream serve. It resolves the bytes the
+// response will carry (serveWindow), verifies at rest the blocks that cover
+// them — all of them without a Range, and for an entry's first streamed
+// serve, which checks the whole object and earns its block sums — and only
+// then writes a header and lets http.ServeContent stream the segment file
+// section through a windowReader, which fails closed outside what was just
+// verified. A mismatch, a read error or a vanished entry falls back to a
+// full origin fetch inside the same request. Tamper mode needs mutable
+// bytes, so it reads (and verifies) the whole object.
 func (p *Peer) streamOutcome(w http.ResponseWriter, r *http.Request, sp *hpop.Span, origin, provider, path, key string, out serveOutcome) {
-	st := p.store.Load()
-	if st != nil {
+	if st := p.store.Load(); st != nil {
 		if e, seg, ok := st.get(key); ok {
-			if err := st.verifyAtRest(key, e, seg); err != nil {
-				seg.release()
-			} else if p.Tamper.Load() {
-				data, err := st.readVerify(key, e, seg)
-				seg.release()
-				if err == nil {
-					data = corrupt(data) // copies; the segment is untouched
-					writeCacheHeaders(w.Header(), out)
-					p.servedBytes.Add(int64(len(data)))
-					p.metrics.Add("nocdn.cache.bytes.disk", float64(len(data)))
-					w.Write(data)
-					return
-				}
-			} else {
-				writeCacheHeaders(w.Header(), out)
-				cw := &countingResponseWriter{ResponseWriter: w}
-				http.ServeContent(cw, r, path, time.Time{}, sectionReader(e, seg))
-				seg.release()
-				p.servedBytes.Add(cw.n)
-				p.metrics.Add("nocdn.cache.bytes.disk", float64(cw.n))
+			served := p.streamEntry(w, r, st, path, key, e, seg, out)
+			seg.release()
+			if served {
 				return
 			}
 		}
@@ -675,6 +665,84 @@ func (p *Peer) streamOutcome(w http.ResponseWriter, r *http.Request, sp *hpop.Sp
 	}
 	fallback := serveOutcome{data: data, meta: m, tier: tierOrigin, xcache: XCacheMiss}
 	p.writeOutcome(w, r, fallback)
+}
+
+// streamEntry serves one pinned disk entry, reporting false (nothing
+// written, entry quarantined) when it failed verification.
+func (p *Peer) streamEntry(w http.ResponseWriter, r *http.Request, st *segmentStore, path, key string, e segEntry, seg *segment, out serveOutcome) bool {
+	if p.Tamper.Load() {
+		data, err := st.readVerify(key, e, seg)
+		if err != nil {
+			return false
+		}
+		data = corrupt(data) // copies; the segment is untouched
+		writeCacheHeaders(w.Header(), out)
+		p.servedBytes.Add(int64(len(data)))
+		p.metrics.Add("nocdn.cache.bytes.disk", float64(len(data)))
+		w.Write(data)
+		return true
+	}
+	start, end := serveWindow(r, e.n)
+	lo, hi, err := st.verifyWindow(key, e, seg, start, end)
+	if err != nil {
+		return false
+	}
+	ctype := ""
+	if out.meta == nil || out.meta.contentType == "" {
+		if ctype, err = streamedType(st, path, key, e, seg, lo, hi); err != nil {
+			return false
+		}
+	}
+	writeCacheHeaders(w.Header(), out)
+	if ctype != "" {
+		w.Header().Set("Content-Type", ctype)
+	}
+	cw := &countingResponseWriter{ResponseWriter: w}
+	http.ServeContent(cw, r, path, time.Time{}, newWindowReader(e, seg, lo, hi))
+	p.servedBytes.Add(cw.n)
+	p.metrics.Add("nocdn.cache.bytes.disk", float64(cw.n))
+	return true
+}
+
+// streamedType names the Content-Type of a disk entry that has no stored one
+// (recovered after a restart) the way http.ServeContent would — by extension,
+// else sniffed from the head of the object — so that ServeContent does not
+// sniff it from the reader's first bytes, which a Range serve has not
+// verified. [lo, hi) is the span this request already verified; a head
+// outside it is verified first, and read through a windowReader like any
+// other at-rest byte.
+func streamedType(st *segmentStore, path, key string, e segEntry, seg *segment, lo, hi int64) (string, error) {
+	if ctype := mime.TypeByExtension(filepath.Ext(path)); ctype != "" {
+		return ctype, nil
+	}
+	var buf [512]byte
+	head := buf[:min(int64(len(buf)), e.n)]
+	if lo > 0 {
+		var err error
+		if lo, hi, err = st.verifyWindow(key, e, seg, 0, int64(len(head))); err != nil {
+			return "", err
+		}
+	}
+	if _, err := io.ReadFull(newWindowReader(e, seg, lo, hi), head); err != nil {
+		return "", err
+	}
+	return http.DetectContentType(head), nil
+}
+
+// serveWindow resolves the bytes [start, end) of an n-byte entry that the
+// response to r will carry, as far as this package will vouch for: a single
+// "bytes=a-b" or "bytes=a-" Range with no If-Range is that range; anything
+// else — no Range, a suffix or multi-part range, a range conditional on
+// If-Range, one parseRange rejects — is everything. net/http parses the
+// header again when it serves; windowReader is what keeps the two answers
+// from ever disagreeing in bytes.
+func serveWindow(r *http.Request, n int64) (start, end int64) {
+	if rng := r.Header.Get("Range"); rng != "" && r.Header.Get("If-Range") == "" {
+		if s, e, ok := parseRange(rng, int(n)); ok {
+			return int64(s), int64(e)
+		}
+	}
+	return 0, n
 }
 
 // writeOutcome writes an in-memory serve: headers, optional Range slice,

@@ -22,8 +22,24 @@ import (
 // fixed-cap segment files with an in-memory index (key -> segment, offset,
 // length, SHA-256). Disk hits are hash-verified before a single byte leaves
 // the box (the PR 2 "no unverified bytes" invariant, now held at rest), and
-// either promoted back to the memory tier or served zero-copy with
-// http.ServeContent over an *io.SectionReader on the segment's *os.File.
+// either promoted back to the memory tier or streamed off the segment file
+// by http.ServeContent without ever being held whole in memory.
+//
+// What is verified when:
+//
+//   - promotion (readVerify) and the scrubber (verifyAtRest) hash the whole
+//     object against the SHA-256 the record header carries;
+//   - a streamed serve (verifyWindow) hashes the segBlockSize blocks that
+//     cover the bytes the response will carry, against per-block sums kept in
+//     the index entry. The sums are not on disk: the first streamed serve of
+//     an entry (or a scrub pass that gets there first) earns them in the same
+//     pass that checks the whole object against the header's sum, so they
+//     are exactly as trustworthy as it is, and a restart, a supersede or a
+//     refetch starts over from that check. Entries of one block or less keep
+//     none and verify whole.
+//
+// Every path quarantines on a mismatch, on every serve, before a byte is
+// written; nothing is remembered as "already verified".
 
 // ErrCacheCorrupt reports an at-rest hash mismatch; the entry has been
 // quarantined (dropped from the index) by the time a caller sees this.
@@ -47,6 +63,11 @@ const (
 	// DefaultDiskCacheBytes is the disk-tier budget when a cache dir is
 	// configured without an explicit size.
 	DefaultDiskCacheBytes = 1 << 30
+
+	// segBlockSize is the unit a streamed serve verifies: one SHA-256 per
+	// block of an entry's data, 32 B of index per 64 KiB at rest (0.05%).
+	// It is chunkPool's buffer size, so one pooled read is one block.
+	segBlockSize = 64 << 10
 )
 
 // segEntry locates one object inside a segment. off is the data offset (the
@@ -56,6 +77,18 @@ type segEntry struct {
 	off int64
 	n   int64
 	sum [sha256.Size]byte
+	// blocks holds one SHA-256 per segBlockSize block of the data once a
+	// whole-object pass against sum has earned them (verifyAtRest); nil until
+	// then, and always for entries of one block or less. Immutable once
+	// published: readers share it without a lock.
+	blocks [][sha256.Size]byte
+}
+
+// sameRecord reports whether o is the record e locates. This, not ==, is
+// "the entry I read is still the one indexed": blocks may be attached to the
+// indexed copy between a get and a quarantine.
+func (e segEntry) sameRecord(o segEntry) bool {
+	return e.seg == o.seg && e.off == o.off
 }
 
 // segment is one append-only file. Readers take a reference before touching
@@ -114,6 +147,9 @@ type segmentStore struct {
 	total    int64 // sum of segment file sizes
 
 	quarantined atomic.Int64
+	// hashed counts entry bytes read through at-rest verification, so tests
+	// can say how much a serve hashed; not exported as a metric.
+	hashed atomic.Int64
 }
 
 // openSegmentStore opens (or creates) the store rooted at dir and rebuilds
@@ -480,9 +516,9 @@ func (s *segmentStore) contains(key string) bool {
 	return ok
 }
 
-// sectionReader returns a reader over exactly the entry's data bytes — the
-// zero-copy serving shape: http.ServeContent hands this to the response
-// writer, and the bytes go file -> socket without a userspace object copy.
+// sectionReader returns a reader over exactly the entry's data bytes. Only
+// the verify paths and newWindowReader — the one reader a response is served
+// from — may call it.
 func sectionReader(e segEntry, seg *segment) *io.SectionReader {
 	return io.NewSectionReader(seg.f, e.off, e.n)
 }
@@ -505,24 +541,126 @@ func (s *segmentStore) readVerify(key string, e segEntry, seg *segment) ([]byte,
 	return data, nil
 }
 
-// verifyAtRest streams the entry through SHA-256 with a pooled chunk buffer
-// (no whole-object allocation) and quarantines on mismatch.
+// verifyAtRest streams the whole entry through SHA-256 one pooled block
+// buffer at a time (no whole-object allocation) and quarantines on mismatch.
+// For an entry of more than one block that has no block sums yet, the same
+// pass hashes each buffer on its own and, once the whole object has checked
+// out against e.sum, publishes the list — provided the index still holds the
+// record that was read.
 func (s *segmentStore) verifyAtRest(key string, e segEntry, seg *segment) error {
+	var blocks [][sha256.Size]byte
+	if e.blocks == nil && e.n > segBlockSize {
+		blocks = make([][sha256.Size]byte, 0, (e.n+segBlockSize-1)/segBlockSize)
+	}
 	h := sha256.New()
-	buf := chunkPool.Get().(*[]byte)
-	_, err := io.CopyBuffer(h, sectionReader(e, seg), *buf)
-	chunkPool.Put(buf)
+	err := s.readBlocks(e, seg, 0, e.n, func(_ int64, b []byte) error {
+		h.Write(b)
+		if blocks != nil {
+			blocks = append(blocks, sha256.Sum256(b))
+		}
+		return nil
+	})
+	if err == nil {
+		var sum [sha256.Size]byte
+		if h.Sum(sum[:0]); sum != e.sum {
+			err = ErrCacheCorrupt
+		}
+	}
 	if err != nil {
 		s.quarantine(key, e)
-		return fmt.Errorf("nocdn: segment read: %w", err)
+		return err
 	}
-	var sum [sha256.Size]byte
-	h.Sum(sum[:0])
-	if sum != e.sum {
-		s.quarantine(key, e)
-		return ErrCacheCorrupt
+	if blocks != nil {
+		s.mu.Lock()
+		if cur, ok := s.index[key]; ok && cur.sameRecord(e) && cur.blocks == nil {
+			cur.blocks = blocks
+			s.index[key] = cur
+		}
+		s.mu.Unlock()
 	}
 	return nil
+}
+
+// verifyWindow verifies the bytes [start, end) of the entry's data for a
+// streamed serve and returns the span [lo, hi) it vouches for: the blocks
+// covering the window when the entry has earned its block sums (at most two
+// blocks more than asked when the window is not block-aligned), otherwise
+// the whole entry, through verifyAtRest, which earns them. A mismatch or
+// read error quarantines, exactly as a whole-object check does.
+func (s *segmentStore) verifyWindow(key string, e segEntry, seg *segment, start, end int64) (lo, hi int64, err error) {
+	if e.blocks == nil {
+		return 0, e.n, s.verifyAtRest(key, e, seg)
+	}
+	lo = start / segBlockSize * segBlockSize
+	hi = min((end+segBlockSize-1)/segBlockSize*segBlockSize, e.n)
+	err = s.readBlocks(e, seg, lo, hi, func(off int64, b []byte) error {
+		if sha256.Sum256(b) != e.blocks[off/segBlockSize] {
+			return ErrCacheCorrupt
+		}
+		return nil
+	})
+	if err != nil {
+		s.quarantine(key, e)
+		return 0, 0, err
+	}
+	return lo, hi, nil
+}
+
+// readBlocks reads the entry's data from the block-aligned offset lo up to
+// hi into a pooled buffer, one segBlockSize block (the last may be short) at
+// a time, and hands each with its offset to fn.
+func (s *segmentStore) readBlocks(e segEntry, seg *segment, lo, hi int64, fn func(off int64, b []byte) error) error {
+	s.hashed.Add(hi - lo)
+	sec := sectionReader(e, seg)
+	buf := chunkPool.Get().(*[]byte)
+	defer chunkPool.Put(buf)
+	for off := lo; off < hi; off += segBlockSize {
+		b := (*buf)[:min(segBlockSize, hi-off)]
+		if _, err := sec.ReadAt(b, off); err != nil {
+			return fmt.Errorf("nocdn: segment read: %w", err)
+		}
+		if err := fn(off, b); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// errUnverifiedRead is what windowReader answers a Read outside its window.
+var errUnverifiedRead = errors.New("nocdn: read outside the verified window of a disk entry")
+
+// windowReader is the io.ReadSeeker a streamed serve hands http.ServeContent:
+// the entry's section, failing closed outside [lo, hi) — the span verifyWindow
+// vouched for in this request. Seeks are free (ServeContent seeks to the end
+// to learn the size); a Read that would return a byte outside the window
+// returns errUnverifiedRead instead, so if net/http ever resolves a request
+// to other bytes than streamOutcome did, the body is cut (the loader retries
+// into the same range) and no unverified at-rest byte is emitted.
+type windowReader struct {
+	sec    *io.SectionReader
+	lo, hi int64
+}
+
+func newWindowReader(e segEntry, seg *segment, lo, hi int64) *windowReader {
+	return &windowReader{sec: sectionReader(e, seg), lo: lo, hi: hi}
+}
+
+func (w *windowReader) Seek(offset int64, whence int) (int64, error) {
+	return w.sec.Seek(offset, whence)
+}
+
+func (w *windowReader) Read(p []byte) (int, error) {
+	pos, _ := w.sec.Seek(0, io.SeekCurrent)
+	if pos >= w.sec.Size() {
+		return 0, io.EOF
+	}
+	if pos < w.lo || pos >= w.hi {
+		return 0, errUnverifiedRead
+	}
+	if room := w.hi - pos; int64(len(p)) > room {
+		p = p[:room]
+	}
+	return w.sec.Read(p)
 }
 
 // quarantine drops a corrupt (or unreadable) entry from the index so it can
@@ -530,7 +668,7 @@ func (s *segmentStore) verifyAtRest(key string, e segEntry, seg *segment) error 
 // refetches from the origin.
 func (s *segmentStore) quarantine(key string, e segEntry) {
 	s.mu.Lock()
-	if cur, ok := s.index[key]; ok && cur == e {
+	if cur, ok := s.index[key]; ok && cur.sameRecord(e) {
 		s.supersedeLocked(key, cur)
 		s.reclaimLocked()
 	}
@@ -540,9 +678,10 @@ func (s *segmentStore) quarantine(key string, e segEntry) {
 	s.publishGauges()
 }
 
-// scrub hash-verifies every indexed entry at rest, quarantining mismatches.
-// It pins one segment at a time and never blocks writers for longer than an
-// index snapshot.
+// scrub hash-verifies every indexed entry at rest — the whole object against
+// its header sum, whatever block sums it has earned — quarantining
+// mismatches. It pins one segment at a time and never blocks writers for
+// longer than an index snapshot.
 func (s *segmentStore) scrub() (checked, quarantined int) {
 	m := s.met()
 	m.Inc("nocdn.scrub.passes")
@@ -596,12 +735,11 @@ func (s *segmentStore) close() {
 	}
 }
 
-// chunkPool holds 64 KiB scratch buffers for streaming reads (at-rest
-// verification, proxy body drains) so the hot path stops allocating
-// per-request chunk buffers.
+// chunkPool holds segBlockSize scratch buffers for at-rest verification, so
+// a serve allocates nothing proportional to the object it checks.
 var chunkPool = sync.Pool{
 	New: func() any {
-		b := make([]byte, 64<<10)
+		b := make([]byte, segBlockSize)
 		return &b
 	},
 }

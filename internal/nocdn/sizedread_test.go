@@ -131,7 +131,14 @@ func newSizedSite(t *testing.T, peerCount int, front func(role string, h http.Ha
 		s.origin.RegisterPeer(p.ID, serve(p.ID, p.Handler()), 10)
 	}
 	s.metrics = hpop.NewMetrics()
-	s.health = hpop.NewHealthRegistry(hpop.BreakerConfig{})
+	// A breaker one object cannot open. These cases fault every attempt on
+	// one object of a one-peer page; with the default breaker (open at 50%
+	// failures once 4 outcomes are in) its failed attempts plus the
+	// RecordFallback trip it whenever they land before the siblings'
+	// successes, Health.Allow then sends the siblings to the origin too, and
+	// FallbackObjects depends on goroutine order. 64 is above what one view
+	// can charge a peer; the Fallbacks a peer is charged are still asserted.
+	s.health = hpop.NewHealthRegistry(hpop.BreakerConfig{MinSamples: 64, Window: 64})
 	s.loader = &Loader{
 		OriginURL: s.originURL,
 		Retry:     faults.Policy{MaxAttempts: 3, Base: time.Millisecond, Max: time.Millisecond, Jitter: -1},

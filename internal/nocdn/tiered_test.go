@@ -3,14 +3,18 @@ package nocdn
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"io"
+	"mime"
+	"mime/multipart"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"hpop/internal/hpop"
 	"hpop/internal/sim"
@@ -25,6 +29,7 @@ type tieredSite struct {
 	peerSrv *httptest.Server
 	objects map[string][]byte
 	fetches atomic.Int64
+	dir     string // the disk tier's directory
 }
 
 func newTieredSite(t *testing.T, memBytes int, diskBytes, segBytes int64, objects map[string][]byte) *tieredSite {
@@ -42,7 +47,8 @@ func newTieredSite(t *testing.T, memBytes int, diskBytes, segBytes int64, object
 	t.Cleanup(s.origin.Close)
 	s.peer = NewPeer("tiered", memBytes)
 	s.peer.SetMetrics(hpop.NewMetrics())
-	if err := s.peer.AttachDiskCache(t.TempDir(), diskBytes, segBytes); err != nil {
+	s.dir = t.TempDir()
+	if err := s.peer.AttachDiskCache(s.dir, diskBytes, segBytes); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(s.peer.CloseDiskCache)
@@ -335,5 +341,346 @@ func TestTieredMemoryOnlyUnchanged(t *testing.T) {
 	}
 	if checked, _ := p.ScrubCache(); checked != 0 {
 		t.Fatal("memory-only ScrubCache checked entries")
+	}
+}
+
+// do issues one GET for path with the given header pairs and returns the
+// response with its body read to the end. A body cut short — what a tripped
+// windowReader looks like from outside — fails the test.
+func (s *tieredSite) do(t *testing.T, path string, hdr ...string) (*http.Response, []byte) {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodGet, s.peerSrv.URL+"/proxy/prov"+path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < len(hdr); i += 2 {
+		req.Header.Set(hdr[i], hdr[i+1])
+	}
+	resp, err := s.peerSrv.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("GET %s %v: body cut after %d bytes: %v", path, hdr, len(body), err)
+	}
+	return resp, body
+}
+
+// earnSums makes sure path's disk entry has its block sums: any streamed
+// serve of an entry that has none runs the whole-object pass that earns them.
+func (s *tieredSite) earnSums(t *testing.T, path string) {
+	t.Helper()
+	st := s.peer.store.Load()
+	if blocksOf(st, "prov|"+path) == nil {
+		s.do(t, path, "Range", "bytes=0-0")
+	}
+	if blocksOf(st, "prov|"+path) == nil {
+		t.Fatalf("%s: a streamed serve did not earn block sums", path)
+	}
+}
+
+// byteRange is one single-part Range a test asks for; open leaves the end
+// off ("bytes=a-").
+type byteRange struct {
+	start, end int // [start, end)
+	open       bool
+}
+
+func (r byteRange) header() string {
+	if r.open {
+		return fmt.Sprintf("bytes=%d-", r.start)
+	}
+	return fmt.Sprintf("bytes=%d-%d", r.start, r.end-1)
+}
+
+func (r byteRange) covers(block int) bool {
+	return r.start/segBlockSize <= block && block <= (r.end-1)/segBlockSize
+}
+
+// TestTieredWindowedVerifyBlockFlips rots a streamed object one block at a
+// time, with its block sums earned. Every Range whose bytes touch the rotten
+// block quarantines the entry, refetches inside the request and answers the
+// published bytes; every Range that does not is served off the disk — still
+// verified, still the published bytes — with no origin fetch. 300 KiB is
+// rotted in every block; 4 MiB, the benchmark's object, in the blocks either
+// side of each loader-chunk boundary and at both ends.
+func TestTieredWindowedVerifyBlockFlips(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		size   int
+		blocks []int
+	}{
+		{"300KiB", 300 << 10, []int{0, 1, 2, 3, 4}},
+		{"4MiB", 4 << 20, []int{0, 15, 16, 47, 48, 63}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			big := obj(42, tc.size)
+			s := newTieredSite(t, 64<<10, 64<<20, 8<<20, map[string][]byte{"/big": big})
+			st := s.peer.store.Load()
+			s.get(t, "/big") // fill: straight to disk, too big for a 4 KiB shard
+
+			quarter := (tc.size + 3) / 4
+			var ranges []byteRange
+			for i := 0; i < 4; i++ { // the loader's four chunks
+				ranges = append(ranges, byteRange{start: i * quarter, end: min((i+1)*quarter, tc.size)})
+			}
+			for b := 0; b*segBlockSize < tc.size; b += max(1, tc.size/segBlockSize/8) {
+				lo := b * segBlockSize
+				ranges = append(ranges,
+					byteRange{start: lo, end: min(lo+segBlockSize, tc.size)}, // one block exactly
+					byteRange{start: lo + 100, end: lo + 200})                // inside one block
+				if b > 0 {
+					ranges = append(ranges, byteRange{start: lo - 50, end: lo + 50}) // astride a block edge
+				}
+			}
+			ranges = append(ranges, byteRange{start: tc.size - quarter + 5, end: tc.size, open: true})
+
+			check := func(r byteRange, wantFetches int64, wantQuarantined int64, what string) {
+				t.Helper()
+				resp, body := s.do(t, "/big", "Range", r.header())
+				if resp.StatusCode != http.StatusPartialContent || !bytes.Equal(body, big[r.start:r.end]) {
+					t.Fatalf("%s: Range %s: status %d, %d bytes; want 206 and the published %d",
+						what, r.header(), resp.StatusCode, len(body), r.end-r.start)
+				}
+				if got := s.fetches.Load(); got != wantFetches {
+					t.Fatalf("%s: Range %s: origin fetches = %d, want %d", what, r.header(), got, wantFetches)
+				}
+				if got := st.quarantined.Load(); got != wantQuarantined {
+					t.Fatalf("%s: Range %s: quarantined = %d, want %d", what, r.header(), got, wantQuarantined)
+				}
+			}
+			for _, b := range tc.blocks {
+				flipAt := int64(b*segBlockSize + 9)
+				s.earnSums(t, "/big")
+				flipAtRest(t, st, "prov|/big", flipAt)
+				fetches, quarantined := s.fetches.Load(), st.quarantined.Load()
+				covering := 0
+				for _, r := range ranges {
+					if !r.covers(b) {
+						check(r, fetches, quarantined, fmt.Sprintf("block %d rotten, range clear of it", b))
+					}
+				}
+				for _, r := range ranges {
+					if !r.covers(b) {
+						continue
+					}
+					if covering > 0 { // the last one refetched a clean copy: rot it again
+						s.earnSums(t, "/big")
+						flipAtRest(t, st, "prov|/big", flipAt)
+					}
+					covering++
+					fetches, quarantined = fetches+1, quarantined+1
+					check(r, fetches, quarantined, fmt.Sprintf("block %d rotten, range over it", b))
+				}
+				if covering == 0 {
+					t.Fatalf("no test range covers block %d", b)
+				}
+			}
+		})
+	}
+}
+
+// TestTieredStreamedFlipBeforeFirstServe: a disk entry that rots before any
+// streamed serve has earned its sums is caught by the whole-object pass,
+// whatever bytes the request asked for; and one that rots after, and is never
+// asked for again, by the scrubber.
+func TestTieredStreamedFlipBeforeFirstServe(t *testing.T) {
+	big := obj(42, 300<<10)
+	s := newTieredSite(t, 64<<10, 64<<20, 8<<20, map[string][]byte{"/big": big})
+	st := s.peer.store.Load()
+	s.get(t, "/big")
+	if blocksOf(st, "prov|/big") != nil {
+		t.Fatal("sums present before any streamed serve")
+	}
+	flipAtRest(t, st, "prov|/big", int64(len(big)-1))    // last block
+	resp, body := s.do(t, "/big", "Range", "bytes=0-99") // first block
+	if resp.StatusCode != http.StatusPartialContent || !bytes.Equal(body, big[:100]) {
+		t.Fatalf("status %d, %d bytes", resp.StatusCode, len(body))
+	}
+	if s.fetches.Load() != 2 || st.quarantined.Load() != 1 {
+		t.Fatalf("fetches=%d quarantined=%d, want 2/1: the whole-object pass must catch a flip outside the window",
+			s.fetches.Load(), st.quarantined.Load())
+	}
+	s.earnSums(t, "/big")
+	flipAtRest(t, st, "prov|/big", 2*segBlockSize)
+	if checked, q := s.peer.ScrubCache(); checked != 1 || q != 1 {
+		t.Fatalf("scrub: checked=%d quarantined=%d, want 1/1", checked, q)
+	}
+	if got := s.get(t, "/big"); !bytes.Equal(got, big) || s.fetches.Load() != 3 {
+		t.Fatalf("after scrub: %d bytes, %d fetches; want the published bytes from a third fetch", len(got), s.fetches.Load())
+	}
+}
+
+// TestTieredStreamedRangeMatchesNetHTTP asks a streamed entry for every
+// shape of Range net/http understands and compares the answer with
+// http.ServeContent over the published bytes in memory. An honest request
+// never trips the fail-closed reader (do would see a cut body), never
+// touches the origin, and hashes its window — or everything, when the
+// request is one streamOutcome does not resolve itself.
+func TestTieredStreamedRangeMatchesNetHTTP(t *testing.T) {
+	big := obj(42, 300<<10)
+	n := int64(len(big))
+	s := newTieredSite(t, 64<<10, 64<<20, 8<<20, map[string][]byte{"/big": big})
+	st := s.peer.store.Load()
+	s.get(t, "/big")
+	s.earnSums(t, "/big")
+	first, _ := s.do(t, "/big")
+	etag, ctype := first.Header.Get("ETag"), first.Header.Get("Content-Type")
+	if etag == "" || ctype == "" {
+		t.Fatalf("ETag %q, Content-Type %q", etag, ctype)
+	}
+	fetches := s.fetches.Load()
+
+	const block = segBlockSize
+	for _, tc := range []struct {
+		name   string
+		hdr    []string
+		hashed int64 // bytes verification must read
+	}{
+		{"no range", nil, n},
+		{"aligned", []string{"Range", "bytes=65536-131071"}, block},
+		{"unaligned", []string{"Range", "bytes=1000-1999"}, block},
+		{"astride two blocks", []string{"Range", "bytes=65000-66000"}, 2 * block},
+		{"open-ended", []string{"Range", "bytes=70000-"}, n - block},
+		{"end past the object", []string{"Range", "bytes=262144-999999"}, n - 4*block},
+		{"suffix", []string{"Range", "bytes=-500"}, n},
+		{"multi-range", []string{"Range", "bytes=0-99,200000-200099"}, n},
+		{"If-Range matches", []string{"Range", "bytes=100-199", "If-Range", etag}, n},
+		{"If-Range does not match", []string{"Range", "bytes=100-199", "If-Range", `"stale"`}, n},
+		{"unsatisfiable", []string{"Range", "bytes=999999-"}, n},
+		{"not a range", []string{"Range", "pages=1-2"}, n},
+		{"If-None-Match", []string{"If-None-Match", etag}, n},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ref := httptest.NewRecorder()
+			req := httptest.NewRequest(http.MethodGet, "/big", nil)
+			for i := 0; i < len(tc.hdr); i += 2 {
+				req.Header.Set(tc.hdr[i], tc.hdr[i+1])
+			}
+			ref.Header().Set("ETag", etag)
+			ref.Header().Set("Content-Type", ctype)
+			http.ServeContent(ref, req, "/big", time.Time{}, bytes.NewReader(big))
+			want := ref.Result()
+			wantBody, _ := io.ReadAll(want.Body)
+
+			before := st.hashed.Load()
+			got, gotBody := s.do(t, "/big", tc.hdr...)
+			if hashed := st.hashed.Load() - before; hashed != tc.hashed {
+				t.Errorf("verification read %d bytes, want %d", hashed, tc.hashed)
+			}
+			if got.StatusCode != want.StatusCode {
+				t.Fatalf("status %d, net/http answers %d", got.StatusCode, want.StatusCode)
+			}
+			for _, h := range []string{"Content-Range", "Accept-Ranges", "ETag"} {
+				if got.Header.Get(h) != want.Header.Get(h) {
+					t.Errorf("%s = %q, net/http answers %q", h, got.Header.Get(h), want.Header.Get(h))
+				}
+			}
+			gotType, gotParams, _ := mime.ParseMediaType(got.Header.Get("Content-Type"))
+			wantType, wantParams, _ := mime.ParseMediaType(want.Header.Get("Content-Type"))
+			if gotType != wantType {
+				t.Fatalf("Content-Type %q, net/http answers %q", gotType, wantType)
+			}
+			if gotType == "multipart/byteranges" { // boundaries are random: compare part by part
+				gotBody = flattenParts(t, gotBody, gotParams["boundary"])
+				wantBody = flattenParts(t, wantBody, wantParams["boundary"])
+			}
+			if !bytes.Equal(gotBody, wantBody) {
+				t.Errorf("body is %d bytes and differs from net/http's %d", len(gotBody), len(wantBody))
+			}
+		})
+	}
+	if s.fetches.Load() != fetches || st.quarantined.Load() != 0 {
+		t.Errorf("honest requests cost %d origin fetches and %d quarantines",
+			s.fetches.Load()-fetches, st.quarantined.Load())
+	}
+}
+
+// flattenParts renders a multipart/byteranges body as its parts' headers
+// and bytes, without the boundary.
+func flattenParts(t *testing.T, body []byte, boundary string) []byte {
+	t.Helper()
+	var out bytes.Buffer
+	mr := multipart.NewReader(bytes.NewReader(body), boundary)
+	for {
+		part, err := mr.NextPart()
+		if err == io.EOF {
+			return out.Bytes()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&out, "%s|%s|", part.Header.Get("Content-Range"), part.Header.Get("Content-Type"))
+		if _, err := io.Copy(&out, part); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestTieredReopenReearnsBlockSums restarts the disk tier under a peer, and
+// then the peer itself. Block sums are kept nowhere on disk, so the first
+// streamed serve after either re-verifies the whole object against the
+// record header and later Ranges go back to hashing their window. A fresh
+// peer has no stored Content-Type for the entry either: it names the type
+// net/http would have sniffed, from the verified head of the object, for
+// one block's extra hashing.
+func TestTieredReopenReearnsBlockSums(t *testing.T) {
+	const quarter = 1 << 20
+	big := append([]byte("<html><body>"), obj(42, 4<<20-12)...)
+	n := int64(len(big))
+	s := newTieredSite(t, 64<<10, 64<<20, 8<<20, map[string][]byte{"/big": big})
+	s.get(t, "/big")
+	s.earnSums(t, "/big")
+
+	chunk := func(p *tieredSite, st *segmentStore, i int, wantHashed int64, hdr ...string) *http.Response {
+		t.Helper()
+		before := st.hashed.Load()
+		resp, body := p.do(t, "/big", append(hdr, "Range", fmt.Sprintf("bytes=%d-%d", i*quarter, (i+1)*quarter-1))...)
+		if resp.StatusCode != http.StatusPartialContent || !bytes.Equal(body, big[i*quarter:(i+1)*quarter]) {
+			t.Fatalf("chunk %d: status %d, %d bytes", i, resp.StatusCode, len(body))
+		}
+		if hashed := st.hashed.Load() - before; hashed != wantHashed {
+			t.Fatalf("chunk %d: verification read %d bytes, want %d", i, hashed, wantHashed)
+		}
+		return resp
+	}
+	st := s.peer.store.Load()
+	chunk(s, st, 1, quarter)
+
+	s.peer.CloseDiskCache()
+	if err := s.peer.AttachDiskCache(s.dir, 64<<20, 8<<20); err != nil {
+		t.Fatal(err)
+	}
+	st = s.peer.store.Load()
+	chunk(s, st, 2, n)       // re-earns
+	chunk(s, st, 3, quarter) // spends
+	s.peer.CloseDiskCache()
+
+	// A new process on the same directory: same origin, no memory of headers.
+	restarted := &tieredSite{objects: s.objects, origin: s.origin, dir: s.dir}
+	restarted.peer = NewPeer("tiered", 64<<10)
+	if err := restarted.peer.AttachDiskCache(s.dir, 64<<20, 8<<20); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(restarted.peer.CloseDiskCache)
+	restarted.peer.SignUp("prov", s.origin.URL)
+	restarted.peerSrv = httptest.NewServer(restarted.peer.Handler())
+	t.Cleanup(restarted.peerSrv.Close)
+	st = restarted.peer.store.Load()
+	sum := sha256.Sum256(big)
+	expect := []string{ExpectHashHeader, hex.EncodeToString(sum[:])} // a loader's request: served off the recovered entry
+	resp := chunk(restarted, st, 1, n, expect...)
+	if got := resp.Header.Get("Content-Type"); got != http.DetectContentType(big[:512]) || !strings.HasPrefix(got, "text/html") {
+		t.Errorf("Content-Type of a recovered entry = %q, want what net/http sniffs from its head (%q)", got, http.DetectContentType(big[:512]))
+	}
+	resp = chunk(restarted, st, 3, quarter+segBlockSize, expect...) // its window, and the head for the type
+	if got := resp.Header.Get("Content-Type"); !strings.HasPrefix(got, "text/html") {
+		t.Errorf("Content-Type of a recovered entry's later chunk = %q", got)
+	}
+	chunk(restarted, st, 0, quarter, expect...) // the head is inside the window: nothing extra
+	if got := s.fetches.Load(); got != 1 {
+		t.Errorf("origin fetched %d times across two restarts, want the one fill", got)
 	}
 }
