@@ -10,6 +10,7 @@ import (
 	"log"
 	"net/http/httptest"
 
+	"hpop/internal/adversary"
 	"hpop/internal/nocdn"
 )
 
@@ -37,11 +38,17 @@ func run() error {
 	defer originSrv.Close()
 
 	// Three recruited HPoP peers (ordinary caching reverse proxies).
+	// Each is served through an adversary.Tamper, the malicious-peer seam:
+	// the product's Peer has no attack mode, so the byte-flipping happens in
+	// a handler wrapped around it (off until switched on below).
 	var peers []*nocdn.Peer
+	var tampers []*adversary.Tamper
 	for i := 0; i < 3; i++ {
 		p := nocdn.NewPeer(fmt.Sprintf("peer-%d", i), 32<<20)
 		p.SignUp("news.example", originSrv.URL)
-		srv := httptest.NewServer(p.Handler())
+		tamper := &adversary.Tamper{Next: p.Handler()}
+		tampers = append(tampers, tamper)
+		srv := httptest.NewServer(tamper)
 		defer srv.Close()
 		origin.RegisterPeer(p.ID, srv.URL, float64(10+20*i))
 		peers = append(peers, p)
@@ -63,14 +70,14 @@ func run() error {
 
 	// One peer turns malicious: hash verification catches it and the
 	// client falls back to the origin; the page still renders correctly.
-	peers[0].Tamper.Store(true)
+	tampers[0].On.Store(true)
 	res, err := loader.LoadPage("front")
 	if err != nil {
 		return err
 	}
 	fmt.Printf("with tampering peer: detected=%v, fallback objects=%v, page intact=%v\n",
 		res.TamperDetected, res.FallbackObjects, len(res.Body) == 4)
-	peers[0].Tamper.Store(false)
+	tampers[0].On.Store(false)
 
 	// Peers upload their usage records for payment.
 	for _, p := range peers {

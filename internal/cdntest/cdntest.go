@@ -26,6 +26,7 @@ import (
 	"testing"
 	"time"
 
+	"hpop/internal/adversary"
 	"hpop/internal/faults"
 	"hpop/internal/hpop"
 	"hpop/internal/nocdn"
@@ -126,9 +127,12 @@ type Stack struct {
 	OriginGate *Gate
 	OriginSrv  *httptest.Server
 
-	Peers     []*nocdn.Peer
-	PeerGates []*Gate
-	PeerSrvs  []*httptest.Server
+	Peers []*nocdn.Peer
+	// PeerTampers are the malicious-peer switches: each peer is served
+	// through one (inside its gate), off until a test sets On.
+	PeerTampers []*adversary.Tamper
+	PeerGates   []*Gate
+	PeerSrvs    []*httptest.Server
 
 	Health *hpop.HealthRegistry
 	client *http.Client
@@ -171,10 +175,12 @@ func NewStack(t *testing.T, cfg Config) *Stack {
 			t.Cleanup(p.CloseDiskCache)
 		}
 		p.SignUp(s.Provider, s.OriginSrv.URL)
-		gate := &Gate{inner: p.Handler()}
+		tamper := &adversary.Tamper{Next: p.Handler()}
+		gate := &Gate{inner: tamper}
 		srv := httptest.NewServer(gate)
 		t.Cleanup(srv.Close)
 		s.Peers = append(s.Peers, p)
+		s.PeerTampers = append(s.PeerTampers, tamper)
 		s.PeerGates = append(s.PeerGates, gate)
 		s.PeerSrvs = append(s.PeerSrvs, srv)
 		s.Origin.RegisterPeer(p.ID, srv.URL, float64(10+10*i))

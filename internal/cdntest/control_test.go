@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"hpop/internal/adversary"
 	"hpop/internal/nocdn"
 )
 
@@ -216,13 +217,16 @@ func TestSampledSettlementMismatchFlagsInAudit(t *testing.T) {
 	s := NewStack(t, Config{Peers: 2})
 	publishControlPage(s)
 
+	// The inflation happens on the way out: every peer's uploads go through
+	// an adversary.Records that doubles the byte claims and re-commits.
+	for _, p := range s.Peers {
+		p.SetHTTPClient(&http.Client{Transport: &adversary.Records{Inflate: true}})
+	}
+
 	l := s.Loader()
 	l.ClientID = "dave"
 	if _, err := l.LoadPage("cp"); err != nil {
 		t.Fatal(err)
-	}
-	for _, p := range s.Peers {
-		p.InflateRecords()
 	}
 	flagged := 0
 	for _, p := range s.Peers {

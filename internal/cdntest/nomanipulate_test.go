@@ -76,7 +76,7 @@ func TestTamperedPeerDetectedAndBypassed(t *testing.T) {
 	container := []byte("<html>integrity matters</html>")
 	s.Publish("/page.html", container)
 	s.PublishPage("front", "/page.html")
-	s.Peers[0].Tamper.Store(true)
+	s.PeerTampers[0].On.Store(true)
 
 	res, err := s.Loader().LoadPage("front")
 	if err != nil {
@@ -105,8 +105,8 @@ func TestTamperedBytesNeverRendered(t *testing.T) {
 	container := []byte("<html>authentic</html>")
 	s.Publish("/page.html", container)
 	s.PublishPage("front", "/page.html")
-	for _, p := range s.Peers {
-		p.Tamper.Store(true)
+	for _, tamper := range s.PeerTampers {
+		tamper.On.Store(true)
 	}
 
 	// The raw peer response really is corrupted — this is not a vacuous test.

@@ -2,8 +2,10 @@ package experiments
 
 import (
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 
+	"hpop/internal/adversary"
 	"hpop/internal/nocdn"
 	"hpop/internal/sim"
 )
@@ -22,11 +24,13 @@ func DefaultE4() E4Config {
 	return E4Config{Peers: 20, ObjectsPerPage: 50, ObjectBytes: 20 << 10, PageViews: 30, Seed: 11}
 }
 
-// nocdnRig wires a real origin + peers over httptest servers.
+// nocdnRig wires a real origin + peers over httptest servers. Every peer is
+// served through an adversary.Tamper (off until a row switches it on).
 type nocdnRig struct {
 	origin    *nocdn.Origin
 	originSrv *httptest.Server
 	peers     []*nocdn.Peer
+	tampers   []*adversary.Tamper
 	peerSrvs  []*httptest.Server
 	loader    *nocdn.Loader
 	close     func()
@@ -50,8 +54,10 @@ func buildRig(cfg E4Config, opts ...nocdn.OriginOption) *nocdnRig {
 	for i := 0; i < cfg.Peers; i++ {
 		p := nocdn.NewPeer(fmt.Sprintf("peer-%02d", i), 256<<20)
 		p.SignUp("paper.example", rig.originSrv.URL)
-		srv := httptest.NewServer(p.Handler())
+		tamper := &adversary.Tamper{Next: p.Handler()}
+		srv := httptest.NewServer(tamper)
 		rig.peers = append(rig.peers, p)
+		rig.tampers = append(rig.tampers, tamper)
 		rig.peerSrvs = append(rig.peerSrvs, srv)
 		o.RegisterPeer(p.ID, srv.URL, 5+float64(i)*7)
 	}
@@ -119,7 +125,7 @@ func RunE4(cfg E4Config) (*Table, error) {
 		rig2 := buildRig(cfg)
 		bad := int(badFrac * float64(cfg.Peers))
 		for i := 0; i < bad; i++ {
-			rig2.peers[i].Tamper.Store(true)
+			rig2.tampers[i].On.Store(true)
 		}
 		detected, corrupted := 0, 0
 		views := 10
@@ -164,11 +170,12 @@ func RunE4(cfg E4Config) (*Table, error) {
 
 	rig4 := buildRig(cfg)
 	defer rig4.close()
+	inflate, replay := &adversary.Records{Inflate: true}, &adversary.Records{Duplicate: true}
+	rig4.peers[0].SetHTTPClient(&http.Client{Timeout: nocdn.DefaultPeerFetchTimeout, Transport: inflate})
+	rig4.peers[1].SetHTTPClient(&http.Client{Timeout: nocdn.DefaultPeerFetchTimeout, Transport: replay})
 	if _, err := rig4.loader.LoadPage("front"); err != nil {
 		return nil, err
 	}
-	rig4.peers[0].InflateRecords()
-	rig4.peers[1].DuplicateRecords()
 	for _, p := range rig4.peers {
 		p.Flush(rig4.originSrv.URL)
 	}

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"hpop/internal/adversary"
 	"hpop/internal/faults"
 	"hpop/internal/hpop"
 	"hpop/internal/nocdn"
@@ -59,7 +60,8 @@ func TestChaosSegmentBitflipAtRest(t *testing.T) {
 	// 32 KiB of memory vs a 192 KiB working set: most entries live on disk.
 	peer := nocdn.NewPeer("chaos-disk", 32<<10)
 	peer.SetMetrics(metrics)
-	if err := peer.AttachDiskCache(t.TempDir(), 8<<20, 1<<20); err != nil {
+	cacheDir := t.TempDir()
+	if err := peer.AttachDiskCache(cacheDir, 8<<20, 1<<20); err != nil {
 		t.Fatal(err)
 	}
 	defer peer.CloseDiskCache()
@@ -94,15 +96,15 @@ func TestChaosSegmentBitflipAtRest(t *testing.T) {
 		t.Fatal("working set never spilled to the segment store")
 	}
 
-	// Rot: the injector picks the victims, the peer flips their at-rest
-	// bytes. Only disk-resident entries can rot (memory-tier residents
-	// report false and are skipped, exactly like a disk that only damages
-	// what it holds).
+	// Rot: the injector picks the victims, adversary.FlipAtRest flips their
+	// bytes in the segment files. Only disk-resident entries can rot
+	// (memory-tier residents report false and are skipped, exactly like a
+	// disk that only damages what it holds).
 	flipped := make(map[string]bool)
 	for i := 0; i < objects; i++ {
 		path := fmt.Sprintf("/o/%02d", i)
 		if d := inj.Decide(path); d.Kind == faults.KindBitflip {
-			if peer.CorruptDiskEntry("prov", path) {
+			if adversary.FlipAtRest(cacheDir, truth[path]) {
 				flipped[path] = true
 			}
 		}
@@ -166,7 +168,8 @@ func TestChaosSegmentBitflipWithoutScrub(t *testing.T) {
 
 	peer := nocdn.NewPeer("chaos-disk2", 16<<10)
 	peer.SetMetrics(hpop.NewMetrics())
-	if err := peer.AttachDiskCache(t.TempDir(), 8<<20, 1<<20); err != nil {
+	cacheDir := t.TempDir()
+	if err := peer.AttachDiskCache(cacheDir, 8<<20, 1<<20); err != nil {
 		t.Fatal(err)
 	}
 	defer peer.CloseDiskCache()
@@ -185,7 +188,7 @@ func TestChaosSegmentBitflipWithoutScrub(t *testing.T) {
 	flips := 0
 	for i := 0; i < objects; i++ {
 		path := fmt.Sprintf("/o/%02d", i)
-		if d := inj.Decide(path); d.Kind == faults.KindBitflip && peer.CorruptDiskEntry("prov", path) {
+		if d := inj.Decide(path); d.Kind == faults.KindBitflip && adversary.FlipAtRest(cacheDir, truth[path]) {
 			flips++
 		}
 	}
@@ -257,15 +260,16 @@ func TestChaosSegmentBitflipStreamed(t *testing.T) {
 
 	type diskPeer struct {
 		*nocdn.Peer
-		metrics *hpop.Metrics
+		metrics  *hpop.Metrics
+		cacheDir string
 	}
 	var peers []diskPeer
 	for i := 0; i < peerCount; i++ {
 		// 256 KiB of memory is 16 KiB shards: the container fits, the
 		// objects can only live on disk.
-		p := diskPeer{nocdn.NewPeer(fmt.Sprintf("home-%d", i), 256<<10), hpop.NewMetrics()}
+		p := diskPeer{nocdn.NewPeer(fmt.Sprintf("home-%d", i), 256<<10), hpop.NewMetrics(), t.TempDir()}
 		p.SetMetrics(p.metrics)
-		if err := p.AttachDiskCache(t.TempDir(), 64<<20, 8<<20); err != nil {
+		if err := p.AttachDiskCache(p.cacheDir, 64<<20, 8<<20); err != nil {
 			t.Fatal(err)
 		}
 		defer p.CloseDiskCache()
@@ -307,8 +311,8 @@ func TestChaosSegmentBitflipStreamed(t *testing.T) {
 		}
 	}
 
-	// Rot: the injector picks (peer, object) victims; CorruptDiskEntry flips
-	// the middle byte, which lies in the third of the four chunks.
+	// Rot: the injector picks (peer, object) victims; adversary.FlipAtRest
+	// flips the middle byte, which lies in the third of the four chunks.
 	victims := make(map[string]int) // peer ID -> flipped entries
 	fetchesBefore := make(map[string]int64)
 	total := 0
@@ -316,7 +320,7 @@ func TestChaosSegmentBitflipStreamed(t *testing.T) {
 		fetchesBefore[p.ID] = p.OriginFetches()
 		for i := 0; i < objects; i++ {
 			path := fmt.Sprintf("/o/%02d", i)
-			if d := inj.Decide(p.ID + path); d.Kind == faults.KindBitflip && p.CorruptDiskEntry("example.com", path) {
+			if d := inj.Decide(p.ID + path); d.Kind == faults.KindBitflip && adversary.FlipAtRest(p.cacheDir, published[path]) {
 				victims[p.ID]++
 				total++
 			}

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"hpop/internal/adversary"
 	"hpop/internal/faults"
 	"hpop/internal/hpop"
 	"hpop/internal/nocdn"
@@ -278,6 +279,9 @@ func TestAuditFlagsInflatingPeer(t *testing.T) {
 		origin.RegisterPeer(id, srv.URL, 50)
 		peers[id] = p
 	}
+	// The cheat's uploads leave through an adversary.Records: byte claims
+	// doubled after signing, the batch re-committed.
+	peers["cheat"].SetHTTPClient(&http.Client{Transport: &adversary.Records{Inflate: true}})
 
 	loader := &nocdn.Loader{OriginURL: originSrv.URL, Tracer: hpop.NewTracer(0)}
 	for view := 0; view < 6; view++ {
@@ -291,7 +295,6 @@ func TestAuditFlagsInflatingPeer(t *testing.T) {
 		t.Fatalf("cheat accumulated %d records, need >= %d for the flag gate",
 			got, nocdn.DefaultAuditMinRecords)
 	}
-	peers["cheat"].InflateRecords() // double byte claims after signing
 	for id, p := range peers {
 		if _, err := p.Flush(originSrv.URL); err != nil {
 			t.Fatalf("%s flush: %v", id, err)

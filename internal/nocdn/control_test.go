@@ -131,8 +131,8 @@ func TestAssignWrapperSlotting(t *testing.T) {
 			first[client] = w
 		}
 	}
-	if builds := o.WrapperGenerations(); builds > int64(o.poolSlots()) {
-		t.Fatalf("%d builds for %d slots — pool not bounding generation", builds, o.poolSlots())
+	if builds := o.WrapperGenerations(); builds > int64(DefaultPoolSlots) {
+		t.Fatalf("%d builds for %d slots — pool not bounding generation", builds, DefaultPoolSlots)
 	}
 }
 

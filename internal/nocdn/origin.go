@@ -33,6 +33,9 @@ const (
 	// DefaultGossipMismatchLimit is how many failed spot-checks a gossip
 	// reporter gets before its reports are quarantined (ignored).
 	DefaultGossipMismatchLimit = 3
+	// anomalyFactor: a peer whose credited bytes exceed assigned bytes by
+	// this factor is flagged and suspended.
+	anomalyFactor = 1.5
 )
 
 // Origin is a content provider using NoCDN. It owns the content, generates
@@ -64,21 +67,9 @@ type Origin struct {
 	// assigned under every replica's key too, so whichever peer actually
 	// serves can settle its usage record.
 	Replicas int
-	// AnomalyFactor: a peer whose credited bytes exceed assigned bytes by
-	// this factor is flagged and suspended (default 1.5).
-	AnomalyFactor float64
-	// PoolSlots is how many precomputed wrapper variants the pool keeps per
-	// page (default 16). Clients hash onto a slot, so one page's load
-	// spreads over PoolSlots distinct peer maps while any one client sees a
-	// stable map.
-	PoolSlots int
 	// RingVnodes is the virtual-node count per peer on the assignment ring
 	// (default DefaultRingVnodes).
 	RingVnodes int
-	// SettleSampleK overrides DefaultSettleSampleK when > 0.
-	SettleSampleK int
-	// GossipMismatchLimit overrides DefaultGossipMismatchLimit when > 0.
-	GossipMismatchLimit int
 
 	// ObjectMaxAge, StaleWhileRevalidate, and StaleIfError shape the
 	// Cache-Control policy /content emits (see WithCachePolicy). NewOrigin
@@ -239,18 +230,8 @@ func WithCachePolicy(maxAge, swr, sie time.Duration) OriginOption {
 	}
 }
 
-// WithMetrics wires a metrics registry for the nocdn.origin.* histograms
-// and counters.
-func WithMetrics(m *hpop.Metrics) OriginOption {
-	return func(o *Origin) { o.SetMetrics(m) }
-}
-
-// WithTracer wires a tracer for settlement and audit spans.
-func WithTracer(t *hpop.Tracer) OriginOption {
-	return func(o *Origin) { o.SetTracer(t) }
-}
-
-// SetMetrics wires a metrics registry after construction (daemon wiring).
+// SetMetrics wires a metrics registry for the nocdn.origin.* histograms and
+// counters after construction (daemon wiring).
 func (o *Origin) SetMetrics(m *hpop.Metrics) {
 	o.metrics = m
 	o.audit.SetMetrics(m)
@@ -258,7 +239,8 @@ func (o *Origin) SetMetrics(m *hpop.Metrics) {
 	o.slo.SetMetrics(m)
 }
 
-// SetTracer wires a tracer after construction (daemon wiring).
+// SetTracer wires a tracer for settlement and audit spans after construction
+// (daemon wiring).
 func (o *Origin) SetTracer(t *hpop.Tracer) {
 	o.tracer = t
 	o.audit.SetTracer(t)
@@ -290,7 +272,6 @@ func NewOrigin(provider string, opts ...OriginOption) *Origin {
 		Provider:             provider,
 		Policy:               SelectRandom,
 		ChunkThreshold:       256 << 10,
-		AnomalyFactor:        1.5,
 		objects:              make(map[string]*Object),
 		pages:                make(map[string]*Page),
 		objHeaders:           make(map[string]http.Header),
@@ -626,7 +607,7 @@ func (o *Origin) settle(parent hpop.TraceContext, b RecordBatch) (credited int, 
 		// before the journal cut could strand the peer's credit across a
 		// crash.
 		batchNonce = "batch|" + b.Root
-		idxs := sampleIndices(b.Root, len(b.Records), o.settleSampleK())
+		idxs := sampleIndices(b.Root, len(b.Records), DefaultSettleSampleK)
 		sp.SetLabel("sampled", strconv.Itoa(len(idxs)))
 		for _, i := range idxs {
 			o.metrics.Inc("nocdn.origin.sampled_leaves")
@@ -829,13 +810,6 @@ func (o *Origin) checkRecord(r UsageRecord, batchPeer string, verifySig bool) er
 	return nil
 }
 
-func (o *Origin) settleSampleK() int {
-	if o.SettleSampleK > 0 {
-		return o.SettleSampleK
-	}
-	return DefaultSettleSampleK
-}
-
 // sampleIndices picks k distinct leaf indices in [0, n) deterministically
 // from the batch root — the peer cannot predict the sample before
 // committing to the root, and any verifier can reproduce it.
@@ -873,7 +847,7 @@ func sampleIndices(root string, n, k int) []int {
 // would find nothing more) and pulls pooled wrapper maps naming newly
 // suspended peers.
 func (o *Origin) suspendAnomalous(involved map[string]struct{}) {
-	newly := o.ledger.anomalyCheck(involved, o.AnomalyFactor)
+	newly := o.ledger.anomalyCheck(involved, anomalyFactor)
 	if len(newly) > 0 {
 		o.assignEpoch.Add(1)
 		sort.Strings(newly)
@@ -1012,13 +986,6 @@ type GossipReport struct {
 	Observations []PeerObservation `json:"observations"`
 }
 
-func (o *Origin) gossipMismatchLimit() int {
-	if o.GossipMismatchLimit > 0 {
-		return o.GossipMismatchLimit
-	}
-	return DefaultGossipMismatchLimit
-}
-
 // ReportGossip ingests one peer's neighbor health report. Observations
 // about unregistered peers are dropped. The origin trusts but verifies:
 // one randomly chosen observation per report is spot-checked with a direct
@@ -1036,7 +1003,7 @@ func (o *Origin) ReportGossip(ctx context.Context, rep GossipReport) int {
 	o.metrics.Inc("nocdn.origin.gossip_reports")
 
 	o.gossipMu.Lock()
-	quarantined := o.gossipMismatch[rep.From] >= o.gossipMismatchLimit()
+	quarantined := o.gossipMismatch[rep.From] >= DefaultGossipMismatchLimit
 	o.gossipMu.Unlock()
 	if quarantined {
 		o.metrics.Inc("nocdn.origin.gossip_quarantined")

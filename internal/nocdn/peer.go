@@ -2,7 +2,6 @@ package nocdn
 
 import (
 	"bytes"
-	"container/list"
 	"context"
 	"crypto/sha256"
 	"encoding/json"
@@ -80,13 +79,12 @@ type Peer struct {
 
 	// store is the optional disk tier (two-tier cache). Attached once via
 	// AttachDiskCache; an atomic pointer so serving, scrubbing, and late
-	// attachment never race. Nil means today's memory-only mode.
+	// attachment never race. Nil means memory-only.
 	store atomic.Pointer[segmentStore]
 
-	// scrubMu guards the background segment-scrubber lifecycle.
-	scrubMu   sync.Mutex
-	scrubStop chan struct{}
-	scrubDone chan struct{}
+	// The background loops (loop.go): segment scrubber, neighbor gossip,
+	// fleet telemetry.
+	scrubLoop, gossipLoop, telemetryLoop loop
 
 	// recordsMu guards the usage-record queue (and the flush backoff
 	// state), which has its own lock so record drops never contend with
@@ -117,35 +115,18 @@ type Peer struct {
 
 	droppedRecords atomic.Int64
 
-	// gossipMu guards the background neighbor-gossip lifecycle.
-	gossipMu   sync.Mutex
-	gossipStop chan struct{}
-	gossipDone chan struct{}
-
-	// telemetryMu guards the background fleet-telemetry lifecycle;
-	// reporter is the attached delta reporter (atomic so the serving hot
-	// path can charge hot keys without a lock).
-	telemetryMu   sync.Mutex
-	telemetryStop chan struct{}
-	telemetryDone chan struct{}
-	reporter      atomic.Pointer[hpop.TelemetryReporter]
-
-	// TelemetryBackoff shapes per-cycle telemetry upload retries. The zero
-	// value applies the faults package defaults. Set before serving.
-	TelemetryBackoff faults.Policy
-
-	// Tamper, when set, corrupts served bytes — the malicious-peer mode the
-	// integrity experiment exercises. Atomic so tests can flip it while the
-	// peer is serving.
-	Tamper atomic.Bool
+	// reporter is the attached fleet-telemetry delta reporter (atomic so the
+	// serving hot path can charge hot keys without a lock).
+	reporter atomic.Pointer[hpop.TelemetryReporter]
 
 	// stats
 	hits, misses, servedBytes atomic.Int64
 	// Tier split: hits = memHits + diskHits. Disk hits include both
 	// promoted reads and streams off the segment files.
 	memHits, diskHits atomic.Int64
-	// originFetches counts actual backfill requests to the origin; with
-	// miss coalescing it can be far below misses under concurrent load.
+	// originFetches counts the requests that asked the origin for a body
+	// (originGet); with miss coalescing it can be far below misses under
+	// concurrent load.
 	originFetches atomic.Int64
 
 	// Admission control: inflight proxy requests versus the cap, and how
@@ -190,7 +171,7 @@ func NewPeer(id string, cacheBytes int) *Peer {
 // hash-verified and promoted back (or streamed when they don't
 // fit a memory shard). maxBytes caps the tier's disk footprint and
 // segBytes the per-segment rotation size (<= 0 picks the defaults).
-// Without this call the peer runs in the seed's memory-only mode.
+// Without this call the peer caches in memory only.
 func (p *Peer) AttachDiskCache(dir string, maxBytes, segBytes int64) error {
 	st, err := openSegmentStore(dir, maxBytes, segBytes)
 	if err != nil {
@@ -244,37 +225,11 @@ func (p *Peer) StartCacheScrub(interval time.Duration) {
 	if interval <= 0 {
 		interval = DefaultCacheScrubInterval
 	}
-	p.StopCacheScrub()
-	p.scrubMu.Lock()
-	defer p.scrubMu.Unlock()
-	stop, done := make(chan struct{}), make(chan struct{})
-	p.scrubStop, p.scrubDone = stop, done
-	go func() {
-		defer close(done)
-		ticker := time.NewTicker(interval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-ticker.C:
-				p.ScrubCache()
-			}
-		}
-	}()
+	p.scrubLoop.start(interval, func() { p.ScrubCache() })
 }
 
 // StopCacheScrub halts the background scrubber (no-op when not running).
-func (p *Peer) StopCacheScrub() {
-	p.scrubMu.Lock()
-	stop, done := p.scrubStop, p.scrubDone
-	p.scrubStop, p.scrubDone = nil, nil
-	p.scrubMu.Unlock()
-	if stop != nil {
-		close(stop)
-		<-done
-	}
-}
+func (p *Peer) StopCacheScrub() { p.scrubLoop.halt() }
 
 // SetHTTPClient overrides the outbound client (tests, chaos harnesses).
 func (p *Peer) SetHTTPClient(c *http.Client) { p.httpClient = c }
@@ -360,8 +315,9 @@ func (p *Peer) Stats() (hits, misses, servedBytes int64) {
 	return p.hits.Load(), p.misses.Load(), p.servedBytes.Load()
 }
 
-// OriginFetches returns how many backfill fetches actually reached the
-// origin (misses minus coalesced waiters).
+// OriginFetches returns how many requests asked the origin for a body:
+// backfills (misses minus coalesced waiters) and the revalidations it did
+// not answer 304, failed ones included.
 func (p *Peer) OriginFetches() int64 { return p.originFetches.Load() }
 
 // PendingRecords returns how many usage records await upload.
@@ -383,8 +339,8 @@ const (
 	// the memory tier (the returned slice is the promoted copy).
 	tierDisk
 	// tierDiskStream: found in the segment store but larger than a memory
-	// shard; the caller should stream it off the segment file
-	// (fetch returns no data for this tier).
+	// shard; cacheGet returns no data and the serve streams it off the
+	// segment file (streamOutcome).
 	tierDiskStream
 )
 
@@ -522,26 +478,25 @@ func (p *Peer) handleProxy(w http.ResponseWriter, r *http.Request) {
 	}
 	// The tier-labelled hit/miss latency split: memory hits sit in the
 	// microsecond buckets, disk hits carry one verified read, misses the
-	// origin round trip. The legacy nocdn.peer.* pair aggregates both hit
-	// tiers so existing dashboards keep working.
+	// origin round trip.
 	p.countServe(out, err, time.Since(start).Seconds())
 	// Demand signal for the fleet's hot-key sketch: every proxy request
 	// charges its object key, so the origin's /debug/fleet can rank the
 	// hottest pages across the city. Nil-safe until telemetry is enabled.
 	p.reporter.Load().ObserveKey(provider+path, 1)
+	if err == nil && out.tier == tierDiskStream && out.data == nil {
+		// Too large for the memory tier: verify at rest the blocks the
+		// response will carry, then let http.ServeContent stream them off
+		// the segment file (Range handling included).
+		if p.streamOutcome(w, r, path, out) {
+			return
+		}
+		out, err = p.serveMiss(origin, provider+"|"+path, out.key, path, r.Header)
+	}
 	if err != nil {
 		p.metrics.Inc("nocdn.peer.proxy_errors")
 		sp.SetError(err)
 		http.Error(w, err.Error(), http.StatusBadGateway)
-		return
-	}
-	if out.tier == tierDiskStream && out.data == nil {
-		// Too large for the memory tier: verify at rest the blocks the
-		// response will carry, then let http.ServeContent stream them off
-		// the segment file (Range handling included).
-		base := provider + "|" + path
-		key := varyKey(base, p.varyNamesFor(base), r.Header)
-		p.streamOutcome(w, r, sp, origin, provider, path, key, out)
 		return
 	}
 	p.writeOutcome(w, r, out)
@@ -814,93 +769,16 @@ func (p *Peer) GossipOnce(originURL string) (int, error) {
 
 // StartGossip launches the background neighbor-gossip loop against
 // originURL (<= 0 interval picks 15s). Restarting replaces the previous
-// loop, mirroring the cache-scrubber lifecycle.
+// loop.
 func (p *Peer) StartGossip(originURL string, interval time.Duration) {
 	if interval <= 0 {
 		interval = 15 * time.Second
 	}
-	p.StopGossip()
-	p.gossipMu.Lock()
-	defer p.gossipMu.Unlock()
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	p.gossipStop, p.gossipDone = stop, done
-	go func() {
-		defer close(done)
-		ticker := time.NewTicker(interval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-ticker.C:
-				p.GossipOnce(originURL)
-			}
-		}
-	}()
+	p.gossipLoop.start(interval, func() { p.GossipOnce(originURL) })
 }
 
 // StopGossip halts the background gossip loop (no-op when not running).
-func (p *Peer) StopGossip() {
-	p.gossipMu.Lock()
-	stop, done := p.gossipStop, p.gossipDone
-	p.gossipStop, p.gossipDone = nil, nil
-	p.gossipMu.Unlock()
-	if stop == nil {
-		return
-	}
-	close(stop)
-	<-done
-}
-
-// CorruptDiskEntry flips one at-rest byte of the object's disk-tier entry
-// — the rotting-home-disk mode chaos tests drive (the disk equivalent of
-// Tamper). Returns false when the object is not disk-resident. The index's
-// SHA-256 is left intact, so the next read or scrub must detect the flip.
-func (p *Peer) CorruptDiskEntry(provider, path string) bool {
-	st := p.store.Load()
-	if st == nil {
-		return false
-	}
-	e, seg, ok := st.get(provider + "|" + path)
-	if !ok {
-		return false
-	}
-	defer seg.release()
-	var b [1]byte
-	if _, err := seg.f.ReadAt(b[:], e.off+e.n/2); err != nil {
-		return false
-	}
-	b[0] ^= 0xFF
-	_, err := seg.f.WriteAt(b[:], e.off+e.n/2)
-	return err == nil
-}
-
-// InflateRecords doubles the byte counts of all pending records — the
-// unscrupulous-peer behaviour the accounting experiment must catch.
-func (p *Peer) InflateRecords() {
-	p.recordsMu.Lock()
-	defer p.recordsMu.Unlock()
-	for i := range p.records {
-		p.records[i].Bytes *= 2
-	}
-}
-
-// DuplicateRecords replays every pending record once — the replay attack.
-func (p *Peer) DuplicateRecords() {
-	p.recordsMu.Lock()
-	defer p.recordsMu.Unlock()
-	p.records = append(p.records, p.records...)
-}
-
-func corrupt(data []byte) []byte {
-	out := make([]byte, len(data))
-	copy(out, data)
-	if len(out) > 0 {
-		out[len(out)/2] ^= 0xFF
-	}
-	return out
-}
+func (p *Peer) StopGossip() { p.gossipLoop.halt() }
 
 // parseRange parses a single "bytes=a-b" range against size, returning
 // [start, end).
@@ -925,197 +803,4 @@ func parseRange(h string, size int) (start, end int, ok bool) {
 		}
 	}
 	return s, e + 1, true
-}
-
-// flightGroup coalesces concurrent calls for the same key into one
-// execution whose result every caller shares (singleflight). It guards the
-// whole cache-fill ladder, so N concurrent misses cost one disk promotion
-// (one verified read) or one origin fetch — never N.
-type flightGroup struct {
-	mu    sync.Mutex
-	calls map[string]*flightCall
-}
-
-type flightCall struct {
-	done chan struct{}
-	data []byte
-	tier cacheTier
-	err  error
-}
-
-// do runs fn once per key among concurrent callers; latecomers block until
-// the leader finishes and receive its result.
-func (g *flightGroup) do(key string, fn func() ([]byte, cacheTier, error)) ([]byte, cacheTier, error) {
-	g.mu.Lock()
-	if g.calls == nil {
-		g.calls = make(map[string]*flightCall)
-	}
-	if c, ok := g.calls[key]; ok {
-		g.mu.Unlock()
-		<-c.done
-		return c.data, c.tier, c.err
-	}
-	c := &flightCall{done: make(chan struct{})}
-	g.calls[key] = c
-	g.mu.Unlock()
-
-	c.data, c.tier, c.err = fn()
-
-	g.mu.Lock()
-	delete(g.calls, key)
-	g.mu.Unlock()
-	close(c.done)
-	return c.data, c.tier, c.err
-}
-
-// cacheShards is the shard count of the peer cache; a power of two so the
-// shard pick is a mask.
-const cacheShards = 16
-
-// shardedLRU spreads a byteLRU across cacheShards independently locked
-// shards so concurrent lookups on different keys never contend. Stored
-// slices are shared with callers and immutable by contract (see Peer.fetch).
-type shardedLRU struct {
-	shards [cacheShards]struct {
-		mu  sync.Mutex
-		lru *byteLRU
-	}
-}
-
-func newShardedLRU(capacity int) *shardedLRU {
-	per := capacity / cacheShards
-	if per < 1 {
-		per = 1
-	}
-	s := &shardedLRU{}
-	for i := range s.shards {
-		s.shards[i].lru = newByteLRU(per)
-	}
-	return s
-}
-
-// shardFor hashes key with FNV-1a and masks into the shard array.
-func (s *shardedLRU) shardFor(key string) *struct {
-	mu  sync.Mutex
-	lru *byteLRU
-} {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= prime64
-	}
-	return &s.shards[h&(cacheShards-1)]
-}
-
-func (s *shardedLRU) get(key string) ([]byte, bool) {
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.lru.get(key)
-}
-
-// put stores the entry and returns whatever the shard evicted to make room,
-// collected outside the shard lock's critical path so callers can spill
-// evictions to the disk tier without holding up that shard's lookups.
-func (s *shardedLRU) put(key string, data []byte, sum [sha256.Size]byte) []lruEntry {
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	evicted := sh.lru.put(key, data, sum)
-	sh.mu.Unlock()
-	return evicted
-}
-
-// remove drops key from its shard (cache invalidation: no-store responses,
-// hash-epoch supersession).
-func (s *shardedLRU) remove(key string) {
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	sh.lru.remove(key)
-	sh.mu.Unlock()
-}
-
-// maxObjectBytes is the largest object the memory tier can hold (one
-// shard's full capacity); anything bigger lives only on the disk tier.
-func (s *shardedLRU) maxObjectBytes() int {
-	return s.shards[0].lru.capacity
-}
-
-// byteLRU is a byte-capacity-bounded LRU cache. It is not safe for
-// concurrent use (shardedLRU adds locking) and hands out its stored slices
-// directly: callers must treat them as immutable.
-type byteLRU struct {
-	capacity int
-	used     int
-	order    *list.List // front = most recent; values are *lruEntry
-	items    map[string]*list.Element
-}
-
-type lruEntry struct {
-	key  string
-	data []byte
-	sum  [sha256.Size]byte // SHA-256 of data, carried so a spill need not rehash
-}
-
-func newByteLRU(capacity int) *byteLRU {
-	return &byteLRU{
-		capacity: capacity,
-		order:    list.New(),
-		items:    make(map[string]*list.Element),
-	}
-}
-
-func (c *byteLRU) get(key string) ([]byte, bool) {
-	el, ok := c.items[key]
-	if !ok {
-		return nil, false
-	}
-	c.order.MoveToFront(el)
-	return el.Value.(*lruEntry).data, true
-}
-
-// remove drops key if present (no-op otherwise).
-func (c *byteLRU) remove(key string) {
-	el, ok := c.items[key]
-	if !ok {
-		return
-	}
-	entry := el.Value.(*lruEntry)
-	c.order.Remove(el)
-	delete(c.items, key)
-	c.used -= len(entry.data)
-}
-
-// put stores the entry, returning the entries evicted to stay within
-// capacity (the two-tier cache spills these to disk).
-func (c *byteLRU) put(key string, data []byte, sum [sha256.Size]byte) []lruEntry {
-	if len(data) > c.capacity {
-		return nil // never cache objects larger than the whole cache
-	}
-	if el, ok := c.items[key]; ok {
-		entry := el.Value.(*lruEntry)
-		c.used += len(data) - len(entry.data)
-		entry.data, entry.sum = data, sum
-		c.order.MoveToFront(el)
-	} else {
-		el := c.order.PushFront(&lruEntry{key: key, data: data, sum: sum})
-		c.items[key] = el
-		c.used += len(data)
-	}
-	var evicted []lruEntry
-	for c.used > c.capacity {
-		oldest := c.order.Back()
-		if oldest == nil {
-			break
-		}
-		entry := oldest.Value.(*lruEntry)
-		c.order.Remove(oldest)
-		delete(c.items, entry.key)
-		c.used -= len(entry.data)
-		evicted = append(evicted, *entry)
-	}
-	return evicted
 }

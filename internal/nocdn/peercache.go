@@ -19,8 +19,6 @@ import (
 	"strconv"
 	"strings"
 	"time"
-
-	"hpop/internal/hpop"
 )
 
 // maxMetaEntries bounds the metadata sidecar. Metadata normally tracks the
@@ -230,13 +228,6 @@ func (p *Peer) setMeta(key string, m *entryMeta) {
 	p.meta[key] = m
 }
 
-// dropMeta forgets key's metadata.
-func (p *Peer) dropMeta(key string) {
-	p.metaMu.Lock()
-	defer p.metaMu.Unlock()
-	delete(p.meta, key)
-}
-
 // varyNamesFor returns the header names the origin declared in Vary for
 // this base key (provider|path), recorded from its responses.
 func (p *Peer) varyNamesFor(base string) []string {
@@ -349,134 +340,75 @@ func (p *Peer) recoveredMeta(key string) *entryMeta {
 	}
 }
 
-// backfill fetches path from the origin and fills the cache, coalescing
-// concurrent callers per key under the flight group. Vary-named request
-// headers are forwarded so the origin sees what the variant key encodes.
-// A no-store response is served but never cached (and evicts whatever the
-// key held). Returns the body and its published metadata.
-func (p *Peer) backfill(origin, base, key, provider, path string, reqHdr http.Header) ([]byte, *entryMeta, error) {
-	expect := reqHdr.Get(ExpectHashHeader)
-	data, _, err := p.flight.do(key, func() ([]byte, cacheTier, error) {
-		// A waiter that queued behind a leader may find the cache filled —
-		// but only a copy matching the request's expected hash may satisfy
-		// it. A refetch (epoch mismatch) must never short-circuit into the
-		// very bytes it is replacing.
-		if data, ok := p.cache.get(key); ok {
-			if expect == "" {
-				return data, tierMem, nil
-			}
-			if m := p.metaFor(key); m != nil && m.hash == expect {
-				return data, tierMem, nil
-			}
-		}
-		p.originFetches.Add(1)
-		req, err := http.NewRequest(http.MethodGet, origin+"/content"+path, nil)
-		if err != nil {
-			return nil, tierOrigin, fmt.Errorf("nocdn: origin fetch: %w", err)
-		}
-		for _, name := range p.varyNamesFor(base) {
-			if v := reqHdr.Get(name); v != "" {
-				req.Header.Set(name, v)
-			}
-		}
-		resp, err := p.httpClient.Do(req)
-		if err != nil {
-			return nil, tierOrigin, fmt.Errorf("nocdn: origin fetch: %w", err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return nil, tierOrigin, fmt.Errorf("nocdn: origin status %d for %s", resp.StatusCode, path)
-		}
-		// One exact-size allocation per filled object — the slice the cache
-		// keeps — and one hash, shared by the metadata and the disk tier.
-		data, err := readBody(resp.Body, nil, resp.ContentLength, maxOriginBody)
-		if err != nil {
-			return nil, tierOrigin, fmt.Errorf("nocdn: origin fetch: %w", err)
-		}
-		sum := sha256.Sum256(data)
-		m := metaFromHeaders(resp.Header, hex.EncodeToString(sum[:]), p.now())
-		if vary := resp.Header.Get("Vary"); vary != "" {
-			p.setVaryNames(base, parseVaryNames(vary))
-		}
-		p.setMeta(key, m)
-		if m.cc.NoStore {
-			// Policy says never store; also drop whatever the key held so a
-			// previously cached copy cannot outlive the policy change.
-			p.cacheRemove(key, false)
-			p.setMeta(key, m) // keep headers for this serve
-		} else {
-			p.cachePut(key, data, sum)
-		}
-		return data, tierOrigin, nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return data, p.metaFor(key), nil
-}
-
-// cacheRemove drops key from both tiers (and, when dropMetadata is set,
-// the metadata sidecar) — cache invalidation, distinct from quarantine.
-func (p *Peer) cacheRemove(key string, dropMetadata bool) {
-	p.cache.remove(key)
-	if st := p.store.Load(); st != nil {
-		st.remove(key)
-	}
-	if dropMetadata {
-		p.dropMeta(key)
-	}
-}
-
-// revalidate confirms a cached entry with the origin via a conditional
-// request. A 304 refreshes the metadata (notModified true, data nil); a
-// 200 replaces the entry (full body returned); anything else is an error
-// the caller may absorb with stale-if-error.
-func (p *Peer) revalidate(origin, base, key, path string, old *entryMeta, reqHdr http.Header) (data []byte, m *entryMeta, notModified bool, err error) {
+// originGet is the one function that asks the origin for /content and the
+// one that reads its 200 into the cache. A backfill passes old == nil; a
+// revalidation passes the entry it is confirming, sent as If-None-Match: a
+// 304 refreshes that entry's metadata (notModified true, data nil), a 200
+// replaces the entry, anything else is an error the caller may absorb with
+// stale-if-error. Vary-named request headers are forwarded so the origin
+// sees what the variant key encodes. A 200 costs one exact-size allocation —
+// the slice the cache keeps — and one hash, shared by the metadata and the
+// disk tier; its Vary is recorded; and a no-store response is served but
+// never stored, evicting whatever the key held so a cached copy cannot
+// outlive the policy change.
+//
+// originFetches counts every request that asked for a body — all but the
+// 304s — whether or not one arrived: the backfill's rule. (Revalidations
+// used to count only their 200s, so an origin failing them looked idle.)
+func (p *Peer) originGet(origin, base, key, path string, old *entryMeta, reqHdr http.Header) (data []byte, m *entryMeta, notModified bool, err error) {
 	req, err := http.NewRequest(http.MethodGet, origin+"/content"+path, nil)
 	if err != nil {
-		return nil, nil, false, err
+		return nil, nil, false, fmt.Errorf("nocdn: origin fetch: %w", err)
 	}
-	if old.etag != "" {
-		req.Header.Set("If-None-Match", old.etag)
+	if old != nil {
+		p.metrics.Inc("nocdn.peer.revalidations")
+		if old.etag != "" {
+			req.Header.Set("If-None-Match", old.etag)
+		}
 	}
 	for _, name := range p.varyNamesFor(base) {
 		if v := reqHdr.Get(name); v != "" {
 			req.Header.Set(name, v)
 		}
 	}
-	p.metrics.Inc("nocdn.peer.revalidations")
 	resp, err := p.httpClient.Do(req)
+	notModified = err == nil && old != nil && resp.StatusCode == http.StatusNotModified
+	if !notModified {
+		p.originFetches.Add(1)
+	}
 	if err != nil {
-		return nil, nil, false, fmt.Errorf("nocdn: revalidate: %w", err)
+		return nil, nil, false, fmt.Errorf("nocdn: origin fetch: %w", err)
 	}
 	defer resp.Body.Close()
-	switch {
-	case resp.StatusCode == http.StatusNotModified:
-		nm := old.refreshed(resp.Header, p.now())
-		p.setMeta(key, nm)
-		return nil, nm, true, nil
-	case resp.StatusCode == http.StatusOK:
-		p.originFetches.Add(1)
-		body, err := readBody(resp.Body, nil, resp.ContentLength, maxOriginBody)
-		if err != nil {
-			return nil, nil, false, fmt.Errorf("nocdn: revalidate: %w", err)
-		}
-		sum := sha256.Sum256(body)
-		nm := metaFromHeaders(resp.Header, hex.EncodeToString(sum[:]), p.now())
-		if vary := resp.Header.Get("Vary"); vary != "" {
-			p.setVaryNames(base, parseVaryNames(vary))
-		}
-		p.setMeta(key, nm)
-		if nm.cc.NoStore {
-			p.cacheRemove(key, false)
-			p.setMeta(key, nm)
-		} else {
-			p.cachePut(key, body, sum)
-		}
-		return body, nm, false, nil
-	default:
-		return nil, nil, false, fmt.Errorf("nocdn: revalidate status %d for %s", resp.StatusCode, path)
+	if notModified {
+		m = old.refreshed(resp.Header, p.now())
+		p.setMeta(key, m)
+		return nil, m, true, nil
 	}
+	if resp.StatusCode != http.StatusOK {
+		return nil, nil, false, fmt.Errorf("nocdn: origin status %d for %s", resp.StatusCode, path)
+	}
+	data, err = readBody(resp.Body, nil, resp.ContentLength, maxOriginBody)
+	if err != nil {
+		return nil, nil, false, fmt.Errorf("nocdn: origin fetch: %w", err)
+	}
+	sum := sha256.Sum256(data)
+	m = metaFromHeaders(resp.Header, hex.EncodeToString(sum[:]), p.now())
+	if vary := resp.Header.Get("Vary"); vary != "" {
+		p.setVaryNames(base, parseVaryNames(vary))
+	}
+	p.setMeta(key, m)
+	if m.cc.NoStore {
+		// Invalidation, not quarantine; the sidecar keeps the headers for
+		// this serve.
+		p.cache.remove(key)
+		if st := p.store.Load(); st != nil {
+			st.remove(key)
+		}
+	} else {
+		p.cachePut(key, data, sum)
+	}
+	return data, m, false, nil
 }
 
 // revalidateAsync kicks one background revalidation for key (the
@@ -487,15 +419,10 @@ func (p *Peer) revalidateAsync(origin, base, key, path string, old *entryMeta, r
 	if _, loaded := p.revalInflight.LoadOrStore(key, struct{}{}); loaded {
 		return
 	}
-	hdr := make(http.Header, len(reqHdr))
-	for _, name := range p.varyNamesFor(base) {
-		if v := reqHdr.Get(name); v != "" {
-			hdr.Set(name, v)
-		}
-	}
+	hdr := reqHdr.Clone() // the request's own map is not ours once the serve returns
 	go func() {
 		defer p.revalInflight.Delete(key)
-		if _, _, _, err := p.revalidate(origin, base, key, path, old, hdr); err != nil {
+		if _, _, _, err := p.originGet(origin, base, key, path, old, hdr); err != nil {
 			p.metrics.Inc("nocdn.peer.revalidation_errors")
 		}
 	}()
@@ -504,9 +431,11 @@ func (p *Peer) revalidateAsync(origin, base, key, path string, old *entryMeta, r
 // ---- the semantic serve path ----
 
 // serveOutcome is everything handleProxy needs to finish one request:
-// the body (nil for tierDiskStream — stream off the segment file), its
-// metadata, the X-Cache verdict, and the Age to report.
+// the variant key it resolved to, the body (nil for tierDiskStream — stream
+// off the segment file), its metadata, the X-Cache verdict, and the Age to
+// report.
 type serveOutcome struct {
+	key    string
 	data   []byte
 	meta   *entryMeta
 	tier   cacheTier
@@ -525,7 +454,7 @@ func (p *Peer) serveObject(origin, provider, path string, reqHdr http.Header) (s
 
 	data, tier, found := p.cacheGet(key)
 	if !found {
-		return p.serveMiss(origin, base, key, provider, path, reqHdr)
+		return p.serveMiss(origin, base, key, path, reqHdr)
 	}
 	m := p.metaFor(key)
 	if m == nil {
@@ -533,7 +462,7 @@ func (p *Peer) serveObject(origin, provider, path string, reqHdr http.Header) (s
 		if m == nil {
 			// The entry vanished between lookup and metadata reconstruction
 			// (reclaimed or quarantined): degrade to a clean miss.
-			return p.serveMiss(origin, base, key, provider, path, reqHdr)
+			return p.serveMiss(origin, base, key, path, reqHdr)
 		}
 		p.setMeta(key, m)
 	}
@@ -541,51 +470,67 @@ func (p *Peer) serveObject(origin, provider, path string, reqHdr http.Header) (s
 	if age < 0 {
 		age = 0
 	}
+	cached := serveOutcome{key: key, data: data, meta: m, tier: tier, xcache: XCacheStale, age: age}
 	switch decide(m, expect, age) {
 	case decHit:
-		return serveOutcome{data: data, meta: m, tier: tier, xcache: XCacheHit, age: age}, nil
+		cached.xcache = XCacheHit
+		return cached, nil
 	case decStaleEpoch:
 		p.metrics.Inc("nocdn.peer.stale_serves")
-		return serveOutcome{data: data, meta: m, tier: tier, xcache: XCacheStale, age: age}, nil
+		return cached, nil
 	case decStaleSWR:
 		p.metrics.Inc("nocdn.peer.stale_serves")
 		p.revalidateAsync(origin, base, key, path, m, reqHdr)
-		return serveOutcome{data: data, meta: m, tier: tier, xcache: XCacheStale, age: age}, nil
+		return cached, nil
 	case decRefetch:
 		// Wrong hash epoch: the cached bytes can never satisfy this loader.
-		nd, nm, err := p.backfill(origin, base, key, provider, path, reqHdr)
-		if err != nil {
-			return serveOutcome{}, err
-		}
-		return serveOutcome{data: nd, meta: nm, tier: tierOrigin, xcache: XCacheMiss}, nil
+		return p.serveMiss(origin, base, key, path, reqHdr)
 	default: // decRevalidate
-		nd, nm, notModified, err := p.revalidate(origin, base, key, path, m, reqHdr)
+		nd, nm, notModified, err := p.originGet(origin, base, key, path, m, reqHdr)
 		if err != nil {
 			if expect == "" && m.withinSIE(age) {
 				// Origin down or erroring: serve the stale copy inside the
 				// granted window rather than failing the edge.
 				p.metrics.Inc("nocdn.peer.stale_serves")
-				return serveOutcome{data: data, meta: m, tier: tier, xcache: XCacheStale, age: age}, nil
+				return cached, nil
 			}
 			return serveOutcome{}, err
 		}
 		if notModified {
-			return serveOutcome{data: data, meta: nm, tier: tier, xcache: XCacheRevalidated}, nil
+			return serveOutcome{key: key, data: data, meta: nm, tier: tier, xcache: XCacheRevalidated}, nil
 		}
-		return serveOutcome{data: nd, meta: nm, tier: tierOrigin, xcache: XCacheMiss}, nil
+		return serveOutcome{key: key, data: nd, meta: nm, tier: tierOrigin, xcache: XCacheMiss}, nil
 	}
 }
 
-// serveMiss fills from the origin and reports a MISS.
-func (p *Peer) serveMiss(origin, base, key, provider, path string, reqHdr http.Header) (serveOutcome, error) {
-	data, m, err := p.backfill(origin, base, key, provider, path, reqHdr)
+// serveMiss fills key from the origin — on a miss, a hash-epoch refetch, or
+// for a streamed entry that failed verification — and reports a MISS.
+// Concurrent callers per key coalesce under the flight group.
+func (p *Peer) serveMiss(origin, base, key, path string, reqHdr http.Header) (serveOutcome, error) {
+	expect := reqHdr.Get(ExpectHashHeader)
+	data, err := p.flight.do(key, func() ([]byte, error) {
+		// A waiter that queued behind a leader may find the cache filled —
+		// but only a copy matching the request's expected hash may satisfy
+		// it. A refetch (epoch mismatch) must never short-circuit into the
+		// very bytes it is replacing.
+		if data, ok := p.cache.get(key); ok {
+			if expect == "" {
+				return data, nil
+			}
+			if m := p.metaFor(key); m != nil && m.hash == expect {
+				return data, nil
+			}
+		}
+		data, _, _, err := p.originGet(origin, base, key, path, nil, reqHdr)
+		return data, err
+	})
 	if err != nil {
 		return serveOutcome{}, err
 	}
 	// With Vary learned on this first response, the entry was stored under
 	// the pre-Vary key; subsequent requests recompute the variant key. The
 	// first requester still gets its own response — correct by construction.
-	return serveOutcome{data: data, meta: m, tier: tierOrigin, xcache: XCacheMiss}, nil
+	return serveOutcome{key: key, data: data, meta: p.metaFor(key), tier: tierOrigin, xcache: XCacheMiss}, nil
 }
 
 // writeCacheHeaders emits the observable cache state plus the entry's
@@ -598,9 +543,6 @@ func writeCacheHeaders(h http.Header, out serveOutcome) {
 	h.Set(AgeHeader, strconv.Itoa(int(out.age/time.Second)))
 }
 
-// xcacheLabel lowercases an X-Cache verdict for metric names.
-func xcacheLabel(v string) string { return strings.ToLower(v) }
-
 // countServe moves the per-request counters exactly once: every request is
 // either a hit (any serve out of cache: HIT, STALE, REVALIDATED) or a miss
 // (a full origin round trip fetched the body, or the request failed).
@@ -610,7 +552,7 @@ func (p *Peer) countServe(out serveOutcome, err error, elapsed float64) {
 	// reports and merge bucket-exactly at the origin.
 	p.metrics.Observe("nocdn.peer.serve_seconds", elapsed)
 	if err == nil {
-		p.metrics.Inc("nocdn.peer.xcache." + xcacheLabel(out.xcache))
+		p.metrics.Inc("nocdn.peer.xcache." + strings.ToLower(out.xcache))
 	}
 	hit := err == nil && out.xcache != XCacheMiss
 	if hit {
@@ -622,7 +564,6 @@ func (p *Peer) countServe(out serveOutcome, err error, elapsed float64) {
 			p.diskHits.Add(1)
 		}
 		p.metrics.Inc("nocdn.peer.hits")
-		p.metrics.Observe("nocdn.peer.hit_seconds", elapsed)
 		p.metrics.Inc("nocdn.cache.hits." + out.tier.label())
 		p.metrics.Observe("nocdn.cache.hit_seconds."+out.tier.label(), elapsed)
 		return
@@ -630,8 +571,6 @@ func (p *Peer) countServe(out serveOutcome, err error, elapsed float64) {
 	p.misses.Add(1)
 	p.metrics.Inc("nocdn.peer.misses")
 	p.metrics.Observe("nocdn.peer.miss_seconds", elapsed)
-	p.metrics.Inc("nocdn.cache.misses")
-	p.metrics.Observe("nocdn.cache.miss_seconds", elapsed)
 }
 
 // streamOutcome finishes a tierDiskStream serve. It resolves the bytes the
@@ -640,56 +579,28 @@ func (p *Peer) countServe(out serveOutcome, err error, elapsed float64) {
 // serve, which checks the whole object and earns its block sums — and only
 // then writes a header and lets http.ServeContent stream the segment file
 // section through a windowReader, which fails closed outside what was just
-// verified. A mismatch, a read error or a vanished entry falls back to a
-// full origin fetch inside the same request. Tamper mode needs mutable
-// bytes, so it reads (and verifies) the whole object.
-func (p *Peer) streamOutcome(w http.ResponseWriter, r *http.Request, sp *hpop.Span, origin, provider, path, key string, out serveOutcome) {
-	if st := p.store.Load(); st != nil {
-		if e, seg, ok := st.get(key); ok {
-			served := p.streamEntry(w, r, st, path, key, e, seg, out)
-			seg.release()
-			if served {
-				return
-			}
-		}
+// verified. It reports false, with nothing written, when the entry failed
+// verification or a read (it is quarantined by then) or is gone — evicted,
+// reclaimed — since the lookup; handleProxy then refetches from the origin
+// inside the same request.
+func (p *Peer) streamOutcome(w http.ResponseWriter, r *http.Request, path string, out serveOutcome) bool {
+	st := p.store.Load()
+	if st == nil {
+		return false
 	}
-	// Entry gone (evicted, reclaimed, quarantined) between decision and
-	// stream: degrade to a fresh origin fetch.
-	base := provider + "|" + path
-	data, m, err := p.backfill(origin, base, key, provider, path, r.Header)
-	if err != nil {
-		p.metrics.Inc("nocdn.peer.proxy_errors")
-		sp.SetError(err)
-		http.Error(w, err.Error(), http.StatusBadGateway)
-		return
+	e, seg, ok := st.get(out.key)
+	if !ok {
+		return false
 	}
-	fallback := serveOutcome{data: data, meta: m, tier: tierOrigin, xcache: XCacheMiss}
-	p.writeOutcome(w, r, fallback)
-}
-
-// streamEntry serves one pinned disk entry, reporting false (nothing
-// written, entry quarantined) when it failed verification.
-func (p *Peer) streamEntry(w http.ResponseWriter, r *http.Request, st *segmentStore, path, key string, e segEntry, seg *segment, out serveOutcome) bool {
-	if p.Tamper.Load() {
-		data, err := st.readVerify(key, e, seg)
-		if err != nil {
-			return false
-		}
-		data = corrupt(data) // copies; the segment is untouched
-		writeCacheHeaders(w.Header(), out)
-		p.servedBytes.Add(int64(len(data)))
-		p.metrics.Add("nocdn.cache.bytes.disk", float64(len(data)))
-		w.Write(data)
-		return true
-	}
+	defer seg.release()
 	start, end := serveWindow(r, e.n)
-	lo, hi, err := st.verifyWindow(key, e, seg, start, end)
+	lo, hi, err := st.verifyWindow(out.key, e, seg, start, end)
 	if err != nil {
 		return false
 	}
 	ctype := ""
 	if out.meta == nil || out.meta.contentType == "" {
-		if ctype, err = streamedType(st, path, key, e, seg, lo, hi); err != nil {
+		if ctype, err = streamedType(st, path, out.key, e, seg, lo, hi); err != nil {
 			return false
 		}
 	}
@@ -746,13 +657,12 @@ func serveWindow(r *http.Request, n int64) (start, end int64) {
 }
 
 // writeOutcome writes an in-memory serve: headers, optional Range slice,
-// optional tamper corruption, body.
+// body.
 func (p *Peer) writeOutcome(w http.ResponseWriter, r *http.Request, out serveOutcome) {
 	writeCacheHeaders(w.Header(), out)
 	data := out.data
 	// data aliases the cache entry: it is only ever read (range slicing
-	// yields a sub-view), and the one transform below (corrupt) copies — so
-	// a cached object can never be poisoned in place.
+	// yields a sub-view), so a cached object can never be poisoned in place.
 	if rng := r.Header.Get("Range"); rng != "" {
 		start, end, ok := parseRange(rng, len(data))
 		if !ok {
@@ -763,9 +673,6 @@ func (p *Peer) writeOutcome(w http.ResponseWriter, r *http.Request, out serveOut
 			fmt.Sprintf("bytes %d-%d/%d", start, end-1, len(data)))
 		data = data[start:end]
 		w.WriteHeader(http.StatusPartialContent)
-	}
-	if p.Tamper.Load() {
-		data = corrupt(data) // copies; never mutates the cached slice
 	}
 	p.servedBytes.Add(int64(len(data)))
 	p.metrics.Add("nocdn.cache.bytes."+out.tier.label(), float64(len(data)))

@@ -57,9 +57,9 @@ func (p *Peer) TelemetryReporter() *hpop.TelemetryReporter {
 }
 
 // TelemetryOnce builds (or re-uses the pending) delta report and ships it
-// to the origin, retrying under TelemetryBackoff. Returns whether a report
-// was acknowledged this cycle; (false, nil) means there was nothing to
-// report. EnableTelemetry is implied.
+// to the origin, retrying under the faults package's default policy.
+// Returns whether a report was acknowledged this cycle; (false, nil) means
+// there was nothing to report. EnableTelemetry is implied.
 func (p *Peer) TelemetryOnce(ctx context.Context, originURL string) (bool, error) {
 	r := p.EnableTelemetry(0)
 	rep := r.NextReport()
@@ -78,7 +78,7 @@ func (p *Peer) TelemetryOnce(ctx context.Context, originURL string) (bool, error
 	}
 	base := strings.TrimSuffix(originURL, "/")
 	var ack TelemetryAck
-	attempts, err := p.TelemetryBackoff.Do(ctx, func(ctx context.Context) error {
+	attempts, err := faults.Policy{}.Do(ctx, func(ctx context.Context) error {
 		req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/telemetry/batch", bytes.NewReader(body))
 		if err != nil {
 			return err
@@ -119,45 +119,19 @@ func (p *Peer) TelemetryOnce(ctx context.Context, originURL string) (bool, error
 
 // StartTelemetry launches the background reporter loop against originURL
 // (<= 0 interval picks DefaultTelemetryInterval). Restarting replaces the
-// previous loop, mirroring the gossip lifecycle.
+// previous loop.
 func (p *Peer) StartTelemetry(originURL string, interval time.Duration) {
 	if interval <= 0 {
 		interval = DefaultTelemetryInterval
 	}
 	p.EnableTelemetry(0)
-	p.StopTelemetry()
-	p.telemetryMu.Lock()
-	defer p.telemetryMu.Unlock()
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	p.telemetryStop, p.telemetryDone = stop, done
-	go func() {
-		defer close(done)
-		ticker := time.NewTicker(interval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-ticker.C:
-				ctx, cancel := context.WithTimeout(context.Background(), interval)
-				p.TelemetryOnce(ctx, originURL)
-				cancel()
-			}
-		}
-	}()
+	p.telemetryLoop.start(interval, func() {
+		ctx, cancel := context.WithTimeout(context.Background(), interval)
+		p.TelemetryOnce(ctx, originURL)
+		cancel()
+	})
 }
 
 // StopTelemetry halts the background reporter loop (no-op when not
 // running).
-func (p *Peer) StopTelemetry() {
-	p.telemetryMu.Lock()
-	stop, done := p.telemetryStop, p.telemetryDone
-	p.telemetryStop, p.telemetryDone = nil, nil
-	p.telemetryMu.Unlock()
-	if stop == nil {
-		return
-	}
-	close(stop)
-	<-done
-}
+func (p *Peer) StopTelemetry() { p.telemetryLoop.halt() }

@@ -187,7 +187,7 @@ func (s *segmentStore) setMetrics(m *hpop.Metrics) {
 	// Export the whole nocdn.cache.* / nocdn.scrub.* family at attach time
 	// so dashboards and CI can assert the names before any traffic.
 	for _, c := range []string{
-		"nocdn.cache.hits.mem", "nocdn.cache.hits.disk", "nocdn.cache.misses",
+		"nocdn.cache.hits.mem", "nocdn.cache.hits.disk",
 		"nocdn.cache.bytes.mem", "nocdn.cache.bytes.disk", "nocdn.cache.bytes.origin",
 		"nocdn.cache.spills", "nocdn.cache.spill_bytes", "nocdn.cache.promotions",
 		"nocdn.cache.quarantined", "nocdn.cache.segments_rotated", "nocdn.cache.segments_reclaimed",

@@ -53,12 +53,12 @@ func (p *wrapperPool) get(page string, slot int) *poolEntry {
 	return arr[slot]
 }
 
-func (p *wrapperPool) put(page string, slot, slots int, e *poolEntry) {
+func (p *wrapperPool) put(page string, slot int, e *poolEntry) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	arr := p.pages[page]
-	if len(arr) != slots {
-		arr = make([]*poolEntry, slots)
+	if arr == nil {
+		arr = make([]*poolEntry, DefaultPoolSlots)
 		p.pages[page] = arr
 	}
 	arr[slot] = e
@@ -77,13 +77,6 @@ func (p *wrapperPool) filled() map[string][]int {
 		}
 	}
 	return out
-}
-
-func (o *Origin) poolSlots() int {
-	if o.PoolSlots > 0 {
-		return o.PoolSlots
-	}
-	return DefaultPoolSlots
 }
 
 // AssignWrapper serves a wrapper for one page view from the precomputed
@@ -107,7 +100,7 @@ func (o *Origin) AssignWrapper(page, client string) (*Wrapper, error) {
 // assignEntry is AssignWrapper returning the whole pool entry, so the
 // /wrapper handler can write the entry's encoded bytes.
 func (o *Origin) assignEntry(page, client string) (*poolEntry, error) {
-	slot := int(fnv64a("slot|"+client) % uint64(o.poolSlots()))
+	slot := int(fnv64a("slot|"+client) % uint64(DefaultPoolSlots))
 	cep := o.contentEpoch.Load()
 	aep := o.assignEpoch.Load()
 	if e := o.pool.get(page, slot); e != nil &&
@@ -120,7 +113,7 @@ func (o *Origin) assignEntry(page, client string) (*poolEntry, error) {
 	if err != nil {
 		return nil, err
 	}
-	o.pool.put(page, slot, o.poolSlots(), e)
+	o.pool.put(page, slot, e)
 	o.ledger.assignCharges(e.charges)
 	return e, nil
 }
@@ -319,7 +312,7 @@ func (o *Origin) EpochTick() {
 			if err != nil {
 				continue // page unpublished or fleet empty: drop on next serve
 			}
-			o.pool.put(page, slot, o.poolSlots(), e)
+			o.pool.put(page, slot, e)
 		}
 	}
 }
