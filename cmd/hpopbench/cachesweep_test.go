@@ -14,8 +14,8 @@ import (
 func TestCacheSweepSmoke(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "BENCH_nocdn_cache.json")
 	err := runCacheSweep(io.Discard, []string{
-		"-mem-mb", "1", "-disk-mb", "16", "-segment-mb", "1",
-		"-object-kb", "16", "-requests", "80", "-ratios", "0.5,4",
+		"-mem-mb", "2", "-disk-mb", "32", "-segment-mb", "2",
+		"-object-kb", "32", "-requests", "200", "-ratios", "0.5,4",
 		"-out", out,
 	})
 	if err != nil {

@@ -167,7 +167,7 @@ func controlOnePoint(peers, clients, requests, batchSize, batches, submitterCap,
 
 	// Measured wrapper pass: uniform random over the client population. At
 	// fleet scale every serve must be a pool hit — BuildsDuringMeasure is
-	// the hot-path assertion CI checks.
+	// the hot-path assertion TestControlSweepSmoke checks.
 	rng := sim.NewRNG(seed)
 	lat := make([]float64, 0, requests)
 	start := time.Now()

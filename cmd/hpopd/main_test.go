@@ -1,8 +1,10 @@
 package main
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"strings"
@@ -10,6 +12,23 @@ import (
 	"testing"
 	"time"
 )
+
+// freeAddrs reserves n distinct loopback ports the kernel just found
+// unused. A fixed port can be held in TIME_WAIT by another package's test
+// connections, which makes the daemon's bind fail.
+func freeAddrs(t *testing.T, n int) []string {
+	t.Helper()
+	var addrs []string
+	for i := 0; i < n; i++ {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		addrs = append(addrs, ln.Addr().String())
+	}
+	return addrs
+}
 
 func TestRunValidation(t *testing.T) {
 	if err := run(nil); err == nil || !strings.Contains(err.Error(), "-password") {
@@ -24,17 +43,19 @@ func TestRunValidation(t *testing.T) {
 }
 
 // TestMetricsDebugAddrEndpoints boots the daemon with -debug-addr and
-// checks the second listener serves the full debug surface (pprof included)
-// while the main listener keeps serving /metrics and /healthz.
+// -scrub-interval and checks the second listener serves the full debug
+// surface (pprof and the health registry included) while the main listener
+// keeps serving /metrics and /healthz.
 func TestMetricsDebugAddrEndpoints(t *testing.T) {
-	const addr = "127.0.0.1:39811"
-	const debugAddr = "127.0.0.1:39812"
+	addrs := freeAddrs(t, 2)
+	addr, debugAddr := addrs[0], addrs[1]
 	done := make(chan error, 1)
 	go func() {
 		done <- run([]string{
 			"-listen", addr,
 			"-password", "pw",
 			"-name", "probe-debug",
+			"-scrub-interval", "1s",
 			"-debug-addr", debugAddr,
 		})
 	}()
@@ -76,6 +97,19 @@ func TestMetricsDebugAddrEndpoints(t *testing.T) {
 	get(debugAddr, "/healthz", `"status":"ok"`)
 	get(debugAddr, "/debug/traces", `"spans"`)
 	get(debugAddr, "/debug/pprof/", "profiles")
+	// The attic scrubber exports its counter family from boot.
+	get(debugAddr, "/metrics", "attic.scrub.repaired")
+	// The health registry snapshot answers on the debug listener.
+	resp, err := http.Get("http://" + debugAddr + "/debug/health")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var health map[string]any
+	err = json.NewDecoder(resp.Body).Decode(&health)
+	resp.Body.Close()
+	if _, isArray := health["peers"].([]any); err != nil || !isArray {
+		t.Errorf("/debug/health = %v (%v), want a peers array", health, err)
+	}
 	// The appliance's own mux serves the observability trio too (no pprof).
 	get(addr, "/metrics", "# TYPE")
 	get(addr, "/healthz", `"probe-debug"`)
@@ -99,12 +133,12 @@ func TestMetricsDebugAddrEndpoints(t *testing.T) {
 }
 
 // TestFullDaemonLifecycle boots the daemon with every service enabled on
-// fixed loopback ports, probes its HTTP surface, and shuts it down with
-// SIGTERM (signal handling is registered before the listener opens, so the
-// signal is race-free once /status answers).
+// loopback, probes its HTTP surface, and shuts it down with SIGTERM (signal
+// handling is registered before the listener opens, so the signal is
+// race-free once /status answers).
 func TestFullDaemonLifecycle(t *testing.T) {
-	const addr = "127.0.0.1:39807"
-	const relayAddr = "127.0.0.1:39808"
+	addrs := freeAddrs(t, 2)
+	addr, relayAddr := addrs[0], addrs[1]
 	done := make(chan error, 1)
 	go func() {
 		done <- run([]string{

@@ -1,0 +1,44 @@
+package hpop_test
+
+import (
+	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+)
+
+// TestDeletedForksStayDeleted keeps the paths ISSUE 16 and ISSUE 24 deleted
+// from coming back: no non-test Go file in the repo names the legacy wrapper
+// builder, the per-record settlement fork or POST /usage, and no non-test
+// file in internal/nocdn carries a peer attack mode, the always-false
+// invalidation flag, or a duplicate metric name.
+func TestDeletedForksStayDeleted(t *testing.T) {
+	for _, c := range []struct {
+		root    string
+		pattern *regexp.Regexp
+	}{
+		{".", regexp.MustCompile(`GenerateWrapper|WithWrapperReuse|legacyUsage|settleOne|verifyRecordFull|"/usage"`)},
+		{"internal/nocdn", regexp.MustCompile(`InflateRecords|DuplicateRecords|CorruptDiskEntry|Tamper\.(Load|Store)|dropMetadata|nocdn\.cache\.miss|peer\.hit_seconds`)},
+	} {
+		err := filepath.WalkDir(c.root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return err
+			}
+			src, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			for i, line := range strings.Split(string(src), "\n") {
+				if c.pattern.MatchString(line) {
+					t.Errorf("%s:%d: %s", path, i+1, strings.TrimSpace(line))
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"io"
 	"sync"
 	"testing"
+	"time"
 
 	"hpop/internal/sim"
 )
@@ -122,6 +123,10 @@ func TestMultipathSubflowFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 	payload := randomPayload(3, 1<<20)
+	sess, err := rig.listener.AcceptSession()
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	var wg sync.WaitGroup
 	var received []byte
@@ -129,18 +134,27 @@ func TestMultipathSubflowFailover(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		sess, err := rig.listener.AcceptSession()
-		if err != nil {
-			recvErr = err
-			return
-		}
 		received, recvErr = sess.ReadAll()
 	}()
 
-	// Send the first half, kill a waypoint subflow, send the rest.
+	// Send the first half, kill a waypoint subflow, send the rest. The kill
+	// waits for all three subflows to join: a session whose every joined
+	// subflow ended before end-of-stream is broken, and the waypoint
+	// subflow can be the first to join and the first to end.
 	half := len(payload) / 2
 	if _, err := sender.Write(payload[:half]); err != nil {
 		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		sess.mu.Lock()
+		joined := sess.subflows
+		sess.mu.Unlock()
+		if joined == 3 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of 3 subflows joined", joined)
+		}
 	}
 	sender.FailSubflow(1)
 	if _, err := sender.Write(payload[half:]); err != nil {

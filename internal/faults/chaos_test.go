@@ -8,13 +8,15 @@
 //  4. everything is race-clean (run with -race; CI does).
 //
 // The same seed reproduces the same fault schedule and the same pass/fail.
-// Override with HPOP_CHAOS_SEED; every test logs the seed it ran under.
+// Every scenario runs seeds 1, 7 and 1337 as subtests; HPOP_CHAOS_SEED
+// narrows the run to one seed.
 package faults_test
 
 import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -29,20 +31,22 @@ import (
 	"hpop/internal/sim"
 )
 
-// chaosSeed returns the seed for this run: HPOP_CHAOS_SEED if set, else 1.
-// The seed is logged so a CI failure is reproducible locally.
-func chaosSeed(t *testing.T) uint64 {
+// forChaosSeeds runs scenario once per seed as subtest "seedN": seeds 1, 7
+// and 1337, or only HPOP_CHAOS_SEED when it is set — the subtest name is
+// what reproduces a failure.
+func forChaosSeeds(t *testing.T, scenario func(t *testing.T, seed uint64)) {
 	t.Helper()
+	seeds := []uint64{1, 7, 1337}
 	if s := os.Getenv("HPOP_CHAOS_SEED"); s != "" {
 		n, err := strconv.ParseUint(s, 10, 64)
 		if err != nil {
 			t.Fatalf("bad HPOP_CHAOS_SEED %q: %v", s, err)
 		}
-		t.Logf("chaos seed %d (from HPOP_CHAOS_SEED)", n)
-		return n
+		seeds = []uint64{n}
 	}
-	t.Logf("chaos seed 1 (default; set HPOP_CHAOS_SEED to vary)")
-	return 1
+	for _, seed := range seeds {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) { scenario(t, seed) })
+	}
 }
 
 func mustSchedule(t *testing.T, seed uint64, text string) *faults.Schedule {
@@ -124,8 +128,9 @@ func (s *chaosSite) peerIDs() []string {
 // fallbacks. Loads may fail; loads that succeed must be perfect: every byte
 // hash-verified against the origin copy, every serving peer's record
 // delivered, and settlement crediting exactly the verified bytes.
-func TestChaosPageLoadInvariants(t *testing.T) {
-	seed := chaosSeed(t)
+func TestChaosPageLoadInvariants(t *testing.T) { forChaosSeeds(t, chaosPageLoadInvariants) }
+
+func chaosPageLoadInvariants(t *testing.T, seed uint64) {
 	site := newChaosSite(t, 4)
 	sched := mustSchedule(t, seed, `
 blackout match=/proxy/ from=0 to=6
@@ -223,7 +228,10 @@ latency 1ms p=0.2
 // credited == verified bytes, and the duplicates surface as exactly two
 // rejected records.
 func TestChaosRecordSettlementExactUnderRetries(t *testing.T) {
-	seed := chaosSeed(t)
+	forChaosSeeds(t, chaosRecordSettlementExactUnderRetries)
+}
+
+func chaosRecordSettlementExactUnderRetries(t *testing.T, seed uint64) {
 	site := newChaosSite(t, 2)
 	// Window arithmetic: the first two /record posts stall (stored
 	// server-side, lost client-side -> exactly 2 duplicates), the next six
@@ -326,7 +334,10 @@ func startChaosAttic(t *testing.T) (*attic.Attic, string) {
 // correct replica — confirmed pushes are never re-sent, interrupted ones
 // resume.
 func TestChaosReplicationConvergesAfterBlackout(t *testing.T) {
-	seed := chaosSeed(t)
+	forChaosSeeds(t, chaosReplicationConvergesAfterBlackout)
+}
+
+func chaosReplicationConvergesAfterBlackout(t *testing.T, seed uint64) {
 	src, _ := startChaosAttic(t)
 	dst, dstURL := startChaosAttic(t)
 	dstClient := dst.OwnerClient(dstURL)

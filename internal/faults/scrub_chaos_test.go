@@ -61,8 +61,9 @@ func newScrubFixture(t *testing.T, inj *faults.Injector) *scrubFixture {
 // survivors (relocating the dark host's shard to the spare peer), and leave
 // the backup byte-identically restorable — proven by a clean second pass
 // re-verifying every placement checksum, with the original host still down.
-func TestChaosScrubBitFlip(t *testing.T) {
-	seed := chaosSeed(t)
+func TestChaosScrubBitFlip(t *testing.T) { forChaosSeeds(t, chaosScrubBitFlip) }
+
+func chaosScrubBitFlip(t *testing.T, seed uint64) {
 	// Exactly the first store of shard1 is corrupted in flight.
 	sched := mustSchedule(t, seed, `
 bitflip match=shard1 from=0 to=1
@@ -114,9 +115,9 @@ bitflip match=shard1 from=0 to=1
 // TestChaosScrubUnrecoverable loses more shards than the parity covers: the
 // scrubber must report the backup unrecoverable (wrapping ErrNotEnoughUp)
 // and touch nothing — so when the hosts come back, the data is still there
-// and a follow-up pass is clean.
+// and a follow-up pass is clean. No fault is drawn, so it runs once, not
+// per seed.
 func TestChaosScrubUnrecoverable(t *testing.T) {
-	chaosSeed(t)
 	inj := faults.NewInjector(mustSchedule(t, 1, ``))
 	f := newScrubFixture(t, inj)
 	for i := 0; i < 3; i++ { // 3 hosts dark > M=2 parity

@@ -78,8 +78,9 @@ func newSelfHealSite(t *testing.T, peerCount int, reg *hpop.HealthRegistry) *cha
 // blackout lifts the half-open probe cycle re-admits it. Throughout: no
 // unverified bytes reach any page, and settlement stays exact — failover
 // serves settle under the replica's own key.
-func TestChaosFlappingPeer(t *testing.T) {
-	seed := chaosSeed(t)
+func TestChaosFlappingPeer(t *testing.T) { forChaosSeeds(t, chaosFlappingPeer) }
+
+func chaosFlappingPeer(t *testing.T, seed uint64) {
 	reg := hpop.NewHealthRegistry(fastBreaker())
 	metrics := hpop.NewMetrics()
 	reg.SetMetrics(metrics)
@@ -194,8 +195,9 @@ blackout match=`+site.peerSrvs[0].URL+`/proxy from=0 to=12
 // loads, the dead object is a degraded marker with no body bytes, nothing
 // unverified is served, and once both candidates' breakers open, later
 // views skip them without hitting the network (circuit_skips).
-func TestChaosBrownoutDegradesNotFails(t *testing.T) {
-	seed := chaosSeed(t)
+func TestChaosBrownoutDegradesNotFails(t *testing.T) { forChaosSeeds(t, chaosBrownoutDegradesNotFails) }
+
+func chaosBrownoutDegradesNotFails(t *testing.T, seed uint64) {
 	// Long cooldown: once open, breakers stay open for the whole test, so
 	// the circuit-skip path is exercised deterministically.
 	cfg := fastBreaker()

@@ -902,7 +902,7 @@ func (o *Origin) ProbeSample(ctx context.Context, k int) {
 			continue // open breaker: wait out the cooldown
 		}
 		start := time.Now()
-		ok, saturation := o.probeOne(ctx, p.url)
+		ok, saturation, _ := probeHealth(ctx, o.probeClient, p.url)
 		if ok {
 			o.health.RecordSuccess(p.id, time.Since(start).Seconds())
 			o.health.ReportSaturation(p.id, saturation)
@@ -940,33 +940,6 @@ func (o *Origin) noteHealthTransition(sp *hpop.Span, peerID string) {
 	tsp := sp.Child(name)
 	tsp.SetLabel("peer", peerID)
 	tsp.End()
-}
-
-// probeOne polls one peer's /health endpoint, returning success and the
-// peer's self-reported saturation. A shedding peer (saturation >= 1) fails
-// the probe. A 200 with an unparsable body still counts as up (older peers
-// without the report shape).
-func (o *Origin) probeOne(ctx context.Context, peerURL string) (ok bool, saturation float64) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, peerURL+"/health", nil)
-	if err != nil {
-		return false, 0
-	}
-	resp, err := o.probeClient.Do(req)
-	if err != nil {
-		return false, 0
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return false, 0
-	}
-	var rep PeerHealthReport
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 64<<10)).Decode(&rep); err == nil {
-		if rep.Saturation >= 1 {
-			return false, rep.Saturation
-		}
-		return true, rep.Saturation
-	}
-	return true, 0
 }
 
 // ---- delegated health gossip ----
@@ -1016,7 +989,7 @@ func (o *Origin) ReportGossip(ctx context.Context, rep GossipReport) int {
 	// mismatch strike and the report is dropped.
 	pick := rep.Observations[o.randIntn(len(rep.Observations))]
 	if p, ok := o.registry.get(pick.PeerID); ok {
-		probeOK, _ := o.probeOne(ctx, p.url)
+		probeOK, _, _ := probeHealth(ctx, o.probeClient, p.url)
 		if probeOK != pick.Healthy {
 			o.gossipMu.Lock()
 			o.gossipMismatch[rep.From]++
@@ -1122,9 +1095,12 @@ func (o *Origin) TotalPageBytes(page string) (int64, error) {
 //	POST /gossip              -> delegated neighbor-health report
 //	GET  /neighbors?peer=ID   -> the peer's ring-successor probe set
 //	GET  /accounting?peer=ID  -> the peer's settlement ledger row JSON
+//	POST /telemetry/batch     -> peer metric delta reports (fleet ingest)
+//	GET  /debug/wal           -> durable control-plane (WAL) status JSON
+//	GET  /debug/fleet         -> fleet rollups, hot keys, worst peers JSON
+//	GET  /debug/slo           -> fleet SLO burn rates JSON
 //	GET  /debug/audit         -> settlement audit snapshot JSON
 //	GET  /debug/health        -> peer-health registry snapshot JSON
-//	GET  /debug/wal           -> durable control-plane (WAL) status JSON
 //
 // Every endpoint continues the caller's distributed trace when the request
 // carries a traceparent header; absent or malformed headers open fresh

@@ -427,6 +427,30 @@ func (p *Peer) handleHealth(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(rep)
 }
 
+// probeHealth is the client side of GET /health, shared by the origin's
+// probes and a peer's neighbour gossip. ok is the verdict: a 200 whose
+// report says saturation < 1, or whose body does not parse (older peers
+// without the report shape). err is set only when nothing answered.
+func probeHealth(ctx context.Context, c *http.Client, peerURL string) (ok bool, saturation float64, err error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, peerURL+"/health", nil)
+	if err != nil {
+		return false, 0, err
+	}
+	resp, err := c.Do(req)
+	if err != nil {
+		return false, 0, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return false, 0, nil
+	}
+	var rep PeerHealthReport
+	if json.NewDecoder(io.LimitReader(resp.Body, 64<<10)).Decode(&rep) != nil {
+		return true, 0, nil
+	}
+	return rep.Saturation < 1, rep.Saturation, nil
+}
+
 func (p *Peer) handleProxy(w http.ResponseWriter, r *http.Request) {
 	// Admission control first: a saturated home box sheds excess load with
 	// 503 + Retry-After instead of queueing every comer into a meltdown.
@@ -723,22 +747,11 @@ func (p *Peer) GossipOnce(originURL string) (int, error) {
 
 	rep := GossipReport{From: p.ID}
 	for _, nbr := range neighbors {
-		obs := PeerObservation{PeerID: nbr.ID}
 		start := time.Now()
-		hr, err := p.httpClient.Get(nbr.URL + "/health")
+		ok, saturation, err := probeHealth(context.Background(), p.httpClient, nbr.URL)
+		obs := PeerObservation{PeerID: nbr.ID, Healthy: ok, Saturation: saturation}
 		if err == nil {
 			obs.LatencySeconds = time.Since(start).Seconds()
-			var report PeerHealthReport
-			if hr.StatusCode == http.StatusOK {
-				obs.Healthy = true
-				if json.NewDecoder(io.LimitReader(hr.Body, 64<<10)).Decode(&report) == nil {
-					obs.Saturation = report.Saturation
-					if report.Saturation >= 1 {
-						obs.Healthy = false // shedding: report it unassignable
-					}
-				}
-			}
-			hr.Body.Close()
 		}
 		rep.Observations = append(rep.Observations, obs)
 	}

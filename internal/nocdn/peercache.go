@@ -509,17 +509,8 @@ func (p *Peer) serveObject(origin, provider, path string, reqHdr http.Header) (s
 func (p *Peer) serveMiss(origin, base, key, path string, reqHdr http.Header) (serveOutcome, error) {
 	expect := reqHdr.Get(ExpectHashHeader)
 	data, err := p.flight.do(key, func() ([]byte, error) {
-		// A waiter that queued behind a leader may find the cache filled —
-		// but only a copy matching the request's expected hash may satisfy
-		// it. A refetch (epoch mismatch) must never short-circuit into the
-		// very bytes it is replacing.
-		if data, ok := p.cache.get(key); ok {
-			if expect == "" {
-				return data, nil
-			}
-			if m := p.metaFor(key); m != nil && m.hash == expect {
-				return data, nil
-			}
+		if data, ok := p.filled(key, expect); ok {
+			return data, nil
 		}
 		data, _, _, err := p.originGet(origin, base, key, path, nil, reqHdr)
 		return data, err
@@ -531,6 +522,31 @@ func (p *Peer) serveMiss(origin, base, key, path string, reqHdr http.Header) (se
 	// the pre-Vary key; subsequent requests recompute the variant key. The
 	// first requester still gets its own response — correct by construction.
 	return serveOutcome{key: key, data: data, meta: p.metaFor(key), tier: tierOrigin, xcache: XCacheMiss}, nil
+}
+
+// filled is serveMiss's re-check inside the flight: a caller that missed
+// just as another's fill finished takes that copy, from memory or verified
+// off the disk tier (where a large object lands), rather than refetch. Only
+// a copy of the expected hash will do: a refetch (epoch mismatch) never
+// short-circuits into the very bytes it is replacing.
+func (p *Peer) filled(key, expect string) ([]byte, bool) {
+	if m := p.metaFor(key); expect != "" && (m == nil || m.hash != expect) {
+		return nil, false
+	}
+	if data, ok := p.cache.get(key); ok {
+		return data, true
+	}
+	st := p.store.Load()
+	if st == nil {
+		return nil, false
+	}
+	e, seg, ok := st.get(key)
+	if !ok {
+		return nil, false
+	}
+	defer seg.release()
+	data, err := st.readVerify(key, e, seg)
+	return data, err == nil
 }
 
 // writeCacheHeaders emits the observable cache state plus the entry's

@@ -508,14 +508,6 @@ func (s *segmentStore) get(key string) (segEntry, *segment, bool) {
 	return e, seg, true
 }
 
-// contains reports whether key is indexed (no segment pin).
-func (s *segmentStore) contains(key string) bool {
-	s.mu.Lock()
-	_, ok := s.index[key]
-	s.mu.Unlock()
-	return ok
-}
-
 // sectionReader returns a reader over exactly the entry's data bytes. Only
 // the verify paths and newWindowReader — the one reader a response is served
 // from — may call it.

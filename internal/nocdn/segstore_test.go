@@ -35,6 +35,14 @@ func storeGet(t *testing.T, s *segmentStore, key string) []byte {
 	return data
 }
 
+// contains reports whether key is indexed (no segment pin).
+func (s *segmentStore) contains(key string) bool {
+	s.mu.Lock()
+	_, ok := s.index[key]
+	s.mu.Unlock()
+	return ok
+}
+
 func obj(i, size int) []byte {
 	data := make([]byte, size)
 	for j := range data {

@@ -230,6 +230,74 @@ func TestOriginProbeEjectsAndReadmits(t *testing.T) {
 	}
 }
 
+// TestHealthProbeOutcomes reads each /health answer through both of its
+// consumers: the origin's ProbeSample (the registry's verdict) and a peer's
+// GossipOnce (the observation it uploads). Shedding fails the probe, an
+// unparsable 200 passes it, and only an answer of some kind has a latency.
+func TestHealthProbeOutcomes(t *testing.T) {
+	report := func(body string) http.HandlerFunc {
+		return func(w http.ResponseWriter, r *http.Request) { w.Write([]byte(body)) }
+	}
+	cases := []struct {
+		name       string
+		health     http.HandlerFunc // nil: connection refused
+		ok         bool
+		saturation float64
+	}{
+		{"saturation 0.3", report(`{"peerId":"target","saturation":0.3}`), true, 0.3},
+		{"saturation 1.0", report(`{"peerId":"target","saturation":1.0}`), false, 1.0},
+		{"garbage body", report(`<html>not a report</html>`), true, 0},
+		{"503", func(w http.ResponseWriter, r *http.Request) {
+			http.Error(w, "draining", http.StatusServiceUnavailable)
+		}, false, 0},
+		{"connection refused", nil, false, 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			target := httptest.NewServer(tc.health)
+			defer target.Close()
+			if tc.health == nil {
+				target.Close()
+			}
+
+			reg := hpop.NewHealthRegistry(testBreaker())
+			o := NewOrigin("example.com", WithRNG(sim.NewRNG(1)), WithHealthRegistry(reg))
+			o.RegisterPeer("target", target.URL, 10)
+			o.ProbeSample(context.Background(), 0)
+			row := reg.Snapshot().Peers[0]
+			if got := row.Successes == 1 && row.Failures == 0; got != tc.ok {
+				t.Errorf("ProbeSample: successes %d failures %d, want ok=%v", row.Successes, row.Failures, tc.ok)
+			}
+			if tc.ok && row.Saturation != tc.saturation {
+				t.Errorf("ProbeSample: registry saturation %v, want %v", row.Saturation, tc.saturation)
+			}
+
+			uploaded := make(chan GossipReport, 1)
+			fakeOrigin := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				switch r.URL.Path {
+				case "/neighbors":
+					json.NewEncoder(w).Encode([]PeerInfo{{ID: "target", URL: target.URL}})
+				case "/gossip":
+					var rep GossipReport
+					json.NewDecoder(r.Body).Decode(&rep)
+					uploaded <- rep
+				}
+			}))
+			defer fakeOrigin.Close()
+			if n, err := NewPeer("gossiper", 0).GossipOnce(fakeOrigin.URL); err != nil || n != 1 {
+				t.Fatalf("GossipOnce = %d, %v", n, err)
+			}
+			obs := (<-uploaded).Observations[0]
+			if obs.PeerID != "target" || obs.Healthy != tc.ok || obs.Saturation != tc.saturation {
+				t.Errorf("GossipOnce observation %+v, want healthy=%v saturation=%v", obs, tc.ok, tc.saturation)
+			}
+			if answered := tc.health != nil; (obs.LatencySeconds > 0) != answered {
+				t.Errorf("GossipOnce latency %v with answered=%v", obs.LatencySeconds, answered)
+			}
+		})
+	}
+}
+
 // TestAuditFlagEjectsFromWrappers checks the auditor->origin wiring: a
 // flagged peer is pulled from new wrapper maps via the health registry even
 // though its breaker never opened.

@@ -158,6 +158,37 @@ func TestTieredLargeObjectStreams(t *testing.T) {
 	}
 }
 
+// TestTieredLateMissFindsDiskFill: a request that missed just as another
+// request's fill of a large object finished reaches serveMiss after the
+// flight has closed. Its re-check must find the copy on the disk tier — the
+// only tier a large object lands in — rather than fetch it again; and a
+// request expecting another hash epoch must still refetch.
+func TestTieredLateMissFindsDiskFill(t *testing.T) {
+	big := obj(7, 300<<10) // 300 KiB vs 4 KiB memory shards
+	s := newTieredSite(t, 64<<10, 8<<20, 1<<20, map[string][]byte{"/big": big})
+	s.get(t, "/big")
+
+	out, err := s.peer.serveMiss(s.origin.URL, "prov|/big", "prov|/big", "/big", http.Header{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out.data, big) {
+		t.Fatal("late miss returned wrong bytes")
+	}
+	if got := s.fetches.Load(); got != 1 {
+		t.Fatalf("origin fetched %d times, want 1 (the late miss reads the disk fill)", got)
+	}
+
+	hdr := http.Header{}
+	hdr.Set(ExpectHashHeader, strings.Repeat("0", 64))
+	if _, err := s.peer.serveMiss(s.origin.URL, "prov|/big", "prov|/big", "/big", hdr); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.fetches.Load(); got != 2 {
+		t.Fatalf("origin fetched %d times, want 2 (another epoch refetches)", got)
+	}
+}
+
 // TestTieredCorruptDiskRefetch flips bits in the segment files, then asks
 // for the spilled objects again: the peer must detect the mismatch on
 // promotion, quarantine the entry, and refetch clean bytes from the origin
