@@ -91,6 +91,28 @@ func TestExperimentSubset(t *testing.T) {
 	}
 }
 
+// TestE4BlocksMatchCommittedTables: the NoCDN experiments run at fixed
+// seeds, so their output is the E4–E4d blocks of bench_output_tables.txt
+// byte for byte.
+func TestE4BlocksMatchCommittedTables(t *testing.T) {
+	tables, err := os.ReadFile("../../bench_output_tables.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := strings.Index(string(tables), "== E4: ")
+	end := strings.Index(string(tables), "== E5: ")
+	if start < 0 || end < start {
+		t.Fatal("bench_output_tables.txt has no E4..E5 span")
+	}
+	out, err := captureStdout(t, func() error { return run([]string{"-exp", "E4,E4b,E4c,E4d"}) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := string(tables[start:end]); out != want {
+		t.Fatalf("E4–E4d output differs from bench_output_tables.txt:\n--- got\n%s--- want\n%s", out, want)
+	}
+}
+
 func TestUnknownExperiment(t *testing.T) {
 	if err := run([]string{"-exp", "E99"}); err == nil {
 		t.Error("unknown experiment accepted")

@@ -9,17 +9,18 @@ import (
 	"testing"
 )
 
-// TestDeletedForksStayDeleted keeps the paths ISSUE 16 and ISSUE 24 deleted
-// from coming back: no non-test Go file in the repo names the legacy wrapper
-// builder, the per-record settlement fork or POST /usage, and no non-test
-// file in internal/nocdn carries a peer attack mode, the always-false
+// TestDeletedForksStayDeleted keeps deleted paths from coming back: no
+// non-test Go file in the repo names the legacy wrapper builder, the
+// per-record settlement fork, POST /usage, or the root-less settlement
+// shape (SettleRecords and its settle_records span), and no non-test file
+// in internal/nocdn carries a peer attack mode, the always-false
 // invalidation flag, or a duplicate metric name.
 func TestDeletedForksStayDeleted(t *testing.T) {
 	for _, c := range []struct {
 		root    string
 		pattern *regexp.Regexp
 	}{
-		{".", regexp.MustCompile(`GenerateWrapper|WithWrapperReuse|legacyUsage|settleOne|verifyRecordFull|"/usage"`)},
+		{".", regexp.MustCompile(`GenerateWrapper|WithWrapperReuse|legacyUsage|settleOne|verifyRecordFull|"/usage"|\bSettleRecords\(|"settle_records"`)},
 		{"internal/nocdn", regexp.MustCompile(`InflateRecords|DuplicateRecords|CorruptDiskEntry|Tamper\.(Load|Store)|dropMetadata|nocdn\.cache\.miss|peer\.hit_seconds`)},
 	} {
 		err := filepath.WalkDir(c.root, func(path string, d fs.DirEntry, err error) error {

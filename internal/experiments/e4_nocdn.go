@@ -194,8 +194,8 @@ func RunE4(cfg E4Config) (*Table, error) {
 		return nil, err
 	}
 	colluder := w.Objects[0].PeerID
-	fabricated := fabricateCollusion(w, colluder, 100)
-	rig5.origin.SettleRecords(fabricated)
+	// The colluder uploads the fabricated records as its own batch.
+	rig5.origin.SettleBatch(nocdn.NewRecordBatch(colluder, fabricateCollusion(w, colluder, 100)))
 	acc := rig5.origin.AccountingFor(colluder)
 	t.AddRow("collusion (100 fabricated valid-signature records)",
 		fmt.Sprintf("peer suspended=%v, credit capped at %s (assigned %s)",

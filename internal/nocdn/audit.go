@@ -214,12 +214,13 @@ func (a *Auditor) Observe(rec UsageRecord, settleErr error, replayed bool) {
 	}
 }
 
-// FlagTampered flags a peer on direct cryptographic evidence — a sampled
-// leaf of a Merkle-committed settlement batch that failed verification. No
-// statistics are needed: the peer committed to the exact record bytes by
-// signing up to the batch root, so a non-verifying leaf cannot be transport
-// corruption. Fires OnFlag exactly like a score-based flag. Nil-receiver
-// safe.
+// FlagTampered flags a peer on direct evidence — a sampled leaf of a
+// Merkle-committed settlement batch, uploaded in the peer's name, that
+// failed verification. No statistics are needed: the root commits to the
+// exact record bytes, so a non-verifying leaf cannot be transport
+// corruption. The upload itself is not authenticated, so the evidence is
+// against whoever sent the batch under that name. Fires OnFlag exactly like
+// a score-based flag. Nil-receiver safe.
 func (a *Auditor) FlagTampered(peerID string, cause error) {
 	if a == nil {
 		return
@@ -401,25 +402,19 @@ type settleOutcome struct {
 	nonceKey string
 }
 
-// buildAuditDeltas reduces a batch's per-record outcomes to the per-peer
-// journal deltas — a pure function, computed before the journal append so
-// the settle record carries exactly what observeSettled will apply.
-func buildAuditDeltas(outcomes []settleOutcome) []walAuditDelta {
+// buildAuditDeltas reduces a batch's per-record outcomes to the uploading
+// peer's journal delta — a pure function, computed before the journal append
+// so the settle record carries exactly what observeSettled will apply.
+func buildAuditDeltas(peerID string, outcomes []settleOutcome) []walAuditDelta {
 	if len(outcomes) == 0 {
 		return nil
 	}
-	byPeer := make(map[string]*walAuditDelta)
-	stats := make(map[string]*welford)
+	d := walAuditDelta{PeerID: peerID}
+	var w welford
 	for _, oc := range outcomes {
-		d := byPeer[oc.rec.PeerID]
-		if d == nil {
-			d = &walAuditDelta{PeerID: oc.rec.PeerID}
-			byPeer[oc.rec.PeerID] = d
-			stats[oc.rec.PeerID] = &welford{}
-		}
 		d.Records++
 		d.Bytes += oc.rec.Bytes
-		stats[oc.rec.PeerID].observe(float64(oc.rec.Bytes))
+		w.observe(float64(oc.rec.Bytes))
 		if oc.err != nil {
 			d.Rejects++
 			if oc.replayed {
@@ -432,14 +427,8 @@ func buildAuditDeltas(outcomes []settleOutcome) []walAuditDelta {
 			}
 		}
 	}
-	out := make([]walAuditDelta, 0, len(byPeer))
-	for id, d := range byPeer {
-		w := stats[id]
-		d.N, d.Mean, d.M2 = w.n, w.mean, w.m2
-		out = append(out, *d)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].PeerID < out[j].PeerID })
-	return out
+	d.N, d.Mean, d.M2 = w.n, w.mean, w.m2
+	return []walAuditDelta{d}
 }
 
 // observeSettled applies one settled batch's outcomes at commit time: the

@@ -10,7 +10,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -63,6 +63,26 @@ func signedRecord(t *testing.T, w *Wrapper, peerID string, bytes int64, nonce st
 	}
 	r.Sign(secret)
 	return r
+}
+
+// settlePerPeer settles records as one committed batch per peer they name,
+// peers in order of first appearance, and returns how many were credited. A
+// rejected or replayed batch credits nothing.
+func settlePerPeer(o *Origin, records []UsageRecord) int {
+	var order []string
+	byPeer := make(map[string][]UsageRecord)
+	for _, r := range records {
+		if _, ok := byPeer[r.PeerID]; !ok {
+			order = append(order, r.PeerID)
+		}
+		byPeer[r.PeerID] = append(byPeer[r.PeerID], r)
+	}
+	credited := 0
+	for _, id := range order {
+		n, _ := o.SettleBatch(NewRecordBatch(id, byPeer[id]))
+		credited += n
+	}
+	return credited
 }
 
 // anyPeer returns one peer a wrapper names (deterministic: smallest ID).
@@ -319,9 +339,9 @@ func TestSettleBatchRootMismatch(t *testing.T) {
 }
 
 // TestSettleBatchSampledLeafFlagsPeer: a batch whose root honestly commits
-// to a record with a bad signature is cryptographic tamper evidence — the
-// sampled leaf fails full verification, the batch is rejected, and the peer
-// is flagged in the audit snapshot and ejected from pooled maps.
+// to a record with a bad signature is tamper evidence against its uploader —
+// the sampled leaf fails full verification, the batch is rejected, and the
+// peer is flagged in the audit snapshot and ejected from pooled maps.
 func TestSettleBatchSampledLeafFlagsPeer(t *testing.T) {
 	o := controlOrigin(t, 6)
 	w, err := o.AssignWrapper("p", "client-a")
@@ -362,6 +382,71 @@ func TestSettleBatchSampledLeafFlagsPeer(t *testing.T) {
 	}
 }
 
+// TestBatchOutcomesChargeTheUploader: a batch speaks for its uploader only.
+// Peer A slips four inflated leaves naming peer B into a committed batch and
+// grinds its own nonces until the sample misses them. The leaves are
+// rejected, and the rejections and their audit statistics land on A; B,
+// which sent nothing, keeps a clean ledger row and audit row.
+func TestBatchOutcomesChargeTheUploader(t *testing.T) {
+	o := controlOrigin(t, 6)
+	const a, b = "peer-03", "peer-02"
+	wrapperFor := func(peer string) *Wrapper {
+		for c := 0; c < 200; c++ {
+			w, err := o.AssignWrapper("p", fmt.Sprintf("client-%d", c))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := w.Keys[peer]; ok {
+				return w
+			}
+		}
+		t.Fatalf("no pooled map names %s", peer)
+		return nil
+	}
+	wa, wb := wrapperFor(a), wrapperFor(b)
+	const n, planted = 64, 4
+	var batch RecordBatch
+	for attempt := 0; ; attempt++ {
+		if attempt == 1000 {
+			t.Fatal("no nonce choice kept the planted leaves out of the sample")
+		}
+		records := make([]UsageRecord, 0, n)
+		for i := 0; i < planted; i++ {
+			records = append(records, signedRecord(t, wb, b, 250, fmt.Sprintf("b-%d", i)))
+		}
+		for i := planted; i < n; i++ {
+			records = append(records, signedRecord(t, wa, a, 1, fmt.Sprintf("a-%d-%d", attempt, i)))
+		}
+		batch = NewRecordBatch(a, records)
+		if !slices.ContainsFunc(sampleIndices(batch.Root, n, DefaultSettleSampleK), func(i int) bool { return i < planted }) {
+			break
+		}
+	}
+	if got, err := o.SettleBatch(batch); err != nil || got != n-planted {
+		t.Fatalf("SettleBatch = %d, %v; want %d, nil", got, err, n-planted)
+	}
+	auditRow := func(peer string) PeerAudit {
+		for _, pa := range o.Audit().Snapshot().Peers {
+			if pa.PeerID == peer {
+				return pa
+			}
+		}
+		return PeerAudit{PeerID: peer}
+	}
+	if acct := o.AccountingFor(a); acct.CreditedBytes != n-planted || acct.Rejected != planted {
+		t.Errorf("uploader %s: %+v; want %d credited, %d rejected", a, acct, n-planted, planted)
+	}
+	if row := auditRow(a); row.Records != n || row.Rejects != planted {
+		t.Errorf("uploader %s audit row %+v; want %d records, %d rejects", a, row, n, planted)
+	}
+	if acct := o.AccountingFor(b); acct.Rejected != 0 || acct.CreditedBytes != 0 || acct.Suspended {
+		t.Errorf("bystander %s charged for a batch it never sent: %+v", b, acct)
+	}
+	if row := auditRow(b); row.Records != 0 || row.Rejects != 0 || row.Flagged {
+		t.Errorf("bystander %s audited for a batch it never sent: %+v", b, row)
+	}
+}
+
 // TestPerServeChargingKeepsHonestPeersUnsuspended: many clients sharing
 // pooled maps settle every view honestly; because serves charge assigned
 // bytes per serve, total credits never outrun assignments and nobody trips
@@ -380,7 +465,7 @@ func TestPerServeChargingKeepsHonestPeersUnsuspended(t *testing.T) {
 			nonce++
 			records = append(records, signedRecord(t, w, id, 100, fmt.Sprintf("ps-%d", nonce)))
 		}
-		if n := o.SettleRecords(records); n != len(records) {
+		if n := settlePerPeer(o, records); n != len(records) {
 			t.Fatalf("view %d: settled %d of %d", view, n, len(records))
 		}
 	}
@@ -460,11 +545,10 @@ func TestNeighborsAndGossip(t *testing.T) {
 }
 
 // TestConcurrentControlPlaneHammer is the -race regression for the sharded
-// refactor: settlement (root-less and committed), registration, pooled
-// wrapper serving, ticks, and accounting reads all run concurrently.
-// Before the ledger refactor, SettleRecords held the origin mutex per
-// record and raced registration for it; now every combination must be
-// race-clean and deadlock-free.
+// refactor: batch settlement, registration, pooled wrapper serving, ticks,
+// and accounting reads all run concurrently. Before the ledger refactor,
+// settlement held the origin mutex per record and raced registration for
+// it; now every combination must be race-clean and deadlock-free.
 func TestConcurrentControlPlaneHammer(t *testing.T) {
 	o := controlOrigin(t, 8)
 	const (
@@ -476,8 +560,8 @@ func TestConcurrentControlPlaneHammer(t *testing.T) {
 	var wg sync.WaitGroup
 	start := make(chan struct{})
 
-	// Settlers: half root-less uploads, half Merkle batches, with valid and
-	// garbage records mixed in.
+	// Settlers: half single-record batches, half batches that carry their
+	// record twice, so the copy is demoted to a replay under the commit lock.
 	for s := 0; s < settlers; s++ {
 		wg.Add(1)
 		go func(s int) {
@@ -491,13 +575,11 @@ func TestConcurrentControlPlaneHammer(t *testing.T) {
 				}
 				peer := anyPeer(w)
 				rec := signedRecord(t, w, peer, 50, fmt.Sprintf("h-%d-%d", s, i))
-				bad := rec
-				bad.Bytes = 1 << 40 // implausible: always rejected
+				records := []UsageRecord{rec}
 				if i%2 == 0 {
-					o.SettleRecords([]UsageRecord{rec, bad})
-				} else {
-					o.SettleBatch(NewRecordBatch(peer, []UsageRecord{rec}))
+					records = append(records, rec)
 				}
+				o.SettleBatch(NewRecordBatch(peer, records))
 			}
 		}(s)
 	}
@@ -551,12 +633,10 @@ type settleShape struct {
 	journal  []walSettleRec
 }
 
-// settleOnce boots a durable origin, settles five records for one peer either
-// root-less or as a committed batch (optionally breaking one signature after
-// signing), and collects the shape. Nonces are normalized to what survives
-// across origins: record nonces lose their random key ID, and the commitment's
-// own "batch|root" nonce — checked here — is dropped with the root.
-func settleOnce(t *testing.T, committed, badSignature bool) settleShape {
+// settleOnce boots a durable origin, settles five records for one peer as a
+// committed batch (optionally breaking one signature after signing), and
+// collects the shape.
+func settleOnce(t *testing.T, badSignature bool) settleShape {
 	t.Helper()
 	dir := t.TempDir()
 	o := walOrigin(t, dir, WALOptions{Fsync: FsyncNever}, 4)
@@ -573,11 +653,7 @@ func settleOnce(t *testing.T, committed, badSignature bool) settleShape {
 		records[2].Bytes++ // after signing: the signature no longer covers it
 	}
 	var got settleShape
-	if committed {
-		got.credited, got.err = o.SettleBatch(NewRecordBatch(peer, records))
-	} else {
-		got.credited = o.SettleRecords(records)
-	}
+	got.credited, got.err = o.SettleBatch(NewRecordBatch(peer, records))
 	got.row = o.AccountingFor(peer)
 	for _, pa := range o.Audit().Snapshot().Peers {
 		if pa.PeerID == peer {
@@ -592,20 +668,6 @@ func settleOnce(t *testing.T, committed, badSignature bool) settleShape {
 		if err := json.Unmarshal(fr.payload, &rec); err != nil {
 			return err
 		}
-		if committed != (rec.Root != "") {
-			t.Errorf("committed=%v journaled root %q", committed, rec.Root)
-		}
-		nonces := rec.Nonces[:0:0]
-		for _, n := range rec.Nonces {
-			if n == "batch|"+rec.Root {
-				continue
-			}
-			nonces = append(nonces, n[strings.IndexByte(n, '|')+1:])
-		}
-		if committed && len(nonces) != len(rec.Nonces)-1 {
-			t.Errorf("committed settle consumed no batch nonce: %v", rec.Nonces)
-		}
-		rec.Root, rec.At, rec.Nonces = "", 0, nonces
 		got.journal = append(got.journal, rec)
 		return nil
 	}); err != nil {
@@ -614,32 +676,26 @@ func settleOnce(t *testing.T, committed, badSignature bool) settleShape {
 	return got
 }
 
-// TestSettleOnePipeline: SettleRecords and SettleBatch are two input shapes
-// of one function. Honest records leave identical ledger rows, audit rows
-// and journal records (root aside) either way; a bad signature costs one
-// record without a commitment and the whole batch, plus a tamper flag, with
-// one.
+// TestSettleOnePipeline: an honest batch credits every record and journals
+// one settle record that consumes its "batch|root" nonce; a bad signature
+// on a sampled leaf costs the whole batch and flags the uploader.
 func TestSettleOnePipeline(t *testing.T) {
-	rootless, committed := settleOnce(t, false, false), settleOnce(t, true, false)
-	if rootless.credited != 5 || committed.credited != 5 || committed.err != nil {
-		t.Fatalf("honest records credited %d root-less, %d committed (err %v); want 5 and 5",
-			rootless.credited, committed.credited, committed.err)
+	honest := settleOnce(t, false)
+	if honest.credited != 5 || honest.err != nil {
+		t.Fatalf("honest batch credited %d (err %v); want 5, nil", honest.credited, honest.err)
 	}
-	if rootless.row.CreditedBytes != 10+11+12+13+14 || len(rootless.journal) != 1 {
+	if honest.row.CreditedBytes != 10+11+12+13+14 || len(honest.journal) != 1 {
 		t.Fatalf("credited %d bytes in %d journal records, want 60 in 1",
-			rootless.row.CreditedBytes, len(rootless.journal))
+			honest.row.CreditedBytes, len(honest.journal))
 	}
-	if !reflect.DeepEqual(rootless, committed) {
-		t.Fatalf("the two input shapes diverge on honest records:\nroot-less %+v\ncommitted %+v", rootless, committed)
+	if rec := honest.journal[0]; !slices.Contains(rec.Nonces, "batch|"+rec.Root) {
+		t.Fatalf("settle record consumed no batch nonce: %v", rec.Nonces)
 	}
 
-	rootless, committed = settleOnce(t, false, true), settleOnce(t, true, true)
-	if rootless.credited != 4 || rootless.row.Rejected != 1 || rootless.row.Suspended || rootless.audit.Flagged {
-		t.Fatalf("root-less bad signature: %+v; want 4 credited, 1 rejected, peer in good standing", rootless)
-	}
-	if !errors.Is(committed.err, ErrBadBatch) || committed.credited != 0 || committed.row.CreditedBytes != 0 ||
-		committed.row.Rejected != 5 || !committed.row.Suspended || !committed.audit.Flagged {
-		t.Fatalf("committed bad signature: %+v; want ErrBadBatch, all 5 rejected, peer flagged and suspended", committed)
+	bad := settleOnce(t, true)
+	if !errors.Is(bad.err, ErrBadBatch) || bad.credited != 0 || bad.row.CreditedBytes != 0 ||
+		bad.row.Rejected != 5 || !bad.row.Suspended || !bad.audit.Flagged {
+		t.Fatalf("bad signature: %+v; want ErrBadBatch, all 5 rejected, peer flagged and suspended", bad)
 	}
 }
 

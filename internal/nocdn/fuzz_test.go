@@ -84,7 +84,7 @@ func FuzzSettleRecords(f *testing.F) {
 			Provider: provider, PeerID: peer, KeyID: key, Page: page,
 			Bytes: bytes, Nonce: nonce, Signature: sig,
 		}
-		if n := o.SettleRecords([]UsageRecord{rec}); n != 0 {
+		if n := settlePerPeer(o, []UsageRecord{rec}); n != 0 {
 			t.Fatalf("unsigned record credited: %+v", rec)
 		}
 	})

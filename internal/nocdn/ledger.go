@@ -167,26 +167,23 @@ func (l *ledger) isSuspended(peerID string) bool {
 	return sh.suspended[peerID]
 }
 
-// anomalyCheck runs the paper's anomalous-behavior detection over exactly
-// the peers involved in a settlement batch (the seed scanned every
-// registered peer per batch — O(fleet) work per upload). A peer whose
-// credited bytes exceed its assigned bytes by factor, or with credits but
-// no assignment at all, is suspended. Returns the newly suspended IDs.
-func (l *ledger) anomalyCheck(peerIDs map[string]struct{}, factor float64) []string {
-	var newly []string
-	for id := range peerIDs {
-		sh := l.shardFor(id)
-		sh.mu.Lock()
-		credited, assigned := sh.credited[id], sh.assigned[id]
-		anomalous := (assigned == 0 && credited > 0) ||
-			(assigned > 0 && float64(credited)/float64(assigned) > factor)
-		if anomalous && !sh.suspended[id] {
-			sh.suspended[id] = true
-			newly = append(newly, id)
-		}
-		sh.mu.Unlock()
+// anomalyCheck runs the paper's anomalous-behavior detection over the one
+// peer a settlement batch charged (the seed scanned every registered peer
+// per batch — O(fleet) work per upload). A peer whose credited bytes exceed
+// its assigned bytes by factor, or with credits but no assignment at all, is
+// suspended. Reports whether the peer was newly suspended.
+func (l *ledger) anomalyCheck(peerID string, factor float64) bool {
+	sh := l.shardFor(peerID)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	credited, assigned := sh.credited[peerID], sh.assigned[peerID]
+	anomalous := (assigned == 0 && credited > 0) ||
+		(assigned > 0 && float64(credited)/float64(assigned) > factor)
+	if !anomalous || sh.suspended[peerID] {
+		return false
 	}
-	return newly
+	sh.suspended[peerID] = true
+	return true
 }
 
 // ledgerRow is one peer's full settlement row, as persisted in snapshots.

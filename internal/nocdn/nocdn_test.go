@@ -234,7 +234,7 @@ func TestForgedKeyRejected(t *testing.T) {
 		IssuedAt: time.Now(),
 	}
 	forged.Sign([]byte("made-up-secret"))
-	if n := s.origin.SettleRecords([]UsageRecord{forged}); n != 0 {
+	if n := settlePerPeer(s.origin, []UsageRecord{forged}); n != 0 {
 		t.Errorf("forged record credited (n=%d)", n)
 	}
 }
@@ -242,7 +242,7 @@ func TestForgedKeyRejected(t *testing.T) {
 func TestWrongProviderRejected(t *testing.T) {
 	s := newTestSite(t, 1)
 	rec := UsageRecord{Provider: "evil.com", PeerID: peerID(0)}
-	if n := s.origin.SettleRecords([]UsageRecord{rec}); n != 0 {
+	if n := settlePerPeer(s.origin, []UsageRecord{rec}); n != 0 {
 		t.Error("cross-provider record credited")
 	}
 }
@@ -278,7 +278,7 @@ func TestCollusionDetection(t *testing.T) {
 		rec.Sign(secret)
 		records = append(records, rec)
 	}
-	s.origin.SettleRecords(records)
+	settlePerPeer(s.origin, records)
 	acc := s.origin.AccountingFor(colluder)
 	if !acc.Suspended {
 		t.Errorf("colluding peer not suspended: %+v", acc)

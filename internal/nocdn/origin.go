@@ -85,8 +85,8 @@ type Origin struct {
 	// settlement), plus nocdn.origin.records_rejected and the nocdn.audit.*
 	// family.
 	metrics *hpop.Metrics
-	// tracer, when set, records settlement spans: one settle_records batch
-	// span per upload (continuing the uploading peer's flush trace) and one
+	// tracer, when set, records settlement spans: one settle_batch span per
+	// upload (continuing the uploading peer's flush trace) and one
 	// settle_record span per record (continuing the page view's trace via
 	// the record's embedded traceparent).
 	tracer *hpop.Tracer
@@ -528,47 +528,31 @@ func etagMatches(ifNoneMatch, etag string) bool {
 
 // ---- settlement ----
 
-// SettleRecords settles an upload that carries no Merkle commitment: every
-// record's signature is verified and each is credited or rejected on its
-// own, so the records may name different peers. It returns how many records
-// were credited.
-func (o *Origin) SettleRecords(records []UsageRecord) int {
-	credited, _ := o.settle(hpop.TraceContext{}, RecordBatch{Records: records})
-	return credited
-}
-
 // SettleBatch settles a Merkle-committed record batch: the root is
 // recomputed over the uploaded records (any tampered, dropped, reordered,
 // or injected record changes it and rejects the batch), the root's nonce
 // guards whole-batch replay, and K deterministically sampled leaves get
-// full signature verification. A sampled leaf that fails is cryptographic
-// evidence — the peer committed to a record that does not verify — so the
-// peer is flagged straight into the audit pipeline and the batch is
-// rejected. Accepted batches settle every record under one per-shard ledger
-// acquisition: cheap bounds/nonce checks keep accounting exact while the
-// expensive HMAC work stays O(K).
+// full signature verification. A sampled leaf that fails rejects the batch
+// and flags the uploading peer straight into the audit pipeline. Accepted
+// batches settle every record under one per-shard ledger acquisition:
+// cheap bounds/nonce checks keep accounting exact while the expensive HMAC
+// work stays O(K). Every outcome — credit, rejection, audit statistics —
+// is charged to b.PeerID, whatever peer a record names.
 func (o *Origin) SettleBatch(b RecordBatch) (int, error) {
 	return o.settle(hpop.TraceContext{}, b)
 }
 
-// settle is the one settlement pipeline: verify, then commitSettlement. A
-// batch with a root gets SettleBatch's commitment checks; one without gets
-// every signature checked, no batch nonce, and per-record rejection. Ledger
-// writes are accumulated and applied once per involved shard at commit. The
+// settle is the one settlement pipeline: verify, then commitSettlement. The
 // batch span continues the uploading peer's flush trace (parent, from the
 // request's traceparent header); each per-record span continues the page
 // view's trace via the traceparent the loader embedded (and signed) in the
 // record — if that is absent or malformed, it falls back to a child of the
 // batch span.
 func (o *Origin) settle(parent hpop.TraceContext, b RecordBatch) (credited int, err error) {
-	committed := b.Root != ""
-	spanName := "settle_records"
-	if committed {
-		spanName = "settle_batch"
-		o.metrics.Inc("nocdn.origin.batches")
-	}
-	sp := o.tracer.StartRemote("nocdn.origin", spanName, parent)
+	o.metrics.Inc("nocdn.origin.batches")
+	sp := o.tracer.StartRemote("nocdn.origin", "settle_batch", parent)
 	sp.SetLabel("records", strconv.Itoa(len(b.Records)))
+	sp.SetLabel("peer", b.PeerID)
 	defer func() {
 		if err != nil {
 			sp.SetError(err)
@@ -578,57 +562,50 @@ func (o *Origin) settle(parent hpop.TraceContext, b RecordBatch) (credited int, 
 	start := time.Now()
 
 	rec := walSettleRec{PeerID: b.PeerID, Root: b.Root}
-	involved := make(map[string]struct{})
-	batchNonce := ""
-	if committed {
-		sp.SetLabel("peer", b.PeerID)
-		involved[b.PeerID] = struct{}{}
-		// A rejection is still a settlement outcome — the peer must not
-		// retry it — so it journals like one.
-		rejectBatch := func(nonce string, evidence []settleOutcome) error {
-			o.metrics.Inc("nocdn.origin.batches_rejected")
-			rec.Rejects = map[string]int64{b.PeerID: int64(len(b.Records))}
-			_, cerr := o.commitSettlement(rec, nonce, involved, evidence)
-			return cerr
+	// A rejection is still a settlement outcome — the peer must not retry
+	// it — so it journals like one.
+	rejectBatch := func(nonce string, evidence []settleOutcome) error {
+		o.metrics.Inc("nocdn.origin.batches_rejected")
+		rec.Rejects = map[string]int64{b.PeerID: int64(len(b.Records))}
+		_, cerr := o.commitSettlement(rec, nonce, evidence)
+		return cerr
+	}
+	leaves := make([][]byte, len(b.Records))
+	for i := range b.Records {
+		leaves[i] = b.Records[i].LeafBytes()
+	}
+	if MerkleRoot(leaves) != b.Root {
+		rejectBatch("", nil) // no nonce consumed: the root was never this batch's
+		return 0, fmt.Errorf("%w: root mismatch", ErrBadBatch)
+	}
+	// The batch nonce (the whole-batch replay guard) is NOT consumed here:
+	// commitSettlement consumes it under the commit lock, atomically with the
+	// journal append, and aborts the commit when the root was already
+	// settled. A replayed batch therefore wastes the sampling work below, but
+	// replays are rare and a nonce consumed before the journal cut could
+	// strand the peer's credit across a crash.
+	batchNonce := "batch|" + b.Root
+	idxs := sampleIndices(b.Root, len(b.Records), DefaultSettleSampleK)
+	sp.SetLabel("sampled", strconv.Itoa(len(idxs)))
+	for _, i := range idxs {
+		o.metrics.Inc("nocdn.origin.sampled_leaves")
+		verr := o.checkRecord(b.Records[i], b.PeerID, true)
+		if verr == nil {
+			continue
 		}
-		leaves := make([][]byte, len(b.Records))
-		for i := range b.Records {
-			leaves[i] = b.Records[i].LeafBytes()
+		// Feed the auditor both statistically (the record observation) and
+		// directly (tamper evidence flags without waiting for a score), then
+		// reject the whole batch. The batch nonce is consumed with the
+		// rejection's journal record — a crash must not reopen the root to a
+		// "fixed" replay.
+		o.metrics.Inc("nocdn.origin.sample_failures")
+		if cerr := rejectBatch(batchNonce, []settleOutcome{{rec: b.Records[i], err: verr}}); cerr != nil {
+			// Replayed root: the first settlement of this commitment
+			// already journaled the rejection and flagged the peer.
+			return 0, o.batchReplayed(cerr)
 		}
-		if MerkleRoot(leaves) != b.Root {
-			rejectBatch("", nil) // no nonce consumed: the root was never this batch's
-			return 0, fmt.Errorf("%w: root mismatch", ErrBadBatch)
-		}
-		// The batch nonce (the whole-batch replay guard) is NOT consumed
-		// here: commitSettlement consumes it under the commit lock,
-		// atomically with the journal append, and aborts the commit when the
-		// root was already settled. A replayed batch therefore wastes the
-		// sampling work below, but replays are rare and a nonce consumed
-		// before the journal cut could strand the peer's credit across a
-		// crash.
-		batchNonce = "batch|" + b.Root
-		idxs := sampleIndices(b.Root, len(b.Records), DefaultSettleSampleK)
-		sp.SetLabel("sampled", strconv.Itoa(len(idxs)))
-		for _, i := range idxs {
-			o.metrics.Inc("nocdn.origin.sampled_leaves")
-			verr := o.checkRecord(b.Records[i], b.PeerID, true)
-			if verr == nil {
-				continue
-			}
-			// Feed the auditor both statistically (the record observation)
-			// and directly (tamper evidence flags without waiting for a
-			// score), then reject the whole batch. The batch nonce is
-			// consumed with the rejection's journal record — a crash must
-			// not reopen the root to a "fixed" replay.
-			o.metrics.Inc("nocdn.origin.sample_failures")
-			if cerr := rejectBatch(batchNonce, []settleOutcome{{rec: b.Records[i], err: verr}}); cerr != nil {
-				// Replayed root: the first settlement of this commitment
-				// already journaled the rejection and flagged the peer.
-				return 0, o.batchReplayed(cerr)
-			}
-			o.audit.FlagTampered(b.PeerID, verr)
-			return 0, fmt.Errorf("%w: sampled leaf %d: %v", ErrBadBatch, i, verr)
-		}
+		o.audit.FlagTampered(b.PeerID, verr)
+		return 0, fmt.Errorf("%w: sampled leaf %d: %v", ErrBadBatch, i, verr)
 	}
 	if len(b.Records) == 0 {
 		return 0, nil
@@ -647,33 +624,21 @@ func (o *Origin) settle(parent hpop.TraceContext, b RecordBatch) (credited int, 
 		}
 		rsp.SetLabel("peer", r.PeerID)
 		rsp.SetLabel("bytes", strconv.FormatInt(r.Bytes, 10))
-		// A commitment speaks for the one peer that signed up to its root;
-		// without one each record speaks for itself and is fully verified.
-		from := b.PeerID
-		if !committed {
-			from = r.PeerID
-			involved[from] = struct{}{}
-		}
-		oc := settleOutcome{rec: r, err: o.checkRecord(r, from, !committed)}
+		oc := settleOutcome{rec: r, err: o.checkRecord(r, b.PeerID, false)}
 		if oc.err != nil {
-			rec.Rejects[r.PeerID]++
+			rec.Rejects[b.PeerID]++
 			o.metrics.Inc("nocdn.origin.records_rejected")
 			rsp.SetError(oc.err)
 		} else {
 			// Credit is tentative until the commit consumes the nonce; a
 			// replay detected there demotes the record to a rejection.
 			oc.nonceKey = r.KeyID + "|" + r.Nonce
-			rec.Credits[r.PeerID] += r.Bytes
+			rec.Credits[b.PeerID] += r.Bytes
 		}
 		outcomes = append(outcomes, oc)
 		rsp.End()
 	}
-	if !committed && len(involved) == 1 {
-		// The journal names the peer only of a single-peer upload; any one
-		// peer of a mixed upload would be misleading metadata.
-		rec.PeerID = b.Records[0].PeerID
-	}
-	credited, cerr := o.commitSettlement(rec, batchNonce, involved, outcomes)
+	credited, cerr := o.commitSettlement(rec, batchNonce, outcomes)
 	if cerr != nil {
 		return 0, o.batchReplayed(cerr)
 	}
@@ -688,17 +653,17 @@ func (o *Origin) batchReplayed(cerr error) error {
 	return fmt.Errorf("%w: %w", ErrBadBatch, cerr)
 }
 
-// commitSettlement is the durable apply step every settlement path funnels
-// through: under the commit lock the batch's nonces are consumed, the settle
-// record (credits, rejects, consumed nonces, audit deltas, assigned floors)
-// is journaled, and only then is it applied to the ledger and auditor — so a
-// snapshot can never capture a half-applied batch, nor a consumed nonce
-// whose settle record is not yet journaled. Consuming nonces any earlier
-// opens a credit-loss window: a snapshot cut between consumption and the
-// journal append would, after a crash, restore the nonce as spent while the
-// credit was never journaled, bouncing the peer's retry of a never-acked
-// batch as a replay. The fsync wait happens after the lock is released
-// (group commit), before the caller acknowledges the peer.
+// commitSettlement is settle's durable apply step: under the commit lock the
+// batch's nonces are consumed, the settle record (credits, rejects, consumed
+// nonces, audit deltas, assigned floor) is journaled, and only then is it
+// applied to the ledger and auditor — so a snapshot can never capture a
+// half-applied batch, nor a consumed nonce whose settle record is not yet
+// journaled. Consuming nonces any earlier opens a credit-loss window: a
+// snapshot cut between consumption and the journal append would, after a
+// crash, restore the nonce as spent while the credit was never journaled,
+// bouncing the peer's retry of a never-acked batch as a replay. The fsync
+// wait happens after the lock is released (group commit), before the caller
+// acknowledges the peer.
 //
 // batchNonce, when non-empty, is the whole-batch replay guard: if it was
 // already consumed the commit aborts with the replay error and no state
@@ -706,8 +671,9 @@ func (o *Origin) batchReplayed(cerr error) error {
 // its decision). A per-record nonce that turns out to be consumed — an
 // earlier commit won the race — demotes that record from credit to a replay
 // rejection in both the journal record and the applied deltas. Returns how
-// many records were actually credited.
-func (o *Origin) commitSettlement(rec walSettleRec, batchNonce string, involved map[string]struct{}, outcomes []settleOutcome) (int, error) {
+// many records were actually credited. Every outcome belongs to rec.PeerID,
+// the batch's uploader.
+func (o *Origin) commitSettlement(rec walSettleRec, batchNonce string, outcomes []settleOutcome) (int, error) {
 	var endSeq uint64
 	rec.At = o.now().UnixNano()
 	o.commitMu.Lock()
@@ -727,16 +693,11 @@ func (o *Origin) commitSettlement(rec walSettleRec, batchNonce string, involved 
 		if uerr := o.nonces.Use(oc.nonceKey); uerr != nil {
 			oc.err = fmt.Errorf("%w: %w", ErrBadRecord, uerr)
 			oc.replayed = errors.Is(uerr, auth.ErrReplayed)
-			if rec.Credits != nil {
-				rec.Credits[oc.rec.PeerID] -= oc.rec.Bytes
-				if rec.Credits[oc.rec.PeerID] == 0 {
-					delete(rec.Credits, oc.rec.PeerID)
-				}
+			rec.Credits[rec.PeerID] -= oc.rec.Bytes
+			if rec.Credits[rec.PeerID] == 0 {
+				delete(rec.Credits, rec.PeerID)
 			}
-			if rec.Rejects == nil {
-				rec.Rejects = make(map[string]int64)
-			}
-			rec.Rejects[oc.rec.PeerID]++
+			rec.Rejects[rec.PeerID]++
 			o.metrics.Inc("nocdn.origin.records_rejected")
 			continue
 		}
@@ -745,24 +706,21 @@ func (o *Origin) commitSettlement(rec walSettleRec, batchNonce string, involved 
 	}
 	// Deltas are built after the nonce pass so the journaled statistics
 	// carry the final (post-replay-demotion) verdicts.
-	deltas := buildAuditDeltas(outcomes)
+	deltas := buildAuditDeltas(rec.PeerID, outcomes)
 	if o.wal != nil {
 		rec.Audit = deltas
-		// Absolute assigned-bytes floors for the involved peers: per-serve
-		// wrapper charges are not journaled (hot path), so the settle
-		// record carries the running totals and replay floors them — the
-		// anomaly ratio stays sane across a restart.
-		rec.Assigned = make(map[string]int64, len(involved))
-		for id := range involved {
-			_, assigned, _, _ := o.ledger.row(id)
-			rec.Assigned[id] = assigned
-		}
+		// The uploader's absolute assigned-bytes floor: per-serve wrapper
+		// charges are not journaled (hot path), so the settle record carries
+		// the running total and replay floors it — the anomaly ratio stays
+		// sane across a restart.
+		_, assigned, _, _ := o.ledger.row(rec.PeerID)
+		rec.Assigned = map[string]int64{rec.PeerID: assigned}
 		o.journalAppend(walSettle, rec)
 	}
 	o.ledger.creditBatch(rec.Credits)
 	o.ledger.rejectBatch(rec.Rejects)
 	o.audit.observeSettled(outcomes, deltas)
-	o.suspendAnomalous(involved)
+	o.suspendAnomalous(rec.PeerID)
 	if o.wal != nil {
 		// Wait through the last record this commit produced (the settle
 		// append plus any suspension/flag records it cascaded into).
@@ -842,19 +800,15 @@ func sampleIndices(root string, n, k int) []int {
 	return out
 }
 
-// suspendAnomalous runs anomaly detection over the peers a settlement
-// touched (credits only move for peers in the batch, so scanning the fleet
-// would find nothing more) and pulls pooled wrapper maps naming newly
-// suspended peers.
-func (o *Origin) suspendAnomalous(involved map[string]struct{}) {
-	newly := o.ledger.anomalyCheck(involved, anomalyFactor)
-	if len(newly) > 0 {
+// suspendAnomalous runs anomaly detection over the peer a settlement
+// charged (credits only move for the batch's uploader, so scanning the
+// fleet would find nothing more) and pulls pooled wrapper maps naming it if
+// it was newly suspended.
+func (o *Origin) suspendAnomalous(peerID string) {
+	if o.ledger.anomalyCheck(peerID, anomalyFactor) {
 		o.assignEpoch.Add(1)
-		sort.Strings(newly)
-		for _, id := range newly {
-			o.metrics.Inc("nocdn.origin.anomaly_suspensions")
-			o.journalSuspend(id)
-		}
+		o.metrics.Inc("nocdn.origin.anomaly_suspensions")
+		o.journalSuspend(peerID)
 	}
 }
 

@@ -149,10 +149,13 @@ type (
 		M2        float64  `json:"m2"`
 		Offending []string `json:"offending,omitempty"`
 	}
-	// walSettleRec is one settled (or rejected) upload: the consumed nonce
-	// keys with the wall time to re-anchor them at, the per-peer credit and
-	// reject deltas, the absolute assigned-bytes floor for involved peers
-	// (so anomaly ratios stay sane after replay), and the audit deltas.
+	// walSettleRec is one settled (or rejected) batch: the consumed nonce
+	// keys with the wall time to re-anchor them at, the credit and reject
+	// deltas, the absolute assigned-bytes floor (so anomaly ratios stay sane
+	// after replay), and the audit deltas. A batch charges only its uploader,
+	// PeerID, so the maps hold one peer; they stay maps because older
+	// journals hold records with PeerID "" that charged several peers, and
+	// replay applies them as written.
 	walSettleRec struct {
 		PeerID   string           `json:"peerId"`
 		Root     string           `json:"root,omitempty"`

@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -315,7 +316,7 @@ func TestOriginRecoveryExactlyOnce(t *testing.T) {
 	}
 	peer := anyPeer(w)
 	rec := signedRecord(t, w, peer, 100, "nonce-1")
-	if n := o.SettleRecords([]UsageRecord{rec}); n != 1 {
+	if n := settlePerPeer(o, []UsageRecord{rec}); n != 1 {
 		t.Fatalf("settled %d, want 1", n)
 	}
 	o.Audit().FlagTampered("peer-07", errors.New("planted evidence"))
@@ -333,7 +334,7 @@ func TestOriginRecoveryExactlyOnce(t *testing.T) {
 		t.Fatalf("credited after recovery = %d, want exactly 100", got)
 	}
 	// Exactly-once: replaying the already-settled record must not re-credit.
-	if n := o2.SettleRecords([]UsageRecord{rec}); n != 0 {
+	if n := settlePerPeer(o2, []UsageRecord{rec}); n != 0 {
 		t.Fatal("recovered origin re-credited an already-settled record")
 	}
 	if got := o2.AccountingFor(peer).CreditedBytes; got != 100 {
@@ -341,7 +342,7 @@ func TestOriginRecoveryExactlyOnce(t *testing.T) {
 	}
 	// Key durability: a fresh record under the pre-crash key still settles.
 	rec2 := signedRecord(t, w, peer, 50, "nonce-2")
-	if n := o2.SettleRecords([]UsageRecord{rec2}); n != 1 {
+	if n := settlePerPeer(o2, []UsageRecord{rec2}); n != 1 {
 		t.Fatal("pre-crash key no longer verifies a fresh record")
 	}
 	if got := o2.AccountingFor(peer).CreditedBytes; got != 150 {
@@ -359,6 +360,76 @@ func TestOriginRecoveryExactlyOnce(t *testing.T) {
 	}
 	if !flagged {
 		t.Fatal("audit flag lost across recovery")
+	}
+}
+
+// TestMixedPeerSettleRecordReplays: journals written before a batch charged
+// only its uploader hold settle records with PeerID "" whose maps and audit
+// deltas name several peers. A cold recovery applies such a record as
+// written — both peers' ledger and audit rows — and both record nonces stay
+// consumed.
+func TestMixedPeerSettleRecordReplays(t *testing.T) {
+	dir := t.TempDir()
+	o := walOrigin(t, dir, WALOptions{Fsync: FsyncNever}, 8)
+	byPeer := make(map[string]UsageRecord)
+	for c := 0; len(byPeer) < 2; c++ {
+		if c == 100 {
+			t.Fatal("pooled maps name fewer than two peers")
+		}
+		w, err := o.AssignWrapper("p", fmt.Sprintf("client-%d", c))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for id := range w.Keys {
+			if _, ok := byPeer[id]; !ok && len(byPeer) < 2 {
+				byPeer[id] = signedRecord(t, w, id, 100, "mixed-"+id)
+			}
+		}
+	}
+	var ids []string
+	for id := range byPeer {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	p1, p2 := ids[0], ids[1]
+	r1, r2 := byPeer[p1], byPeer[p2]
+	rec := walSettleRec{
+		At:       time.Now().UnixNano(),
+		Nonces:   []string{r1.KeyID + "|" + r1.Nonce, r2.KeyID + "|" + r2.Nonce},
+		Credits:  map[string]int64{p1: 100, p2: 100},
+		Rejects:  map[string]int64{p1: 1, p2: 2},
+		Assigned: map[string]int64{p1: 1 << 20, p2: 2 << 20},
+		Audit: []walAuditDelta{
+			{PeerID: p1, Records: 2, Rejects: 1, Bytes: 300, N: 2, Mean: 150, M2: 5000},
+			{PeerID: p2, Records: 3, Rejects: 2, Replays: 1, Bytes: 900, N: 3, Mean: 300, M2: 20000},
+		},
+	}
+	if _, err := o.wal.appendJSON(walSettle, rec); err != nil {
+		t.Fatal(err)
+	}
+	// Crash: the record exists only in the journal.
+
+	o2, _ := recoverOrigin(t, dir, WALOptions{Fsync: FsyncNever})
+	rows := make(map[string]PeerAudit)
+	for _, pa := range o2.Audit().Snapshot().Peers {
+		rows[pa.PeerID] = pa
+	}
+	for _, d := range rec.Audit {
+		id := d.PeerID
+		want := Accounting{PeerID: id, CreditedBytes: rec.Credits[id], AssignedBytes: rec.Assigned[id], Rejected: rec.Rejects[id]}
+		if got := o2.AccountingFor(id); got != want {
+			t.Errorf("ledger row %+v, want %+v", got, want)
+		}
+		row := rows[id]
+		if row.Records != d.Records || row.Rejects != d.Rejects || row.Replays != d.Replays ||
+			row.ClaimedByte != d.Bytes || row.MeanBytes != d.Mean || row.Flagged {
+			t.Errorf("audit row %+v, want delta %+v applied unflagged", row, d)
+		}
+	}
+	for _, r := range []UsageRecord{r1, r2} {
+		if n, _ := o2.SettleBatch(NewRecordBatch(r.PeerID, []UsageRecord{r})); n != 0 {
+			t.Errorf("re-posted %s record credited after recovery", r.PeerID)
+		}
 	}
 }
 
@@ -407,7 +478,7 @@ func TestSnapshotCompactsAndRecovers(t *testing.T) {
 	total := int64(0)
 	for i := 0; i < 30; i++ {
 		rec := signedRecord(t, w, peer, 10, fmt.Sprintf("nonce-%d", i))
-		if n := o.SettleRecords([]UsageRecord{rec}); n != 1 {
+		if n := settlePerPeer(o, []UsageRecord{rec}); n != 1 {
 			t.Fatalf("settle %d failed", i)
 		}
 		total += 10
@@ -430,7 +501,7 @@ func TestSnapshotCompactsAndRecovers(t *testing.T) {
 	// The nonce window survived compaction: every consumed nonce, including
 	// those only present in the snapshot (pre-rotation), still rejects.
 	rec := signedRecord(t, w, peer, 10, "nonce-0")
-	if n := o2.SettleRecords([]UsageRecord{rec}); n != 0 {
+	if n := settlePerPeer(o2, []UsageRecord{rec}); n != 0 {
 		t.Fatal("snapshot recovery reopened a consumed nonce")
 	}
 }
@@ -449,7 +520,7 @@ func TestSnapshotFallbackOnCorruption(t *testing.T) {
 	total := int64(0)
 	for i := 0; i < 30; i++ {
 		rec := signedRecord(t, w, peer, 10, fmt.Sprintf("nonce-%d", i))
-		if n := o.SettleRecords([]UsageRecord{rec}); n != 1 {
+		if n := settlePerPeer(o, []UsageRecord{rec}); n != 1 {
 			t.Fatalf("settle %d failed", i)
 		}
 		total += 10
@@ -475,7 +546,7 @@ func TestSnapshotFallbackOnCorruption(t *testing.T) {
 	// The nonce window is also whole: records settled after the surviving
 	// snapshot's cut still reject as replays via the journal tail.
 	rec := signedRecord(t, w, peer, 10, "nonce-29")
-	if n := o2.SettleRecords([]UsageRecord{rec}); n != 0 {
+	if n := settlePerPeer(o2, []UsageRecord{rec}); n != 0 {
 		t.Fatal("fallback recovery reopened a consumed nonce")
 	}
 }
@@ -494,7 +565,7 @@ func TestJournalGapFailsLoudly(t *testing.T) {
 	peer := anyPeer(w)
 	for i := 0; i < 30; i++ {
 		rec := signedRecord(t, w, peer, 10, fmt.Sprintf("nonce-%d", i))
-		if n := o.SettleRecords([]UsageRecord{rec}); n != 1 {
+		if n := settlePerPeer(o, []UsageRecord{rec}); n != 1 {
 			t.Fatalf("settle %d failed", i)
 		}
 	}
@@ -545,7 +616,7 @@ func TestShutdownSnapshotThenCleanRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	peer := anyPeer(w)
-	if n := o.SettleRecords([]UsageRecord{signedRecord(t, w, peer, 100, "n1")}); n != 1 {
+	if n := settlePerPeer(o, []UsageRecord{signedRecord(t, w, peer, 100, "n1")}); n != 1 {
 		t.Fatal("settle failed")
 	}
 	if err := o.Shutdown(); err != nil {
@@ -559,7 +630,7 @@ func TestShutdownSnapshotThenCleanRecovery(t *testing.T) {
 	if got := o2.AccountingFor(peer).CreditedBytes; got != 100 {
 		t.Fatalf("credited after clean restart = %d, want 100", got)
 	}
-	if n := o2.SettleRecords([]UsageRecord{signedRecord(t, w, peer, 100, "n1")}); n != 0 {
+	if n := settlePerPeer(o2, []UsageRecord{signedRecord(t, w, peer, 100, "n1")}); n != 0 {
 		t.Fatal("clean restart reopened a consumed nonce")
 	}
 }
@@ -585,7 +656,7 @@ func TestNonceWindowReanchoredOnRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := signedRecord(t, w, "peer-00", 100, "n1")
-	if n := o.SettleRecords([]UsageRecord{rec}); n != 1 {
+	if n := settlePerPeer(o, []UsageRecord{rec}); n != 1 {
 		t.Fatal("settle failed")
 	}
 
