@@ -14,14 +14,20 @@ import (
 // per-record settlement fork, POST /usage, or the root-less settlement
 // shape (SettleRecords and its settle_records span), and no non-test file
 // in internal/nocdn carries a peer attack mode, the always-false
-// invalidation flag, or a duplicate metric name.
+// invalidation flag, or a duplicate metric name. Neither internal/nocdn nor
+// cmd brings back the auditor's population z-score: its accumulator, its
+// scorer and whole-fleet rescan, its per-peer deviation gauge, its knobs, the
+// duplicate tamper-flag counter, or the population fields of /debug/audit.
 func TestDeletedForksStayDeleted(t *testing.T) {
+	scorer := regexp.MustCompile(`welford|scoreLocked|rescoreAll|nocdn\.audit\.peer\.|tamper_flags|DefaultAudit(Threshold|MinRecords)|populationMeanBytes`)
 	for _, c := range []struct {
 		root    string
 		pattern *regexp.Regexp
 	}{
 		{".", regexp.MustCompile(`GenerateWrapper|WithWrapperReuse|legacyUsage|settleOne|verifyRecordFull|"/usage"|\bSettleRecords\(|"settle_records"`)},
 		{"internal/nocdn", regexp.MustCompile(`InflateRecords|DuplicateRecords|CorruptDiskEntry|Tamper\.(Load|Store)|dropMetadata|nocdn\.cache\.miss|peer\.hit_seconds`)},
+		{"internal/nocdn", scorer},
+		{"cmd", scorer},
 	} {
 		err := filepath.WalkDir(c.root, func(path string, d fs.DirEntry, err error) error {
 			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {

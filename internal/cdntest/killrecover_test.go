@@ -93,9 +93,9 @@ func assignProjection(w *nocdn.Wrapper) string {
 // buildBatch signs n usage records under one of the wrapper's keys and
 // commits them under a Merkle root, exactly as a flushing peer does. Claims
 // are uniform 10-byte serves: honest traffic in this suite must stay well
-// clear of the statistical auditor (deviation scoring) and the anomaly
-// ratio, so any suspension the assertions see is a durability bug, not an
-// audit false positive.
+// clear of the anomaly ratio (credited against assigned bytes), so any
+// suspension the assertions see is a durability bug, not an audit false
+// positive.
 func buildBatch(t *testing.T, w *nocdn.Wrapper, rng *sim.RNG, nonceBase string, n int) (nocdn.RecordBatch, int64) {
 	t.Helper()
 	ids := make([]string, 0, len(w.Keys))

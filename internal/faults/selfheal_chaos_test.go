@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
 	"testing"
 	"time"
 
@@ -101,14 +100,13 @@ blackout match=`+site.peerSrvs[0].URL+`/proxy from=0 to=12
 		Retry:        fastRetry(2),
 		Metrics:      metrics,
 		Health:       reg,
+		// One visitor, whose stable map names peer-a.
+		ClientID: "visitor",
 	}
 
 	expectedCredit := make(map[string]int64)
 	checkView := func(v int) {
 		t.Helper()
-		// Each view is a different visitor, so views spread over the
-		// origin's pooled peer maps instead of replaying one.
-		loader.ClientID = "visitor-" + strconv.Itoa(v)
 		res, err := loader.LoadPage("home")
 		if err != nil {
 			t.Fatalf("view %d: %v (replicas should cover a single flapping peer)", v, err)

@@ -2,6 +2,7 @@ package hpop
 
 import (
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"net/http"
 )
@@ -66,11 +67,18 @@ func (tc TraceContext) Traceparent() string {
 	return fmt.Sprintf("00-%s-%016x-%s", tc.TraceID, tc.SpanID, flags)
 }
 
+// errNoTraceparent is ParseTraceparent's answer to an absent header: most
+// requests and records carry none, so it allocates nothing.
+var errNoTraceparent = errors.New("hpop: no traceparent")
+
 // ParseTraceparent parses a W3C traceparent header value. Only version 00 is
 // accepted; field lengths, lowercase hex, and the non-zero trace-id/parent-id
 // requirements are enforced strictly, so a corrupted header degrades to an
 // error (and the receiver to a fresh root span) rather than a poisoned trace.
 func ParseTraceparent(s string) (TraceContext, error) {
+	if s == "" {
+		return TraceContext{}, errNoTraceparent
+	}
 	// 00-xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx-xxxxxxxxxxxxxxxx-xx
 	if len(s) != 55 || s[2] != '-' || s[35] != '-' || s[52] != '-' {
 		return TraceContext{}, fmt.Errorf("hpop: malformed traceparent %q", s)

@@ -80,6 +80,20 @@ func TestParseTraceparentRejectsMalformed(t *testing.T) {
 	}
 }
 
+// TestParseTraceparentAbsentAllocatesNothing: most settled records and most
+// requests carry no traceparent, so the absent header is answered without
+// formatting an error.
+func TestParseTraceparentAbsentAllocatesNothing(t *testing.T) {
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := ParseTraceparent(""); err == nil {
+			t.Fatal("empty traceparent parsed")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("ParseTraceparent(\"\") allocates %v times, want 0", allocs)
+	}
+}
+
 // TestInjectExtractTraceparent exercises the HTTP header half: inject from a
 // live span, extract on the "other side", and check the zero value comes back
 // for absent or corrupted headers.

@@ -4,86 +4,65 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"net/http/httptest"
 	"testing"
 
 	"hpop/internal/hpop"
 )
 
-func TestWelfordMatchesDirectComputation(t *testing.T) {
-	samples := []float64{4, 7, 13, 16, 10, 10}
-	var w welford
-	for _, s := range samples {
-		w.observe(s)
-	}
-	mean := 0.0
-	for _, s := range samples {
-		mean += s
-	}
-	mean /= float64(len(samples))
-	variance := 0.0
-	for _, s := range samples {
-		variance += (s - mean) * (s - mean)
-	}
-	sd := math.Sqrt(variance / float64(len(samples)))
-	if math.Abs(w.mean-mean) > 1e-9 {
-		t.Errorf("mean = %v, want %v", w.mean, mean)
-	}
-	if math.Abs(w.stddev()-sd) > 1e-9 {
-		t.Errorf("stddev = %v, want %v", w.stddev(), sd)
-	}
-	var one welford
-	one.observe(5)
-	if got := one.stddev(); got != 0 {
-		t.Errorf("stddev of one sample = %v, want 0", got)
-	}
+// observeBatch settles outcomes as one batch uploaded by peerID, the way
+// commitSettlement does: the journal delta first, then the auditor.
+func observeBatch(a *Auditor, peerID string, outcomes ...settleOutcome) {
+	a.observeSettled(outcomes, buildAuditDeltas(peerID, outcomes))
 }
 
-// TestAuditorFlagsInflatingPeer feeds the auditor honest peers plus one whose
-// records are all rejected with inflated byte claims: the cheater's deviation
-// must cross the threshold while every honest peer stays comfortably below,
-// and the flag transition must emit exactly one audit span carrying the
-// offending trace IDs.
+// TestAuditorFlagsInflatingPeer feeds the auditor batches from two honest
+// peers and one whose records are all rejected with inflated byte claims,
+// then the sampled-leaf evidence against the cheat. Rejections alone flag
+// nobody; the evidence flags the cheat once, with exactly one audit span
+// carrying the offending trace IDs, and the cheat leads the snapshot.
 func TestAuditorFlagsInflatingPeer(t *testing.T) {
 	a := NewAuditor()
 	m := hpop.NewMetrics()
 	tr := hpop.NewTracer(0)
 	a.SetMetrics(m)
 	a.SetTracer(tr)
+	var ejected []string
+	a.OnFlag = func(id string) { ejected = append(ejected, id) }
 
 	tp := "00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01"
 	for i := 0; i < 5; i++ {
-		a.Observe(UsageRecord{PeerID: "honest-a", Bytes: 1000}, nil, false)
-		a.Observe(UsageRecord{PeerID: "honest-b", Bytes: 1100}, nil, false)
-		a.Observe(UsageRecord{PeerID: "cheat", Bytes: 4000, Traceparent: tp},
-			errors.New("bad signature"), false)
+		observeBatch(a, "honest-a", settleOutcome{rec: UsageRecord{PeerID: "honest-a", Bytes: 1000}})
+		observeBatch(a, "honest-b", settleOutcome{rec: UsageRecord{PeerID: "honest-b", Bytes: 1100}})
+		observeBatch(a, "cheat", settleOutcome{rec: UsageRecord{PeerID: "cheat", Bytes: 4000, Traceparent: tp},
+			err: errors.New("bad signature")})
 	}
+	for _, p := range a.Snapshot().Peers {
+		if p.Flagged {
+			t.Errorf("%s flagged on statistics alone", p.PeerID)
+		}
+	}
+	a.FlagTampered("cheat", errors.New("sampled leaf failed verification"))
+	a.FlagTampered("cheat", errors.New("again")) // already flagged: no second span or callback
 
 	snap := a.Snapshot()
 	if len(snap.Peers) != 3 {
 		t.Fatalf("snapshot has %d peers, want 3", len(snap.Peers))
 	}
-	if snap.Peers[0].PeerID != "cheat" {
-		t.Fatalf("highest deviation is %q, want cheat", snap.Peers[0].PeerID)
-	}
 	cheat := snap.Peers[0]
-	if !cheat.Flagged {
-		t.Errorf("cheat not flagged (score %v)", cheat.Deviation)
-	}
-	if cheat.Deviation <= DefaultAuditThreshold {
-		t.Errorf("cheat deviation %v, want > %v", cheat.Deviation, DefaultAuditThreshold)
+	if cheat.PeerID != "cheat" || !cheat.Flagged || cheat.Rejects != 5 || cheat.ClaimedByte != 20000 {
+		t.Fatalf("snapshot leads with %+v, want cheat flagged with 5 rejects and 20000 claimed bytes", cheat)
 	}
 	if len(cheat.Offending) == 0 || cheat.Offending[0] != "0af7651916cd43dd8448eb211c80319c" {
 		t.Errorf("offending traces = %v, want the rejected records' trace ID", cheat.Offending)
 	}
 	for _, p := range snap.Peers[1:] {
-		if p.Flagged {
-			t.Errorf("honest peer %s flagged (score %v)", p.PeerID, p.Deviation)
+		if p.Flagged || p.Rejects != 0 {
+			t.Errorf("honest peer row %+v, want unflagged without rejects", p)
 		}
-		if p.Deviation >= cheat.Deviation {
-			t.Errorf("honest peer %s deviation %v >= cheat's %v", p.PeerID, p.Deviation, cheat.Deviation)
-		}
+	}
+	if len(ejected) != 1 || ejected[0] != "cheat" {
+		t.Errorf("OnFlag calls = %v, want one for cheat", ejected)
 	}
 
 	if got := m.Counter("nocdn.audit.records"); got != 15 {
@@ -94,9 +73,6 @@ func TestAuditorFlagsInflatingPeer(t *testing.T) {
 	}
 	if got := m.Counter("nocdn.audit.flagged"); got != 1 {
 		t.Errorf("audit.flagged = %v, want 1 (flag must fire once, not per record)", got)
-	}
-	if got := m.Gauge("nocdn.audit.peer.cheat.deviation"); got != cheat.Deviation {
-		t.Errorf("deviation gauge = %v, want %v", got, cheat.Deviation)
 	}
 
 	var flagSpans []hpop.SpanRecord
@@ -109,8 +85,8 @@ func TestAuditorFlagsInflatingPeer(t *testing.T) {
 		t.Fatalf("got %d peer_flagged spans, want 1", len(flagSpans))
 	}
 	sp := flagSpans[0]
-	if sp.Labels["peer"] != "cheat" {
-		t.Errorf("flag span peer = %q, want cheat", sp.Labels["peer"])
+	if sp.Labels["peer"] != "cheat" || sp.Labels["cause"] != "merkle_sample" {
+		t.Errorf("flag span labels = %v, want peer cheat, cause merkle_sample", sp.Labels)
 	}
 	if sp.Labels["offending_trace_0"] != "0af7651916cd43dd8448eb211c80319c" {
 		t.Errorf("flag span offending_trace_0 = %q", sp.Labels["offending_trace_0"])
@@ -119,21 +95,15 @@ func TestAuditorFlagsInflatingPeer(t *testing.T) {
 
 func TestAuditorReplayClassification(t *testing.T) {
 	a := NewAuditor()
+	var outcomes []settleOutcome
 	for i := 0; i < 4; i++ {
-		a.Observe(UsageRecord{PeerID: "rep", Bytes: 500}, errors.New("nonce reused"), true)
+		outcomes = append(outcomes, settleOutcome{rec: UsageRecord{PeerID: "rep", Bytes: 500},
+			err: errors.New("nonce reused"), replayed: true})
 	}
+	observeBatch(a, "rep", outcomes...)
 	snap := a.Snapshot()
 	if snap.Peers[0].Replays != 4 || snap.Peers[0].Rejects != 4 {
 		t.Errorf("replays/rejects = %d/%d, want 4/4", snap.Peers[0].Replays, snap.Peers[0].Rejects)
-	}
-}
-
-func TestAuditorMinRecordsGate(t *testing.T) {
-	a := NewAuditor()
-	a.Observe(UsageRecord{PeerID: "p", Bytes: 100}, errors.New("bad"), false)
-	a.Observe(UsageRecord{PeerID: "p", Bytes: 100}, errors.New("bad"), false)
-	if snap := a.Snapshot(); snap.Peers[0].Flagged {
-		t.Errorf("peer flagged at %d records, min is %d", snap.Peers[0].Records, DefaultAuditMinRecords)
 	}
 }
 
@@ -141,7 +111,8 @@ func TestAuditorOffendingBounded(t *testing.T) {
 	a := NewAuditor()
 	for i := 0; i < auditMaxOffending*3; i++ {
 		tp := fmt.Sprintf("00-%032x-%016x-01", i+1, i+1)
-		a.Observe(UsageRecord{PeerID: "p", Bytes: 100, Traceparent: tp}, errors.New("bad"), false)
+		observeBatch(a, "p", settleOutcome{rec: UsageRecord{PeerID: "p", Bytes: 100, Traceparent: tp},
+			err: errors.New("bad")})
 	}
 	if got := len(a.Snapshot().Peers[0].Offending); got != auditMaxOffending {
 		t.Errorf("offending traces retained = %d, want cap %d", got, auditMaxOffending)
@@ -150,7 +121,7 @@ func TestAuditorOffendingBounded(t *testing.T) {
 
 func TestAuditHandlerJSON(t *testing.T) {
 	a := NewAuditor()
-	a.Observe(UsageRecord{PeerID: "p", Bytes: 100}, nil, false)
+	observeBatch(a, "p", settleOutcome{rec: UsageRecord{PeerID: "p", Bytes: 100}})
 	rec := httptest.NewRecorder()
 	a.Handler()(rec, httptest.NewRequest("GET", "/debug/audit", nil))
 	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
@@ -167,7 +138,8 @@ func TestAuditHandlerJSON(t *testing.T) {
 
 func TestAuditorNilSafety(t *testing.T) {
 	var a *Auditor
-	a.Observe(UsageRecord{PeerID: "p", Bytes: 1}, nil, false) // must not panic
+	observeBatch(a, "p", settleOutcome{rec: UsageRecord{PeerID: "p", Bytes: 1}}) // must not panic
+	a.FlagTampered("p", nil)
 	a.SetMetrics(nil)
 	a.SetTracer(nil)
 	if snap := a.Snapshot(); snap.Peers == nil || len(snap.Peers) != 0 {

@@ -385,7 +385,7 @@ func TestSettleBatchSampledLeafFlagsPeer(t *testing.T) {
 // TestBatchOutcomesChargeTheUploader: a batch speaks for its uploader only.
 // Peer A slips four inflated leaves naming peer B into a committed batch and
 // grinds its own nonces until the sample misses them. The leaves are
-// rejected, and the rejections and their audit statistics land on A; B,
+// rejected, and the rejections and their audit evidence land on A; B,
 // which sent nothing, keeps a clean ledger row and audit row.
 func TestBatchOutcomesChargeTheUploader(t *testing.T) {
 	o := controlOrigin(t, 6)

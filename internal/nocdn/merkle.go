@@ -13,8 +13,9 @@ import (
 // origin looks at any of it. The origin recomputes the root (any tampered
 // or reordered record changes it), then fully verifies only a sample of
 // leaves — settlement's expensive work (HMAC verification) becomes
-// O(batches·K) instead of O(page views), while the commitment plus
-// deviation auditing keeps lying unprofitable.
+// O(batches·K) instead of O(page views), while the commitment keeps lying
+// unprofitable: one non-verifying sampled leaf flags the uploader, and the
+// whole batch is rejected.
 //
 // Domain separation follows the certificate-transparency convention: leaf
 // hashes are prefixed 0x00 and interior nodes 0x01, so a leaf can never be

@@ -90,7 +90,7 @@ type Origin struct {
 	// settle_record span per record (continuing the page view's trace via
 	// the record's embedded traceparent).
 	tracer *hpop.Tracer
-	// audit is the settlement audit pipeline fed by every uploaded record.
+	// audit holds each uploader's settlement evidence row and its flag.
 	audit *Auditor
 	// health, when set, closes the self-healing loop on the origin side:
 	// probe outcomes and audit flags feed it, and wrapper generation ejects
@@ -536,8 +536,8 @@ func etagMatches(ifNoneMatch, etag string) bool {
 // and flags the uploading peer straight into the audit pipeline. Accepted
 // batches settle every record under one per-shard ledger acquisition:
 // cheap bounds/nonce checks keep accounting exact while the expensive HMAC
-// work stays O(K). Every outcome — credit, rejection, audit statistics —
-// is charged to b.PeerID, whatever peer a record names.
+// work stays O(K). Every outcome — credit, rejection, audit evidence — is
+// charged to b.PeerID, whatever peer a record names.
 func (o *Origin) SettleBatch(b RecordBatch) (int, error) {
 	return o.settle(hpop.TraceContext{}, b)
 }
@@ -593,11 +593,10 @@ func (o *Origin) settle(parent hpop.TraceContext, b RecordBatch) (credited int, 
 		if verr == nil {
 			continue
 		}
-		// Feed the auditor both statistically (the record observation) and
-		// directly (tamper evidence flags without waiting for a score), then
-		// reject the whole batch. The batch nonce is consumed with the
-		// rejection's journal record — a crash must not reopen the root to a
-		// "fixed" replay.
+		// Reject the whole batch, with the failed leaf as the uploader's
+		// evidence row entry, then flag the uploader. The batch nonce is
+		// consumed with the rejection's journal record — a crash must not
+		// reopen the root to a "fixed" replay.
 		o.metrics.Inc("nocdn.origin.sample_failures")
 		if cerr := rejectBatch(batchNonce, []settleOutcome{{rec: b.Records[i], err: verr}}); cerr != nil {
 			// Replayed root: the first settlement of this commitment
@@ -704,7 +703,7 @@ func (o *Origin) commitSettlement(rec walSettleRec, batchNonce string, outcomes 
 		rec.Nonces = append(rec.Nonces, oc.nonceKey)
 		credited++
 	}
-	// Deltas are built after the nonce pass so the journaled statistics
+	// Deltas are built after the nonce pass so the journaled audit counters
 	// carry the final (post-replay-demotion) verdicts.
 	deltas := buildAuditDeltas(rec.PeerID, outcomes)
 	if o.wal != nil {

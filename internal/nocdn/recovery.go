@@ -152,9 +152,6 @@ func (o *Origin) AttachWAL(dir string, opts WALOptions) (RecoveryStats, error) {
 		return stats, err
 	}
 
-	// Replay restored statistics without judging them; recompute the scores
-	// so /debug/audit reads identically to the pre-crash origin.
-	o.audit.rescoreAll()
 	o.invalidateWrappers()
 
 	stats.Duration = time.Since(start)

@@ -1,0 +1,269 @@
+package nocdn_test
+
+// The origin's two verdicts on a settlement batch, seen from outside: a peer
+// that over-claims is flagged or suspended, and an honest peer, however thin
+// its share of the ring, is neither.
+
+import (
+	"bytes"
+	"encoding/hex"
+	"errors"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"testing"
+
+	"hpop/internal/adversary"
+	"hpop/internal/nocdn"
+	"hpop/internal/sim"
+)
+
+// verdictSite is an origin with four peers, peer-0…peer-3, publishing four
+// pages of a 1 KiB container and six 2 KiB objects, named the way bench/
+// names its catalogue. Under those names one visitor's maps leave peer-3
+// claiming far less per record than the other three.
+type verdictSite struct {
+	origin    *nocdn.Origin
+	originSrv *httptest.Server
+	peers     []*nocdn.Peer
+	pages     []string
+}
+
+func newVerdictSite(t *testing.T) *verdictSite {
+	t.Helper()
+	o := nocdn.NewOrigin("example.com", nocdn.WithRNG(sim.NewRNG(7)))
+	s := &verdictSite{origin: o}
+	for p := 0; p < 4; p++ {
+		name := fmt.Sprintf("p%03d", p)
+		page := nocdn.Page{Name: name, Container: "/" + name + "/index.html"}
+		o.AddObject(page.Container, bytes.Repeat([]byte{byte(p)}, 1<<10))
+		for e := 0; e < 6; e++ {
+			path := fmt.Sprintf("/%s/o%02d.bin", name, e)
+			o.AddObject(path, bytes.Repeat([]byte{byte(p), byte(e)}, 1<<10))
+			page.Embedded = append(page.Embedded, path)
+		}
+		if err := o.AddPage(page); err != nil {
+			t.Fatal(err)
+		}
+		s.pages = append(s.pages, name)
+	}
+	s.originSrv = httptest.NewServer(o.Handler())
+	t.Cleanup(s.originSrv.Close)
+	for i := 0; i < 4; i++ {
+		p := nocdn.NewPeer(fmt.Sprintf("peer-%d", i), 0)
+		p.SignUp("example.com", s.originSrv.URL)
+		srv := httptest.NewServer(p.Handler())
+		t.Cleanup(srv.Close)
+		o.RegisterPeer(p.ID, srv.URL, float64(10+10*i))
+		s.peers = append(s.peers, p)
+	}
+	return s
+}
+
+// flushAll uploads every peer's pending records and returns how many settled.
+func (s *verdictSite) flushAll(t *testing.T) int {
+	t.Helper()
+	n := 0
+	for _, p := range s.peers {
+		k, err := p.Flush(s.originSrv.URL)
+		if err != nil {
+			t.Fatalf("%s flush: %v", p.ID, err)
+		}
+		n += k
+	}
+	return n
+}
+
+// flagged reports whether /debug/audit's row for id is flagged.
+func (s *verdictSite) flagged(id string) bool {
+	for _, pa := range s.origin.Audit().Snapshot().Peers {
+		if pa.PeerID == id {
+			return pa.Flagged
+		}
+	}
+	return false
+}
+
+// TestThinHonestPeerNotFlagged: one visitor's stable maps over four similarly
+// named peers hand one of them a thin share of every page, so its usage
+// records are smaller than everyone else's. Small honest claims are not
+// evidence: after hundreds of settled records nobody is flagged or
+// suspended, and every peer is paid exactly what the loader verified.
+func TestThinHonestPeerNotFlagged(t *testing.T) {
+	s := newVerdictSite(t)
+	loader := &nocdn.Loader{OriginURL: s.originSrv.URL, ClientID: "visitor", Concurrency: nocdn.DefaultConcurrency}
+	served := make(map[string]int64)
+	settled := 0
+	for view := 0; settled < 200; view++ {
+		if view == 400 {
+			t.Fatalf("only %d records settled after %d views", settled, view)
+		}
+		res, err := loader.LoadPage(s.pages[view%len(s.pages)])
+		if err != nil {
+			t.Fatalf("view %d: %v", view, err)
+		}
+		for id, n := range res.PeerBytes {
+			served[id] += n
+		}
+		if view%4 == 3 {
+			settled += s.flushAll(t)
+		}
+	}
+	settled += s.flushAll(t)
+	for _, p := range s.peers {
+		acc := s.origin.AccountingFor(p.ID)
+		if s.flagged(p.ID) {
+			t.Errorf("honest %s flagged after %d settled records (served %d B)", p.ID, settled, served[p.ID])
+		}
+		if acc.Suspended {
+			t.Errorf("honest %s suspended", p.ID)
+		}
+		if acc.CreditedBytes != served[p.ID] {
+			t.Errorf("%s credited %d B, loader verified %d B from it", p.ID, acc.CreditedBytes, served[p.ID])
+		}
+	}
+}
+
+// TestOverclaimersStillCaught is the over-claiming table: each attack on
+// settlement ends with the verdict in its row, read from /debug/audit and
+// the ledger. The cheat is the peer the visitor's first map names, and each
+// row first settles one honest view of every page, so the cheat is judged
+// beside an honest population; credited counts only the attack's bytes.
+//   - Inflated claims fail their signatures: the sampled leaves flag the
+//     uploader, and every record is rejected.
+//   - Duplicated records settle once; the copies bounce off the nonce cache.
+//     No verdict: the ledger already paid only for what was served.
+//   - 100 fabricated records under a colluding client's key all verify, so
+//     nothing is flagged, and the assigned-floor ratio suspends the peer.
+func TestOverclaimersStillCaught(t *testing.T) {
+	type verdict struct {
+		flagged, suspended bool
+		credited           int64
+		rejected           int64
+	}
+	for _, tc := range []struct {
+		name   string
+		attack func(t *testing.T, s *verdictSite, cheat *nocdn.Peer)
+		want   verdict
+	}{
+		{
+			name: "inflate",
+			attack: func(t *testing.T, s *verdictSite, cheat *nocdn.Peer) {
+				cheat.SetHTTPClient(&http.Client{Transport: &adversary.Records{Inflate: true}})
+				s.viewAll(t)
+				s.flushAll(t)
+			},
+			want: verdict{flagged: true, suspended: true, credited: 0, rejected: 4},
+		},
+		{
+			name: "duplicate",
+			attack: func(t *testing.T, s *verdictSite, cheat *nocdn.Peer) {
+				cheat.SetHTTPClient(&http.Client{Transport: &adversary.Records{Duplicate: true}})
+				s.viewAll(t)
+				s.flushAll(t)
+			},
+			want: verdict{flagged: false, suspended: false, credited: 16384, rejected: 4},
+		},
+		{
+			name: "inflated sampled leaf",
+			attack: func(t *testing.T, s *verdictSite, cheat *nocdn.Peer) {
+				w, err := s.origin.AssignWrapper(s.pages[0], "leaf-cheat")
+				if err != nil {
+					t.Fatal(err)
+				}
+				recs := signedClaims(t, w, cheat.ID, 3)
+				recs[1].Bytes++ // after signing: the leaf no longer verifies
+				if _, err := s.origin.SettleBatch(nocdn.NewRecordBatch(cheat.ID, recs)); !errors.Is(err, nocdn.ErrBadBatch) {
+					t.Fatalf("inflated leaf settled: %v", err)
+				}
+			},
+			want: verdict{flagged: true, suspended: true, credited: 0, rejected: 3},
+		},
+		{
+			name: "collusion",
+			attack: func(t *testing.T, s *verdictSite, cheat *nocdn.Peer) {
+				w, err := s.origin.AssignWrapper(s.pages[0], "colluding-client")
+				if err != nil {
+					t.Fatal(err)
+				}
+				recs := signedClaims(t, w, cheat.ID, 100)
+				if n, err := s.origin.SettleBatch(nocdn.NewRecordBatch(cheat.ID, recs)); err != nil || n != 100 {
+					t.Fatalf("fabricated valid-signature records: settled %d, %v", n, err)
+				}
+			},
+			want: verdict{flagged: false, suspended: true, credited: 409600, rejected: 0},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newVerdictSite(t)
+			s.viewAll(t)
+			s.flushAll(t)
+			cheat := s.namedPeer(t)
+			honestCredit := s.origin.AccountingFor(cheat.ID).CreditedBytes
+			tc.attack(t, s, cheat)
+
+			acc := s.origin.AccountingFor(cheat.ID)
+			got := verdict{flagged: s.flagged(cheat.ID), suspended: acc.Suspended, credited: acc.CreditedBytes - honestCredit, rejected: acc.Rejected}
+			if got != tc.want {
+				t.Errorf("%s: got %+v, want %+v", cheat.ID, got, tc.want)
+			}
+		})
+	}
+}
+
+// viewAll loads every page once, as one visitor.
+func (s *verdictSite) viewAll(t *testing.T) {
+	t.Helper()
+	loader := &nocdn.Loader{OriginURL: s.originSrv.URL, ClientID: "visitor"}
+	for _, page := range s.pages {
+		if _, err := loader.LoadPage(page); err != nil {
+			t.Fatalf("view %s: %v", page, err)
+		}
+	}
+}
+
+// signedClaims forges n records under w's key for peerID, each claiming all
+// the bytes w assigned that peer and each correctly signed: what a client
+// colluding with the peer can mint.
+func signedClaims(t *testing.T, w *nocdn.Wrapper, peerID string, n int) []nocdn.UsageRecord {
+	t.Helper()
+	key, ok := w.Keys[peerID]
+	if !ok {
+		t.Fatalf("wrapper names no key for %s", peerID)
+	}
+	secret, err := hex.DecodeString(key.Secret)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var assigned int64
+	for _, ref := range append([]nocdn.ObjectRef{w.Container}, w.Objects...) {
+		if ref.PeerID == peerID {
+			assigned += int64(ref.Size)
+		}
+	}
+	out := make([]nocdn.UsageRecord, n)
+	for i := range out {
+		out[i] = nocdn.UsageRecord{
+			Provider: w.Provider, PeerID: peerID, KeyID: key.KeyID, Page: w.Page,
+			Bytes: assigned, Objects: 1, Nonce: fmt.Sprintf("forged-%d", i), IssuedAt: w.IssuedAt,
+		}
+		out[i].Sign(secret)
+	}
+	return out
+}
+
+// namedPeer is the first peer that "visitor"'s map for the first page names.
+func (s *verdictSite) namedPeer(t *testing.T) *nocdn.Peer {
+	t.Helper()
+	w, err := s.origin.AssignWrapper(s.pages[0], "visitor")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range s.peers {
+		if _, ok := w.Keys[p.ID]; ok {
+			return p
+		}
+	}
+	t.Fatal("the visitor's map names no peer")
+	return nil
+}

@@ -136,17 +136,15 @@ type (
 		Assigned map[string]int64 `json:"assigned,omitempty"`
 	}
 	// walAuditDelta is one peer's share of a settlement batch in audit
-	// terms: counters plus a Welford (n, mean, m2) triple that merges
-	// exactly into the auditor's rolling statistics on replay.
+	// terms: the counters and offending trace IDs replay adds to its
+	// evidence row. Records journaled while the auditor kept byte
+	// statistics also carry "n", "mean" and "m2"; decoding ignores them.
 	walAuditDelta struct {
 		PeerID    string   `json:"peerId"`
 		Records   int64    `json:"records"`
 		Rejects   int64    `json:"rejects"`
 		Replays   int64    `json:"replays"`
 		Bytes     int64    `json:"bytes"`
-		N         int64    `json:"n"`
-		Mean      float64  `json:"mean"`
-		M2        float64  `json:"m2"`
 		Offending []string `json:"offending,omitempty"`
 	}
 	// walSettleRec is one settled (or rejected) batch: the consumed nonce

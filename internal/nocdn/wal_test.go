@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
@@ -393,18 +394,14 @@ func TestMixedPeerSettleRecordReplays(t *testing.T) {
 	slices.Sort(ids)
 	p1, p2 := ids[0], ids[1]
 	r1, r2 := byPeer[p1], byPeer[p2]
-	rec := walSettleRec{
-		At:       time.Now().UnixNano(),
-		Nonces:   []string{r1.KeyID + "|" + r1.Nonce, r2.KeyID + "|" + r2.Nonce},
-		Credits:  map[string]int64{p1: 100, p2: 100},
-		Rejects:  map[string]int64{p1: 1, p2: 2},
-		Assigned: map[string]int64{p1: 1 << 20, p2: 2 << 20},
-		Audit: []walAuditDelta{
-			{PeerID: p1, Records: 2, Rejects: 1, Bytes: 300, N: 2, Mean: 150, M2: 5000},
-			{PeerID: p2, Records: 3, Rejects: 2, Replays: 1, Bytes: 900, N: 3, Mean: 300, M2: 20000},
-		},
-	}
-	if _, err := o.wal.appendJSON(walSettle, rec); err != nil {
+	// The payload as a parent journal holds it, audit deltas with the byte
+	// statistics ("n", "mean", "m2") the auditor no longer keeps.
+	payload := fmt.Sprintf(`{"peerId":"","atUnixNano":%d,"nonces":[%q,%q],`+
+		`"credits":{%[4]q:100,%[5]q:100},"rejects":{%[4]q:1,%[5]q:2},"assigned":{%[4]q:1048576,%[5]q:2097152},`+
+		`"audit":[{"peerId":%[4]q,"records":2,"rejects":1,"replays":0,"bytes":300,"n":2,"mean":150,"m2":5000},`+
+		`{"peerId":%[5]q,"records":3,"rejects":2,"replays":1,"bytes":900,"n":3,"mean":300,"m2":20000}]}`,
+		time.Now().UnixNano(), r1.KeyID+"|"+r1.Nonce, r2.KeyID+"|"+r2.Nonce, p1, p2)
+	if _, err := o.wal.appendJSON(walSettle, json.RawMessage(payload)); err != nil {
 		t.Fatal(err)
 	}
 	// Crash: the record exists only in the journal.
@@ -414,22 +411,86 @@ func TestMixedPeerSettleRecordReplays(t *testing.T) {
 	for _, pa := range o2.Audit().Snapshot().Peers {
 		rows[pa.PeerID] = pa
 	}
-	for _, d := range rec.Audit {
-		id := d.PeerID
-		want := Accounting{PeerID: id, CreditedBytes: rec.Credits[id], AssignedBytes: rec.Assigned[id], Rejected: rec.Rejects[id]}
-		if got := o2.AccountingFor(id); got != want {
-			t.Errorf("ledger row %+v, want %+v", got, want)
+	for _, want := range []struct {
+		ledger Accounting
+		audit  PeerAudit
+	}{
+		{Accounting{PeerID: p1, CreditedBytes: 100, AssignedBytes: 1 << 20, Rejected: 1},
+			PeerAudit{PeerID: p1, Records: 2, Rejects: 1, ClaimedByte: 300}},
+		{Accounting{PeerID: p2, CreditedBytes: 100, AssignedBytes: 2 << 20, Rejected: 2},
+			PeerAudit{PeerID: p2, Records: 3, Rejects: 2, Replays: 1, ClaimedByte: 900}},
+	} {
+		if got := o2.AccountingFor(want.ledger.PeerID); got != want.ledger {
+			t.Errorf("ledger row %+v, want %+v", got, want.ledger)
 		}
-		row := rows[id]
-		if row.Records != d.Records || row.Rejects != d.Rejects || row.Replays != d.Replays ||
-			row.ClaimedByte != d.Bytes || row.MeanBytes != d.Mean || row.Flagged {
-			t.Errorf("audit row %+v, want delta %+v applied unflagged", row, d)
+		if got := rows[want.audit.PeerID]; !reflect.DeepEqual(got, want.audit) {
+			t.Errorf("audit row %+v, want %+v", got, want.audit)
 		}
 	}
 	for _, r := range []UsageRecord{r1, r2} {
 		if n, _ := o2.SettleBatch(NewRecordBatch(r.PeerID, []UsageRecord{r})); n != 0 {
 			t.Errorf("re-posted %s record credited after recovery", r.PeerID)
 		}
+	}
+}
+
+// TestParentSnapshotAuditRestores: snapshots written while the auditor kept
+// byte statistics carry a population accumulator ("pop") and per-peer
+// "stats" in their audit block. Such a snapshot still restores: the evidence
+// counters, the flag, the health registry's flag and the suspension all
+// come back, and the flagged peer is absent from new maps.
+func TestParentSnapshotAuditRestores(t *testing.T) {
+	dir := t.TempDir()
+	state := `{"seq":5,"chainHex":"","contentEpoch":1,"assignEpoch":3,"takenAtUnixNano":1700000000000000000,` +
+		`"peers":[{"id":"peer-00","url":"http://peer-00","rtt":10},{"id":"peer-01","url":"http://peer-01","rtt":10}],` +
+		`"ledger":[{"id":"peer-00","credited":700,"assigned":1400,"rejected":0,"assignCount":2},` +
+		`{"id":"peer-01","credited":0,"assigned":700,"rejected":4,"assignCount":1,"suspended":true}],` +
+		`"keys":[],"nonces":[],` +
+		`"audit":{"pop":{"n":6,"mean":383.3,"m2":25000},"peers":[` +
+		`{"peerId":"peer-00","records":2,"rejects":0,"replays":0,"bytes":700,"stats":{"n":2,"mean":350,"m2":2000}},` +
+		`{"peerId":"peer-01","records":4,"rejects":4,"replays":1,"bytes":1600,"stats":{"n":4,"mean":400,"m2":0},` +
+		`"flagged":true,"offending":["0af7651916cd43dd8448eb211c80319c"]}]}}`
+	if err := writeSnapshotFile(dir, 5, []byte(state)); err != nil {
+		t.Fatal(err)
+	}
+
+	health := hpop.NewHealthRegistry(hpop.BreakerConfig{})
+	o := NewOrigin("x", WithRNG(sim.NewRNG(7)), WithHealthRegistry(health))
+	stats, err := o.AttachWAL(dir, WALOptions{Fsync: FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	o.AddObject("/c", make([]byte, 400))
+	o.AddObject("/a", make([]byte, 300))
+	if err := o.AddPage(Page{Name: "p", Container: "/c", Embedded: []string{"/a"}}); err != nil {
+		t.Fatal(err)
+	}
+	if stats.SnapshotSeq != 5 {
+		t.Fatalf("recovered from snapshot seq %d, want 5 (the parent-format snapshot was refused)", stats.SnapshotSeq)
+	}
+	want := []PeerAudit{
+		{PeerID: "peer-01", Records: 4, Rejects: 4, Replays: 1, ClaimedByte: 1600, Flagged: true,
+			Offending: []string{"0af7651916cd43dd8448eb211c80319c"}},
+		{PeerID: "peer-00", Records: 2, ClaimedByte: 700},
+	}
+	if got := o.Audit().Snapshot().Peers; !reflect.DeepEqual(got, want) {
+		t.Errorf("audit rows %+v, want %+v", got, want)
+	}
+	if !health.Flagged("peer-01") || health.Flagged("peer-00") {
+		t.Errorf("health flags peer-00=%v peer-01=%v, want only peer-01", health.Flagged("peer-00"), health.Flagged("peer-01"))
+	}
+	if acc := o.AccountingFor("peer-01"); !acc.Suspended || acc.Rejected != 4 {
+		t.Errorf("peer-01 ledger %+v, want suspended with 4 rejects", acc)
+	}
+	if acc := o.AccountingFor("peer-00"); acc.Suspended || acc.CreditedBytes != 700 {
+		t.Errorf("peer-00 ledger %+v, want 700 B credited, not suspended", acc)
+	}
+	w, err := o.AssignWrapper("p", "client")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, named := w.Keys["peer-01"]; named {
+		t.Error("restored flagged peer-01 is named in a new map")
 	}
 }
 
