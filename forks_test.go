@@ -18,6 +18,9 @@ import (
 // cmd brings back the auditor's population z-score: its accumulator, its
 // scorer and whole-fleet rescan, its per-peer deviation gauge, its knobs, the
 // duplicate tamper-flag counter, or the population fields of /debug/audit.
+// internal/nocdn keeps one settlement row per peer: no per-shard grouping of
+// multi-peer deltas, no map-shaped credit or reject batch, no auditor table
+// of its own to merge deltas into, and no auditor constructor.
 func TestDeletedForksStayDeleted(t *testing.T) {
 	scorer := regexp.MustCompile(`welford|scoreLocked|rescoreAll|nocdn\.audit\.peer\.|tamper_flags|DefaultAudit(Threshold|MinRecords)|populationMeanBytes`)
 	for _, c := range []struct {
@@ -27,6 +30,7 @@ func TestDeletedForksStayDeleted(t *testing.T) {
 		{".", regexp.MustCompile(`GenerateWrapper|WithWrapperReuse|legacyUsage|settleOne|verifyRecordFull|"/usage"|\bSettleRecords\(|"settle_records"`)},
 		{"internal/nocdn", regexp.MustCompile(`InflateRecords|DuplicateRecords|CorruptDiskEntry|Tamper\.(Load|Store)|dropMetadata|nocdn\.cache\.miss|peer\.hit_seconds`)},
 		{"internal/nocdn", scorer},
+		{"internal/nocdn", regexp.MustCompile(`groupByShard|creditBatch|rejectBatch|mergeDeltasLocked|observeSettled|func NewAuditor`)},
 		{"cmd", scorer},
 	} {
 		err := filepath.WalkDir(c.root, func(path string, d fs.DirEntry, err error) error {

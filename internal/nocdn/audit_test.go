@@ -10,10 +10,17 @@ import (
 	"hpop/internal/hpop"
 )
 
+// newLedgerAuditor returns an auditor over a ledger of its own.
+func newLedgerAuditor() *Auditor { return &Auditor{ledger: newLedger()} }
+
 // observeBatch settles outcomes as one batch uploaded by peerID, the way
-// commitSettlement does: the journal delta first, then the auditor.
+// commitSettlement does: the journal delta goes into the uploader's ledger
+// row, and the outcomes into the nocdn.audit.* counters.
 func observeBatch(a *Auditor, peerID string, outcomes ...settleOutcome) {
-	a.observeSettled(outcomes, buildAuditDeltas(peerID, outcomes))
+	if a != nil {
+		a.ledger.settle(peerID, 0, 0, buildAuditDelta(peerID, outcomes), false)
+	}
+	a.countSettled(outcomes)
 }
 
 // TestAuditorFlagsInflatingPeer feeds the auditor batches from two honest
@@ -22,7 +29,7 @@ func observeBatch(a *Auditor, peerID string, outcomes ...settleOutcome) {
 // nobody; the evidence flags the cheat once, with exactly one audit span
 // carrying the offending trace IDs, and the cheat leads the snapshot.
 func TestAuditorFlagsInflatingPeer(t *testing.T) {
-	a := NewAuditor()
+	a := newLedgerAuditor()
 	m := hpop.NewMetrics()
 	tr := hpop.NewTracer(0)
 	a.SetMetrics(m)
@@ -94,7 +101,7 @@ func TestAuditorFlagsInflatingPeer(t *testing.T) {
 }
 
 func TestAuditorReplayClassification(t *testing.T) {
-	a := NewAuditor()
+	a := newLedgerAuditor()
 	var outcomes []settleOutcome
 	for i := 0; i < 4; i++ {
 		outcomes = append(outcomes, settleOutcome{rec: UsageRecord{PeerID: "rep", Bytes: 500},
@@ -108,7 +115,7 @@ func TestAuditorReplayClassification(t *testing.T) {
 }
 
 func TestAuditorOffendingBounded(t *testing.T) {
-	a := NewAuditor()
+	a := newLedgerAuditor()
 	for i := 0; i < auditMaxOffending*3; i++ {
 		tp := fmt.Sprintf("00-%032x-%016x-01", i+1, i+1)
 		observeBatch(a, "p", settleOutcome{rec: UsageRecord{PeerID: "p", Bytes: 100, Traceparent: tp},
@@ -120,7 +127,7 @@ func TestAuditorOffendingBounded(t *testing.T) {
 }
 
 func TestAuditHandlerJSON(t *testing.T) {
-	a := NewAuditor()
+	a := newLedgerAuditor()
 	observeBatch(a, "p", settleOutcome{rec: UsageRecord{PeerID: "p", Bytes: 100}})
 	rec := httptest.NewRecorder()
 	a.Handler()(rec, httptest.NewRequest("GET", "/debug/audit", nil))

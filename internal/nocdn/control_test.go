@@ -132,6 +132,23 @@ func TestAssignWrapperStableWithinEpoch(t *testing.T) {
 	}
 }
 
+// TestPooledServeChargeAllocatesNothing: a pooled map carries its charges
+// summed per peer, so charging the ledger for one serve of it allocates
+// nothing once the peers it names have rows.
+func TestPooledServeChargeAllocatesNothing(t *testing.T) {
+	o := controlOrigin(t, 20, WithChunking(4, 100))
+	e, err := o.assignEntry("p", "client-a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(e.w.Keys) < 2 {
+		t.Fatalf("map names %d peers, want several", len(e.w.Keys))
+	}
+	if allocs := testing.AllocsPerRun(100, func() { o.ledger.assignCharges(e.charges) }); allocs != 0 {
+		t.Errorf("charging a pooled serve allocates %v times, want 0", allocs)
+	}
+}
+
 // TestAssignWrapperSlotting: distinct clients spread over pool slots but
 // each client's slot is deterministic, so two requests from the same client
 // always agree even interleaved with other clients.

@@ -1,0 +1,267 @@
+package nocdn
+
+import (
+	"bytes"
+	"encoding/hex"
+	"errors"
+	"flag"
+	"fmt"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"regexp"
+	"slices"
+	"strings"
+	"testing"
+	"time"
+
+	"hpop/internal/auth"
+	"hpop/internal/sim"
+)
+
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/settlement_golden.txt from this tree")
+
+// TestSettlementFormatsGolden runs one fixed settlement history and compares
+// everything it leaves behind with a committed capture: every journal
+// payload, and the /debug/audit and /accounting answers and the snapshot
+// file of the live origin, of one recovered from the journal alone, and of
+// one recovered from the live origin's snapshot. The comparison is byte for
+// byte once each 64-hex-digit value is renamed by its order of first
+// appearance: the secrets of keys that sign nothing, and the chain hashes
+// over the journal records that carry them, are random per run; everything
+// else (clock, key IDs, signing secrets, nonces, trace IDs) is fixed.
+//
+// Regenerate with: go test ./internal/nocdn -run TestSettlementFormatsGolden -update-golden
+func TestSettlementFormatsGolden(t *testing.T) {
+	got := settlementHistory(t)
+	path := filepath.Join("testdata", "settlement_golden.txt")
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(got, want) {
+		return
+	}
+	gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < max(len(gl), len(wl)); i++ {
+		var g, w string
+		if i < len(gl) {
+			g = gl[i]
+		}
+		if i < len(wl) {
+			w = wl[i]
+		}
+		if g != w {
+			t.Fatalf("line %d differs from %s:\n got: %s\nwant: %s", i+1, path, g, w)
+		}
+	}
+}
+
+// settlementHistory drives the fixed history and returns its normalized
+// capture.
+func settlementHistory(t *testing.T) []byte {
+	t.Helper()
+	dir := t.TempDir()
+	at := time.Unix(1_700_000_000, 0)
+	clock := func() time.Time { return at }
+	boot := func(dir string) (*Origin, RecoveryStats) {
+		o := NewOrigin("x", WithRNG(sim.NewRNG(7)), WithClock(clock))
+		stats, err := o.AttachWAL(dir, WALOptions{Fsync: FsyncAlways, SnapshotEvery: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		o.AddObject("/c", make([]byte, 400))
+		o.AddObject("/a", make([]byte, 300))
+		if err := o.AddPage(Page{Name: "p", Container: "/c", Embedded: []string{"/a"}}); err != nil {
+			t.Fatal(err)
+		}
+		return o, stats
+	}
+	var out bytes.Buffer
+	capture := func(o *Origin, label string, peers []string) {
+		h := o.Handler()
+		get := func(url string) {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest("GET", url, nil))
+			fmt.Fprintf(&out, "%s GET %s %d %s", label, url, rec.Code, rec.Body.String())
+		}
+		get("/debug/audit")
+		for _, id := range peers {
+			get("/accounting?peer=" + id)
+		}
+	}
+	snapshot := func(o *Origin, dir, label string) {
+		if err := o.SnapshotNow(); err != nil {
+			t.Fatal(err)
+		}
+		c := snapshotCandidates(dir)
+		if len(c) == 0 {
+			t.Fatal("no snapshot written")
+		}
+		state, err := readSnapshotFile(c[0].path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&out, "%s snap-%d %s\n", label, c[0].seq, state)
+	}
+
+	o, _ := boot(dir)
+	var peers []string
+	for i := 0; i < 5; i++ {
+		id := fmt.Sprintf("peer-%02d", i)
+		peers = append(peers, id)
+		o.RegisterPeer(id, "http://"+id, 10)
+	}
+	// Pooled serves: each visitor's second serve is a pool hit that charges
+	// the same map again. The first key issued for a peer signs its records.
+	keys := make(map[string]PeerKey)
+	for c := 0; c < 6; c++ {
+		var w *Wrapper
+		for range 2 {
+			var err error
+			if w, err = o.AssignWrapper("p", fmt.Sprintf("visitor-%d", c)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		named := make([]string, 0, len(w.Keys))
+		for id := range w.Keys {
+			named = append(named, id)
+		}
+		slices.Sort(named)
+		for _, id := range named {
+			if _, ok := keys[id]; !ok {
+				keys[id] = w.Keys[id]
+			}
+		}
+	}
+	var named []string
+	for id := range keys {
+		named = append(named, id)
+	}
+	slices.Sort(named)
+	var idle []string
+	for _, id := range peers {
+		if !slices.Contains(named, id) {
+			idle = append(idle, id)
+		}
+	}
+	if len(named) < 3 || len(idle) < 2 {
+		t.Fatalf("pooled maps name %v of %v, want at least three and two left out", named, peers)
+	}
+	a, b, c := named[0], named[1], named[2]
+	// The signing keys get fixed secrets, so signatures and Merkle roots —
+	// and the order of the snapshot's batch nonces, sorted by root — are the
+	// same on every run.
+	for _, id := range named {
+		k := auth.Key{ID: keys[id].KeyID, Secret: []byte("golden secret " + keys[id].KeyID), Expires: at.Add(10 * time.Minute)}
+		o.keys.Restore(k)
+		keys[id] = PeerKey{KeyID: k.ID, Secret: hex.EncodeToString(k.Secret)}
+	}
+
+	seq := 0
+	record := func(peer string, n int64, secret []byte) UsageRecord {
+		seq++
+		k := keys[peer]
+		if secret == nil {
+			var err error
+			if secret, err = hex.DecodeString(k.Secret); err != nil {
+				t.Fatal(err)
+			}
+		}
+		r := UsageRecord{
+			Provider: "x", PeerID: peer, KeyID: k.KeyID, Page: "p", Bytes: n, Objects: 1,
+			Nonce: fmt.Sprintf("golden-%d", seq), IssuedAt: at,
+			Traceparent: fmt.Sprintf("00-%032x-%016x-01", seq, seq),
+		}
+		r.Sign(secret)
+		return r
+	}
+	settle := func(label string, batch RecordBatch) {
+		n, err := o.SettleBatch(batch)
+		fmt.Fprintf(&out, "settle %s: credited %d, err %v\n", label, n, err)
+	}
+
+	rA1 := record(a, 100, nil)
+	settle("credited", NewRecordBatch(a, []UsageRecord{rA1, record(a, 50, nil)}))
+	settle("one replayed record", NewRecordBatch(a, []UsageRecord{rA1, record(a, 70, nil)}))
+	// A root mismatch is rejected before any record is read, so a peer with
+	// no key can send one; it leaves a ledger row with a rejection and no
+	// audit evidence.
+	mismatch := NewRecordBatch(idle[0], []UsageRecord{record(idle[0], 100, nil)})
+	mismatch.Root = strings.Repeat("ab", 32)
+	settle("root mismatch", mismatch)
+	settle("sampled leaf", NewRecordBatch(c, []UsageRecord{record(c, 100, []byte("not the key"))}))
+	o.Audit().FlagTampered(idle[len(idle)-1], errors.New("planted evidence"))
+	// Over-claim: enough whole-key records that credit passes 1.5 times
+	// what b was assigned, so the anomaly verdict suspends it.
+	_, maxBytes, _ := o.ledger.keyInfo(keys[b].KeyID)
+	var over []UsageRecord
+	for credit := int64(0); 2*credit <= 3*o.AccountingFor(b).AssignedBytes; credit += maxBytes {
+		over = append(over, record(b, maxBytes, nil))
+	}
+	settle("over-claim", NewRecordBatch(b, over))
+
+	if _, err := scanWALDir(dir, 0, [32]byte{}, func(fr walFrame) error {
+		fmt.Fprintf(&out, "journal %d %s %s\n", fr.seq, fr.typ, fr.payload)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	// A copy of the journal before any snapshot: what replay alone restores.
+	journalOnly := t.TempDir()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err == nil {
+			err = os.WriteFile(filepath.Join(journalOnly, e.Name()), data, 0o644)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	capture(o, "live", peers)
+	snapshot(o, dir, "live")
+	if err := o.wal.close(); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, r := range []struct{ label, dir string }{{"replayed", journalOnly}, {"restored", dir}} {
+		o, stats := boot(r.dir)
+		fmt.Fprintf(&out, "%s: snapshotSeq %d replayed %d\n", r.label, stats.SnapshotSeq, stats.RecordsReplayed)
+		capture(o, r.label, peers)
+		snapshot(o, r.dir, r.label)
+		if err := o.wal.close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return normalizeHex(out.Bytes())
+}
+
+var hex64 = regexp.MustCompile(`[0-9a-f]{64}`)
+
+// normalizeHex renames every 64-hex-digit value by its order of first
+// appearance, so a capture compares equal across runs that drew different
+// random secrets.
+func normalizeHex(b []byte) []byte {
+	names := make(map[string]string)
+	return hex64.ReplaceAllFunc(b, func(m []byte) []byte {
+		n, ok := names[string(m)]
+		if !ok {
+			n = fmt.Sprintf("<hex%d>", len(names)+1)
+			names[string(m)] = n
+		}
+		return []byte(n)
+	})
+}

@@ -1,6 +1,7 @@
 package nocdn
 
 import (
+	"slices"
 	"sort"
 	"sync"
 )
@@ -8,25 +9,42 @@ import (
 // ledgerShardCount shards the settlement ledger and key table by hash; a
 // power of two so the shard pick is a mask. Settlement for different peers
 // (and key lookups for different wrappers) never serialize against each
-// other, and batch settlement takes each involved shard's lock once per
-// batch instead of once per record.
+// other.
 const ledgerShardCount = 32
 
-// charge is one pending ledger mutation: bytes the origin expects to flow
-// through a peer (wrapper serves) or credits from settled records.
+// charge is one peer's share of a pooled wrapper map: the bytes each serve
+// of the map assigns it and how many assignments that is, summed per peer
+// when the map is built.
 type charge struct {
 	peerID string
 	bytes  int64
+	count  int64
 }
 
-// ledgerShard is one lock's worth of per-peer settlement state.
+// peerRow is one peer's settlement account: the money (bytes its wrappers
+// assigned, bytes its records were credited, records rejected, whether it is
+// suspended) and the audit evidence over the batches it uploaded. The two
+// halves are what a snapshot's ledger and audit sections hold.
+type peerRow struct {
+	ledgerRow
+	peerAudit
+}
+
+// ledgerShard is one lock's worth of settlement rows.
 type ledgerShard struct {
-	mu          sync.RWMutex
-	credited    map[string]int64
-	assigned    map[string]int64
-	rejected    map[string]int64
-	assignCount map[string]int64
-	suspended   map[string]bool
+	mu   sync.RWMutex
+	rows map[string]*peerRow
+}
+
+// rowLocked returns peerID's row, creating it; sh.mu must be held for
+// writing.
+func (sh *ledgerShard) rowLocked(peerID string) *peerRow {
+	r := sh.rows[peerID]
+	if r == nil {
+		r = &peerRow{ledgerRow: ledgerRow{ID: peerID}, peerAudit: peerAudit{PeerID: peerID}}
+		sh.rows[peerID] = r
+	}
+	return r
 }
 
 // keyShard is one lock's worth of the short-term key table.
@@ -37,10 +55,8 @@ type keyShard struct {
 }
 
 // ledger is the origin's sharded settlement state: which peer each key was
-// issued for, how many bytes were assigned under it, and each peer's
-// credited/assigned/rejected/suspended row. It replaces the seed's single
-// registry mutex so a million-peer fleet's settlement and wrapper charging
-// scale with shard count, not fleet size.
+// issued for, how many bytes were assigned under it, and one settlement row
+// per peer.
 type ledger struct {
 	shards    [ledgerShardCount]ledgerShard
 	keyShards [ledgerShardCount]keyShard
@@ -49,13 +65,7 @@ type ledger struct {
 func newLedger() *ledger {
 	l := &ledger{}
 	for i := range l.shards {
-		l.shards[i] = ledgerShard{
-			credited:    make(map[string]int64),
-			assigned:    make(map[string]int64),
-			rejected:    make(map[string]int64),
-			assignCount: make(map[string]int64),
-			suspended:   make(map[string]bool),
-		}
+		l.shards[i].rows = make(map[string]*peerRow)
 	}
 	for i := range l.keyShards {
 		l.keyShards[i] = keyShard{
@@ -74,88 +84,67 @@ func (l *ledger) keyShardFor(keyID string) *keyShard {
 	return &l.keyShards[fnv64a(keyID)&(ledgerShardCount-1)]
 }
 
-// groupByShard splits per-peer deltas into per-shard groups so the caller
-// can apply each group under one lock acquisition.
-func (l *ledger) groupByShard(deltas map[string]int64) map[*ledgerShard]map[string]int64 {
-	groups := make(map[*ledgerShard]map[string]int64)
-	for id, n := range deltas {
-		sh := l.shardFor(id)
-		g := groups[sh]
-		if g == nil {
-			g = make(map[string]int64)
-			groups[sh] = g
-		}
-		g[id] += n
-	}
-	return groups
-}
-
-// creditBatch adds settled bytes per peer — one lock acquisition per
-// involved shard, however many records the batch carried.
-func (l *ledger) creditBatch(deltas map[string]int64) {
-	for sh, g := range l.groupByShard(deltas) {
-		sh.mu.Lock()
-		for id, n := range g {
-			sh.credited[id] += n
-		}
-		sh.mu.Unlock()
-	}
-}
-
-// rejectBatch adds rejected-record counts per peer, batched like credits.
-func (l *ledger) rejectBatch(counts map[string]int64) {
-	for sh, g := range l.groupByShard(counts) {
-		sh.mu.Lock()
-		for id, n := range g {
-			sh.rejected[id] += n
-		}
-		sh.mu.Unlock()
-	}
-}
-
-// assignCharges records wrapper-serve expectations: per-peer assigned bytes
-// plus the outstanding-assignment load signal, batched per shard.
+// assignCharges records one wrapper serve's expectations: per-peer assigned
+// bytes plus the outstanding-assignment load signal. The charges come
+// summed per peer, so once the named peers have rows a serve allocates
+// nothing.
 func (l *ledger) assignCharges(charges []charge) {
-	if len(charges) == 0 {
-		return
-	}
-	bytes := make(map[string]int64, len(charges))
-	count := make(map[string]int64, len(charges))
 	for _, c := range charges {
-		bytes[c.peerID] += c.bytes
-		count[c.peerID]++
-	}
-	for sh, g := range l.groupByShard(bytes) {
+		sh := l.shardFor(c.peerID)
 		sh.mu.Lock()
-		for id, n := range g {
-			sh.assigned[id] += n
-			sh.assignCount[id] += count[id]
-		}
+		r := sh.rowLocked(c.peerID)
+		r.Assigned += c.bytes
+		r.AssignCount += c.count
 		sh.mu.Unlock()
 	}
 }
 
-// row reads one peer's ledger row.
-func (l *ledger) row(peerID string) (credited, assigned, rejected int64, suspended bool) {
+// settle applies one settlement batch to its uploader's row under one lock:
+// credited bytes, rejected records, and the batch's audit evidence. With
+// judge set it then runs the paper's anomalous-behavior detection over the
+// row: a peer whose credited bytes exceed its assigned bytes by
+// anomalyFactor, or with credits but no assignment at all, is suspended.
+// Reports whether the peer was newly suspended.
+func (l *ledger) settle(peerID string, credit, rejected int64, ev walAuditDelta, judge bool) bool {
 	sh := l.shardFor(peerID)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return sh.credited[peerID], sh.assigned[peerID], sh.rejected[peerID], sh.suspended[peerID]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	r := sh.rowLocked(peerID)
+	r.Credited += credit
+	r.Rejected += rejected
+	r.Records += ev.Records
+	r.Rejects += ev.Rejects
+	r.Replays += ev.Replays
+	r.Bytes += ev.Bytes
+	for _, tid := range ev.Offending {
+		if len(r.Offending) < auditMaxOffending {
+			r.Offending = append(r.Offending, tid)
+		}
+	}
+	if !judge || r.Suspended {
+		return false
+	}
+	r.Suspended = (r.Assigned == 0 && r.Credited > 0) ||
+		(r.Assigned > 0 && float64(r.Credited)/float64(r.Assigned) > anomalyFactor)
+	return r.Suspended
 }
 
-// assignedCount reads the outstanding-assignment load signal.
-func (l *ledger) assignedCount(peerID string) int64 {
+// row reads one peer's money (zero for a peer with no row).
+func (l *ledger) row(peerID string) ledgerRow {
 	sh := l.shardFor(peerID)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	return sh.assignCount[peerID]
+	if r := sh.rows[peerID]; r != nil {
+		return r.ledgerRow
+	}
+	return ledgerRow{}
 }
 
 // suspend pulls a peer from rotation.
 func (l *ledger) suspend(peerID string) {
 	sh := l.shardFor(peerID)
 	sh.mu.Lock()
-	sh.suspended[peerID] = true
+	sh.rowLocked(peerID).Suspended = true
 	sh.mu.Unlock()
 }
 
@@ -164,29 +153,25 @@ func (l *ledger) isSuspended(peerID string) bool {
 	sh := l.shardFor(peerID)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	return sh.suspended[peerID]
+	r := sh.rows[peerID]
+	return r != nil && r.Suspended
 }
 
-// anomalyCheck runs the paper's anomalous-behavior detection over the one
-// peer a settlement batch charged (the seed scanned every registered peer
-// per batch — O(fleet) work per upload). A peer whose credited bytes exceed
-// its assigned bytes by factor, or with credits but no assignment at all, is
-// suspended. Reports whether the peer was newly suspended.
-func (l *ledger) anomalyCheck(peerID string, factor float64) bool {
+// flag marks a peer flagged. Reports whether the flag is new, with the
+// offending trace IDs its row held.
+func (l *ledger) flag(peerID string) (offending []string, isNew bool) {
 	sh := l.shardFor(peerID)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	credited, assigned := sh.credited[peerID], sh.assigned[peerID]
-	anomalous := (assigned == 0 && credited > 0) ||
-		(assigned > 0 && float64(credited)/float64(assigned) > factor)
-	if !anomalous || sh.suspended[peerID] {
-		return false
+	r := sh.rowLocked(peerID)
+	if r.Flagged {
+		return nil, false
 	}
-	sh.suspended[peerID] = true
-	return true
+	r.Flagged = true
+	return slices.Clone(r.Offending), true
 }
 
-// ledgerRow is one peer's full settlement row, as persisted in snapshots.
+// ledgerRow is the money half of a peer's row, as persisted in snapshots.
 type ledgerRow struct {
 	ID          string `json:"id"`
 	Credited    int64  `json:"credited"`
@@ -196,60 +181,57 @@ type ledgerRow struct {
 	Suspended   bool   `json:"suspended,omitempty"`
 }
 
-// exportRows copies every peer's settlement row, sorted by ID so snapshot
-// bytes are deterministic for identical state.
-func (l *ledger) exportRows() []ledgerRow {
-	byID := make(map[string]*ledgerRow)
-	touch := func(id string) *ledgerRow {
-		r := byID[id]
-		if r == nil {
-			r = &ledgerRow{ID: id}
-			byID[id] = r
-		}
-		return r
-	}
+// rows copies the money half of every row, sorted by ID so snapshot bytes
+// are deterministic for identical state.
+func (l *ledger) rows() []ledgerRow {
+	out := make([]ledgerRow, 0)
 	for i := range l.shards {
 		sh := &l.shards[i]
 		sh.mu.RLock()
-		for id, n := range sh.credited {
-			touch(id).Credited = n
-		}
-		for id, n := range sh.assigned {
-			touch(id).Assigned = n
-		}
-		for id, n := range sh.rejected {
-			touch(id).Rejected = n
-		}
-		for id, n := range sh.assignCount {
-			touch(id).AssignCount = n
-		}
-		for id, s := range sh.suspended {
-			if s {
-				touch(id).Suspended = true
-			}
+		for _, r := range sh.rows {
+			out = append(out, r.ledgerRow)
 		}
 		sh.mu.RUnlock()
-	}
-	out := make([]ledgerRow, 0, len(byID))
-	for _, r := range byID {
-		out = append(out, *r)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
-// restoreRow sets one peer's row to absolute snapshot values.
-func (l *ledger) restoreRow(r ledgerRow) {
-	sh := l.shardFor(r.ID)
-	sh.mu.Lock()
-	sh.credited[r.ID] = r.Credited
-	sh.assigned[r.ID] = r.Assigned
-	sh.rejected[r.ID] = r.Rejected
-	sh.assignCount[r.ID] = r.AssignCount
-	if r.Suspended {
-		sh.suspended[r.ID] = true
+// evidence copies the audit half of every row that has any (a settled
+// record or a flag), sorted by ID.
+func (l *ledger) evidence() []peerAudit {
+	out := make([]peerAudit, 0)
+	for i := range l.shards {
+		sh := &l.shards[i]
+		sh.mu.RLock()
+		for _, r := range sh.rows {
+			if r.Records > 0 || r.Flagged {
+				pa := r.peerAudit
+				pa.Offending = slices.Clone(pa.Offending)
+				out = append(out, pa)
+			}
+		}
+		sh.mu.RUnlock()
 	}
-	sh.mu.Unlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].PeerID < out[j].PeerID })
+	return out
+}
+
+// restore sets rows to a snapshot's absolute values: the ledger section's
+// money, then the audit section's evidence.
+func (l *ledger) restore(money []ledgerRow, evidence []peerAudit) {
+	for _, m := range money {
+		sh := l.shardFor(m.ID)
+		sh.mu.Lock()
+		sh.rowLocked(m.ID).ledgerRow = m
+		sh.mu.Unlock()
+	}
+	for _, pa := range evidence {
+		sh := l.shardFor(pa.PeerID)
+		sh.mu.Lock()
+		sh.rowLocked(pa.PeerID).peerAudit = pa
+		sh.mu.Unlock()
+	}
 }
 
 // floorAssigned raises a peer's assigned-bytes figure to at least n. Journal
@@ -264,8 +246,8 @@ func (l *ledger) floorAssigned(peerID string, n int64) {
 	}
 	sh := l.shardFor(peerID)
 	sh.mu.Lock()
-	if sh.assigned[peerID] < n {
-		sh.assigned[peerID] = n
+	if r := sh.rowLocked(peerID); r.Assigned < n {
+		r.Assigned = n
 	}
 	sh.mu.Unlock()
 }

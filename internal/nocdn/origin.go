@@ -90,7 +90,8 @@ type Origin struct {
 	// settle_record span per record (continuing the page view's trace via
 	// the record's embedded traceparent).
 	tracer *hpop.Tracer
-	// audit holds each uploader's settlement evidence row and its flag.
+	// audit is the read-and-flag view over the evidence half of the
+	// ledger's rows.
 	audit *Auditor
 	// health, when set, closes the self-healing loop on the origin side:
 	// probe outcomes and audit flags feed it, and wrapper generation ejects
@@ -286,10 +287,10 @@ func NewOrigin(provider string, opts ...OriginOption) *Origin {
 		probeClient:          &http.Client{Timeout: 2 * time.Second},
 		gossipMismatch:       make(map[string]int),
 		pool:                 newWrapperPool(),
-		audit:                NewAuditor(),
 	}
-	// An audit flag ejects the peer from future wrapper maps immediately.
-	o.audit.OnFlag = o.ejectFlagged
+	// The auditor reads and flags the ledger's rows; a flag ejects the peer
+	// from future wrapper maps immediately.
+	o.audit = &Auditor{ledger: o.ledger, OnFlag: o.ejectFlagged}
 	for _, fn := range opts {
 		fn(o)
 	}
@@ -450,12 +451,13 @@ func (o *Origin) Peers() []PeerInfo {
 	static := o.registry.snapshot()
 	out := make([]PeerInfo, len(static))
 	for i, p := range static {
+		row := o.ledger.row(p.id)
 		out[i] = PeerInfo{
 			ID:        p.id,
 			URL:       p.url,
 			RTTMillis: p.rtt,
-			Assigned:  int(o.ledger.assignedCount(p.id)),
-			Suspended: o.ledger.isSuspended(p.id),
+			Assigned:  int(row.AssignCount),
+			Suspended: row.Suspended,
 		}
 	}
 	return out
@@ -564,7 +566,7 @@ func (o *Origin) settle(parent hpop.TraceContext, b RecordBatch) (credited int, 
 	rec := walSettleRec{PeerID: b.PeerID, Root: b.Root}
 	// A rejection is still a settlement outcome — the peer must not retry
 	// it — so it journals like one.
-	rejectBatch := func(nonce string, evidence []settleOutcome) error {
+	reject := func(nonce string, evidence []settleOutcome) error {
 		o.metrics.Inc("nocdn.origin.batches_rejected")
 		rec.Rejects = map[string]int64{b.PeerID: int64(len(b.Records))}
 		_, cerr := o.commitSettlement(rec, nonce, evidence)
@@ -575,7 +577,7 @@ func (o *Origin) settle(parent hpop.TraceContext, b RecordBatch) (credited int, 
 		leaves[i] = b.Records[i].LeafBytes()
 	}
 	if MerkleRoot(leaves) != b.Root {
-		rejectBatch("", nil) // no nonce consumed: the root was never this batch's
+		reject("", nil) // no nonce consumed: the root was never this batch's
 		return 0, fmt.Errorf("%w: root mismatch", ErrBadBatch)
 	}
 	// The batch nonce (the whole-batch replay guard) is NOT consumed here:
@@ -598,7 +600,7 @@ func (o *Origin) settle(parent hpop.TraceContext, b RecordBatch) (credited int, 
 		// consumed with the rejection's journal record — a crash must not
 		// reopen the root to a "fixed" replay.
 		o.metrics.Inc("nocdn.origin.sample_failures")
-		if cerr := rejectBatch(batchNonce, []settleOutcome{{rec: b.Records[i], err: verr}}); cerr != nil {
+		if cerr := reject(batchNonce, []settleOutcome{{rec: b.Records[i], err: verr}}); cerr != nil {
 			// Replayed root: the first settlement of this commitment
 			// already journaled the rejection and flagged the peer.
 			return 0, o.batchReplayed(cerr)
@@ -654,22 +656,22 @@ func (o *Origin) batchReplayed(cerr error) error {
 
 // commitSettlement is settle's durable apply step: under the commit lock the
 // batch's nonces are consumed, the settle record (credits, rejects, consumed
-// nonces, audit deltas, assigned floor) is journaled, and only then is it
-// applied to the ledger and auditor — so a snapshot can never capture a
-// half-applied batch, nor a consumed nonce whose settle record is not yet
-// journaled. Consuming nonces any earlier opens a credit-loss window: a
-// snapshot cut between consumption and the journal append would, after a
-// crash, restore the nonce as spent while the credit was never journaled,
-// bouncing the peer's retry of a never-acked batch as a replay. The fsync
-// wait happens after the lock is released (group commit), before the caller
-// acknowledges the peer.
+// nonces, audit delta, assigned floor) is journaled, and only then is it
+// applied to the uploader's ledger row, with the anomaly verdict, in one
+// ledger call — so a snapshot can never capture a half-applied batch, nor a
+// consumed nonce whose settle record is not yet journaled. Consuming nonces
+// any earlier opens a credit-loss window: a snapshot cut between consumption
+// and the journal append would, after a crash, restore the nonce as spent
+// while the credit was never journaled, bouncing the peer's retry of a
+// never-acked batch as a replay. The fsync wait happens after the lock is
+// released (group commit), before the caller acknowledges the peer.
 //
 // batchNonce, when non-empty, is the whole-batch replay guard: if it was
 // already consumed the commit aborts with the replay error and no state
 // changes (the earlier settlement of the same commitment already journaled
 // its decision). A per-record nonce that turns out to be consumed — an
 // earlier commit won the race — demotes that record from credit to a replay
-// rejection in both the journal record and the applied deltas. Returns how
+// rejection in both the journal record and the applied delta. Returns how
 // many records were actually credited. Every outcome belongs to rec.PeerID,
 // the batch's uploader.
 func (o *Origin) commitSettlement(rec walSettleRec, batchNonce string, outcomes []settleOutcome) (int, error) {
@@ -703,23 +705,27 @@ func (o *Origin) commitSettlement(rec walSettleRec, batchNonce string, outcomes 
 		rec.Nonces = append(rec.Nonces, oc.nonceKey)
 		credited++
 	}
-	// Deltas are built after the nonce pass so the journaled audit counters
-	// carry the final (post-replay-demotion) verdicts.
-	deltas := buildAuditDeltas(rec.PeerID, outcomes)
+	// The delta is built after the nonce pass so the journaled audit
+	// counters carry the final (post-replay-demotion) verdicts.
+	ev := buildAuditDelta(rec.PeerID, outcomes)
 	if o.wal != nil {
-		rec.Audit = deltas
+		if len(outcomes) > 0 {
+			rec.Audit = []walAuditDelta{ev}
+		}
 		// The uploader's absolute assigned-bytes floor: per-serve wrapper
 		// charges are not journaled (hot path), so the settle record carries
 		// the running total and replay floors it — the anomaly ratio stays
 		// sane across a restart.
-		_, assigned, _, _ := o.ledger.row(rec.PeerID)
-		rec.Assigned = map[string]int64{rec.PeerID: assigned}
+		rec.Assigned = map[string]int64{rec.PeerID: o.ledger.row(rec.PeerID).Assigned}
 		o.journalAppend(walSettle, rec)
 	}
-	o.ledger.creditBatch(rec.Credits)
-	o.ledger.rejectBatch(rec.Rejects)
-	o.audit.observeSettled(outcomes, deltas)
-	o.suspendAnomalous(rec.PeerID)
+	if o.ledger.settle(rec.PeerID, rec.Credits[rec.PeerID], rec.Rejects[rec.PeerID], ev, true) {
+		// Newly suspended as anomalous: pooled maps naming it rebuild.
+		o.assignEpoch.Add(1)
+		o.metrics.Inc("nocdn.origin.anomaly_suspensions")
+		o.journalSuspend(rec.PeerID)
+	}
+	o.audit.countSettled(outcomes)
 	if o.wal != nil {
 		// Wait through the last record this commit produced (the settle
 		// append plus any suspension/flag records it cascaded into).
@@ -797,18 +803,6 @@ func sampleIndices(root string, n, k int) []int {
 	}
 	sort.Ints(out)
 	return out
-}
-
-// suspendAnomalous runs anomaly detection over the peer a settlement
-// charged (credits only move for the batch's uploader, so scanning the
-// fleet would find nothing more) and pulls pooled wrapper maps naming it if
-// it was newly suspended.
-func (o *Origin) suspendAnomalous(peerID string) {
-	if o.ledger.anomalyCheck(peerID, anomalyFactor) {
-		o.assignEpoch.Add(1)
-		o.metrics.Inc("nocdn.origin.anomaly_suspensions")
-		o.journalSuspend(peerID)
-	}
 }
 
 // ejectFlagged pulls an audit-flagged peer from rotation: it is marked in
@@ -1004,13 +998,13 @@ type Accounting struct {
 
 // AccountingFor returns one peer's ledger row.
 func (o *Origin) AccountingFor(peerID string) Accounting {
-	credited, assigned, rejected, suspended := o.ledger.row(peerID)
+	row := o.ledger.row(peerID)
 	return Accounting{
 		PeerID:        peerID,
-		CreditedBytes: credited,
-		AssignedBytes: assigned,
-		Rejected:      rejected,
-		Suspended:     suspended,
+		CreditedBytes: row.Credited,
+		AssignedBytes: row.Assigned,
+		Rejected:      row.Rejected,
+		Suspended:     row.Suspended,
 	}
 }
 

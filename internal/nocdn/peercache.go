@@ -8,6 +8,7 @@ package nocdn
 // directive parser and the hash-epoch freshness rule this implements.
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -672,25 +673,21 @@ func serveWindow(r *http.Request, n int64) (start, end int64) {
 	return 0, n
 }
 
-// writeOutcome writes an in-memory serve: headers, optional Range slice,
-// body.
+// writeOutcome writes an in-memory serve. A plain GET is one direct write;
+// a request carrying Range, If-Match or If-None-Match goes through
+// http.ServeContent, so it gets the answer a disk-tier serve gives. out.data
+// aliases the cache entry and is only ever read, so a cached object can
+// never be poisoned in place.
 func (p *Peer) writeOutcome(w http.ResponseWriter, r *http.Request, out serveOutcome) {
 	writeCacheHeaders(w.Header(), out)
-	data := out.data
-	// data aliases the cache entry: it is only ever read (range slicing
-	// yields a sub-view), so a cached object can never be poisoned in place.
-	if rng := r.Header.Get("Range"); rng != "" {
-		start, end, ok := parseRange(rng, len(data))
-		if !ok {
-			http.Error(w, "bad range", http.StatusRequestedRangeNotSatisfiable)
-			return
-		}
-		w.Header().Set("Content-Range",
-			fmt.Sprintf("bytes %d-%d/%d", start, end-1, len(data)))
-		data = data[start:end]
-		w.WriteHeader(http.StatusPartialContent)
+	n := int64(len(out.data))
+	if r.Header.Get("Range") != "" || r.Header.Get("If-Match") != "" || r.Header.Get("If-None-Match") != "" {
+		cw := &countingResponseWriter{ResponseWriter: w}
+		http.ServeContent(cw, r, "", time.Time{}, bytes.NewReader(out.data))
+		n = cw.n
+	} else {
+		w.Write(out.data)
 	}
-	p.servedBytes.Add(int64(len(data)))
-	p.metrics.Add("nocdn.cache.bytes."+out.tier.label(), float64(len(data)))
-	w.Write(data)
+	p.servedBytes.Add(n)
+	p.metrics.Add("nocdn.cache.bytes."+out.tier.label(), float64(n))
 }

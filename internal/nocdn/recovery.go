@@ -204,16 +204,13 @@ func (o *Origin) restoreSnapshot(snap originSnapshot) {
 		o.registry.add(p.ID, p.URL, p.RTT)
 		o.ring.add(p.ID)
 	}
-	for _, row := range snap.Ledger {
-		o.ledger.restoreRow(row)
-	}
+	o.ledger.restore(snap.Ledger, snap.Audit.Peers)
 	o.restoreKeys(snap.Keys)
 	nonces := make(map[string]time.Time, len(snap.Nonces))
 	for _, n := range snap.Nonces {
 		nonces[n.N] = time.Unix(0, n.At)
 	}
 	o.nonces.Restore(nonces)
-	o.audit.restoreState(snap.Audit)
 	for _, ps := range snap.Audit.Peers {
 		if ps.Flagged {
 			o.health.SetFlagged(ps.PeerID, true)
@@ -269,7 +266,7 @@ func (o *Origin) applyWALRecord(fr walFrame) error {
 		if err := json.Unmarshal(fr.payload, &rec); err != nil {
 			return err
 		}
-		o.audit.restoreFlag(rec.ID)
+		o.ledger.flag(rec.ID)
 		o.health.SetFlagged(rec.ID, true)
 		o.ledger.suspend(rec.ID)
 		storeMax(&o.assignEpoch, rec.AssignEpoch)
@@ -295,12 +292,21 @@ func (o *Origin) applyWALRecord(fr walFrame) error {
 			}
 			o.nonces.Restore(nonces)
 		}
-		o.ledger.creditBatch(rec.Credits)
-		o.ledger.rejectBatch(rec.Rejects)
+		// A record charges its uploader only, but an older journal's
+		// PeerID "" records charged several peers: one ledger call per
+		// entry applies either as written.
+		for id, n := range rec.Credits {
+			o.ledger.settle(id, n, 0, walAuditDelta{}, false)
+		}
+		for id, n := range rec.Rejects {
+			o.ledger.settle(id, 0, n, walAuditDelta{}, false)
+		}
+		for _, d := range rec.Audit {
+			o.ledger.settle(d.PeerID, 0, 0, d, false)
+		}
 		for id, n := range rec.Assigned {
 			o.ledger.floorAssigned(id, n)
 		}
-		o.audit.applyDeltas(rec.Audit)
 	default:
 		// Unknown record type (newer writer): skip rather than refuse to
 		// start — the chain already proved the bytes are authentic.
@@ -354,21 +360,19 @@ func (o *Origin) journalAuditFlag(id, cause string) {
 // assigned bytes at its post-charge figure: per-serve assignment charges
 // are not journaled, so without the floor a peer whose first settlement
 // lands after a restart would replay as credited-with-no-assignment and be
-// suspended as anomalous. pending holds this build's charges, which the
-// serve that triggered the build has not applied to the ledger yet.
+// suspended as anomalous. pending holds this build's charges, one per peer
+// the wrapper names, which the serve that triggered the build has not
+// applied to the ledger yet.
 func (o *Origin) journalKeysIssued(w *Wrapper, pending []charge) {
 	if o.wal == nil || len(w.Keys) == 0 {
 		return
-	}
-	pendingBytes := make(map[string]int64, len(pending))
-	for _, c := range pending {
-		pendingBytes[c.peerID] += c.bytes
 	}
 	rec := walKeysIssuedRec{
 		Keys:     make([]walKeyRec, 0, len(w.Keys)),
 		Assigned: make(map[string]int64, len(w.Keys)),
 	}
-	for peerID, pk := range w.Keys {
+	for _, c := range pending {
+		peerID, pk := c.peerID, w.Keys[c.peerID]
 		k, err := o.keys.Lookup(pk.KeyID)
 		if err != nil {
 			continue
@@ -381,8 +385,7 @@ func (o *Origin) journalKeysIssued(w *Wrapper, pending []charge) {
 			Expires:   k.Expires.UnixNano(),
 			MaxBytes:  maxBytes,
 		})
-		_, assigned, _, _ := o.ledger.row(peerID)
-		rec.Assigned[peerID] = assigned + pendingBytes[peerID]
+		rec.Assigned[peerID] = o.ledger.row(peerID).Assigned + c.bytes
 	}
 	sort.Slice(rec.Keys, func(i, j int) bool { return rec.Keys[i].ID < rec.Keys[j].ID })
 	o.walWait(o.journalAppend(walKeysIssued, rec))
@@ -447,8 +450,8 @@ func (o *Origin) captureState(seq uint64, chain [32]byte) originSnapshot {
 		ContentEpoch: o.contentEpoch.Load(),
 		AssignEpoch:  o.assignEpoch.Load(),
 		TakenAt:      o.now().UnixNano(),
-		Ledger:       o.ledger.exportRows(),
-		Audit:        o.audit.exportState(),
+		Ledger:       o.ledger.rows(),
+		Audit:        auditState{Peers: o.ledger.evidence()},
 	}
 	for _, p := range o.registry.snapshot() {
 		snap.Peers = append(snap.Peers, snapPeer{ID: p.id, URL: p.url, RTT: p.rtt})

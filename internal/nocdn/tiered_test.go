@@ -585,47 +585,100 @@ func TestTieredStreamedRangeMatchesNetHTTP(t *testing.T) {
 		{"If-None-Match", []string{"If-None-Match", etag}, n},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			ref := httptest.NewRecorder()
-			req := httptest.NewRequest(http.MethodGet, "/big", nil)
-			for i := 0; i < len(tc.hdr); i += 2 {
-				req.Header.Set(tc.hdr[i], tc.hdr[i+1])
-			}
-			ref.Header().Set("ETag", etag)
-			ref.Header().Set("Content-Type", ctype)
-			http.ServeContent(ref, req, "/big", time.Time{}, bytes.NewReader(big))
-			want := ref.Result()
-			wantBody, _ := io.ReadAll(want.Body)
-
 			before := st.hashed.Load()
 			got, gotBody := s.do(t, "/big", tc.hdr...)
 			if hashed := st.hashed.Load() - before; hashed != tc.hashed {
 				t.Errorf("verification read %d bytes, want %d", hashed, tc.hashed)
 			}
-			if got.StatusCode != want.StatusCode {
-				t.Fatalf("status %d, net/http answers %d", got.StatusCode, want.StatusCode)
-			}
-			for _, h := range []string{"Content-Range", "Accept-Ranges", "ETag"} {
-				if got.Header.Get(h) != want.Header.Get(h) {
-					t.Errorf("%s = %q, net/http answers %q", h, got.Header.Get(h), want.Header.Get(h))
-				}
-			}
-			gotType, gotParams, _ := mime.ParseMediaType(got.Header.Get("Content-Type"))
-			wantType, wantParams, _ := mime.ParseMediaType(want.Header.Get("Content-Type"))
-			if gotType != wantType {
-				t.Fatalf("Content-Type %q, net/http answers %q", gotType, wantType)
-			}
-			if gotType == "multipart/byteranges" { // boundaries are random: compare part by part
-				gotBody = flattenParts(t, gotBody, gotParams["boundary"])
-				wantBody = flattenParts(t, wantBody, wantParams["boundary"])
-			}
-			if !bytes.Equal(gotBody, wantBody) {
-				t.Errorf("body is %d bytes and differs from net/http's %d", len(gotBody), len(wantBody))
-			}
+			matchServeContent(t, big, etag, ctype, tc.hdr, got, gotBody, "Content-Range", "Accept-Ranges", "ETag")
 		})
 	}
 	if s.fetches.Load() != fetches || st.quarantined.Load() != 0 {
 		t.Errorf("honest requests cost %d origin fetches and %d quarantines",
 			s.fetches.Load()-fetches, st.quarantined.Load())
+	}
+}
+
+// TestMemoryTierRangeMatchesNetHTTP asks a memory-tier entry for the same
+// shapes of Range and validator and compares the answer with
+// http.ServeContent over the published bytes, as the streamed test does for
+// the disk tier: both tiers answer a request the same way. (A plain GET of a
+// memory entry is one direct write, without net/http's Accept-Ranges.)
+func TestMemoryTierRangeMatchesNetHTTP(t *testing.T) {
+	small := obj(43, 40<<10)
+	s := newTieredSite(t, 4<<20, 64<<20, 8<<20, map[string][]byte{"/small": small})
+	s.get(t, "/small")
+	first, _ := s.do(t, "/small")
+	etag, ctype := first.Header.Get("ETag"), first.Header.Get("Content-Type")
+	if etag == "" || ctype == "" {
+		t.Fatalf("ETag %q, Content-Type %q", etag, ctype)
+	}
+	fetches := s.fetches.Load()
+	for _, tc := range []struct {
+		name string
+		hdr  []string
+	}{
+		{"no range", nil},
+		{"closed", []string{"Range", "bytes=1000-1999"}},
+		{"open-ended", []string{"Range", "bytes=30000-"}},
+		{"end past the object", []string{"Range", "bytes=40000-999999"}},
+		{"suffix", []string{"Range", "bytes=-500"}},
+		{"multi-range", []string{"Range", "bytes=0-99,20000-20099"}},
+		{"If-Range matches", []string{"Range", "bytes=100-199", "If-Range", etag}},
+		{"If-Range does not match", []string{"Range", "bytes=100-199", "If-Range", `"stale"`}},
+		{"unsatisfiable", []string{"Range", "bytes=999999-"}},
+		{"not a range", []string{"Range", "pages=1-2"}},
+		{"If-None-Match", []string{"If-None-Match", etag}},
+		{"If-Match does not match", []string{"If-Match", `"stale"`}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			memHits := s.peer.memHits.Load()
+			got, gotBody := s.do(t, "/small", tc.hdr...)
+			if s.peer.memHits.Load() != memHits+1 {
+				t.Fatal("not served from the memory tier")
+			}
+			matchServeContent(t, small, etag, ctype, tc.hdr, got, gotBody, "Content-Range", "ETag")
+		})
+	}
+	if s.fetches.Load() != fetches {
+		t.Errorf("honest requests cost %d origin fetches", s.fetches.Load()-fetches)
+	}
+}
+
+// matchServeContent compares a peer's answer to a request carrying hdr with
+// http.ServeContent's over data: status, the headers named, Content-Type and
+// body (part by part for a multipart answer).
+func matchServeContent(t *testing.T, data []byte, etag, ctype string, hdr []string, got *http.Response, gotBody []byte, headers ...string) {
+	t.Helper()
+	ref := httptest.NewRecorder()
+	req := httptest.NewRequest(http.MethodGet, "/", nil)
+	for i := 0; i < len(hdr); i += 2 {
+		req.Header.Set(hdr[i], hdr[i+1])
+	}
+	ref.Header().Set("ETag", etag)
+	ref.Header().Set("Content-Type", ctype)
+	http.ServeContent(ref, req, "", time.Time{}, bytes.NewReader(data))
+	want := ref.Result()
+	wantBody, _ := io.ReadAll(want.Body)
+	if got.StatusCode != want.StatusCode {
+		t.Fatalf("status %d, net/http answers %d", got.StatusCode, want.StatusCode)
+	}
+	for _, h := range headers {
+		if got.Header.Get(h) != want.Header.Get(h) {
+			t.Errorf("%s = %q, net/http answers %q", h, got.Header.Get(h), want.Header.Get(h))
+		}
+	}
+	gotType, gotParams, _ := mime.ParseMediaType(got.Header.Get("Content-Type"))
+	wantType, wantParams, _ := mime.ParseMediaType(want.Header.Get("Content-Type"))
+	if gotType != wantType {
+		t.Fatalf("Content-Type %q, net/http answers %q", gotType, wantType)
+	}
+	if gotType == "multipart/byteranges" { // boundaries are random: compare part by part
+		gotBody = flattenParts(t, gotBody, gotParams["boundary"])
+		wantBody = flattenParts(t, wantBody, wantParams["boundary"])
+	}
+	if !bytes.Equal(gotBody, wantBody) {
+		t.Errorf("body is %d bytes and differs from net/http's %d", len(gotBody), len(wantBody))
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -22,12 +23,12 @@ const DefaultPoolSlots = 16
 // poolEntry is one precomputed wrapper map: the wrapper and its JSON
 // encoding (both immutable, so /wrapper writes body on every serve instead
 // of re-marshalling a map that is byte-stable for the entry's lifetime), the
-// distinct peers it names (revalidated against health/suspension on every
-// serve), the per-serve byte charges, and the epochs it was built under.
+// per-serve charges, one per distinct peer it names (each revalidated
+// against health/suspension on every serve), and the epochs it was built
+// under.
 type poolEntry struct {
 	w       *Wrapper
 	body    []byte // json.Marshal(w), encoded once at build
-	peerIDs []string
 	charges []charge
 	content int64 // contentEpoch at build
 	assign  int64 // assignEpoch at build
@@ -123,8 +124,8 @@ func (o *Origin) assignEntry(page, client string) (*poolEntry, error) {
 // within one tick — a pooled map naming an ejected peer is rebuilt on the
 // very next serve, even before any epoch advances.
 func (o *Origin) entryServable(e *poolEntry) bool {
-	for _, id := range e.peerIDs {
-		if !o.ringServable(id) {
+	for _, c := range e.charges {
+		if !o.ringServable(c.peerID) {
 			return false
 		}
 	}
@@ -203,15 +204,20 @@ func (o *Origin) buildPoolEntry(page string, slot int) (*poolEntry, error) {
 		IssuedAt: o.now(),
 		Loader:   "loader-v1",
 	}
+	// One charge per named peer, in the order the map first names them.
 	var charges []charge
 	ensureKey := func(id string, size int) {
-		if _, ok := w.Keys[id]; !ok {
+		i := slices.IndexFunc(charges, func(c charge) bool { return c.peerID == id })
+		if i < 0 {
 			k := o.keys.Issue(id)
 			w.Keys[id] = PeerKey{KeyID: k.ID, Secret: hex.EncodeToString(k.Secret)}
 			o.ledger.issueKey(k.ID, id)
+			i = len(charges)
+			charges = append(charges, charge{peerID: id})
 		}
 		o.ledger.addKeyBytes(w.Keys[id].KeyID, int64(size))
-		charges = append(charges, charge{peerID: id, bytes: int64(size)})
+		charges[i].bytes += int64(size)
+		charges[i].count++
 	}
 	peerURL := func(id string) string {
 		p, _ := o.registry.get(id)
@@ -283,10 +289,6 @@ func (o *Origin) buildPoolEntry(page string, slot int) (*poolEntry, error) {
 		w.Objects = append(w.Objects, ref)
 	}
 
-	ids := make([]string, 0, len(w.Keys))
-	for id := range w.Keys {
-		ids = append(ids, id)
-	}
 	body, err := json.Marshal(w)
 	if err != nil {
 		return nil, fmt.Errorf("nocdn: wrapper encode: %w", err)
@@ -294,7 +296,7 @@ func (o *Origin) buildPoolEntry(page string, slot int) (*poolEntry, error) {
 	// Durable keys before the map can serve: a settlement for this map must
 	// survive an origin restart between the serve and the flush.
 	o.journalKeysIssued(w, charges)
-	return &poolEntry{w: w, body: body, peerIDs: ids, charges: charges, content: cep, assign: aep}, nil
+	return &poolEntry{w: w, body: body, charges: charges, content: cep, assign: aep}, nil
 }
 
 // EpochTick advances the assignment epoch and refreshes every pooled
