@@ -15,8 +15,9 @@
 //
 //	nocdnd -mode peer -listen :8001 -id peer-a -provider example.com=http://origin:8000
 //
-// Load mode (a client-side page view: wrapper fetch, parallel hash-verified
-// object fetches from peers, usage-record delivery):
+// Load mode (a client-side page view: wrapper fetch, one bundle of objects
+// from each peer in parallel, each object hash-verified, usage-record
+// delivery):
 //
 //	nocdnd -mode load -origin http://origin:8000 -page index -concurrency 6 -views 3
 package main

@@ -4,7 +4,7 @@
 // a Peer already exposes:
 //
 //   - Tamper is an http.Handler around Peer.Handler() that flips the middle
-//     byte of every /proxy body it relays;
+//     byte of every object in the /proxy bodies it relays;
 //   - Records is an http.RoundTripper for Peer.SetHTTPClient that re-commits
 //     each /usage/batch upload with inflated or replayed records;
 //   - FlipAtRest rots a cached object where it lies in the segment files.
@@ -26,8 +26,9 @@ import (
 
 // Tamper relays requests to Next and, while On is set, flips the middle byte
 // of every successful /proxy response body — whole objects and Range slices
-// alike — leaving status and headers as the honest peer wrote them. The peer
-// behind it serves, verifies and counts exactly as it would unwrapped.
+// alike, and each object of a bundle — leaving status and headers as the
+// honest peer wrote them. The peer behind it serves, verifies and counts
+// exactly as it would unwrapped.
 type Tamper struct {
 	On   atomic.Bool
 	Next http.Handler
@@ -41,8 +42,18 @@ func (t *Tamper) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	held := &heldResponse{ResponseWriter: w, status: http.StatusOK}
 	t.Next.ServeHTTP(held, r)
 	body := held.body.Bytes()
-	if held.status/100 == 2 && len(body) > 0 {
-		body[len(body)/2] ^= 0xFF
+	if held.status/100 == 2 {
+		objects := [][]byte{body}
+		if lengths := w.Header().Get(nocdn.BundleHeader); lengths != "" {
+			// The honest peer's bundle always splits; were it not to, it is
+			// relayed untouched.
+			objects, _ = nocdn.BundleItems(lengths, body)
+		}
+		for _, obj := range objects {
+			if len(obj) > 0 {
+				obj[len(obj)/2] ^= 0xFF
+			}
+		}
 	}
 	w.WriteHeader(held.status)
 	w.Write(body)

@@ -12,6 +12,7 @@ import (
 	"net/url"
 	"runtime/pprof"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -36,8 +37,11 @@ const DefaultFetchTimeout = 15 * time.Second
 // Go client here). It executes Fig. 2: fetch the wrapper, fetch every object
 // from its assigned peer, verify hashes, fall back to the origin for
 // tampered objects, assemble the page, and deliver a signed usage record to
-// each peer. Object and chunk fetches fan out across a bounded worker pool
-// ("from multiple peers" — the transfers genuinely overlap).
+// each peer. A page's whole objects are asked of each peer in bundles — one
+// per peer unless its objects pass a bundle's bounds (bundle.go) — and
+// chunks as Range requests; the requests fan out across a
+// bounded worker pool ("from multiple peers" — the transfers genuinely
+// overlap).
 //
 // Every request carries a per-attempt timeout and transient failures
 // (network errors, truncated bodies, 5xx responses) retry with capped
@@ -54,9 +58,10 @@ type Loader struct {
 	// FetchTimeout is built lazily (the previous default —
 	// http.DefaultClient — is unbounded and unsafe against stalled peers).
 	HTTPClient *http.Client
-	// Concurrency bounds simultaneous object/chunk/record requests during
-	// LoadPage. <= 0 means DefaultConcurrency; 1 reproduces the serial
-	// loader exactly.
+	// Concurrency bounds simultaneous bundle/chunk/record requests during
+	// LoadPage, and is the idle pool per host of the client built when
+	// HTTPClient is nil. <= 0 means DefaultConcurrency; 1 reproduces the
+	// serial loader exactly.
 	Concurrency int
 	// FetchTimeout bounds each individual HTTP attempt. <= 0 means
 	// DefaultFetchTimeout.
@@ -65,12 +70,13 @@ type Loader struct {
 	// value applies the faults package defaults.
 	Retry faults.Policy
 	// Metrics, when non-nil, receives loader counters —
-	// nocdn.loader.retries (extra attempts), nocdn.loader.giveups
-	// (requests that exhausted their budget), nocdn.loader.fallbacks
-	// (objects refetched from the origin), and per-peer byte attribution
-	// (nocdn.loader.peer.<id>.bytes) — plus latency histograms:
-	// nocdn.loader.fetch_seconds (every network fetch),
-	// nocdn.loader.peer.<id>.fetch_seconds (per serving peer),
+	// nocdn.loader.retries (extra attempts at an object, chunk or record),
+	// nocdn.loader.giveups (fetches that exhausted their budget),
+	// nocdn.loader.fallbacks (objects refetched from the origin), and
+	// per-peer byte attribution (nocdn.loader.peer.<id>.bytes) — plus
+	// latency histograms: nocdn.loader.fetch_seconds (every peer or origin
+	// request, a bundle being one), nocdn.loader.peer.<id>.fetch_seconds
+	// (per serving peer, per request),
 	// nocdn.loader.verify_seconds (hash verification), and
 	// nocdn.loader.page_seconds (whole page views).
 	Metrics *hpop.Metrics
@@ -131,7 +137,14 @@ func (l *Loader) client() *http.Client {
 		return l.HTTPClient
 	}
 	l.clientOnce.Do(func() {
-		l.defaultClient = &http.Client{Timeout: l.fetchTimeout()}
+		// Keep as many idle connections per host as the loader has requests
+		// in flight, as a browser does; http.DefaultTransport keeps two.
+		tr := &http.Transport{Proxy: http.ProxyFromEnvironment}
+		if def, ok := http.DefaultTransport.(*http.Transport); ok {
+			tr = def.Clone()
+		}
+		tr.MaxIdleConnsPerHost = l.concurrency()
+		l.defaultClient = &http.Client{Timeout: l.fetchTimeout(), Transport: tr}
 	})
 	return l.defaultClient
 }
@@ -183,12 +196,8 @@ const maxUnsizedBody = 64 << 20
 // that ends cleanly at another length (errBodyLength) is the sender's whole
 // answer and is never retried.
 func (l *Loader) fetchBytes(ctx context.Context, method, url string, hdr map[string]string, body []byte, okStatus func(int) bool, dst []byte) ([]byte, error) {
-	pol := l.Retry
-	if pol.AttemptTimeout <= 0 {
-		pol.AttemptTimeout = l.fetchTimeout()
-	}
 	var out []byte
-	attempts, err := pol.Do(ctx, func(actx context.Context) error {
+	attempts, err := l.retryPolicy().Do(ctx, func(actx context.Context) error {
 		var rdr io.Reader
 		if body != nil {
 			rdr = bytes.NewReader(body)
@@ -231,6 +240,15 @@ func (l *Loader) fetchBytes(ctx context.Context, method, url string, hdr map[str
 		return nil, err
 	}
 	return out, nil
+}
+
+// retryPolicy is Retry with every attempt bounded by the fetch timeout.
+func (l *Loader) retryPolicy() faults.Policy {
+	pol := l.Retry
+	if pol.AttemptTimeout <= 0 {
+		pol.AttemptTimeout = l.fetchTimeout()
+	}
+	return pol
 }
 
 func statusOK(code int) bool { return code == http.StatusOK }
@@ -286,46 +304,86 @@ func traceHeader(sp *hpop.Span, hdr map[string]string) map[string]string {
 	return hdr
 }
 
-// getFrom fetches path from a peer, optionally a byte range, holding a gate
-// slot for the duration of the request (retries included, so the
-// concurrency bound holds under fault storms too). The fetch_object span's
-// context rides the request as a traceparent header, so the peer's proxy
-// span joins the page view's trace. Latency lands in the overall and
-// per-peer fetch histograms; verified bytes are attributed to the peer when
-// the transfer succeeds.
-// expectHash, when non-empty, rides the request as X-NoCDN-Hash: the
-// wrapper's hash for the object, which lets the peer apply the hash-epoch
-// freshness rule (a matching cached entry is current at any age; a
-// mismatched one must be refetched, never served stale). The body is read
-// into dst (see fetchBytes).
-func (l *Loader) getFrom(ctx context.Context, gate fetchGate, sp *hpop.Span, peerID, peerURL, provider, path, expectHash string, chunk *ChunkRef, dst []byte) ([]byte, error) {
+// getFrom fetches one chunk of ref from its peer as a Range request into
+// dst (see fetchBytes), holding a gate slot for the duration of the request
+// (retries included, so the concurrency bound holds under fault storms too).
+// sp's context rides the request as a traceparent header, so the peer's
+// proxy span joins the page view's trace, and the wrapper's hash rides it as
+// X-NoCDN-Hash, so the peer applies the hash-epoch freshness rule (a
+// matching cached entry is current at any age; a mismatched one must be
+// refetched, never served stale). Latency lands in the overall and per-peer
+// fetch histograms; the outcome feeds the peer's breaker.
+func (l *Loader) getFrom(ctx context.Context, gate fetchGate, sp *hpop.Span, provider string, ref ObjectRef, chunk *ChunkRef, dst []byte) error {
 	gate.enter()
 	defer gate.leave()
-	var hdr map[string]string
-	if chunk != nil {
-		hdr = map[string]string{"Range": fmt.Sprintf("bytes=%d-%d", chunk.Offset, chunk.Offset+chunk.Length-1)}
-	}
-	if expectHash != "" {
-		if hdr == nil {
-			hdr = make(map[string]string, 2)
-		}
-		hdr[ExpectHashHeader] = expectHash
-	}
-	hdr = traceHeader(sp, hdr)
+	hdr := traceHeader(sp, map[string]string{
+		"Range":          fmt.Sprintf("bytes=%d-%d", chunk.Offset, chunk.Offset+chunk.Length-1),
+		ExpectHashHeader: ref.Hash,
+	})
 	start := time.Now()
-	data, err := l.fetchBytes(ctx, http.MethodGet, peerURL+"/proxy/"+provider+path, hdr, nil, statusOKPartial, dst)
+	data, err := l.fetchBytes(ctx, http.MethodGet, chunk.PeerURL+"/proxy/"+provider+ref.Path, hdr, nil, statusOKPartial, dst)
 	elapsed := time.Since(start).Seconds()
-	l.Metrics.Observe("nocdn.loader.fetch_seconds", elapsed)
-	if peerID != "" {
-		l.Metrics.Observe("nocdn.loader.peer."+peerID+".fetch_seconds", elapsed)
-		if err == nil {
-			l.Metrics.Add("nocdn.loader.peer."+peerID+".bytes", float64(len(data)))
-			l.Health.RecordSuccess(peerID, elapsed)
-		} else {
-			l.Health.RecordFailure(peerID)
-		}
+	l.observeFetch(chunk.PeerID, elapsed)
+	if err != nil {
+		l.Health.RecordFailure(chunk.PeerID)
+		return err
 	}
-	return data, err
+	l.Metrics.Add("nocdn.loader.peer."+chunk.PeerID+".bytes", float64(len(data)))
+	l.Health.RecordSuccess(chunk.PeerID, elapsed)
+	return nil
+}
+
+// observeFetch times one request to peerID into the fetch histograms.
+func (l *Loader) observeFetch(peerID string, elapsed float64) {
+	l.Metrics.Observe("nocdn.loader.fetch_seconds", elapsed)
+	l.Metrics.Observe("nocdn.loader.peer."+peerID+".fetch_seconds", elapsed)
+}
+
+// fetchBundle asks one peer for items in one bundle, holding one gate slot
+// for the duration (retries included). An item the peer answered -5xx, or
+// that a cut body failed or never reached, is asked for again with the
+// others still unsettled, under the Retry policy; the rest settle on their
+// first answer. sp's context rides each request as a traceparent. Counted as
+// the objects' own GETs were: one retry per extra attempt that reached an
+// object, one giveup and one breaker failure per object left without a
+// body, one breaker success and the bytes for each object that has one.
+func (l *Loader) fetchBundle(ctx context.Context, gate fetchGate, sp *hpop.Span, peer PeerRef, provider string, items []*bundleItem) {
+	gate.enter()
+	defer gate.leave()
+	pending := make([]*bundleItem, 0, len(items))
+	start := time.Now()
+	// Each item keeps its own outcome; Do's error is the last attempt's.
+	l.retryPolicy().Do(ctx, func(actx context.Context) error {
+		pending = pending[:0]
+		for _, it := range items {
+			if !it.settled {
+				pending = append(pending, it)
+			}
+		}
+		return l.bundleAttempt(actx, sp, peer.PeerURL, provider, pending)
+	})
+	elapsed := time.Since(start).Seconds()
+	l.observeFetch(peer.PeerID, elapsed)
+	var retries, giveups, served int
+	for _, it := range items {
+		retries += max(it.tries-1, 0)
+		if it.data == nil {
+			giveups++
+			l.Health.RecordFailure(peer.PeerID)
+			continue
+		}
+		served += len(it.data)
+		l.Health.RecordSuccess(peer.PeerID, elapsed)
+	}
+	if retries > 0 {
+		l.Metrics.Add("nocdn.loader.retries", float64(retries))
+	}
+	if giveups > 0 {
+		l.Metrics.Add("nocdn.loader.giveups", float64(giveups))
+	}
+	if served > 0 {
+		l.Metrics.Add("nocdn.loader.peer."+peer.PeerID+".bytes", float64(served))
+	}
 }
 
 // originFallback fetches an object straight from the provider into dst (see
@@ -398,16 +456,52 @@ func (l *Loader) LoadPageContext(ctx context.Context, page string) (*PageResult,
 	refs := append([]ObjectRef{w.Container}, w.Objects...)
 	gate := make(fetchGate, l.concurrency())
 	results := make([]objectResult, len(refs))
+	items, bundles := l.planBundles(refs)
 	var wg sync.WaitGroup
 	workerLabels := pprof.Labels("service", "nocdn.loader", "span", "fetch_object")
 	for i := range refs {
+		if items[i].ref != nil {
+			continue // fetched by its bundle below
+		}
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			pprof.Do(ctx, workerLabels, func(ctx context.Context) {
-				results[i] = l.loadObject(ctx, gate, sp, w.Provider, refs[i])
+				results[i] = l.loadObject(ctx, gate, sp, w.Provider, refs[i], nil)
 			})
 		}(i)
+	}
+	for _, b := range bundles {
+		wg.Add(1)
+		go func(b []int) {
+			defer wg.Done()
+			pprof.Do(ctx, workerLabels, func(ctx context.Context) {
+				bsp := sp.Child("fetch_bundle")
+				peer := items[b[0]].peer
+				bsp.SetLabel("peer", peer.PeerID)
+				bsp.SetLabel("objects", strconv.Itoa(len(b)))
+				batch := make([]*bundleItem, len(b))
+				for k, i := range b {
+					batch[k] = &items[i]
+				}
+				l.fetchBundle(ctx, gate, bsp, peer, w.Provider, batch)
+				bsp.End()
+				// What is left of an object is local work unless its item
+				// failed; a failed one goes on to its next candidates and the
+				// origin beside the others rather than behind them.
+				for _, i := range b {
+					if items[i].data == nil {
+						wg.Add(1)
+						go func(i int) {
+							defer wg.Done()
+							results[i] = l.loadObject(ctx, gate, sp, w.Provider, refs[i], &items[i])
+						}(i)
+						continue
+					}
+					results[i] = l.loadObject(ctx, gate, sp, w.Provider, refs[i], &items[i])
+				}
+			})
+		}(b)
 	}
 	wg.Wait()
 
@@ -482,58 +576,109 @@ func (l *Loader) candidates(ref ObjectRef) []PeerRef {
 	return out
 }
 
-// fetchFromCandidates tries ref's health-ranked candidate peers in turn,
-// skipping open-circuit ones, and returns the first successful transfer with
-// the serving peer's ID. On total failure, reason is "circuit_open" when no
-// candidate was even admitted by its breaker (nothing hit the network) and
-// "peer_failure" otherwise. Chunked refs keep their multi-peer fan-out.
-// Bodies land in dst: ref.Size bytes when the wrapper sized the object, nil
-// when it did not (see fetchBytes).
+// planBundles groups the unchunked refs by their first admitted candidate —
+// the first of the health-ranked candidates whose breaker admits it — into
+// bundles, each listing its refs' indexes in wrapper order: one per peer,
+// unless its objects pass maxBundleItems or maxBundleBytes, when the peer
+// gets as many as keep each within both. An object larger than
+// maxBundleBytes, or one the wrapper did not size, travels alone. items[i]
+// is ref i's item, with its payload memory: ref.Size bytes when the wrapper
+// sized the object, nil when it did not (see fetchBytes). Its ref is nil
+// for a chunked ref and for one no candidate was admitted for.
+func (l *Loader) planBundles(refs []ObjectRef) (items []bundleItem, bundles [][]int) {
+	items = make([]bundleItem, len(refs))
+	var sums []int // sums[b]: bundles[b]'s sizes, summed
+	for i := range refs {
+		if len(refs[i].Chunks) > 0 {
+			continue
+		}
+		cands := l.candidates(refs[i])
+		for k, c := range cands {
+			if !l.Health.Allow(c.PeerID) {
+				l.Metrics.Inc("nocdn.loader.circuit_skips")
+				continue
+			}
+			it := &items[i]
+			it.ref, it.peer, it.rest = &refs[i], c, cands[k+1:]
+			size := maxBundleBytes
+			if it.ref.Size > 0 {
+				it.dst = make([]byte, it.ref.Size)
+				size = it.ref.Size
+			}
+			b := 0
+			for b < len(bundles) && (items[bundles[b][0]].peer.PeerID != c.PeerID ||
+				len(bundles[b]) == maxBundleItems || sums[b]+size > maxBundleBytes) {
+				b++
+			}
+			if b == len(bundles) {
+				bundles, sums = append(bundles, nil), append(sums, 0)
+			}
+			bundles[b], sums[b] = append(bundles[b], i), sums[b]+size
+			break
+		}
+	}
+	return items, bundles
+}
+
+// fetchFromCandidates returns ref's body from the first candidate peer
+// that serves it, with the serving peer's ID. first is ref's item of a
+// bundle already fetched (nil when no candidate was admitted); when it
+// failed, the candidates after it are tried in turn, each as a bundle of
+// one, skipping open-circuit ones. On total failure, reason is
+// "circuit_open" when no candidate was even admitted by its breaker
+// (nothing hit the network) and "peer_failure" otherwise. Chunked refs keep
+// their multi-peer fan-out into dst.
 //
-// A peer whose whole-object body ends cleanly at another length than the
-// wrapper declared has answered in full with other bytes. That is the hash
-// mismatch it would have been had the bytes been kept: the transfer returns
-// that peer with no data and no credit, and loadObject's verification fails
-// it into the tampered fallback.
-func (l *Loader) fetchFromCandidates(ctx context.Context, gate fetchGate, sp *hpop.Span, provider string, ref ObjectRef, dst []byte) (data []byte, fromPeers map[string]int64, servedBy, reason string, err error) {
+// A peer whose answer for the object is of another length than the wrapper
+// declared has answered in full with other bytes. That is the hash mismatch
+// it would have been had the bytes been kept: the transfer returns that peer
+// with no data and no credit, and loadObject's verification fails it into
+// the tampered fallback.
+func (l *Loader) fetchFromCandidates(ctx context.Context, gate fetchGate, sp *hpop.Span, provider string, ref ObjectRef, dst []byte, first *bundleItem) (data []byte, fromPeers map[string]int64, servedBy, reason string, err error) {
 	if len(ref.Chunks) > 0 {
 		fromPeers, err = l.fetchChunks(ctx, gate, sp, provider, ref, dst)
 		return dst, fromPeers, "", "peer_failure", err
 	}
-	tried := 0
-	var lastErr error
-	for _, c := range l.candidates(ref) {
+	if first == nil {
+		return nil, nil, "", "circuit_open",
+			fmt.Errorf("nocdn: every candidate peer open-circuit for %s", ref.Path)
+	}
+	for it := first; it != nil; it = l.nextCandidate(ctx, gate, sp, provider, it) {
+		if errors.Is(it.err, errBodyLength) {
+			return nil, nil, it.peer.PeerID, "", nil
+		}
+		if it.data != nil {
+			if it.peer.PeerID != ref.PeerID {
+				sp.SetLabel("served_by", it.peer.PeerID)
+			}
+			return it.data, map[string]int64{it.peer.PeerID: int64(len(it.data))}, it.peer.PeerID, "", nil
+		}
+		err = it.err
+	}
+	return nil, nil, "", "peer_failure", err
+}
+
+// nextCandidate asks the first admitted candidate after it's peer for its
+// object, as a bundle of one, and returns that item; nil when none is left.
+func (l *Loader) nextCandidate(ctx context.Context, gate fetchGate, sp *hpop.Span, provider string, it *bundleItem) *bundleItem {
+	for k, c := range it.rest {
 		if !l.Health.Allow(c.PeerID) {
 			l.Metrics.Inc("nocdn.loader.circuit_skips")
 			continue
 		}
-		tried++
-		data, ferr := l.getFrom(ctx, gate, sp, c.PeerID, c.PeerURL, provider, ref.Path, ref.Hash, nil, dst)
-		if errors.Is(ferr, errBodyLength) {
-			return nil, nil, c.PeerID, "", nil
-		}
-		if ferr != nil {
-			lastErr = ferr
-			continue
-		}
-		if c.PeerID != ref.PeerID {
-			sp.SetLabel("served_by", c.PeerID)
-		}
-		return data, map[string]int64{c.PeerID: int64(len(data))}, c.PeerID, "", nil
+		next := &bundleItem{ref: it.ref, dst: it.dst, peer: c, rest: it.rest[k+1:]}
+		l.fetchBundle(ctx, gate, sp, c, provider, []*bundleItem{next})
+		return next
 	}
-	if tried == 0 {
-		return nil, nil, "", "circuit_open",
-			fmt.Errorf("nocdn: every candidate peer open-circuit for %s", ref.Path)
-	}
-	return nil, nil, "", "peer_failure", lastErr
+	return nil
 }
 
-// loadObject runs the per-object Fig. 2 steps: peer fetch (now across the
-// health-ranked candidate set), origin fallback on peer failure, hash
-// verification, origin fallback on tampering. Each object gets a
-// fetch_object span under the page's root span. In brownout mode a total
-// failure degrades the object instead of failing the page.
-func (l *Loader) loadObject(ctx context.Context, gate fetchGate, parent *hpop.Span, provider string, ref ObjectRef) objectResult {
+// loadObject runs the per-object Fig. 2 steps: peer fetch (first's bundle,
+// then the rest of the health-ranked candidate set), origin fallback on
+// peer failure, hash verification, origin fallback on tampering. Each
+// object gets a fetch_object span under the page's root span. In brownout
+// mode a total failure degrades the object instead of failing the page.
+func (l *Loader) loadObject(ctx context.Context, gate fetchGate, parent *hpop.Span, provider string, ref ObjectRef, first *bundleItem) objectResult {
 	osp := parent.Child("fetch_object")
 	osp.SetLabel("path", ref.Path)
 	if ref.PeerID != "" {
@@ -554,12 +699,14 @@ func (l *Loader) loadObject(ctx context.Context, gate fetchGate, parent *hpop.Sp
 	// The one payload allocation of this object: peer bodies, chunks and any
 	// origin fallback are all read into it, and it becomes the rendered
 	// bytes once it verifies. A ref without a size (a hand-built wrapper)
-	// leaves it nil and each read sizes itself by Content-Length.
+	// leaves it nil and each read sizes itself by its declared length.
 	var dst []byte
-	if ref.Size > 0 {
+	if first != nil {
+		dst = first.dst
+	} else if ref.Size > 0 {
 		dst = make([]byte, ref.Size)
 	}
-	data, fromPeers, servedBy, reason, err := l.fetchFromCandidates(ctx, gate, osp, provider, ref, dst)
+	data, fromPeers, servedBy, reason, err := l.fetchFromCandidates(ctx, gate, osp, provider, ref, dst, first)
 	if err != nil {
 		// Every candidate peer unreachable, failing, or open-circuit: fall
 		// back to the origin, exactly as for tampered content — "one
@@ -635,9 +782,7 @@ func (l *Loader) fetchChunks(ctx context.Context, gate fetchGate, sp *hpop.Span,
 			}
 			// A chunk of any other length is an error here (the peer_failure
 			// fallback), not a shorter slice.
-			_, err := l.getFrom(ctx, gate, sp, c.PeerID, c.PeerURL, provider, ref.Path, ref.Hash, c,
-				buf[c.Offset:c.Offset+c.Length])
-			if err != nil {
+			if err := l.getFrom(ctx, gate, sp, provider, ref, c, buf[c.Offset:c.Offset+c.Length]); err != nil {
 				errs[i] = fmt.Errorf("chunk %d: %w", i, err)
 			}
 		}(i)

@@ -388,6 +388,7 @@ const maxOriginBody = DefaultDiskCacheBytes
 // Handler returns the peer's HTTP surface:
 //
 //	GET  /proxy/PROVIDER/PATH   (Range supported)  -> content
+//	GET  /proxy/PROVIDER?o=PATH&h=HASH&...         -> a bundle of whole objects (bundle.go)
 //	POST /record                                   -> client drops a usage record
 //	GET  /flush?origin=URL                         -> upload records to the provider
 //	GET  /health                                   -> saturation/queue self-report
@@ -470,7 +471,7 @@ func (p *Peer) handleProxy(w http.ResponseWriter, r *http.Request) {
 	rest := strings.TrimPrefix(r.URL.Path, "/proxy/")
 	slash := strings.IndexByte(rest, '/')
 	if slash < 0 {
-		http.Error(w, "want /proxy/provider/path", http.StatusBadRequest)
+		p.serveBundle(w, r, rest)
 		return
 	}
 	provider, path := rest[:slash], rest[slash:]
@@ -481,49 +482,26 @@ func (p *Peer) handleProxy(w http.ResponseWriter, r *http.Request) {
 	sp.SetLabel("provider", provider)
 	sp.SetLabel("path", path)
 	defer sp.End()
-	p.providersMu.RLock()
-	origin, signed := p.providers[provider]
-	p.providersMu.RUnlock()
-	start := time.Now()
-	var out serveOutcome
-	var err error
-	if !signed {
-		err = fmt.Errorf("nocdn: peer %s not signed up for %s", p.ID, provider)
-	} else {
-		// The full caching state machine (peercache.go): freshness versus
-		// hash epoch, conditional revalidation, serve-stale windows.
-		out, err = p.serveObject(origin, provider, path, r.Header)
-	}
-	hit := err == nil && out.xcache != XCacheMiss
+	// The full caching state machine (peercache.go): freshness versus hash
+	// epoch, conditional revalidation, serve-stale windows.
+	s := p.newServe(r, provider, path, r.Header.Get(ExpectHashHeader))
+	p.lookup(&s)
+	p.finish(&s, r, nil)
+	hit := s.err == nil && s.out.xcache != XCacheMiss
 	sp.SetLabel("cache", map[bool]string{true: "hit", false: "miss"}[hit])
-	sp.SetLabel("tier", out.tier.label())
-	if out.xcache != "" {
-		sp.SetLabel("xcache", out.xcache)
+	sp.SetLabel("tier", s.out.tier.label())
+	if s.out.xcache != "" {
+		sp.SetLabel("xcache", s.out.xcache)
 	}
-	// The tier-labelled hit/miss latency split: memory hits sit in the
-	// microsecond buckets, disk hits carry one verified read, misses the
-	// origin round trip.
-	p.countServe(out, err, time.Since(start).Seconds())
-	// Demand signal for the fleet's hot-key sketch: every proxy request
-	// charges its object key, so the origin's /debug/fleet can rank the
-	// hottest pages across the city. Nil-safe until telemetry is enabled.
-	p.reporter.Load().ObserveKey(provider+path, 1)
-	if err == nil && out.tier == tierDiskStream && out.data == nil {
-		// Too large for the memory tier: verify at rest the blocks the
-		// response will carry, then let http.ServeContent stream them off
-		// the segment file (Range handling included).
-		if p.streamOutcome(w, r, path, out) {
-			return
-		}
-		out, err = p.serveMiss(origin, provider+"|"+path, out.key, path, r.Header)
+	switch {
+	case s.err != nil:
+		sp.SetError(s.err)
+		http.Error(w, s.err.Error(), http.StatusBadGateway)
+	case s.win != nil:
+		p.writeStream(w, r, path, s.out, s.win)
+	default:
+		p.writeOutcome(w, r, s.out)
 	}
-	if err != nil {
-		p.metrics.Inc("nocdn.peer.proxy_errors")
-		sp.SetError(err)
-		http.Error(w, err.Error(), http.StatusBadGateway)
-		return
-	}
-	p.writeOutcome(w, r, out)
 }
 
 // countingResponseWriter counts bytes written so streamed serves still

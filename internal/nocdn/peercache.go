@@ -20,6 +20,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"hpop/internal/hpop"
 )
 
 // maxMetaEntries bounds the metadata sidecar. Metadata normally tracks the
@@ -444,18 +446,100 @@ type serveOutcome struct {
 	age    time.Duration
 }
 
-// serveObject runs the full caching state machine for one proxy request
-// and returns how it was satisfied. It never returns unverifiable bytes:
-// a hash-epoch mismatch refetches or fails, it never serves the old copy.
-func (p *Peer) serveObject(origin, provider, path string, reqHdr http.Header) (serveOutcome, error) {
+// objectServe is one object's way through the peer: a single GET's, or one
+// item's of a bundle. lookup and finish run the full caching state machine
+// and its bookkeeping; only writing the answer differs between the two.
+type objectServe struct {
+	origin, provider, path string
+	// expect is the loader's wrapper hash for the object ("" for plain HTTP
+	// clients); hdr supplies the Vary-named headers.
+	expect string
+	signed bool
+	hdr    http.Header
+	start  time.Time
+	out    serveOutcome
+	err    error
+	// fill marks a serve the cache could not answer alone: finish asks the
+	// origin.
+	fill bool
+	// win is the verified, pinned span of a disk-tier entry too large for
+	// the memory tier, which the answer streams in place of out.data.
+	win *streamWindow
+}
+
+// size is the length of the body s resolved.
+func (s *objectServe) size() int64 {
+	if s.win != nil {
+		return s.win.hi - s.win.lo
+	}
+	return int64(len(s.out.data))
+}
+
+// newServe starts a serve of path for provider, as the request r asks.
+func (p *Peer) newServe(r *http.Request, provider, path, expect string) objectServe {
+	p.providersMu.RLock()
+	origin, signed := p.providers[provider]
+	p.providersMu.RUnlock()
+	return objectServe{origin: origin, provider: provider, path: path, expect: expect,
+		signed: signed, hdr: r.Header, start: time.Now()}
+}
+
+// lookup is the part of a serve that never waits on the origin (serveCached).
+// It reports whether finish has more to do than bookkeeping: an origin leg,
+// or a disk-tier entry to verify for streaming.
+func (p *Peer) lookup(s *objectServe) bool {
+	if !s.signed {
+		s.err = fmt.Errorf("nocdn: peer %s not signed up for %s", p.ID, s.provider)
+		return false
+	}
+	var ok bool
+	s.out, ok = p.serveCached(s.origin, s.provider, s.path, s.expect, s.hdr)
+	s.fill = !ok
+	return s.fill || s.out.data == nil
+}
+
+// finish completes a serve lookup started. The origin leg runs when the
+// cache could not answer (under sp, when given, as an origin_fill span
+// naming the path); then the per-request counters — the tier-labelled
+// hit/miss latency split: memory hits in the microsecond buckets, disk hits
+// one verified read, misses the origin round trip — and the hot-key sketch,
+// every proxy request charging its object key so the origin's /debug/fleet
+// can rank the hottest pages. An entry too large for the memory tier is
+// verified at rest over the bytes r asks for (a nil r: all of them) and
+// pinned for streaming; when that fails it is refetched from the origin
+// inside the same request. It never yields unverifiable bytes: a hash-epoch
+// mismatch refetches or fails, it never serves the old copy.
+func (p *Peer) finish(s *objectServe, r *http.Request, sp *hpop.Span) {
+	if s.fill {
+		fsp := sp.Child("origin_fill")
+		fsp.SetLabel("path", s.path)
+		s.out, s.err = p.serveOrigin(s.origin, s.provider, s.path, s.expect, s.hdr, s.out)
+		fsp.SetError(s.err)
+		fsp.End()
+	}
+	p.countServe(s.out, s.err, time.Since(s.start).Seconds())
+	p.reporter.Load().ObserveKey(s.provider+s.path, 1)
+	if s.err == nil && s.out.tier == tierDiskStream && s.out.data == nil {
+		if s.win = p.openStream(r, s.path, s.out); s.win == nil {
+			s.out, s.err = p.serveMiss(s.origin, s.provider+"|"+s.path, s.out.key, s.path, s.expect, s.hdr)
+		}
+	}
+	if s.err != nil {
+		p.metrics.Inc("nocdn.peer.proxy_errors")
+	}
+}
+
+// serveCached is the half of serveObject that never waits on the origin
+// (a stale-while-revalidate serve kicks its refresh off in the background).
+// ok false means the origin must be asked, by serveOrigin: a fill when
+// out.meta is nil — a miss, a hash-epoch refetch, an entry gone since the
+// lookup — else a revalidation of the cached out.
+func (p *Peer) serveCached(origin, provider, path, expect string, reqHdr http.Header) (out serveOutcome, ok bool) {
 	base := provider + "|" + path
 	key := varyKey(base, p.varyNamesFor(base), reqHdr)
-	expect := reqHdr.Get(ExpectHashHeader)
-	now := p.now()
-
 	data, tier, found := p.cacheGet(key)
 	if !found {
-		return p.serveMiss(origin, base, key, path, reqHdr)
+		return serveOutcome{key: key}, false
 	}
 	m := p.metaFor(key)
 	if m == nil {
@@ -463,11 +547,11 @@ func (p *Peer) serveObject(origin, provider, path string, reqHdr http.Header) (s
 		if m == nil {
 			// The entry vanished between lookup and metadata reconstruction
 			// (reclaimed or quarantined): degrade to a clean miss.
-			return p.serveMiss(origin, base, key, path, reqHdr)
+			return serveOutcome{key: key}, false
 		}
 		p.setMeta(key, m)
 	}
-	age := now.Sub(m.fetchedAt)
+	age := p.now().Sub(m.fetchedAt)
 	if age < 0 {
 		age = 0
 	}
@@ -475,40 +559,48 @@ func (p *Peer) serveObject(origin, provider, path string, reqHdr http.Header) (s
 	switch decide(m, expect, age) {
 	case decHit:
 		cached.xcache = XCacheHit
-		return cached, nil
+		return cached, true
 	case decStaleEpoch:
 		p.metrics.Inc("nocdn.peer.stale_serves")
-		return cached, nil
+		return cached, true
 	case decStaleSWR:
 		p.metrics.Inc("nocdn.peer.stale_serves")
 		p.revalidateAsync(origin, base, key, path, m, reqHdr)
-		return cached, nil
+		return cached, true
 	case decRefetch:
 		// Wrong hash epoch: the cached bytes can never satisfy this loader.
-		return p.serveMiss(origin, base, key, path, reqHdr)
+		return serveOutcome{key: key}, false
 	default: // decRevalidate
-		nd, nm, notModified, err := p.originGet(origin, base, key, path, m, reqHdr)
-		if err != nil {
-			if expect == "" && m.withinSIE(age) {
-				// Origin down or erroring: serve the stale copy inside the
-				// granted window rather than failing the edge.
-				p.metrics.Inc("nocdn.peer.stale_serves")
-				return cached, nil
-			}
-			return serveOutcome{}, err
-		}
-		if notModified {
-			return serveOutcome{key: key, data: data, meta: nm, tier: tier, xcache: XCacheRevalidated}, nil
-		}
-		return serveOutcome{key: key, data: nd, meta: nm, tier: tierOrigin, xcache: XCacheMiss}, nil
+		return cached, false
 	}
+}
+
+// serveOrigin finishes a request serveCached could not answer alone.
+func (p *Peer) serveOrigin(origin, provider, path, expect string, reqHdr http.Header, cached serveOutcome) (serveOutcome, error) {
+	base := provider + "|" + path
+	if cached.meta == nil {
+		return p.serveMiss(origin, base, cached.key, path, expect, reqHdr)
+	}
+	nd, nm, notModified, err := p.originGet(origin, base, cached.key, path, cached.meta, reqHdr)
+	if err != nil {
+		if expect == "" && cached.meta.withinSIE(cached.age) {
+			// Origin down or erroring: serve the stale copy inside the
+			// granted window rather than failing the edge.
+			p.metrics.Inc("nocdn.peer.stale_serves")
+			return cached, nil
+		}
+		return serveOutcome{}, err
+	}
+	if notModified {
+		return serveOutcome{key: cached.key, data: cached.data, meta: nm, tier: cached.tier, xcache: XCacheRevalidated}, nil
+	}
+	return serveOutcome{key: cached.key, data: nd, meta: nm, tier: tierOrigin, xcache: XCacheMiss}, nil
 }
 
 // serveMiss fills key from the origin — on a miss, a hash-epoch refetch, or
 // for a streamed entry that failed verification — and reports a MISS.
 // Concurrent callers per key coalesce under the flight group.
-func (p *Peer) serveMiss(origin, base, key, path string, reqHdr http.Header) (serveOutcome, error) {
-	expect := reqHdr.Get(ExpectHashHeader)
+func (p *Peer) serveMiss(origin, base, key, path, expect string, reqHdr http.Header) (serveOutcome, error) {
 	data, err := p.flight.do(key, func() ([]byte, error) {
 		if data, ok := p.filled(key, expect); ok {
 			return data, nil
@@ -590,46 +682,61 @@ func (p *Peer) countServe(out serveOutcome, err error, elapsed float64) {
 	p.metrics.Observe("nocdn.peer.miss_seconds", elapsed)
 }
 
-// streamOutcome finishes a tierDiskStream serve. It resolves the bytes the
-// response will carry (serveWindow), verifies at rest the blocks that cover
-// them — all of them without a Range, and for an entry's first streamed
-// serve, which checks the whole object and earns its block sums — and only
-// then writes a header and lets http.ServeContent stream the segment file
-// section through a windowReader, which fails closed outside what was just
-// verified. It reports false, with nothing written, when the entry failed
-// verification or a read (it is quarantined by then) or is gone — evicted,
-// reclaimed — since the lookup; handleProxy then refetches from the origin
-// inside the same request.
-func (p *Peer) streamOutcome(w http.ResponseWriter, r *http.Request, path string, out serveOutcome) bool {
+// streamWindow is the span [lo, hi) of a disk-tier entry that a serve
+// verified at rest and streams off the segment file, which stays pinned
+// until release.
+type streamWindow struct {
+	e      segEntry
+	seg    *segment
+	lo, hi int64
+	// ctype is the Content-Type to declare when the entry has no stored one.
+	ctype string
+}
+
+func (w *streamWindow) reader() *windowReader { return newWindowReader(w.e, w.seg, w.lo, w.hi) }
+func (w *streamWindow) release()              { w.seg.release() }
+
+// openStream readies a tierDiskStream serve. It resolves the bytes the
+// response to r will carry (serveWindow; all of them for a nil r) and
+// verifies at rest the blocks that cover them — all of them without a
+// Range, and for an entry's first streamed serve, which checks the whole
+// object and earns its block sums. The answer then streams through a
+// windowReader, which fails closed outside what was just verified. It
+// returns nil when the entry failed verification or a read (it is
+// quarantined by then) or is gone — evicted, reclaimed — since the lookup.
+func (p *Peer) openStream(r *http.Request, path string, out serveOutcome) *streamWindow {
 	st := p.store.Load()
 	if st == nil {
-		return false
+		return nil
 	}
 	e, seg, ok := st.get(out.key)
 	if !ok {
-		return false
+		return nil
 	}
-	defer seg.release()
 	start, end := serveWindow(r, e.n)
 	lo, hi, err := st.verifyWindow(out.key, e, seg, start, end)
+	win := &streamWindow{e: e, seg: seg, lo: lo, hi: hi}
+	if err == nil && (out.meta == nil || out.meta.contentType == "") {
+		win.ctype, err = streamedType(st, path, out.key, e, seg, lo, hi)
+	}
 	if err != nil {
-		return false
+		seg.release()
+		return nil
 	}
-	ctype := ""
-	if out.meta == nil || out.meta.contentType == "" {
-		if ctype, err = streamedType(st, path, out.key, e, seg, lo, hi); err != nil {
-			return false
-		}
-	}
+	return win
+}
+
+// writeStream answers a single GET off its verified window: http.ServeContent
+// streams the segment file section, Range handling included.
+func (p *Peer) writeStream(w http.ResponseWriter, r *http.Request, path string, out serveOutcome, win *streamWindow) {
+	defer win.release()
 	writeCacheHeaders(w.Header(), out)
-	if ctype != "" {
-		w.Header().Set("Content-Type", ctype)
+	if win.ctype != "" {
+		w.Header().Set("Content-Type", win.ctype)
 	}
 	cw := &countingResponseWriter{ResponseWriter: w}
-	http.ServeContent(cw, r, path, time.Time{}, newWindowReader(e, seg, lo, hi))
-	p.servedBytes.Add(cw.n)
-	p.metrics.Add("nocdn.cache.bytes.disk", float64(cw.n))
-	return true
+	http.ServeContent(cw, r, path, time.Time{}, win.reader())
+	p.countBytes(out, cw.n)
 }
 
 // streamedType names the Content-Type of a disk entry that has no stored one
@@ -660,11 +767,14 @@ func streamedType(st *segmentStore, path, key string, e segEntry, seg *segment, 
 // serveWindow resolves the bytes [start, end) of an n-byte entry that the
 // response to r will carry, as far as this package will vouch for: a single
 // "bytes=a-b" or "bytes=a-" Range with no If-Range is that range; anything
-// else — no Range, a suffix or multi-part range, a range conditional on
-// If-Range, one parseRange rejects — is everything. net/http parses the
-// header again when it serves; windowReader is what keeps the two answers
-// from ever disagreeing in bytes.
+// else — no request (a bundle item), no Range, a suffix or multi-part range,
+// a range conditional on If-Range, one parseRange rejects — is everything.
+// net/http parses the header again when it serves; windowReader is what
+// keeps the two answers from ever disagreeing in bytes.
 func serveWindow(r *http.Request, n int64) (start, end int64) {
+	if r == nil {
+		return 0, n
+	}
 	if rng := r.Header.Get("Range"); rng != "" && r.Header.Get("If-Range") == "" {
 		if s, e, ok := parseRange(rng, int(n)); ok {
 			return int64(s), int64(e)
@@ -673,11 +783,11 @@ func serveWindow(r *http.Request, n int64) (start, end int64) {
 	return 0, n
 }
 
-// writeOutcome writes an in-memory serve. A plain GET is one direct write;
-// a request carrying Range, If-Match or If-None-Match goes through
-// http.ServeContent, so it gets the answer a disk-tier serve gives. out.data
-// aliases the cache entry and is only ever read, so a cached object can
-// never be poisoned in place.
+// writeOutcome writes an in-memory serve. A plain GET is one direct write
+// under a declared Content-Length; a request carrying Range, If-Match or
+// If-None-Match goes through http.ServeContent, so it gets the answer a
+// disk-tier serve gives. out.data aliases the cache entry and is only ever
+// read, so a cached object can never be poisoned in place.
 func (p *Peer) writeOutcome(w http.ResponseWriter, r *http.Request, out serveOutcome) {
 	writeCacheHeaders(w.Header(), out)
 	n := int64(len(out.data))
@@ -686,8 +796,14 @@ func (p *Peer) writeOutcome(w http.ResponseWriter, r *http.Request, out serveOut
 		http.ServeContent(cw, r, "", time.Time{}, bytes.NewReader(out.data))
 		n = cw.n
 	} else {
+		w.Header().Set("Content-Length", strconv.FormatInt(n, 10))
 		w.Write(out.data)
 	}
+	p.countBytes(out, n)
+}
+
+// countBytes charges n served bytes of out to the peer's ledger.
+func (p *Peer) countBytes(out serveOutcome, n int64) {
 	p.servedBytes.Add(n)
 	p.metrics.Add("nocdn.cache.bytes."+out.tier.label(), float64(n))
 }

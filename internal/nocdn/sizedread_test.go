@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -37,8 +39,10 @@ func (f bodyFault) String() string {
 }
 
 // faultFront answers requests that match with next's genuine response
-// reshaped by mode; everything else passes through.
-func faultFront(next http.Handler, match func(*http.Request) bool, mode bodyFault) http.Handler {
+// reshaped by mode; everything else passes through. With item set, the
+// shape applies to the bundle item of that name instead: its bytes, and the
+// length the bundle declares for it.
+func faultFront(next http.Handler, match func(*http.Request) bool, item string, mode bodyFault) http.Handler {
 	var hits atomic.Int32
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if !match(r) {
@@ -47,34 +51,101 @@ func faultFront(next http.Handler, match func(*http.Request) bool, mode bodyFaul
 		}
 		rec := httptest.NewRecorder()
 		next.ServeHTTP(rec, r)
-		body := rec.Body.Bytes()
 		for k, v := range rec.Header() {
 			if k != "Content-Length" {
 				w.Header()[k] = v
 			}
 		}
+		var head, tail []byte // what the answer carries around the reshaped body
+		body := rec.Body.Bytes()
+		declare := func(int) {}
+		if lengths := rec.Header().Get(BundleHeader); item != "" && lengths != "" {
+			items, at := splitBundle(r, rec, item)
+			head, body, tail = bytes.Join(items[:at], nil), items[at], bytes.Join(items[at+1:], nil)
+			declare = func(n int) {
+				ns := strings.Split(lengths, ",")
+				ns[at] = strconv.Itoa(n)
+				w.Header().Set(BundleHeader, strings.Join(ns, ","))
+			}
+		}
+		whole := func() string { return strconv.Itoa(len(head) + len(body) + len(tail)) }
 		if mode == bodyResetOnce && hits.Add(1) == 1 {
-			w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+			w.Header().Set("Content-Length", whole())
 			w.WriteHeader(rec.Code)
+			w.Write(head)
 			w.Write(bytes.Repeat([]byte{0xEE}, len(body)/2))
 			w.(http.Flusher).Flush()
 			panic(http.ErrAbortHandler) // cuts the connection mid-body
 		}
 		switch mode {
-		case bodyExact, bodyResetOnce:
-			w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 		case bodyShort:
 			body = body[:len(body)/2]
 		case bodyLong:
 			body = append(body[:len(body):len(body)], "trailing junk"...)
 		}
+		declare(len(body))
+		if mode == bodyExact || mode == bodyResetOnce {
+			w.Header().Set("Content-Length", whole())
+		}
 		w.WriteHeader(rec.Code)
+		w.Write(head)
 		w.Write(body)
+		w.Write(tail)
 		if mode != bodyExact && mode != bodyResetOnce {
 			// A flush before the handler returns commits the header without
 			// a Content-Length: net/http chunks the body and ends it cleanly.
 			w.(http.Flusher).Flush()
 		}
+	})
+}
+
+// asks reports whether r is a bundle request naming path.
+func asks(r *http.Request, path string) bool {
+	return slices.Contains(r.URL.Query()["o"], path)
+}
+
+// splitBundle splits rec, the genuine answer to the bundle request r, into
+// its items, and finds the one named path.
+func splitBundle(r *http.Request, rec *httptest.ResponseRecorder, path string) (items [][]byte, at int) {
+	items, err := BundleItems(rec.Header().Get(BundleHeader), rec.Body.Bytes())
+	at = slices.Index(r.URL.Query()["o"], path)
+	if err != nil || at < 0 {
+		panic(fmt.Sprintf("test front: %s is not an item of %s (%v)", path, r.URL, err))
+	}
+	return items, at
+}
+
+// failItem answers bundle requests naming path with that item declared
+// failed with status, and next's genuine answer for the others — next is
+// never asked for path, as a single GET answered status never reached it.
+func failItem(next http.Handler, path string, status int) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		q := r.URL.Query()
+		at := slices.Index(q["o"], path)
+		if at < 0 {
+			next.ServeHTTP(w, r)
+			return
+		}
+		var items [][]byte
+		var lengths []string
+		if len(q["o"]) > 1 {
+			q["o"], q["h"] = slices.Delete(q["o"], at, at+1), slices.Delete(q["h"], at, at+1)
+			others := r.Clone(r.Context())
+			others.URL.RawQuery = q.Encode()
+			rec := httptest.NewRecorder()
+			next.ServeHTTP(rec, others)
+			var err error
+			if items, err = BundleItems(rec.Header().Get(BundleHeader), rec.Body.Bytes()); err != nil {
+				panic(fmt.Sprintf("test front: %s: %v", others.URL, err))
+			}
+			lengths = strings.Split(rec.Header().Get(BundleHeader), ",")
+		}
+		items = slices.Insert(items, at, nil)
+		lengths = slices.Insert(lengths, at, strconv.Itoa(-status))
+		body := bytes.Join(items, nil)
+		w.Header().Set(BundleHeader, strings.Join(lengths, ","))
+		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+		w.Write(body)
 	})
 }
 
@@ -157,14 +228,15 @@ func TestSizedReadOutcomes(t *testing.T) {
 		name  string
 		opts  []OriginOption
 		peers int
-		// match picks the request the fault applies to; fail404 marks the
-		// peer requests answered 404 to force the origin-fallback hop.
+		// match picks the request the fault applies to (in a bundle, to the
+		// target's item); fail404 has the peers answer the target's item 404
+		// to force the origin-fallback hop.
 		match   func(role string, r *http.Request) bool
-		fail404 func(role string, r *http.Request) bool
+		fail404 bool
 	}{
 		{name: "whole object", peers: 1,
 			match: func(role string, r *http.Request) bool {
-				return role != "origin" && strings.HasSuffix(r.URL.Path, target)
+				return role != "origin" && asks(r, target)
 			}},
 		{name: "chunk", peers: 2, opts: []OriginOption{WithChunking(2, 1000)},
 			match: func(role string, r *http.Request) bool {
@@ -175,9 +247,7 @@ func TestSizedReadOutcomes(t *testing.T) {
 			match: func(role string, r *http.Request) bool {
 				return role == "origin" && r.URL.Path == "/content"+target
 			},
-			fail404: func(role string, r *http.Request) bool {
-				return role != "origin" && strings.HasSuffix(r.URL.Path, target)
-			}},
+			fail404: true},
 		{name: "wrapper", peers: 1,
 			match: func(role string, r *http.Request) bool {
 				return role == "origin" && r.URL.Path == "/wrapper"
@@ -202,17 +272,11 @@ func TestSizedReadOutcomes(t *testing.T) {
 					wantErr = wrongLength
 				}
 				s := newSizedSite(t, hop.peers, func(role string, h http.Handler) http.Handler {
-					h = faultFront(h, func(r *http.Request) bool { return hop.match(role, r) }, mode)
-					if hop.fail404 == nil {
-						return h
+					h = faultFront(h, func(r *http.Request) bool { return hop.match(role, r) }, target, mode)
+					if hop.fail404 && role != "origin" {
+						return failItem(h, target, http.StatusNotFound)
 					}
-					return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-						if hop.fail404(role, r) {
-							http.NotFound(w, r)
-							return
-						}
-						h.ServeHTTP(w, r)
-					})
+					return h
 				}, nil, hop.opts...)
 
 				res, err := s.loader.LoadPage("home")
@@ -278,6 +342,138 @@ func TestSizedReadOutcomes(t *testing.T) {
 	}
 }
 
+// TestBundleOutcomes drives one page view per fault that only a bundle can
+// carry, on a one-peer site whose five objects travel in one bundle. Each
+// lands on the outcome the same fault had on the single GET of every object
+// it touches: the bytes rendered, tampering, the fallbacks in wrapper order,
+// the retries and giveups, the credit, and the peer's breaker charge (one
+// success or failure per object, one fallback charge per object it forced to
+// the origin).
+func TestBundleOutcomes(t *testing.T) {
+	const target = "/img/a.png"
+	wrapperOrder := []string{"/index.html", "/img/a.png", "/img/b.png", "/img/c.png", "/img/d.png"}
+	var once atomic.Bool
+	for _, tc := range []struct {
+		name  string
+		front func(h http.Handler, w http.ResponseWriter, r *http.Request)
+		// The outcome of the same fault on single GETs.
+		tamper                        bool
+		fallbacks                     []string
+		retries, giveups              float64
+		successes, failures, fallback int64
+	}{
+		// The target's GET answers 502 on all three attempts.
+		{name: "item -502", front: func(h http.Handler, w http.ResponseWriter, r *http.Request) {
+			failItem(h, target, http.StatusBadGateway).ServeHTTP(w, r)
+		}, fallbacks: []string{target}, retries: 2, giveups: 1, successes: 4, failures: 1, fallback: 1},
+		// The target's GET ends cleanly one byte past the wrapper's size.
+		{name: "item of another length", front: func(h http.Handler, w http.ResponseWriter, r *http.Request) {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, r)
+			items, at := splitBundle(r, rec, target)
+			items[at] = append(items[at][:len(items[at]):len(items[at])], 'x')
+			writeBundle(w, items)
+		}, tamper: true, fallbacks: []string{target}, giveups: 1, successes: 4, failures: 1, fallback: 1},
+		// The second object's GET is cut mid-body once.
+		{name: "cut after the first item", front: func(h http.Handler, w http.ResponseWriter, r *http.Request) {
+			if once.Swap(true) {
+				h.ServeHTTP(w, r)
+				return
+			}
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, r)
+			items, _ := BundleItems(rec.Header().Get(BundleHeader), rec.Body.Bytes())
+			w.Header().Set(BundleHeader, rec.Header().Get(BundleHeader))
+			w.Header().Set("Content-Length", strconv.Itoa(rec.Body.Len()))
+			w.Write(items[0])
+			w.(http.Flusher).Flush()
+			panic(http.ErrAbortHandler)
+		}, retries: 1, successes: 5},
+		// Every object's GET answers 503 once.
+		{name: "bundle 503", front: func(h http.Handler, w http.ResponseWriter, r *http.Request) {
+			if once.Swap(true) {
+				h.ServeHTTP(w, r)
+				return
+			}
+			http.Error(w, "busy", http.StatusServiceUnavailable)
+		}, retries: 5, successes: 5},
+		// Every object's GET names a provider the peer never signed up for.
+		{name: "unknown provider", front: func(h http.Handler, w http.ResponseWriter, r *http.Request) {
+			other := r.Clone(r.Context())
+			other.URL.Path = "/proxy/unknown.example"
+			h.ServeHTTP(w, other)
+		}, fallbacks: wrapperOrder, retries: 10, giveups: 5, failures: 5, fallback: 5},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			once.Store(false)
+			s := newSizedSite(t, 1, func(role string, h http.Handler) http.Handler {
+				if role == "origin" {
+					return h
+				}
+				return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+					if !strings.HasPrefix(r.URL.Path, "/proxy/") {
+						h.ServeHTTP(w, r)
+						return
+					}
+					tc.front(h, w, r)
+				})
+			}, nil)
+			res, err := s.loader.LoadPage("home")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for path, want := range s.published {
+				if !bytes.Equal(res.Body[path], want) {
+					t.Errorf("%s: rendered %d bytes that are not the %d published", path, len(res.Body[path]), len(want))
+				}
+			}
+			if res.TamperDetected != tc.tamper {
+				t.Errorf("TamperDetected = %v, want %v", res.TamperDetected, tc.tamper)
+			}
+			if !slices.Equal(res.FallbackObjects, tc.fallbacks) {
+				t.Errorf("FallbackObjects = %v, want %v", res.FallbackObjects, tc.fallbacks)
+			}
+			if got := s.metrics.Counter("nocdn.loader.retries"); got != tc.retries {
+				t.Errorf("retries = %v, want %v", got, tc.retries)
+			}
+			if got := s.metrics.Counter("nocdn.loader.giveups"); got != tc.giveups {
+				t.Errorf("giveups = %v, want %v", got, tc.giveups)
+			}
+			var credit int64
+			for path, data := range s.published {
+				if !slices.Contains(tc.fallbacks, path) {
+					credit += int64(len(data))
+				}
+			}
+			p := s.peers[0]
+			if _, err := p.Flush(s.originURL); err != nil {
+				t.Fatal(err)
+			}
+			if served, credited := res.PeerBytes[p.ID], s.origin.AccountingFor(p.ID).CreditedBytes; served != credit || credited != credit {
+				t.Errorf("peer served %d and was credited %d bytes, want %d", served, credited, credit)
+			}
+			for _, ph := range s.health.Snapshot().Peers {
+				if ph.Successes != tc.successes || ph.Failures != tc.failures || ph.Fallbacks != tc.fallback {
+					t.Errorf("peer %s charged %d successes, %d failures, %d fallbacks; want %d, %d, %d",
+						ph.ID, ph.Successes, ph.Failures, ph.Fallbacks, tc.successes, tc.failures, tc.fallback)
+				}
+			}
+		})
+	}
+}
+
+// writeBundle answers a bundle of items, every one of them served.
+func writeBundle(w http.ResponseWriter, items [][]byte) {
+	lengths := make([]string, len(items))
+	for i, it := range items {
+		lengths[i] = strconv.Itoa(len(it))
+	}
+	body := bytes.Join(items, nil)
+	w.Header().Set(BundleHeader, strings.Join(lengths, ","))
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.Write(body)
+}
+
 // TestSizedReadUnsizedWrapper: a hand-built wrapper that states no sizes
 // still loads — each read sizes itself by Content-Length, or grows.
 func TestSizedReadUnsizedWrapper(t *testing.T) {
@@ -326,7 +522,7 @@ func TestSizedReadKeepsConnectionsAlive(t *testing.T) {
 	var mu sync.Mutex
 	opened := make(map[string]int)
 	s := newSizedSite(t, 1, func(role string, h http.Handler) http.Handler {
-		return faultFront(h, func(*http.Request) bool { return true }, bodyChunked)
+		return faultFront(h, func(*http.Request) bool { return true }, "", bodyChunked)
 	}, func(role string, _ net.Conn, st http.ConnState) {
 		if st == http.StateNew {
 			mu.Lock()
@@ -355,6 +551,41 @@ func TestSizedReadKeepsConnectionsAlive(t *testing.T) {
 	}
 	if len(opened) != 2 {
 		t.Errorf("connections seen on %d servers, want origin and peer", len(opened))
+	}
+}
+
+// TestDefaultClientKeepsConnections: a loader built without an HTTPClient
+// keeps as many idle connections per host as it has requests in flight, so
+// over many chunked views no peer sees more connections than that.
+// (http.DefaultTransport keeps two: every Range request beyond them cost a
+// connection per view.)
+func TestDefaultClientKeepsConnections(t *testing.T) {
+	var mu sync.Mutex
+	opened := make(map[string]int)
+	s := newSizedSite(t, 2, nil, func(role string, _ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			mu.Lock()
+			opened[role]++
+			mu.Unlock()
+		}
+	}, WithChunking(2, 1000))
+	s.loader.HTTPClient = nil
+	t.Cleanup(func() { s.loader.client().CloseIdleConnections() })
+	for i := 0; i < 20; i++ {
+		res, err := s.loader.LoadPage("home")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.FallbackObjects) != 0 || res.RecordsDelivered != 2 {
+			t.Fatalf("view %d: fallbacks %v, %d records delivered", i, res.FallbackObjects, res.RecordsDelivered)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, p := range s.peers {
+		if n := opened[p.ID]; n > DefaultConcurrency {
+			t.Errorf("%s saw %d connections over 20 views, want <= %d", p.ID, n, DefaultConcurrency)
+		}
 	}
 }
 

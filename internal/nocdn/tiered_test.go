@@ -168,7 +168,7 @@ func TestTieredLateMissFindsDiskFill(t *testing.T) {
 	s := newTieredSite(t, 64<<10, 8<<20, 1<<20, map[string][]byte{"/big": big})
 	s.get(t, "/big")
 
-	out, err := s.peer.serveMiss(s.origin.URL, "prov|/big", "prov|/big", "/big", http.Header{})
+	out, err := s.peer.serveMiss(s.origin.URL, "prov|/big", "prov|/big", "/big", "", http.Header{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,9 +179,7 @@ func TestTieredLateMissFindsDiskFill(t *testing.T) {
 		t.Fatalf("origin fetched %d times, want 1 (the late miss reads the disk fill)", got)
 	}
 
-	hdr := http.Header{}
-	hdr.Set(ExpectHashHeader, strings.Repeat("0", 64))
-	if _, err := s.peer.serveMiss(s.origin.URL, "prov|/big", "prov|/big", "/big", hdr); err != nil {
+	if _, err := s.peer.serveMiss(s.origin.URL, "prov|/big", "prov|/big", "/big", strings.Repeat("0", 64), http.Header{}); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.fetches.Load(); got != 2 {
@@ -642,6 +640,26 @@ func TestMemoryTierRangeMatchesNetHTTP(t *testing.T) {
 	}
 	if s.fetches.Load() != fetches {
 		t.Errorf("honest requests cost %d origin fetches", s.fetches.Load()-fetches)
+	}
+}
+
+// TestMemoryTierGetDeclaresLength: a plain GET of a memory entry — what
+// browsers, cdntest and bench's prefetch send — goes out under a
+// Content-Length, not chunked: one write of a known size.
+func TestMemoryTierGetDeclaresLength(t *testing.T) {
+	small := obj(44, 8<<10)
+	s := newTieredSite(t, 4<<20, 64<<20, 8<<20, map[string][]byte{"/small": small})
+	s.get(t, "/small")
+	memHits := s.peer.memHits.Load()
+	resp, body := s.do(t, "/small")
+	if s.peer.memHits.Load() != memHits+1 {
+		t.Fatal("not served from the memory tier")
+	}
+	if !bytes.Equal(body, small) {
+		t.Fatal("served other bytes than the published ones")
+	}
+	if resp.ContentLength != int64(len(small)) || len(resp.TransferEncoding) != 0 {
+		t.Errorf("ContentLength=%d TransferEncoding=%v, want %d and none", resp.ContentLength, resp.TransferEncoding, len(small))
 	}
 }
 
