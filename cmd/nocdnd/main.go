@@ -112,7 +112,7 @@ func run(args []string) error {
 	probeSample := fs.Int("probe-sample", 0,
 		"origin: probe only this many randomly sampled peers per pass (0 = full scan; pair with -gossip-interval on peers)")
 	epochTick := fs.Duration("epoch-tick", 0,
-		"origin: assignment-epoch heartbeat — refresh pooled wrapper maps on this cadence (0 = disabled)")
+		"origin: assignment-epoch heartbeat — refresh pooled wrapper maps on this cadence (0 = disabled; keys renew without a tick, a map being rebuilt once its keys are 5 minutes old)")
 	gossipInterval := fs.Duration("gossip-interval", 0,
 		"peer: probe ring neighbors and gossip their health to the first provider's origin on this cadence (0 = disabled)")
 	telemetryInterval := fs.Duration("telemetry-interval", 0,

@@ -4,8 +4,10 @@
 //     usage records are "secured via a cryptographic signature using the
 //     secret key furnished by the content provider").
 //   - Nonce replay caches ("includes a nonce to prevent replay").
-//   - Short-term key issuance with expiry (the wrapper page's "unique
-//     short-term secret key for each peer").
+//   - Secrets and the errors a key lookup reports. The wrapper page's
+//     "unique short-term secret key for each peer" is not kept here: the
+//     NoCDN origin stores each key as one row of its settlement ledger, from
+//     mint to removal.
 //   - Grant tokens: the data attic's QR-code payload, carrying everything a
 //     provider needs to reach the right slice of a user's attic ("everything
 //     from the IP address of the data attic to the proper initial
@@ -20,9 +22,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"errors"
-	"fmt"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 )
@@ -35,18 +34,6 @@ var (
 	ErrUnknownKey   = errors.New("auth: unknown key id")
 	ErrMalformed    = errors.New("auth: malformed token")
 )
-
-// Key is a shared secret with an identity and expiry.
-type Key struct {
-	ID      string
-	Secret  []byte
-	Expires time.Time
-}
-
-// Expired reports whether the key is past its expiry at time now.
-func (k Key) Expired(now time.Time) bool {
-	return !k.Expires.IsZero() && now.After(k.Expires)
-}
 
 // NewSecret returns n cryptographically random bytes.
 func NewSecret(n int) []byte {
@@ -184,98 +171,6 @@ func (c *NonceCache) Restore(entries map[string]time.Time) {
 			continue
 		}
 		c.seen[n] = at
-	}
-}
-
-// KeyIssuer mints and tracks short-term keys, as the NoCDN origin does for
-// each peer named in a wrapper page.
-type KeyIssuer struct {
-	mu   sync.Mutex
-	keys map[string]Key
-	ttl  time.Duration
-	now  func() time.Time
-	next int
-}
-
-// NewKeyIssuer creates an issuer whose keys live for ttl.
-func NewKeyIssuer(ttl time.Duration, now func() time.Time) *KeyIssuer {
-	if now == nil {
-		now = time.Now
-	}
-	if ttl <= 0 {
-		ttl = 5 * time.Minute
-	}
-	return &KeyIssuer{keys: make(map[string]Key), ttl: ttl, now: now}
-}
-
-// Issue mints a fresh short-term key bound to the given subject (peer ID).
-func (ki *KeyIssuer) Issue(subject string) Key {
-	ki.mu.Lock()
-	defer ki.mu.Unlock()
-	ki.next++
-	k := Key{
-		ID:      fmt.Sprintf("%s-%d", subject, ki.next),
-		Secret:  NewSecret(32),
-		Expires: ki.now().Add(ki.ttl),
-	}
-	ki.keys[k.ID] = k
-	return k
-}
-
-// Lookup returns the key by ID, failing if unknown or expired.
-func (ki *KeyIssuer) Lookup(id string) (Key, error) {
-	ki.mu.Lock()
-	defer ki.mu.Unlock()
-	k, ok := ki.keys[id]
-	if !ok {
-		return Key{}, ErrUnknownKey
-	}
-	if k.Expired(ki.now()) {
-		delete(ki.keys, id)
-		return Key{}, ErrExpired
-	}
-	return k, nil
-}
-
-// Revoke discards a key.
-func (ki *KeyIssuer) Revoke(id string) {
-	ki.mu.Lock()
-	defer ki.mu.Unlock()
-	delete(ki.keys, id)
-}
-
-// Export copies every live (unexpired) key — the short-term key table a
-// crash-recoverable issuer persists so records signed before a restart still
-// verify after it.
-func (ki *KeyIssuer) Export() []Key {
-	ki.mu.Lock()
-	defer ki.mu.Unlock()
-	now := ki.now()
-	out := make([]Key, 0, len(ki.keys))
-	for _, k := range ki.keys {
-		if k.Expired(now) {
-			continue
-		}
-		out = append(out, k)
-	}
-	return out
-}
-
-// Restore reinserts a previously issued key (expired keys are dropped) and
-// re-anchors the issuer's ID counter past the key's "-N" suffix, so keys
-// minted after recovery can never collide with — and silently overwrite —
-// keys minted before the crash. Idempotent.
-func (ki *KeyIssuer) Restore(k Key) {
-	ki.mu.Lock()
-	defer ki.mu.Unlock()
-	if k.ID == "" || k.Expired(ki.now()) {
-		return
-	}
-	ki.keys[k.ID] = k
-	if dash := strings.LastIndexByte(k.ID, '-'); dash >= 0 {
-		if n, err := strconv.Atoi(k.ID[dash+1:]); err == nil && n > ki.next {
-			ki.next = n
-		}
 	}
 }
 

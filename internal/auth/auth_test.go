@@ -1,7 +1,6 @@
 package auth
 
 import (
-	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -80,48 +79,6 @@ func TestNonceCachePurge(t *testing.T) {
 	}
 }
 
-func TestKeyIssuer(t *testing.T) {
-	current := time.Now()
-	clock := func() time.Time { return current }
-	ki := NewKeyIssuer(time.Minute, clock)
-	k := ki.Issue("peer-7")
-	if !strings.HasPrefix(k.ID, "peer-7-") {
-		t.Errorf("key id = %q", k.ID)
-	}
-	if len(k.Secret) != 32 {
-		t.Errorf("secret len = %d", len(k.Secret))
-	}
-	got, err := ki.Lookup(k.ID)
-	if err != nil || string(got.Secret) != string(k.Secret) {
-		t.Fatalf("Lookup: %v", err)
-	}
-	if _, err := ki.Lookup("nope"); err != ErrUnknownKey {
-		t.Errorf("unknown key err = %v", err)
-	}
-	current = current.Add(2 * time.Minute)
-	if _, err := ki.Lookup(k.ID); err != ErrExpired {
-		t.Errorf("expired key err = %v", err)
-	}
-}
-
-func TestKeyIssuerRevoke(t *testing.T) {
-	ki := NewKeyIssuer(time.Minute, nil)
-	k := ki.Issue("p")
-	ki.Revoke(k.ID)
-	if _, err := ki.Lookup(k.ID); err != ErrUnknownKey {
-		t.Errorf("revoked key err = %v", err)
-	}
-}
-
-func TestKeyIssuerDistinctKeys(t *testing.T) {
-	ki := NewKeyIssuer(time.Minute, nil)
-	a := ki.Issue("p")
-	b := ki.Issue("p")
-	if a.ID == b.ID || string(a.Secret) == string(b.Secret) {
-		t.Error("issuer reused id or secret")
-	}
-}
-
 func TestGrantRoundTrip(t *testing.T) {
 	g := Grant{
 		Endpoint: "http://203.0.113.5:8080/dav",
@@ -152,16 +109,5 @@ func TestDecodeGrantErrors(t *testing.T) {
 	empty := Grant{Provider: "x"}
 	if _, err := DecodeGrant(empty.Encode()); err != ErrMalformed {
 		t.Errorf("empty grant err = %v", err)
-	}
-}
-
-func TestKeyExpired(t *testing.T) {
-	now := time.Now()
-	if (Key{}).Expired(now) {
-		t.Error("zero-expiry key reported expired")
-	}
-	k := Key{Expires: now.Add(-time.Second)}
-	if !k.Expired(now) {
-		t.Error("past-expiry key reported valid")
 	}
 }

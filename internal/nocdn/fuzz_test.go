@@ -89,3 +89,48 @@ func FuzzSettleRecords(f *testing.F) {
 		}
 	})
 }
+
+// FuzzBundleItems hardens the loader's split of a bundle answer, whose
+// X-NoCDN-Bundle lengths and body both come from an untrusted peer: any
+// input must not panic, and an accepted split must cover the body exactly —
+// each served item the next sub-slice of body (capped, so appending to one
+// cannot overwrite the next), their lengths summing to len(body), and each
+// failed item nil.
+func FuzzBundleItems(f *testing.F) {
+	f.Add("3,-502,2", []byte("abcde"))
+	f.Add("0,0", []byte{})
+	f.Add("-503", []byte{})
+	f.Add("5,", []byte("abcde"))
+	f.Add("-99", []byte{})
+	f.Add("99999999999999999999", []byte("x"))
+	f.Add("", []byte("x"))
+	f.Fuzz(func(t *testing.T, lengths string, body []byte) {
+		items, err := BundleItems(lengths, body)
+		if err != nil {
+			return
+		}
+		ns, err := parseBundleLengths(lengths, len(items))
+		if err != nil {
+			t.Fatalf("BundleItems accepted lengths %q that do not parse: %v", lengths, err)
+		}
+		at := 0
+		for i, it := range items {
+			if ns[i] < 0 {
+				if it != nil {
+					t.Fatalf("failed item %d (%d) is %q, want nil", i, ns[i], it)
+				}
+				continue
+			}
+			if len(it) != ns[i] || cap(it) != len(it) {
+				t.Fatalf("item %d: len %d cap %d, declared %d", i, len(it), cap(it), ns[i])
+			}
+			if len(it) > 0 && &it[0] != &body[at] {
+				t.Fatalf("item %d does not start at body offset %d", i, at)
+			}
+			at += len(it)
+		}
+		if at != len(body) {
+			t.Fatalf("items cover %d of %d body bytes", at, len(body))
+		}
+	})
+}

@@ -15,7 +15,6 @@ import (
 	"testing"
 	"time"
 
-	"hpop/internal/auth"
 	"hpop/internal/sim"
 )
 
@@ -162,9 +161,10 @@ func settlementHistory(t *testing.T) []byte {
 	// and the order of the snapshot's batch nonces, sorted by root — are the
 	// same on every run.
 	for _, id := range named {
-		k := auth.Key{ID: keys[id].KeyID, Secret: []byte("golden secret " + keys[id].KeyID), Expires: at.Add(10 * time.Minute)}
-		o.keys.Restore(k)
-		keys[id] = PeerKey{KeyID: k.ID, Secret: hex.EncodeToString(k.Secret)}
+		k, _ := o.ledger.key(keys[id].KeyID)
+		k.SecretHex = hex.EncodeToString([]byte("golden secret " + k.ID))
+		o.ledger.restoreKeys([]keyRow{k}, at)
+		keys[id] = PeerKey{KeyID: k.ID, Secret: k.SecretHex}
 	}
 
 	seq := 0
@@ -203,7 +203,8 @@ func settlementHistory(t *testing.T) []byte {
 	o.Audit().FlagTampered(idle[len(idle)-1], errors.New("planted evidence"))
 	// Over-claim: enough whole-key records that credit passes 1.5 times
 	// what b was assigned, so the anomaly verdict suspends it.
-	_, maxBytes, _ := o.ledger.keyInfo(keys[b].KeyID)
+	kb, _ := o.ledger.key(keys[b].KeyID)
+	maxBytes := kb.MaxBytes
 	var over []UsageRecord
 	for credit := int64(0); 2*credit <= 3*o.AccountingFor(b).AssignedBytes; credit += maxBytes {
 		over = append(over, record(b, maxBytes, nil))

@@ -1,9 +1,16 @@
 package nocdn
 
 import (
+	"encoding/hex"
 	"slices"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
+	"sync/atomic"
+	"time"
+
+	"hpop/internal/auth"
 )
 
 // ledgerShardCount shards the settlement ledger and key table by hash; a
@@ -47,19 +54,49 @@ func (sh *ledgerShard) rowLocked(peerID string) *peerRow {
 	return r
 }
 
-// keyShard is one lock's worth of the short-term key table.
-type keyShard struct {
-	mu       sync.RWMutex
-	keyPeer  map[string]string
-	keyBytes map[string]int64
+// Short-term key lifetime. A key signs records for keyTTL from the build of
+// the wrapper map that hands it out; the pool renews a map once its keys are
+// keyTTL/2 old, so every record a view signs has at least keyTTL/2 to
+// settle. After its expiry a row still answers (auth.ErrExpired) for one
+// replayWindow — the span the nonce cache remembers a record's nonce — and
+// then leaves the table: the minting path sweeps a shard at most once per
+// keySweepInterval.
+const (
+	keyTTL           = 10 * time.Minute
+	replayWindow     = time.Hour
+	keySweepInterval = 5 * time.Minute
+)
+
+// keyRow is one short-term key from mint to removal: the peer it was issued
+// for, its secret (hex, as the wrapper hands it out), its expiry, and the
+// bytes its wrapper map assigned under it. Journal keys_issued records and
+// the snapshot's key list hold these rows as they are.
+type keyRow struct {
+	ID        string `json:"id"`
+	PeerID    string `json:"peerId"`
+	SecretHex string `json:"secretHex"`
+	Expires   int64  `json:"expiresUnixNano"`
+	MaxBytes  int64  `json:"maxBytes"`
 }
 
-// ledger is the origin's sharded settlement state: which peer each key was
-// issued for, how many bytes were assigned under it, and one settlement row
-// per peer.
+// removable reports whether the row is one replay window past its expiry.
+func (k keyRow) removable(now time.Time) bool {
+	return now.UnixNano()-k.Expires > int64(replayWindow)
+}
+
+// keyShard is one lock's worth of the short-term key table.
+type keyShard struct {
+	mu      sync.RWMutex
+	rows    map[string]keyRow
+	sweptAt time.Time
+}
+
+// ledger is the origin's sharded settlement state: one row per short-term
+// key, one settlement row per peer, and the counter that numbers key IDs.
 type ledger struct {
 	shards    [ledgerShardCount]ledgerShard
 	keyShards [ledgerShardCount]keyShard
+	keySeq    atomic.Int64
 }
 
 func newLedger() *ledger {
@@ -68,10 +105,7 @@ func newLedger() *ledger {
 		l.shards[i].rows = make(map[string]*peerRow)
 	}
 	for i := range l.keyShards {
-		l.keyShards[i] = keyShard{
-			keyPeer:  make(map[string]string),
-			keyBytes: make(map[string]int64),
-		}
+		l.keyShards[i].rows = make(map[string]keyRow)
 	}
 	return l
 }
@@ -252,40 +286,75 @@ func (l *ledger) floorAssigned(peerID string, n int64) {
 	sh.mu.Unlock()
 }
 
-// floorKeyBytes raises a key's byte budget to at least n (idempotent replay
-// of keys-issued records, which carry the budget as an absolute value).
-func (l *ledger) floorKeyBytes(keyID string, n int64) {
-	sh := l.keyShardFor(keyID)
-	sh.mu.Lock()
-	if sh.keyBytes[keyID] < n {
-		sh.keyBytes[keyID] = n
+// mintKey issues a short-term key for peerID with its map's byte budget and
+// stores its row. The secret is drawn before the shard lock is taken; the
+// shard is swept first if keySweepInterval has passed since its last sweep.
+func (l *ledger) mintKey(peerID string, maxBytes int64, now time.Time) keyRow {
+	k := keyRow{
+		ID:        peerID + "-" + strconv.FormatInt(l.keySeq.Add(1), 10),
+		PeerID:    peerID,
+		SecretHex: hex.EncodeToString(auth.NewSecret(32)),
+		Expires:   now.Add(keyTTL).UnixNano(),
+		MaxBytes:  maxBytes,
 	}
-	sh.mu.Unlock()
-}
-
-// issueKey records which peer a short-term key was minted for.
-func (l *ledger) issueKey(keyID, peerID string) {
-	sh := l.keyShardFor(keyID)
+	sh := l.keyShardFor(k.ID)
 	sh.mu.Lock()
-	sh.keyPeer[keyID] = peerID
+	if now.Sub(sh.sweptAt) >= keySweepInterval {
+		for id, r := range sh.rows {
+			if r.removable(now) {
+				delete(sh.rows, id)
+			}
+		}
+		sh.sweptAt = now
+	}
+	sh.rows[k.ID] = k
 	sh.mu.Unlock()
+	return k
 }
 
-// addKeyBytes grows the byte budget assigned under a key.
-func (l *ledger) addKeyBytes(keyID string, n int64) {
-	sh := l.keyShardFor(keyID)
-	sh.mu.Lock()
-	sh.keyBytes[keyID] += n
-	sh.mu.Unlock()
-}
-
-// keyInfo reads a key's issued-for peer and byte budget.
-func (l *ledger) keyInfo(keyID string) (peerID string, maxBytes int64, ok bool) {
+// key reads one key's row.
+func (l *ledger) key(keyID string) (keyRow, bool) {
 	sh := l.keyShardFor(keyID)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	peerID, ok = sh.keyPeer[keyID]
-	return peerID, sh.keyBytes[keyID], ok
+	k, ok := sh.rows[keyID]
+	return k, ok
+}
+
+// restoreKeys reinserts journaled or snapshotted rows, except those already
+// past removal, and re-anchors the ID counter past every row's "-N" suffix,
+// so a key minted after recovery never reuses a pre-crash ID. Idempotent.
+func (l *ledger) restoreKeys(keys []keyRow, now time.Time) {
+	for _, k := range keys {
+		if dash := strings.LastIndexByte(k.ID, '-'); dash >= 0 {
+			if n, err := strconv.ParseInt(k.ID[dash+1:], 10, 64); err == nil {
+				storeMax(&l.keySeq, n)
+			}
+		}
+		if k.removable(now) {
+			continue
+		}
+		sh := l.keyShardFor(k.ID)
+		sh.mu.Lock()
+		sh.rows[k.ID] = k
+		sh.mu.Unlock()
+	}
+}
+
+// keys copies every row the table holds, sorted by ID so snapshot bytes are
+// deterministic for identical state (nil for an empty table).
+func (l *ledger) keys() []keyRow {
+	var out []keyRow
+	for i := range l.keyShards {
+		sh := &l.keyShards[i]
+		sh.mu.RLock()
+		for _, k := range sh.rows {
+			out = append(out, k)
+		}
+		sh.mu.RUnlock()
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	return out
 }
 
 // registry is the origin's peer directory: registration-ordered for Peers

@@ -2,6 +2,7 @@ package nocdn
 
 import (
 	"context"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -131,7 +132,6 @@ type Origin struct {
 	ring     *hashRing
 	pool     *wrapperPool
 
-	keys   *auth.KeyIssuer  // internally locked
 	nonces *auth.NonceCache // internally locked
 	now    func() time.Time
 
@@ -295,8 +295,7 @@ func NewOrigin(provider string, opts ...OriginOption) *Origin {
 		fn(o)
 	}
 	o.ring = newRing(o.RingVnodes)
-	o.keys = auth.NewKeyIssuer(10*time.Minute, o.now)
-	o.nonces = auth.NewNonceCache(time.Hour, o.now)
+	o.nonces = auth.NewNonceCache(replayWindow, o.now)
 	// The telemetry plane shares the origin's (possibly fake) clock, so
 	// staleness windows and burn rates advance deterministically in tests.
 	o.fleet = NewFleetAggregator(o.now)
@@ -596,17 +595,20 @@ func (o *Origin) settle(parent hpop.TraceContext, b RecordBatch) (credited int, 
 			continue
 		}
 		// Reject the whole batch, with the failed leaf as the uploader's
-		// evidence row entry, then flag the uploader. The batch nonce is
-		// consumed with the rejection's journal record — a crash must not
-		// reopen the root to a "fixed" replay.
+		// evidence row entry, then flag the uploader — unless the leaf is
+		// only late (its key expired), which is no sign of tampering. The
+		// batch nonce is consumed with the rejection's journal record — a
+		// crash must not reopen the root to a "fixed" replay.
 		o.metrics.Inc("nocdn.origin.sample_failures")
 		if cerr := reject(batchNonce, []settleOutcome{{rec: b.Records[i], err: verr}}); cerr != nil {
 			// Replayed root: the first settlement of this commitment
 			// already journaled the rejection and flagged the peer.
 			return 0, o.batchReplayed(cerr)
 		}
-		o.audit.FlagTampered(b.PeerID, verr)
-		return 0, fmt.Errorf("%w: sampled leaf %d: %v", ErrBadBatch, i, verr)
+		if !errors.Is(verr, auth.ErrExpired) {
+			o.audit.FlagTampered(b.PeerID, verr)
+		}
+		return 0, fmt.Errorf("%w: sampled leaf %d: %w", ErrBadBatch, i, verr)
 	}
 	if len(b.Records) == 0 {
 		return 0, nil
@@ -752,23 +754,28 @@ func (o *Origin) checkRecord(r UsageRecord, batchPeer string, verifySig bool) er
 	if r.PeerID != batchPeer {
 		return fmt.Errorf("%w: record peer %q in batch from %q", ErrBadRecord, r.PeerID, batchPeer)
 	}
-	key, err := o.keys.Lookup(r.KeyID)
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrBadRecord, err)
+	k, ok := o.ledger.key(r.KeyID)
+	if !ok {
+		return fmt.Errorf("%w: %w", ErrBadRecord, auth.ErrUnknownKey)
 	}
-	issuedFor, maxBytes, _ := o.ledger.keyInfo(r.KeyID)
-	if issuedFor != r.PeerID {
+	if k.PeerID != r.PeerID {
 		return fmt.Errorf("%w: key issued for different peer", ErrBadRecord)
 	}
 	if verifySig {
-		if err := r.VerifySignature(key.Secret); err != nil {
-			return fmt.Errorf("%w: %v", ErrBadRecord, err)
+		secret, _ := hex.DecodeString(k.SecretHex) // minted as hex
+		if err := r.VerifySignature(secret); err != nil {
+			return fmt.Errorf("%w: %w", ErrBadRecord, err)
 		}
 	}
 	// A single key covers one wrapper build; claiming more bytes than were
 	// assigned under it is definitionally inflation.
-	if r.Bytes < 0 || r.Bytes > maxBytes {
+	if r.Bytes < 0 || r.Bytes > k.MaxBytes {
 		return fmt.Errorf("%w: implausible byte count", ErrBadRecord)
+	}
+	// Expiry is checked last, so ErrExpired means the record is late and
+	// nothing else: settle tells it apart from tampering.
+	if o.now().UnixNano() > k.Expires {
+		return fmt.Errorf("%w: %w", ErrBadRecord, auth.ErrExpired)
 	}
 	return nil
 }

@@ -7,12 +7,11 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
 	"time"
-
-	"hpop/internal/auth"
 )
 
 // WALOptions configures the origin's durable control plane.
@@ -56,7 +55,7 @@ type originSnapshot struct {
 	TakenAt      int64       `json:"takenAtUnixNano"`
 	Peers        []snapPeer  `json:"peers"`
 	Ledger       []ledgerRow `json:"ledger"`
-	Keys         []walKeyRec `json:"keys"`
+	Keys         []keyRow    `json:"keys"`
 	Nonces       []snapNonce `json:"nonces"`
 	Audit        auditState  `json:"audit"`
 }
@@ -205,7 +204,7 @@ func (o *Origin) restoreSnapshot(snap originSnapshot) {
 		o.ring.add(p.ID)
 	}
 	o.ledger.restore(snap.Ledger, snap.Audit.Peers)
-	o.restoreKeys(snap.Keys)
+	o.ledger.restoreKeys(snap.Keys, o.now())
 	nonces := make(map[string]time.Time, len(snap.Nonces))
 	for _, n := range snap.Nonces {
 		nonces[n.N] = time.Unix(0, n.At)
@@ -215,20 +214,6 @@ func (o *Origin) restoreSnapshot(snap originSnapshot) {
 		if ps.Flagged {
 			o.health.SetFlagged(ps.PeerID, true)
 		}
-	}
-}
-
-// restoreKeys reinserts journaled short-term keys so usage records signed
-// before the crash still verify after it.
-func (o *Origin) restoreKeys(keys []walKeyRec) {
-	for _, kr := range keys {
-		secret, err := hex.DecodeString(kr.SecretHex)
-		if err != nil {
-			continue
-		}
-		o.keys.Restore(auth.Key{ID: kr.ID, Secret: secret, Expires: time.Unix(0, kr.Expires)})
-		o.ledger.issueKey(kr.ID, kr.PeerID)
-		o.ledger.floorKeyBytes(kr.ID, kr.MaxBytes)
 	}
 }
 
@@ -275,7 +260,7 @@ func (o *Origin) applyWALRecord(fr walFrame) error {
 		if err := json.Unmarshal(fr.payload, &rec); err != nil {
 			return err
 		}
-		o.restoreKeys(rec.Keys)
+		o.ledger.restoreKeys(rec.Keys, o.now())
 		for id, n := range rec.Assigned {
 			o.ledger.floorAssigned(id, n)
 		}
@@ -354,7 +339,7 @@ func (o *Origin) journalAuditFlag(id, cause string) {
 	o.walWait(o.journalAppend(walAuditFlag, walAuditFlagRec{ID: id, Cause: cause, AssignEpoch: o.assignEpoch.Load()}))
 }
 
-// journalKeysIssued makes a freshly built wrapper's key table durable
+// journalKeysIssued makes the key rows a wrapper build minted durable
 // before the wrapper is handed out, so records signed under those keys
 // still settle after a crash. The record also floors each named peer's
 // assigned bytes at its post-charge figure: per-serve assignment charges
@@ -363,31 +348,15 @@ func (o *Origin) journalAuditFlag(id, cause string) {
 // suspended as anomalous. pending holds this build's charges, one per peer
 // the wrapper names, which the serve that triggered the build has not
 // applied to the ledger yet.
-func (o *Origin) journalKeysIssued(w *Wrapper, pending []charge) {
-	if o.wal == nil || len(w.Keys) == 0 {
+func (o *Origin) journalKeysIssued(keys []keyRow, pending []charge) {
+	if o.wal == nil || len(keys) == 0 {
 		return
 	}
-	rec := walKeysIssuedRec{
-		Keys:     make([]walKeyRec, 0, len(w.Keys)),
-		Assigned: make(map[string]int64, len(w.Keys)),
-	}
+	slices.SortFunc(keys, func(a, b keyRow) int { return strings.Compare(a.ID, b.ID) })
+	rec := walKeysIssuedRec{Keys: keys, Assigned: make(map[string]int64, len(pending))}
 	for _, c := range pending {
-		peerID, pk := c.peerID, w.Keys[c.peerID]
-		k, err := o.keys.Lookup(pk.KeyID)
-		if err != nil {
-			continue
-		}
-		_, maxBytes, _ := o.ledger.keyInfo(pk.KeyID)
-		rec.Keys = append(rec.Keys, walKeyRec{
-			ID:        pk.KeyID,
-			PeerID:    peerID,
-			SecretHex: hex.EncodeToString(k.Secret),
-			Expires:   k.Expires.UnixNano(),
-			MaxBytes:  maxBytes,
-		})
-		rec.Assigned[peerID] = o.ledger.row(peerID).Assigned + c.bytes
+		rec.Assigned[c.peerID] = o.ledger.row(c.peerID).Assigned + c.bytes
 	}
-	sort.Slice(rec.Keys, func(i, j int) bool { return rec.Keys[i].ID < rec.Keys[j].ID })
 	o.walWait(o.journalAppend(walKeysIssued, rec))
 }
 
@@ -451,22 +420,12 @@ func (o *Origin) captureState(seq uint64, chain [32]byte) originSnapshot {
 		AssignEpoch:  o.assignEpoch.Load(),
 		TakenAt:      o.now().UnixNano(),
 		Ledger:       o.ledger.rows(),
+		Keys:         o.ledger.keys(),
 		Audit:        auditState{Peers: o.ledger.evidence()},
 	}
 	for _, p := range o.registry.snapshot() {
 		snap.Peers = append(snap.Peers, snapPeer{ID: p.id, URL: p.url, RTT: p.rtt})
 	}
-	for _, k := range o.keys.Export() {
-		peerID, maxBytes, _ := o.ledger.keyInfo(k.ID)
-		snap.Keys = append(snap.Keys, walKeyRec{
-			ID:        k.ID,
-			PeerID:    peerID,
-			SecretHex: hex.EncodeToString(k.Secret),
-			Expires:   k.Expires.UnixNano(),
-			MaxBytes:  maxBytes,
-		})
-	}
-	sort.Slice(snap.Keys, func(i, j int) bool { return snap.Keys[i].ID < snap.Keys[j].ID })
 	for n, at := range o.nonces.Export() {
 		snap.Nonces = append(snap.Nonces, snapNonce{N: n, At: at.UnixNano()})
 	}

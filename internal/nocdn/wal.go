@@ -118,21 +118,14 @@ type (
 		Cause       string `json:"cause,omitempty"`
 		AssignEpoch int64  `json:"assignEpoch"`
 	}
-	walKeyRec struct {
-		ID        string `json:"id"`
-		PeerID    string `json:"peerId"`
-		SecretHex string `json:"secretHex"`
-		Expires   int64  `json:"expiresUnixNano"`
-		MaxBytes  int64  `json:"maxBytes"`
-	}
-	// walKeysIssuedRec also carries the absolute assigned-bytes floor for
-	// each peer the wrapper names (current ledger figure plus this build's
+	// walKeysIssuedRec holds the key rows one wrapper build minted, and the
+	// absolute assigned-bytes floor for each peer the wrapper names (current ledger figure plus this build's
 	// charges). Wrapper-serve assignment charges are deliberately not
 	// journaled per serve — this floor is what keeps a peer whose first
 	// settlement arrives after a crash from reading as "credited with no
 	// assignment" and tripping anomaly suspension.
 	walKeysIssuedRec struct {
-		Keys     []walKeyRec      `json:"keys"`
+		Keys     []keyRow         `json:"keys"`
 		Assigned map[string]int64 `json:"assigned,omitempty"`
 	}
 	// walAuditDelta is one peer's share of a settlement batch in audit

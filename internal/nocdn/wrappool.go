@@ -1,7 +1,6 @@
 package nocdn
 
 import (
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"slices"
@@ -24,14 +23,15 @@ const DefaultPoolSlots = 16
 // encoding (both immutable, so /wrapper writes body on every serve instead
 // of re-marshalling a map that is byte-stable for the entry's lifetime), the
 // per-serve charges, one per distinct peer it names (each revalidated
-// against health/suspension on every serve), and the epochs it was built
-// under.
+// against health/suspension on every serve), the epochs it was built
+// under, and when its keys are half way to expiry.
 type poolEntry struct {
 	w       *Wrapper
 	body    []byte // json.Marshal(w), encoded once at build
 	charges []charge
-	content int64 // contentEpoch at build
-	assign  int64 // assignEpoch at build
+	content int64     // contentEpoch at build
+	assign  int64     // assignEpoch at build
+	renew   time.Time // build time + keyTTL/2
 }
 
 // wrapperPool holds the per-page slot arrays of precomputed wrapper maps.
@@ -82,11 +82,12 @@ func (p *wrapperPool) filled() map[string][]int {
 
 // AssignWrapper serves a wrapper for one page view from the precomputed
 // pool: the client hashes onto one of the page's slots, and the slot's map
-// is reused until an epoch moves under it (publish, fleet change, tick) or
-// one of its peers stops being servable. Assignment is a pure function of
-// (page, client-slot, fleet), so the same client sees the same peer set
-// across requests within an epoch — stable maps shrink wrapper churn and
-// give the collusion audit a fixed expectation to check claims against.
+// is reused until an epoch moves under it (publish, fleet change, tick),
+// its keys are half way to expiry, or one of its peers stops being
+// servable. Assignment is a pure function of (page, client-slot, fleet), so
+// the same client sees the same peer set across requests within an epoch —
+// stable maps shrink wrapper churn and give the collusion audit a fixed
+// expectation to check claims against.
 // Every serve (pooled or fresh) charges the named peers' assigned-bytes
 // ledger rows, so honest settlement of a widely shared map never looks
 // like inflation.
@@ -105,7 +106,7 @@ func (o *Origin) assignEntry(page, client string) (*poolEntry, error) {
 	cep := o.contentEpoch.Load()
 	aep := o.assignEpoch.Load()
 	if e := o.pool.get(page, slot); e != nil &&
-		e.content == cep && e.assign == aep && o.entryServable(e) {
+		e.content == cep && e.assign == aep && o.now().Before(e.renew) && o.entryServable(e) {
 		o.ledger.assignCharges(e.charges)
 		o.metrics.Inc("nocdn.origin.pool_hits")
 		return e, nil
@@ -196,26 +197,23 @@ func (o *Origin) buildPoolEntry(page string, slot int) (*poolEntry, error) {
 		}
 	}
 
+	now := o.now()
 	w := &Wrapper{
 		Provider: o.Provider,
 		Page:     page,
-		Keys:     make(map[string]PeerKey),
 		Nonce:    auth.NewNonce(),
-		IssuedAt: o.now(),
+		IssuedAt: now,
 		Loader:   "loader-v1",
 	}
-	// One charge per named peer, in the order the map first names them.
+	// One charge per named peer, in the order the map first names them. A
+	// peer's key budget is its charge: the bytes this map assigns it.
 	var charges []charge
-	ensureKey := func(id string, size int) {
+	chargePeer := func(id string, size int) {
 		i := slices.IndexFunc(charges, func(c charge) bool { return c.peerID == id })
 		if i < 0 {
-			k := o.keys.Issue(id)
-			w.Keys[id] = PeerKey{KeyID: k.ID, Secret: hex.EncodeToString(k.Secret)}
-			o.ledger.issueKey(k.ID, id)
 			i = len(charges)
 			charges = append(charges, charge{peerID: id})
 		}
-		o.ledger.addKeyBytes(w.Keys[id].KeyID, int64(size))
 		charges[i].bytes += int64(size)
 		charges[i].count++
 	}
@@ -244,7 +242,7 @@ func (o *Origin) buildPoolEntry(page string, slot int) (*poolEntry, error) {
 					ln = m.size - off
 				}
 				id := chosen[i%len(chosen)]
-				ensureKey(id, ln)
+				chargePeer(id, ln)
 				ref.Chunks = append(ref.Chunks, ChunkRef{
 					PeerID: id, PeerURL: peerURL(id), Offset: off, Length: ln,
 				})
@@ -255,7 +253,7 @@ func (o *Origin) buildPoolEntry(page string, slot int) (*poolEntry, error) {
 		if !ok {
 			return ref, ErrNoPeers
 		}
-		ensureKey(primary, m.size)
+		chargePeer(primary, m.size)
 		ref.PeerID = primary
 		ref.PeerURL = peerURL(primary)
 		if o.Replicas > 0 && o.ring.size() > 1 {
@@ -269,7 +267,7 @@ func (o *Origin) buildPoolEntry(page string, slot int) (*poolEntry, error) {
 				reps = reps[:o.Replicas]
 			}
 			for _, id := range reps {
-				ensureKey(id, m.size)
+				chargePeer(id, m.size)
 				ref.Replicas = append(ref.Replicas, PeerRef{PeerID: id, PeerURL: peerURL(id)})
 			}
 		}
@@ -288,6 +286,13 @@ func (o *Origin) buildPoolEntry(page string, slot int) (*poolEntry, error) {
 		}
 		w.Objects = append(w.Objects, ref)
 	}
+	w.Keys = make(map[string]PeerKey, len(charges))
+	keys := make([]keyRow, 0, len(charges))
+	for _, c := range charges {
+		k := o.ledger.mintKey(c.peerID, c.bytes, now)
+		w.Keys[c.peerID] = PeerKey{KeyID: k.ID, Secret: k.SecretHex}
+		keys = append(keys, k)
+	}
 
 	body, err := json.Marshal(w)
 	if err != nil {
@@ -295,8 +300,8 @@ func (o *Origin) buildPoolEntry(page string, slot int) (*poolEntry, error) {
 	}
 	// Durable keys before the map can serve: a settlement for this map must
 	// survive an origin restart between the serve and the flush.
-	o.journalKeysIssued(w, charges)
-	return &poolEntry{w: w, body: body, charges: charges, content: cep, assign: aep}, nil
+	o.journalKeysIssued(keys, charges)
+	return &poolEntry{w: w, body: body, charges: charges, content: cep, assign: aep, renew: now.Add(keyTTL / 2)}, nil
 }
 
 // EpochTick advances the assignment epoch and refreshes every pooled
