@@ -66,6 +66,40 @@ func (f *kvFlags) Set(v string) error {
 	return nil
 }
 
+// checkNameFlags refuses a provider name or peer ID that could not travel
+// as a field of a usage record's leaf (nocdn.CheckName), before anything
+// starts.
+func checkNameFlags(mode, provider, id string, peers [][2]string) error {
+	check := func(flag, name string) error {
+		if err := nocdn.CheckName(name); err != nil {
+			return fmt.Errorf("%s: %w", flag, err)
+		}
+		return nil
+	}
+	switch mode {
+	case "origin":
+		if err := check("-provider", provider); err != nil {
+			return err
+		}
+		for _, kv := range peers {
+			if err := check("-peer", kv[0]); err != nil {
+				return err
+			}
+		}
+	case "peer":
+		if err := check("-id", id); err != nil {
+			return err
+		}
+		for _, pair := range strings.Split(provider, ",") {
+			name, _, _ := strings.Cut(pair, "=")
+			if err := check("-provider", name); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 func run(args []string) error {
 	fs := flag.NewFlagSet("nocdnd", flag.ContinueOnError)
 	mode := fs.String("mode", "origin", "origin or peer")
@@ -146,6 +180,9 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if err := checkNameFlags(*mode, *provider, *id, peers.pairs); err != nil {
+		return err
+	}
 
 	metrics := hpop.NewMetrics()
 	tracer := hpop.NewTracer(0)
@@ -208,7 +245,9 @@ func run(args []string) error {
 			return err
 		}
 		for i, kv := range peers.pairs {
-			o.RegisterPeer(kv[0], kv[1], float64(10+i*10))
+			if err := o.RegisterPeer(kv[0], kv[1], float64(10+i*10)); err != nil {
+				return err
+			}
 		}
 		if *probeInterval > 0 {
 			sample := *probeSample

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -93,6 +94,17 @@ func TestRunValidation(t *testing.T) {
 	}
 	if err := run([]string{"-mode", "peer", "-provider", "malformed-no-equals", "-listen", "127.0.0.1:0"}); err == nil {
 		t.Error("malformed provider pair accepted")
+	}
+	// A '|' would split a usage record's leaf into the wrong fields.
+	for _, args := range [][]string{
+		{"-mode", "origin", "-provider", "ex|ample.com"},
+		{"-mode", "origin", "-peer", "peer|a=http://127.0.0.1:1"},
+		{"-mode", "peer", "-id", "peer|a", "-provider", "example.com=http://x"},
+		{"-mode", "peer", "-provider", "ex|ample.com=http://x"},
+	} {
+		if err := run(args); !errors.Is(err, nocdn.ErrFieldSeparator) {
+			t.Errorf("run %q = %v, want ErrFieldSeparator", args, err)
+		}
 	}
 	if err := run([]string{"-badflag"}); err == nil {
 		t.Error("bad flag accepted")

@@ -1,12 +1,18 @@
 package nocdn
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"slices"
 	"testing"
+	"time"
 )
 
 // FuzzDecodeRecords hardens the usage-record batch parser (the body of POST
-// /usage/batch): arbitrary bytes must never panic, and a decoded batch must
-// re-encode cleanly.
+// /usage/batch): arbitrary bytes must never panic; every accepted leaf is
+// byte for byte the LeafBytes of the record parsed from it; and a decoded
+// batch re-encodes and decodes again to equal records.
 func FuzzDecodeRecords(f *testing.F) {
 	good, _ := EncodeBatch(NewRecordBatch("x", []UsageRecord{{Provider: "p", PeerID: "x", Bytes: 5}}))
 	f.Add(good)
@@ -14,13 +20,37 @@ func FuzzDecodeRecords(f *testing.F) {
 	f.Add([]byte(`{"records":[{}]}`))
 	f.Add([]byte("not json at all"))
 	f.Add([]byte(`{"peerId":"x","root":"00","records":[{"bytes": -1}]}`))
+	traced := UsageRecord{Provider: "example.com", PeerID: "peer-a", KeyID: "peer-a-3", Page: "blog/<ü>",
+		Bytes: 1 << 40, Objects: 7, Nonce: "n\"1", IssuedAt: time.Date(2026, 10, 17, 2, 42, 35, 5, time.UTC),
+		Traceparent: "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01"}
+	traced.Sign([]byte("k"))
+	twoLeaves, _ := EncodeBatch(NewRecordBatch("peer-a", []UsageRecord{traced, {Bytes: -1}}))
+	f.Add(twoLeaves)
+	f.Add([]byte(`{"peerId":"x","root":"00","leaves":["v2|p|x||p|+5|0||0001-01-01T00:00:00Z||"]}`))
+	f.Add([]byte(`{"peerId":"x","root":"00","leaves":["v2|p|x|k|p|5|0|n|2026-01-01T00:00:00+01:00||ab"]}`))
+	if legacy, err := os.ReadFile(filepath.Join("testdata", "legacy_batch.json")); err == nil {
+		f.Add(legacy)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		batch, err := DecodeBatch(data)
+		batch, leaves, err := decodeBatch(data)
 		if err != nil {
 			return
 		}
-		if _, err := EncodeBatch(batch); err != nil {
+		for i, r := range batch.Records {
+			if got := r.LeafBytes(); !bytes.Equal(got, leaves[i]) {
+				t.Fatalf("leaf %d %q re-encodes as %q", i, leaves[i], got)
+			}
+		}
+		enc, err := EncodeBatch(batch)
+		if err != nil {
 			t.Fatalf("decoded batch failed to re-encode: %v", err)
+		}
+		again, err := DecodeBatch(enc)
+		if err != nil {
+			t.Fatalf("re-encoded batch does not decode: %v", err)
+		}
+		if again.PeerID != batch.PeerID || again.Root != batch.Root || !slices.Equal(again.Records, batch.Records) {
+			t.Fatalf("round trip changed the batch: %+v, want %+v", again, batch)
 		}
 	})
 }

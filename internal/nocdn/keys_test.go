@@ -51,16 +51,16 @@ func TestKeyTableLookup(t *testing.T) {
 	}
 	w := &Wrapper{Keys: map[string]PeerKey{"peer-7": {KeyID: k.ID, Secret: k.SecretHex}}}
 	rec := signedRecord(t, w, "peer-7", 100, "n")
-	if err := o.checkRecord(rec, "peer-7", true); err != nil {
+	if err := o.checkRecord(rec, "peer-7", rec.CanonicalBytes()); err != nil {
 		t.Fatalf("fresh key: %v", err)
 	}
 	unknown := rec
 	unknown.KeyID = "nope"
-	if err := o.checkRecord(unknown, "peer-7", true); !errors.Is(err, auth.ErrUnknownKey) {
+	if err := o.checkRecord(unknown, "peer-7", unknown.CanonicalBytes()); !errors.Is(err, auth.ErrUnknownKey) {
 		t.Errorf("unknown key err = %v", err)
 	}
 	clock.Advance(keyTTL + time.Second)
-	if err := o.checkRecord(rec, "peer-7", true); !errors.Is(err, auth.ErrExpired) {
+	if err := o.checkRecord(rec, "peer-7", rec.CanonicalBytes()); !errors.Is(err, auth.ErrExpired) {
 		t.Errorf("expired key err = %v", err)
 	}
 }

@@ -1,0 +1,436 @@
+package nocdn
+
+import (
+	"bytes"
+	"encoding/hex"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"reflect"
+	"runtime"
+	"strings"
+	"testing"
+	"testing/quick"
+	"time"
+)
+
+// referenceCanonical is CanonicalBytes as it was first written, with
+// strings.Join and fmt.Sprint: the definition the append version must match
+// byte for byte, since every signature in flight covers these bytes.
+func referenceCanonical(r UsageRecord) []byte {
+	return []byte(strings.Join([]string{
+		"v2",
+		r.Provider,
+		r.PeerID,
+		r.KeyID,
+		r.Page,
+		fmt.Sprint(r.Bytes),
+		fmt.Sprint(r.Objects),
+		r.Nonce,
+		r.IssuedAt.UTC().Format(time.RFC3339Nano),
+		r.Traceparent,
+	}, "|"))
+}
+
+// quickRecord generates usage records for testing/quick: unicode, empty
+// and long fields, negative and extreme counts, zero and non-UTC times,
+// with and without a traceparent.
+type quickRecord UsageRecord
+
+func (quickRecord) Generate(rnd *rand.Rand, size int) reflect.Value {
+	str := func() string {
+		switch rnd.Intn(5) {
+		case 0:
+			return ""
+		case 1:
+			return strings.Repeat("ü日x", 1+rnd.Intn(4096))
+		case 2:
+			return fmt.Sprintf("peer-%d", rnd.Intn(1000))
+		default:
+			b := make([]rune, rnd.Intn(size+1))
+			for i := range b {
+				b[i] = rune(0x20 + rnd.Intn(0x3000))
+			}
+			return string(b)
+		}
+	}
+	n := func() int64 {
+		switch rnd.Intn(4) {
+		case 0:
+			return -rnd.Int63()
+		case 1:
+			return [...]int64{0, -1, 1<<63 - 1, -1 << 63}[rnd.Intn(4)]
+		default:
+			return rnd.Int63n(1 << 30)
+		}
+	}
+	var at time.Time
+	switch rnd.Intn(3) {
+	case 1:
+		at = time.Unix(rnd.Int63n(1<<34), rnd.Int63n(1e9)).UTC()
+	case 2:
+		zone := time.FixedZone("test", (rnd.Intn(48)-24)*1800)
+		at = time.Unix(rnd.Int63n(1<<34), rnd.Int63n(1e9)).In(zone)
+	}
+	r := quickRecord{
+		Provider: str(), PeerID: str(), KeyID: str(), Page: str(),
+		Bytes: n(), Objects: int(n()), Nonce: str(), IssuedAt: at,
+		Signature: hex.EncodeToString([]byte(str())),
+	}
+	if rnd.Intn(2) == 0 {
+		r.Traceparent = "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01"
+	}
+	return reflect.ValueOf(r)
+}
+
+// TestCanonicalBytesMatchesReference: the append-built canonical form and
+// leaf are byte-identical to the reference, and a record whose fields hold
+// no '|' comes back from its leaf exactly.
+func TestCanonicalBytesMatchesReference(t *testing.T) {
+	same := func(q quickRecord) bool {
+		r := UsageRecord(q)
+		ref := referenceCanonical(r)
+		if !bytes.Equal(r.CanonicalBytes(), ref) {
+			t.Logf("canonical %q\nreference %q", r.CanonicalBytes(), ref)
+			return false
+		}
+		leaf := r.LeafBytes()
+		if !bytes.Equal(leaf, append(append(ref, '|'), r.Signature...)) {
+			return false
+		}
+		back, err := parseLeaf(string(leaf))
+		if strings.Contains(r.Provider+r.PeerID+r.KeyID+r.Page+r.Nonce, "|") {
+			return err != nil
+		}
+		if err != nil {
+			t.Logf("parseLeaf(%q): %v", leaf, err)
+			return false
+		}
+		want := r
+		want.IssuedAt = r.IssuedAt.UTC()
+		return back == want && bytes.Equal(back.LeafBytes(), leaf)
+	}
+	if err := quick.Check(same, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCanonicalBytesOneAllocation: CanonicalBytes and LeafBytes build into
+// one exactly-sized allocation, whatever the time zone.
+func TestCanonicalBytesOneAllocation(t *testing.T) {
+	for _, at := range []time.Time{{}, time.Date(2026, 10, 17, 2, 42, 35, 123456789, time.FixedZone("x", -7*3600))} {
+		r := UsageRecord{
+			Provider: "example.com", PeerID: "peer-0001", KeyID: "peer-0001-17", Page: "blog/post",
+			Bytes: -1 << 63, Objects: 1<<63 - 1, Nonce: "0123456789abcdef0123456789abcdef", IssuedAt: at,
+			Traceparent: "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",
+		}
+		r.Sign([]byte("secret"))
+		for name, f := range map[string]func() []byte{"CanonicalBytes": r.CanonicalBytes, "LeafBytes": r.LeafBytes} {
+			if n := testing.AllocsPerRun(100, func() { f() }); n != 1 {
+				t.Errorf("%s at %v: %v allocations, want 1", name, at, n)
+			}
+		}
+	}
+}
+
+// TestParseLeafRefusesNonCanonical: a leaf that is not exactly some
+// record's LeafBytes does not parse.
+func TestParseLeafRefusesNonCanonical(t *testing.T) {
+	r := UsageRecord{Provider: "x", PeerID: "p", KeyID: "p-1", Page: "home", Bytes: 5, Objects: 1,
+		Nonce: "n", IssuedAt: time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC), Signature: "ab"}
+	good := string(r.LeafBytes())
+	if _, err := parseLeaf(good); err != nil {
+		t.Fatalf("parseLeaf(%q): %v", good, err)
+	}
+	for _, bad := range []string{
+		strings.Replace(good, "v2|", "v1|", 1),
+		strings.Replace(good, "|5|", "|+5|", 1),
+		strings.Replace(good, "|5|", "|05|", 1),
+		strings.Replace(good, "|1|n|", "|-0|n|", 1),
+		strings.Replace(good, "|5|", "|99999999999999999999|", 1),
+		strings.Replace(good, "03:04:05Z", "04:04:05+01:00", 1),
+		strings.Replace(good, "03:04:05Z", "03:04:05.000Z", 1),
+		strings.Replace(good, "|ab", "|a|b", 1),
+		strings.TrimSuffix(good, "|ab"),
+		"",
+	} {
+		if rec, err := parseLeaf(bad); err == nil {
+			t.Errorf("parseLeaf(%q) accepted: %+v", bad, rec)
+		}
+	}
+}
+
+// TestSettleHandlerAllocBudget holds one 64-record batch through
+// POST /usage/batch to an allocation budget, counted the way bench/ counts
+// allocs_per_op: the whole process's Mallocs. Decoding each record as a JSON
+// object and rebuilding its canonical form to hash it cost about 800
+// allocations a batch; hashing and verifying the uploaded leaves costs
+// about 306. Under -race the batches still settle and the count is logged,
+// but not judged.
+func TestSettleHandlerAllocBudget(t *testing.T) {
+	const budget = 337 // measured 306, plus 10%
+	const batches, n = 20, 64
+	o := controlOrigin(t, 4)
+	w, err := o.AssignWrapper("p", "alloc-budget")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var peer string
+	for id := range w.Keys {
+		peer = id
+		break
+	}
+	reqs := make([]*http.Request, batches)
+	recs := make([]*httptest.ResponseRecorder, batches)
+	for b := range reqs {
+		records := make([]UsageRecord, n)
+		for i := range records {
+			records[i] = signedRecord(t, w, peer, 1, fmt.Sprintf("alloc-%d-%d", b, i))
+		}
+		body, err := EncodeBatch(NewRecordBatch(peer, records))
+		if err != nil {
+			t.Fatal(err)
+		}
+		reqs[b] = httptest.NewRequest(http.MethodPost, "/usage/batch", bytes.NewReader(body))
+		recs[b] = httptest.NewRecorder()
+	}
+	h := o.Handler()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for b := range reqs {
+		h.ServeHTTP(recs[b], reqs[b])
+	}
+	runtime.ReadMemStats(&after)
+	for b, rec := range recs {
+		if want := fmt.Sprintf(`{"credited":%d,"submitted":%d}`, n, n); rec.Code != http.StatusOK || rec.Body.String() != want {
+			t.Fatalf("batch %d: %d %s, want 200 %s", b, rec.Code, rec.Body, want)
+		}
+	}
+	perBatch := float64(after.Mallocs-before.Mallocs) / batches
+	t.Logf("%.0f allocations per %d-record batch (budget %d)", perBatch, n, budget)
+	if perBatch > budget && !raceEnabled {
+		t.Errorf("a %d-record batch allocates %.0f times, budget %d", n, perBatch, budget)
+	}
+}
+
+// TestLegacyBatchIs415: a body in the shape before leaves (testdata holds
+// one written by that version's EncodeBatch, its records under a key the
+// origin minted but signed with another secret) answers 415, never 400, and
+// leaves no trace: nothing journaled, credited, rejected or flagged. Its
+// records still hash to its root through today's LeafBytes, so the
+// canonical form did not change.
+func TestLegacyBatchIs415(t *testing.T) {
+	body, err := os.ReadFile(filepath.Join("testdata", "legacy_batch.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var legacy struct {
+		Root    string        `json:"root"`
+		Records []UsageRecord `json:"records"`
+	}
+	if err := json.Unmarshal(body, &legacy); err != nil {
+		t.Fatal(err)
+	}
+	if got := MerkleRoot(recordLeaves(legacy.Records)); got != legacy.Root {
+		t.Fatalf("legacy records hash to %s, their root is %s", got, legacy.Root)
+	}
+	o := controlOrigin(t, 1)
+	if _, err := o.AttachWAL(t.TempDir(), WALOptions{Fsync: FsyncNever, SnapshotEvery: -1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := o.AssignWrapper("p", "legacy"); err != nil { // mints peer-00-1
+		t.Fatal(err)
+	}
+	if _, ok := o.ledger.key("peer-00-1"); !ok {
+		t.Fatal("the fixture's key was not minted")
+	}
+	seq, _ := o.wal.position()
+	rec := httptest.NewRecorder()
+	o.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/usage/batch", bytes.NewReader(body)))
+	if rec.Code != http.StatusUnsupportedMediaType {
+		t.Fatalf("legacy body: %d %s, want 415", rec.Code, rec.Body)
+	}
+	if got, _ := o.wal.position(); got != seq {
+		t.Errorf("journal moved from seq %d to %d", seq, got)
+	}
+	if acct := o.AccountingFor("peer-00"); acct.CreditedBytes != 0 || acct.Rejected != 0 || acct.Suspended {
+		t.Errorf("accounting after a legacy body: %+v", acct)
+	}
+	for _, row := range o.Audit().Snapshot().Peers {
+		if row.PeerID == "peer-00" && (row.Records != 0 || row.Flagged) {
+			t.Errorf("audit row after a legacy body: %+v", row)
+		}
+	}
+}
+
+// TestFlushKeepsRecordsOn415: an origin that wants another batch shape
+// decides nothing about a peer's records. The peer keeps its queue and its
+// spool, and backs off.
+func TestFlushKeepsRecordsOn415(t *testing.T) {
+	origin := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, errLegacyBatch.Error(), http.StatusUnsupportedMediaType)
+	}))
+	t.Cleanup(origin.Close)
+	dir := t.TempDir()
+	p := NewPeer("peer-a", 0)
+	if err := p.AttachRecordSpool(dir); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(p.CloseRecordSpool)
+	srv := httptest.NewServer(p.Handler())
+	t.Cleanup(srv.Close)
+	for i := 0; i < 3; i++ {
+		rec := UsageRecord{Provider: "x", PeerID: "peer-a", KeyID: "peer-a-1", Page: "p",
+			Bytes: 100, Objects: 1, Nonce: fmt.Sprintf("n-%d", i), IssuedAt: time.Now(), Signature: "ab"}
+		if code := postRecord(t, srv.URL, rec); code != http.StatusAccepted {
+			t.Fatalf("record %d: %d", i, code)
+		}
+	}
+	spooled, err := os.ReadFile(filepath.Join(dir, spoolFileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := p.Flush(origin.URL)
+	if err == nil || n != 0 || !strings.Contains(err.Error(), "415") {
+		t.Fatalf("flush to a 415 origin = %d, %v; want 0 and a 415", n, err)
+	}
+	if got := p.PendingRecords(); got != 3 {
+		t.Errorf("records after 415 = %d, want 3", got)
+	}
+	if after, err := os.ReadFile(filepath.Join(dir, spoolFileName)); err != nil || !bytes.Equal(after, spooled) {
+		t.Errorf("spool after 415 = %q (%v), want %q", after, err, spooled)
+	}
+	if _, err := p.Flush(origin.URL); !errors.Is(err, ErrFlushDeferred) {
+		t.Errorf("flush right after a 415 = %v, want ErrFlushDeferred", err)
+	}
+}
+
+// postRecord POSTs one usage record to a peer's /record.
+func postRecord(t *testing.T, peerURL string, rec UsageRecord) int {
+	t.Helper()
+	body, err := json.Marshal(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(peerURL+"/record", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+// TestSeparatorRefusedWhereItEnters: a page name or peer ID holding '|'
+// is refused by AddPage and RegisterPeer, and a record that would not
+// travel as a leaf is refused by the peer's /record and never spooled.
+func TestSeparatorRefusedWhereItEnters(t *testing.T) {
+	o := controlOrigin(t, 1)
+	if err := o.AddPage(Page{Name: "a|b", Container: "/c"}); !errors.Is(err, ErrFieldSeparator) {
+		t.Errorf("AddPage(a|b) = %v, want ErrFieldSeparator", err)
+	}
+	if _, err := o.AssignWrapper("a|b", "c"); !errors.Is(err, ErrUnknownPage) {
+		t.Errorf("a refused page serves a wrapper: %v", err)
+	}
+	if err := o.RegisterPeer("peer|x", "http://x", 1); !errors.Is(err, ErrFieldSeparator) {
+		t.Errorf("RegisterPeer(peer|x) = %v, want ErrFieldSeparator", err)
+	}
+	for _, p := range o.Peers() {
+		if p.ID == "peer|x" {
+			t.Error("a refused peer ID is registered")
+		}
+	}
+
+	dir := t.TempDir()
+	p := NewPeer("peer-a", 0)
+	if err := p.AttachRecordSpool(dir); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(p.CloseRecordSpool)
+	srv := httptest.NewServer(p.Handler())
+	t.Cleanup(srv.Close)
+	good := UsageRecord{Provider: "x", PeerID: "peer-a", KeyID: "peer-a-1", Page: "p",
+		Bytes: 100, Objects: 1, Nonce: "n", IssuedAt: time.Now(), Signature: "ab"}
+	for name, mutate := range map[string]func(*UsageRecord){
+		"page":      func(r *UsageRecord) { r.Page = "a|b" },
+		"peer":      func(r *UsageRecord) { r.PeerID = "peer|a" },
+		"provider":  func(r *UsageRecord) { r.Provider = "x|y" },
+		"nonce":     func(r *UsageRecord) { r.Nonce = "n|" },
+		"signature": func(r *UsageRecord) { r.Signature = "a|b" },
+	} {
+		rec := good
+		mutate(&rec)
+		if code := postRecord(t, srv.URL, rec); code != http.StatusBadRequest {
+			t.Errorf("%s: /record answered %d, want 400", name, code)
+		}
+	}
+	if n := p.PendingRecords(); n != 0 {
+		t.Errorf("%d refused records queued", n)
+	}
+	if spooled, err := os.ReadFile(filepath.Join(dir, spoolFileName)); err != nil || len(spooled) != 0 {
+		t.Errorf("spool after refusals = %q (%v), want empty", spooled, err)
+	}
+	if code := postRecord(t, srv.URL, good); code != http.StatusAccepted {
+		t.Errorf("a good record answered %d, want 202", code)
+	}
+}
+
+// TestLargeRecordsDoNotWedgeSettlement: nine validly signed ~1 MiB records
+// reach a peer through /record, and an honest page view's records queue
+// behind them. Flush used to send the whole queue as one body past the
+// origin's 8 MiB limit, get 413 and requeue it, every time — so the honest
+// records were never credited, and the spool kept the wedge across
+// restarts. It now uploads batches that each fit, and every record is
+// credited.
+func TestLargeRecordsDoNotWedgeSettlement(t *testing.T) {
+	s := newTestSite(t, 1)
+	p := s.peers[0]
+	resp, err := http.Get(s.originSrv.URL + "/wrapper?page=home&client=big")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var w Wrapper
+	err = json.NewDecoder(resp.Body).Decode(&w)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := w.Keys[p.ID]
+	secret, err := hex.DecodeString(k.Secret)
+	if err != nil {
+		t.Fatal(err)
+	}
+	page := strings.Repeat("x", 1_000_000) // a record body just under /record's 1 MiB
+	const big = 9
+	for i := 0; i < big; i++ {
+		rec := UsageRecord{Provider: "example.com", PeerID: p.ID, KeyID: k.KeyID, Page: page,
+			Bytes: 1, Objects: 1, Nonce: fmt.Sprintf("big-%d", i), IssuedAt: time.Now()}
+		rec.Sign(secret)
+		if code := postRecord(t, s.peerSrvs[0].URL, rec); code != http.StatusAccepted {
+			t.Fatalf("big record %d: /record answered %d", i, code)
+		}
+	}
+	res, err := s.loader.LoadPage("home")
+	if err != nil {
+		t.Fatal(err)
+	}
+	honest := res.PeerBytes[p.ID]
+	if honest == 0 {
+		t.Fatal("the page view credited the peer nothing to settle")
+	}
+	queued := p.PendingRecords()
+	n, err := p.Flush(s.originSrv.URL)
+	if err != nil || n != queued {
+		t.Fatalf("flush = %d, %v; want all %d records settled", n, err, queued)
+	}
+	if got := p.PendingRecords(); got != 0 {
+		t.Errorf("%d records still queued", got)
+	}
+	if got, want := s.origin.AccountingFor(p.ID).CreditedBytes, honest+big; got != want {
+		t.Errorf("credited %d bytes, want %d (the view's %d and 1 per large record)", got, want, honest)
+	}
+}

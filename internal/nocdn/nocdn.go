@@ -25,6 +25,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 	"time"
 
@@ -140,20 +141,48 @@ type UsageRecord struct {
 
 // CanonicalBytes is the byte string the signature covers. Every field that
 // affects payment is included; JSON field order never matters. (Version v2
-// added the traceparent field; there are no v1 signers left.)
+// added the traceparent field; there are no v1 signers left.) It is built by
+// append into one allocation.
 func (r UsageRecord) CanonicalBytes() []byte {
-	return []byte(strings.Join([]string{
-		"v2",
-		r.Provider,
-		r.PeerID,
-		r.KeyID,
-		r.Page,
-		fmt.Sprint(r.Bytes),
-		fmt.Sprint(r.Objects),
-		r.Nonce,
-		r.IssuedAt.UTC().Format(time.RFC3339Nano),
-		r.Traceparent,
-	}, "|"))
+	return r.appendCanonical(make([]byte, 0, r.canonicalCap()))
+}
+
+// appendCanonical appends the canonical form: "v2" and the payment fields,
+// '|'-separated, with the integers in decimal and IssuedAt in UTC RFC 3339.
+func (r UsageRecord) appendCanonical(b []byte) []byte {
+	b = append(b, "v2|"...)
+	b = append(append(b, r.Provider...), '|')
+	b = append(append(b, r.PeerID...), '|')
+	b = append(append(b, r.KeyID...), '|')
+	b = append(append(b, r.Page...), '|')
+	b = append(strconv.AppendInt(b, r.Bytes, 10), '|')
+	b = append(strconv.AppendInt(b, int64(r.Objects), 10), '|')
+	b = append(append(b, r.Nonce...), '|')
+	b = append(r.IssuedAt.UTC().AppendFormat(b, time.RFC3339Nano), '|')
+	return append(b, r.Traceparent...)
+}
+
+// canonicalCap is room for the canonical form: its string fields, the
+// longest decimal int64 twice, a four-digit-year timestamp and the
+// separators.
+func (r UsageRecord) canonicalCap() int {
+	const fixed = len("v2") + 9 + 2*len("-9223372036854775808") + len("2006-01-02T15:04:05.999999999Z")
+	return fixed + len(r.Provider) + len(r.PeerID) + len(r.KeyID) + len(r.Page) + len(r.Nonce) + len(r.Traceparent)
+}
+
+// ErrFieldSeparator refuses a provider name, peer ID or page name holding
+// '|', the byte that separates a usage record's canonical fields: a leaf
+// must split back into exactly its record.
+var ErrFieldSeparator = errors.New("nocdn: name contains '|', the usage-record field separator")
+
+// CheckName refuses a name that could not travel as a field of a usage
+// record's leaf. The origin checks page and peer names as they are
+// registered; nocdnd checks its provider and peer flags.
+func CheckName(name string) error {
+	if strings.IndexByte(name, '|') >= 0 {
+		return fmt.Errorf("%w: %q", ErrFieldSeparator, name)
+	}
+	return nil
 }
 
 // Sign computes and attaches the signature.

@@ -553,13 +553,13 @@ func TestFlushKeepsRecordsOnOversizeBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := s.peers[0]
-	// Nine records with a 1 MiB page name stand in for the ~18k ordinary
-	// ones a raised SetMaxPendingRecords lets a peer accumulate.
+	// Flush splits a long queue into batches under the cap, so only a
+	// record no batch can carry still meets the 413: one with a 9 MiB page
+	// name, at the head of the queue. (None can arrive through /record,
+	// whose 1 MiB cap keeps every leaf under the batch cap.)
 	p.recordsMu.Lock()
-	for i := 0; i < 9; i++ {
-		p.records = append(p.records, UsageRecord{Provider: "example.com", PeerID: p.ID,
-			Page: strings.Repeat("x", 1<<20), Bytes: 1, Nonce: auth.NewNonce()})
-	}
+	p.records = append([]UsageRecord{{Provider: "example.com", PeerID: p.ID,
+		Page: strings.Repeat("x", 9<<20), Bytes: 1, Nonce: auth.NewNonce()}}, p.records...)
 	p.recordsMu.Unlock()
 	pending := p.PendingRecords()
 	now := time.Now()

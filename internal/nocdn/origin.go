@@ -414,8 +414,11 @@ func (o *Origin) SetObjectHeader(path, name, value string) {
 }
 
 // AddPage registers a page (container + embedded object paths). All paths
-// must already exist as objects.
+// must already exist as objects, and the name must pass CheckName.
 func (o *Origin) AddPage(p Page) error {
+	if err := CheckName(p.Name); err != nil {
+		return err
+	}
 	o.contentMu.Lock()
 	defer o.contentMu.Unlock()
 	if _, ok := o.objects[p.Container]; !ok {
@@ -433,8 +436,11 @@ func (o *Origin) AddPage(p Page) error {
 // RegisterPeer recruits a peer: directory row, health enrollment, and a set
 // of virtual nodes on the assignment ring. Fleet changes advance the
 // assignment epoch so pooled wrapper maps refresh to include (or drop) the
-// peer on their next serve.
-func (o *Origin) RegisterPeer(id, url string, rttMillis float64) {
+// peer on their next serve. An ID that fails CheckName is refused.
+func (o *Origin) RegisterPeer(id, url string, rttMillis float64) error {
+	if err := CheckName(id); err != nil {
+		return err
+	}
 	o.health.Register(id)
 	o.registry.add(id, url, rttMillis)
 	o.ring.add(id)
@@ -442,6 +448,7 @@ func (o *Origin) RegisterPeer(id, url string, rttMillis float64) {
 	// Apply-then-journal: every effect above replays idempotently, so a
 	// crash between apply and append loses nothing that was acknowledged.
 	o.journalPeerRegister(id, url, rttMillis, ep)
+	return nil
 }
 
 // Peers returns a snapshot of the registry: directory rows with the mutable
@@ -540,7 +547,7 @@ func etagMatches(ifNoneMatch, etag string) bool {
 // work stays O(K). Every outcome — credit, rejection, audit evidence — is
 // charged to b.PeerID, whatever peer a record names.
 func (o *Origin) SettleBatch(b RecordBatch) (int, error) {
-	return o.settle(hpop.TraceContext{}, b)
+	return o.settle(hpop.TraceContext{}, b, recordLeaves(b.Records))
 }
 
 // settle is the one settlement pipeline: verify, then commitSettlement. The
@@ -548,8 +555,10 @@ func (o *Origin) SettleBatch(b RecordBatch) (int, error) {
 // request's traceparent header); each per-record span continues the page
 // view's trace via the traceparent the loader embedded (and signed) in the
 // record — if that is absent or malformed, it falls back to a child of the
-// batch span.
-func (o *Origin) settle(parent hpop.TraceContext, b RecordBatch) (credited int, err error) {
+// batch span. leaves[i] is b.Records[i]'s LeafBytes: the bytes an upload
+// carried, or derived from the records in process. The root is checked and
+// sampled signatures verified over them, never over a re-encoding.
+func (o *Origin) settle(parent hpop.TraceContext, b RecordBatch, leaves [][]byte) (credited int, err error) {
 	o.metrics.Inc("nocdn.origin.batches")
 	sp := o.tracer.StartRemote("nocdn.origin", "settle_batch", parent)
 	sp.SetLabel("records", strconv.Itoa(len(b.Records)))
@@ -571,10 +580,6 @@ func (o *Origin) settle(parent hpop.TraceContext, b RecordBatch) (credited int, 
 		_, cerr := o.commitSettlement(rec, nonce, evidence)
 		return cerr
 	}
-	leaves := make([][]byte, len(b.Records))
-	for i := range b.Records {
-		leaves[i] = b.Records[i].LeafBytes()
-	}
 	if MerkleRoot(leaves) != b.Root {
 		reject("", nil) // no nonce consumed: the root was never this batch's
 		return 0, fmt.Errorf("%w: root mismatch", ErrBadBatch)
@@ -590,7 +595,8 @@ func (o *Origin) settle(parent hpop.TraceContext, b RecordBatch) (credited int, 
 	sp.SetLabel("sampled", strconv.Itoa(len(idxs)))
 	for _, i := range idxs {
 		o.metrics.Inc("nocdn.origin.sampled_leaves")
-		verr := o.checkRecord(b.Records[i], b.PeerID, true)
+		r := b.Records[i]
+		verr := o.checkRecord(r, b.PeerID, leaves[i][:len(leaves[i])-len(r.Signature)-1])
 		if verr == nil {
 			continue
 		}
@@ -600,7 +606,7 @@ func (o *Origin) settle(parent hpop.TraceContext, b RecordBatch) (credited int, 
 		// batch nonce is consumed with the rejection's journal record — a
 		// crash must not reopen the root to a "fixed" replay.
 		o.metrics.Inc("nocdn.origin.sample_failures")
-		if cerr := reject(batchNonce, []settleOutcome{{rec: b.Records[i], err: verr}}); cerr != nil {
+		if cerr := reject(batchNonce, []settleOutcome{{rec: r, err: verr}}); cerr != nil {
 			// Replayed root: the first settlement of this commitment
 			// already journaled the rejection and flagged the peer.
 			return 0, o.batchReplayed(cerr)
@@ -627,7 +633,7 @@ func (o *Origin) settle(parent hpop.TraceContext, b RecordBatch) (credited int, 
 		}
 		rsp.SetLabel("peer", r.PeerID)
 		rsp.SetLabel("bytes", strconv.FormatInt(r.Bytes, 10))
-		oc := settleOutcome{rec: r, err: o.checkRecord(r, b.PeerID, false)}
+		oc := settleOutcome{rec: r, err: o.checkRecord(r, b.PeerID, nil)}
 		if oc.err != nil {
 			rec.Rejects[b.PeerID]++
 			o.metrics.Inc("nocdn.origin.records_rejected")
@@ -743,11 +749,12 @@ func (o *Origin) commitSettlement(rec walSettleRec, batchNonce string, outcomes 
 // does NOT consume the nonce or write credits — both happen under the commit
 // lock in commitSettlement, so verification never serializes other
 // committers, a rejected batch leaves settlement state untouched, and a
-// snapshot can never observe a nonce ahead of its journal record. verifySig
-// is what Merkle sampling elides for the unsampled leaves of a committed
-// batch: the root committed the peer to these exact bytes, and the sampled
-// leaves' signatures all verified.
-func (o *Origin) checkRecord(r UsageRecord, batchPeer string, verifySig bool) error {
+// snapshot can never observe a nonce ahead of its journal record. signed is
+// the canonical prefix of r's leaf, which r.Signature must verify over; nil
+// skips the HMAC, as Merkle sampling does for the unsampled leaves of a
+// committed batch: the root committed the peer to these exact bytes, and
+// the sampled leaves' signatures all verified.
+func (o *Origin) checkRecord(r UsageRecord, batchPeer string, signed []byte) error {
 	if r.Provider != o.Provider {
 		return ErrBadRecord
 	}
@@ -761,9 +768,9 @@ func (o *Origin) checkRecord(r UsageRecord, batchPeer string, verifySig bool) er
 	if k.PeerID != r.PeerID {
 		return fmt.Errorf("%w: key issued for different peer", ErrBadRecord)
 	}
-	if verifySig {
+	if signed != nil {
 		secret, _ := hex.DecodeString(k.SecretHex) // minted as hex
-		if err := r.VerifySignature(secret); err != nil {
+		if err := auth.Verify(secret, signed, r.Signature); err != nil {
 			return fmt.Errorf("%w: %w", ErrBadRecord, err)
 		}
 	}
@@ -1138,11 +1145,16 @@ func (o *Origin) Handler() http.Handler {
 			http.Error(w, "POST required", http.StatusMethodNotAllowed)
 			return
 		}
-		body, ok := readUpload(w, r, 8<<20)
+		body, ok := readUpload(w, r, maxBatchBody)
 		if !ok {
 			return
 		}
-		batch, err := DecodeBatch(body)
+		batch, leaves, err := decodeBatch(body)
+		if errors.Is(err, errLegacyBatch) {
+			// Not 400: that would tell an old peer its records are settled.
+			http.Error(w, err.Error(), http.StatusUnsupportedMediaType)
+			return
+		}
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
@@ -1151,7 +1163,7 @@ func (o *Origin) Handler() http.Handler {
 			http.Error(w, "nocdn: batch root required", http.StatusBadRequest)
 			return
 		}
-		n, err := o.settle(hpop.ExtractTraceparent(r.Header), batch)
+		n, err := o.settle(hpop.ExtractTraceparent(r.Header), batch, leaves)
 		if err != nil {
 			// 400: the batch is settled from the peer's perspective (it must
 			// not retry a rejected or replayed commitment).

@@ -32,6 +32,10 @@ const DefaultPeerFetchTimeout = 10 * time.Second
 // to exceed the origin's nonce horizon anyway).
 const DefaultMaxPendingRecords = 4096
 
+// maxRecordBody caps a POST /record body. JSON escaping at most sextuples a
+// record's bytes, so any one record's leaf uploads well under maxBatchBody.
+const maxRecordBody = 1 << 20
+
 // DefaultMaxInflight caps simultaneous proxy requests per peer. A home
 // uplink saturates long before a data center's would; shedding the excess
 // with 503 + Retry-After keeps the requests the peer does accept fast and
@@ -536,13 +540,19 @@ func (p *Peer) handleRecord(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST required", http.StatusMethodNotAllowed)
 		return
 	}
-	body, ok := readUpload(w, r, 1<<20)
+	body, ok := readUpload(w, r, maxRecordBody)
 	if !ok {
 		return
 	}
 	var rec UsageRecord
 	if err := json.Unmarshal(body, &rec); err != nil {
 		http.Error(w, "bad record", http.StatusBadRequest)
+		return
+	}
+	// Refused now rather than at the origin, where its batch would answer
+	// 400 and take the honest records queued beside it along.
+	if _, err := parseLeaf(string(rec.LeafBytes())); err != nil {
+		http.Error(w, "record does not travel as a leaf: "+err.Error(), http.StatusBadRequest)
 		return
 	}
 	sp := p.tracer.StartRemote("nocdn.peer", "receive_record", hpop.ExtractTraceparent(r.Header))
@@ -588,14 +598,17 @@ func (p *Peer) handleFlush(w http.ResponseWriter, r *http.Request) {
 }
 
 // Flush uploads accumulated records to the provider at originURL, returning
-// how many were sent. Records are cleared only on a settled decision — 2xx,
-// or the origin's 400 "rejected or replayed, do not retry"; settlement
-// disputes are the provider's ledger, not the peer's queue. Anything else
-// (transport failure, 5xx, or a 404/405/408/429 from a mis-routed URL or a
-// proxy) decides nothing about the records: the batch is requeued (capped
-// at the pending limit, oldest shed first) and a backoff gate opens, so
-// further Flush calls return ErrFlushDeferred without touching the network
-// until it expires and a dead origin is never hot-retried.
+// how many were settled. The queue goes up as consecutive Merkle-committed
+// batches, each under the origin's body limit, so no size of queue is ever
+// refused whole. A batch is cleared only on a settled decision — 2xx, or the
+// origin's 400 "rejected or replayed, do not retry"; settlement disputes are
+// the provider's ledger, not the peer's queue. Anything else (transport
+// failure, 5xx, a 415 from an origin that wants another batch shape, or a
+// 404/405/408/429 from a mis-routed URL or a proxy) decides nothing about
+// the records: Flush stops, the unsettled rest is requeued (capped at the
+// pending limit, oldest shed first) and a backoff gate opens, so further
+// Flush calls return ErrFlushDeferred without touching the network until it
+// expires and a dead origin is never hot-retried.
 func (p *Peer) Flush(originURL string) (int, error) {
 	now := p.now()
 	p.recordsMu.Lock()
@@ -616,38 +629,50 @@ func (p *Peer) Flush(originURL string) (int, error) {
 	sp.SetLabel("records", strconv.Itoa(len(batch)))
 	defer sp.End()
 	start := time.Now()
-	// The upload is a Merkle-committed batch: the peer commits to the exact
-	// record set under one root, and the origin verifies the root plus a
-	// sample of leaves instead of every signature.
-	body, err := EncodeBatch(NewRecordBatch(p.ID, batch))
-	if err != nil {
-		sp.SetError(err)
-		return 0, err
-	}
-	resp, err := p.postRecords(sp, originURL, body)
-	p.metrics.Observe("nocdn.peer.flush_seconds", time.Since(start).Seconds())
-	if err == nil {
+	leaves := recordLeaves(batch)
+	settled := 0
+	var err error
+	for len(batch) > 0 {
+		var n int
+		var body []byte
+		if n, body, err = nextUpload(p.ID, leaves); err != nil {
+			break
+		}
+		var resp *http.Response
+		if resp, err = p.postRecords(sp, originURL, body); err != nil {
+			break
+		}
 		code := resp.StatusCode
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 4<<10))
 		resp.Body.Close()
-		if code/100 == 2 || code == http.StatusBadRequest {
-			p.recordsMu.Lock()
-			p.flushFailures = 0
-			p.nextFlushAt = time.Time{}
-			// The batch is settled: compact the spool down to whatever
-			// arrived meanwhile so a restart doesn't re-upload it. Runs
-			// under recordsMu so no handleRecord append can slip between
-			// the queue snapshot and the file swap.
-			p.spool.rewrite(p.records)
-			p.recordsMu.Unlock()
-			sp.SetLabel("uploaded", strconv.Itoa(len(batch)))
-			return len(batch), nil
+		if code/100 != 2 && code != http.StatusBadRequest {
+			err = fmt.Errorf("nocdn: usage upload status %d", code)
+			break
 		}
-		err = fmt.Errorf("nocdn: usage upload status %d", code)
+		batch, leaves = batch[n:], leaves[n:]
+		settled += n
+		p.recordsMu.Lock()
+		p.flushFailures = 0
+		p.nextFlushAt = time.Time{}
+		// The batch is settled: compact the spool down to the unsent rest
+		// and whatever arrived meanwhile, so a restart doesn't re-upload
+		// it. Runs under recordsMu so no handleRecord append can slip
+		// between the queue snapshot and the file swap.
+		rest := p.records
+		if len(batch) > 0 {
+			rest = append(batch[:len(batch):len(batch)], p.records...)
+		}
+		p.spool.rewrite(rest)
+		p.recordsMu.Unlock()
+	}
+	p.metrics.Observe("nocdn.peer.flush_seconds", time.Since(start).Seconds())
+	sp.SetLabel("uploaded", strconv.Itoa(settled))
+	if err == nil {
+		return settled, nil
 	}
 	sp.SetError(err)
-	// Requeue the batch ahead of anything that arrived meanwhile, shed the
-	// oldest overflow, and arm the backoff gate.
+	// Requeue the unsettled rest ahead of anything that arrived meanwhile,
+	// shed the oldest overflow, and arm the backoff gate.
 	p.recordsMu.Lock()
 	p.records = append(batch, p.records...)
 	over := len(p.records) - p.maxPendingLocked()
@@ -670,7 +695,7 @@ func (p *Peer) Flush(originURL string) (int, error) {
 		sp.SetLabel("shed", strconv.Itoa(over))
 	}
 	p.metrics.Inc("nocdn.peer.flush_failures")
-	return 0, err
+	return settled, err
 }
 
 // postRecords uploads one settlement batch. The flush span's context
