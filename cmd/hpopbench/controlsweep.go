@@ -22,7 +22,7 @@ import (
 // submitter pool. The claim under test is that neither wrapper serving nor
 // settlement degrades with fleet size — wrapper-map generation is off the
 // request hot path (pool hits only during the measured pass) and
-// settlement cost is O(batches·sampleK), not O(fleet). The submitter pool
+// settlement cost is O(records), not O(fleet). The submitter pool
 // is held constant across fleet sizes so the audit pipeline's per-record
 // rescan (O(audited peers)) contributes equally to every point and the
 // sweep isolates ledger/ring scaling.

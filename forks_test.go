@@ -21,6 +21,8 @@ import (
 // internal/nocdn keeps one settlement row per peer: no per-shard grouping of
 // multi-peer deltas, no map-shaped credit or reject batch, no auditor table
 // of its own to merge deltas into, and no auditor constructor.
+// Settlement verifies every record: internal/nocdn samples no leaves and
+// carries no Merkle inclusion proofs.
 func TestDeletedForksStayDeleted(t *testing.T) {
 	scorer := regexp.MustCompile(`welford|scoreLocked|rescoreAll|nocdn\.audit\.peer\.|tamper_flags|DefaultAudit(Threshold|MinRecords)|populationMeanBytes`)
 	for _, c := range []struct {
@@ -31,6 +33,7 @@ func TestDeletedForksStayDeleted(t *testing.T) {
 		{"internal/nocdn", regexp.MustCompile(`InflateRecords|DuplicateRecords|CorruptDiskEntry|Tamper\.(Load|Store)|dropMetadata|nocdn\.cache\.miss|peer\.hit_seconds`)},
 		{"internal/nocdn", scorer},
 		{"internal/nocdn", regexp.MustCompile(`groupByShard|creditBatch|rejectBatch|mergeDeltasLocked|observeSettled|func NewAuditor`)},
+		{"internal/nocdn", regexp.MustCompile(`sampleIndices|BuildMerkleProof|VerifyMerkleProof|type MerkleProof|sampled_leaves|sample_failures`)},
 		{"cmd", scorer},
 	} {
 		err := filepath.WalkDir(c.root, func(path string, d fs.DirEntry, err error) error {

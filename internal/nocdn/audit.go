@@ -32,12 +32,11 @@ type peerAudit struct {
 // Auditor is the read-and-flag view over the evidence half of the ledger's
 // settlement rows: for every batch uploader, the records it submitted, how
 // many were rejected or replayed, the bytes it claimed, and the trace IDs of
-// its rejected records. It judges nobody by statistics. A peer is flagged
-// only on direct evidence (FlagTampered: a sampled leaf of its own batch
-// failed verification); the other verdict, over-claiming against the
-// assigned floor, is the ledger's, taken as it applies the batch. Both look
-// only at the batch's uploader, so a peer's row never moves because of
-// another peer's traffic.
+// its rejected records. It judges nobody by statistics, and settlement
+// flags nobody: a rejected record earns nothing, so it is evidence, not a
+// verdict. The one verdict, over-claiming against the assigned floor, is
+// the ledger's, taken as it applies the batch to its uploader's row alone,
+// so a peer's row never moves because of another peer's traffic.
 type Auditor struct {
 	// OnFlag, when set, is invoked each time a peer is newly flagged — the
 	// origin uses it to eject the peer from future wrapper maps immediately
@@ -63,12 +62,12 @@ func (a *Auditor) SetTracer(t *hpop.Tracer) {
 	}
 }
 
-// FlagTampered flags a peer on direct evidence — a sampled leaf of a
-// Merkle-committed settlement batch, uploaded in the peer's name, that
-// failed verification. The root commits to the exact record bytes, so a
-// non-verifying leaf cannot be transport corruption. The upload itself is
-// not authenticated, so the evidence is against whoever sent the batch under
-// that name. A new flag emits one peer_flagged span and fires OnFlag.
+// FlagTampered flags a peer: its row is marked flagged, and a new flag
+// emits one peer_flagged span carrying the row's offending trace IDs and
+// fires OnFlag (the origin's ejects the peer from rotation). Settlement does
+// not call it — an upload is not authenticated, so a failed record is no
+// evidence against the peer it names — and nothing else in the product
+// does; journals written while settlement flagged still replay their flags.
 // Nil-receiver safe.
 func (a *Auditor) FlagTampered(peerID string, cause error) {
 	if a == nil {

@@ -17,13 +17,14 @@ import (
 	"testing/quick"
 	"time"
 
+	"hpop/internal/auth"
 	"hpop/internal/hpop"
 	"hpop/internal/sim"
 )
 
 // controlOrigin builds an origin with content and a registered fleet, the
 // shared fixture for the pooled-assignment and batch-settlement tests.
-func controlOrigin(t *testing.T, peers int, opts ...OriginOption) *Origin {
+func controlOrigin(t testing.TB, peers int, opts ...OriginOption) *Origin {
 	t.Helper()
 	o := NewOrigin("x", append([]OriginOption{WithRNG(sim.NewRNG(7))}, opts...)...)
 	o.AddObject("/c", make([]byte, 400))
@@ -47,7 +48,7 @@ func wrapperPeers(w *Wrapper) map[string]bool {
 }
 
 // signedRecord crafts a valid usage record under one of a wrapper's keys.
-func signedRecord(t *testing.T, w *Wrapper, peerID string, bytes int64, nonce string) UsageRecord {
+func signedRecord(t testing.TB, w *Wrapper, peerID string, bytes int64, nonce string) UsageRecord {
 	t.Helper()
 	k, ok := w.Keys[peerID]
 	if !ok {
@@ -281,9 +282,9 @@ func TestEpochTickRefreshesPool(t *testing.T) {
 	}
 }
 
-// TestSettleBatchCreditsAndReplays: a committed batch settles every record
-// under the sampled-verification path, accounting matches, and replaying
-// the batch (same root) or an individual nonce is rejected.
+// TestSettleBatchCreditsAndReplays: a committed batch settles every record,
+// each signature verified, accounting matches, and replaying the batch
+// (same root) or an individual nonce is rejected.
 func TestSettleBatchCreditsAndReplays(t *testing.T) {
 	o := controlOrigin(t, 4)
 	w, err := o.AssignWrapper("p", "client-a")
@@ -317,8 +318,8 @@ func TestSettleBatchCreditsAndReplays(t *testing.T) {
 		signedRecord(t, w, peer, 20, "fresh-nonce"),
 	}
 	n, err = o.SettleBatch(NewRecordBatch(peer, replay))
-	if err != nil || n != 1 {
-		t.Fatalf("replay-containing batch = %d, %v; want 1, nil", n, err)
+	if !errors.Is(err, auth.ErrReplayed) || errors.Is(err, ErrBadBatch) || n != 1 {
+		t.Fatalf("replay-containing batch = %d, %v; want 1, ErrReplayed", n, err)
 	}
 	if got := o.AccountingFor(peer).CreditedBytes; got != wantCredit+20 {
 		t.Fatalf("credited %d, want %d", got, wantCredit+20)
@@ -355,10 +356,76 @@ func TestSettleBatchRootMismatch(t *testing.T) {
 	}
 }
 
+// TestUnregisteredUploaderLeavesNoRow: a batch that proves nothing writes
+// nothing. Anonymous POST /usage/batch uploads under 1,000 made-up peer IDs
+// — for each, one whose root does not recompute and one under a made-up
+// key — and one root mismatch from a registered peer all answer 400, and
+// leave no ledger row, no audit row, no journal record, and nothing in the
+// next snapshot.
+func TestUnregisteredUploaderLeavesNoRow(t *testing.T) {
+	dir := t.TempDir()
+	o := walOrigin(t, dir, WALOptions{Fsync: FsyncNever, SnapshotEvery: -1}, 4)
+	setupSeq, _ := o.wal.position()
+	h := o.Handler()
+	post := func(b RecordBatch) {
+		t.Helper()
+		body, err := EncodeBatch(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/usage/batch", bytes.NewReader(body)))
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("batch from %s answered %d %s, want 400", b.PeerID, rec.Code, rec.Body)
+		}
+	}
+	record := func(id string) UsageRecord {
+		r := UsageRecord{Provider: "x", PeerID: id, KeyID: id + "-1", Page: "p", Bytes: 100, Objects: 1, Nonce: id, IssuedAt: time.Now()}
+		r.Sign([]byte("made-up secret"))
+		return r
+	}
+	mismatch := func(id string) RecordBatch {
+		b := NewRecordBatch(id, []UsageRecord{record(id)})
+		b.Root = strings.Repeat("ab", 32)
+		return b
+	}
+	for i := 0; i < 1000; i++ {
+		id := fmt.Sprintf("made-up-%04d", i)
+		post(mismatch(id))
+		post(NewRecordBatch(id, []UsageRecord{record(id)}))
+	}
+	post(mismatch("peer-00"))
+
+	if rows := o.ledger.rows(); len(rows) != 0 {
+		t.Errorf("%d ledger rows, want none; first %+v", len(rows), rows[0])
+	}
+	if ev := o.ledger.evidence(); len(ev) != 0 {
+		t.Errorf("%d audit rows, want none; first %+v", len(ev), ev[0])
+	}
+	if seq, _ := o.wal.position(); seq != setupSeq {
+		t.Errorf("journal at seq %d after the uploads, %d before", seq, setupSeq)
+	}
+	if err := o.SnapshotNow(); err != nil {
+		t.Fatal(err)
+	}
+	c := snapshotCandidates(dir)
+	if len(c) == 0 {
+		t.Fatal("no snapshot written")
+	}
+	state, err := readSnapshotFile(c[0].path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(state, []byte("made-up")) {
+		t.Error("the snapshot carries a made-up uploader")
+	}
+}
+
 // TestSettleBatchSampledLeafFlagsPeer: a batch whose root honestly commits
-// to a record with a bad signature is tamper evidence against its uploader —
-// the sampled leaf fails full verification, the batch is rejected, and the
-// peer is flagged in the audit snapshot and ejected from pooled maps.
+// to records with bad signatures costs only those records. Each is rejected
+// on its own and counted in the uploader's row, and nobody is flagged: the
+// upload is not authenticated, and a record that fails its signature earns
+// nothing. The peer stays in pooled maps.
 func TestSettleBatchSampledLeafFlagsPeer(t *testing.T) {
 	o := controlOrigin(t, 6)
 	w, err := o.AssignWrapper("p", "client-a")
@@ -370,40 +437,33 @@ func TestSettleBatchSampledLeafFlagsPeer(t *testing.T) {
 	for i := range records {
 		records[i] = signedRecord(t, w, peer, 25, fmt.Sprintf("sl-%d", i))
 		// Inflate AFTER signing, then commit to the inflated bytes: the root
-		// recomputes, but every sampled leaf's signature fails.
+		// recomputes, but no leaf's signature verifies.
 		records[i].Bytes = 25000
 	}
 	n, err := o.SettleBatch(NewRecordBatch(peer, records))
-	if !errors.Is(err, ErrBadBatch) || n != 0 {
-		t.Fatalf("tampered-leaf batch = %d, %v; want 0, ErrBadBatch", n, err)
+	if !errors.Is(err, ErrBadRecord) || !errors.Is(err, auth.ErrBadSignature) || errors.Is(err, ErrBadBatch) || n != 0 {
+		t.Fatalf("tampered-leaf batch = %d, %v; want 0, ErrBadSignature", n, err)
 	}
-	var row *PeerAudit
-	for _, pa := range o.Audit().Snapshot().Peers {
-		if pa.PeerID == peer {
-			row = &pa
-			break
-		}
+	if acct := o.AccountingFor(peer); acct.Rejected != 4 || acct.CreditedBytes != 0 || acct.Suspended {
+		t.Fatalf("accounting %+v; want 4 rejected, no credit, not suspended", acct)
 	}
-	if row == nil || !row.Flagged {
-		t.Fatalf("peer %s not flagged in audit snapshot: %+v", peer, row)
-	}
-	if !o.AccountingFor(peer).Suspended {
-		t.Fatal("flagged peer not suspended")
+	if isFlagged(o, peer) {
+		t.Fatalf("peer %s flagged for records that failed their signatures", peer)
 	}
 	w2, err := o.AssignWrapper("p", "client-a")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if wrapperPeers(w2)[peer] {
-		t.Fatalf("tamper-flagged peer %s still in pooled maps", peer)
+	if !wrapperPeers(w2)[peer] {
+		t.Fatalf("peer %s dropped from pooled maps", peer)
 	}
 }
 
 // TestBatchOutcomesChargeTheUploader: a batch speaks for its uploader only.
-// Peer A slips four inflated leaves naming peer B into a committed batch and
-// grinds its own nonces until the sample misses them. The leaves are
-// rejected, and the rejections and their audit evidence land on A; B,
-// which sent nothing, keeps a clean ledger row and audit row.
+// Peer A slips four validly signed leaves naming peer B into a committed
+// batch. The leaves are rejected, and the rejections and their audit
+// evidence land on A; B, which sent nothing, keeps a clean ledger row and
+// audit row.
 func TestBatchOutcomesChargeTheUploader(t *testing.T) {
 	o := controlOrigin(t, 6)
 	const a, b = "peer-03", "peer-02"
@@ -422,25 +482,15 @@ func TestBatchOutcomesChargeTheUploader(t *testing.T) {
 	}
 	wa, wb := wrapperFor(a), wrapperFor(b)
 	const n, planted = 64, 4
-	var batch RecordBatch
-	for attempt := 0; ; attempt++ {
-		if attempt == 1000 {
-			t.Fatal("no nonce choice kept the planted leaves out of the sample")
-		}
-		records := make([]UsageRecord, 0, n)
-		for i := 0; i < planted; i++ {
-			records = append(records, signedRecord(t, wb, b, 250, fmt.Sprintf("b-%d", i)))
-		}
-		for i := planted; i < n; i++ {
-			records = append(records, signedRecord(t, wa, a, 1, fmt.Sprintf("a-%d-%d", attempt, i)))
-		}
-		batch = NewRecordBatch(a, records)
-		if !slices.ContainsFunc(sampleIndices(batch.Root, n, DefaultSettleSampleK), func(i int) bool { return i < planted }) {
-			break
-		}
+	records := make([]UsageRecord, 0, n)
+	for i := 0; i < planted; i++ {
+		records = append(records, signedRecord(t, wb, b, 250, fmt.Sprintf("b-%d", i)))
 	}
-	if got, err := o.SettleBatch(batch); err != nil || got != n-planted {
-		t.Fatalf("SettleBatch = %d, %v; want %d, nil", got, err, n-planted)
+	for i := planted; i < n; i++ {
+		records = append(records, signedRecord(t, wa, a, 1, fmt.Sprintf("a-%d", i)))
+	}
+	if got, err := o.SettleBatch(NewRecordBatch(a, records)); !errors.Is(err, ErrBadRecord) || errors.Is(err, ErrBadBatch) || got != n-planted {
+		t.Fatalf("SettleBatch = %d, %v; want %d, ErrBadRecord", got, err, n-planted)
 	}
 	auditRow := func(peer string) PeerAudit {
 		for _, pa := range o.Audit().Snapshot().Peers {
@@ -695,7 +745,7 @@ func settleOnce(t *testing.T, badSignature bool) settleShape {
 
 // TestSettleOnePipeline: an honest batch credits every record and journals
 // one settle record that consumes its "batch|root" nonce; a bad signature
-// on a sampled leaf costs the whole batch and flags the uploader.
+// costs only its own record, and flags and suspends nobody.
 func TestSettleOnePipeline(t *testing.T) {
 	honest := settleOnce(t, false)
 	if honest.credited != 5 || honest.err != nil {
@@ -710,9 +760,9 @@ func TestSettleOnePipeline(t *testing.T) {
 	}
 
 	bad := settleOnce(t, true)
-	if !errors.Is(bad.err, ErrBadBatch) || bad.credited != 0 || bad.row.CreditedBytes != 0 ||
-		bad.row.Rejected != 5 || !bad.row.Suspended || !bad.audit.Flagged {
-		t.Fatalf("bad signature: %+v; want ErrBadBatch, all 5 rejected, peer flagged and suspended", bad)
+	if !errors.Is(bad.err, auth.ErrBadSignature) || errors.Is(bad.err, ErrBadBatch) || bad.credited != 4 ||
+		bad.row.CreditedBytes != 10+11+13+14 || bad.row.Rejected != 1 || bad.row.Suspended || bad.audit.Flagged {
+		t.Fatalf("bad signature: %+v; want ErrBadSignature, 4 credited (48 B), 1 rejected, nobody flagged or suspended", bad)
 	}
 }
 

@@ -2,9 +2,15 @@ package nocdn
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 )
@@ -53,6 +59,99 @@ func FuzzDecodeRecords(f *testing.F) {
 			t.Fatalf("round trip changed the batch: %+v, want %+v", again, batch)
 		}
 	})
+}
+
+// FuzzSettleLeaves drives POST /usage/batch with arbitrary leaves under an
+// arbitrary uploader, the root either recomputed over the leaves or not.
+// Nothing may panic; a 400 changes no settlement row; and a 200 moves only
+// the uploader's row, with every leaf it submitted either credited or
+// counted in its Rejected. Seeds: an honest batch, one forged leaf among
+// honest ones, a root mismatch, and an unregistered uploader.
+func FuzzSettleLeaves(f *testing.F) {
+	o := controlOrigin(f, 4)
+	w, err := o.AssignWrapper("p", "fuzz")
+	if err != nil {
+		f.Fatal(err)
+	}
+	peer := anyPeer(w)
+	leaves := func(records ...UsageRecord) string {
+		out := make([]string, len(records))
+		for i, r := range records {
+			out[i] = string(r.LeafBytes())
+		}
+		return strings.Join(out, "\n")
+	}
+	honest := func(prefix string) []UsageRecord {
+		out := make([]UsageRecord, 3)
+		for i := range out {
+			out[i] = signedRecord(f, w, peer, 10, fmt.Sprintf("%s-%d", prefix, i))
+		}
+		return out
+	}
+	forged := honest("forged")
+	forged[1].Signature = strings.Repeat("0", len(forged[1].Signature))
+	stranger := signedRecord(f, w, peer, 10, "stranger")
+	stranger.PeerID = "stranger"
+	f.Add(peer, leaves(honest("honest")...), true)
+	f.Add(peer, leaves(forged...), true)
+	f.Add(peer, leaves(honest("mismatch")...), false)
+	f.Add("stranger", leaves(stranger), true)
+	h := o.Handler()
+	f.Fuzz(func(t *testing.T, uploader, joined string, recommit bool) {
+		var batch [][]byte
+		if joined != "" {
+			for _, l := range strings.Split(joined, "\n") {
+				batch = append(batch, []byte(l))
+			}
+		}
+		root := strings.Repeat("ab", 32)
+		if recommit {
+			root = MerkleRoot(batch)
+		}
+		body, err := encodeLeaves(uploader, root, batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := settlementRows(o)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/usage/batch", bytes.NewReader(body)))
+		after := settlementRows(o)
+		switch rec.Code {
+		case http.StatusBadRequest:
+			if !reflect.DeepEqual(before, after) {
+				t.Fatalf("a 400 (%s) moved settlement rows:\n%+v\n->\n%+v", rec.Body, before, after)
+			}
+		case http.StatusOK:
+			var ack struct{ Credited, Submitted int }
+			if err := json.Unmarshal(rec.Body.Bytes(), &ack); err != nil || ack.Submitted != len(batch) {
+				t.Fatalf("200 answer %q (%v) for %d leaves", rec.Body, err, len(batch))
+			}
+			if rejected := after[uploader].Rejected - before[uploader].Rejected; int64(ack.Credited)+rejected != int64(len(batch)) {
+				t.Fatalf("%d leaves: %d credited, %d rejected", len(batch), ack.Credited, rejected)
+			}
+			delete(before, uploader)
+			delete(after, uploader)
+			if !reflect.DeepEqual(before, after) {
+				t.Fatalf("a batch from %q moved other rows:\n%+v\n->\n%+v", uploader, before, after)
+			}
+		default:
+			t.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+	})
+}
+
+// settlementRows copies every settlement row, money and evidence, by peer.
+func settlementRows(o *Origin) map[string]peerRow {
+	out := make(map[string]peerRow)
+	for _, r := range o.ledger.rows() {
+		out[r.ID] = peerRow{ledgerRow: r}
+	}
+	for _, pa := range o.ledger.evidence() {
+		r := out[pa.PeerID]
+		r.peerAudit = pa
+		out[pa.PeerID] = r
+	}
+	return out
 }
 
 // FuzzParseRange hardens the Range-header parser used by the peer proxy.

@@ -18,7 +18,42 @@ import (
 	"hpop/internal/sim"
 )
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/settlement_golden.txt from this tree")
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/settlement_golden_v2.txt from this tree")
+
+// goldenAt is the fixed clock of the golden settlement history.
+var goldenAt = time.Unix(1_700_000_000, 0)
+
+// goldenBoot opens an origin on the golden history's clock, journal in
+// dir, and publishes its one page.
+func goldenBoot(t *testing.T, dir string) (*Origin, RecoveryStats) {
+	t.Helper()
+	o := NewOrigin("x", WithRNG(sim.NewRNG(7)), WithClock(func() time.Time { return goldenAt }))
+	stats, err := o.AttachWAL(dir, WALOptions{Fsync: FsyncAlways, SnapshotEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	o.AddObject("/c", make([]byte, 400))
+	o.AddObject("/a", make([]byte, 300))
+	if err := o.AddPage(Page{Name: "p", Container: "/c", Embedded: []string{"/a"}}); err != nil {
+		t.Fatal(err)
+	}
+	return o, stats
+}
+
+// goldenCapture writes o's /debug/audit answer and each peer's /accounting
+// answer to out, one "LABEL GET URL STATUS BODY" line each.
+func goldenCapture(out *bytes.Buffer, o *Origin, label string, peers []string) {
+	h := o.Handler()
+	get := func(url string) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", url, nil))
+		fmt.Fprintf(out, "%s GET %s %d %s", label, url, rec.Code, rec.Body.String())
+	}
+	get("/debug/audit")
+	for _, id := range peers {
+		get("/accounting?peer=" + id)
+	}
+}
 
 // TestSettlementFormatsGolden runs one fixed settlement history and compares
 // everything it leaves behind with a committed capture: every journal
@@ -30,10 +65,14 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/settlemen
 // over the journal records that carry them, are random per run; everything
 // else (clock, key IDs, signing secrets, nonces, trace IDs) is fixed.
 //
+// testdata/settlement_golden.txt is the capture of the writer before
+// settlement verified every record; TestParentSettlementGoldenReplays keeps
+// its journal replaying to the same answers.
+//
 // Regenerate with: go test ./internal/nocdn -run TestSettlementFormatsGolden -update-golden
 func TestSettlementFormatsGolden(t *testing.T) {
 	got := settlementHistory(t)
-	path := filepath.Join("testdata", "settlement_golden.txt")
+	path := filepath.Join("testdata", "settlement_golden_v2.txt")
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -70,34 +109,7 @@ func TestSettlementFormatsGolden(t *testing.T) {
 func settlementHistory(t *testing.T) []byte {
 	t.Helper()
 	dir := t.TempDir()
-	at := time.Unix(1_700_000_000, 0)
-	clock := func() time.Time { return at }
-	boot := func(dir string) (*Origin, RecoveryStats) {
-		o := NewOrigin("x", WithRNG(sim.NewRNG(7)), WithClock(clock))
-		stats, err := o.AttachWAL(dir, WALOptions{Fsync: FsyncAlways, SnapshotEvery: -1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		o.AddObject("/c", make([]byte, 400))
-		o.AddObject("/a", make([]byte, 300))
-		if err := o.AddPage(Page{Name: "p", Container: "/c", Embedded: []string{"/a"}}); err != nil {
-			t.Fatal(err)
-		}
-		return o, stats
-	}
 	var out bytes.Buffer
-	capture := func(o *Origin, label string, peers []string) {
-		h := o.Handler()
-		get := func(url string) {
-			rec := httptest.NewRecorder()
-			h.ServeHTTP(rec, httptest.NewRequest("GET", url, nil))
-			fmt.Fprintf(&out, "%s GET %s %d %s", label, url, rec.Code, rec.Body.String())
-		}
-		get("/debug/audit")
-		for _, id := range peers {
-			get("/accounting?peer=" + id)
-		}
-	}
 	snapshot := func(o *Origin, dir, label string) {
 		if err := o.SnapshotNow(); err != nil {
 			t.Fatal(err)
@@ -113,7 +125,7 @@ func settlementHistory(t *testing.T) []byte {
 		fmt.Fprintf(&out, "%s snap-%d %s\n", label, c[0].seq, state)
 	}
 
-	o, _ := boot(dir)
+	o, _ := goldenBoot(t, dir)
 	var peers []string
 	for i := 0; i < 5; i++ {
 		id := fmt.Sprintf("peer-%02d", i)
@@ -163,7 +175,7 @@ func settlementHistory(t *testing.T) []byte {
 	for _, id := range named {
 		k, _ := o.ledger.key(keys[id].KeyID)
 		k.SecretHex = hex.EncodeToString([]byte("golden secret " + k.ID))
-		o.ledger.restoreKeys([]keyRow{k}, at)
+		o.ledger.restoreKeys([]keyRow{k}, goldenAt)
 		keys[id] = PeerKey{KeyID: k.ID, Secret: k.SecretHex}
 	}
 
@@ -179,7 +191,7 @@ func settlementHistory(t *testing.T) []byte {
 		}
 		r := UsageRecord{
 			Provider: "x", PeerID: peer, KeyID: k.KeyID, Page: "p", Bytes: n, Objects: 1,
-			Nonce: fmt.Sprintf("golden-%d", seq), IssuedAt: at,
+			Nonce: fmt.Sprintf("golden-%d", seq), IssuedAt: goldenAt,
 			Traceparent: fmt.Sprintf("00-%032x-%016x-01", seq, seq),
 		}
 		r.Sign(secret)
@@ -193,13 +205,16 @@ func settlementHistory(t *testing.T) []byte {
 	rA1 := record(a, 100, nil)
 	settle("credited", NewRecordBatch(a, []UsageRecord{rA1, record(a, 50, nil)}))
 	settle("one replayed record", NewRecordBatch(a, []UsageRecord{rA1, record(a, 70, nil)}))
-	// A root mismatch is rejected before any record is read, so a peer with
-	// no key can send one; it leaves a ledger row with a rejection and no
-	// audit evidence.
+	// A root mismatch and a batch from an unregistered uploader are refused
+	// before any record is read: neither leaves a ledger row, an audit row
+	// or a journal record.
 	mismatch := NewRecordBatch(idle[0], []UsageRecord{record(idle[0], 100, nil)})
 	mismatch.Root = strings.Repeat("ab", 32)
 	settle("root mismatch", mismatch)
-	settle("sampled leaf", NewRecordBatch(c, []UsageRecord{record(c, 100, []byte("not the key"))}))
+	settle("unregistered uploader", NewRecordBatch("stranger", mismatch.Records))
+	// A bad signature costs its record only: c is rejected once, and
+	// neither flagged nor suspended.
+	settle("bad signature", NewRecordBatch(c, []UsageRecord{record(c, 100, []byte("not the key"))}))
 	o.Audit().FlagTampered(idle[len(idle)-1], errors.New("planted evidence"))
 	// Over-claim: enough whole-key records that credit passes 1.5 times
 	// what b was assigned, so the anomaly verdict suspends it.
@@ -232,22 +247,89 @@ func settlementHistory(t *testing.T) []byte {
 			t.Fatal(err)
 		}
 	}
-	capture(o, "live", peers)
+	goldenCapture(&out, o, "live", peers)
 	snapshot(o, dir, "live")
 	if err := o.wal.close(); err != nil {
 		t.Fatal(err)
 	}
 
 	for _, r := range []struct{ label, dir string }{{"replayed", journalOnly}, {"restored", dir}} {
-		o, stats := boot(r.dir)
+		o, stats := goldenBoot(t, r.dir)
 		fmt.Fprintf(&out, "%s: snapshotSeq %d replayed %d\n", r.label, stats.SnapshotSeq, stats.RecordsReplayed)
-		capture(o, r.label, peers)
+		goldenCapture(&out, o, r.label, peers)
 		snapshot(o, r.dir, r.label)
 		if err := o.wal.close(); err != nil {
 			t.Fatal(err)
 		}
 	}
 	return normalizeHex(out.Bytes())
+}
+
+// TestParentSettlementGoldenReplays: the journal in
+// testdata/settlement_golden.txt, written while settlement sampled leaves
+// and flagged the uploader of a failed one, still replays. Each of its
+// "journal N TYPE PAYLOAD" lines is appended as it stands into an empty
+// journal, an origin boots on it, and its /debug/audit and /accounting
+// answers match the fixture's "replayed GET" lines byte for byte. The
+// payloads keep their normalized "<hexN>" placeholders; replay reads them as
+// opaque strings.
+func TestParentSettlementGoldenReplays(t *testing.T) {
+	fixture, err := os.ReadFile(filepath.Join("testdata", "settlement_golden.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	types := make(map[string]walRecType)
+	for typ := walPeerRegister; typ <= walKeysIssued; typ++ {
+		types[typ.String()] = typ
+	}
+	dir := t.TempDir()
+	w, err := openControlWAL(dir, FsyncNever, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	peers := make(map[string]bool)
+	for _, line := range strings.SplitAfter(string(fixture), "\n") {
+		if rest, ok := strings.CutPrefix(line, "replayed GET "); ok {
+			want.WriteString(line)
+			if id, ok := strings.CutPrefix(rest, "/accounting?peer="); ok {
+				peers[id[:strings.IndexByte(id, ' ')]] = true
+			}
+			continue
+		}
+		fields := strings.SplitN(strings.TrimSuffix(line, "\n"), " ", 4)
+		if len(fields) != 4 || fields[0] != "journal" {
+			continue
+		}
+		typ, ok := types[fields[2]]
+		if !ok {
+			t.Fatalf("fixture journal line of unknown type %q", fields[2])
+		}
+		if seq, err := w.append(typ, []byte(fields[3])); err != nil || fmt.Sprint(seq) != fields[1] {
+			t.Fatalf("appended %s as seq %d (%v), fixture says %s", fields[2], seq, err, fields[1])
+		}
+	}
+	if err := w.close(); err != nil {
+		t.Fatal(err)
+	}
+	if len(peers) == 0 {
+		t.Fatal("the fixture has no replayed /accounting lines")
+	}
+	ids := make([]string, 0, len(peers))
+	for id := range peers {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	o, stats := goldenBoot(t, dir)
+	defer o.wal.close()
+	if stats.RecordsReplayed == 0 {
+		t.Fatal("nothing replayed")
+	}
+	var got bytes.Buffer
+	goldenCapture(&got, o, "replayed", ids)
+	if got.String() != want.String() {
+		t.Fatalf("parent journal replays to\n%s\nwant\n%s", got.String(), want.String())
+	}
 }
 
 var hex64 = regexp.MustCompile(`[0-9a-f]{64}`)

@@ -51,16 +51,16 @@ func TestKeyTableLookup(t *testing.T) {
 	}
 	w := &Wrapper{Keys: map[string]PeerKey{"peer-7": {KeyID: k.ID, Secret: k.SecretHex}}}
 	rec := signedRecord(t, w, "peer-7", 100, "n")
-	if err := o.checkRecord(rec, "peer-7", rec.CanonicalBytes()); err != nil {
+	if err := o.checkRecord(&leafVerifier{}, rec, "peer-7", rec.LeafBytes()); err != nil {
 		t.Fatalf("fresh key: %v", err)
 	}
 	unknown := rec
 	unknown.KeyID = "nope"
-	if err := o.checkRecord(unknown, "peer-7", unknown.CanonicalBytes()); !errors.Is(err, auth.ErrUnknownKey) {
+	if err := o.checkRecord(&leafVerifier{}, unknown, "peer-7", unknown.LeafBytes()); !errors.Is(err, auth.ErrUnknownKey) {
 		t.Errorf("unknown key err = %v", err)
 	}
 	clock.Advance(keyTTL + time.Second)
-	if err := o.checkRecord(rec, "peer-7", rec.CanonicalBytes()); !errors.Is(err, auth.ErrExpired) {
+	if err := o.checkRecord(&leafVerifier{}, rec, "peer-7", rec.LeafBytes()); !errors.Is(err, auth.ErrExpired) {
 		t.Errorf("expired key err = %v", err)
 	}
 }
@@ -151,8 +151,8 @@ func TestPooledMapRenewsExpiringKeys(t *testing.T) {
 // TestExpiredRecordIsLateNotTampering: an honest record whose key expired
 // before it reached the origin is rejected — journaled, its batch nonce
 // consumed, counted in Rejected — but its uploader is neither flagged nor
-// suspended and stays assignable. A leaf that fails anything else under an
-// expired key still flags.
+// suspended and stays assignable. A record that fails anything else under
+// an expired key is rejected the same way, and flags nobody either.
 func TestExpiredRecordIsLateNotTampering(t *testing.T) {
 	clock := newFleetClock()
 	dir := t.TempDir()
@@ -180,7 +180,7 @@ func TestExpiredRecordIsLateNotTampering(t *testing.T) {
 	late := NewRecordBatch(id, []UsageRecord{signedRecord(t, w, id, 100, "late")})
 	clock.Advance(keyTTL + time.Minute)
 
-	if n, err := o.SettleBatch(late); n != 0 || !errors.Is(err, ErrBadBatch) || !strings.Contains(err.Error(), auth.ErrExpired.Error()) {
+	if n, err := o.SettleBatch(late); n != 0 || !errors.Is(err, ErrBadRecord) || !errors.Is(err, auth.ErrExpired) {
 		t.Fatalf("late batch: credited %d, err %v; want a rejection for an expired key", n, err)
 	}
 	if _, err := o.SettleBatch(late); err == nil || !strings.Contains(err.Error(), auth.ErrReplayed.Error()) {
@@ -208,7 +208,7 @@ func TestExpiredRecordIsLateNotTampering(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Anything beyond lateness still flags, expired key or not.
+	// Anything beyond lateness is rejected too, and flags nobody.
 	for _, tc := range []struct {
 		name string
 		rec  func(w *Wrapper, id, other string) UsageRecord
@@ -246,9 +246,9 @@ func TestExpiredRecordIsLateNotTampering(t *testing.T) {
 			if n, err := o.SettleBatch(NewRecordBatch(id, []UsageRecord{r})); n != 0 || err == nil {
 				t.Fatalf("settled %d, %v", n, err)
 			}
-			if !isFlagged(o, id) || !o.AccountingFor(id).Suspended {
-				t.Fatalf("%s under an expired key: flagged %v, %+v; want flagged and suspended",
-					tc.name, isFlagged(o, id), o.AccountingFor(id))
+			if acct := o.AccountingFor(id); isFlagged(o, id) || acct.Suspended || acct.Rejected != 1 {
+				t.Fatalf("%s under an expired key: flagged %v, %+v; want one rejection, not flagged or suspended",
+					tc.name, isFlagged(o, id), acct)
 			}
 		})
 	}

@@ -17,6 +17,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"hpop/internal/auth"
 )
 
 // referenceCanonical is CanonicalBytes as it was first written, with
@@ -169,11 +171,12 @@ func TestParseLeafRefusesNonCanonical(t *testing.T) {
 // POST /usage/batch to an allocation budget, counted the way bench/ counts
 // allocs_per_op: the whole process's Mallocs. Decoding each record as a JSON
 // object and rebuilding its canonical form to hash it cost about 800
-// allocations a batch; hashing and verifying the uploaded leaves costs
-// about 306. Under -race the batches still settle and the count is logged,
-// but not judged.
+// allocations a batch; hashing the uploaded leaves and verifying 16 sampled
+// signatures with auth.Verify, about 306. Verifying every signature under
+// one reused HMAC state costs about 183. Under -race the batches still
+// settle and the count is logged, but not judged.
 func TestSettleHandlerAllocBudget(t *testing.T) {
-	const budget = 337 // measured 306, plus 10%
+	const budget = 201 // measured 183, plus 10%
 	const batches, n = 20, 64
 	o := controlOrigin(t, 4)
 	w, err := o.AssignWrapper("p", "alloc-budget")
@@ -215,6 +218,42 @@ func TestSettleHandlerAllocBudget(t *testing.T) {
 	t.Logf("%.0f allocations per %d-record batch (budget %d)", perBatch, n, budget)
 	if perBatch > budget && !raceEnabled {
 		t.Errorf("a %d-record batch allocates %.0f times, budget %d", n, perBatch, budget)
+	}
+}
+
+// TestSettleVerifyAllocatesNothing: settlement checks a record's signature
+// over its leaf with the HMAC state the batch's previous record left, so
+// once that state is set up, a record under the same key verifies without
+// allocating (auth.Verify allocates 8 times per record).
+func TestSettleVerifyAllocatesNothing(t *testing.T) {
+	o := controlOrigin(t, 4)
+	w, err := o.AssignWrapper("p", "verify-allocs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer := anyPeer(w)
+	first, second := signedRecord(t, w, peer, 1, "first"), signedRecord(t, w, peer, 1, "second")
+	firstLeaf, secondLeaf := first.LeafBytes(), second.LeafBytes()
+	var v leafVerifier
+	if err := o.checkRecord(&v, first, peer, firstLeaf); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := o.checkRecord(&v, second, peer, secondLeaf); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 && !raceEnabled {
+		t.Errorf("checking a second record under the same key allocates %v times, want 0", allocs)
+	}
+	// The reused state still tells a bad signature from a good one.
+	forged := second
+	forged.Signature = strings.Repeat("0", len(second.Signature))
+	if err := o.checkRecord(&v, forged, peer, forged.LeafBytes()); !errors.Is(err, auth.ErrBadSignature) {
+		t.Errorf("forged signature: %v, want ErrBadSignature", err)
+	}
+	if err := o.checkRecord(&v, second, peer, secondLeaf); err != nil {
+		t.Errorf("after a forged record, the good one fails: %v", err)
 	}
 }
 

@@ -2,7 +2,6 @@ package nocdn
 
 import (
 	"bytes"
-	"encoding/hex"
 	"fmt"
 	"testing"
 	"time"
@@ -70,50 +69,6 @@ func TestMerkleRootRecomputation(t *testing.T) {
 	}
 }
 
-// TestMerkleProofs: every leaf of trees of awkward sizes proves inclusion,
-// and a tampered leaf fails against every proof.
-func TestMerkleProofs(t *testing.T) {
-	rng := sim.NewRNG(7)
-	for _, n := range []int{1, 2, 3, 5, 8, 13, 16, 31} {
-		leaves := randomLeaves(rng, n)
-		root := MerkleRoot(leaves)
-		for i := 0; i < n; i++ {
-			proof, err := BuildMerkleProof(leaves, i)
-			if err != nil {
-				t.Fatalf("n=%d i=%d: %v", n, i, err)
-			}
-			if !VerifyMerkleProof(leaves[i], proof, root) {
-				t.Fatalf("n=%d i=%d: valid proof rejected", n, i)
-			}
-			bad := append(append([]byte(nil), leaves[i]...), 0xFF)
-			if VerifyMerkleProof(bad, proof, root) {
-				t.Fatalf("n=%d i=%d: tampered leaf accepted", n, i)
-			}
-			if n > 1 {
-				j := (i + 1) % n
-				if !bytes.Equal(leaves[j], leaves[i]) {
-					if VerifyMerkleProof(leaves[j], proof, root) {
-						t.Fatalf("n=%d: leaf %d accepted under leaf %d's proof", n, j, i)
-					}
-				}
-			}
-			// Trailing path garbage is not a valid proof.
-			padded := proof
-			extra := hex.EncodeToString(make([]byte, 32))
-			padded.Path = append(append([]string(nil), proof.Path...), extra)
-			if VerifyMerkleProof(leaves[i], padded, root) {
-				t.Fatalf("n=%d i=%d: padded path accepted", n, i)
-			}
-		}
-		if _, err := BuildMerkleProof(leaves, n); err == nil {
-			t.Fatalf("n=%d: out-of-range index built a proof", n)
-		}
-		if _, err := BuildMerkleProof(leaves, -1); err == nil {
-			t.Fatal("negative index built a proof")
-		}
-	}
-}
-
 // TestRecordBatchCommitment: the wire shape round-trips and the root
 // commits to both the claims and their signatures.
 func TestRecordBatchCommitment(t *testing.T) {
@@ -167,48 +122,4 @@ func TestRecordBatchCommitment(t *testing.T) {
 	if MerkleRoot(leaves2) == dec2.Root {
 		t.Fatal("stripped signature did not change the root")
 	}
-}
-
-// FuzzMerkleProof: Verify must never panic on arbitrary proofs and never
-// accept a forged one.
-func FuzzMerkleProof(f *testing.F) {
-	f.Add([]byte("seed data"), uint8(4), uint8(1), []byte("junk"))
-	f.Add([]byte{}, uint8(0), uint8(0), []byte{})
-	f.Add([]byte{0xff}, uint8(255), uint8(200), []byte{0x00, 0x01})
-	f.Fuzz(func(t *testing.T, data []byte, nRaw, idxRaw uint8, junk []byte) {
-		n := int(nRaw)%32 + 1
-		leaves := make([][]byte, n)
-		for i := range leaves {
-			leaves[i] = append(append([]byte(nil), data...), byte(i))
-		}
-		root := MerkleRoot(leaves)
-		i := int(idxRaw) % n
-		proof, err := BuildMerkleProof(leaves, i)
-		if err != nil {
-			t.Fatalf("building valid proof: %v", err)
-		}
-		if !VerifyMerkleProof(leaves[i], proof, root) {
-			t.Fatal("valid proof rejected")
-		}
-		// Forged leaf content must never verify (distinct by construction:
-		// every real leaf ends with its index byte after the same prefix).
-		forged := append(append([]byte(nil), data...), junk...)
-		forged = append(forged, 0xA5, byte(i))
-		if !bytes.Equal(forged, leaves[i]) && VerifyMerkleProof(forged, proof, root) {
-			t.Fatal("forged leaf accepted")
-		}
-		// Mangled proofs must not panic, and junk siblings must not verify.
-		mangled := proof
-		mangled.Path = append([]string{string(junk)}, proof.Path...)
-		if VerifyMerkleProof(leaves[i], mangled, root) {
-			t.Fatal("proof with junk sibling prefix accepted")
-		}
-		wild := MerkleProof{Index: int(idxRaw) - 128, Leaves: int(nRaw) - 64, Path: []string{string(junk), string(data)}}
-		VerifyMerkleProof(leaves[i], wild, root)     // must not panic
-		VerifyMerkleProof(junk, proof, string(data)) // must not panic
-		VerifyMerkleProof(nil, MerkleProof{}, "")    // must not panic
-		if VerifyMerkleProof(leaves[i], proof, string(junk)) {
-			t.Fatal("proof accepted under junk root")
-		}
-	})
 }

@@ -2,15 +2,17 @@ package nocdn
 
 import (
 	"context"
+	"crypto/hmac"
+	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash"
 	"io"
 	"mime"
 	"net"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -24,12 +26,11 @@ import (
 
 // Control-plane defaults.
 const (
-	// DefaultSettleSampleK is how many leaves of a Merkle-committed
-	// settlement batch get full signature verification. Batches at or below
-	// this size are fully verified; above it, verification cost is
-	// O(batches·K) instead of O(records) while the root commitment keeps any
-	// tampering detectable (and sampled, it is caught with probability
-	// 1-(1-f)^K for tamper fraction f).
+	// DefaultSettleSampleK was how many leaves of a settlement batch had
+	// their signatures verified.
+	//
+	// Deprecated: settlement verifies every record's signature; nothing
+	// samples. It is kept only for callers that still read it.
 	DefaultSettleSampleK = 16
 	// DefaultGossipMismatchLimit is how many failed spot-checks a gossip
 	// reporter gets before its reports are quarantined (ignored).
@@ -536,28 +537,31 @@ func etagMatches(ifNoneMatch, etag string) bool {
 
 // ---- settlement ----
 
-// SettleBatch settles a Merkle-committed record batch: the root is
-// recomputed over the uploaded records (any tampered, dropped, reordered,
-// or injected record changes it and rejects the batch), the root's nonce
-// guards whole-batch replay, and K deterministically sampled leaves get
-// full signature verification. A sampled leaf that fails rejects the batch
-// and flags the uploading peer straight into the audit pipeline. Accepted
-// batches settle every record under one per-shard ledger acquisition:
-// cheap bounds/nonce checks keep accounting exact while the expensive HMAC
-// work stays O(K). Every outcome — credit, rejection, audit evidence — is
-// charged to b.PeerID, whatever peer a record names.
+// SettleBatch settles a Merkle-committed record batch. The batch is refused
+// whole, with ErrBadBatch and without a ledger row, journal record or
+// consumed nonce, when its uploader is not a registered peer or the root
+// does not recompute over the records; a root that was already settled (its
+// nonce guards whole-batch replay) is refused the same way. Otherwise every
+// record is checked on its own, signature included: a bad record is
+// rejected alone, and the records beside it still credit. Every outcome —
+// credit, rejection, audit evidence — is charged to b.PeerID, whatever peer
+// a record names; nobody is flagged for a record. It returns how many
+// records were credited, and an error exactly when that is fewer than the
+// batch holds: ErrBadBatch for a refused batch, else the rejected records'
+// errors joined, each wrapping ErrBadRecord.
 func (o *Origin) SettleBatch(b RecordBatch) (int, error) {
 	return o.settle(hpop.TraceContext{}, b, recordLeaves(b.Records))
 }
 
-// settle is the one settlement pipeline: verify, then commitSettlement. The
-// batch span continues the uploading peer's flush trace (parent, from the
-// request's traceparent header); each per-record span continues the page
-// view's trace via the traceparent the loader embedded (and signed) in the
-// record — if that is absent or malformed, it falls back to a child of the
-// batch span. leaves[i] is b.Records[i]'s LeafBytes: the bytes an upload
-// carried, or derived from the records in process. The root is checked and
-// sampled signatures verified over them, never over a re-encoding.
+// settle is the one settlement pipeline: refuse, check every record, then
+// commitSettlement. The batch span continues the uploading peer's flush
+// trace (parent, from the request's traceparent header); each per-record
+// span continues the page view's trace via the traceparent the loader
+// embedded (and signed) in the record — if that is absent or malformed, it
+// falls back to a child of the batch span. leaves[i] is b.Records[i]'s
+// LeafBytes: the bytes an upload carried, or derived from the records in
+// process. The root is checked and every signature verified over them,
+// never over a re-encoding.
 func (o *Origin) settle(parent hpop.TraceContext, b RecordBatch, leaves [][]byte) (credited int, err error) {
 	o.metrics.Inc("nocdn.origin.batches")
 	sp := o.tracer.StartRemote("nocdn.origin", "settle_batch", parent)
@@ -571,58 +575,23 @@ func (o *Origin) settle(parent hpop.TraceContext, b RecordBatch, leaves [][]byte
 	}()
 	start := time.Now()
 
-	rec := walSettleRec{PeerID: b.PeerID, Root: b.Root}
-	// A rejection is still a settlement outcome — the peer must not retry
-	// it — so it journals like one.
-	reject := func(nonce string, evidence []settleOutcome) error {
+	// The upload is not authenticated, so a refusal leaves nothing behind:
+	// only a batch that commits can open or move a ledger row.
+	if _, ok := o.registry.get(b.PeerID); !ok {
 		o.metrics.Inc("nocdn.origin.batches_rejected")
-		rec.Rejects = map[string]int64{b.PeerID: int64(len(b.Records))}
-		_, cerr := o.commitSettlement(rec, nonce, evidence)
-		return cerr
+		return 0, fmt.Errorf("%w: uploader %q is not a registered peer", ErrBadBatch, b.PeerID)
 	}
 	if MerkleRoot(leaves) != b.Root {
-		reject("", nil) // no nonce consumed: the root was never this batch's
+		o.metrics.Inc("nocdn.origin.batches_rejected")
 		return 0, fmt.Errorf("%w: root mismatch", ErrBadBatch)
-	}
-	// The batch nonce (the whole-batch replay guard) is NOT consumed here:
-	// commitSettlement consumes it under the commit lock, atomically with the
-	// journal append, and aborts the commit when the root was already
-	// settled. A replayed batch therefore wastes the sampling work below, but
-	// replays are rare and a nonce consumed before the journal cut could
-	// strand the peer's credit across a crash.
-	batchNonce := "batch|" + b.Root
-	idxs := sampleIndices(b.Root, len(b.Records), DefaultSettleSampleK)
-	sp.SetLabel("sampled", strconv.Itoa(len(idxs)))
-	for _, i := range idxs {
-		o.metrics.Inc("nocdn.origin.sampled_leaves")
-		r := b.Records[i]
-		verr := o.checkRecord(r, b.PeerID, leaves[i][:len(leaves[i])-len(r.Signature)-1])
-		if verr == nil {
-			continue
-		}
-		// Reject the whole batch, with the failed leaf as the uploader's
-		// evidence row entry, then flag the uploader — unless the leaf is
-		// only late (its key expired), which is no sign of tampering. The
-		// batch nonce is consumed with the rejection's journal record — a
-		// crash must not reopen the root to a "fixed" replay.
-		o.metrics.Inc("nocdn.origin.sample_failures")
-		if cerr := reject(batchNonce, []settleOutcome{{rec: r, err: verr}}); cerr != nil {
-			// Replayed root: the first settlement of this commitment
-			// already journaled the rejection and flagged the peer.
-			return 0, o.batchReplayed(cerr)
-		}
-		if !errors.Is(verr, auth.ErrExpired) {
-			o.audit.FlagTampered(b.PeerID, verr)
-		}
-		return 0, fmt.Errorf("%w: sampled leaf %d: %w", ErrBadBatch, i, verr)
 	}
 	if len(b.Records) == 0 {
 		return 0, nil
 	}
 
-	rec.Credits = make(map[string]int64)
-	rec.Rejects = make(map[string]int64)
+	rec := walSettleRec{PeerID: b.PeerID, Root: b.Root, Credits: make(map[string]int64), Rejects: make(map[string]int64)}
 	outcomes := make([]settleOutcome, 0, len(b.Records))
+	var v leafVerifier
 	for i := range b.Records {
 		r := b.Records[i]
 		var rsp *hpop.Span
@@ -633,7 +602,7 @@ func (o *Origin) settle(parent hpop.TraceContext, b RecordBatch, leaves [][]byte
 		}
 		rsp.SetLabel("peer", r.PeerID)
 		rsp.SetLabel("bytes", strconv.FormatInt(r.Bytes, 10))
-		oc := settleOutcome{rec: r, err: o.checkRecord(r, b.PeerID, nil)}
+		oc := settleOutcome{rec: r, err: o.checkRecord(&v, r, b.PeerID, leaves[i])}
 		if oc.err != nil {
 			rec.Rejects[b.PeerID]++
 			o.metrics.Inc("nocdn.origin.records_rejected")
@@ -647,13 +616,28 @@ func (o *Origin) settle(parent hpop.TraceContext, b RecordBatch, leaves [][]byte
 		outcomes = append(outcomes, oc)
 		rsp.End()
 	}
-	credited, cerr := o.commitSettlement(rec, batchNonce, outcomes)
+	// The batch nonce (the whole-batch replay guard) is consumed by
+	// commitSettlement under the commit lock, atomically with the journal
+	// append, which aborts when the root was already settled. A replayed
+	// batch therefore wastes the checks above, but replays are rare and a
+	// nonce consumed before the journal cut could strand the peer's credit
+	// across a crash.
+	credited, cerr := o.commitSettlement(rec, outcomes)
 	if cerr != nil {
 		return 0, o.batchReplayed(cerr)
 	}
 	sp.SetLabel("credited", strconv.Itoa(credited))
 	o.metrics.Observe("nocdn.origin.settle_seconds", time.Since(start).Seconds())
-	return credited, nil
+	if credited == len(outcomes) {
+		return credited, nil
+	}
+	errs := make([]error, 0, len(outcomes)-credited)
+	for i, oc := range outcomes {
+		if oc.err != nil {
+			errs = append(errs, fmt.Errorf("record %d: %w", i, oc.err))
+		}
+	}
+	return credited, errors.Join(errs...)
 }
 
 // batchReplayed counts and wraps a commit aborted by a consumed batch nonce.
@@ -674,29 +658,28 @@ func (o *Origin) batchReplayed(cerr error) error {
 // never-acked batch as a replay. The fsync wait happens after the lock is
 // released (group commit), before the caller acknowledges the peer.
 //
-// batchNonce, when non-empty, is the whole-batch replay guard: if it was
-// already consumed the commit aborts with the replay error and no state
-// changes (the earlier settlement of the same commitment already journaled
-// its decision). A per-record nonce that turns out to be consumed — an
+// The batch nonce, "batch|" + rec.Root, is the whole-batch replay guard: if
+// it was already consumed the commit aborts with the replay error and no
+// state changes (the earlier settlement of the same commitment already
+// journaled its decision). A per-record nonce that turns out to be consumed — an
 // earlier commit won the race — demotes that record from credit to a replay
 // rejection in both the journal record and the applied delta. Returns how
 // many records were actually credited. Every outcome belongs to rec.PeerID,
 // the batch's uploader.
-func (o *Origin) commitSettlement(rec walSettleRec, batchNonce string, outcomes []settleOutcome) (int, error) {
+func (o *Origin) commitSettlement(rec walSettleRec, outcomes []settleOutcome) (int, error) {
 	var endSeq uint64
 	rec.At = o.now().UnixNano()
+	batchNonce := "batch|" + rec.Root
 	o.commitMu.Lock()
-	if batchNonce != "" {
-		if err := o.nonces.Use(batchNonce); err != nil {
-			o.commitMu.Unlock()
-			return 0, err
-		}
-		rec.Nonces = append(rec.Nonces, batchNonce)
+	if err := o.nonces.Use(batchNonce); err != nil {
+		o.commitMu.Unlock()
+		return 0, err
 	}
+	rec.Nonces = append(rec.Nonces, batchNonce)
 	credited := 0
 	for i := range outcomes {
 		oc := &outcomes[i]
-		if oc.err != nil || oc.nonceKey == "" {
+		if oc.err != nil {
 			continue
 		}
 		if uerr := o.nonces.Use(oc.nonceKey); uerr != nil {
@@ -736,7 +719,7 @@ func (o *Origin) commitSettlement(rec walSettleRec, batchNonce string, outcomes 
 	o.audit.countSettled(outcomes)
 	if o.wal != nil {
 		// Wait through the last record this commit produced (the settle
-		// append plus any suspension/flag records it cascaded into).
+		// append plus any suspension record it cascaded into).
 		endSeq, _ = o.wal.position()
 	}
 	o.commitMu.Unlock()
@@ -745,16 +728,14 @@ func (o *Origin) commitSettlement(rec walSettleRec, batchNonce string, outcomes 
 	return credited, nil
 }
 
-// checkRecord verifies one record of an upload speaking for batchPeer. It
-// does NOT consume the nonce or write credits — both happen under the commit
-// lock in commitSettlement, so verification never serializes other
-// committers, a rejected batch leaves settlement state untouched, and a
-// snapshot can never observe a nonce ahead of its journal record. signed is
-// the canonical prefix of r's leaf, which r.Signature must verify over; nil
-// skips the HMAC, as Merkle sampling does for the unsampled leaves of a
-// committed batch: the root committed the peer to these exact bytes, and
-// the sampled leaves' signatures all verified.
-func (o *Origin) checkRecord(r UsageRecord, batchPeer string, signed []byte) error {
+// checkRecord verifies one record of an upload speaking for batchPeer,
+// its signature included: leaf is r's LeafBytes, and r.Signature must be
+// the key's HMAC over the leaf's signed prefix. It does NOT consume the
+// nonce or write credits — both happen under the commit lock in
+// commitSettlement, so verification never serializes other committers and
+// a snapshot can never observe a nonce ahead of its journal record. v
+// carries the HMAC state from the batch's previous record.
+func (o *Origin) checkRecord(v *leafVerifier, r UsageRecord, batchPeer string, leaf []byte) error {
 	if r.Provider != o.Provider {
 		return ErrBadRecord
 	}
@@ -768,11 +749,8 @@ func (o *Origin) checkRecord(r UsageRecord, batchPeer string, signed []byte) err
 	if k.PeerID != r.PeerID {
 		return fmt.Errorf("%w: key issued for different peer", ErrBadRecord)
 	}
-	if signed != nil {
-		secret, _ := hex.DecodeString(k.SecretHex) // minted as hex
-		if err := auth.Verify(secret, signed, r.Signature); err != nil {
-			return fmt.Errorf("%w: %w", ErrBadRecord, err)
-		}
+	if err := v.verify(k.SecretHex, leaf, len(r.Signature)); err != nil {
+		return fmt.Errorf("%w: %w", ErrBadRecord, err)
 	}
 	// A single key covers one wrapper build; claiming more bytes than were
 	// assigned under it is definitionally inflation.
@@ -780,43 +758,46 @@ func (o *Origin) checkRecord(r UsageRecord, batchPeer string, signed []byte) err
 		return fmt.Errorf("%w: implausible byte count", ErrBadRecord)
 	}
 	// Expiry is checked last, so ErrExpired means the record is late and
-	// nothing else: settle tells it apart from tampering.
+	// nothing else.
 	if o.now().UnixNano() > k.Expires {
 		return fmt.Errorf("%w: %w", ErrBadRecord, auth.ErrExpired)
 	}
 	return nil
 }
 
-// sampleIndices picks k distinct leaf indices in [0, n) deterministically
-// from the batch root — the peer cannot predict the sample before
-// committing to the root, and any verifier can reproduce it.
-func sampleIndices(root string, n, k int) []int {
-	if k >= n {
-		out := make([]int, n)
-		for i := range out {
-			out[i] = i
-		}
-		return out
+// leafVerifier checks record signatures for one batch. It keeps one
+// HMAC-SHA256 state, rebuilt only when a record's key differs from the
+// previous record's and reset between records under the same key. A run of
+// records under one key allocates only to set the state up — at its first
+// record, and at the first reset, where crypto/hmac saves its pad states —
+// and nothing after.
+type leafVerifier struct {
+	secretHex string
+	mac       hash.Hash
+	sum       [sha256.Size]byte
+}
+
+// verify reports whether a leaf's last sigLen bytes are the hex HMAC, under
+// the key secretHex, of the leaf before the '|' that precedes them.
+func (v *leafVerifier) verify(secretHex string, leaf []byte, sigLen int) error {
+	var want [sha256.Size]byte
+	if sigLen != hex.EncodedLen(len(want)) || sigLen >= len(leaf) {
+		return auth.ErrBadSignature
 	}
-	seed := uint64(1)
-	if len(root) >= 16 {
-		if v, err := strconv.ParseUint(root[:16], 16, 64); err == nil {
-			seed = v
-		}
+	if _, err := hex.Decode(want[:], leaf[len(leaf)-sigLen:]); err != nil {
+		return auth.ErrBadSignature
 	}
-	rng := sim.NewRNG(seed)
-	seen := make(map[int]bool, k)
-	out := make([]int, 0, k)
-	for len(out) < k {
-		i := rng.Intn(n)
-		if seen[i] {
-			continue
-		}
-		seen[i] = true
-		out = append(out, i)
+	if v.mac != nil && v.secretHex == secretHex {
+		v.mac.Reset()
+	} else {
+		secret, _ := hex.DecodeString(secretHex) // minted as hex
+		v.mac, v.secretHex = hmac.New(sha256.New, secret), secretHex
 	}
-	sort.Ints(out)
-	return out
+	v.mac.Write(leaf[:len(leaf)-sigLen-1])
+	if !hmac.Equal(v.mac.Sum(v.sum[:0]), want[:]) {
+		return auth.ErrBadSignature
+	}
+	return nil
 }
 
 // ejectFlagged pulls an audit-flagged peer from rotation: it is marked in
@@ -1164,12 +1145,13 @@ func (o *Origin) Handler() http.Handler {
 			return
 		}
 		n, err := o.settle(hpop.ExtractTraceparent(r.Header), batch, leaves)
-		if err != nil {
+		if errors.Is(err, ErrBadBatch) {
 			// 400: the batch is settled from the peer's perspective (it must
-			// not retry a rejected or replayed commitment).
+			// not retry a refused or replayed commitment).
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
+		// Committed: any rejected records are counted in the ledger row.
 		w.Header().Set("Content-Type", "application/json")
 		fmt.Fprintf(w, `{"credited":%d,"submitted":%d}`, n, len(batch.Records))
 	})

@@ -1,19 +1,23 @@
 package nocdn_test
 
-// The origin's two verdicts on a settlement batch, seen from outside: a peer
-// that over-claims is flagged or suspended, and an honest peer, however thin
-// its share of the ring, is neither.
+// The origin's verdicts on settlement, seen from outside: a record that
+// fails its checks costs only itself, a peer whose valid records over-claim
+// is suspended, and an honest peer, however thin its share of the ring, or
+// however many forged records are sent in its name, is neither.
 
 import (
 	"bytes"
 	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 
 	"hpop/internal/adversary"
+	"hpop/internal/auth"
 	"hpop/internal/nocdn"
 	"hpop/internal/sim"
 )
@@ -129,8 +133,9 @@ func TestThinHonestPeerNotFlagged(t *testing.T) {
 // the ledger. The cheat is the peer the visitor's first map names, and each
 // row first settles one honest view of every page, so the cheat is judged
 // beside an honest population; credited counts only the attack's bytes.
-//   - Inflated claims fail their signatures: the sampled leaves flag the
-//     uploader, and every record is rejected.
+//   - Inflated claims fail their signatures: each is rejected and earns
+//     nothing, the valid records beside it still credit, and nobody is
+//     flagged.
 //   - Duplicated records settle once; the copies bounce off the nonce cache.
 //     No verdict: the ledger already paid only for what was served.
 //   - 100 fabricated records under a colluding client's key all verify, so
@@ -153,7 +158,7 @@ func TestOverclaimersStillCaught(t *testing.T) {
 				s.viewAll(t)
 				s.flushAll(t)
 			},
-			want: verdict{flagged: true, suspended: true, credited: 0, rejected: 4},
+			want: verdict{flagged: false, suspended: false, credited: 0, rejected: 4},
 		},
 		{
 			name: "duplicate",
@@ -173,11 +178,11 @@ func TestOverclaimersStillCaught(t *testing.T) {
 				}
 				recs := signedClaims(t, w, cheat.ID, 3)
 				recs[1].Bytes++ // after signing: the leaf no longer verifies
-				if _, err := s.origin.SettleBatch(nocdn.NewRecordBatch(cheat.ID, recs)); !errors.Is(err, nocdn.ErrBadBatch) {
+				if _, err := s.origin.SettleBatch(nocdn.NewRecordBatch(cheat.ID, recs)); !errors.Is(err, nocdn.ErrBadRecord) || !errors.Is(err, auth.ErrBadSignature) {
 					t.Fatalf("inflated leaf settled: %v", err)
 				}
 			},
-			want: verdict{flagged: true, suspended: true, credited: 0, rejected: 3},
+			want: verdict{flagged: false, suspended: false, credited: 8192, rejected: 1},
 		},
 		{
 			name: "collusion",
@@ -211,15 +216,22 @@ func TestOverclaimersStillCaught(t *testing.T) {
 	}
 }
 
-// viewAll loads every page once, as one visitor.
-func (s *verdictSite) viewAll(t *testing.T) {
+// viewAll loads every page once, as one visitor, and returns the bytes the
+// loader verified from each peer.
+func (s *verdictSite) viewAll(t *testing.T) map[string]int64 {
 	t.Helper()
 	loader := &nocdn.Loader{OriginURL: s.originSrv.URL, ClientID: "visitor"}
+	served := make(map[string]int64)
 	for _, page := range s.pages {
-		if _, err := loader.LoadPage(page); err != nil {
+		res, err := loader.LoadPage(page)
+		if err != nil {
 			t.Fatalf("view %s: %v", page, err)
 		}
+		for id, n := range res.PeerBytes {
+			served[id] += n
+		}
 	}
+	return served
 }
 
 // signedClaims forges n records under w's key for peerID, each claiming all
@@ -266,4 +278,107 @@ func (s *verdictSite) namedPeer(t *testing.T) *nocdn.Peer {
 	}
 	t.Fatal("the visitor's map names no peer")
 	return nil
+}
+
+// TestForwardedRecordCostsOnlyItself: a client posts one record under the
+// victim's real key, signed "00", to the victim's /record. The victim
+// cannot check the signature and uploads it with its honest records. The
+// forged record is rejected alone: the victim is credited exactly what the
+// loader verified from it, is neither flagged nor suspended, and fresh
+// clients' maps still name it.
+func TestForwardedRecordCostsOnlyItself(t *testing.T) {
+	s := newVerdictSite(t)
+	served := s.viewAll(t)
+	victim := s.namedPeer(t)
+	w, err := s.origin.AssignWrapper(s.pages[0], "forger")
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, ok := w.Keys[victim.ID]
+	if !ok {
+		t.Fatalf("the forger's map names no key for %s", victim.ID)
+	}
+	forged := nocdn.UsageRecord{
+		Provider: w.Provider, PeerID: victim.ID, KeyID: key.KeyID, Page: w.Page,
+		Bytes: 1, Objects: 1, Nonce: "forged", IssuedAt: w.IssuedAt, Signature: "00",
+	}
+	body, err := json.Marshal(forged)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(s.peerURL(t, victim.ID)+"/record", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("/record answered %d, want 202", resp.StatusCode)
+	}
+	s.flushAll(t)
+	s.checkCostsOnlyItself(t, victim.ID, served[victim.ID])
+}
+
+// TestAnonymousBatchCostsOnlyItself: one anonymous POST /usage/batch names
+// the victim and carries one record under a made-up key. The record is
+// rejected and counted in the victim's row, and nothing else changes: the
+// victim is credited exactly what the loader verified from it, is neither
+// flagged nor suspended, and fresh clients' maps still name it.
+func TestAnonymousBatchCostsOnlyItself(t *testing.T) {
+	s := newVerdictSite(t)
+	served := s.viewAll(t)
+	victim := s.namedPeer(t)
+	rec := nocdn.UsageRecord{
+		Provider: "example.com", PeerID: victim.ID, KeyID: "made-up", Page: s.pages[0],
+		Bytes: 1, Objects: 1, Nonce: "anonymous", IssuedAt: time.Now(),
+	}
+	rec.Sign([]byte("not a key the origin minted"))
+	body, err := nocdn.EncodeBatch(nocdn.NewRecordBatch(victim.ID, []nocdn.UsageRecord{rec}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(s.originSrv.URL+"/usage/batch", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("anonymous batch answered %d, want 200", resp.StatusCode)
+	}
+	s.flushAll(t)
+	s.checkCostsOnlyItself(t, victim.ID, served[victim.ID])
+}
+
+// peerURL is the address the origin registered for id.
+func (s *verdictSite) peerURL(t *testing.T, id string) string {
+	t.Helper()
+	for _, p := range s.origin.Peers() {
+		if p.ID == id {
+			return p.URL
+		}
+	}
+	t.Fatalf("%s is not registered", id)
+	return ""
+}
+
+// checkCostsOnlyItself holds the victim of one forged record to the
+// outcome of an honest peer with one rejection.
+func (s *verdictSite) checkCostsOnlyItself(t *testing.T, victim string, served int64) {
+	t.Helper()
+	acc := s.origin.AccountingFor(victim)
+	if served == 0 || acc.CreditedBytes != served || acc.Rejected != 1 {
+		t.Errorf("%s: %+v; want %d B credited (what the loader verified) and 1 rejected", victim, acc, served)
+	}
+	if s.flagged(victim) || acc.Suspended {
+		t.Errorf("%s flagged %v, suspended %v; want neither", victim, s.flagged(victim), acc.Suspended)
+	}
+	for c := 0; c < 32; c++ {
+		w, err := s.origin.AssignWrapper(s.pages[c%len(s.pages)], fmt.Sprintf("fresh-%d", c))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := w.Keys[victim]; ok {
+			return
+		}
+	}
+	t.Errorf("no fresh client's map names %s", victim)
 }
