@@ -144,7 +144,7 @@ func run(args []string) error {
 	probeInterval := fs.Duration("probe-interval", 0,
 		"origin: poll every registered peer's /health on this cadence (0 = disabled)")
 	probeSample := fs.Int("probe-sample", 0,
-		"origin: probe only this many randomly sampled peers per pass (0 = full scan; pair with -gossip-interval on peers)")
+		"origin: probe only this many peers per pass, those gossip nominated first, then a random sample (0 = full scan; pair with -gossip-interval on peers, whose reports only nominate)")
 	epochTick := fs.Duration("epoch-tick", 0,
 		"origin: assignment-epoch heartbeat — refresh pooled wrapper maps on this cadence (0 = disabled; keys renew without a tick, a map being rebuilt once its keys are 5 minutes old)")
 	gossipInterval := fs.Duration("gossip-interval", 0,
@@ -259,7 +259,7 @@ func run(args []string) error {
 				}
 			}()
 			if sample > 0 {
-				fmt.Printf("spot-checking %d sampled peers every %v (delegated probing)\n", sample, *probeInterval)
+				fmt.Printf("probing %d peers every %v, gossip-nominated first (delegated probing)\n", sample, *probeInterval)
 			} else {
 				fmt.Printf("probing peer health every %v\n", *probeInterval)
 			}

@@ -22,9 +22,13 @@ import (
 // multi-peer deltas, no map-shaped credit or reject batch, no auditor table
 // of its own to merge deltas into, and no auditor constructor.
 // Settlement verifies every record: internal/nocdn samples no leaves and
-// carries no Merkle inclusion proofs.
+// carries no Merkle inclusion proofs. Gossip only nominates peers for the
+// probe: neither internal/nocdn nor cmd brings back the reporter strike
+// count, its quarantine and their counters, or the audit flag writer, its
+// callback, its ejection and journal write, and its counter.
 func TestDeletedForksStayDeleted(t *testing.T) {
 	scorer := regexp.MustCompile(`welford|scoreLocked|rescoreAll|nocdn\.audit\.peer\.|tamper_flags|DefaultAudit(Threshold|MinRecords)|populationMeanBytes`)
+	gossipAndFlag := regexp.MustCompile(`gossipMismatch|DefaultGossipMismatchLimit|gossip_mismatches|gossip_quarantined|FlagTampered|OnFlag|ejectFlagged|journalAuditFlag|nocdn\.audit\.flagged`)
 	for _, c := range []struct {
 		root    string
 		pattern *regexp.Regexp
@@ -35,6 +39,8 @@ func TestDeletedForksStayDeleted(t *testing.T) {
 		{"internal/nocdn", regexp.MustCompile(`groupByShard|creditBatch|rejectBatch|mergeDeltasLocked|observeSettled|func NewAuditor`)},
 		{"internal/nocdn", regexp.MustCompile(`sampleIndices|BuildMerkleProof|VerifyMerkleProof|type MerkleProof|sampled_leaves|sample_failures`)},
 		{"cmd", scorer},
+		{"internal/nocdn", gossipAndFlag},
+		{"cmd", gossipAndFlag},
 	} {
 		err := filepath.WalkDir(c.root, func(path string, d fs.DirEntry, err error) error {
 			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {

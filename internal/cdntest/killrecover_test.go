@@ -29,7 +29,7 @@ import (
 //   - in-doubt batches (ack lost in the crash) retry safely — 200 if they
 //     never settled, 400 replay if they did, identical final credit either way
 //   - the replay-nonce window survives, so pre-crash uploads cannot re-settle
-//   - audit flags and suspensions persist
+//   - suspensions and audit evidence persist
 //   - the fleet converges: recovered origins serve byte-stable wrapper maps
 //     and settle fresh traffic immediately
 //
@@ -306,23 +306,63 @@ func runKillRecover(t *testing.T, seed uint64) {
 	}
 }
 
-// TestKillRecoverFlaggedPeerFault: a peer flagged on tamper evidence stays
-// flagged and suspended across a kill — a crash must never quietly readmit
-// a cheater.
+// TestKillRecoverFlaggedPeerFault: a peer suspended for over-claiming —
+// the ledger's anomaly verdict, journaled as peer_suspend — stays suspended
+// across a kill and out of fresh maps, with its credit and its audit
+// evidence intact: a crash must never quietly readmit a cheater.
 func TestKillRecoverFlaggedPeerFault(t *testing.T) {
 	dir := t.TempDir()
-	o, srv, _ := chaosOrigin(t, dir, 42)
-	o.Audit().FlagTampered("peer-3", fmt.Errorf("sampled leaf failed verification"))
-	if _, suspended := creditedFor(t, srv.URL, "peer-3"); !suspended {
-		t.Fatal("flag did not suspend peer-3 pre-crash")
+	_, srv, _ := chaosOrigin(t, dir, 42)
+	w := krWrapper(t, srv.URL, "cheat-client")
+	cheat := ""
+	for id := range w.Keys {
+		if cheat == "" || id < cheat {
+			cheat = id
+		}
+	}
+	secret, err := hex.DecodeString(w.Keys[cheat].Secret)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The one serve assigned the cheat claim bytes; two records each
+	// claiming all of them credit twice that, past the anomaly factor.
+	var claim int64
+	for _, ref := range append([]nocdn.ObjectRef{w.Container}, w.Objects...) {
+		if ref.PeerID == cheat {
+			claim += int64(ref.Size)
+		}
+	}
+	var records []nocdn.UsageRecord
+	for i := 0; i < 2; i++ {
+		rec := nocdn.UsageRecord{
+			Provider: "chaos.example", PeerID: cheat, KeyID: w.Keys[cheat].KeyID, Page: "index",
+			Bytes: claim, Objects: 1, Nonce: fmt.Sprintf("over-%d", i), IssuedAt: time.Now(),
+		}
+		rec.Sign(secret)
+		records = append(records, rec)
+	}
+	if status, body, err := postBatch(srv.URL, nocdn.NewRecordBatch(cheat, records)); err != nil || status != http.StatusOK {
+		t.Fatalf("over-claiming batch: %d %s (%v)", status, body, err)
+	}
+	if _, suspended := creditedFor(t, srv.URL, cheat); !suspended {
+		t.Fatalf("over-claiming did not suspend %s pre-crash", cheat)
 	}
 	srv.Close() // kill: no Shutdown, no final snapshot
 
 	o2, srv2, _ := chaosOrigin(t, dir, 42)
 	defer srv2.Close()
 	defer o2.Shutdown()
-	if _, suspended := creditedFor(t, srv2.URL, "peer-3"); !suspended {
+	credited, suspended := creditedFor(t, srv2.URL, cheat)
+	if !suspended {
 		t.Fatal("suspension lost across recovery")
+	}
+	if credited != 2*claim {
+		t.Fatalf("credited after recovery = %d, want %d", credited, 2*claim)
+	}
+	for c := 0; c < 16; c++ {
+		if _, ok := krWrapper(t, srv2.URL, fmt.Sprintf("fresh-%d", c)).Keys[cheat]; ok {
+			t.Fatalf("suspended %s is back in a fresh map after recovery", cheat)
+		}
 	}
 	resp, err := http.Get(srv2.URL + "/debug/audit")
 	if err != nil {
@@ -333,13 +373,13 @@ func TestKillRecoverFlaggedPeerFault(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
 		t.Fatal(err)
 	}
-	flagged := false
-	for _, pa := range snap.Peers {
-		if pa.PeerID == "peer-3" && pa.Flagged {
-			flagged = true
+	var row *nocdn.PeerAudit
+	for i := range snap.Peers {
+		if snap.Peers[i].PeerID == cheat {
+			row = &snap.Peers[i]
 		}
 	}
-	if !flagged {
-		t.Fatal("/debug/audit lost the tamper flag across recovery")
+	if row == nil || row.Records != 2 || row.ClaimedByte != 2*claim || row.Flagged {
+		t.Fatalf("/debug/audit row for %s after recovery: %+v; want 2 records, %d claimed bytes, not flagged", cheat, row, 2*claim)
 	}
 }

@@ -2,7 +2,6 @@ package nocdn
 
 import (
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"sort"
 
@@ -29,20 +28,17 @@ type peerAudit struct {
 	Offending []string `json:"offending,omitempty"`
 }
 
-// Auditor is the read-and-flag view over the evidence half of the ledger's
+// Auditor is the read view over the evidence half of the ledger's
 // settlement rows: for every batch uploader, the records it submitted, how
 // many were rejected or replayed, the bytes it claimed, and the trace IDs of
-// its rejected records. It judges nobody by statistics, and settlement
-// flags nobody: a rejected record earns nothing, so it is evidence, not a
-// verdict. The one verdict, over-claiming against the assigned floor, is
-// the ledger's, taken as it applies the batch to its uploader's row alone,
-// so a peer's row never moves because of another peer's traffic.
+// its rejected records. It judges nobody by statistics and flags nobody: a
+// rejected record earns nothing, so it is evidence, not a verdict. The one
+// verdict, over-claiming against the assigned floor, is the ledger's, taken
+// as it applies the batch to its uploader's row alone, so a peer's row
+// never moves because of another peer's traffic. A row's flag comes only
+// from a replayed audit_flag journal record or snapshot, written while
+// settlement still flagged peers.
 type Auditor struct {
-	// OnFlag, when set, is invoked each time a peer is newly flagged — the
-	// origin uses it to eject the peer from future wrapper maps immediately
-	// instead of waiting for the next probe.
-	OnFlag func(peerID string)
-
 	ledger  *ledger
 	metrics *hpop.Metrics
 	tracer  *hpop.Tracer
@@ -59,40 +55,6 @@ func (a *Auditor) SetMetrics(m *hpop.Metrics) {
 func (a *Auditor) SetTracer(t *hpop.Tracer) {
 	if a != nil {
 		a.tracer = t
-	}
-}
-
-// FlagTampered flags a peer: its row is marked flagged, and a new flag
-// emits one peer_flagged span carrying the row's offending trace IDs and
-// fires OnFlag (the origin's ejects the peer from rotation). Settlement does
-// not call it — an upload is not authenticated, so a failed record is no
-// evidence against the peer it names — and nothing else in the product
-// does; journals written while settlement flagged still replay their flags.
-// Nil-receiver safe.
-func (a *Auditor) FlagTampered(peerID string, cause error) {
-	if a == nil {
-		return
-	}
-	offending, isNew := a.ledger.flag(peerID)
-	if !isNew {
-		return
-	}
-	a.metrics.Inc("nocdn.audit.flagged")
-	// The span carries the evidence: which peer, why, and the trace IDs of
-	// its rejected records, so an operator can pull each implicated page
-	// view's full tree from /debug/trace.
-	sp := a.tracer.Start("nocdn.audit", "peer_flagged")
-	sp.SetLabel("peer", peerID)
-	sp.SetLabel("cause", "merkle_sample")
-	for i, id := range offending {
-		sp.SetLabel(fmt.Sprintf("offending_trace_%d", i), id)
-	}
-	if cause != nil {
-		sp.SetError(cause)
-	}
-	sp.End()
-	if a.OnFlag != nil {
-		a.OnFlag(peerID)
 	}
 }
 

@@ -2,6 +2,7 @@ package nocdn
 
 import (
 	"bytes"
+	"context"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -84,6 +85,29 @@ func settlePerPeer(o *Origin, records []UsageRecord) int {
 		credited += n
 	}
 	return credited
+}
+
+// overclaim settles, as one batch from peerID, validly signed records that
+// each claim the whole budget of peerID's key in w, until the peer's credit
+// passes anomalyFactor times its assigned bytes. The ledger's anomaly
+// verdict suspends it — the one verdict settlement takes.
+func overclaim(t testing.TB, o *Origin, w *Wrapper, peerID string) {
+	t.Helper()
+	k, ok := o.ledger.key(w.Keys[peerID].KeyID)
+	if !ok {
+		t.Fatalf("no key row for %s", peerID)
+	}
+	acct := o.AccountingFor(peerID)
+	var records []UsageRecord
+	for credit := acct.CreditedBytes; float64(credit) <= anomalyFactor*float64(acct.AssignedBytes); credit += k.MaxBytes {
+		records = append(records, signedRecord(t, w, peerID, k.MaxBytes, fmt.Sprintf("overclaim-%s-%d", peerID, len(records))))
+	}
+	if n := settlePerPeer(o, records); n != len(records) {
+		t.Fatalf("over-claiming batch credited %d of %d records", n, len(records))
+	}
+	if !o.AccountingFor(peerID).Suspended {
+		t.Fatalf("over-claiming peer %s not suspended: %+v", peerID, o.AccountingFor(peerID))
+	}
 }
 
 // anyPeer returns one peer a wrapper names (deterministic: smallest ID).
@@ -204,9 +228,9 @@ func TestAssignWrapperPublishInvalidates(t *testing.T) {
 	}
 }
 
-// TestAssignWrapperEjectionPullsPeer: flagging a peer (here via tamper
-// evidence) must pull it from pooled maps on the very next serve — before
-// any epoch tick.
+// TestAssignWrapperEjectionPullsPeer: suspending a peer (here through the
+// anomaly verdict on an over-claiming batch) must pull it from pooled maps
+// on the very next serve — before any epoch tick.
 func TestAssignWrapperEjectionPullsPeer(t *testing.T) {
 	o := controlOrigin(t, 10)
 	w1, err := o.AssignWrapper("p", "client-a")
@@ -214,10 +238,7 @@ func TestAssignWrapperEjectionPullsPeer(t *testing.T) {
 		t.Fatal(err)
 	}
 	victim := anyPeer(w1)
-	o.Audit().FlagTampered(victim, errors.New("test evidence"))
-	if !o.AccountingFor(victim).Suspended {
-		t.Fatal("flagged peer not suspended in the ledger")
-	}
+	overclaim(t, o, w1, victim)
 	w2, err := o.AssignWrapper("p", "client-a")
 	if err != nil {
 		t.Fatal(err)
@@ -549,21 +570,16 @@ func TestPerServeChargingKeepsHonestPeersUnsuspended(t *testing.T) {
 }
 
 // TestNeighborsAndGossip: the ring hands each peer a stable neighbor set,
-// honest gossip about a dead peer is applied after the spot-check agrees,
-// and a reporter whose claims keep contradicting direct probes is
-// quarantined.
+// and gossip only nominates. A report nominates the peer it disagrees about
+// and moves no breaker; the probe pass it triggers decides, with one probe
+// per pass over 8 peers. A peer reported dead that is dead is ejected by
+// that pass; a peer reported dead that is healthy stays in every map.
+// Repeated reports about one peer nominate it once, and reports about
+// unregistered IDs nominate nobody.
 func TestNeighborsAndGossip(t *testing.T) {
+	fleet := newFakeFleet(t)
 	h := hpop.NewHealthRegistry(hpop.BreakerConfig{MinSamples: 1, Cooldown: time.Hour})
-	o := NewOrigin("x", WithRNG(sim.NewRNG(3)), WithHealthRegistry(h))
-	o.AddObject("/c", make([]byte, 100))
-	if err := o.AddPage(Page{Name: "p", Container: "/c"}); err != nil {
-		t.Fatal(err)
-	}
-	// Unroutable URLs: every direct probe fails fast, so "dead" is what the
-	// origin's spot-check will conclude too.
-	for i := 0; i < 8; i++ {
-		o.RegisterPeer(fmt.Sprintf("peer-%d", i), "http://127.0.0.1:1", 10)
-	}
+	o := fleetOrigin(t, fleet, 8, h)
 	nbrs := o.Neighbors("peer-0", 3)
 	if len(nbrs) != 3 {
 		t.Fatalf("Neighbors = %d peers, want 3", len(nbrs))
@@ -576,38 +592,54 @@ func TestNeighborsAndGossip(t *testing.T) {
 	if again := o.Neighbors("peer-0", 3); fmt.Sprint(again) != fmt.Sprint(nbrs) {
 		t.Fatalf("neighbor set unstable: %v vs %v", nbrs, again)
 	}
-
-	// Honest report: neighbor observed dead; direct spot-check agrees
-	// (connection refused), so the observation is applied.
-	rep := GossipReport{From: "peer-0", Observations: []PeerObservation{
-		{PeerID: nbrs[0].ID, Healthy: false},
-	}}
-	if applied := o.ReportGossip(t.Context(), rep); applied != 1 {
-		t.Fatalf("honest gossip applied %d observations, want 1", applied)
-	}
-	if h.Healthy(nbrs[0].ID) {
-		t.Fatal("applied failure observation did not open the breaker")
+	dead, alive := nbrs[0].ID, nbrs[1].ID
+	fleet.down.Store(dead, true)
+	reportDead := func(id string) int {
+		return o.ReportGossip(GossipReport{From: "peer-0", Observations: []PeerObservation{{PeerID: id}}})
 	}
 
-	// Lying reporter: claims a dead peer is healthy. Spot-check contradicts
-	// every report; after the mismatch limit its reports are quarantined.
-	lie := GossipReport{From: "peer-1", Observations: []PeerObservation{
-		{PeerID: nbrs[1].ID, Healthy: true, LatencySeconds: 0.001},
-	}}
-	for i := 0; i < DefaultGossipMismatchLimit; i++ {
-		if applied := o.ReportGossip(t.Context(), lie); applied != 0 {
-			t.Fatalf("contradicted report %d applied %d observations", i, applied)
-		}
+	// A true report: the neighbor is dead. It is nominated, and its breaker
+	// stays closed until the next probe pass opens it.
+	if n := reportDead(dead); n != 1 {
+		t.Fatalf("report about dead %s nominated %d, want 1", dead, n)
 	}
-	if h.Healthy(nbrs[1].ID) != true {
-		t.Fatal("rejected gossip still moved health state")
+	if !h.Healthy(dead) {
+		t.Fatal("a gossip report moved a breaker")
 	}
-	// Even a now-honest report from the quarantined reporter is ignored.
-	honest := GossipReport{From: "peer-1", Observations: []PeerObservation{
-		{PeerID: nbrs[2].ID, Healthy: false},
-	}}
-	if applied := o.ReportGossip(t.Context(), honest); applied != 0 {
-		t.Fatalf("quarantined reporter's gossip applied %d observations", applied)
+	o.ProbeSample(context.Background(), 1)
+	if h.Healthy(dead) {
+		t.Fatalf("the k=1 pass after the report left dead %s healthy", dead)
+	}
+	if got := mapsNaming(t, o, dead); got != 0 {
+		t.Fatalf("dead %s is in %d of 64 maps after the pass", dead, got)
+	}
+
+	// A false report: the neighbor is healthy. The pass it triggers finds
+	// so, and the peer stays in every map.
+	if n := reportDead(alive); n != 1 {
+		t.Fatalf("report about %s nominated %d, want 1", alive, n)
+	}
+	o.ProbeSample(context.Background(), 1)
+	if !h.Healthy(alive) || healthRow(h, alive).Successes != 1 {
+		t.Fatalf("the k=1 pass did not find %s healthy: %+v", alive, healthRow(h, alive))
+	}
+	o.EpochTick()
+	if got := mapsNaming(t, o, alive); got != 64 {
+		t.Fatalf("healthy %s is in %d of 64 maps after a false report, want 64", alive, got)
+	}
+
+	nominated := 0
+	for range 10_000 {
+		nominated += reportDead(alive)
+	}
+	if got := nominations(o); nominated != 1 || len(got) != 1 || got[0] != alive {
+		t.Fatalf("10,000 reports about %s nominated %d (list %v), want 1", alive, nominated, got)
+	}
+	if n := reportDead("ghost") + o.ReportGossip(GossipReport{Observations: []PeerObservation{{PeerID: "ghost", Healthy: true}}}); n != 0 {
+		t.Fatalf("reports about an unregistered ID nominated %d", n)
+	}
+	if got := nominations(o); len(got) != 1 {
+		t.Fatalf("nominations = %v after reports about an unregistered ID", got)
 	}
 }
 
@@ -803,7 +835,7 @@ func TestAnonymousWrapperStablePerHost(t *testing.T) {
 		t.Fatal(err)
 	}
 	victim := anyPeer(&w)
-	o.Audit().FlagTampered(victim, errors.New("test evidence"))
+	overclaim(t, o, &w, victim)
 	var rebuilt Wrapper // fresh: Unmarshal merges into an existing Keys map
 	if err := json.Unmarshal(fetch(), &rebuilt); err != nil {
 		t.Fatal(err)

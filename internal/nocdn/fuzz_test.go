@@ -13,6 +13,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"hpop/internal/hpop"
 )
 
 // FuzzDecodeRecords hardens the usage-record batch parser (the body of POST
@@ -152,6 +154,56 @@ func settlementRows(o *Origin) map[string]peerRow {
 		out[pa.PeerID] = r
 	}
 	return out
+}
+
+// FuzzGossipReport posts arbitrary bodies to the origin's /gossip. Nothing
+// may panic, the health registry's snapshot never changes, no request
+// reaches the probe client, and the nominations waiting for a probe pass
+// never outnumber the registered peers, nor name one twice. Seeds: a true
+// and a false report, a report in the older shape with latency and
+// saturation, one about an unregistered ID, and bodies that do not decode.
+func FuzzGossipReport(f *testing.F) {
+	h := hpop.NewHealthRegistry(hpop.BreakerConfig{Cooldown: time.Hour})
+	o := controlOrigin(f, 4, WithHealthRegistry(h))
+	for range hpop.DefaultBreakerMinSamples {
+		h.RecordFailure("peer-01")
+	}
+	probes := countProbes(o)
+	f.Add([]byte(`{"from":"peer-00","observations":[{"peerId":"peer-01","healthy":false},{"peerId":"peer-02","healthy":true}]}`))
+	f.Add([]byte(`{"from":"made-up","observations":[{"peerId":"peer-02","healthy":false}]}`))
+	f.Add([]byte(`{"from":"peer-03","observations":[{"peerId":"peer-01","healthy":true,"latencySeconds":0.002,"saturation":0.4}]}`))
+	f.Add([]byte(`{"from":"peer-00","observations":[{"peerId":"ghost","healthy":false},{"peerId":"","healthy":false}]}`))
+	f.Add([]byte(`{"observations":null}`))
+	f.Add([]byte("not json"))
+	f.Add([]byte(""))
+	before := h.Snapshot()
+	handler := o.Handler()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := httptest.NewRecorder()
+		handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/gossip", bytes.NewReader(body)))
+		switch rec.Code {
+		case http.StatusOK:
+			var ack struct{ Nominated *int }
+			if err := json.Unmarshal(rec.Body.Bytes(), &ack); err != nil || ack.Nominated == nil || *ack.Nominated < 0 {
+				t.Fatalf("200 answer %q (%v)", rec.Body, err)
+			}
+		case http.StatusBadRequest:
+		default:
+			t.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+		if after := h.Snapshot(); !reflect.DeepEqual(before, after) {
+			t.Fatalf("a gossip report moved the health registry:\n%+v\n->\n%+v", before, after)
+		}
+		if n := probes.total(); n != 0 {
+			t.Fatalf("gossip sent %d probes", n)
+		}
+		got := nominations(o)
+		distinct := slices.Clone(got)
+		slices.Sort(distinct)
+		if len(got) > o.registry.count() || len(slices.Compact(distinct)) != len(got) {
+			t.Fatalf("nominations %v over %d registered peers", got, o.registry.count())
+		}
+	})
 }
 
 // FuzzParseRange hardens the Range-header parser used by the peer proxy.

@@ -3,7 +3,6 @@ package nocdn
 import (
 	"bytes"
 	"encoding/hex"
-	"errors"
 	"flag"
 	"fmt"
 	"net/http/httptest"
@@ -18,7 +17,7 @@ import (
 	"hpop/internal/sim"
 )
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/settlement_golden_v2.txt from this tree")
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/settlement_golden_v3.txt from this tree")
 
 // goldenAt is the fixed clock of the golden settlement history.
 var goldenAt = time.Unix(1_700_000_000, 0)
@@ -66,13 +65,14 @@ func goldenCapture(out *bytes.Buffer, o *Origin, label string, peers []string) {
 // else (clock, key IDs, signing secrets, nonces, trace IDs) is fixed.
 //
 // testdata/settlement_golden.txt is the capture of the writer before
-// settlement verified every record; TestParentSettlementGoldenReplays keeps
-// its journal replaying to the same answers.
+// settlement verified every record, and settlement_golden_v2.txt the one
+// before the audit flag writer was deleted; TestParentSettlementGoldenReplays
+// keeps both journals replaying to the same answers.
 //
 // Regenerate with: go test ./internal/nocdn -run TestSettlementFormatsGolden -update-golden
 func TestSettlementFormatsGolden(t *testing.T) {
 	got := settlementHistory(t)
-	path := filepath.Join("testdata", "settlement_golden_v2.txt")
+	path := filepath.Join("testdata", "settlement_golden_v3.txt")
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -215,7 +215,6 @@ func settlementHistory(t *testing.T) []byte {
 	// A bad signature costs its record only: c is rejected once, and
 	// neither flagged nor suspended.
 	settle("bad signature", NewRecordBatch(c, []UsageRecord{record(c, 100, []byte("not the key"))}))
-	o.Audit().FlagTampered(idle[len(idle)-1], errors.New("planted evidence"))
 	// Over-claim: enough whole-key records that credit passes 1.5 times
 	// what b was assigned, so the anomaly verdict suspends it.
 	kb, _ := o.ledger.key(keys[b].KeyID)
@@ -265,16 +264,47 @@ func settlementHistory(t *testing.T) []byte {
 	return normalizeHex(out.Bytes())
 }
 
-// TestParentSettlementGoldenReplays: the journal in
-// testdata/settlement_golden.txt, written while settlement sampled leaves
-// and flagged the uploader of a failed one, still replays. Each of its
-// "journal N TYPE PAYLOAD" lines is appended as it stands into an empty
-// journal, an origin boots on it, and its /debug/audit and /accounting
-// answers match the fixture's "replayed GET" lines byte for byte. The
-// payloads keep their normalized "<hexN>" placeholders; replay reads them as
-// opaque strings.
+// TestParentSettlementGoldenReplays: the journals of the parent writers
+// still replay. testdata/settlement_golden.txt was written while settlement
+// sampled leaves and flagged the uploader of a failed one;
+// settlement_golden_v2.txt while an audit flag could still be planted, and
+// it flags peer-04. Each fixture's "journal N TYPE PAYLOAD" lines are
+// appended as they stand into an empty journal, an origin boots on it, and
+// its /debug/audit and /accounting answers match the fixture's "replayed
+// GET" lines byte for byte. A replayed flag still ejects: the flagged peer
+// is in no fresh map. The payloads keep their normalized "<hexN>"
+// placeholders; replay reads them as opaque strings.
 func TestParentSettlementGoldenReplays(t *testing.T) {
-	fixture, err := os.ReadFile(filepath.Join("testdata", "settlement_golden.txt"))
+	for _, tc := range []struct {
+		fixture string
+		flagged []string
+	}{
+		{"settlement_golden.txt", []string{"peer-03", "peer-04"}},
+		{"settlement_golden_v2.txt", []string{"peer-04"}},
+	} {
+		t.Run(tc.fixture, func(t *testing.T) {
+			o := replayParentGolden(t, tc.fixture)
+			for c := 0; c < 32; c++ {
+				w, err := o.AssignWrapper("p", fmt.Sprintf("fresh-%d", c))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, id := range tc.flagged {
+					if _, ok := w.Keys[id]; ok {
+						t.Fatalf("replayed flagged %s is in a fresh map", id)
+					}
+				}
+			}
+		})
+	}
+}
+
+// replayParentGolden appends one fixture's journal lines to an empty
+// journal, boots an origin on it, checks its answers against the fixture's
+// "replayed GET" lines, and returns the origin.
+func replayParentGolden(t *testing.T, fixtureName string) *Origin {
+	t.Helper()
+	fixture, err := os.ReadFile(filepath.Join("testdata", fixtureName))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +351,7 @@ func TestParentSettlementGoldenReplays(t *testing.T) {
 	}
 	slices.Sort(ids)
 	o, stats := goldenBoot(t, dir)
-	defer o.wal.close()
+	t.Cleanup(func() { o.wal.close() })
 	if stats.RecordsReplayed == 0 {
 		t.Fatal("nothing replayed")
 	}
@@ -330,6 +360,7 @@ func TestParentSettlementGoldenReplays(t *testing.T) {
 	if got.String() != want.String() {
 		t.Fatalf("parent journal replays to\n%s\nwant\n%s", got.String(), want.String())
 	}
+	return o
 }
 
 var hex64 = regexp.MustCompile(`[0-9a-f]{64}`)

@@ -191,18 +191,12 @@ func (l *ledger) isSuspended(peerID string) bool {
 	return r != nil && r.Suspended
 }
 
-// flag marks a peer flagged. Reports whether the flag is new, with the
-// offending trace IDs its row held.
-func (l *ledger) flag(peerID string) (offending []string, isNew bool) {
+// flag marks a peer flagged, as a replayed audit_flag record says.
+func (l *ledger) flag(peerID string) {
 	sh := l.shardFor(peerID)
 	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	r := sh.rowLocked(peerID)
-	if r.Flagged {
-		return nil, false
-	}
-	r.Flagged = true
-	return slices.Clone(r.Offending), true
+	sh.rowLocked(peerID).Flagged = true
+	sh.mu.Unlock()
 }
 
 // ledgerRow is the money half of a peer's row, as persisted in snapshots.
@@ -415,7 +409,7 @@ func (r *registry) count() int {
 }
 
 // sample returns up to k peers picked by the caller's index source (rnd
-// returns a value in [0, n)), deduplicated — a spot-check sample, not a
+// returns a value in [0, n)), deduplicated — a probe sample, not a
 // full scan.
 func (r *registry) sample(k int, rnd func(n int) int) []peerStatic {
 	r.mu.RLock()

@@ -13,6 +13,7 @@ import (
 	"mime"
 	"net"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -32,11 +33,8 @@ const (
 	// Deprecated: settlement verifies every record's signature; nothing
 	// samples. It is kept only for callers that still read it.
 	DefaultSettleSampleK = 16
-	// DefaultGossipMismatchLimit is how many failed spot-checks a gossip
-	// reporter gets before its reports are quarantined (ignored).
-	DefaultGossipMismatchLimit = 3
 	// anomalyFactor: a peer whose credited bytes exceed assigned bytes by
-	// this factor is flagged and suspended.
+	// this factor is suspended.
 	anomalyFactor = 1.5
 )
 
@@ -149,21 +147,19 @@ type Origin struct {
 	walRecovery  RecoveryStats
 	snapshotGate atomic.Bool
 
-	// rngMu guards the deterministic RNG that probe sampling and gossip
-	// spot-checks draw from.
+	// rngMu guards the deterministic RNG that probe sampling draws from.
 	rngMu sync.Mutex
 	rng   *sim.RNG
 
 	// probeMu guards the per-peer health verdict as of the last probe pass
-	// (so transitions are detected); probeClient bounds every direct probe.
+	// (so transitions are detected) and the registered peers gossip has
+	// nominated for the next pass, in nomination order, each at most once;
+	// probeClient bounds every direct probe.
 	probeMu      sync.Mutex
 	probeHealthy map[string]bool
+	nominated    []string
+	nominatedSet map[string]bool
 	probeClient  *http.Client
-
-	// gossipMu guards delegated-probing trust state: spot-check mismatch
-	// counts per reporter.
-	gossipMu       sync.Mutex
-	gossipMismatch map[string]int
 
 	// wrapperGenerations counts actual wrapper builds (vs pooled serves) for
 	// the reuse experiment and the control-plane sweep's hot-path assertion.
@@ -285,13 +281,11 @@ func NewOrigin(provider string, opts ...OriginOption) *Origin {
 		registry:             newRegistry(),
 		ledger:               newLedger(),
 		probeHealthy:         make(map[string]bool),
+		nominatedSet:         make(map[string]bool),
 		probeClient:          &http.Client{Timeout: 2 * time.Second},
-		gossipMismatch:       make(map[string]int),
 		pool:                 newWrapperPool(),
 	}
-	// The auditor reads and flags the ledger's rows; a flag ejects the peer
-	// from future wrapper maps immediately.
-	o.audit = &Auditor{ledger: o.ledger, OnFlag: o.ejectFlagged}
+	o.audit = &Auditor{ledger: o.ledger}
 	for _, fn := range opts {
 		fn(o)
 	}
@@ -504,8 +498,7 @@ func (o *Origin) WrapperGenerations() int64 {
 	return o.wrapperGenerations.Load()
 }
 
-// randIntn draws from the origin's deterministic RNG (probe sampling and
-// gossip spot-checks share it).
+// randIntn draws from the origin's deterministic RNG (probe sampling).
 func (o *Origin) randIntn(n int) int {
 	o.rngMu.Lock()
 	defer o.rngMu.Unlock()
@@ -800,28 +793,15 @@ func (v *leafVerifier) verify(secretHex string, leaf []byte, sigLen int) error {
 	return nil
 }
 
-// ejectFlagged pulls an audit-flagged peer from rotation: it is marked in
-// the health registry (so wrapper generation and the loader both shun it),
-// suspended in the ledger, and pooled wrappers naming it are invalidated so
-// the next page view gets a clean map.
-func (o *Origin) ejectFlagged(peerID string) {
-	o.health.SetFlagged(peerID, true)
-	o.ledger.suspend(peerID)
-	o.invalidateWrappers()
-	o.metrics.Inc("nocdn.origin.peer_ejections")
-	// The flag and its consequences must survive a restart: tampering
-	// evidence is exactly the state an attacker would most like a crash to
-	// erase.
-	o.journalAuditFlag(peerID, "audit_flag")
-}
-
 // ---- health probing ----
 
-// ProbeSample runs one health-probe pass over k randomly sampled registered
-// peers — the origin's trust-but-verify share of delegated probing: gossip
-// (ReportGossip) covers the fleet, the sample keeps reporters honest. k <= 0
-// probes every registered peer, an O(fleet) scan for deployments too small
-// to need gossip.
+// ProbeSample runs one health-probe pass over k registered peers: first
+// the peers gossip nominated (ReportGossip), in nomination order, then a
+// random sample of the rest. The pass consumes the nominations it probes.
+// It is the only thing that moves a breaker on the origin's side: gossip
+// points the probe at a peer, the probe decides. k <= 0 probes every
+// registered peer, an O(fleet) scan for deployments too small to need
+// gossip.
 //
 // Outcomes and self-reported saturation feed the health registry,
 // respecting each peer's breaker (an open one skips the network until its
@@ -839,7 +819,7 @@ func (o *Origin) ProbeSample(ctx context.Context, k int) {
 	sp := o.tracer.Start("nocdn.origin", "probe_sample")
 	sp.SetLabel("k", strconv.Itoa(k))
 	defer sp.End()
-	for _, p := range o.registry.sample(k, o.randIntn) {
+	for _, p := range o.probePass(k) {
 		if !o.health.Allow(p.id) {
 			continue // open breaker: wait out the cooldown
 		}
@@ -853,6 +833,36 @@ func (o *Origin) ProbeSample(ctx context.Context, k int) {
 		}
 		o.noteHealthTransition(sp, p.id)
 	}
+}
+
+// probePass picks one probe pass of up to k peers: the nominated ones
+// first, in nomination order, then registry.sample's draw, skipping peers
+// already in the pass. The nominations it takes are consumed.
+func (o *Origin) probePass(k int) []peerStatic {
+	o.probeMu.Lock()
+	taken := slices.Clone(o.nominated[:min(k, len(o.nominated))])
+	o.nominated = slices.Delete(o.nominated, 0, len(taken))
+	for _, id := range taken {
+		delete(o.nominatedSet, id)
+	}
+	o.probeMu.Unlock()
+	pass := make([]peerStatic, 0, k)
+	inPass := make(map[string]bool, len(taken))
+	for _, id := range taken {
+		if p, ok := o.registry.get(id); ok {
+			pass = append(pass, p)
+			inPass[id] = true
+		}
+	}
+	for _, p := range o.registry.sample(k, o.randIntn) {
+		if len(pass) == k {
+			break
+		}
+		if !inPass[p.id] {
+			pass = append(pass, p)
+		}
+	}
+	return pass
 }
 
 // noteHealthTransition compares a peer's current health verdict against the
@@ -887,11 +897,11 @@ func (o *Origin) noteHealthTransition(sp *hpop.Span, peerID string) {
 // ---- delegated health gossip ----
 
 // PeerObservation is one neighbor's health as a gossiping peer saw it.
+// Reports from older peers also carry latency and saturation; decoding
+// ignores them.
 type PeerObservation struct {
-	PeerID         string  `json:"peerId"`
-	Healthy        bool    `json:"healthy"`
-	LatencySeconds float64 `json:"latencySeconds"`
-	Saturation     float64 `json:"saturation"`
+	PeerID  string `json:"peerId"`
+	Healthy bool   `json:"healthy"`
 }
 
 // GossipReport is a peer's upload of neighbor health summaries — the
@@ -901,13 +911,14 @@ type GossipReport struct {
 	Observations []PeerObservation `json:"observations"`
 }
 
-// ReportGossip ingests one peer's neighbor health report. Observations
-// about unregistered peers are dropped. The origin trusts but verifies:
-// one randomly chosen observation per report is spot-checked with a direct
-// probe, and a reporter whose claims keep contradicting direct evidence is
-// quarantined (subsequent reports ignored). Returns how many observations
-// were applied.
-func (o *Origin) ReportGossip(ctx context.Context, rep GossipReport) int {
+// ReportGossip takes one peer's neighbor health report. Nothing
+// authenticates a report — anyone can POST one under any From — so it moves
+// no breaker and does no I/O: an observation of a registered peer that
+// disagrees with the registry's verdict nominates that peer for the next
+// probe pass (ProbeSample), which decides. A peer is nominated at most once
+// until a pass probes it, so the nominations never outnumber the registered
+// peers. Returns how many peers the report newly nominated.
+func (o *Origin) ReportGossip(rep GossipReport) int {
 	if o.health == nil || len(rep.Observations) == 0 {
 		return 0
 	}
@@ -917,51 +928,24 @@ func (o *Origin) ReportGossip(ctx context.Context, rep GossipReport) int {
 	defer sp.End()
 	o.metrics.Inc("nocdn.origin.gossip_reports")
 
-	o.gossipMu.Lock()
-	quarantined := o.gossipMismatch[rep.From] >= DefaultGossipMismatchLimit
-	o.gossipMu.Unlock()
-	if quarantined {
-		o.metrics.Inc("nocdn.origin.gossip_quarantined")
-		sp.SetLabel("quarantined", "true")
-		return 0
-	}
-
-	// Spot-check one observation against a direct probe before applying any
-	// of the report: a reporter contradicted by direct evidence gets a
-	// mismatch strike and the report is dropped.
-	pick := rep.Observations[o.randIntn(len(rep.Observations))]
-	if p, ok := o.registry.get(pick.PeerID); ok {
-		probeOK, _, _ := probeHealth(ctx, o.probeClient, p.url)
-		if probeOK != pick.Healthy {
-			o.gossipMu.Lock()
-			o.gossipMismatch[rep.From]++
-			strikes := o.gossipMismatch[rep.From]
-			o.gossipMu.Unlock()
-			o.metrics.Inc("nocdn.origin.gossip_mismatches")
-			sp.SetLabel("mismatch_strikes", strconv.Itoa(strikes))
-			return 0
-		}
-	}
-
-	applied := 0
+	nominated := 0
 	for _, obs := range rep.Observations {
-		if obs.PeerID == rep.From {
-			continue // self-reports don't count as neighbor evidence
+		if obs.Healthy == o.health.Healthy(obs.PeerID) {
+			continue
 		}
 		if _, ok := o.registry.get(obs.PeerID); !ok {
 			continue
 		}
-		if obs.Healthy {
-			o.health.RecordSuccess(obs.PeerID, obs.LatencySeconds)
-			o.health.ReportSaturation(obs.PeerID, obs.Saturation)
-		} else {
-			o.health.RecordFailure(obs.PeerID)
+		o.probeMu.Lock()
+		if !o.nominatedSet[obs.PeerID] {
+			o.nominatedSet[obs.PeerID] = true
+			o.nominated = append(o.nominated, obs.PeerID)
+			nominated++
 		}
-		o.noteHealthTransition(sp, obs.PeerID)
-		applied++
+		o.probeMu.Unlock()
 	}
-	sp.SetLabel("applied", strconv.Itoa(applied))
-	return applied
+	sp.SetLabel("nominated", strconv.Itoa(nominated))
+	return nominated
 }
 
 // Neighbors returns up to n of a peer's ring successors — the neighbor set
@@ -1165,9 +1149,9 @@ func (o *Origin) Handler() http.Handler {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		applied := o.ReportGossip(r.Context(), rep)
+		nominated := o.ReportGossip(rep)
 		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprintf(w, `{"applied":%d}`, applied)
+		fmt.Fprintf(w, `{"nominated":%d}`, nominated)
 	})
 	mux.HandleFunc("/neighbors", func(w http.ResponseWriter, r *http.Request) {
 		peer := r.URL.Query().Get("peer")

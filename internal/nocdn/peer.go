@@ -722,10 +722,10 @@ func (p *Peer) postRecords(sp *hpop.Span, originURL string, body []byte) (*http.
 
 // GossipOnce runs one delegated-probing cycle: fetch this peer's ring
 // neighbors from the origin, probe each neighbor's /health directly, and
-// upload the observations as a GossipReport. Returns how many neighbors
-// were observed. This is the fleet-scale replacement for the origin
-// probing every peer itself — each peer watches O(neighbors), the origin
-// spot-checks a sample.
+// upload the verdicts as a GossipReport. Returns how many neighbors were
+// observed. Each peer watches O(neighbors); the origin believes none of it,
+// but probes the peers whose reported verdict disagrees with its own first,
+// so a sampled probe pass reaches a failing peer without scanning the fleet.
 func (p *Peer) GossipOnce(originURL string) (int, error) {
 	base := strings.TrimSuffix(originURL, "/")
 	sp := p.tracer.Start("nocdn.peer", "gossip")
@@ -750,13 +750,8 @@ func (p *Peer) GossipOnce(originURL string) (int, error) {
 
 	rep := GossipReport{From: p.ID}
 	for _, nbr := range neighbors {
-		start := time.Now()
-		ok, saturation, err := probeHealth(context.Background(), p.httpClient, nbr.URL)
-		obs := PeerObservation{PeerID: nbr.ID, Healthy: ok, Saturation: saturation}
-		if err == nil {
-			obs.LatencySeconds = time.Since(start).Seconds()
-		}
-		rep.Observations = append(rep.Observations, obs)
+		ok, _, _ := probeHealth(context.Background(), p.httpClient, nbr.URL)
+		rep.Observations = append(rep.Observations, PeerObservation{PeerID: nbr.ID, Healthy: ok})
 	}
 	sp.SetLabel("observations", strconv.Itoa(len(rep.Observations)))
 

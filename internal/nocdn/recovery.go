@@ -220,8 +220,8 @@ func (o *Origin) restoreSnapshot(snap originSnapshot) {
 // applyWALRecord replays one journaled mutation. Every branch is
 // idempotent — replaying a record whose effect the snapshot (or an earlier
 // pass) already holds changes nothing — and none of them fire operator
-// side effects (OnFlag spans, metrics counters for live settlement):
-// recovery restores state, it does not re-settle.
+// side effects (spans, metrics counters for live settlement): recovery
+// restores state, it does not re-settle.
 func (o *Origin) applyWALRecord(fr walFrame) error {
 	switch fr.typ {
 	case walPeerRegister:
@@ -247,6 +247,8 @@ func (o *Origin) applyWALRecord(fr walFrame) error {
 		}
 		storeMax(&o.assignEpoch, rec.AssignEpoch)
 	case walAuditFlag:
+		// Nothing writes audit_flag records any more; journals written while
+		// settlement flagged peers still restore their flags and suspensions.
 		var rec walAuditFlagRec
 		if err := json.Unmarshal(fr.payload, &rec); err != nil {
 			return err
@@ -333,10 +335,6 @@ func (o *Origin) journalEpochTick(epoch int64) {
 
 func (o *Origin) journalSuspend(id string) {
 	o.journalAppend(walPeerSuspend, walPeerSuspendRec{ID: id, AssignEpoch: o.assignEpoch.Load()})
-}
-
-func (o *Origin) journalAuditFlag(id, cause string) {
-	o.walWait(o.journalAppend(walAuditFlag, walAuditFlagRec{ID: id, Cause: cause, AssignEpoch: o.assignEpoch.Load()}))
 }
 
 // journalKeysIssued makes the key rows a wrapper build minted durable

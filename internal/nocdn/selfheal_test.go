@@ -3,6 +3,7 @@ package nocdn
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -233,7 +234,8 @@ func TestOriginProbeEjectsAndReadmits(t *testing.T) {
 // TestHealthProbeOutcomes reads each /health answer through both of its
 // consumers: the origin's ProbeSample (the registry's verdict) and a peer's
 // GossipOnce (the observation it uploads). Shedding fails the probe, an
-// unparsable 200 passes it, and only an answer of some kind has a latency.
+// unparsable 200 passes it, and the uploaded observation carries the
+// verdict alone — no saturation, no latency.
 func TestHealthProbeOutcomes(t *testing.T) {
 	report := func(body string) http.HandlerFunc {
 		return func(w http.ResponseWriter, r *http.Request) { w.Write([]byte(body)) }
@@ -272,53 +274,75 @@ func TestHealthProbeOutcomes(t *testing.T) {
 				t.Errorf("ProbeSample: registry saturation %v, want %v", row.Saturation, tc.saturation)
 			}
 
-			uploaded := make(chan GossipReport, 1)
+			uploaded := make(chan []byte, 1)
 			fakeOrigin := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 				switch r.URL.Path {
 				case "/neighbors":
 					json.NewEncoder(w).Encode([]PeerInfo{{ID: "target", URL: target.URL}})
 				case "/gossip":
-					var rep GossipReport
-					json.NewDecoder(r.Body).Decode(&rep)
-					uploaded <- rep
+					body, _ := io.ReadAll(r.Body)
+					uploaded <- body
 				}
 			}))
 			defer fakeOrigin.Close()
 			if n, err := NewPeer("gossiper", 0).GossipOnce(fakeOrigin.URL); err != nil || n != 1 {
 				t.Fatalf("GossipOnce = %d, %v", n, err)
 			}
-			obs := (<-uploaded).Observations[0]
-			if obs.PeerID != "target" || obs.Healthy != tc.ok || obs.Saturation != tc.saturation {
-				t.Errorf("GossipOnce observation %+v, want healthy=%v saturation=%v", obs, tc.ok, tc.saturation)
+			body := <-uploaded
+			var rep GossipReport
+			var raw struct{ Observations []map[string]any }
+			if err := json.Unmarshal(body, &rep); err != nil || json.Unmarshal(body, &raw) != nil {
+				t.Fatalf("GossipOnce uploaded %s: %v", body, err)
 			}
-			if answered := tc.health != nil; (obs.LatencySeconds > 0) != answered {
-				t.Errorf("GossipOnce latency %v with answered=%v", obs.LatencySeconds, answered)
+			if obs := rep.Observations[0]; obs.PeerID != "target" || obs.Healthy != tc.ok {
+				t.Errorf("GossipOnce observation %+v, want healthy=%v", obs, tc.ok)
+			}
+			if len(raw.Observations[0]) != 2 {
+				t.Errorf("GossipOnce observation %s carries more than peerId and healthy", body)
 			}
 		})
 	}
 }
 
-// TestAuditFlagEjectsFromWrappers checks the auditor->origin wiring: a
-// flagged peer is pulled from new wrapper maps via the health registry even
-// though its breaker never opened.
+// TestAuditFlagEjectsFromWrappers: a flag comes only from a journal
+// written while settlement flagged peers. An origin that boots from one
+// holding an audit_flag record pulls the flagged peer from new wrapper maps
+// via the health registry, though its breaker never opened.
 func TestAuditFlagEjectsFromWrappers(t *testing.T) {
+	dir := t.TempDir()
+	journal, err := openControlWAL(dir, FsyncNever, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range []struct {
+		typ     walRecType
+		payload any
+	}{
+		{walPeerRegister, walPeerRegisterRec{ID: "honest", URL: "http://honest.example", RTT: 10, AssignEpoch: 1}},
+		{walPeerRegister, walPeerRegisterRec{ID: "crooked", URL: "http://crooked.example", RTT: 10, AssignEpoch: 2}},
+		{walAuditFlag, walAuditFlagRec{ID: "crooked", Cause: "audit_flag", AssignEpoch: 3}},
+	} {
+		if _, err := journal.appendJSON(rec.typ, rec.payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := journal.close(); err != nil {
+		t.Fatal(err)
+	}
+
 	reg := hpop.NewHealthRegistry(testBreaker())
-	metrics := hpop.NewMetrics()
 	o := NewOrigin("example.com", WithRNG(sim.NewRNG(7)), WithHealthRegistry(reg))
-	o.SetMetrics(metrics)
+	if _, err := o.AttachWAL(dir, WALOptions{Fsync: FsyncNever}); err != nil {
+		t.Fatal(err)
+	}
+	defer o.wal.close()
 	o.AddObject("/index.html", []byte("<html>page</html>"))
 	if err := o.AddPage(Page{Name: "home", Container: "/index.html"}); err != nil {
 		t.Fatal(err)
 	}
-	o.RegisterPeer("honest", "http://honest.example", 10)
-	o.RegisterPeer("crooked", "http://crooked.example", 10)
-
-	o.Audit().OnFlag("crooked") // what the auditor calls on a new flag
-	if reg.Healthy("crooked") {
-		t.Fatal("flagged peer still healthy")
-	}
-	if got := metrics.Counter("nocdn.origin.peer_ejections"); got != 1 {
-		t.Fatalf("peer_ejections = %v, want 1", got)
+	if reg.Healthy("crooked") || reg.State("crooked") != hpop.BreakerClosed {
+		t.Fatalf("replayed flag: crooked healthy=%v, breaker %v; want unhealthy with a closed breaker",
+			reg.Healthy("crooked"), reg.State("crooked"))
 	}
 	for i := 0; i < 5; i++ {
 		w, err := o.AssignWrapper("home", "c")

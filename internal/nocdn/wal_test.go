@@ -307,7 +307,7 @@ func recoverOrigin(t *testing.T, dir string, opts WALOptions) (*Origin, Recovery
 // TestOriginRecoveryExactlyOnce is the round-trip heart of the durable
 // control plane: credits survive a crash exactly once, consumed nonces stay
 // consumed, keys issued before the crash still verify records after it, and
-// the auditor's flags persist.
+// an anomaly suspension persists and keeps its peer out of fresh maps.
 func TestOriginRecoveryExactlyOnce(t *testing.T) {
 	dir := t.TempDir()
 	o := walOrigin(t, dir, WALOptions{Fsync: FsyncNever}, 8)
@@ -320,10 +320,23 @@ func TestOriginRecoveryExactlyOnce(t *testing.T) {
 	if n := settlePerPeer(o, []UsageRecord{rec}); n != 1 {
 		t.Fatalf("settled %d, want 1", n)
 	}
-	o.Audit().FlagTampered("peer-07", errors.New("planted evidence"))
-	if !o.AccountingFor("peer-07").Suspended {
-		t.Fatal("flag did not suspend peer-07 pre-crash")
+	// A second peer over-claims; the anomaly verdict suspends it, and the
+	// suspension is journaled as peer_suspend.
+	cheat, wc := "", w
+	for c := 0; cheat == ""; c++ {
+		if c == 100 {
+			t.Fatal("pooled maps name no second peer")
+		}
+		if wc, err = o.AssignWrapper("p", fmt.Sprintf("other-%d", c)); err != nil {
+			t.Fatal(err)
+		}
+		for id := range wc.Keys {
+			if id != peer && (cheat == "" || id < cheat) {
+				cheat = id
+			}
+		}
 	}
+	overclaim(t, o, wc, cheat)
 	// Crash: the origin is abandoned without Shutdown — no final snapshot,
 	// the journal tail is all recovery has.
 
@@ -349,18 +362,18 @@ func TestOriginRecoveryExactlyOnce(t *testing.T) {
 	if got := o2.AccountingFor(peer).CreditedBytes; got != 150 {
 		t.Fatalf("credited after fresh settle = %d, want 150", got)
 	}
-	// Flag and suspension durability.
-	if !o2.AccountingFor("peer-07").Suspended {
-		t.Fatal("audit suspension lost across recovery")
+	// Suspension durability: the cheat stays out of every fresh map.
+	if !o2.AccountingFor(cheat).Suspended {
+		t.Fatal("anomaly suspension lost across recovery")
 	}
-	flagged := false
-	for _, pa := range o2.Audit().Snapshot().Peers {
-		if pa.PeerID == "peer-07" && pa.Flagged {
-			flagged = true
+	for c := 0; c < 32; c++ {
+		w, err := o2.AssignWrapper("p", fmt.Sprintf("fresh-%d", c))
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if !flagged {
-		t.Fatal("audit flag lost across recovery")
+		if _, ok := w.Keys[cheat]; ok {
+			t.Fatalf("suspended %s is back in a fresh map after recovery", cheat)
+		}
 	}
 }
 
