@@ -25,7 +25,10 @@ import (
 // carries no Merkle inclusion proofs. Gossip only nominates peers for the
 // probe: neither internal/nocdn nor cmd brings back the reporter strike
 // count, its quarantine and their counters, or the audit flag writer, its
-// callback, its ejection and journal write, and its counter.
+// callback, its ejection and journal write, and its counter. A short-term
+// key is a value derived from the origin secret: internal/nocdn keeps no key
+// table, no shards or sequence counter for it, no sweep, and no ledger
+// methods that mint, read, restore or list key rows.
 func TestDeletedForksStayDeleted(t *testing.T) {
 	scorer := regexp.MustCompile(`welford|scoreLocked|rescoreAll|nocdn\.audit\.peer\.|tamper_flags|DefaultAudit(Threshold|MinRecords)|populationMeanBytes`)
 	gossipAndFlag := regexp.MustCompile(`gossipMismatch|DefaultGossipMismatchLimit|gossip_mismatches|gossip_quarantined|FlagTampered|OnFlag|ejectFlagged|journalAuditFlag|nocdn\.audit\.flagged`)
@@ -41,6 +44,7 @@ func TestDeletedForksStayDeleted(t *testing.T) {
 		{"cmd", scorer},
 		{"internal/nocdn", gossipAndFlag},
 		{"cmd", gossipAndFlag},
+		{"internal/nocdn", regexp.MustCompile(`keyShard|keySeq|keySweepInterval|restoreKeys|\(l \*ledger\) (mintKey|key|keys)\(`)},
 	} {
 		err := filepath.WalkDir(c.root, func(path string, d fs.DirEntry, err error) error {
 			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {

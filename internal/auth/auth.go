@@ -6,8 +6,8 @@
 //   - Nonce replay caches ("includes a nonce to prevent replay").
 //   - Secrets and the errors a key lookup reports. The wrapper page's
 //     "unique short-term secret key for each peer" is not kept here: the
-//     NoCDN origin stores each key as one row of its settlement ledger, from
-//     mint to removal.
+//     NoCDN origin derives each key from its ID and one origin secret, and
+//     stores none.
 //   - Grant tokens: the data attic's QR-code payload, carrying everything a
 //     provider needs to reach the right slice of a user's attic ("everything
 //     from the IP address of the data attic to the proper initial
@@ -84,8 +84,9 @@ type NonceCache struct {
 // noncePurgeFloor keeps the amortized sweep from thrashing on small maps.
 const noncePurgeFloor = 1024
 
-// NewNonceCache creates a cache with the given replay window (how long a
-// nonce is remembered; signers must also timestamp messages within it).
+// NewNonceCache creates a cache with the given replay window: how long a
+// nonce is remembered. A message must stop being accepted on its own, by an
+// expiry or timestamp check, within the window after it is first seen.
 func NewNonceCache(window time.Duration, now func() time.Time) *NonceCache {
 	if now == nil {
 		now = time.Now

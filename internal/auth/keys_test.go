@@ -13,7 +13,7 @@ import (
 )
 
 // The short-term keys whose lookup errors this package defines are minted
-// and checked by the NoCDN origin, one ledger row per key. These tests hold
+// and checked by the NoCDN origin, each derived from its ID. These tests hold
 // that issuer to the key contract through its exported API: a wrapper page
 // hands each peer a key, and a settled usage record is looked up against it.
 

@@ -93,9 +93,9 @@ func settlePerPeer(o *Origin, records []UsageRecord) int {
 // verdict suspends it — the one verdict settlement takes.
 func overclaim(t testing.TB, o *Origin, w *Wrapper, peerID string) {
 	t.Helper()
-	k, ok := o.ledger.key(w.Keys[peerID].KeyID)
+	k, ok := parseKeyID(w.Keys[peerID].KeyID)
 	if !ok {
-		t.Fatalf("no key row for %s", peerID)
+		t.Fatalf("%s's key ID %q does not parse", peerID, w.Keys[peerID].KeyID)
 	}
 	acct := o.AccountingFor(peerID)
 	var records []UsageRecord

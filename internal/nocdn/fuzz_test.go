@@ -2,6 +2,9 @@ package nocdn
 
 import (
 	"bytes"
+	"crypto/hmac"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -10,10 +13,12 @@ import (
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"hpop/internal/auth"
 	"hpop/internal/hpop"
 )
 
@@ -67,8 +72,15 @@ func FuzzDecodeRecords(f *testing.F) {
 // arbitrary uploader, the root either recomputed over the leaves or not.
 // Nothing may panic; a 400 changes no settlement row; and a 200 moves only
 // the uploader's row, with every leaf it submitted either credited or
-// counted in its Rejected. Seeds: an honest batch, one forged leaf among
-// honest ones, a root mismatch, and an unregistered uploader.
+// counted in its Rejected. A reference check bounds the credit: no more
+// leaves, and no more bytes, are credited than the leaves that name the
+// uploader, are signed under HMAC(HMAC(origin secret, key ID), prefix) — or
+// under their pre-upgrade key row's secret — and claim no more than the
+// budget their key ID parses to, before its expiry. Seeds: an honest batch,
+// one forged leaf among honest ones, a root mismatch, an unregistered
+// uploader, the honest key ID with its budget, expiry or build raised and
+// re-signed with the honest secret, a record under a pre-upgrade key, and a
+// key ID that does not parse.
 func FuzzSettleLeaves(f *testing.F) {
 	o := controlOrigin(f, 4)
 	w, err := o.AssignWrapper("p", "fuzz")
@@ -76,6 +88,10 @@ func FuzzSettleLeaves(f *testing.F) {
 		f.Fatal(err)
 	}
 	peer := anyPeer(w)
+	legacySecret := []byte("a pre-upgrade key's secret......")
+	legacy := keyRow{ID: peer + "-1", PeerID: peer, SecretHex: hex.EncodeToString(legacySecret),
+		Expires: time.Now().Add(time.Hour).UnixNano(), MaxBytes: 10}
+	o.legacyKeys.restore([]keyRow{legacy}, time.Now().UnixNano())
 	leaves := func(records ...UsageRecord) string {
 		out := make([]string, len(records))
 		for i, r := range records {
@@ -98,6 +114,44 @@ func FuzzSettleLeaves(f *testing.F) {
 	f.Add(peer, leaves(forged...), true)
 	f.Add(peer, leaves(honest("mismatch")...), false)
 	f.Add("stranger", leaves(stranger), true)
+	honestSecret, _ := hex.DecodeString(w.Keys[peer].Secret)
+	for field := 1; field <= 3; field++ { // build, budget, expiry
+		r := signedRecord(f, w, peer, 10, fmt.Sprintf("raised-%d", field))
+		parts := strings.Split(r.KeyID, "-")
+		n, _ := strconv.ParseInt(parts[len(parts)-field], 36, 64)
+		parts[len(parts)-field] = strconv.FormatInt(n+1<<20, 36)
+		r.KeyID = strings.Join(parts, "-")
+		r.Sign(honestSecret)
+		f.Add(peer, leaves(r), true)
+	}
+	parent := UsageRecord{Provider: "x", PeerID: peer, KeyID: legacy.ID, Page: "p", Bytes: 10, Objects: 1,
+		Nonce: "parent", IssuedAt: time.Now()}
+	parent.Sign(legacySecret)
+	unparsed := signedRecord(f, w, peer, 10, "unparsed")
+	unparsed.KeyID = "not-a-key"
+	unparsed.Sign(honestSecret)
+	f.Add(peer, leaves(parent, unparsed), true)
+	// admitted is the reference check of one leaf from uploader.
+	admitted := func(uploader string, leaf []byte) (int64, bool) {
+		r, err := parseLeaf(string(leaf))
+		if err != nil || r.Provider != o.Provider || r.PeerID != uploader {
+			return 0, false
+		}
+		k, ok := o.legacyKeys[r.KeyID]
+		var secret []byte
+		if ok {
+			secret, _ = hex.DecodeString(k.SecretHex)
+		} else if k, ok = parseKeyID(r.KeyID); ok {
+			mac := hmac.New(sha256.New, o.keySecret)
+			mac.Write([]byte(r.KeyID))
+			secret = mac.Sum(nil)
+		}
+		prefix := leaf[:bytes.LastIndexByte(leaf, '|')]
+		if !ok || k.PeerID != r.PeerID || auth.Verify(secret, prefix, r.Signature) != nil {
+			return 0, false
+		}
+		return r.Bytes, r.Bytes >= 0 && r.Bytes <= k.MaxBytes && time.Now().UnixNano() <= k.Expires
+	}
 	h := o.Handler()
 	f.Fuzz(func(t *testing.T, uploader, joined string, recommit bool) {
 		var batch [][]byte
@@ -130,6 +184,15 @@ func FuzzSettleLeaves(f *testing.F) {
 			}
 			if rejected := after[uploader].Rejected - before[uploader].Rejected; int64(ack.Credited)+rejected != int64(len(batch)) {
 				t.Fatalf("%d leaves: %d credited, %d rejected", len(batch), ack.Credited, rejected)
+			}
+			var admits, admitBytes int64
+			for _, leaf := range batch {
+				if n, ok := admitted(uploader, leaf); ok {
+					admits, admitBytes = admits+1, admitBytes+n
+				}
+			}
+			if credit := after[uploader].Credited - before[uploader].Credited; int64(ack.Credited) > admits || credit > admitBytes {
+				t.Fatalf("credited %d leaves, %d bytes; the reference admits %d leaves, %d bytes", ack.Credited, credit, admits, admitBytes)
 			}
 			delete(before, uploader)
 			delete(after, uploader)

@@ -17,16 +17,18 @@ import (
 	"hpop/internal/sim"
 )
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/settlement_golden_v3.txt from this tree")
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/settlement_golden_v4.txt from this tree")
 
 // goldenAt is the fixed clock of the golden settlement history.
 var goldenAt = time.Unix(1_700_000_000, 0)
 
-// goldenBoot opens an origin on the golden history's clock, journal in
-// dir, and publishes its one page.
+// goldenBoot opens an origin on the golden history's clock and a fixed
+// origin secret, journal in dir, and publishes its one page. A journal that
+// holds a secret already keeps it.
 func goldenBoot(t *testing.T, dir string) (*Origin, RecoveryStats) {
 	t.Helper()
 	o := NewOrigin("x", WithRNG(sim.NewRNG(7)), WithClock(func() time.Time { return goldenAt }))
+	o.setKeySecret([]byte("the golden history's origin key."))
 	stats, err := o.AttachWAL(dir, WALOptions{Fsync: FsyncAlways, SnapshotEvery: -1})
 	if err != nil {
 		t.Fatal(err)
@@ -60,19 +62,20 @@ func goldenCapture(out *bytes.Buffer, o *Origin, label string, peers []string) {
 // file of the live origin, of one recovered from the journal alone, and of
 // one recovered from the live origin's snapshot. The comparison is byte for
 // byte once each 64-hex-digit value is renamed by its order of first
-// appearance: the secrets of keys that sign nothing, and the chain hashes
-// over the journal records that carry them, are random per run; everything
-// else (clock, key IDs, signing secrets, nonces, trace IDs) is fixed.
+// appearance, which keeps the origin secret out of the capture. Everything
+// (clock, origin secret and so key IDs and secrets, nonces, trace IDs) is
+// fixed.
 //
 // testdata/settlement_golden.txt is the capture of the writer before
-// settlement verified every record, and settlement_golden_v2.txt the one
-// before the audit flag writer was deleted; TestParentSettlementGoldenReplays
-// keeps both journals replaying to the same answers.
+// settlement verified every record, settlement_golden_v2.txt the one before
+// the audit flag writer was deleted, and settlement_golden_v3.txt the one
+// before keys derived from the origin secret; TestParentSettlementGoldenReplays
+// keeps their journals replaying to the same answers.
 //
 // Regenerate with: go test ./internal/nocdn -run TestSettlementFormatsGolden -update-golden
 func TestSettlementFormatsGolden(t *testing.T) {
 	got := settlementHistory(t)
-	path := filepath.Join("testdata", "settlement_golden_v3.txt")
+	path := filepath.Join("testdata", "settlement_golden_v4.txt")
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -169,15 +172,6 @@ func settlementHistory(t *testing.T) []byte {
 		t.Fatalf("pooled maps name %v of %v, want at least three and two left out", named, peers)
 	}
 	a, b, c := named[0], named[1], named[2]
-	// The signing keys get fixed secrets, so signatures and Merkle roots —
-	// and the order of the snapshot's batch nonces, sorted by root — are the
-	// same on every run.
-	for _, id := range named {
-		k, _ := o.ledger.key(keys[id].KeyID)
-		k.SecretHex = hex.EncodeToString([]byte("golden secret " + k.ID))
-		o.ledger.restoreKeys([]keyRow{k}, goldenAt)
-		keys[id] = PeerKey{KeyID: k.ID, Secret: k.SecretHex}
-	}
 
 	seq := 0
 	record := func(peer string, n int64, secret []byte) UsageRecord {
@@ -217,7 +211,7 @@ func settlementHistory(t *testing.T) []byte {
 	settle("bad signature", NewRecordBatch(c, []UsageRecord{record(c, 100, []byte("not the key"))}))
 	// Over-claim: enough whole-key records that credit passes 1.5 times
 	// what b was assigned, so the anomaly verdict suspends it.
-	kb, _ := o.ledger.key(keys[b].KeyID)
+	kb, _ := parseKeyID(keys[b].KeyID)
 	maxBytes := kb.MaxBytes
 	var over []UsageRecord
 	for credit := int64(0); 2*credit <= 3*o.AccountingFor(b).AssignedBytes; credit += maxBytes {
@@ -268,19 +262,21 @@ func settlementHistory(t *testing.T) []byte {
 // still replay. testdata/settlement_golden.txt was written while settlement
 // sampled leaves and flagged the uploader of a failed one;
 // settlement_golden_v2.txt while an audit flag could still be planted, and
-// it flags peer-04. Each fixture's "journal N TYPE PAYLOAD" lines are
-// appended as they stand into an empty journal, an origin boots on it, and
-// its /debug/audit and /accounting answers match the fixture's "replayed
-// GET" lines byte for byte. A replayed flag still ejects: the flagged peer
-// is in no fresh map. The payloads keep their normalized "<hexN>"
-// placeholders; replay reads them as opaque strings.
+// it flags peer-04; settlement_golden_v3.txt while every key was a journaled
+// row, and it suspends peer-02. Each fixture's "journal N TYPE PAYLOAD"
+// lines are appended as they stand into an empty journal, an origin boots
+// on it, and its /debug/audit and /accounting answers match the fixture's
+// "replayed GET" lines byte for byte. A replayed flag or suspension still
+// ejects: that peer is in no fresh map. The payloads keep their normalized
+// "<hexN>" placeholders; replay reads them as opaque strings.
 func TestParentSettlementGoldenReplays(t *testing.T) {
 	for _, tc := range []struct {
 		fixture string
-		flagged []string
+		ejected []string
 	}{
 		{"settlement_golden.txt", []string{"peer-03", "peer-04"}},
 		{"settlement_golden_v2.txt", []string{"peer-04"}},
+		{"settlement_golden_v3.txt", []string{"peer-02"}},
 	} {
 		t.Run(tc.fixture, func(t *testing.T) {
 			o := replayParentGolden(t, tc.fixture)
@@ -289,9 +285,9 @@ func TestParentSettlementGoldenReplays(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, id := range tc.flagged {
+				for _, id := range tc.ejected {
 					if _, ok := w.Keys[id]; ok {
-						t.Fatalf("replayed flagged %s is in a fresh map", id)
+						t.Fatalf("replayed ejected %s is in a fresh map", id)
 					}
 				}
 			}
@@ -309,7 +305,7 @@ func replayParentGolden(t *testing.T, fixtureName string) *Origin {
 		t.Fatal(err)
 	}
 	types := make(map[string]walRecType)
-	for typ := walPeerRegister; typ <= walKeysIssued; typ++ {
+	for typ := walPeerRegister; typ <= walKeySecret; typ++ {
 		types[typ.String()] = typ
 	}
 	dir := t.TempDir()

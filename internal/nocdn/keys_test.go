@@ -2,9 +2,10 @@ package nocdn
 
 import (
 	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
-	"strconv"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -13,14 +14,12 @@ import (
 	"hpop/internal/sim"
 )
 
-// keySuffix is the counter value in a "peer-N" key ID.
-func keySuffix(t *testing.T, id string) int64 {
-	t.Helper()
-	n, err := strconv.ParseInt(id[strings.LastIndexByte(id, '-')+1:], 10, 64)
-	if err != nil {
-		t.Fatalf("key ID %q has no counter suffix", id)
-	}
-	return n
+// issueKey mints the key a build numbered build hands peerID now, through
+// the origin's deriver pool, as buildPoolEntry does.
+func issueKey(o *Origin, peerID string, budget, build int64) PeerKey {
+	d := o.derivers.Get().(*keyDeriver)
+	defer o.derivers.Put(d)
+	return d.issue(peerID, o.now().Add(keyTTL), budget, build)
 }
 
 // isFlagged reads the flag off a peer's ledger row.
@@ -32,24 +31,24 @@ func isFlagged(o *Origin, id string) bool {
 	return r != nil && r.Flagged
 }
 
-// TestKeyTableLookup: a minted row carries its peer's ID and a 32-byte
-// secret, and a record is checked against it: an unknown key ID answers
-// auth.ErrUnknownKey, and a key past its expiry auth.ErrExpired.
+// TestKeyTableLookup: an issued key's ID names its peer, budget and expiry,
+// its secret is 32 bytes, and a record is checked against it: an unknown key
+// ID answers auth.ErrUnknownKey, and a key past its expiry auth.ErrExpired.
 func TestKeyTableLookup(t *testing.T) {
 	clock := newFleetClock()
 	o := controlOrigin(t, 1, WithClock(clock.Now))
-	k := o.ledger.mintKey("peer-7", 100, clock.Now())
-	if !strings.HasPrefix(k.ID, "peer-7-") {
-		t.Errorf("key id = %q", k.ID)
+	k := issueKey(o, "peer-7", 100, 1)
+	if !strings.HasPrefix(k.KeyID, "peer-7-") {
+		t.Errorf("key id = %q", k.KeyID)
 	}
-	if secret, err := hex.DecodeString(k.SecretHex); err != nil || len(secret) != 32 {
-		t.Errorf("secret %q: %d bytes, %v", k.SecretHex, len(secret), err)
+	if secret, err := hex.DecodeString(k.Secret); err != nil || len(secret) != 32 {
+		t.Errorf("secret %q: %d bytes, %v", k.Secret, len(secret), err)
 	}
-	got, ok := o.ledger.key(k.ID)
-	if !ok || got != k {
-		t.Fatalf("key(%q) = %+v, %v; want the minted row", k.ID, got, ok)
+	want := keyRow{ID: k.KeyID, PeerID: "peer-7", Expires: clock.Now().Add(keyTTL).Unix() * int64(time.Second), MaxBytes: 100}
+	if got, ok := parseKeyID(k.KeyID); !ok || got != want {
+		t.Fatalf("parseKeyID(%q) = %+v, %v; want %+v", k.KeyID, got, ok, want)
 	}
-	w := &Wrapper{Keys: map[string]PeerKey{"peer-7": {KeyID: k.ID, Secret: k.SecretHex}}}
+	w := &Wrapper{Keys: map[string]PeerKey{"peer-7": k}}
 	rec := signedRecord(t, w, "peer-7", 100, "n")
 	if err := o.checkRecord(&leafVerifier{}, rec, "peer-7", rec.LeafBytes()); err != nil {
 		t.Fatalf("fresh key: %v", err)
@@ -65,48 +64,60 @@ func TestKeyTableLookup(t *testing.T) {
 	}
 }
 
-// TestKeyTableDistinctKeys: two keys minted for one peer differ in ID and
-// secret.
+// TestKeyTableDistinctKeys: the keys of two builds for one peer differ in ID
+// and secret, the same inputs give the same key, and another origin secret
+// gives another secret for the same ID.
 func TestKeyTableDistinctKeys(t *testing.T) {
-	l := newLedger()
-	now := time.Now()
-	a, b := l.mintKey("p", 1, now), l.mintKey("p", 1, now)
-	if a.ID == b.ID || a.SecretHex == b.SecretHex {
-		t.Error("table reused id or secret")
+	o := controlOrigin(t, 1)
+	a, b := issueKey(o, "p", 1, 1), issueKey(o, "p", 1, 2)
+	if a.KeyID == b.KeyID || a.Secret == b.Secret {
+		t.Errorf("two builds share an id or secret: %+v, %+v", a, b)
+	}
+	if again := issueKey(o, "p", 1, 1); again != a {
+		t.Errorf("the same inputs gave %+v, then %+v", a, again)
+	}
+	if other := issueKey(controlOrigin(t, 1), "p", 1, 1); other.KeyID != a.KeyID || other.Secret == a.Secret {
+		t.Errorf("two origin secrets gave %+v and %+v", a, other)
 	}
 }
 
 // TestKeyTableBounded runs 120 fake minutes of a steady audience (8 peers,
-// one page, 64 clients a minute, an epoch tick before each minute's views)
-// and checks the key table's size every minute: it keeps every unexpired
-// key, and never holds more than the keys minted in the last 70 minutes (one
-// key TTL plus one replay window) plus one sweep interval.
+// one page, 64 clients a minute, an epoch tick before each minute's views,
+// each view settling one record as its own batch, so R = 128 nonces a
+// minute) and checks every minute that the nonce cache holds at most
+// 2·R·(keyTTL + clockSlack) + noncePurgeFloor nonces: one key lifetime and
+// the slack of settles, doubled for the amortized sweep. With an hour's
+// window it would hold 7,680. After the 120 minutes a snapshot holds no key
+// row.
 func TestKeyTableBounded(t *testing.T) {
+	const (
+		clients         = 64
+		noncePurgeFloor = 1024 // auth.NonceCache's sweep floor
+	)
 	clock := newFleetClock()
 	o := controlOrigin(t, 8, WithClock(clock.Now))
-	var minted []int64 // minted[m]: keys minted through minute m
+	perMinute := int64(2 * clients)
+	bound := 2*perMinute*int64((keyTTL+clockSlack)/time.Minute) + noncePurgeFloor
 	for m := 0; m < 120; m++ {
 		o.EpochTick()
-		for c := 0; c < 64; c++ {
-			if _, err := o.AssignWrapper("p", fmt.Sprintf("client-%d", c)); err != nil {
+		for c := 0; c < clients; c++ {
+			w, err := o.AssignWrapper("p", fmt.Sprintf("client-%d", c))
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		minted = append(minted, o.ledger.keySeq.Load())
-		since := func(minutes int) int64 {
-			if m-minutes < 0 {
-				return minted[m]
+			id := anyPeer(w)
+			r := signedRecord(t, w, id, 1, fmt.Sprintf("m%d-c%d", m, c))
+			if n, err := o.SettleBatch(NewRecordBatch(id, []UsageRecord{r})); n != 1 {
+				t.Fatalf("minute %d, client %d: credited %d, %v", m, c, n, err)
 			}
-			return minted[m] - minted[m-minutes]
 		}
-		rows := int64(len(o.ledger.keys()))
-		if live := since(int(keyTTL / time.Minute)); rows < live {
-			t.Fatalf("minute %d: %d rows, fewer than the %d unexpired keys", m, rows, live)
-		}
-		if bound := since(int((keyTTL + replayWindow + keySweepInterval) / time.Minute)); rows > bound {
-			t.Fatalf("minute %d: %d rows, more than the %d keys minted in the last 75 minutes", m, rows, bound)
+		if n := int64(o.nonces.Len()); n > bound {
+			t.Fatalf("minute %d: %d nonces, more than the bound %d", m, n, bound)
 		}
 		clock.Advance(time.Minute)
+	}
+	if keys := o.captureState(0, [32]byte{}).Keys; len(keys) != 0 {
+		t.Errorf("snapshot holds %d key rows, want none", len(keys))
 	}
 }
 
@@ -137,9 +148,9 @@ func TestPooledMapRenewsExpiringKeys(t *testing.T) {
 		if old, ok := w1.Keys[id]; ok && old.KeyID == pk.KeyID {
 			t.Errorf("peer %s still gets key %s", id, pk.KeyID)
 		}
-		k, ok := o.ledger.key(pk.KeyID)
+		k, ok := parseKeyID(pk.KeyID)
 		if !ok || time.Unix(0, k.Expires).Sub(clock.Now()) < keyTTL/2 {
-			t.Errorf("key %s: row %+v, want one with at least %v to run", pk.KeyID, k, keyTTL/2)
+			t.Errorf("key %s: grant %+v, want one with at least %v to run", pk.KeyID, k, keyTTL/2)
 		}
 	}
 	id := anyPeer(w2)
@@ -254,9 +265,10 @@ func TestExpiredRecordIsLateNotTampering(t *testing.T) {
 	}
 }
 
-// TestKeyTableRecoveryDropsRemovedRows: an origin recovered two hours after
-// its keys were minted — from the journal alone, or from a snapshot — holds
-// no row for them, and keys it mints afterwards never reuse a pre-crash ID.
+// TestKeyTableRecoveryDropsRemovedRows: keys minted before a crash verify
+// after recovery, from the journal alone and from a snapshot, until they
+// expire, and answer auth.ErrExpired after that, also on a boot two hours
+// later. No snapshot holds a key row.
 func TestKeyTableRecoveryDropsRemovedRows(t *testing.T) {
 	for _, viaSnapshot := range []bool{false, true} {
 		t.Run(fmt.Sprintf("snapshot=%v", viaSnapshot), func(t *testing.T) {
@@ -279,16 +291,14 @@ func TestKeyTableRecoveryDropsRemovedRows(t *testing.T) {
 			for i := 0; i < 4; i++ {
 				o.RegisterPeer(fmt.Sprintf("peer-%02d", i), fmt.Sprintf("http://peer-%02d", i), 10)
 			}
-			var old []string
-			maxOld := int64(0)
+			var records []UsageRecord
 			for c := 0; c < 8; c++ {
 				w, err := o.AssignWrapper("p", fmt.Sprintf("client-%d", c))
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, pk := range w.Keys {
-					old = append(old, pk.KeyID)
-					maxOld = max(maxOld, keySuffix(t, pk.KeyID))
+				for id := range w.Keys {
+					records = append(records, signedRecord(t, w, id, 1, fmt.Sprintf("c%d", c)))
 				}
 			}
 			if viaSnapshot {
@@ -299,31 +309,139 @@ func TestKeyTableRecoveryDropsRemovedRows(t *testing.T) {
 			if err := o.wal.close(); err != nil {
 				t.Fatal(err)
 			}
+			check := func(o *Origin, label string, want error) {
+				t.Helper()
+				for _, r := range records {
+					if err := o.checkRecord(&leafVerifier{}, r, r.PeerID, r.LeafBytes()); !errors.Is(err, want) {
+						t.Errorf("%s: record under %s: %v, want %v", label, r.KeyID, err, want)
+					}
+				}
+				if keys := o.captureState(0, [32]byte{}).Keys; len(keys) != 0 {
+					t.Errorf("%s: snapshot holds %d key rows", label, len(keys))
+				}
+			}
 
-			clock.Advance(2 * time.Hour)
+			clock.Advance(keyTTL - time.Minute)
 			o2, stats := boot()
 			if viaSnapshot != (stats.SnapshotSeq > 0) || viaSnapshot != (stats.RecordsReplayed == 0) {
 				t.Fatalf("recovery %+v: want it from the snapshot=%v", stats, viaSnapshot)
 			}
-			for _, id := range old {
-				if k, ok := o2.ledger.key(id); ok {
-					t.Errorf("row %+v survived two hours past its mint", k)
-				}
-			}
-			if n := len(o2.ledger.keys()); n != 0 {
-				t.Errorf("recovered table holds %d rows, want 0", n)
-			}
-			w, err := o2.AssignWrapper("p", "client-0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, pk := range w.Keys {
-				if keySuffix(t, pk.KeyID) <= maxOld {
-					t.Errorf("post-recovery key %s reuses the pre-crash counter (max %d)", pk.KeyID, maxOld)
-				}
-			}
+			check(o2, "recovered", nil)
+			clock.Advance(time.Minute + time.Second)
+			check(o2, "expired", auth.ErrExpired)
 			if err := o2.wal.close(); err != nil {
 				t.Fatal(err)
+			}
+			clock.Advance(2 * time.Hour)
+			o3, _ := boot()
+			check(o3, "two hours later", auth.ErrExpired)
+			if err := o3.wal.close(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// parentRecord is one journal record as a parent writer wrote it.
+type parentRecord struct {
+	typ     walRecType
+	payload []byte
+}
+
+// parentKeysIssued is the keys_issued record a parent build wrote for a
+// map that named only k's peer: the key's row, and its assigned floor.
+func parentKeysIssued(k keyRow) parentRecord {
+	payload, _ := json.Marshal(walKeysIssuedRec{Keys: []keyRow{k}, Assigned: map[string]int64{k.PeerID: k.MaxBytes}})
+	return parentRecord{walKeysIssued, payload}
+}
+
+// writeParentJournal appends records to the journal in dir.
+func writeParentJournal(t testing.TB, dir string, recs ...parentRecord) {
+	t.Helper()
+	w, err := openControlWAL(dir, FsyncNever, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs {
+		if _, err := w.append(r.typ, r.payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestParentKeysSettleAfterUpgrade: a key that a parent build minted — a
+// row with a random secret, in its journal or in its snapshot — still
+// settles a record after the upgrade boot, and again after a SnapshotNow and
+// a reboot. Past its expiry a record under it answers auth.ErrExpired, and
+// the first snapshot taken then holds no key row.
+func TestParentKeysSettleAfterUpgrade(t *testing.T) {
+	for _, from := range []string{"journal", "snapshot"} {
+		t.Run(from, func(t *testing.T) {
+			clock := newFleetClock()
+			dir := t.TempDir()
+			secret := []byte("a parent key's random secret....")
+			k := keyRow{ID: "peer-00-1", PeerID: "peer-00", SecretHex: hex.EncodeToString(secret),
+				Expires: clock.Now().Add(keyTTL).UnixNano(), MaxBytes: 700}
+			if from == "journal" {
+				reg, _ := json.Marshal(walPeerRegisterRec{ID: "peer-00", URL: "http://peer-00", RTT: 10, AssignEpoch: 1})
+				writeParentJournal(t, dir, parentRecord{walPeerRegister, reg}, parentKeysIssued(k))
+			} else {
+				state, err := json.Marshal(originSnapshot{
+					Seq: 2, ChainHex: strings.Repeat("00", 32), AssignEpoch: 1, TakenAt: clock.Now().UnixNano(),
+					Peers:  []snapPeer{{ID: "peer-00", URL: "http://peer-00", RTT: 10}},
+					Ledger: []ledgerRow{{ID: "peer-00", Assigned: 700, AssignCount: 1}},
+					Keys:   []keyRow{k},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.MkdirAll(dir, 0o700); err != nil {
+					t.Fatal(err)
+				}
+				if err := writeSnapshotFile(dir, 2, state); err != nil {
+					t.Fatal(err)
+				}
+			}
+			boot := func() *Origin {
+				o := NewOrigin("x", WithClock(clock.Now))
+				if _, err := o.AttachWAL(dir, WALOptions{Fsync: FsyncNever, SnapshotEvery: -1}); err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { o.wal.close() })
+				return o
+			}
+			settle := func(o *Origin, nonce string) (int, error) {
+				r := UsageRecord{Provider: "x", PeerID: "peer-00", KeyID: k.ID, Page: "p", Bytes: 100,
+					Objects: 1, Nonce: nonce, IssuedAt: clock.Now()}
+				r.Sign(secret)
+				return o.SettleBatch(NewRecordBatch("peer-00", []UsageRecord{r}))
+			}
+
+			clock.Advance(time.Minute)
+			o := boot()
+			if n, err := settle(o, "upgraded"); n != 1 {
+				t.Fatalf("after the upgrade boot: credited %d, %v", n, err)
+			}
+			if err := o.SnapshotNow(); err != nil {
+				t.Fatal(err)
+			}
+			o.wal.close()
+			o = boot()
+			if n, err := settle(o, "rebooted"); n != 1 {
+				t.Fatalf("after a snapshot and a reboot: credited %d, %v", n, err)
+			}
+			if got := o.AccountingFor("peer-00"); got.CreditedBytes != 200 || got.Suspended {
+				t.Fatalf("accounting %+v, want 200 bytes credited", got)
+			}
+			clock.Advance(keyTTL)
+			if n, err := settle(o, "late"); n != 0 || !errors.Is(err, auth.ErrExpired) {
+				t.Fatalf("past its expiry: credited %d, %v; want auth.ErrExpired", n, err)
+			}
+			if keys := o.captureState(0, [32]byte{}).Keys; len(keys) != 0 {
+				t.Errorf("a snapshot past the key's expiry holds %v", keys)
 			}
 		})
 	}

@@ -258,11 +258,11 @@ func TestSettleVerifyAllocatesNothing(t *testing.T) {
 }
 
 // TestLegacyBatchIs415: a body in the shape before leaves (testdata holds
-// one written by that version's EncodeBatch, its records under a key the
-// origin minted but signed with another secret) answers 415, never 400, and
-// leaves no trace: nothing journaled, credited, rejected or flagged. Its
-// records still hash to its root through today's LeafBytes, so the
-// canonical form did not change.
+// one written by that version's EncodeBatch, its records under key
+// peer-00-1, which a journal in the parent's format holds, signed with
+// another secret) answers 415, never 400, and leaves no trace: nothing
+// journaled, credited, rejected or flagged. Its records still hash to its
+// root through today's LeafBytes, so the canonical form did not change.
 func TestLegacyBatchIs415(t *testing.T) {
 	body, err := os.ReadFile(filepath.Join("testdata", "legacy_batch.json"))
 	if err != nil {
@@ -278,15 +278,15 @@ func TestLegacyBatchIs415(t *testing.T) {
 	if got := MerkleRoot(recordLeaves(legacy.Records)); got != legacy.Root {
 		t.Fatalf("legacy records hash to %s, their root is %s", got, legacy.Root)
 	}
+	dir := t.TempDir()
+	writeParentJournal(t, dir, parentKeysIssued(keyRow{ID: "peer-00-1", PeerID: "peer-00",
+		SecretHex: strings.Repeat("5a", 32), Expires: time.Now().Add(keyTTL).UnixNano(), MaxBytes: 700}))
 	o := controlOrigin(t, 1)
-	if _, err := o.AttachWAL(t.TempDir(), WALOptions{Fsync: FsyncNever, SnapshotEvery: -1}); err != nil {
+	if _, err := o.AttachWAL(dir, WALOptions{Fsync: FsyncNever, SnapshotEvery: -1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := o.AssignWrapper("p", "legacy"); err != nil { // mints peer-00-1
-		t.Fatal(err)
-	}
-	if _, ok := o.ledger.key("peer-00-1"); !ok {
-		t.Fatal("the fixture's key was not minted")
+	if _, ok := o.legacyKeys["peer-00-1"]; !ok {
+		t.Fatal("the fixture's key was not restored")
 	}
 	seq, _ := o.wal.position()
 	rec := httptest.NewRecorder()

@@ -1,22 +1,20 @@
 package nocdn
 
 import (
+	"crypto/sha256"
 	"encoding/hex"
+	"hash"
 	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
-
-	"hpop/internal/auth"
 )
 
-// ledgerShardCount shards the settlement ledger and key table by hash; a
-// power of two so the shard pick is a mask. Settlement for different peers
-// (and key lookups for different wrappers) never serialize against each
-// other.
+// ledgerShardCount shards the settlement ledger by hash; a power of two so
+// the shard pick is a mask. Settlement for different peers never serializes
+// against each other.
 const ledgerShardCount = 32
 
 // charge is one peer's share of a pooled wrapper map: the bytes each serve
@@ -54,23 +52,30 @@ func (sh *ledgerShard) rowLocked(peerID string) *peerRow {
 	return r
 }
 
-// Short-term key lifetime. A key signs records for keyTTL from the build of
-// the wrapper map that hands it out; the pool renews a map once its keys are
-// keyTTL/2 old, so every record a view signs has at least keyTTL/2 to
-// settle. After its expiry a row still answers (auth.ErrExpired) for one
-// replayWindow — the span the nonce cache remembers a record's nonce — and
-// then leaves the table: the minting path sweeps a shard at most once per
-// keySweepInterval.
+// Short-term key lifetime, and how long a consumed nonce is remembered. A
+// key signs records for keyTTL from the build of the wrapper map that hands
+// it out; the pool renews a map once its keys are keyTTL/2 old, so every
+// record a view signs has at least keyTTL/2 to settle. A record settled at
+// t was signed under a key minted before t, so from t + keyTTL on its key's
+// expiry rejects a replay by itself: the nonce cache keeps a nonce for
+// replayWindow, one key lifetime plus clockSlack.
 const (
-	keyTTL           = 10 * time.Minute
-	replayWindow     = time.Hour
-	keySweepInterval = 5 * time.Minute
+	keyTTL       = 10 * time.Minute
+	clockSlack   = time.Minute
+	replayWindow = keyTTL + clockSlack
 )
 
-// keyRow is one short-term key from mint to removal: the peer it was issued
-// for, its secret (hex, as the wrapper hands it out), its expiry, and the
-// bytes its wrapper map assigned under it. Journal keys_issued records and
-// the snapshot's key list hold these rows as they are.
+// A short-term key is a value, not a row. Its ID names the authority it
+// carries, "<peer>-<expiry>-<budget>-<build>": the Unix second it expires,
+// the bytes its wrapper map assigned the peer, and the number of the
+// wrapper build that minted it, the last three in base 36. Its secret is
+// HMAC-SHA256(origin secret, ID). The origin keeps no per-key state: it
+// parses an ID back into its grant and derives the secret again, and an ID
+// anyone else writes names a secret only the origin knows.
+
+// keyRow is what a short-term key grants: records from one peer claiming at
+// most MaxBytes each, until Expires (Unix nanoseconds). Only a pre-upgrade
+// key (legacykeys.go) carries its secret, as SecretHex.
 type keyRow struct {
 	ID        string `json:"id"`
 	PeerID    string `json:"peerId"`
@@ -79,24 +84,59 @@ type keyRow struct {
 	MaxBytes  int64  `json:"maxBytes"`
 }
 
-// removable reports whether the row is one replay window past its expiry.
-func (k keyRow) removable(now time.Time) bool {
-	return now.UnixNano()-k.Expires > int64(replayWindow)
+// parseKeyID reads the grant a key ID names; ok is false unless it is a
+// non-empty peer and three base-36 numbers.
+func parseKeyID(id string) (k keyRow, ok bool) {
+	var n [3]uint64 // expiry, budget, build
+	rest := id
+	for i := len(n) - 1; i >= 0; i-- {
+		dash := strings.LastIndexByte(rest, '-')
+		if dash < 0 {
+			return keyRow{}, false
+		}
+		v, err := strconv.ParseUint(rest[dash+1:], 36, 63)
+		if err != nil {
+			return keyRow{}, false
+		}
+		n[i], rest = v, rest[:dash]
+	}
+	if rest == "" {
+		return keyRow{}, false
+	}
+	return keyRow{ID: id, PeerID: rest, Expires: int64(n[0]) * int64(time.Second), MaxBytes: int64(n[1])}, true
 }
 
-// keyShard is one lock's worth of the short-term key table.
-type keyShard struct {
-	mu      sync.RWMutex
-	rows    map[string]keyRow
-	sweptAt time.Time
+// keyDeriver is an HMAC-SHA256 state keyed with the origin secret, and
+// scratch space. Pooled by the origin, it derives without allocating.
+type keyDeriver struct {
+	mac hash.Hash
+	buf []byte
+	sum [sha256.Size]byte
 }
 
-// ledger is the origin's sharded settlement state: one row per short-term
-// key, one settlement row per peer, and the counter that numbers key IDs.
+// secret returns the secret of key ID d.buf, valid until d's next use.
+func (d *keyDeriver) secret() []byte {
+	d.mac.Reset()
+	d.mac.Write(d.buf)
+	return d.mac.Sum(d.sum[:0])
+}
+
+// issue returns the key a wrapper build hands peerID: its ID and its
+// secret in hex.
+func (d *keyDeriver) issue(peerID string, expires time.Time, budget, build int64) PeerKey {
+	b := append(append(d.buf[:0], peerID...), '-')
+	b = append(strconv.AppendInt(b, expires.Unix(), 36), '-')
+	b = append(strconv.AppendInt(b, budget, 36), '-')
+	d.buf = strconv.AppendInt(b, build, 36)
+	id := string(d.buf)
+	d.buf = hex.AppendEncode(d.buf[:0], d.secret())
+	return PeerKey{KeyID: id, Secret: string(d.buf)}
+}
+
+// ledger is the origin's sharded settlement state: one settlement row per
+// peer.
 type ledger struct {
-	shards    [ledgerShardCount]ledgerShard
-	keyShards [ledgerShardCount]keyShard
-	keySeq    atomic.Int64
+	shards [ledgerShardCount]ledgerShard
 }
 
 func newLedger() *ledger {
@@ -104,18 +144,11 @@ func newLedger() *ledger {
 	for i := range l.shards {
 		l.shards[i].rows = make(map[string]*peerRow)
 	}
-	for i := range l.keyShards {
-		l.keyShards[i].rows = make(map[string]keyRow)
-	}
 	return l
 }
 
 func (l *ledger) shardFor(peerID string) *ledgerShard {
 	return &l.shards[fnv64a(peerID)&(ledgerShardCount-1)]
-}
-
-func (l *ledger) keyShardFor(keyID string) *keyShard {
-	return &l.keyShards[fnv64a(keyID)&(ledgerShardCount-1)]
 }
 
 // assignCharges records one wrapper serve's expectations: per-peer assigned
@@ -278,77 +311,6 @@ func (l *ledger) floorAssigned(peerID string, n int64) {
 		r.Assigned = n
 	}
 	sh.mu.Unlock()
-}
-
-// mintKey issues a short-term key for peerID with its map's byte budget and
-// stores its row. The secret is drawn before the shard lock is taken; the
-// shard is swept first if keySweepInterval has passed since its last sweep.
-func (l *ledger) mintKey(peerID string, maxBytes int64, now time.Time) keyRow {
-	k := keyRow{
-		ID:        peerID + "-" + strconv.FormatInt(l.keySeq.Add(1), 10),
-		PeerID:    peerID,
-		SecretHex: hex.EncodeToString(auth.NewSecret(32)),
-		Expires:   now.Add(keyTTL).UnixNano(),
-		MaxBytes:  maxBytes,
-	}
-	sh := l.keyShardFor(k.ID)
-	sh.mu.Lock()
-	if now.Sub(sh.sweptAt) >= keySweepInterval {
-		for id, r := range sh.rows {
-			if r.removable(now) {
-				delete(sh.rows, id)
-			}
-		}
-		sh.sweptAt = now
-	}
-	sh.rows[k.ID] = k
-	sh.mu.Unlock()
-	return k
-}
-
-// key reads one key's row.
-func (l *ledger) key(keyID string) (keyRow, bool) {
-	sh := l.keyShardFor(keyID)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	k, ok := sh.rows[keyID]
-	return k, ok
-}
-
-// restoreKeys reinserts journaled or snapshotted rows, except those already
-// past removal, and re-anchors the ID counter past every row's "-N" suffix,
-// so a key minted after recovery never reuses a pre-crash ID. Idempotent.
-func (l *ledger) restoreKeys(keys []keyRow, now time.Time) {
-	for _, k := range keys {
-		if dash := strings.LastIndexByte(k.ID, '-'); dash >= 0 {
-			if n, err := strconv.ParseInt(k.ID[dash+1:], 10, 64); err == nil {
-				storeMax(&l.keySeq, n)
-			}
-		}
-		if k.removable(now) {
-			continue
-		}
-		sh := l.keyShardFor(k.ID)
-		sh.mu.Lock()
-		sh.rows[k.ID] = k
-		sh.mu.Unlock()
-	}
-}
-
-// keys copies every row the table holds, sorted by ID so snapshot bytes are
-// deterministic for identical state (nil for an empty table).
-func (l *ledger) keys() []keyRow {
-	var out []keyRow
-	for i := range l.keyShards {
-		sh := &l.keyShards[i]
-		sh.mu.RLock()
-		for _, k := range sh.rows {
-			out = append(out, k)
-		}
-		sh.mu.RUnlock()
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
 }
 
 // registry is the origin's peer directory: registration-ordered for Peers

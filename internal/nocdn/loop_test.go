@@ -40,14 +40,20 @@ func TestBackgroundLoopConcurrentStarts(t *testing.T) {
 			// Every tick is visible from outside: a scrub pass moves a counter,
 			// a gossip or telemetry cycle asks this origin (which refuses, so a
 			// cycle is one request and the telemetry report stays pending).
-			var requests atomic.Int64
+			// A request counts when it returns to the tick that sent it, never
+			// when it reaches the server: a request the tick gave up on can
+			// arrive after the stop has returned. The origin answers slowly, so
+			// a stop that does not wait for the tick in flight is caught.
 			origin := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				requests.Add(1)
+				time.Sleep(2 * time.Millisecond)
 				http.Error(w, "refused", http.StatusBadRequest)
 			}))
 			defer origin.Close()
+			sent := &returnCounter{next: &http.Transport{}}
+			defer sent.next.CloseIdleConnections()
 			metrics := hpop.NewMetrics()
 			p := NewPeer("loops", 0)
+			p.SetHTTPClient(&http.Client{Transport: sent})
 			p.SetMetrics(metrics)
 			if err := p.AttachDiskCache(t.TempDir(), 0, 0); err != nil {
 				t.Fatal(err)
@@ -55,7 +61,7 @@ func TestBackgroundLoopConcurrentStarts(t *testing.T) {
 			defer p.CloseDiskCache()
 			metrics.Inc("something.to.report")
 			ticks := func() int64 {
-				return requests.Load() + int64(metrics.Counter("nocdn.scrub.passes"))
+				return sent.n.Load() + int64(metrics.Counter("nocdn.scrub.passes"))
 			}
 
 			var wg sync.WaitGroup
@@ -81,6 +87,18 @@ func TestBackgroundLoopConcurrentStarts(t *testing.T) {
 			tc.stop(p) // idempotent
 		})
 	}
+}
+
+// returnCounter counts the requests a client sends as each returns, in the
+// goroutine that sent it.
+type returnCounter struct {
+	n    atomic.Int64
+	next *http.Transport
+}
+
+func (c *returnCounter) RoundTrip(r *http.Request) (*http.Response, error) {
+	defer c.n.Add(1)
+	return c.next.RoundTrip(r)
 }
 
 // TestBackgroundLoopRestartReplaces: a second start halts the first loop

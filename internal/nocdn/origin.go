@@ -44,11 +44,11 @@ const (
 // Locking is split by role so the request classes never serialize against
 // each other: contentMu (RWMutex) guards the published objects and pages;
 // the peer directory lives in an RWMutex'd registry; the settlement ledger
-// and short-term key table are sharded 32 ways by hash with per-shard locks
-// (settlement for disjoint peers never contends); client→peer assignment
-// reads a consistent-hash ring; and the byte counters are atomics. Wrapper
-// serving takes no origin-wide lock; settlement's one (commitMu) only orders
-// commits against snapshot cuts.
+// is sharded 32 ways by hash with per-shard locks (settlement for disjoint
+// peers never contends); client→peer assignment reads a consistent-hash
+// ring; and the byte counters are atomics. Short-term keys hold no state
+// and take no lock (see keyRow). Wrapper serving takes no origin-wide lock;
+// settlement's one (commitMu) only orders commits against snapshot cuts.
 type Origin struct {
 	// Provider is the site identity peers virtual-host under.
 	Provider string
@@ -133,6 +133,12 @@ type Origin struct {
 
 	nonces *auth.NonceCache // internally locked
 	now    func() time.Time
+
+	// keySecret is the origin secret every short-term key derives from,
+	// drawn by NewOrigin or adopted by AttachWAL; derivers are keyed with it.
+	keySecret  []byte
+	derivers   *sync.Pool
+	legacyKeys legacyKeys
 
 	// commitMu orders settlement commits against snapshot capture: a settle
 	// record's journal append and its ledger/audit application happen
@@ -286,6 +292,7 @@ func NewOrigin(provider string, opts ...OriginOption) *Origin {
 		pool:                 newWrapperPool(),
 	}
 	o.audit = &Auditor{ledger: o.ledger}
+	o.setKeySecret(auth.NewSecret(32))
 	for _, fn := range opts {
 		fn(o)
 	}
@@ -721,6 +728,12 @@ func (o *Origin) commitSettlement(rec walSettleRec, outcomes []settleOutcome) (i
 	return credited, nil
 }
 
+// setKeySecret makes secret the one every short-term key derives from.
+func (o *Origin) setKeySecret(secret []byte) {
+	o.keySecret = secret
+	o.derivers = &sync.Pool{New: func() any { return &keyDeriver{mac: hmac.New(sha256.New, secret)} }}
+}
+
 // checkRecord verifies one record of an upload speaking for batchPeer,
 // its signature included: leaf is r's LeafBytes, and r.Signature must be
 // the key's HMAC over the leaf's signed prefix. It does NOT consume the
@@ -735,14 +748,17 @@ func (o *Origin) checkRecord(v *leafVerifier, r UsageRecord, batchPeer string, l
 	if r.PeerID != batchPeer {
 		return fmt.Errorf("%w: record peer %q in batch from %q", ErrBadRecord, r.PeerID, batchPeer)
 	}
-	k, ok := o.ledger.key(r.KeyID)
+	k, ok := o.legacyKeys[r.KeyID]
+	if !ok {
+		k, ok = parseKeyID(r.KeyID)
+	}
 	if !ok {
 		return fmt.Errorf("%w: %w", ErrBadRecord, auth.ErrUnknownKey)
 	}
 	if k.PeerID != r.PeerID {
 		return fmt.Errorf("%w: key issued for different peer", ErrBadRecord)
 	}
-	if err := v.verify(k.SecretHex, leaf, len(r.Signature)); err != nil {
+	if err := v.verify(o, k, leaf, len(r.Signature)); err != nil {
 		return fmt.Errorf("%w: %w", ErrBadRecord, err)
 	}
 	// A single key covers one wrapper build; claiming more bytes than were
@@ -765,14 +781,14 @@ func (o *Origin) checkRecord(v *leafVerifier, r UsageRecord, batchPeer string, l
 // record, and at the first reset, where crypto/hmac saves its pad states —
 // and nothing after.
 type leafVerifier struct {
-	secretHex string
-	mac       hash.Hash
-	sum       [sha256.Size]byte
+	keyID string
+	mac   hash.Hash
+	sum   [sha256.Size]byte
 }
 
 // verify reports whether a leaf's last sigLen bytes are the hex HMAC, under
-// the key secretHex, of the leaf before the '|' that precedes them.
-func (v *leafVerifier) verify(secretHex string, leaf []byte, sigLen int) error {
+// key k, of the leaf before the '|' that precedes them.
+func (v *leafVerifier) verify(o *Origin, k keyRow, leaf []byte, sigLen int) error {
 	var want [sha256.Size]byte
 	if sigLen != hex.EncodedLen(len(want)) || sigLen >= len(leaf) {
 		return auth.ErrBadSignature
@@ -780,11 +796,17 @@ func (v *leafVerifier) verify(secretHex string, leaf []byte, sigLen int) error {
 	if _, err := hex.Decode(want[:], leaf[len(leaf)-sigLen:]); err != nil {
 		return auth.ErrBadSignature
 	}
-	if v.mac != nil && v.secretHex == secretHex {
+	switch {
+	case v.mac != nil && v.keyID == k.ID:
 		v.mac.Reset()
-	} else {
-		secret, _ := hex.DecodeString(secretHex) // minted as hex
-		v.mac, v.secretHex = hmac.New(sha256.New, secret), secretHex
+	case k.SecretHex != "":
+		secret, _ := hex.DecodeString(k.SecretHex) // minted as hex
+		v.mac, v.keyID = hmac.New(sha256.New, secret), k.ID
+	default:
+		d := o.derivers.Get().(*keyDeriver)
+		d.buf = append(d.buf[:0], k.ID...)
+		v.mac, v.keyID = hmac.New(sha256.New, d.secret()), k.ID
+		o.derivers.Put(d)
 	}
 	v.mac.Write(leaf[:len(leaf)-sigLen-1])
 	if !hmac.Equal(v.mac.Sum(v.sum[:0]), want[:]) {

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -55,7 +54,8 @@ type originSnapshot struct {
 	TakenAt      int64       `json:"takenAtUnixNano"`
 	Peers        []snapPeer  `json:"peers"`
 	Ledger       []ledgerRow `json:"ledger"`
-	Keys         []keyRow    `json:"keys"`
+	KeySecret    []byte      `json:"keySecret,omitempty"`
+	Keys         []keyRow    `json:"keys,omitempty"`
 	Nonces       []snapNonce `json:"nonces"`
 	Audit        auditState  `json:"audit"`
 }
@@ -87,9 +87,10 @@ func storeMax(a *atomic.Int64, v int64) {
 // truncation) and journals every control-plane mutation from here on.
 // Call it after construction and observability wiring but before publishing
 // content or registering live peers — recovery restores the pre-crash
-// registry, ledger, audit state, key table, and replay-nonce window, and
+// registry, ledger, audit state, origin secret, and replay-nonce window, and
 // rebuilds the assignment ring deterministically so wrapper maps come back
-// byte-stable.
+// byte-stable. A dir holding no origin secret journals the one NewOrigin
+// drew before AttachWAL returns. dir is made readable by its owner only.
 func (o *Origin) AttachWAL(dir string, opts WALOptions) (RecoveryStats, error) {
 	if o.wal != nil {
 		return RecoveryStats{}, fmt.Errorf("nocdn: wal already attached")
@@ -108,6 +109,7 @@ func (o *Origin) AttachWAL(dir string, opts WALOptions) (RecoveryStats, error) {
 		sp.SetError(err)
 		return RecoveryStats{}, err
 	}
+	drawn := o.derivers // recovery replaces it if it adopts a journaled secret
 
 	// Newest valid snapshot wins; a corrupt one falls back to the next
 	// (older) candidate with a correspondingly longer journal replay.
@@ -153,8 +155,11 @@ func (o *Origin) AttachWAL(dir string, opts WALOptions) (RecoveryStats, error) {
 
 	o.invalidateWrappers()
 
-	stats.Duration = time.Since(start)
 	o.wal = w
+	if o.derivers == drawn {
+		o.walWait(o.journalAppend(walKeySecret, walKeySecretRec{Secret: o.keySecret}))
+	}
+	stats.Duration = time.Since(start)
 	o.walOpts = opts
 	o.walRecovery = stats
 	o.metrics.Observe("nocdn.wal.recovery_seconds", stats.Duration.Seconds())
@@ -196,6 +201,9 @@ func snapshotCandidates(dir string) []struct {
 
 // restoreSnapshot loads one compacted snapshot into the (fresh) origin.
 func (o *Origin) restoreSnapshot(snap originSnapshot) {
+	if snap.KeySecret != nil {
+		o.setKeySecret(snap.KeySecret)
+	}
 	storeMax(&o.contentEpoch, snap.ContentEpoch)
 	storeMax(&o.assignEpoch, snap.AssignEpoch)
 	for _, p := range snap.Peers {
@@ -204,7 +212,7 @@ func (o *Origin) restoreSnapshot(snap originSnapshot) {
 		o.ring.add(p.ID)
 	}
 	o.ledger.restore(snap.Ledger, snap.Audit.Peers)
-	o.ledger.restoreKeys(snap.Keys, o.now())
+	o.legacyKeys.restore(snap.Keys, o.now().UnixNano())
 	nonces := make(map[string]time.Time, len(snap.Nonces))
 	for _, n := range snap.Nonces {
 		nonces[n.N] = time.Unix(0, n.At)
@@ -262,10 +270,16 @@ func (o *Origin) applyWALRecord(fr walFrame) error {
 		if err := json.Unmarshal(fr.payload, &rec); err != nil {
 			return err
 		}
-		o.ledger.restoreKeys(rec.Keys, o.now())
+		o.legacyKeys.restore(rec.Keys, o.now().UnixNano())
 		for id, n := range rec.Assigned {
 			o.ledger.floorAssigned(id, n)
 		}
+	case walKeySecret:
+		var rec walKeySecretRec
+		if err := json.Unmarshal(fr.payload, &rec); err != nil {
+			return err
+		}
+		o.setKeySecret(rec.Secret)
 	case walSettle:
 		var rec walSettleRec
 		if err := json.Unmarshal(fr.payload, &rec); err != nil {
@@ -337,21 +351,19 @@ func (o *Origin) journalSuspend(id string) {
 	o.journalAppend(walPeerSuspend, walPeerSuspendRec{ID: id, AssignEpoch: o.assignEpoch.Load()})
 }
 
-// journalKeysIssued makes the key rows a wrapper build minted durable
-// before the wrapper is handed out, so records signed under those keys
-// still settle after a crash. The record also floors each named peer's
-// assigned bytes at its post-charge figure: per-serve assignment charges
-// are not journaled, so without the floor a peer whose first settlement
-// lands after a restart would replay as credited-with-no-assignment and be
-// suspended as anomalous. pending holds this build's charges, one per peer
-// the wrapper names, which the serve that triggered the build has not
-// applied to the ledger yet.
-func (o *Origin) journalKeysIssued(keys []keyRow, pending []charge) {
-	if o.wal == nil || len(keys) == 0 {
+// journalKeysIssued makes a wrapper build's assignment floors durable
+// before the wrapper is handed out: it floors each named peer's assigned
+// bytes at its post-charge figure. Per-serve assignment charges are not
+// journaled, so without the floor a peer whose first settlement lands after
+// a restart would replay as credited-with-no-assignment and be suspended as
+// anomalous. pending holds this build's charges, one per peer the wrapper
+// names, which the serve that triggered the build has not applied to the
+// ledger yet.
+func (o *Origin) journalKeysIssued(pending []charge) {
+	if o.wal == nil || len(pending) == 0 {
 		return
 	}
-	slices.SortFunc(keys, func(a, b keyRow) int { return strings.Compare(a.ID, b.ID) })
-	rec := walKeysIssuedRec{Keys: keys, Assigned: make(map[string]int64, len(pending))}
+	rec := walKeysIssuedRec{Assigned: make(map[string]int64, len(pending))}
 	for _, c := range pending {
 		rec.Assigned[c.peerID] = o.ledger.row(c.peerID).Assigned + c.bytes
 	}
@@ -418,7 +430,8 @@ func (o *Origin) captureState(seq uint64, chain [32]byte) originSnapshot {
 		AssignEpoch:  o.assignEpoch.Load(),
 		TakenAt:      o.now().UnixNano(),
 		Ledger:       o.ledger.rows(),
-		Keys:         o.ledger.keys(),
+		KeySecret:    o.keySecret,
+		Keys:         o.legacyKeys.live(o.now().UnixNano()),
 		Audit:        auditState{Peers: o.ledger.evidence()},
 	}
 	for _, p := range o.registry.snapshot() {

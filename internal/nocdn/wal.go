@@ -76,6 +76,7 @@ const (
 	walEpochTick
 	walAuditFlag
 	walKeysIssued
+	walKeySecret
 )
 
 func (t walRecType) String() string {
@@ -92,6 +93,8 @@ func (t walRecType) String() string {
 		return "audit_flag"
 	case walKeysIssued:
 		return "keys_issued"
+	case walKeySecret:
+		return "key_secret"
 	}
 	return "unknown"
 }
@@ -118,15 +121,19 @@ type (
 		Cause       string `json:"cause,omitempty"`
 		AssignEpoch int64  `json:"assignEpoch"`
 	}
-	// walKeysIssuedRec holds the key rows one wrapper build minted, and the
-	// absolute assigned-bytes floor for each peer the wrapper names (current ledger figure plus this build's
-	// charges). Wrapper-serve assignment charges are deliberately not
-	// journaled per serve — this floor is what keeps a peer whose first
-	// settlement arrives after a crash from reading as "credited with no
-	// assignment" and tripping anomaly suspension.
+	// walKeysIssuedRec holds, per wrapper build, the absolute assigned-bytes
+	// floor for each peer the wrapper names (current ledger figure plus this
+	// build's charges), and the key rows a pre-upgrade build minted.
+	// Wrapper-serve assignment charges are deliberately not journaled per
+	// serve — this floor is what keeps a peer whose first settlement arrives
+	// after a crash from reading as "credited with no assignment".
 	walKeysIssuedRec struct {
-		Keys     []keyRow         `json:"keys"`
+		Keys     []keyRow         `json:"keys,omitempty"`
 		Assigned map[string]int64 `json:"assigned,omitempty"`
+	}
+	// walKeySecretRec is the origin secret, journaled once by AttachWAL.
+	walKeySecretRec struct {
+		Secret []byte `json:"secret"`
 	}
 	// walAuditDelta is one peer's share of a settlement batch in audit
 	// terms: the counters and offending trace IDs replay adds to its
@@ -332,7 +339,10 @@ type controlWAL struct {
 // after the last valid record as determined by the caller's replay (the
 // caller hands back position via setPosition). It does not itself replay.
 func openControlWAL(dir string, policy FsyncPolicy, m *hpop.Metrics) (*controlWAL, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := os.MkdirAll(dir, 0o700); err != nil {
+		return nil, err
+	}
+	if err := os.Chmod(dir, 0o700); err != nil {
 		return nil, err
 	}
 	w := &controlWAL{dir: dir, policy: policy, metrics: m, stopC: make(chan struct{})}
@@ -371,7 +381,7 @@ func (w *controlWAL) openFileAt(firstSeq uint64, prevChain [32]byte, path string
 		w.f.Close()
 	}
 	fresh := existingSize <= 0
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o600)
 	if err != nil {
 		return err
 	}
@@ -663,7 +673,7 @@ func writeSnapshotFile(dir string, seq uint64, state []byte) error {
 	}
 	path := filepath.Join(dir, snapFileName(seq))
 	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o600)
 	if err != nil {
 		return err
 	}

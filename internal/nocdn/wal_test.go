@@ -9,12 +9,14 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"hpop/internal/auth"
 	"hpop/internal/hpop"
 	"hpop/internal/sim"
 )
@@ -711,15 +713,20 @@ func TestShutdownSnapshotThenCleanRecovery(t *testing.T) {
 
 // TestNonceWindowReanchoredOnRecovery: consumed-nonce timestamps are
 // journaled in wall time and re-anchored on restore, so a fast restart does
-// not shorten (or restart) the replay-rejection window.
+// not shorten (or restart) the replay-rejection window. Past the window the
+// record's key has expired, and the replay is rejected as late.
 func TestNonceWindowReanchoredOnRecovery(t *testing.T) {
 	dir := t.TempDir()
 	base := time.Date(2026, 3, 1, 12, 0, 0, 0, time.UTC)
 	now := base
-	o := NewOrigin("x", WithRNG(sim.NewRNG(7)), WithClock(func() time.Time { return now }))
-	if _, err := o.AttachWAL(dir, WALOptions{Fsync: FsyncNever}); err != nil {
-		t.Fatal(err)
+	boot := func() *Origin {
+		o := NewOrigin("x", WithRNG(sim.NewRNG(7)), WithClock(func() time.Time { return now }))
+		if _, err := o.AttachWAL(dir, WALOptions{Fsync: FsyncNever}); err != nil {
+			t.Fatal(err)
+		}
+		return o
 	}
+	o := boot()
 	o.AddObject("/c", make([]byte, 400))
 	if err := o.AddPage(Page{Name: "p", Container: "/c"}); err != nil {
 		t.Fatal(err)
@@ -733,19 +740,29 @@ func TestNonceWindowReanchoredOnRecovery(t *testing.T) {
 	if n := settlePerPeer(o, []UsageRecord{rec}); n != 1 {
 		t.Fatal("settle failed")
 	}
+	o.wal.close()
 
-	// Restart 30 fake minutes later — inside the 1h nonce window. The nonce
-	// must still be consumed; at +2h it must have aged out naturally.
-	now = base.Add(30 * time.Minute)
-	o2 := NewOrigin("x", WithRNG(sim.NewRNG(7)), WithClock(func() time.Time { return now }))
-	if _, err := o2.AttachWAL(dir, WALOptions{Fsync: FsyncNever}); err != nil {
-		t.Fatal(err)
-	}
+	// Restart 5 fake minutes later — inside the nonce window. The nonce
+	// must still be consumed.
+	now = base.Add(5 * time.Minute)
+	o2 := boot()
 	if err := o2.nonces.Use("k|n1-not-used"); err != nil {
 		t.Fatalf("fresh nonce rejected: %v", err)
 	}
 	if err := o2.nonces.Use(rec.KeyID + "|" + rec.Nonce); err == nil {
-		t.Fatal("recovered origin accepted a nonce consumed 30m ago (window re-anchored wrong)")
+		t.Fatal("recovered origin accepted a nonce consumed 5m ago (window re-anchored wrong)")
+	}
+	o2.wal.close()
+
+	// At +30 minutes the nonce has aged out, and the key has expired.
+	now = base.Add(30 * time.Minute)
+	o3 := boot()
+	defer o3.wal.close()
+	if n, err := o3.SettleBatch(NewRecordBatch("peer-00", []UsageRecord{rec})); n != 0 || !errors.Is(err, auth.ErrExpired) {
+		t.Fatalf("replay at +30m: credited %d, %v; want a rejection for an expired key", n, err)
+	}
+	if got := o3.AccountingFor("peer-00").CreditedBytes; got != 100 {
+		t.Fatalf("credited after the replay = %d, want 100", got)
 	}
 }
 
@@ -820,4 +837,49 @@ func TestPeerAttachRecordSpoolRequeues(t *testing.T) {
 		t.Fatalf("second boot requeued %d records, want 5", got)
 	}
 	p2.CloseRecordSpool()
+}
+
+// TestStateDirOwnerOnly: the journal and snapshots hold the origin secret,
+// so after AttachWAL on a state dir made world-readable, as earlier builds
+// made it, neither the dir nor any file written into it has group or other
+// permission bits.
+func TestStateDirOwnerOnly(t *testing.T) {
+	if runtime.GOOS == "windows" {
+		t.Skip("no POSIX permission bits")
+	}
+	dir := filepath.Join(t.TempDir(), "state")
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chmod(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	o := NewOrigin("x", WithRNG(sim.NewRNG(7)))
+	if _, err := o.AttachWAL(dir, WALOptions{Fsync: FsyncNever}); err != nil {
+		t.Fatal(err)
+	}
+	o.RegisterPeer("peer-00", "http://peer-00", 10)
+	if err := o.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) == 0 {
+		t.Fatal("AttachWAL and Shutdown wrote nothing")
+	}
+	paths := []string{dir}
+	for _, e := range entries {
+		paths = append(paths, filepath.Join(dir, e.Name()))
+	}
+	for _, p := range paths {
+		fi, err := os.Stat(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if perm := fi.Mode().Perm(); perm&0o077 != 0 {
+			t.Errorf("%s has mode %v, want no group or other bits", p, perm)
+		}
+	}
 }

@@ -155,7 +155,7 @@ func (o *Origin) buildPoolEntry(page string, slot int) (*poolEntry, error) {
 	if o.ring.size() == 0 {
 		return nil, ErrNoPeers
 	}
-	o.wrapperGenerations.Add(1)
+	build := o.wrapperGenerations.Add(1)
 	o.metrics.Inc("nocdn.origin.pool_builds")
 	buildStart := time.Now()
 	defer func() {
@@ -287,28 +287,27 @@ func (o *Origin) buildPoolEntry(page string, slot int) (*poolEntry, error) {
 		w.Objects = append(w.Objects, ref)
 	}
 	w.Keys = make(map[string]PeerKey, len(charges))
-	keys := make([]keyRow, 0, len(charges))
+	d := o.derivers.Get().(*keyDeriver)
 	for _, c := range charges {
-		k := o.ledger.mintKey(c.peerID, c.bytes, now)
-		w.Keys[c.peerID] = PeerKey{KeyID: k.ID, Secret: k.SecretHex}
-		keys = append(keys, k)
+		w.Keys[c.peerID] = d.issue(c.peerID, now.Add(keyTTL), c.bytes, build)
 	}
+	o.derivers.Put(d)
 
 	body, err := json.Marshal(w)
 	if err != nil {
 		return nil, fmt.Errorf("nocdn: wrapper encode: %w", err)
 	}
-	// Durable keys before the map can serve: a settlement for this map must
-	// survive an origin restart between the serve and the flush.
-	o.journalKeysIssued(keys, charges)
+	// Durable assignment floors before the map can serve: a restart between
+	// the serve and the flush must not make its settlement look anomalous.
+	o.journalKeysIssued(charges)
 	return &poolEntry{w: w, body: body, charges: charges, content: cep, assign: aep, renew: now.Add(keyTTL / 2)}, nil
 }
 
 // EpochTick advances the assignment epoch and refreshes every pooled
 // wrapper map under the new epoch — the control plane's heartbeat. Between
 // ticks, serves are pool lookups; at the tick, maps are rebuilt once
-// (picking up fleet changes, fresh keys, and current health) so wrapper
-// generation stays off the request hot path entirely.
+// (picking up fleet changes, fresh keys — a key's ID names its build — and
+// current health) so wrapper generation stays off the request hot path.
 func (o *Origin) EpochTick() {
 	ep := o.assignEpoch.Add(1)
 	o.journalEpochTick(ep)
