@@ -28,9 +28,13 @@ import (
 // callback, its ejection and journal write, and its counter. A short-term
 // key is a value derived from the origin secret: internal/nocdn keeps no key
 // table, no shards or sequence counter for it, no sweep, and no ledger
-// methods that mint, read, restore or list key rows.
+// methods that mint, read, restore or list key rows. A record travels as
+// its leaf from the loader to the origin: loader.go, peer.go and spool.go
+// encode or decode no record as JSON (legacyrecords.go alone reads the older
+// shape).
 func TestDeletedForksStayDeleted(t *testing.T) {
 	scorer := regexp.MustCompile(`welford|scoreLocked|rescoreAll|nocdn\.audit\.peer\.|tamper_flags|DefaultAudit(Threshold|MinRecords)|populationMeanBytes`)
+	recordJSON := regexp.MustCompile(`json\.(Marshal|Unmarshal|NewDecoder)\((rec|recs|record|records|leaf|leaves|body|line|r\.Body)\b|json\.\w+\(.*&(rec|recs|record|records)\b`)
 	gossipAndFlag := regexp.MustCompile(`gossipMismatch|DefaultGossipMismatchLimit|gossip_mismatches|gossip_quarantined|FlagTampered|OnFlag|ejectFlagged|journalAuditFlag|nocdn\.audit\.flagged`)
 	for _, c := range []struct {
 		root    string
@@ -45,6 +49,9 @@ func TestDeletedForksStayDeleted(t *testing.T) {
 		{"internal/nocdn", gossipAndFlag},
 		{"cmd", gossipAndFlag},
 		{"internal/nocdn", regexp.MustCompile(`keyShard|keySeq|keySweepInterval|restoreKeys|\(l \*ledger\) (mintKey|key|keys)\(`)},
+		{"internal/nocdn/loader.go", recordJSON},
+		{"internal/nocdn/peer.go", recordJSON},
+		{"internal/nocdn/spool.go", regexp.MustCompile(`json\.`)},
 	} {
 		err := filepath.WalkDir(c.root, func(path string, d fs.DirEntry, err error) error {
 			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {

@@ -2,7 +2,6 @@ package nocdn
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -49,8 +48,7 @@ func TestPeerConcurrentHammer(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				rec := UsageRecord{Provider: "example.com", PeerID: peer.ID, Bytes: 1}
-				one, _ := json.Marshal(rec)
-				resp, err := http.Post(peerSrv.URL+"/record", "application/json", bytes.NewReader(one))
+				resp, err := http.Post(peerSrv.URL+"/record", "text/plain", bytes.NewReader(rec.LeafBytes()))
 				if err != nil {
 					errs <- err
 					return

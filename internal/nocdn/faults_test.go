@@ -2,7 +2,6 @@ package nocdn
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
@@ -60,6 +59,7 @@ func TestFaultFlushBackoffGate(t *testing.T) {
 	// it drains the queue and resets the backoff.
 	revived := httptest.NewServer(s.origin.Handler())
 	defer revived.Close()
+	peer.SignUp("example.com", revived.URL)
 	now = now.Add(time.Second)
 	n, err := peer.Flush(revived.URL)
 	if err != nil || n != pending {
@@ -82,12 +82,13 @@ func TestFaultFlushBackoffGrows(t *testing.T) {
 	now := time.Now()
 	p.SetClock(func() time.Time { return now })
 	p.FlushBackoff = faults.Policy{Base: 100 * time.Millisecond, Max: time.Second, Jitter: -1}
+	dead := "http://127.0.0.1:1" // nothing listens here
+	p.SignUp("x", dead)
 	// Seed one record directly through the handler path.
 	srv := httptest.NewServer(p.Handler())
 	defer srv.Close()
-	dropRecord(t, srv.URL)
+	dropRecord(t, p, srv.URL)
 
-	dead := "http://127.0.0.1:1" // nothing listens here
 	// Arm the gate with a real network failure.
 	if _, err := p.Flush(dead); err == nil || errors.Is(err, ErrFlushDeferred) {
 		t.Fatalf("expected a real network failure, got %v", err)
@@ -117,19 +118,20 @@ func TestFaultFlushBackoffGrows(t *testing.T) {
 // sheds oldest records instead of growing without bound.
 func TestFaultRecordQueueCap(t *testing.T) {
 	p := NewPeer("p", 0)
+	p.SignUp("x", "http://127.0.0.1:1")
 	p.SetMaxPendingRecords(3)
 	srv := httptest.NewServer(p.Handler())
 	defer srv.Close()
 
 	for i := 0; i < 3; i++ {
-		dropRecord(t, srv.URL)
+		dropRecord(t, p, srv.URL)
 	}
 	if n := p.PendingRecords(); n != 3 {
 		t.Fatalf("pending = %d, want 3", n)
 	}
 	// At the cap: 503 with Retry-After, record not queued.
-	resp, err := http.Post(srv.URL+"/record", "application/json",
-		recordBody(t, UsageRecord{Provider: "x", PeerID: "p", Bytes: 1}))
+	resp, err := http.Post(srv.URL+"/record", "text/plain",
+		recordBody(UsageRecord{Provider: "x", PeerID: "p", Bytes: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,15 +157,16 @@ func TestFaultRecordQueueCap(t *testing.T) {
 	p2.FlushBackoff = faults.Policy{Base: time.Millisecond, Max: time.Millisecond, Jitter: -1}
 	srv2 := httptest.NewServer(p2.Handler())
 	defer srv2.Close()
-	dropRecord(t, srv2.URL)
-	dropRecord(t, srv2.URL)
 	// The settlement endpoint drops a fresh record into the peer mid-flush
 	// (the batch is already out of the queue), then fails the upload.
 	usageFront := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		dropRecord(t, srv2.URL)
+		dropRecord(t, p2, srv2.URL)
 		http.Error(w, "settlement down", http.StatusInternalServerError)
 	}))
 	defer usageFront.Close()
+	p2.SignUp("x", usageFront.URL)
+	dropRecord(t, p2, srv2.URL)
+	dropRecord(t, p2, srv2.URL)
 	if _, err := p2.Flush(usageFront.URL); err == nil {
 		t.Fatal("flush through a 500 succeeded")
 	}
@@ -202,6 +205,7 @@ func TestFaultFlushRetriesAfter5xx(t *testing.T) {
 		s.origin.Handler().ServeHTTP(w, r)
 	}))
 	defer front.Close()
+	peer.SignUp("example.com", front.URL)
 
 	for i := 0; i < 2; i++ {
 		if _, err := peer.Flush(front.URL); err == nil {
@@ -281,19 +285,16 @@ func TestFaultLoaderRetriesTransient(t *testing.T) {
 	}
 }
 
-func recordBody(t *testing.T, rec UsageRecord) io.Reader {
-	t.Helper()
-	b, err := json.Marshal(rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return bytes.NewReader(b)
+// recordBody is a /record body: the record's leaf.
+func recordBody(rec UsageRecord) io.Reader {
+	return bytes.NewReader(rec.LeafBytes())
 }
 
-func dropRecord(t *testing.T, peerURL string) {
+// dropRecord posts one record for provider "x" to peer p at peerURL.
+func dropRecord(t *testing.T, p *Peer, peerURL string) {
 	t.Helper()
-	resp, err := http.Post(peerURL+"/record", "application/json",
-		recordBody(t, UsageRecord{Provider: "x", PeerID: "p", Bytes: 1}))
+	resp, err := http.Post(peerURL+"/record", "text/plain",
+		recordBody(UsageRecord{Provider: "x", PeerID: p.ID, Bytes: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,6 +22,49 @@ import (
 	"hpop/internal/hpop"
 )
 
+// FuzzRecordLine hardens the line parser that a peer's /record and its
+// spool share: arbitrary bytes must never panic; nothing holding '\n' is
+// accepted; an accepted leaf is byte for byte the LeafBytes of its parse and
+// the input itself; and an accepted JSON record yields a leaf that parses.
+func FuzzRecordLine(f *testing.F) {
+	traced := UsageRecord{Provider: "example.com", PeerID: "peer-a", KeyID: "peer-a-3", Page: "blog/<ü>",
+		Bytes: 1 << 40, Objects: 7, Nonce: "n\"1", IssuedAt: time.Date(2026, 10, 17, 2, 42, 35, 5, time.UTC),
+		Traceparent: "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01"}
+	traced.Sign([]byte("k"))
+	f.Add(traced.LeafBytes())
+	f.Add(traced.LeafBytes()[:len(traced.LeafBytes())-9])
+	f.Add(append(traced.LeafBytes(), '\n'))
+	legacy, _ := json.Marshal(traced)
+	f.Add(legacy)
+	f.Add([]byte(`{"provider":"p","peerId":"x","page":"a\nb","issuedAt":"2026-01-01T00:00:00Z"}`))
+	f.Add([]byte("{\n}"))
+	f.Add([]byte("v2|p|x|k|p|5|0|n|2026-01-01T00:00:00+01:00||ab"))
+	if spool, err := os.ReadFile(filepath.Join("testdata", "parent_records.spool")); err == nil {
+		for _, line := range bytes.Split(spool, []byte{'\n'}) {
+			f.Add(line)
+		}
+	}
+	f.Fuzz(func(t *testing.T, line []byte) {
+		leaf, rec, err := parseRecordLine(line)
+		if err != nil {
+			return
+		}
+		if bytes.IndexByte(line, '\n') >= 0 || strings.IndexByte(leaf, '\n') >= 0 {
+			t.Fatalf("accepted %q as the leaf %q: a newline got through", line, leaf)
+		}
+		if got := string(rec.LeafBytes()); got != leaf {
+			t.Fatalf("leaf %q re-encodes as %q", leaf, got)
+		}
+		if line[0] != '{' {
+			if leaf != string(line) {
+				t.Fatalf("leaf %q is not the line %q", leaf, line)
+			}
+		} else if _, err := parseLeaf(leaf); err != nil {
+			t.Fatalf("the JSON record %q became %q, which does not parse: %v", line, leaf, err)
+		}
+	})
+}
+
 // FuzzDecodeRecords hardens the usage-record batch parser (the body of POST
 // /usage/batch): arbitrary bytes must never panic; every accepted leaf is
 // byte for byte the LeafBytes of the record parsed from it; and a decoded

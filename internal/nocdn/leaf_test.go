@@ -9,16 +9,20 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"hpop/internal/auth"
+	"hpop/internal/sim"
 )
 
 // referenceCanonical is CanonicalBytes as it was first written, with
@@ -317,6 +321,7 @@ func TestFlushKeepsRecordsOn415(t *testing.T) {
 	t.Cleanup(origin.Close)
 	dir := t.TempDir()
 	p := NewPeer("peer-a", 0)
+	p.SignUp("x", origin.URL)
 	if err := p.AttachRecordSpool(dir); err != nil {
 		t.Fatal(err)
 	}
@@ -349,14 +354,10 @@ func TestFlushKeepsRecordsOn415(t *testing.T) {
 	}
 }
 
-// postRecord POSTs one usage record to a peer's /record.
+// postRecord POSTs one usage record's leaf to a peer's /record.
 func postRecord(t *testing.T, peerURL string, rec UsageRecord) int {
 	t.Helper()
-	body, err := json.Marshal(rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(peerURL+"/record", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(peerURL+"/record", "text/plain", bytes.NewReader(rec.LeafBytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,27 +366,34 @@ func postRecord(t *testing.T, peerURL string, rec UsageRecord) int {
 }
 
 // TestSeparatorRefusedWhereItEnters: a page name or peer ID holding '|'
-// is refused by AddPage and RegisterPeer, and a record that would not
-// travel as a leaf is refused by the peer's /record and never spooled.
+// or '\n' is refused by AddPage and RegisterPeer, and the peer's /record
+// refuses, and never spools, a record that could never settle: one that
+// would not travel as a leaf, one holding '\n' (the spool's separator), one
+// naming another peer, or one for a provider the peer never signed up for.
 func TestSeparatorRefusedWhereItEnters(t *testing.T) {
 	o := controlOrigin(t, 1)
-	if err := o.AddPage(Page{Name: "a|b", Container: "/c"}); !errors.Is(err, ErrFieldSeparator) {
-		t.Errorf("AddPage(a|b) = %v, want ErrFieldSeparator", err)
+	for _, name := range []string{"a|b", "a\nb"} {
+		if err := o.AddPage(Page{Name: name, Container: "/c"}); !errors.Is(err, ErrFieldSeparator) {
+			t.Errorf("AddPage(%q) = %v, want ErrFieldSeparator", name, err)
+		}
+		if _, err := o.AssignWrapper(name, "c"); !errors.Is(err, ErrUnknownPage) {
+			t.Errorf("a refused page %q serves a wrapper: %v", name, err)
+		}
 	}
-	if _, err := o.AssignWrapper("a|b", "c"); !errors.Is(err, ErrUnknownPage) {
-		t.Errorf("a refused page serves a wrapper: %v", err)
-	}
-	if err := o.RegisterPeer("peer|x", "http://x", 1); !errors.Is(err, ErrFieldSeparator) {
-		t.Errorf("RegisterPeer(peer|x) = %v, want ErrFieldSeparator", err)
-	}
-	for _, p := range o.Peers() {
-		if p.ID == "peer|x" {
-			t.Error("a refused peer ID is registered")
+	for _, id := range []string{"peer|x", "peer\nx"} {
+		if err := o.RegisterPeer(id, "http://x", 1); !errors.Is(err, ErrFieldSeparator) {
+			t.Errorf("RegisterPeer(%q) = %v, want ErrFieldSeparator", id, err)
+		}
+		for _, p := range o.Peers() {
+			if p.ID == id {
+				t.Errorf("a refused peer ID %q is registered", id)
+			}
 		}
 	}
 
 	dir := t.TempDir()
 	p := NewPeer("peer-a", 0)
+	p.SignUp("x", "http://origin.x")
 	if err := p.AttachRecordSpool(dir); err != nil {
 		t.Fatal(err)
 	}
@@ -395,11 +403,14 @@ func TestSeparatorRefusedWhereItEnters(t *testing.T) {
 	good := UsageRecord{Provider: "x", PeerID: "peer-a", KeyID: "peer-a-1", Page: "p",
 		Bytes: 100, Objects: 1, Nonce: "n", IssuedAt: time.Now(), Signature: "ab"}
 	for name, mutate := range map[string]func(*UsageRecord){
-		"page":      func(r *UsageRecord) { r.Page = "a|b" },
-		"peer":      func(r *UsageRecord) { r.PeerID = "peer|a" },
-		"provider":  func(r *UsageRecord) { r.Provider = "x|y" },
-		"nonce":     func(r *UsageRecord) { r.Nonce = "n|" },
-		"signature": func(r *UsageRecord) { r.Signature = "a|b" },
+		"page":                   func(r *UsageRecord) { r.Page = "a|b" },
+		"peer":                   func(r *UsageRecord) { r.PeerID = "peer|a" },
+		"provider":               func(r *UsageRecord) { r.Provider = "x|y" },
+		"nonce":                  func(r *UsageRecord) { r.Nonce = "n|" },
+		"signature":              func(r *UsageRecord) { r.Signature = "a|b" },
+		"newline":                func(r *UsageRecord) { r.Page = "a\nb" },
+		"other peer":             func(r *UsageRecord) { r.PeerID = "peer-b" },
+		"provider not signed up": func(r *UsageRecord) { r.Provider = "y" },
 	} {
 		rec := good
 		mutate(&rec)
@@ -471,5 +482,260 @@ func TestLargeRecordsDoNotWedgeSettlement(t *testing.T) {
 	}
 	if got, want := s.origin.AccountingFor(p.ID).CreditedBytes, honest+big; got != want {
 		t.Errorf("credited %d bytes, want %d (the view's %d and 1 per large record)", got, want, honest)
+	}
+}
+
+// leafOrigin is an origin for provider with one page, "p", and peer-a
+// registered, served over HTTP.
+func leafOrigin(t *testing.T, provider string) (*Origin, *httptest.Server) {
+	t.Helper()
+	o := NewOrigin(provider, WithRNG(sim.NewRNG(7)))
+	o.AddObject("/c", make([]byte, 400))
+	if err := o.AddPage(Page{Name: "p", Container: "/c"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := o.RegisterPeer("peer-a", "http://peer-a", 10); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(o.Handler())
+	t.Cleanup(srv.Close)
+	return o, srv
+}
+
+// viewRecord is the record a loader signs for peer-a after one view of o's
+// page p: bytes bytes under the key o's wrapper hands out.
+func viewRecord(t *testing.T, o *Origin, bytes int64, nonce string) UsageRecord {
+	t.Helper()
+	w, err := o.AssignWrapper("p", "client")
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, ok := w.Keys["peer-a"]
+	if !ok {
+		t.Fatalf("the wrapper names no key for peer-a: %v", w.Keys)
+	}
+	secret, err := hex.DecodeString(k.Secret)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := UsageRecord{Provider: w.Provider, PeerID: "peer-a", KeyID: k.KeyID, Page: w.Page,
+		Bytes: bytes, Objects: 1, Nonce: nonce, IssuedAt: time.Now()}
+	rec.Sign(secret)
+	return rec
+}
+
+// TestFlushSettlesEachProviderAtItsOrigin: a peer signed up with two
+// providers holds one record for each. Flushing A's origin settles only A's
+// record, so A rejects nothing; B's stays queued and spooled, across a
+// restart, until B's origin is flushed and credits it.
+func TestFlushSettlesEachProviderAtItsOrigin(t *testing.T) {
+	oa, sa := leafOrigin(t, "a.example")
+	ob, sb := leafOrigin(t, "b.example")
+	signUp := func(p *Peer) {
+		p.SignUp("a.example", sa.URL)
+		p.SignUp("b.example", sb.URL+"/")
+	}
+	dir := t.TempDir()
+	p := NewPeer("peer-a", 0)
+	signUp(p)
+	if err := p.AttachRecordSpool(dir); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(p.Handler())
+	t.Cleanup(srv.Close)
+	for _, rec := range []UsageRecord{viewRecord(t, ob, 200, "b-0"), viewRecord(t, oa, 100, "a-0")} {
+		if code := postRecord(t, srv.URL, rec); code != http.StatusAccepted {
+			t.Fatalf("%s record: /record answered %d", rec.Provider, code)
+		}
+	}
+	if n, err := p.Flush(sa.URL + "/"); err != nil || n != 1 {
+		t.Errorf("flush A = %d, %v; want 1, nil", n, err)
+	}
+	if acct := oa.AccountingFor("peer-a"); acct.CreditedBytes != 100 || acct.Rejected != 0 {
+		t.Errorf("A after its flush: credited %d, rejected %d; want 100, 0", acct.CreditedBytes, acct.Rejected)
+	}
+	if got := p.PendingRecords(); got != 1 {
+		t.Fatalf("%d records queued after flushing A, want B's 1", got)
+	}
+	p.CloseRecordSpool()
+
+	p2 := NewPeer("peer-a", 0)
+	signUp(p2)
+	if err := p2.AttachRecordSpool(dir); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(p2.CloseRecordSpool)
+	if got := p2.PendingRecords(); got != 1 {
+		t.Fatalf("%d records requeued after the restart, want B's 1", got)
+	}
+	if n, err := p2.Flush(sb.URL); err != nil || n != 1 {
+		t.Fatalf("flush B = %d, %v; want 1, nil", n, err)
+	}
+	if acct := ob.AccountingFor("peer-a"); acct.CreditedBytes != 200 || acct.Rejected != 0 {
+		t.Errorf("B after its flush: credited %d, rejected %d; want 200, 0", acct.CreditedBytes, acct.Rejected)
+	}
+	if acct := oa.AccountingFor("peer-a"); acct.CreditedBytes != 100 || acct.Rejected != 0 {
+		t.Errorf("A after B's flush: credited %d, rejected %d; want 100, 0", acct.CreditedBytes, acct.Rejected)
+	}
+}
+
+// TestFlushToUnknownOriginSendsNothing: /flush names the URL a peer
+// uploads to, so a URL no provider signed the peer up at must not drain it.
+// Flush refuses it, GET /flush answers 400, no request is sent, and the
+// queue, the spool bytes and the backoff gate are as they were.
+func TestFlushToUnknownOriginSendsNothing(t *testing.T) {
+	var requests atomic.Int32
+	sink := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+		w.WriteHeader(http.StatusOK)
+	}))
+	t.Cleanup(sink.Close)
+	s := newTestSite(t, 1)
+	if _, err := s.loader.LoadPage("home"); err != nil {
+		t.Fatal(err)
+	}
+	p := s.peers[0]
+	dir := t.TempDir()
+	if err := p.AttachRecordSpool(dir); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(p.CloseRecordSpool)
+	pending := p.PendingRecords()
+	if pending == 0 {
+		t.Fatal("no records to flush")
+	}
+	spooled, err := os.ReadFile(filepath.Join(dir, spoolFileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := p.Flush(sink.URL); !errors.Is(err, ErrUnknownOrigin) || n != 0 {
+		t.Errorf("Flush(sink) = %d, %v; want 0, ErrUnknownOrigin", n, err)
+	}
+	resp, err := http.Get(s.peerSrvs[0].URL + "/flush?origin=" + url.QueryEscape(sink.URL))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("GET /flush?origin=sink answered %d, want 400", resp.StatusCode)
+	}
+	if got := requests.Load(); got != 0 {
+		t.Errorf("the sink saw %d requests, want 0", got)
+	}
+	if got := p.PendingRecords(); got != pending {
+		t.Errorf("%d records queued, want %d", got, pending)
+	}
+	if after, err := os.ReadFile(filepath.Join(dir, spoolFileName)); err != nil || !bytes.Equal(after, spooled) {
+		t.Errorf("spool = %q (%v), want %q", after, err, spooled)
+	}
+	if n, err := p.Flush(s.originSrv.URL); err != nil || n != pending {
+		t.Errorf("flush to the signed-up origin = %d, %v; want %d, nil", n, err, pending)
+	}
+}
+
+// TestParentLoaderRecordSettles: a loader from before records traveled as
+// leaves posts the record as JSON. The peer takes it, queues its leaf, and
+// the origin credits it at the next flush.
+func TestParentLoaderRecordSettles(t *testing.T) {
+	s := newTestSite(t, 1)
+	p := s.peers[0]
+	w, err := s.origin.AssignWrapper("home", "parent-loader")
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := w.Keys[p.ID]
+	secret, err := hex.DecodeString(k.Secret)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := UsageRecord{Provider: w.Provider, PeerID: p.ID, KeyID: k.KeyID, Page: w.Page,
+		Bytes: 1000, Objects: 1, Nonce: auth.NewNonce(), IssuedAt: time.Now()}
+	rec.Sign(secret)
+	body, err := json.Marshal(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(s.peerSrvs[0].URL+"/record", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("a parent loader's record answered %d, want 202", resp.StatusCode)
+	}
+	if n, err := p.Flush(s.originSrv.URL); err != nil || n != 1 {
+		t.Fatalf("flush = %d, %v; want 1, nil", n, err)
+	}
+	if acct := s.origin.AccountingFor(p.ID); acct.CreditedBytes != 1000 || acct.Rejected != 0 {
+		t.Errorf("credited %d, rejected %d; want 1000, 0", acct.CreditedBytes, acct.Rejected)
+	}
+}
+
+// parentSpoolRecords are the records in testdata/parent_records.spool,
+// which the JSON-lines spool writer produced from them, one json.Marshal
+// per line, signed with "parent spool fixture key".
+func parentSpoolRecords() []UsageRecord {
+	recs := []UsageRecord{
+		{Provider: "example.com", PeerID: "peer-a", KeyID: "peer-a-tn1uy1-h-1", Page: "home",
+			Bytes: 30000, Objects: 5, Nonce: "n-0", IssuedAt: time.Date(2026, 10, 17, 14, 0, 0, 5, time.UTC),
+			Traceparent: "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01"},
+		{Provider: "example.com", PeerID: "peer-a", KeyID: "peer-a-tn1uy1-h-1", Page: "blog/<ü>&",
+			Bytes: 1 << 40, Objects: 7, Nonce: `n"1`, IssuedAt: time.Date(2026, 10, 17, 16, 0, 0, 0, time.FixedZone("", 2*3600))},
+		{Provider: "other.example", PeerID: "peer-a", KeyID: "peer-a-tn1uz0-2-3", Page: "index",
+			Bytes: 1, Objects: 1, Nonce: "n-2", IssuedAt: time.Date(2026, 10, 17, 14, 1, 0, 0, time.UTC)},
+	}
+	for i := range recs {
+		recs[i].Sign([]byte("parent spool fixture key"))
+	}
+	return recs
+}
+
+// TestParentSpoolRequeuesAsLeaves: a spool in the JSON-lines format peers
+// wrote before records traveled as leaves requeues each record as its leaf,
+// in order, and the compaction at attach leaves the file all leaves.
+func TestParentSpoolRequeuesAsLeaves(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "parent_records.spool"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range parentSpoolRecords() {
+		line, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Contains(raw, append(line, '\n')) {
+			t.Fatalf("the fixture does not hold %s", line)
+		}
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, spoolFileName), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	p := NewPeer("peer-a", 0)
+	if err := p.AttachRecordSpool(dir); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(p.CloseRecordSpool)
+	var want []string
+	for _, r := range parentSpoolRecords() {
+		want = append(want, string(r.LeafBytes()))
+	}
+	p.recordsMu.Lock()
+	got := slices.Clone(p.records)
+	p.recordsMu.Unlock()
+	if !slices.Equal(got, want) {
+		t.Fatalf("requeued %q, want %q", got, want)
+	}
+	after, err := os.ReadFile(filepath.Join(dir, spoolFileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(after) != strings.Join(want, "\n")+"\n" {
+		t.Errorf("spool after attach = %q, want the leaves, one a line", after)
+	}
+	for _, line := range strings.Split(string(after), "\n") {
+		if strings.HasPrefix(line, "{") {
+			t.Errorf("a JSON line survived the attach: %s", line)
+		}
 	}
 }

@@ -801,7 +801,8 @@ func (l *Loader) fetchChunks(ctx context.Context, gate fetchGate, sp *hpop.Span,
 }
 
 // deliverRecords signs and posts one usage record per peer that served
-// verified bytes. Deliveries fan out under the same gate as fetches. Each
+// verified bytes, as its leaf (LeafBytes): the bytes the peer queues and
+// uploads. Deliveries fan out under the same gate as fetches. Each
 // record is signed exactly once; retries re-post the same signed bytes, so
 // a delivery that succeeded but whose response was lost settles once at the
 // origin (the nonce cache rejects the duplicate) — accounting stays exact.
@@ -855,18 +856,14 @@ func (l *Loader) deliverRecords(ctx context.Context, gate fetchGate, parent *hpo
 			Traceparent: dsp.Context().Traceparent(),
 		}
 		rec.Sign(secret)
-		body, err := json.Marshal(rec)
-		if err != nil {
-			dsp.End()
-			continue
-		}
+		body := rec.LeafBytes()
 		wg.Add(1)
 		go func(dsp *hpop.Span, url string, body []byte) {
 			defer wg.Done()
 			defer dsp.End()
 			gate.enter()
 			defer gate.leave()
-			hdr := traceHeader(dsp, map[string]string{"Content-Type": "application/json"})
+			hdr := traceHeader(dsp, map[string]string{"Content-Type": "text/plain"})
 			if _, err := l.fetchBytes(ctx, http.MethodPost, url+"/record", hdr, body,
 				func(code int) bool { return code == http.StatusAccepted }, nil); err != nil {
 				dsp.SetError(err)

@@ -28,9 +28,13 @@ import (
 // settled. A refused batch moves no ledger row.
 var ErrBadBatch = errors.New("nocdn: settlement batch rejected")
 
+// anyLeaf is how a leaf is held: the bytes an upload carried, or the string a
+// peer queued.
+type anyLeaf interface{ string | []byte }
+
 // merkleLeaf hashes one leaf with the 0x00 domain prefix. buf is working
 // space, grown and returned, so hashing a batch's leaves reuses one buffer.
-func merkleLeaf(buf, data []byte) ([32]byte, []byte) {
+func merkleLeaf[L anyLeaf](buf []byte, data L) ([32]byte, []byte) {
 	buf = append(append(buf[:0], 0x00), data...)
 	return sha256.Sum256(buf), buf
 }
@@ -51,7 +55,9 @@ func emptyMerkleRoot() [32]byte {
 }
 
 // MerkleRoot computes the hex root over the leaves in order.
-func MerkleRoot(leaves [][]byte) string {
+func MerkleRoot(leaves [][]byte) string { return merkleRoot(leaves) }
+
+func merkleRoot[L anyLeaf](leaves []L) string {
 	if len(leaves) == 0 {
 		r := emptyMerkleRoot()
 		return hex.EncodeToString(r[:])
@@ -188,7 +194,7 @@ func EncodeBatch(b RecordBatch) ([]byte, error) {
 }
 
 // encodeLeaves serializes an upload of leaves under root.
-func encodeLeaves(peerID, root string, leaves [][]byte) ([]byte, error) {
+func encodeLeaves[L anyLeaf](peerID, root string, leaves []L) ([]byte, error) {
 	w := batchWire{PeerID: peerID, Root: root, Leaves: make([]string, len(leaves))}
 	for i, l := range leaves {
 		w.Leaves[i] = string(l)
@@ -196,13 +202,13 @@ func encodeLeaves(peerID, root string, leaves [][]byte) ([]byte, error) {
 	return json.Marshal(w)
 }
 
-// nextUpload encodes a prefix of leaves whose upload fits maxBatchBody,
-// halving the prefix until it does, and returns its length and body. It
-// takes at least one leaf: /record's 1 MiB cap keeps any one far under the
-// limit.
-func nextUpload(peerID string, leaves [][]byte) (int, []byte, error) {
+// nextUpload encodes a prefix of a peer's queued leaves whose upload fits
+// maxBatchBody, halving the prefix until it does, and returns its length and
+// body. It takes at least one leaf: /record's 1 MiB cap keeps any one far
+// under the limit.
+func nextUpload(peerID string, leaves []string) (int, []byte, error) {
 	for n := len(leaves); ; n /= 2 {
-		body, err := encodeLeaves(peerID, MerkleRoot(leaves[:n]), leaves[:n])
+		body, err := encodeLeaves(peerID, merkleRoot(leaves[:n]), leaves[:n])
 		if err != nil || len(body) <= maxBatchBody || n == 1 {
 			return n, body, err
 		}

@@ -171,15 +171,16 @@ func (r UsageRecord) canonicalCap() int {
 }
 
 // ErrFieldSeparator refuses a provider name, peer ID or page name holding
-// '|', the byte that separates a usage record's canonical fields: a leaf
-// must split back into exactly its record.
-var ErrFieldSeparator = errors.New("nocdn: name contains '|', the usage-record field separator")
+// '|', the byte that separates a usage record's canonical fields (a leaf
+// must split back into exactly its record), or '\n', the byte that
+// separates the leaves a peer spools.
+var ErrFieldSeparator = errors.New("nocdn: name contains '|' or '\\n', a usage-record separator")
 
 // CheckName refuses a name that could not travel as a field of a usage
 // record's leaf. The origin checks page and peer names as they are
 // registered; nocdnd checks its provider and peer flags.
 func CheckName(name string) error {
-	if strings.IndexByte(name, '|') >= 0 {
+	if strings.ContainsAny(name, "|\n") {
 		return fmt.Errorf("%w: %q", ErrFieldSeparator, name)
 	}
 	return nil

@@ -483,6 +483,7 @@ func TestFlushRetryAfterOriginOutage(t *testing.T) {
 	now = now.Add(time.Minute)
 	revived := httptest.NewServer(s.origin.Handler())
 	defer revived.Close()
+	s.peers[0].SignUp("example.com", revived.URL)
 	n, err := s.peers[0].Flush(revived.URL)
 	if err != nil || n != pending {
 		t.Fatalf("retry flush = %d, %v", n, err)
@@ -520,6 +521,7 @@ func TestFlushKeepsRecordsOnNotFound(t *testing.T) {
 		s.origin.Handler().ServeHTTP(w, r)
 	}))
 	defer front.Close()
+	s.peers[0].SignUp("example.com", front.URL)
 
 	if n, err := s.peers[0].Flush(front.URL); err == nil || n != 0 {
 		t.Fatalf("flush answered 404 = %d, %v; want 0 and an error", n, err)
@@ -558,8 +560,9 @@ func TestFlushKeepsRecordsOnOversizeBatch(t *testing.T) {
 	// name, at the head of the queue. (None can arrive through /record,
 	// whose 1 MiB cap keeps every leaf under the batch cap.)
 	p.recordsMu.Lock()
-	p.records = append([]UsageRecord{{Provider: "example.com", PeerID: p.ID,
-		Page: strings.Repeat("x", 9<<20), Bytes: 1, Nonce: auth.NewNonce()}}, p.records...)
+	huge := UsageRecord{Provider: "example.com", PeerID: p.ID,
+		Page: strings.Repeat("x", 9<<20), Bytes: 1, Nonce: auth.NewNonce()}
+	p.records = append([]string{string(huge.LeafBytes())}, p.records...)
 	p.recordsMu.Unlock()
 	pending := p.PendingRecords()
 	now := time.Now()

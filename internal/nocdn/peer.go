@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/url"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -32,8 +33,9 @@ const DefaultPeerFetchTimeout = 10 * time.Second
 // to exceed the origin's nonce horizon anyway).
 const DefaultMaxPendingRecords = 4096
 
-// maxRecordBody caps a POST /record body. JSON escaping at most sextuples a
-// record's bytes, so any one record's leaf uploads well under maxBatchBody.
+// maxRecordBody caps a POST /record body, and so the leaf queued from it.
+// JSON escaping at most sextuples a leaf's bytes, so any one leaf uploads
+// well under maxBatchBody.
 const maxRecordBody = 1 << 20
 
 // DefaultMaxInflight caps simultaneous proxy requests per peer. A home
@@ -46,6 +48,11 @@ const DefaultMaxInflight = 256
 // ErrFlushDeferred is returned by Flush while the backoff gate from a
 // previous failed upload is still closed; no network attempt was made.
 var ErrFlushDeferred = errors.New("nocdn: record flush deferred by backoff")
+
+// ErrUnknownOrigin is returned by Flush for a URL at which no provider
+// signed this peer up: nothing was sent, and the queue, the spool and the
+// backoff gate are as they were.
+var ErrUnknownOrigin = errors.New("nocdn: no provider signed up at this origin")
 
 // Peer is the HPoP-resident NoCDN edge: "a normal reverse proxy ... the
 // peer serves the requested object from its cache if available or, if not,
@@ -94,7 +101,7 @@ type Peer struct {
 	// state), which has its own lock so record drops never contend with
 	// content serving.
 	recordsMu sync.Mutex
-	records   []UsageRecord
+	records   []string // leaves (LeafBytes), oldest first
 	// flushFailures counts consecutive failed uploads; nextFlushAt is the
 	// backoff gate armed after each failure.
 	flushFailures int
@@ -314,6 +321,29 @@ func (p *Peer) SignUp(provider, originURL string) {
 	p.providers[provider] = strings.TrimSuffix(originURL, "/")
 }
 
+// originOf returns the origin URL SignUp registered for provider.
+func (p *Peer) originOf(provider string) (string, bool) {
+	p.providersMu.RLock()
+	defer p.providersMu.RUnlock()
+	origin, ok := p.providers[provider]
+	return origin, ok
+}
+
+// providersAt returns the providers SignUp registered at originURL, compared
+// with the trailing '/' trimmed as SignUp stores it.
+func (p *Peer) providersAt(originURL string) []string {
+	originURL = strings.TrimSuffix(originURL, "/")
+	p.providersMu.RLock()
+	defer p.providersMu.RUnlock()
+	var out []string
+	for name, origin := range p.providers {
+		if origin == originURL {
+			out = append(out, name)
+		}
+	}
+	return out
+}
+
 // Stats reports cache effectiveness and volume served.
 func (p *Peer) Stats() (hits, misses, servedBytes int64) {
 	return p.hits.Load(), p.misses.Load(), p.servedBytes.Load()
@@ -393,8 +423,8 @@ const maxOriginBody = DefaultDiskCacheBytes
 //
 //	GET  /proxy/PROVIDER/PATH   (Range supported)  -> content
 //	GET  /proxy/PROVIDER?o=PATH&h=HASH&...         -> a bundle of whole objects (bundle.go)
-//	POST /record                                   -> client drops a usage record
-//	GET  /flush?origin=URL                         -> upload records to the provider
+//	POST /record   (body: one record's leaf)       -> client drops a usage record
+//	GET  /flush?origin=URL                         -> upload the records of the providers signed up at URL
 //	GET  /health                                   -> saturation/queue self-report
 func (p *Peer) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -544,15 +574,21 @@ func (p *Peer) handleRecord(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var rec UsageRecord
-	if err := json.Unmarshal(body, &rec); err != nil {
-		http.Error(w, "bad record", http.StatusBadRequest)
-		return
+	// The leaf is queued, spooled and uploaded as it came. A record that
+	// could never settle is refused now rather than at the origin, where it
+	// would count against this peer, or sit queued until it is shed.
+	leaf, rec, err := parseRecordLine(body)
+	_, signed := p.originOf(rec.Provider)
+	switch {
+	case err != nil:
+		err = fmt.Errorf("record does not travel as a leaf: %w", err)
+	case rec.PeerID != p.ID:
+		err = fmt.Errorf("record names peer %q, not %q", rec.PeerID, p.ID)
+	case !signed:
+		err = fmt.Errorf("peer is not signed up for provider %q", rec.Provider)
 	}
-	// Refused now rather than at the origin, where its batch would answer
-	// 400 and take the honest records queued beside it along.
-	if _, err := parseLeaf(string(rec.LeafBytes())); err != nil {
-		http.Error(w, "record does not travel as a leaf: "+err.Error(), http.StatusBadRequest)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
 	sp := p.tracer.StartRemote("nocdn.peer", "receive_record", hpop.ExtractTraceparent(r.Header))
@@ -568,12 +604,12 @@ func (p *Peer) handleRecord(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "record queue full", http.StatusServiceUnavailable)
 		return
 	}
-	p.records = append(p.records, rec)
+	p.records = append(p.records, leaf)
 	// Spooled while still holding recordsMu so the append is ordered with
 	// any concurrent Flush compaction (rewrite also runs under recordsMu):
 	// a record accepted during a settling flush must land after the
 	// rewrite, not be erased by it or duplicated.
-	p.spool.append(rec)
+	p.spool.append(leaf)
 	p.recordsMu.Unlock()
 	w.WriteHeader(http.StatusAccepted)
 }
@@ -585,39 +621,58 @@ func (p *Peer) handleFlush(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	n, err := p.Flush(origin)
-	if errors.Is(err, ErrFlushDeferred) {
+	switch {
+	case errors.Is(err, ErrUnknownOrigin):
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	case errors.Is(err, ErrFlushDeferred):
 		w.Header().Set("Retry-After", "1")
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
 		return
-	}
-	if err != nil {
+	case err != nil:
 		http.Error(w, err.Error(), http.StatusBadGateway)
 		return
 	}
 	fmt.Fprintf(w, `{"uploaded":%d}`, n)
 }
 
-// Flush uploads accumulated records to the provider at originURL, returning
-// how many were settled. The queue goes up as consecutive Merkle-committed
-// batches, each under the origin's body limit, so no size of queue is ever
-// refused whole. A batch is cleared only on a settled decision — 2xx, or the
-// origin's 400 "rejected or replayed, do not retry"; settlement disputes are
-// the provider's ledger, not the peer's queue. Anything else (transport
-// failure, 5xx, a 415 from an origin that wants another batch shape, or a
-// 404/405/408/429 from a mis-routed URL or a proxy) decides nothing about
-// the records: Flush stops, the unsettled rest is requeued (capped at the
-// pending limit, oldest shed first) and a backoff gate opens, so further
-// Flush calls return ErrFlushDeferred without touching the network until it
-// expires and a dead origin is never hot-retried.
+// Flush uploads the queued records of the providers signed up at originURL,
+// returning how many were settled; the other providers' records stay queued
+// and spooled, in order. A URL no provider signed up at is refused with
+// ErrUnknownOrigin before anything is touched. The records go up as
+// consecutive Merkle-committed batches, each under the origin's body limit,
+// so no size of queue is ever refused whole. A batch is cleared only on a
+// settled decision — 2xx, or the origin's 400 "rejected or replayed, do not
+// retry"; settlement disputes are the provider's ledger, not the peer's
+// queue. Anything else (transport failure, 5xx, a 415 from an origin that
+// wants another batch shape, or a 404/405/408/429 from a mis-routed URL or a
+// proxy) decides nothing about the records: Flush stops, the unsettled rest
+// is requeued (capped at the pending limit, oldest shed first) and a backoff
+// gate opens, so further Flush calls return ErrFlushDeferred without
+// touching the network until it expires and a dead origin is never
+// hot-retried.
 func (p *Peer) Flush(originURL string) (int, error) {
+	providers := p.providersAt(originURL)
+	if len(providers) == 0 {
+		return 0, fmt.Errorf("%w: %s", ErrUnknownOrigin, originURL)
+	}
 	now := p.now()
 	p.recordsMu.Lock()
 	if now.Before(p.nextFlushAt) {
 		p.recordsMu.Unlock()
 		return 0, ErrFlushDeferred
 	}
-	batch := p.records
-	p.records = nil
+	batch := make([]string, 0, len(p.records))
+	others := p.records[:0]
+	for _, leaf := range p.records {
+		if slices.Contains(providers, leafProvider(leaf)) {
+			batch = append(batch, leaf)
+		} else {
+			others = append(others, leaf)
+		}
+	}
+	clear(p.records[len(others):])
+	p.records = others
 	p.recordsMu.Unlock()
 	if len(batch) == 0 {
 		return 0, nil
@@ -629,13 +684,12 @@ func (p *Peer) Flush(originURL string) (int, error) {
 	sp.SetLabel("records", strconv.Itoa(len(batch)))
 	defer sp.End()
 	start := time.Now()
-	leaves := recordLeaves(batch)
 	settled := 0
 	var err error
 	for len(batch) > 0 {
 		var n int
 		var body []byte
-		if n, body, err = nextUpload(p.ID, leaves); err != nil {
+		if n, body, err = nextUpload(p.ID, batch); err != nil {
 			break
 		}
 		var resp *http.Response
@@ -649,15 +703,15 @@ func (p *Peer) Flush(originURL string) (int, error) {
 			err = fmt.Errorf("nocdn: usage upload status %d", code)
 			break
 		}
-		batch, leaves = batch[n:], leaves[n:]
+		batch = batch[n:]
 		settled += n
 		p.recordsMu.Lock()
 		p.flushFailures = 0
 		p.nextFlushAt = time.Time{}
 		// The batch is settled: compact the spool down to the unsent rest
-		// and whatever arrived meanwhile, so a restart doesn't re-upload
-		// it. Runs under recordsMu so no handleRecord append can slip
-		// between the queue snapshot and the file swap.
+		// and whatever else is queued, so a restart doesn't re-upload it.
+		// Runs under recordsMu so no handleRecord append can slip between
+		// the queue snapshot and the file swap.
 		rest := p.records
 		if len(batch) > 0 {
 			rest = append(batch[:len(batch):len(batch)], p.records...)
@@ -671,13 +725,13 @@ func (p *Peer) Flush(originURL string) (int, error) {
 		return settled, nil
 	}
 	sp.SetError(err)
-	// Requeue the unsettled rest ahead of anything that arrived meanwhile,
-	// shed the oldest overflow, and arm the backoff gate.
+	// Requeue the unsettled rest ahead of everything else queued, shed the
+	// oldest overflow, and arm the backoff gate.
 	p.recordsMu.Lock()
 	p.records = append(batch, p.records...)
 	over := len(p.records) - p.maxPendingLocked()
 	if over > 0 {
-		p.records = append([]UsageRecord(nil), p.records[over:]...)
+		p.records = append([]string(nil), p.records[over:]...)
 		p.droppedRecords.Add(int64(over))
 	}
 	p.flushFailures++
@@ -696,6 +750,13 @@ func (p *Peer) Flush(originURL string) (int, error) {
 	}
 	p.metrics.Inc("nocdn.peer.flush_failures")
 	return settled, err
+}
+
+// leafProvider returns a queued leaf's provider, its field 1.
+func leafProvider(leaf string) string {
+	_, rest, _ := strings.Cut(leaf, "|")
+	provider, _, _ := strings.Cut(rest, "|")
+	return provider
 }
 
 // postRecords uploads one settlement batch. The flush span's context

@@ -477,9 +477,7 @@ func (s *objectServe) size() int64 {
 
 // newServe starts a serve of path for provider, as the request r asks.
 func (p *Peer) newServe(r *http.Request, provider, path, expect string) objectServe {
-	p.providersMu.RLock()
-	origin, signed := p.providers[provider]
-	p.providersMu.RUnlock()
+	origin, signed := p.originOf(provider)
 	return objectServe{origin: origin, provider: provider, path: path, expect: expect,
 		signed: signed, hdr: r.Header, start: time.Now()}
 }

@@ -8,7 +8,6 @@ package nocdn_test
 import (
 	"bytes"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -302,11 +301,7 @@ func TestForwardedRecordCostsOnlyItself(t *testing.T) {
 		Provider: w.Provider, PeerID: victim.ID, KeyID: key.KeyID, Page: w.Page,
 		Bytes: 1, Objects: 1, Nonce: "forged", IssuedAt: w.IssuedAt, Signature: "00",
 	}
-	body, err := json.Marshal(forged)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(s.peerURL(t, victim.ID)+"/record", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(s.peerURL(t, victim.ID)+"/record", "text/plain", bytes.NewReader(forged.LeafBytes()))
 	if err != nil {
 		t.Fatal(err)
 	}

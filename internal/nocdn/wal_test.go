@@ -767,7 +767,9 @@ func TestNonceWindowReanchoredOnRecovery(t *testing.T) {
 }
 
 // TestRecordSpoolRoundTrip: spooled records survive close/reopen, a torn
-// final line is dropped, and AttachRecordSpool requeues into the peer.
+// final line is dropped, and AttachRecordSpool requeues into the peer. The
+// tail is torn inside a leaf's signature, where the cut leaf still parses:
+// only its missing '\n' marks it torn.
 func TestRecordSpoolRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	s, loaded, err := openRecordSpool(dir, hpop.NewMetrics())
@@ -778,16 +780,21 @@ func TestRecordSpoolRoundTrip(t *testing.T) {
 		t.Fatalf("fresh spool loaded %d records", len(loaded))
 	}
 	for i := 0; i < 3; i++ {
-		s.append(UsageRecord{Provider: "x", PeerID: "peer-a", Bytes: int64(i + 1), Nonce: fmt.Sprintf("n%d", i)})
+		s.append(spoolLeaf(int64(i+1), fmt.Sprintf("n%d", i)))
 	}
 	s.close()
 
-	// Tear the tail mid-append.
+	// Tear the tail mid-append, inside the signature.
+	torn := spoolLeaf(4, "n3")
+	torn = torn[:len(torn)-10]
+	if _, err := parseLeaf(torn); err != nil {
+		t.Fatalf("the cut leaf does not parse (%v); the tear tests nothing", err)
+	}
 	f, err := os.OpenFile(filepath.Join(dir, spoolFileName), os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.WriteString(`{"provider":"x","peerId":"torn`)
+	f.WriteString(torn)
 	f.Close()
 
 	s2, loaded, err := openRecordSpool(dir, hpop.NewMetrics())
@@ -798,11 +805,18 @@ func TestRecordSpoolRoundTrip(t *testing.T) {
 	if len(loaded) != 3 {
 		t.Fatalf("reloaded %d records, want 3 (torn tail dropped)", len(loaded))
 	}
-	for i, r := range loaded {
-		if r.Bytes != int64(i+1) {
-			t.Fatalf("record %d holds bytes %d, want %d (order lost)", i, r.Bytes, i+1)
+	for i, leaf := range loaded {
+		if want := spoolLeaf(int64(i+1), fmt.Sprintf("n%d", i)); leaf != want {
+			t.Fatalf("leaf %d is %q, want %q (order lost)", i, leaf, want)
 		}
 	}
+}
+
+// spoolLeaf is the leaf of a signed record for provider x at peer-a.
+func spoolLeaf(n int64, nonce string) string {
+	rec := UsageRecord{Provider: "x", PeerID: "peer-a", Bytes: n, Nonce: nonce}
+	rec.Sign([]byte("spool test key"))
+	return string(rec.LeafBytes())
 }
 
 // TestPeerAttachRecordSpoolRequeues: a peer booted over an existing spool
@@ -815,7 +829,7 @@ func TestPeerAttachRecordSpoolRequeues(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		s.append(UsageRecord{Provider: "x", PeerID: "peer-a", Bytes: int64(i), Nonce: fmt.Sprintf("n%d", i)})
+		s.append(spoolLeaf(int64(i), fmt.Sprintf("n%d", i)))
 	}
 	s.close()
 
