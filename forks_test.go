@@ -30,8 +30,12 @@ import (
 // table, no shards or sequence counter for it, no sweep, and no ledger
 // methods that mint, read, restore or list key rows. A record travels as
 // its leaf from the loader to the origin: loader.go, peer.go and spool.go
-// encode or decode no record as JSON (legacyrecords.go alone reads the older
-// shape).
+// encode or decode no record as JSON, and nothing reads the older JSON
+// shape. Recovery reads one release back and refuses the rest: internal/nocdn
+// keeps no reader of pre-upgrade key rows or JSON records, no key secret
+// carried in a row, no audit_flag replay or ledger flag, and no counter of
+// skipped journal records, and internal/hpop keeps no audit flag in its
+// health registry.
 func TestDeletedForksStayDeleted(t *testing.T) {
 	scorer := regexp.MustCompile(`welford|scoreLocked|rescoreAll|nocdn\.audit\.peer\.|tamper_flags|DefaultAudit(Threshold|MinRecords)|populationMeanBytes`)
 	recordJSON := regexp.MustCompile(`json\.(Marshal|Unmarshal|NewDecoder)\((rec|recs|record|records|leaf|leaves|body|line|r\.Body)\b|json\.\w+\(.*&(rec|recs|record|records)\b`)
@@ -52,6 +56,8 @@ func TestDeletedForksStayDeleted(t *testing.T) {
 		{"internal/nocdn/loader.go", recordJSON},
 		{"internal/nocdn/peer.go", recordJSON},
 		{"internal/nocdn/spool.go", regexp.MustCompile(`json\.`)},
+		{"internal/nocdn", regexp.MustCompile(`legacyKeys|legacyLeaf|SecretHex|walAuditFlagRec|unknown_records|\(l \*ledger\) flag\(`)},
+		{"internal/hpop", regexp.MustCompile(`SetFlagged|\.flagged\b`)},
 	} {
 		err := filepath.WalkDir(c.root, func(path string, d fs.DirEntry, err error) error {
 			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {

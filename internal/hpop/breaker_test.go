@@ -193,15 +193,6 @@ func TestHealthRegistryGatingAndRank(t *testing.T) {
 		t.Fatalf("rank = %v, want [b c a]", got)
 	}
 
-	// Flagged peers sink below everything even with closed breakers.
-	r.SetFlagged("b", true)
-	if got := r.Rank([]string{"b", "c"}); got[0] != "c" {
-		t.Fatalf("rank with flagged b = %v, want c first", got)
-	}
-	if r.Healthy("b") {
-		t.Fatal("flagged peer must not be healthy")
-	}
-
 	// Half-open probe cycle re-admits a.
 	clk.advance(2 * time.Second)
 	for i := 0; i < 2; i++ {
@@ -269,7 +260,6 @@ func TestHealthRegistrySnapshotAndHandler(t *testing.T) {
 	}
 	nilReg.RecordSuccess("x", 0)
 	nilReg.RecordFailure("x")
-	nilReg.SetFlagged("x", true)
 	if got := nilReg.Rank([]string{"b", "a"}); got[0] != "b" {
 		t.Fatalf("nil Rank reordered: %v", got)
 	}
@@ -362,13 +352,5 @@ func TestHealthRegistryProbeDuePromotesInRank(t *testing.T) {
 	// The probe-due peer is promoted so real traffic canaries it.
 	if got := r.Rank([]string{"steady", "flaky"}); got[0] != "flaky" {
 		t.Fatalf("probe-due peer not promoted: %v", got)
-	}
-	// Flagged peers are never promoted.
-	r.SetFlagged("flaky", true)
-	if r.ProbeDue("flaky") {
-		t.Fatal("flagged peer reported probe-due")
-	}
-	if got := r.Rank([]string{"steady", "flaky"}); got[0] != "steady" {
-		t.Fatalf("flagged peer promoted: %v", got)
 	}
 }

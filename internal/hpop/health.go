@@ -8,11 +8,11 @@ import (
 	"time"
 )
 
-// HealthRegistry aggregates per-peer health: circuit-breaker state, audit
-// flags, recent latency quantiles, and reported saturation. It is the shared
-// source of truth the self-healing loop acts on — the loader gates and
-// re-ranks peer selection on it, the origin ejects unhealthy peers from new
-// wrapper maps, and /debug/health serves its snapshot.
+// HealthRegistry aggregates per-peer health: circuit-breaker state, recent
+// latency quantiles, and reported saturation. It is the shared source of
+// truth the self-healing loop acts on — the loader gates and re-ranks peer
+// selection on it, the origin ejects unhealthy peers from new wrapper maps,
+// and /debug/health serves its snapshot.
 //
 // Like Metrics and Tracer, every method is nil-receiver safe: a component
 // without a registry behaves as if every peer were healthy.
@@ -29,7 +29,6 @@ type HealthRegistry struct {
 type peerHealth struct {
 	breaker    *Breaker
 	latency    *Histogram
-	flagged    bool
 	saturation float64
 	lastReport time.Time
 
@@ -174,28 +173,6 @@ func (r *HealthRegistry) RecordFallback(id string) {
 	r.observe(id, ph, before)
 }
 
-// SetFlagged marks (or clears) a peer's audit flag. Flagged peers rank last
-// and are never Healthy, independent of breaker state.
-func (r *HealthRegistry) SetFlagged(id string, flagged bool) {
-	if r == nil || id == "" {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.get(id).flagged = flagged
-}
-
-// Flagged reports a peer's audit flag.
-func (r *HealthRegistry) Flagged(id string) bool {
-	if r == nil || id == "" {
-		return false
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	ph, ok := r.peers[id]
-	return ok && ph.flagged
-}
-
 // ReportSaturation records a peer's self-reported load (inflight/capacity;
 // >= 1 means the peer is shedding).
 func (r *HealthRegistry) ReportSaturation(id string, sat float64) {
@@ -223,8 +200,8 @@ func (r *HealthRegistry) State(id string) BreakerState {
 	return ph.breaker.State()
 }
 
-// Healthy reports whether a peer is fully admittable: breaker closed and not
-// audit-flagged. Unknown peers are healthy.
+// Healthy reports whether a peer is fully admittable: its breaker is
+// closed. Unknown peers are healthy.
 func (r *HealthRegistry) Healthy(id string) bool {
 	if r == nil || id == "" {
 		return true
@@ -235,12 +212,11 @@ func (r *HealthRegistry) Healthy(id string) bool {
 	if !ok {
 		return true
 	}
-	return ph.breaker.State() == BreakerClosed && !ph.flagged
+	return ph.breaker.State() == BreakerClosed
 }
 
 // ProbeDue reports whether the peer's breaker would admit a recovery probe
-// right now (never true for flagged peers — audit flags are cleared by the
-// origin, not by traffic).
+// right now.
 func (r *HealthRegistry) ProbeDue(id string) bool {
 	if r == nil || id == "" {
 		return false
@@ -248,23 +224,20 @@ func (r *HealthRegistry) ProbeDue(id string) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	ph, ok := r.peers[id]
-	if !ok || ph.flagged {
-		return false
-	}
-	return ph.breaker.ProbeDue()
+	return ok && ph.breaker.ProbeDue()
 }
 
-// Rank reorders peer IDs by health: closed before half-open before open,
-// unflagged before flagged. The sort is stable and health state is the ONLY
-// key, so equally healthy peers keep their incoming (wrapper) order — the
-// origin's assignment balances load across peers, and re-ranking healthy
-// peers by anything else (latency, say) would concentrate every request on
-// one peer and starve the others of the traffic their health signal needs.
+// Rank reorders peer IDs by health: closed before half-open before open.
+// The sort is stable and health state is the ONLY key, so equally healthy
+// peers keep their incoming (wrapper) order — the origin's assignment
+// balances load across peers, and re-ranking healthy peers by anything else
+// (latency, say) would concentrate every request on one peer and starve the
+// others of the traffic their health signal needs.
 //
-// One deliberate inversion: an unflagged peer whose breaker is due for a
-// probe ranks FIRST. Half-open recovery is traffic-driven, and a peer that
-// ranks last never sees traffic while its replicas keep succeeding — it
-// would stay open forever. Promoting it steers exactly one real request at
+// One deliberate inversion: a peer whose breaker is due for a probe ranks
+// FIRST. Half-open recovery is traffic-driven, and a peer that ranks last
+// never sees traffic while its replicas keep succeeding — it would stay
+// open forever. Promoting it steers exactly one real request at
 // it per cooldown (the probe budget gates the rest), which is the canary
 // that either re-admits the peer or re-opens the breaker.
 func (r *HealthRegistry) Rank(ids []string) []string {
@@ -279,20 +252,16 @@ func (r *HealthRegistry) Rank(ids []string) []string {
 		if !ok {
 			return 0
 		}
-		if !ph.flagged && ph.breaker.ProbeDue() {
+		if ph.breaker.ProbeDue() {
 			return -1
 		}
-		k := 0
 		switch ph.breaker.State() {
 		case BreakerHalfOpen:
-			k = 1
+			return 1
 		case BreakerOpen:
-			k = 2
+			return 2
 		}
-		if ph.flagged {
-			k += 3
-		}
-		return k
+		return 0
 	}
 	sort.SliceStable(out, func(i, j int) bool { return key(out[i]) < key(out[j]) })
 	return out
@@ -305,7 +274,6 @@ type PeerHealth struct {
 	FailureRate float64   `json:"failureRate"`
 	Samples     int       `json:"samples"`
 	Opens       int64     `json:"opens"`
-	Flagged     bool      `json:"flagged"`
 	Saturation  float64   `json:"saturation"`
 	LatencyP50  float64   `json:"latencyP50Seconds"`
 	LatencyP99  float64   `json:"latencyP99Seconds"`
@@ -336,7 +304,6 @@ func (r *HealthRegistry) Snapshot() HealthSnapshot {
 			FailureRate: rate,
 			Samples:     samples,
 			Opens:       ph.breaker.Opens(),
-			Flagged:     ph.flagged,
 			Saturation:  ph.saturation,
 			LatencyP50:  ph.latency.Quantile(0.5),
 			LatencyP99:  ph.latency.Quantile(0.99),

@@ -42,8 +42,8 @@ type ServiceContext struct {
 	Tracer *Tracer
 	// Events is the appliance event log.
 	Events *EventLog
-	// Health is the shared peer-health registry (breaker state, audit
-	// flags, latency quantiles), served at /debug/health.
+	// Health is the shared peer-health registry (breaker state, latency
+	// quantiles, saturation), served at /debug/health.
 	Health *HealthRegistry
 	// Config is the appliance configuration.
 	Config Config

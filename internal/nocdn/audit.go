@@ -22,9 +22,8 @@ type peerAudit struct {
 	Rejects int64  `json:"rejects"`
 	Replays int64  `json:"replays"`
 	Bytes   int64  `json:"bytes"`
-	Flagged bool   `json:"flagged,omitempty"`
-	// Offending holds trace IDs of rejected records (bounded), so a flagged
-	// peer's misbehaviour links straight back to the page views involved.
+	// Offending holds trace IDs of rejected records (bounded), so a peer's
+	// rejected records link straight back to the page views involved.
 	Offending []string `json:"offending,omitempty"`
 }
 
@@ -35,9 +34,7 @@ type peerAudit struct {
 // rejected record earns nothing, so it is evidence, not a verdict. The one
 // verdict, over-claiming against the assigned floor, is the ledger's, taken
 // as it applies the batch to its uploader's row alone, so a peer's row
-// never moves because of another peer's traffic. A row's flag comes only
-// from a replayed audit_flag journal record or snapshot, written while
-// settlement still flagged peers.
+// never moves because of another peer's traffic.
 type Auditor struct {
 	ledger  *ledger
 	metrics *hpop.Metrics
@@ -59,8 +56,9 @@ func (a *Auditor) SetTracer(t *hpop.Tracer) {
 }
 
 // auditState is the audit section of a snapshot: the evidence half of every
-// row that has any. Snapshots written before the statistical scorer was
-// removed also carry "pop" and per-peer "stats"; decoding ignores them.
+// row that has any. Older snapshots also carry "pop", and per-peer "stats"
+// and "flagged"; decoding ignores them. A flagged peer's suspension is in
+// its ledger row, and only that keeps it out of the maps.
 type auditState struct {
 	Peers []peerAudit `json:"peers"`
 }
@@ -125,7 +123,7 @@ type PeerAudit struct {
 	Rejects     int64    `json:"rejects"`
 	Replays     int64    `json:"replays"`
 	ClaimedByte int64    `json:"claimedBytes"`
-	Flagged     bool     `json:"flagged"`
+	Flagged     bool     `json:"flagged"` // always false: nothing flags a peer
 	Offending   []string `json:"offendingTraces,omitempty"`
 }
 
@@ -134,9 +132,8 @@ type AuditSnapshot struct {
 	Peers []PeerAudit `json:"peers"`
 }
 
-// Snapshot returns the current audit state: flagged peers first, then by
-// descending rejects, ties by ID, so the peer to look at leads and the
-// output is deterministic.
+// Snapshot returns the current audit state by descending rejects, ties by
+// ID, so the peer to look at leads and the output is deterministic.
 func (a *Auditor) Snapshot() AuditSnapshot {
 	if a == nil {
 		return AuditSnapshot{Peers: []PeerAudit{}}
@@ -150,15 +147,11 @@ func (a *Auditor) Snapshot() AuditSnapshot {
 			Rejects:     pa.Rejects,
 			Replays:     pa.Replays,
 			ClaimedByte: pa.Bytes,
-			Flagged:     pa.Flagged,
 			Offending:   pa.Offending,
 		})
 	}
 	sort.Slice(snap.Peers, func(i, j int) bool {
 		pi, pj := snap.Peers[i], snap.Peers[j]
-		if pi.Flagged != pj.Flagged {
-			return pi.Flagged
-		}
 		if pi.Rejects != pj.Rejects {
 			return pi.Rejects > pj.Rejects
 		}

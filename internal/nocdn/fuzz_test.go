@@ -6,7 +6,9 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -20,12 +22,14 @@ import (
 
 	"hpop/internal/auth"
 	"hpop/internal/hpop"
+	"hpop/internal/sim"
 )
 
 // FuzzRecordLine hardens the line parser that a peer's /record and its
 // spool share: arbitrary bytes must never panic; nothing holding '\n' is
-// accepted; an accepted leaf is byte for byte the LeafBytes of its parse and
-// the input itself; and an accepted JSON record yields a leaf that parses.
+// accepted, and nothing starting with '{' (the JSON shape older loaders
+// posted and older peers spooled); and an accepted leaf is byte for byte
+// the LeafBytes of its parse and the input itself.
 func FuzzRecordLine(f *testing.F) {
 	traced := UsageRecord{Provider: "example.com", PeerID: "peer-a", KeyID: "peer-a-3", Page: "blog/<ü>",
 		Bytes: 1 << 40, Objects: 7, Nonce: "n\"1", IssuedAt: time.Date(2026, 10, 17, 2, 42, 35, 5, time.UTC),
@@ -52,15 +56,14 @@ func FuzzRecordLine(f *testing.F) {
 		if bytes.IndexByte(line, '\n') >= 0 || strings.IndexByte(leaf, '\n') >= 0 {
 			t.Fatalf("accepted %q as the leaf %q: a newline got through", line, leaf)
 		}
+		if line[0] == '{' {
+			t.Fatalf("accepted the JSON-shaped line %q", line)
+		}
 		if got := string(rec.LeafBytes()); got != leaf {
 			t.Fatalf("leaf %q re-encodes as %q", leaf, got)
 		}
-		if line[0] != '{' {
-			if leaf != string(line) {
-				t.Fatalf("leaf %q is not the line %q", leaf, line)
-			}
-		} else if _, err := parseLeaf(leaf); err != nil {
-			t.Fatalf("the JSON record %q became %q, which does not parse: %v", line, leaf, err)
+		if leaf != string(line) {
+			t.Fatalf("leaf %q is not the line %q", leaf, line)
 		}
 	})
 }
@@ -117,13 +120,12 @@ func FuzzDecodeRecords(f *testing.F) {
 // the uploader's row, with every leaf it submitted either credited or
 // counted in its Rejected. A reference check bounds the credit: no more
 // leaves, and no more bytes, are credited than the leaves that name the
-// uploader, are signed under HMAC(HMAC(origin secret, key ID), prefix) — or
-// under their pre-upgrade key row's secret — and claim no more than the
-// budget their key ID parses to, before its expiry. Seeds: an honest batch,
-// one forged leaf among honest ones, a root mismatch, an unregistered
-// uploader, the honest key ID with its budget, expiry or build raised and
-// re-signed with the honest secret, a record under a pre-upgrade key, and a
-// key ID that does not parse.
+// uploader, are signed under HMAC(HMAC(origin secret, key ID), prefix), and
+// claim no more than the budget their key ID parses to, before its expiry.
+// Seeds: an honest batch, one forged leaf among honest ones, a root
+// mismatch, an unregistered uploader, the honest key ID with its budget,
+// expiry or build raised and re-signed with the honest secret, and a key ID
+// that does not parse.
 func FuzzSettleLeaves(f *testing.F) {
 	o := controlOrigin(f, 4)
 	w, err := o.AssignWrapper("p", "fuzz")
@@ -131,10 +133,6 @@ func FuzzSettleLeaves(f *testing.F) {
 		f.Fatal(err)
 	}
 	peer := anyPeer(w)
-	legacySecret := []byte("a pre-upgrade key's secret......")
-	legacy := keyRow{ID: peer + "-1", PeerID: peer, SecretHex: hex.EncodeToString(legacySecret),
-		Expires: time.Now().Add(time.Hour).UnixNano(), MaxBytes: 10}
-	o.legacyKeys.restore([]keyRow{legacy}, time.Now().UnixNano())
 	leaves := func(records ...UsageRecord) string {
 		out := make([]string, len(records))
 		for i, r := range records {
@@ -167,28 +165,20 @@ func FuzzSettleLeaves(f *testing.F) {
 		r.Sign(honestSecret)
 		f.Add(peer, leaves(r), true)
 	}
-	parent := UsageRecord{Provider: "x", PeerID: peer, KeyID: legacy.ID, Page: "p", Bytes: 10, Objects: 1,
-		Nonce: "parent", IssuedAt: time.Now()}
-	parent.Sign(legacySecret)
 	unparsed := signedRecord(f, w, peer, 10, "unparsed")
 	unparsed.KeyID = "not-a-key"
 	unparsed.Sign(honestSecret)
-	f.Add(peer, leaves(parent, unparsed), true)
+	f.Add(peer, leaves(unparsed), true)
 	// admitted is the reference check of one leaf from uploader.
 	admitted := func(uploader string, leaf []byte) (int64, bool) {
 		r, err := parseLeaf(string(leaf))
 		if err != nil || r.Provider != o.Provider || r.PeerID != uploader {
 			return 0, false
 		}
-		k, ok := o.legacyKeys[r.KeyID]
-		var secret []byte
-		if ok {
-			secret, _ = hex.DecodeString(k.SecretHex)
-		} else if k, ok = parseKeyID(r.KeyID); ok {
-			mac := hmac.New(sha256.New, o.keySecret)
-			mac.Write([]byte(r.KeyID))
-			secret = mac.Sum(nil)
-		}
+		k, ok := parseKeyID(r.KeyID)
+		mac := hmac.New(sha256.New, o.keySecret)
+		mac.Write([]byte(r.KeyID))
+		secret := mac.Sum(nil)
 		prefix := leaf[:bytes.LastIndexByte(leaf, '|')]
 		if !ok || k.PeerID != r.PeerID || auth.Verify(secret, prefix, r.Signature) != nil {
 			return 0, false
@@ -356,6 +346,55 @@ func FuzzWALDecode(f *testing.F) {
 		again := encodeWALFrame(fr.typ, fr.seq, fr.payload, walChain(chain, fr.typ, fr.seq, fr.payload))
 		if string(again) != string(data[:n]) {
 			t.Fatal("decoded frame does not re-encode to its own bytes")
+		}
+	})
+}
+
+// FuzzStateRecovery hardens recovery against the state dir it boots on:
+// fuzzed snapshot state, sealed so that its bytes reach the decoder when
+// they are JSON, and
+// one journal frame of a fuzzed kind and payload, written through
+// openControlWAL. AttachWAL must never panic, and whenever it refuses with
+// errStateFormat or errWALUnrecoverable, every file in the dir keeps its
+// name and bytes. Inputs past 4 KiB are skipped.
+func FuzzStateRecovery(f *testing.F) {
+	live, err := json.Marshal(controlOrigin(f, 3).captureState(0, [32]byte{}))
+	if err != nil {
+		f.Fatal(err)
+	}
+	future := time.Now().Add(time.Hour).UnixNano()
+	register := []byte(`{"id":"peer-09","url":"http://peer-09","rtt":10,"assignEpoch":9}`)
+	f.Add(live, byte(walPeerRegister), register)
+	f.Add([]byte(fmt.Sprintf(`{"seq":0,"keys":[{"id":"peer-00-1","expiresUnixNano":%d}],"audit":{"peers":[]}}`, future)),
+		byte(walPeerRegister), register)
+	f.Add([]byte(`{"seq":1,"audit":{"peers":[{"peerId":"peer-00","records":1,"flagged":true}]}}`), byte(99), []byte(`{}`))
+	f.Add([]byte(nil), byte(5), []byte(`{"id":"peer-00","cause":"audit_flag","assignEpoch":3}`))
+	f.Add([]byte(nil), byte(99), []byte(`{"from":"a newer release"}`))
+	f.Add([]byte(nil), byte(walKeysIssued), []byte(fmt.Sprintf(`{"keys":[{"expiresUnixNano":%d}],"assigned":{"peer-00":700}}`, future)))
+	f.Add([]byte(nil), byte(walSettle), []byte(`{"peerId":"peer-00","credits":{"peer-00":100},"audit":[{"peerId":"peer-00","records":1}]}`))
+	f.Fuzz(func(t *testing.T, state []byte, kind byte, payload []byte) {
+		if len(state) > 4<<10 || len(payload) > 4<<10 {
+			return
+		}
+		dir := t.TempDir()
+		if len(state) > 0 && writeSnapshotFile(dir, 1, state) != nil {
+			// Bytes that are not JSON cannot be sealed: the file holds them
+			// as they are, a snapshot that fails its check.
+			if err := os.WriteFile(filepath.Join(dir, snapFileName(1)), state, 0o600); err != nil {
+				t.Fatal(err)
+			}
+		}
+		writeParentJournal(t, dir, parentRecord{walRecType(kind), payload})
+		before := dirFiles(t, dir)
+		o := NewOrigin("x", WithRNG(sim.NewRNG(7)))
+		_, err := o.AttachWAL(dir, WALOptions{Fsync: FsyncNever, SnapshotEvery: -1})
+		switch {
+		case err == nil:
+			o.wal.close()
+		case errors.Is(err, errStateFormat), errors.Is(err, errWALUnrecoverable):
+			if after := dirFiles(t, dir); !maps.Equal(after, before) {
+				t.Fatalf("refused with %v, and the dir changed", err)
+			}
 		}
 	})
 }

@@ -22,14 +22,25 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/settlemen
 // goldenAt is the fixed clock of the golden settlement history.
 var goldenAt = time.Unix(1_700_000_000, 0)
 
-// goldenBoot opens an origin on the golden history's clock and a fixed
-// origin secret, journal in dir, and publishes its one page. A journal that
-// holds a secret already keeps it.
-func goldenBoot(t *testing.T, dir string) (*Origin, RecoveryStats) {
-	t.Helper()
+// goldenOrigin is an origin on the golden history's clock and a fixed
+// origin secret.
+func goldenOrigin() *Origin {
 	o := NewOrigin("x", WithRNG(sim.NewRNG(7)), WithClock(func() time.Time { return goldenAt }))
 	o.setKeySecret([]byte("the golden history's origin key."))
-	stats, err := o.AttachWAL(dir, WALOptions{Fsync: FsyncAlways, SnapshotEvery: -1})
+	return o
+}
+
+// goldenAttach attaches the golden history's journal options to o in dir.
+func goldenAttach(o *Origin, dir string) (RecoveryStats, error) {
+	return o.AttachWAL(dir, WALOptions{Fsync: FsyncAlways, SnapshotEvery: -1})
+}
+
+// goldenBoot opens a goldenOrigin, journal in dir, and publishes its one
+// page. A journal that holds a secret already keeps it.
+func goldenBoot(t *testing.T, dir string) (*Origin, RecoveryStats) {
+	t.Helper()
+	o := goldenOrigin()
+	stats, err := goldenAttach(o, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,8 +80,9 @@ func goldenCapture(out *bytes.Buffer, o *Origin, label string, peers []string) {
 // testdata/settlement_golden.txt is the capture of the writer before
 // settlement verified every record, settlement_golden_v2.txt the one before
 // the audit flag writer was deleted, and settlement_golden_v3.txt the one
-// before keys derived from the origin secret; TestParentSettlementGoldenReplays
-// keeps their journals replaying to the same answers.
+// before keys derived from the origin secret. This release reads none of
+// their journals, and TestParentSettlementGoldenReplays keeps each refusing.
+// The v4 journal is the one this writer and its parent both write.
 //
 // Regenerate with: go test ./internal/nocdn -run TestSettlementFormatsGolden -update-golden
 func TestSettlementFormatsGolden(t *testing.T) {
@@ -258,28 +270,54 @@ func settlementHistory(t *testing.T) []byte {
 	return normalizeHex(out.Bytes())
 }
 
-// TestParentSettlementGoldenReplays: the journals of the parent writers
-// still replay. testdata/settlement_golden.txt was written while settlement
-// sampled leaves and flagged the uploader of a failed one;
-// settlement_golden_v2.txt while an audit flag could still be planted, and
-// it flags peer-04; settlement_golden_v3.txt while every key was a journaled
-// row, and it suspends peer-02. Each fixture's "journal N TYPE PAYLOAD"
-// lines are appended as they stand into an empty journal, an origin boots
-// on it, and its /debug/audit and /accounting answers match the fixture's
-// "replayed GET" lines byte for byte. A replayed flag or suspension still
-// ejects: that peer is in no fresh map. The payloads keep their normalized
-// "<hexN>" placeholders; replay reads them as opaque strings.
+// TestParentSettlementGoldenReplays: each fixture's "journal N TYPE PAYLOAD"
+// lines are appended as they stand into an empty journal, and an origin
+// boots on it. The payloads keep their normalized "<hexN>" placeholders;
+// replay reads them as opaque strings.
+//
+// State format window: this release reads what it and its parent write,
+// settlement_golden_v4.txt. That journal replays to /debug/audit and
+// /accounting answers that match the fixture's "replayed GET" lines byte
+// for byte, and its replayed suspension still ejects: peer-02 is in no
+// fresh map. The older writers' journals — settlement_golden.txt, written
+// while settlement sampled leaves and flagged the uploader of a failed one,
+// settlement_golden_v2.txt, while an audit flag could still be planted, and
+// settlement_golden_v3.txt, while every key was a journaled row — refuse
+// the boot with errStateFormat and leave the dir as it was. Each is refused
+// at its first keys_issued record, seq 6, whose key rows have not expired
+// at goldenAt; the first two also hold audit_flag records.
 func TestParentSettlementGoldenReplays(t *testing.T) {
 	for _, tc := range []struct {
-		fixture string
-		ejected []string
+		fixture   string
+		refusedAt uint64 // 0: the journal replays
+		ejected   []string
 	}{
-		{"settlement_golden.txt", []string{"peer-03", "peer-04"}},
-		{"settlement_golden_v2.txt", []string{"peer-04"}},
-		{"settlement_golden_v3.txt", []string{"peer-02"}},
+		{"settlement_golden.txt", 6, nil},
+		{"settlement_golden_v2.txt", 6, nil},
+		{"settlement_golden_v3.txt", 6, nil},
+		{"settlement_golden_v4.txt", 0, []string{"peer-02"}},
 	} {
 		t.Run(tc.fixture, func(t *testing.T) {
-			o := replayParentGolden(t, tc.fixture)
+			dir, want, ids := writeGoldenJournal(t, tc.fixture)
+			if tc.refusedAt != 0 {
+				before := dirFiles(t, dir)
+				_, err := goldenAttach(goldenOrigin(), dir)
+				assertRefused(t, err, dir, before)
+				if at := fmt.Sprintf(" seq %d: ", tc.refusedAt); !strings.Contains(err.Error(), at) {
+					t.Errorf("refusal %q is not at%s", err, at)
+				}
+				return
+			}
+			o, stats := goldenBoot(t, dir)
+			t.Cleanup(func() { o.wal.close() })
+			if stats.RecordsReplayed == 0 {
+				t.Fatal("nothing replayed")
+			}
+			var got bytes.Buffer
+			goldenCapture(&got, o, "replayed", ids)
+			if got.String() != want {
+				t.Fatalf("parent journal replays to\n%s\nwant\n%s", got.String(), want)
+			}
 			for c := 0; c < 32; c++ {
 				w, err := o.AssignWrapper("p", fmt.Sprintf("fresh-%d", c))
 				if err != nil {
@@ -295,31 +333,32 @@ func TestParentSettlementGoldenReplays(t *testing.T) {
 	}
 }
 
-// replayParentGolden appends one fixture's journal lines to an empty
-// journal, boots an origin on it, checks its answers against the fixture's
-// "replayed GET" lines, and returns the origin.
-func replayParentGolden(t *testing.T, fixtureName string) *Origin {
+// writeGoldenJournal appends one fixture's journal lines to an empty
+// journal in a new dir, and returns the dir, the fixture's "replayed GET"
+// lines and the peers they name. The fixture's record types are read by
+// name; audit_flag, retired, is kind 5.
+func writeGoldenJournal(t *testing.T, fixtureName string) (dir, want string, peers []string) {
 	t.Helper()
 	fixture, err := os.ReadFile(filepath.Join("testdata", fixtureName))
 	if err != nil {
 		t.Fatal(err)
 	}
-	types := make(map[string]walRecType)
+	types := map[string]walRecType{"audit_flag": 5}
 	for typ := walPeerRegister; typ <= walKeySecret; typ++ {
 		types[typ.String()] = typ
 	}
-	dir := t.TempDir()
+	dir = t.TempDir()
 	w, err := openControlWAL(dir, FsyncNever, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want bytes.Buffer
-	peers := make(map[string]bool)
+	var replayed strings.Builder
+	named := make(map[string]bool)
 	for _, line := range strings.SplitAfter(string(fixture), "\n") {
 		if rest, ok := strings.CutPrefix(line, "replayed GET "); ok {
-			want.WriteString(line)
+			replayed.WriteString(line)
 			if id, ok := strings.CutPrefix(rest, "/accounting?peer="); ok {
-				peers[id[:strings.IndexByte(id, ' ')]] = true
+				named[id[:strings.IndexByte(id, ' ')]] = true
 			}
 			continue
 		}
@@ -338,25 +377,14 @@ func replayParentGolden(t *testing.T, fixtureName string) *Origin {
 	if err := w.close(); err != nil {
 		t.Fatal(err)
 	}
-	if len(peers) == 0 {
+	if len(named) == 0 {
 		t.Fatal("the fixture has no replayed /accounting lines")
 	}
-	ids := make([]string, 0, len(peers))
-	for id := range peers {
-		ids = append(ids, id)
+	for id := range named {
+		peers = append(peers, id)
 	}
-	slices.Sort(ids)
-	o, stats := goldenBoot(t, dir)
-	t.Cleanup(func() { o.wal.close() })
-	if stats.RecordsReplayed == 0 {
-		t.Fatal("nothing replayed")
-	}
-	var got bytes.Buffer
-	goldenCapture(&got, o, "replayed", ids)
-	if got.String() != want.String() {
-		t.Fatalf("parent journal replays to\n%s\nwant\n%s", got.String(), want.String())
-	}
-	return o
+	slices.Sort(peers)
+	return dir, replayed.String(), peers
 }
 
 var hex64 = regexp.MustCompile(`[0-9a-f]{64}`)

@@ -22,13 +22,14 @@ func issueKey(o *Origin, peerID string, budget, build int64) PeerKey {
 	return d.issue(peerID, o.now().Add(keyTTL), budget, build)
 }
 
-// isFlagged reads the flag off a peer's ledger row.
+// isFlagged reads the flag off a peer's /debug/audit row.
 func isFlagged(o *Origin, id string) bool {
-	sh := o.ledger.shardFor(id)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	r := sh.rows[id]
-	return r != nil && r.Flagged
+	for _, pa := range o.Audit().Snapshot().Peers {
+		if pa.PeerID == id {
+			return pa.Flagged
+		}
+	}
+	return false
 }
 
 // TestKeyTableLookup: an issued key's ID names its peer, budget and expiry,
@@ -348,13 +349,6 @@ type parentRecord struct {
 	payload []byte
 }
 
-// parentKeysIssued is the keys_issued record a parent build wrote for a
-// map that named only k's peer: the key's row, and its assigned floor.
-func parentKeysIssued(k keyRow) parentRecord {
-	payload, _ := json.Marshal(walKeysIssuedRec{Keys: []keyRow{k}, Assigned: map[string]int64{k.PeerID: k.MaxBytes}})
-	return parentRecord{walKeysIssued, payload}
-}
-
 // writeParentJournal appends records to the journal in dir.
 func writeParentJournal(t testing.TB, dir string, recs ...parentRecord) {
 	t.Helper()
@@ -372,76 +366,64 @@ func writeParentJournal(t testing.TB, dir string, recs ...parentRecord) {
 	}
 }
 
-// TestParentKeysSettleAfterUpgrade: a key that a parent build minted — a
-// row with a random secret, in its journal or in its snapshot — still
-// settles a record after the upgrade boot, and again after a SnapshotNow and
-// a reboot. Past its expiry a record under it answers auth.ErrExpired, and
-// the first snapshot taken then holds no key row.
+// parentKeyRowJSON is the row in which a build before keys derived from
+// the origin secret journaled key peer-00-1, expiring at expires.
+func parentKeyRowJSON(expires time.Time) string {
+	return fmt.Sprintf(`{"id":"peer-00-1","peerId":"peer-00","secretHex":%q,"expiresUnixNano":%d,"maxBytes":700}`,
+		strings.Repeat("5a", 32), expires.UnixNano())
+}
+
+// TestParentKeysSettleAfterUpgrade: a key that a parent build minted is a
+// row with a random secret, in its journal or in its snapshot. This release
+// reads no secret from a row, so a row unexpired at boot refuses the boot
+// with errStateFormat, and every file in the dir stays as it was. An
+// expired row authorises nothing: the origin boots past it, and a record
+// under its key answers auth.ErrUnknownKey.
 func TestParentKeysSettleAfterUpgrade(t *testing.T) {
 	for _, from := range []string{"journal", "snapshot"} {
 		t.Run(from, func(t *testing.T) {
 			clock := newFleetClock()
 			dir := t.TempDir()
-			secret := []byte("a parent key's random secret....")
-			k := keyRow{ID: "peer-00-1", PeerID: "peer-00", SecretHex: hex.EncodeToString(secret),
-				Expires: clock.Now().Add(keyTTL).UnixNano(), MaxBytes: 700}
+			row := parentKeyRowJSON(clock.Now().Add(keyTTL))
 			if from == "journal" {
 				reg, _ := json.Marshal(walPeerRegisterRec{ID: "peer-00", URL: "http://peer-00", RTT: 10, AssignEpoch: 1})
-				writeParentJournal(t, dir, parentRecord{walPeerRegister, reg}, parentKeysIssued(k))
+				issued := fmt.Sprintf(`{"keys":[%s],"assigned":{"peer-00":700}}`, row)
+				writeParentJournal(t, dir, parentRecord{walPeerRegister, reg}, parentRecord{walKeysIssued, []byte(issued)})
 			} else {
-				state, err := json.Marshal(originSnapshot{
-					Seq: 2, ChainHex: strings.Repeat("00", 32), AssignEpoch: 1, TakenAt: clock.Now().UnixNano(),
-					Peers:  []snapPeer{{ID: "peer-00", URL: "http://peer-00", RTT: 10}},
-					Ledger: []ledgerRow{{ID: "peer-00", Assigned: 700, AssignCount: 1}},
-					Keys:   []keyRow{k},
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
+				state := fmt.Sprintf(`{"seq":2,"chainHex":%q,"contentEpoch":0,"assignEpoch":1,"takenAtUnixNano":%d,`+
+					`"peers":[{"id":"peer-00","url":"http://peer-00","rtt":10}],`+
+					`"ledger":[{"id":"peer-00","credited":0,"assigned":700,"rejected":0,"assignCount":1}],`+
+					`"keys":[%s],"nonces":null,"audit":{"peers":[]}}`,
+					strings.Repeat("00", 32), clock.Now().UnixNano(), row)
 				if err := os.MkdirAll(dir, 0o700); err != nil {
 					t.Fatal(err)
 				}
-				if err := writeSnapshotFile(dir, 2, state); err != nil {
+				if err := writeSnapshotFile(dir, 2, []byte(state)); err != nil {
 					t.Fatal(err)
 				}
 			}
-			boot := func() *Origin {
+			attach := func() (*Origin, error) {
 				o := NewOrigin("x", WithClock(clock.Now))
-				if _, err := o.AttachWAL(dir, WALOptions{Fsync: FsyncNever, SnapshotEvery: -1}); err != nil {
-					t.Fatal(err)
-				}
-				t.Cleanup(func() { o.wal.close() })
-				return o
-			}
-			settle := func(o *Origin, nonce string) (int, error) {
-				r := UsageRecord{Provider: "x", PeerID: "peer-00", KeyID: k.ID, Page: "p", Bytes: 100,
-					Objects: 1, Nonce: nonce, IssuedAt: clock.Now()}
-				r.Sign(secret)
-				return o.SettleBatch(NewRecordBatch("peer-00", []UsageRecord{r}))
+				_, err := o.AttachWAL(dir, WALOptions{Fsync: FsyncNever, SnapshotEvery: -1})
+				return o, err
 			}
 
 			clock.Advance(time.Minute)
-			o := boot()
-			if n, err := settle(o, "upgraded"); n != 1 {
-				t.Fatalf("after the upgrade boot: credited %d, %v", n, err)
-			}
-			if err := o.SnapshotNow(); err != nil {
-				t.Fatal(err)
-			}
-			o.wal.close()
-			o = boot()
-			if n, err := settle(o, "rebooted"); n != 1 {
-				t.Fatalf("after a snapshot and a reboot: credited %d, %v", n, err)
-			}
-			if got := o.AccountingFor("peer-00"); got.CreditedBytes != 200 || got.Suspended {
-				t.Fatalf("accounting %+v, want 200 bytes credited", got)
-			}
+			before := dirFiles(t, dir)
+			_, err := attach()
+			assertRefused(t, err, dir, before)
+
 			clock.Advance(keyTTL)
-			if n, err := settle(o, "late"); n != 0 || !errors.Is(err, auth.ErrExpired) {
-				t.Fatalf("past its expiry: credited %d, %v; want auth.ErrExpired", n, err)
+			o, err := attach()
+			if err != nil {
+				t.Fatalf("past the row's expiry: %v", err)
 			}
-			if keys := o.captureState(0, [32]byte{}).Keys; len(keys) != 0 {
-				t.Errorf("a snapshot past the key's expiry holds %v", keys)
+			t.Cleanup(func() { o.wal.close() })
+			r := UsageRecord{Provider: "x", PeerID: "peer-00", KeyID: "peer-00-1", Page: "p", Bytes: 100,
+				Objects: 1, Nonce: "late", IssuedAt: clock.Now()}
+			r.Sign([]byte(strings.Repeat("Z", 32)))
+			if n, err := o.SettleBatch(NewRecordBatch("peer-00", []UsageRecord{r})); n != 0 || !errors.Is(err, auth.ErrUnknownKey) {
+				t.Fatalf("a record under the expired row's key: credited %d, %v; want auth.ErrUnknownKey", n, err)
 			}
 		})
 	}

@@ -14,7 +14,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
-	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -263,10 +262,10 @@ func TestSettleVerifyAllocatesNothing(t *testing.T) {
 
 // TestLegacyBatchIs415: a body in the shape before leaves (testdata holds
 // one written by that version's EncodeBatch, its records under key
-// peer-00-1, which a journal in the parent's format holds, signed with
-// another secret) answers 415, never 400, and leaves no trace: nothing
-// journaled, credited, rejected or flagged. Its records still hash to its
-// root through today's LeafBytes, so the canonical form did not change.
+// peer-00-1) answers 415, never 400, and leaves no trace: nothing
+// journaled, credited, rejected or flagged. The 415 is decided before any
+// key is looked up. Its records still hash to its root through today's
+// LeafBytes, so the canonical form did not change.
 func TestLegacyBatchIs415(t *testing.T) {
 	body, err := os.ReadFile(filepath.Join("testdata", "legacy_batch.json"))
 	if err != nil {
@@ -282,15 +281,9 @@ func TestLegacyBatchIs415(t *testing.T) {
 	if got := MerkleRoot(recordLeaves(legacy.Records)); got != legacy.Root {
 		t.Fatalf("legacy records hash to %s, their root is %s", got, legacy.Root)
 	}
-	dir := t.TempDir()
-	writeParentJournal(t, dir, parentKeysIssued(keyRow{ID: "peer-00-1", PeerID: "peer-00",
-		SecretHex: strings.Repeat("5a", 32), Expires: time.Now().Add(keyTTL).UnixNano(), MaxBytes: 700}))
 	o := controlOrigin(t, 1)
-	if _, err := o.AttachWAL(dir, WALOptions{Fsync: FsyncNever, SnapshotEvery: -1}); err != nil {
+	if _, err := o.AttachWAL(t.TempDir(), WALOptions{Fsync: FsyncNever, SnapshotEvery: -1}); err != nil {
 		t.Fatal(err)
-	}
-	if _, ok := o.legacyKeys["peer-00-1"]; !ok {
-		t.Fatal("the fixture's key was not restored")
 	}
 	seq, _ := o.wal.position()
 	rec := httptest.NewRecorder()
@@ -634,11 +627,16 @@ func TestFlushToUnknownOriginSendsNothing(t *testing.T) {
 }
 
 // TestParentLoaderRecordSettles: a loader from before records traveled as
-// leaves posts the record as JSON. The peer takes it, queues its leaf, and
-// the origin credits it at the next flush.
+// leaves posts the record as JSON. The peer answers 400 as it does to any
+// body that is not a leaf, and queues and spools nothing.
 func TestParentLoaderRecordSettles(t *testing.T) {
 	s := newTestSite(t, 1)
 	p := s.peers[0]
+	dir := t.TempDir()
+	if err := p.AttachRecordSpool(dir); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(p.CloseRecordSpool)
 	w, err := s.origin.AssignWrapper("home", "parent-loader")
 	if err != nil {
 		t.Fatal(err)
@@ -660,82 +658,13 @@ func TestParentLoaderRecordSettles(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("a parent loader's record answered %d, want 202", resp.StatusCode)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("a parent loader's record answered %d, want 400", resp.StatusCode)
 	}
-	if n, err := p.Flush(s.originSrv.URL); err != nil || n != 1 {
-		t.Fatalf("flush = %d, %v; want 1, nil", n, err)
+	if n := p.PendingRecords(); n != 0 {
+		t.Errorf("queued %d records, want 0", n)
 	}
-	if acct := s.origin.AccountingFor(p.ID); acct.CreditedBytes != 1000 || acct.Rejected != 0 {
-		t.Errorf("credited %d, rejected %d; want 1000, 0", acct.CreditedBytes, acct.Rejected)
-	}
-}
-
-// parentSpoolRecords are the records in testdata/parent_records.spool,
-// which the JSON-lines spool writer produced from them, one json.Marshal
-// per line, signed with "parent spool fixture key".
-func parentSpoolRecords() []UsageRecord {
-	recs := []UsageRecord{
-		{Provider: "example.com", PeerID: "peer-a", KeyID: "peer-a-tn1uy1-h-1", Page: "home",
-			Bytes: 30000, Objects: 5, Nonce: "n-0", IssuedAt: time.Date(2026, 10, 17, 14, 0, 0, 5, time.UTC),
-			Traceparent: "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01"},
-		{Provider: "example.com", PeerID: "peer-a", KeyID: "peer-a-tn1uy1-h-1", Page: "blog/<ü>&",
-			Bytes: 1 << 40, Objects: 7, Nonce: `n"1`, IssuedAt: time.Date(2026, 10, 17, 16, 0, 0, 0, time.FixedZone("", 2*3600))},
-		{Provider: "other.example", PeerID: "peer-a", KeyID: "peer-a-tn1uz0-2-3", Page: "index",
-			Bytes: 1, Objects: 1, Nonce: "n-2", IssuedAt: time.Date(2026, 10, 17, 14, 1, 0, 0, time.UTC)},
-	}
-	for i := range recs {
-		recs[i].Sign([]byte("parent spool fixture key"))
-	}
-	return recs
-}
-
-// TestParentSpoolRequeuesAsLeaves: a spool in the JSON-lines format peers
-// wrote before records traveled as leaves requeues each record as its leaf,
-// in order, and the compaction at attach leaves the file all leaves.
-func TestParentSpoolRequeuesAsLeaves(t *testing.T) {
-	raw, err := os.ReadFile(filepath.Join("testdata", "parent_records.spool"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range parentSpoolRecords() {
-		line, err := json.Marshal(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Contains(raw, append(line, '\n')) {
-			t.Fatalf("the fixture does not hold %s", line)
-		}
-	}
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, spoolFileName), raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	p := NewPeer("peer-a", 0)
-	if err := p.AttachRecordSpool(dir); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(p.CloseRecordSpool)
-	var want []string
-	for _, r := range parentSpoolRecords() {
-		want = append(want, string(r.LeafBytes()))
-	}
-	p.recordsMu.Lock()
-	got := slices.Clone(p.records)
-	p.recordsMu.Unlock()
-	if !slices.Equal(got, want) {
-		t.Fatalf("requeued %q, want %q", got, want)
-	}
-	after, err := os.ReadFile(filepath.Join(dir, spoolFileName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(after) != strings.Join(want, "\n")+"\n" {
-		t.Errorf("spool after attach = %q, want the leaves, one a line", after)
-	}
-	for _, line := range strings.Split(string(after), "\n") {
-		if strings.HasPrefix(line, "{") {
-			t.Errorf("a JSON line survived the attach: %s", line)
-		}
+	if spooled := dirFiles(t, dir)[spoolFileName]; spooled != "" {
+		t.Errorf("spooled %q, want nothing", spooled)
 	}
 }

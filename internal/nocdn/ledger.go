@@ -73,15 +73,14 @@ const (
 // parses an ID back into its grant and derives the secret again, and an ID
 // anyone else writes names a secret only the origin knows.
 
-// keyRow is what a short-term key grants: records from one peer claiming at
-// most MaxBytes each, until Expires (Unix nanoseconds). Only a pre-upgrade
-// key (legacykeys.go) carries its secret, as SecretHex.
+// keyRow is what a short-term key grants, as parseKeyID reads it from the
+// key's ID: records from one peer claiming at most MaxBytes each, until
+// Expires (Unix nanoseconds). It is never stored.
 type keyRow struct {
-	ID        string `json:"id"`
-	PeerID    string `json:"peerId"`
-	SecretHex string `json:"secretHex"`
-	Expires   int64  `json:"expiresUnixNano"`
-	MaxBytes  int64  `json:"maxBytes"`
+	ID       string
+	PeerID   string
+	Expires  int64
+	MaxBytes int64
 }
 
 // parseKeyID reads the grant a key ID names; ok is false unless it is a
@@ -224,14 +223,6 @@ func (l *ledger) isSuspended(peerID string) bool {
 	return r != nil && r.Suspended
 }
 
-// flag marks a peer flagged, as a replayed audit_flag record says.
-func (l *ledger) flag(peerID string) {
-	sh := l.shardFor(peerID)
-	sh.mu.Lock()
-	sh.rowLocked(peerID).Flagged = true
-	sh.mu.Unlock()
-}
-
 // ledgerRow is the money half of a peer's row, as persisted in snapshots.
 type ledgerRow struct {
 	ID          string `json:"id"`
@@ -259,14 +250,14 @@ func (l *ledger) rows() []ledgerRow {
 }
 
 // evidence copies the audit half of every row that has any (a settled
-// record or a flag), sorted by ID.
+// record), sorted by ID.
 func (l *ledger) evidence() []peerAudit {
 	out := make([]peerAudit, 0)
 	for i := range l.shards {
 		sh := &l.shards[i]
 		sh.mu.RLock()
 		for _, r := range sh.rows {
-			if r.Records > 0 || r.Flagged {
+			if r.Records > 0 {
 				pa := r.peerAudit
 				pa.Offending = slices.Clone(pa.Offending)
 				out = append(out, pa)

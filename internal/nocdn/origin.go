@@ -90,13 +90,12 @@ type Origin struct {
 	// settle_record span per record (continuing the page view's trace via
 	// the record's embedded traceparent).
 	tracer *hpop.Tracer
-	// audit is the read-and-flag view over the evidence half of the
-	// ledger's rows.
+	// audit is the read view over the evidence half of the ledger's rows.
 	audit *Auditor
 	// health, when set, closes the self-healing loop on the origin side:
-	// probe outcomes and audit flags feed it, and wrapper generation ejects
-	// unhealthy peers from new peer maps (with hysteresis — readmission goes
-	// through the breaker's half-open probe cycle, never a single success).
+	// probe outcomes feed it, and wrapper generation ejects unhealthy peers
+	// from new peer maps (with hysteresis — readmission goes through the
+	// breaker's half-open probe cycle, never a single success).
 	health *hpop.HealthRegistry
 	// fleet merges peer TelemetryReports (POST /telemetry/batch) into
 	// fleet.* rollups, hot-key sketches, and /debug/fleet; slo computes
@@ -136,9 +135,8 @@ type Origin struct {
 
 	// keySecret is the origin secret every short-term key derives from,
 	// drawn by NewOrigin or adopted by AttachWAL; derivers are keyed with it.
-	keySecret  []byte
-	derivers   *sync.Pool
-	legacyKeys legacyKeys
+	keySecret []byte
+	derivers  *sync.Pool
 
 	// commitMu orders settlement commits against snapshot capture: a settle
 	// record's journal append and its ledger/audit application happen
@@ -748,10 +746,7 @@ func (o *Origin) checkRecord(v *leafVerifier, r UsageRecord, batchPeer string, l
 	if r.PeerID != batchPeer {
 		return fmt.Errorf("%w: record peer %q in batch from %q", ErrBadRecord, r.PeerID, batchPeer)
 	}
-	k, ok := o.legacyKeys[r.KeyID]
-	if !ok {
-		k, ok = parseKeyID(r.KeyID)
-	}
+	k, ok := parseKeyID(r.KeyID)
 	if !ok {
 		return fmt.Errorf("%w: %w", ErrBadRecord, auth.ErrUnknownKey)
 	}
@@ -796,13 +791,9 @@ func (v *leafVerifier) verify(o *Origin, k keyRow, leaf []byte, sigLen int) erro
 	if _, err := hex.Decode(want[:], leaf[len(leaf)-sigLen:]); err != nil {
 		return auth.ErrBadSignature
 	}
-	switch {
-	case v.mac != nil && v.keyID == k.ID:
+	if v.mac != nil && v.keyID == k.ID {
 		v.mac.Reset()
-	case k.SecretHex != "":
-		secret, _ := hex.DecodeString(k.SecretHex) // minted as hex
-		v.mac, v.keyID = hmac.New(sha256.New, secret), k.ID
-	default:
+	} else {
 		d := o.derivers.Get().(*keyDeriver)
 		d.buf = append(d.buf[:0], k.ID...)
 		v.mac, v.keyID = hmac.New(sha256.New, d.secret()), k.ID

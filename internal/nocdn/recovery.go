@@ -3,6 +3,7 @@ package nocdn
 import (
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"os"
@@ -55,9 +56,11 @@ type originSnapshot struct {
 	Peers        []snapPeer  `json:"peers"`
 	Ledger       []ledgerRow `json:"ledger"`
 	KeySecret    []byte      `json:"keySecret,omitempty"`
-	Keys         []keyRow    `json:"keys,omitempty"`
-	Nonces       []snapNonce `json:"nonces"`
-	Audit        auditState  `json:"audit"`
+	// Keys is never written; recovery reads it only to refuse an older
+	// build's unexpired key row (checkKeyRows).
+	Keys   []parentKeyRow `json:"keys,omitempty"`
+	Nonces []snapNonce    `json:"nonces"`
+	Audit  auditState     `json:"audit"`
 }
 
 type snapPeer struct {
@@ -69,6 +72,42 @@ type snapPeer struct {
 type snapNonce struct {
 	N  string `json:"n"`
 	At int64  `json:"atUnixNano"`
+}
+
+// errStateFormat refuses state on disk that this release does not read.
+// The window is one release: the origin's state dir and the peer's spool
+// are read as this release and the one before it write them. Anything else
+// that would move money, a map or a verdict if it were dropped — a journal
+// record of a kind this release does not write, an unexpired key row, a
+// spool line that is not a leaf — fails the attach with this error, which
+// names the file, where in it, what was found and the way forward. Before
+// it returns, nothing on disk has changed.
+var errStateFormat = errors.New("nocdn: state format outside this release's window")
+
+// The ways forward an errStateFormat names.
+const (
+	olderStateWay = "boot the previous release on this dir, let it run past the 10-minute key lifetime, " +
+		"and shut it down cleanly: its final snapshot covers every older record"
+	newerStateWay = "run the newer release that wrote it"
+)
+
+// parentKeyRow is a key row as builds before keys derived from the origin
+// secret journaled each key they minted. Recovery reads only its expiry.
+type parentKeyRow struct {
+	Expires int64 `json:"expiresUnixNano"`
+}
+
+// checkKeyRows refuses a key row that has not expired at now: dropping it
+// would reject its key's records as unknown. An expired row authorises
+// nothing and is ignored.
+func checkKeyRows(rows []parentKeyRow, now time.Time) error {
+	for _, k := range rows {
+		if now.UnixNano() <= k.Expires {
+			return fmt.Errorf("%w: keys holds a key row unexpired until %s; %s", errStateFormat,
+				time.Unix(0, k.Expires).UTC().Format(time.RFC3339), olderStateWay)
+		}
+	}
+	return nil
 }
 
 // storeMax floors an atomic epoch at v (idempotent journal replay: epochs
@@ -91,6 +130,9 @@ func storeMax(a *atomic.Int64, v int64) {
 // rebuilds the assignment ring deterministically so wrapper maps come back
 // byte-stable. A dir holding no origin secret journals the one NewOrigin
 // drew before AttachWAL returns. dir is made readable by its owner only.
+// State this release does not read fails with errStateFormat, and
+// unexplainable journal damage with errWALUnrecoverable; either way no file
+// in dir has changed.
 func (o *Origin) AttachWAL(dir string, opts WALOptions) (RecoveryStats, error) {
 	if o.wal != nil {
 		return RecoveryStats{}, fmt.Errorf("nocdn: wal already attached")
@@ -110,10 +152,16 @@ func (o *Origin) AttachWAL(dir string, opts WALOptions) (RecoveryStats, error) {
 		return RecoveryStats{}, err
 	}
 	drawn := o.derivers // recovery replaces it if it adopts a journaled secret
+	var stats RecoveryStats
+	fail := func(err error) (RecoveryStats, error) {
+		w.close()
+		sp.SetError(err)
+		return stats, err
+	}
 
 	// Newest valid snapshot wins; a corrupt one falls back to the next
-	// (older) candidate with a correspondingly longer journal replay.
-	var stats RecoveryStats
+	// (older) candidate with a correspondingly longer journal replay. One
+	// that decodes but holds state this release does not read refuses.
 	var snapChain [32]byte
 	snapSeq, snapAt := uint64(0), int64(0)
 	for _, cand := range snapshotCandidates(dir) {
@@ -127,6 +175,9 @@ func (o *Origin) AttachWAL(dir string, opts WALOptions) (RecoveryStats, error) {
 			o.metrics.Inc("nocdn.wal.snapshot_read_errors")
 			continue
 		}
+		if err := checkKeyRows(snap.Keys, o.now()); err != nil {
+			return fail(fmt.Errorf("%s: %w", filepath.Base(cand.path), err))
+		}
 		o.restoreSnapshot(snap)
 		snapSeq, snapAt = snap.Seq, snap.TakenAt
 		if ch, derr := hex.DecodeString(snap.ChainHex); derr == nil && len(ch) == 32 {
@@ -138,8 +189,7 @@ func (o *Origin) AttachWAL(dir string, opts WALOptions) (RecoveryStats, error) {
 
 	res, err := scanWALDir(dir, snapSeq, snapChain, o.applyWALRecord)
 	if err != nil {
-		sp.SetError(err)
-		return stats, err
+		return fail(err)
 	}
 	if res.truncated {
 		o.metrics.Inc("nocdn.wal.truncated_tails")
@@ -149,8 +199,7 @@ func (o *Origin) AttachWAL(dir string, opts WALOptions) (RecoveryStats, error) {
 	stats.TruncatedTail = res.truncated
 	stats.LastSeq = res.lastSeq
 	if err := w.setPosition(res.lastSeq, res.chain, snapSeq, snapAt, res.lastFile, res.lastSize); err != nil {
-		sp.SetError(err)
-		return stats, err
+		return fail(err)
 	}
 
 	o.invalidateWrappers()
@@ -212,17 +261,11 @@ func (o *Origin) restoreSnapshot(snap originSnapshot) {
 		o.ring.add(p.ID)
 	}
 	o.ledger.restore(snap.Ledger, snap.Audit.Peers)
-	o.legacyKeys.restore(snap.Keys, o.now().UnixNano())
 	nonces := make(map[string]time.Time, len(snap.Nonces))
 	for _, n := range snap.Nonces {
 		nonces[n.N] = time.Unix(0, n.At)
 	}
 	o.nonces.Restore(nonces)
-	for _, ps := range snap.Audit.Peers {
-		if ps.Flagged {
-			o.health.SetFlagged(ps.PeerID, true)
-		}
-	}
 }
 
 // applyWALRecord replays one journaled mutation. Every branch is
@@ -254,23 +297,14 @@ func (o *Origin) applyWALRecord(fr walFrame) error {
 			return err
 		}
 		storeMax(&o.assignEpoch, rec.AssignEpoch)
-	case walAuditFlag:
-		// Nothing writes audit_flag records any more; journals written while
-		// settlement flagged peers still restore their flags and suspensions.
-		var rec walAuditFlagRec
-		if err := json.Unmarshal(fr.payload, &rec); err != nil {
-			return err
-		}
-		o.ledger.flag(rec.ID)
-		o.health.SetFlagged(rec.ID, true)
-		o.ledger.suspend(rec.ID)
-		storeMax(&o.assignEpoch, rec.AssignEpoch)
 	case walKeysIssued:
 		var rec walKeysIssuedRec
 		if err := json.Unmarshal(fr.payload, &rec); err != nil {
 			return err
 		}
-		o.legacyKeys.restore(rec.Keys, o.now().UnixNano())
+		if err := checkKeyRows(rec.Keys, o.now()); err != nil {
+			return err
+		}
 		for id, n := range rec.Assigned {
 			o.ledger.floorAssigned(id, n)
 		}
@@ -309,9 +343,15 @@ func (o *Origin) applyWALRecord(fr walFrame) error {
 			o.ledger.floorAssigned(id, n)
 		}
 	default:
-		// Unknown record type (newer writer): skip rather than refuse to
-		// start — the chain already proved the bytes are authentic.
-		o.metrics.Inc("nocdn.wal.unknown_records")
+		// A kind this release does not write: a newer release's, or the
+		// retired audit_flag (kind 5), whose replay suspended a peer.
+		// Skipping either could boot without a suspension or a credit.
+		way := olderStateWay
+		if fr.typ > walKeySecret {
+			way = newerStateWay
+		}
+		return fmt.Errorf("%w: a record of kind %d, which this release does not write; %s",
+			errStateFormat, fr.typ, way)
 	}
 	return nil
 }
@@ -431,7 +471,6 @@ func (o *Origin) captureState(seq uint64, chain [32]byte) originSnapshot {
 		TakenAt:      o.now().UnixNano(),
 		Ledger:       o.ledger.rows(),
 		KeySecret:    o.keySecret,
-		Keys:         o.legacyKeys.live(o.now().UnixNano()),
 		Audit:        auditState{Peers: o.ledger.evidence()},
 	}
 	for _, p := range o.registry.snapshot() {

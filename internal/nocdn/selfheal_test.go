@@ -303,54 +303,3 @@ func TestHealthProbeOutcomes(t *testing.T) {
 		})
 	}
 }
-
-// TestAuditFlagEjectsFromWrappers: a flag comes only from a journal
-// written while settlement flagged peers. An origin that boots from one
-// holding an audit_flag record pulls the flagged peer from new wrapper maps
-// via the health registry, though its breaker never opened.
-func TestAuditFlagEjectsFromWrappers(t *testing.T) {
-	dir := t.TempDir()
-	journal, err := openControlWAL(dir, FsyncNever, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rec := range []struct {
-		typ     walRecType
-		payload any
-	}{
-		{walPeerRegister, walPeerRegisterRec{ID: "honest", URL: "http://honest.example", RTT: 10, AssignEpoch: 1}},
-		{walPeerRegister, walPeerRegisterRec{ID: "crooked", URL: "http://crooked.example", RTT: 10, AssignEpoch: 2}},
-		{walAuditFlag, walAuditFlagRec{ID: "crooked", Cause: "audit_flag", AssignEpoch: 3}},
-	} {
-		if _, err := journal.appendJSON(rec.typ, rec.payload); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := journal.close(); err != nil {
-		t.Fatal(err)
-	}
-
-	reg := hpop.NewHealthRegistry(testBreaker())
-	o := NewOrigin("example.com", WithRNG(sim.NewRNG(7)), WithHealthRegistry(reg))
-	if _, err := o.AttachWAL(dir, WALOptions{Fsync: FsyncNever}); err != nil {
-		t.Fatal(err)
-	}
-	defer o.wal.close()
-	o.AddObject("/index.html", []byte("<html>page</html>"))
-	if err := o.AddPage(Page{Name: "home", Container: "/index.html"}); err != nil {
-		t.Fatal(err)
-	}
-	if reg.Healthy("crooked") || reg.State("crooked") != hpop.BreakerClosed {
-		t.Fatalf("replayed flag: crooked healthy=%v, breaker %v; want unhealthy with a closed breaker",
-			reg.Healthy("crooked"), reg.State("crooked"))
-	}
-	for i := 0; i < 5; i++ {
-		w, err := o.AssignWrapper("home", "c")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if w.Container.PeerID != "honest" {
-			t.Fatalf("wrapper %d assigned to %s, want honest", i, w.Container.PeerID)
-		}
-	}
-}

@@ -21,11 +21,11 @@ const spoolFileName = "records.spool"
 // queue is rewritten — after a flush settles or sheds. Appends are
 // buffered-write best-effort (no per-record fsync: this is a credit spool on
 // a home appliance, not a ledger; the origin's WAL is the settlement
-// authority). Loading counts only lines ended by '\n' and stops at the first
-// line that is not a record, so it tolerates a torn final line exactly like
-// the segment store tolerates a torn tail: a cut leaf may still parse, but
-// it has no '\n'. A line in the older JSON shape loads as its leaf
-// (legacyrecords.go), and the compaction at attach rewrites it as one.
+// authority). Loading drops an unterminated last line, the only thing a
+// crash mid-append leaves, exactly like the segment store tolerates a torn
+// tail: a cut leaf may still parse, but it has no '\n'. A complete line
+// that is not a leaf — the JSON shape of older peers included — refuses the
+// load with errStateFormat, before anything is queued or rewritten.
 type recordSpool struct {
 	mu      sync.Mutex
 	path    string
@@ -41,50 +41,55 @@ func openRecordSpool(dir string, m *hpop.Metrics) (*recordSpool, []string, error
 		return nil, nil, err
 	}
 	s := &recordSpool{path: filepath.Join(dir, spoolFileName), metrics: m}
-	leaves := s.load()
+	leaves, err := s.load()
+	if err != nil {
+		return nil, nil, err
+	}
 	if err := s.openAppend(); err != nil {
 		return nil, nil, err
 	}
 	return s, leaves, nil
 }
 
-// load reads every intact line; a line with no '\n' after it, or one that
-// is not a record, ends the spool (a crash mid-append can only tear the
-// last line).
-func (s *recordSpool) load() []string {
-	raw, _ := os.ReadFile(s.path)
+// load reads every line ended by '\n'; an unterminated last line is a torn
+// tail (a crash mid-append can only tear the last line) and is dropped. A
+// complete line that is not a leaf fails the load with errStateFormat, and
+// a spool it cannot read fails it too: loading nothing would let the
+// compaction at attach erase the file.
+func (s *recordSpool) load() ([]string, error) {
+	raw, err := os.ReadFile(s.path)
+	if err != nil && !os.IsNotExist(err) {
+		return nil, err
+	}
 	var leaves []string
-	for len(raw) > 0 {
+	for n := 1; len(raw) > 0; n++ {
 		line, rest, ended := bytes.Cut(raw, []byte{'\n'})
-		leaf, _, err := parseRecordLine(line)
-		if !ended || err != nil {
+		if !ended {
 			s.metrics.Inc("nocdn.peer.spool_torn_tail")
 			break
+		}
+		leaf, _, err := parseRecordLine(line)
+		if err != nil {
+			return nil, fmt.Errorf("%s line %d: %w: %w; the previous release's peer rewrites an older "+
+				"spool as leaves when it attaches it, and any other line needs repairing by hand",
+				spoolFileName, n, errStateFormat, err)
 		}
 		leaves = append(leaves, leaf)
 		raw = rest
 	}
 	s.metrics.Add("nocdn.peer.spool_loaded", float64(len(leaves)))
-	return leaves
+	return leaves, nil
 }
 
 // parseRecordLine reads one record as the door takes it and the spool holds
-// it: a leaf, or a record in the older JSON shape (a line starting with
-// '{'), which it converts to its leaf. It returns the leaf and the record
-// parsed from it, whose strings share the leaf. A line or leaf holding
-// '\n', the spool's separator, is refused.
+// it: a leaf. It returns the leaf and the record parsed from it, whose
+// strings share the leaf. A line holding '\n', the spool's separator, is
+// refused.
 func parseRecordLine(line []byte) (string, UsageRecord, error) {
-	leaf := line
-	if len(line) > 0 && line[0] == '{' {
-		var err error
-		if leaf, err = legacyLeaf(line); err != nil {
-			return "", UsageRecord{}, fmt.Errorf("%w: %w", errLeaf, err)
-		}
-	}
-	if bytes.IndexByte(line, '\n') >= 0 || bytes.IndexByte(leaf, '\n') >= 0 {
+	if bytes.IndexByte(line, '\n') >= 0 {
 		return "", UsageRecord{}, fmt.Errorf("%w: holds a newline", errLeaf)
 	}
-	text := string(leaf)
+	text := string(line)
 	rec, err := parseLeaf(text)
 	return text, rec, err
 }
@@ -165,7 +170,9 @@ func (s *recordSpool) close() {
 // records are requeued — flowing to the origin through the normal Flush
 // path, backoff gate included — and every accepted record is spooled until
 // its batch settles. A requeued leaf is not checked against the current
-// sign-ups: it waits for a Flush to its provider's origin.
+// sign-ups: it waits for a Flush to its provider's origin. A spool holding
+// a complete line that is not a leaf fails with errStateFormat, and the
+// file and the queue stay as they were.
 func (p *Peer) AttachRecordSpool(dir string) error {
 	spool, leaves, err := openRecordSpool(dir, p.metrics)
 	if err != nil {

@@ -74,7 +74,7 @@ const (
 	walPeerSuspend
 	walSettle
 	walEpochTick
-	walAuditFlag
+	_ // retired: audit_flag, which recovery refuses (see applyWALRecord)
 	walKeysIssued
 	walKeySecret
 )
@@ -89,8 +89,6 @@ func (t walRecType) String() string {
 		return "settle"
 	case walEpochTick:
 		return "epoch_tick"
-	case walAuditFlag:
-		return "audit_flag"
 	case walKeysIssued:
 		return "keys_issued"
 	case walKeySecret:
@@ -116,19 +114,15 @@ type (
 	walEpochTickRec struct {
 		AssignEpoch int64 `json:"assignEpoch"`
 	}
-	walAuditFlagRec struct {
-		ID          string `json:"id"`
-		Cause       string `json:"cause,omitempty"`
-		AssignEpoch int64  `json:"assignEpoch"`
-	}
 	// walKeysIssuedRec holds, per wrapper build, the absolute assigned-bytes
 	// floor for each peer the wrapper names (current ledger figure plus this
-	// build's charges), and the key rows a pre-upgrade build minted.
-	// Wrapper-serve assignment charges are deliberately not journaled per
-	// serve — this floor is what keeps a peer whose first settlement arrives
-	// after a crash from reading as "credited with no assignment".
+	// build's charges). Wrapper-serve assignment charges are deliberately
+	// not journaled per serve — this floor is what keeps a peer whose first
+	// settlement arrives after a crash from reading as "credited with no
+	// assignment". Keys is never written: it holds the key rows an older
+	// build minted, which recovery reads only to refuse an unexpired one.
 	walKeysIssuedRec struct {
-		Keys     []keyRow         `json:"keys,omitempty"`
+		Keys     []parentKeyRow   `json:"keys,omitempty"`
 		Assigned map[string]int64 `json:"assigned,omitempty"`
 	}
 	// walKeySecretRec is the origin secret, journaled once by AttachWAL.
@@ -747,7 +741,10 @@ type walScanResult struct {
 // broken record with later journal files still present — cannot be a crash
 // artifact, so the scan fails with errWALUnrecoverable and deletes nothing:
 // a corrupt or missing snapshot must never cascade into destroying the
-// intact journal files that still hold the state.
+// intact journal files that still hold the state. An error from apply ends
+// the scan as it stands; since only the newest file's tail is ever cut, and
+// only after every frame before it was applied, nothing has changed on disk
+// by then.
 func scanWALDir(dir string, afterSeq uint64, afterChain [32]byte, apply func(walFrame) error) (walScanResult, error) {
 	res := walScanResult{lastSeq: afterSeq, chain: afterChain}
 	entries, err := os.ReadDir(dir)
@@ -826,7 +823,7 @@ func scanWALDir(dir string, afterSeq uint64, afterChain [32]byte, apply func(wal
 			} else {
 				if apply != nil {
 					if aerr := apply(fr); aerr != nil {
-						return res, aerr
+						return res, fmt.Errorf("%s seq %d: %w", filepath.Base(wf.path), fr.seq, aerr)
 					}
 				}
 				res.replayed++

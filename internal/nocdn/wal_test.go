@@ -6,11 +6,13 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"maps"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -20,6 +22,36 @@ import (
 	"hpop/internal/hpop"
 	"hpop/internal/sim"
 )
+
+// dirFiles reads every file in dir, by name.
+func dirFiles(t testing.TB, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := make(map[string]string, len(entries))
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = string(b)
+	}
+	return files
+}
+
+// assertRefused fails t unless err is errStateFormat and dir holds exactly
+// the files, by name and bytes, that dirFiles read into before.
+func assertRefused(t testing.TB, err error, dir string, before map[string]string) {
+	t.Helper()
+	if !errors.Is(err, errStateFormat) {
+		t.Fatalf("attach = %v, want errStateFormat", err)
+	}
+	if after := dirFiles(t, dir); !maps.Equal(after, before) {
+		t.Errorf("the refused attach changed the dir: %d files before, %d after", len(before), len(after))
+	}
+}
 
 // buildTestWAL writes n epoch-tick records into a fresh journal in dir and
 // returns the single journal file's path.
@@ -451,9 +483,11 @@ func TestMixedPeerSettleRecordReplays(t *testing.T) {
 
 // TestParentSnapshotAuditRestores: snapshots written while the auditor kept
 // byte statistics carry a population accumulator ("pop") and per-peer
-// "stats" in their audit block. Such a snapshot still restores: the evidence
-// counters, the flag, the health registry's flag and the suspension all
-// come back, and the flagged peer is absent from new maps.
+// "stats" in their audit block, and a flagged peer's "flagged". Such a
+// snapshot still restores: the evidence counters and the suspension come
+// back, and the flagged peer, suspended, is absent from new maps. The flag
+// itself is dropped, which changes nothing: every flagged peer was
+// suspended too.
 func TestParentSnapshotAuditRestores(t *testing.T) {
 	dir := t.TempDir()
 	state := `{"seq":5,"chainHex":"","contentEpoch":1,"assignEpoch":3,"takenAtUnixNano":1700000000000000000,` +
@@ -469,8 +503,7 @@ func TestParentSnapshotAuditRestores(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	health := hpop.NewHealthRegistry(hpop.BreakerConfig{})
-	o := NewOrigin("x", WithRNG(sim.NewRNG(7)), WithHealthRegistry(health))
+	o := NewOrigin("x", WithRNG(sim.NewRNG(7)), WithHealthRegistry(hpop.NewHealthRegistry(hpop.BreakerConfig{})))
 	stats, err := o.AttachWAL(dir, WALOptions{Fsync: FsyncNever})
 	if err != nil {
 		t.Fatal(err)
@@ -484,15 +517,12 @@ func TestParentSnapshotAuditRestores(t *testing.T) {
 		t.Fatalf("recovered from snapshot seq %d, want 5 (the parent-format snapshot was refused)", stats.SnapshotSeq)
 	}
 	want := []PeerAudit{
-		{PeerID: "peer-01", Records: 4, Rejects: 4, Replays: 1, ClaimedByte: 1600, Flagged: true,
+		{PeerID: "peer-01", Records: 4, Rejects: 4, Replays: 1, ClaimedByte: 1600,
 			Offending: []string{"0af7651916cd43dd8448eb211c80319c"}},
 		{PeerID: "peer-00", Records: 2, ClaimedByte: 700},
 	}
 	if got := o.Audit().Snapshot().Peers; !reflect.DeepEqual(got, want) {
 		t.Errorf("audit rows %+v, want %+v", got, want)
-	}
-	if !health.Flagged("peer-01") || health.Flagged("peer-00") {
-		t.Errorf("health flags peer-00=%v peer-01=%v, want only peer-01", health.Flagged("peer-00"), health.Flagged("peer-01"))
 	}
 	if acc := o.AccountingFor("peer-01"); !acc.Suspended || acc.Rejected != 4 {
 		t.Errorf("peer-01 ledger %+v, want suspended with 4 rejects", acc)
@@ -506,6 +536,43 @@ func TestParentSnapshotAuditRestores(t *testing.T) {
 	}
 	if _, named := w.Keys["peer-01"]; named {
 		t.Error("restored flagged peer-01 is named in a new map")
+	}
+}
+
+// TestJournalKindRefused: a journal record of a kind this release does not
+// write refuses the boot with errStateFormat, which names the file and the
+// record's seq, and every file in the dir keeps its name and bytes.
+// Skipped, the record would be lost: the next snapshots would erase it from
+// disk. audit_flag (kind 5) is retired, and its replay suspended a peer;
+// kind 99 stands for a newer release's journal after a rollback. Each
+// follows a registered fleet and has a record after it.
+func TestJournalKindRefused(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		typ     walRecType
+		payload string
+	}{
+		{"audit_flag", 5, `{"id":"peer-01","cause":"audit_flag","assignEpoch":3}`},
+		{"kind 99", 99, `{"from":"a newer release"}`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			o := walOrigin(t, dir, WALOptions{Fsync: FsyncNever, SnapshotEvery: -1}, 4)
+			seq, err := o.wal.append(tc.typ, []byte(tc.payload))
+			if err != nil {
+				t.Fatal(err)
+			}
+			o.RegisterPeer("peer-04", "http://peer-04", 10)
+			if err := o.wal.close(); err != nil {
+				t.Fatal(err)
+			}
+			before := dirFiles(t, dir)
+			_, err = NewOrigin("x").AttachWAL(dir, WALOptions{Fsync: FsyncNever})
+			assertRefused(t, err, dir, before)
+			if want := fmt.Sprintf("%s seq %d: ", walFileName(1), seq); !strings.Contains(err.Error(), want) {
+				t.Errorf("refusal %q does not name %q", err, want)
+			}
+		})
 	}
 }
 
@@ -766,49 +833,69 @@ func TestNonceWindowReanchoredOnRecovery(t *testing.T) {
 	}
 }
 
-// TestRecordSpoolRoundTrip: spooled records survive close/reopen, a torn
-// final line is dropped, and AttachRecordSpool requeues into the peer. The
-// tail is torn inside a leaf's signature, where the cut leaf still parses:
-// only its missing '\n' marks it torn.
+// TestRecordSpoolRoundTrip: AttachRecordSpool requeues a spool of leaves,
+// one a line, in order. An unterminated last line is the torn tail a crash
+// mid-append leaves, and it is dropped. It is torn inside a leaf's
+// signature, where the cut leaf still parses: only its missing '\n' marks
+// it torn. A complete line that is not a leaf — one in the middle of the
+// file, or the JSON lines older peers spooled (testdata/parent_records.spool)
+// — refuses the attach with errStateFormat: nothing is queued, and the file
+// keeps its bytes.
 func TestRecordSpoolRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	s, loaded, err := openRecordSpool(dir, hpop.NewMetrics())
-	if err != nil {
-		t.Fatal(err)
+	leaves := func(from, to int) (out []string) {
+		for i := from; i < to; i++ {
+			out = append(out, spoolLeaf(int64(i+1), fmt.Sprintf("n%d", i)))
+		}
+		return out
 	}
-	if len(loaded) != 0 {
-		t.Fatalf("fresh spool loaded %d records", len(loaded))
-	}
-	for i := 0; i < 3; i++ {
-		s.append(spoolLeaf(int64(i+1), fmt.Sprintf("n%d", i)))
-	}
-	s.close()
-
-	// Tear the tail mid-append, inside the signature.
+	lines := func(leaves []string) string { return strings.Join(leaves, "\n") + "\n" }
 	torn := spoolLeaf(4, "n3")
 	torn = torn[:len(torn)-10]
 	if _, err := parseLeaf(torn); err != nil {
 		t.Fatalf("the cut leaf does not parse (%v); the tear tests nothing", err)
 	}
-	f, err := os.OpenFile(filepath.Join(dir, spoolFileName), os.O_APPEND|os.O_WRONLY, 0o644)
+	parent, err := os.ReadFile(filepath.Join("testdata", "parent_records.spool"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.WriteString(torn)
-	f.Close()
-
-	s2, loaded, err := openRecordSpool(dir, hpop.NewMetrics())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.close()
-	if len(loaded) != 3 {
-		t.Fatalf("reloaded %d records, want 3 (torn tail dropped)", len(loaded))
-	}
-	for i, leaf := range loaded {
-		if want := spoolLeaf(int64(i+1), fmt.Sprintf("n%d", i)); leaf != want {
-			t.Fatalf("leaf %d is %q, want %q (order lost)", i, leaf, want)
-		}
+	for _, tc := range []struct {
+		name  string
+		spool string
+		want  []string // nil: refused
+	}{
+		{"torn tail", lines(leaves(0, 3)) + torn, leaves(0, 3)},
+		{"bad line", lines(leaves(0, 2)) + "not a leaf\n" + lines(leaves(2, 5)), nil},
+		{"parent_records.spool", string(parent), nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, spoolFileName), []byte(tc.spool), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			before := dirFiles(t, dir)
+			p := NewPeer("peer-a", 1<<20)
+			err := p.AttachRecordSpool(dir)
+			if tc.want == nil {
+				assertRefused(t, err, dir, before)
+				if n := p.PendingRecords(); n != 0 {
+					t.Errorf("the refused spool queued %d records", n)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer p.CloseRecordSpool()
+			p.recordsMu.Lock()
+			got := slices.Clone(p.records)
+			p.recordsMu.Unlock()
+			if !slices.Equal(got, tc.want) {
+				t.Fatalf("requeued %q, want %q", got, tc.want)
+			}
+			if after := dirFiles(t, dir)[spoolFileName]; after != lines(tc.want) {
+				t.Errorf("spool after attach = %q, want the requeued leaves", after)
+			}
+		})
 	}
 }
 
