@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"hpop/internal/hpop"
 	"hpop/internal/sim"
 )
 
@@ -446,9 +447,12 @@ func TestSmallPageRequestsPerView(t *testing.T) {
 // TotalAlloc — as a multiple of the bytes the view renders. A view used to
 // allocate ~6× its payload (io.ReadAll's doubling growth, then a copy into
 // the assembly buffer); every body is now read once into memory sized by
-// the wrapper, so what is left is the payload itself plus per-request
-// net/http and record overhead, which weighs most on the small page. Under
-// -race the views still run and the ratio is logged, but not judged.
+// the wrapper. What is left beside the payload weighs most on the small
+// page: per request, net/http on both sides, the wrapper's JSON decode and
+// the records; per bundle, the peer's and the loader's bookkeeping; per
+// object, only the two names a peer's serve builds (TestPageViewAllocCount
+// counts them). Under -race the views still run and the ratio is logged, but
+// not judged.
 func TestLoadPageAllocBudget(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -475,5 +479,78 @@ func TestLoadPageAllocBudget(t *testing.T) {
 				t.Errorf("a view allocates %.2f× its payload, budget %.1f×", ratio, tc.budget)
 			}
 		})
+	}
+}
+
+// pageViewMallocs is the allocation budget of one warm view of the small
+// page (newSmallPageStack): 25 objects from four peers, counted over the
+// whole process — loader, peers, origin and net/http on both sides. A view
+// made 1,519 allocations when the loader and the peers still built a name,
+// a map or a slice for each object; 1,114 are left, and the budget stays
+// below one more per object.
+const pageViewMallocs = 1135
+
+// TestPageViewAllocCount holds a warm small-page view to pageViewMallocs,
+// and a peer's bundle to allocations that do not grow with its items beyond
+// the two names an item's serve builds (its cache key and its hot-key
+// name): a bundle of many in-memory items allocates no more per item than a
+// bundle of one. The counts are the runtime's mallocs, which repeat to
+// within a few per view; the race detector's runtime allocates on its own,
+// so the test is skipped under -race.
+func TestPageViewAllocCount(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not judged under -race")
+	}
+	s := newSmallPageStack(t)
+	const views = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < views; i++ {
+		s.view(t)
+	}
+	runtime.ReadMemStats(&after)
+	perView := float64(after.Mallocs-before.Mallocs) / views
+	t.Logf("%.1f allocations per view (budget %d)", perView, pageViewMallocs)
+	if perView > pageViewMallocs {
+		t.Errorf("a warm view of the small page made %.1f allocations, budget %d", perView, pageViewMallocs)
+	}
+
+	const items = 16
+	objects := make(map[string][]byte, items)
+	for i := 0; i < items; i++ {
+		objects[fmt.Sprintf("/o/%02d", i)] = make([]byte, 8<<10)
+	}
+	origin := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write(objects[strings.TrimPrefix(r.URL.Path, "/content")])
+	}))
+	defer origin.Close()
+	p := NewPeer("p", 64<<20)
+	p.SetMetrics(hpop.NewMetrics())
+	p.EnableTelemetry(0)
+	p.SignUp("bench.example", origin.URL)
+	h := p.Handler()
+	bundle := func(n int) *http.Request {
+		var q strings.Builder
+		for i := 0; i < n; i++ {
+			fmt.Fprintf(&q, "&o=/o/%02d&h=%s", i, HashBytes(objects[fmt.Sprintf("/o/%02d", i)]))
+		}
+		return httptest.NewRequest(http.MethodGet, "/proxy/bench.example?"+q.String()[1:], nil)
+	}
+	serve := func(req *http.Request, n int) {
+		w := &discardResponse{header: make(http.Header)}
+		h.ServeHTTP(w, req)
+		if w.status != 0 || w.n != int64(n*8<<10) {
+			t.Fatalf("bundle of %d answered %d with %d bytes", n, w.status, w.n)
+		}
+	}
+	one, many := bundle(1), bundle(items)
+	serve(many, items) // fill every item from the origin
+	allocsOne := testing.AllocsPerRun(100, func() { serve(one, 1) })
+	allocsMany := testing.AllocsPerRun(100, func() { serve(many, items) })
+	perItem := (allocsMany - allocsOne) / (items - 1)
+	t.Logf("a bundle of 1 item: %.0f allocations; of %d: %.0f, %.1f per item past the first", allocsOne, items, allocsMany, perItem)
+	if allocsMany/items > allocsOne || perItem > 2 {
+		t.Errorf("a bundle of %d in-memory items made %.0f allocations, of one %.0f: %.1f per item past the first, want at most 2",
+			items, allocsMany, allocsOne, perItem)
 	}
 }

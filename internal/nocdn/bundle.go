@@ -44,13 +44,15 @@ func parseBundleLengths(h string, want int) ([]int, error) {
 	if h == "" || (want >= 0 && n != want) {
 		return nil, fmt.Errorf("%w: %d items declared in %q", errBadBundle, n, h)
 	}
-	out := make([]int, 0, n)
-	for _, f := range strings.Split(h, ",") {
+	out := make([]int, n)
+	for i := range out {
+		var f string
+		f, h, _ = strings.Cut(h, ",")
 		v, err := strconv.Atoi(f)
 		if err != nil || (v < 0 && (v < -599 || v > -100)) {
 			return nil, fmt.Errorf("%w: item %q", errBadBundle, f)
 		}
-		out = append(out, v)
+		out[i] = v
 	}
 	return out, nil
 }
@@ -95,6 +97,48 @@ const (
 	maxBundleBytes = 1 << 20
 )
 
+// bundleQuery reads a bundle request's o= and h= values, in order, from its
+// raw query exactly as url.ParseQuery reads them: pairs split at '&', a pair
+// holding ';' or whose key or value does not unescape skipped, '+' a space.
+// Unescaping allocates only for a value that holds an escape, and the two
+// lists share one allocation, sized for the pairs the query holds up to
+// what a bundle may name.
+func bundleQuery(raw string) (paths, hashes []string) {
+	n := min(strings.Count(raw, "&")+1, maxBundleItems+1)
+	vals := make([]string, 2*n)
+	paths, hashes = vals[:0:n], vals[n:n]
+	for raw != "" {
+		var pair string
+		pair, raw, _ = strings.Cut(raw, "&")
+		if pair == "" || strings.Contains(pair, ";") {
+			continue
+		}
+		k, v, _ := strings.Cut(pair, "=")
+		k, err := url.QueryUnescape(k)
+		if err != nil || (k != "o" && k != "h") {
+			continue
+		}
+		if v, err = url.QueryUnescape(v); err != nil {
+			continue
+		}
+		if k == "o" {
+			paths = append(paths, v)
+		} else {
+			hashes = append(hashes, v)
+		}
+	}
+	return paths, hashes
+}
+
+// bundleBufSize is the buffer a bundle's in-memory items are gathered in
+// before they are written, so that a bundle of small items leaves the peer in
+// a few writes rather than one per item: net/http hands a write larger than
+// its own 4 KiB buffer straight to the socket. An item at least this large
+// is written as it is, uncopied.
+const bundleBufSize = 32 << 10
+
+var bundleBufs = sync.Pool{New: func() any { return new([bundleBufSize]byte) }}
+
 // serveBundle answers a bundle. Each item runs the serve a single GET runs
 // (lookup, finish), with its own expected hash, and moves the per-request
 // counters, servedBytes and the hot-key sketch as one would. Items the
@@ -108,8 +152,7 @@ const (
 // bundle holds the one admission slot its caller took and records one proxy
 // span.
 func (p *Peer) serveBundle(w http.ResponseWriter, r *http.Request, provider string) {
-	q := r.URL.Query()
-	paths, hashes := q["o"], q["h"]
+	paths, hashes := bundleQuery(r.URL.RawQuery)
 	if len(paths) == 0 || len(hashes) != len(paths) || len(paths) > maxBundleItems {
 		http.Error(w, fmt.Sprintf("want /proxy/provider/path or /proxy/provider?o=path&h=hash... (at most %d)", maxBundleItems), http.StatusBadRequest)
 		return
@@ -144,28 +187,9 @@ func (p *Peer) serveBundle(w http.ResponseWriter, r *http.Request, provider stri
 		}
 		p.finish(&items[i], nil, sp)
 	}
-	var next, resolved atomic.Int64
-	work := func() {
-		for k := int(next.Add(1)) - 1; k < len(slow); k = int(next.Add(1)) - 1 {
-			i := slow[k]
-			if resolved.Load() >= maxBundleBytes {
-				status[i] = http.StatusServiceUnavailable
-				continue
-			}
-			p.finish(&items[i], nil, sp)
-			resolved.Add(items[i].size())
-		}
+	if len(slow) > 0 {
+		p.finishSlow(items, slow, status, sp)
 	}
-	var wg sync.WaitGroup
-	for n := min(len(slow), DefaultConcurrency); n > 1; n-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
 
 	lengths := make([]byte, 0, 8*len(items))
 	var total int64
@@ -195,22 +219,69 @@ func (p *Peer) serveBundle(w http.ResponseWriter, r *http.Request, provider stri
 	h.Set(XCacheHeader, xcache)
 	h.Set("Content-Type", "application/octet-stream")
 	h.Set("Content-Length", strconv.FormatInt(total, 10))
+	buf := bundleBufs.Get().(*[bundleBufSize]byte)
+	defer bundleBufs.Put(buf)
+	held := 0 // bytes gathered in buf, not yet written
+	flush := func() {
+		if held > 0 {
+			w.Write(buf[:held])
+			held = 0
+		}
+	}
 	for i := range items {
 		s := &items[i]
 		if status[i] != 0 {
 			continue
 		}
-		if s.win == nil {
-			w.Write(s.out.data)
+		if data := s.out.data; s.win == nil {
+			if len(data) >= bundleBufSize {
+				flush()
+				w.Write(data)
+			} else {
+				if held+len(data) > bundleBufSize {
+					flush()
+				}
+				held += copy(buf[held:], data)
+			}
 			p.countBytes(s.out, s.size())
 			continue
 		}
+		flush()
 		n, err := io.Copy(w, s.win.reader())
 		p.countBytes(s.out, n)
 		if err != nil {
 			return // the body is cut short: the loader asks again
 		}
 	}
+	flush()
+}
+
+// finishSlow finishes the bundle items that lookup left more to do for,
+// items[slow[k]], at most DefaultConcurrency at a time: once the bodies they
+// resolved reach maxBundleBytes, each one left is marked 503 in status.
+func (p *Peer) finishSlow(items []objectServe, slow, status []int, sp *hpop.Span) {
+	var next, resolved atomic.Int64
+	work := func() {
+		for k := int(next.Add(1)) - 1; k < len(slow); k = int(next.Add(1)) - 1 {
+			i := slow[k]
+			if resolved.Load() >= maxBundleBytes {
+				status[i] = http.StatusServiceUnavailable
+				continue
+			}
+			p.finish(&items[i], nil, sp)
+			resolved.Add(items[i].size())
+		}
+	}
+	var wg sync.WaitGroup
+	for n := min(len(slow), DefaultConcurrency); n > 1; n-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
 }
 
 // ---- the loader's side ----
@@ -249,20 +320,31 @@ func bundleURL(peerURL, provider string, items []*bundleItem) string {
 		} else {
 			b.WriteString("&o=")
 		}
-		b.WriteString(queryValue(it.ref.Path))
+		writeQueryValue(&b, it.ref.Path)
 		b.WriteString("&h=")
-		b.WriteString(queryValue(it.ref.Hash))
+		writeQueryValue(&b, it.ref.Hash)
 	}
 	return b.String()
 }
 
-// queryValue escapes s as a query value but leaves its slashes, so a bundle
-// URL still shows the paths of the objects it names.
-func queryValue(s string) string {
-	if e := url.QueryEscape(s); e != s {
-		return strings.ReplaceAll(e, "%2F", "/")
+// writeQueryValue writes s to b escaped as url.QueryEscape escapes a query
+// value, but leaves its slashes, so a bundle URL still shows the paths of the
+// objects it names.
+func writeQueryValue(b *strings.Builder, s string) {
+	const hex = "0123456789ABCDEF"
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case 'a' <= c && c <= 'z', 'A' <= c && c <= 'Z', '0' <= c && c <= '9',
+			c == '-', c == '_', c == '.', c == '~', c == '/':
+			b.WriteByte(c)
+		case c == ' ':
+			b.WriteByte('+')
+		default:
+			b.WriteByte('%')
+			b.WriteByte(hex[c>>4])
+			b.WriteByte(hex[c&15])
+		}
 	}
-	return s
 }
 
 // bundleAttempt asks one peer for the pending items in one request, with

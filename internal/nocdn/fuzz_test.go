@@ -11,6 +11,7 @@ import (
 	"maps"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -457,6 +458,43 @@ func FuzzBundleItems(f *testing.F) {
 		}
 		if at != len(body) {
 			t.Fatalf("items cover %d of %d body bytes", at, len(body))
+		}
+	})
+}
+
+// FuzzBundleURL: the peer reads back exactly the paths and hashes the
+// loader's bundleURL wrote, whatever bytes they hold; bundleURL writes the
+// URL it always wrote (url.QueryEscape with the slashes left as they are);
+// and the peer's bundleQuery reads any raw query as url.ParseQuery reads it.
+func FuzzBundleURL(f *testing.F) {
+	f.Add("/obj/01", "ab12", "o=/a&h=1&o=/b&h=2")
+	f.Add("/a b/c+d", "", "o=%2Fa+b&h=&x=1&o=/c")
+	f.Add("/x%2Fy&z=1;w#frag", "=;&#%", "o=/a;h=1&o=/b&h=%zz&h=2")
+	f.Add("/ünï/çødé/日本", "ff", "%6F=/k&%68=v&o&h&&=&o=%")
+	f.Add("", "", "")
+	f.Fuzz(func(t *testing.T, path, hash, raw string) {
+		refs := []ObjectRef{{Path: path, Hash: hash}, {Path: "/second", Hash: hash + path}}
+		items := []*bundleItem{{ref: &refs[0]}, {ref: &refs[1]}}
+		u := bundleURL("http://peer.example", "prov", items)
+		esc := func(v string) string { return strings.ReplaceAll(url.QueryEscape(v), "%2F", "/") }
+		if want := "http://peer.example/proxy/prov?o=" + esc(refs[0].Path) + "&h=" + esc(refs[0].Hash) +
+			"&o=" + esc(refs[1].Path) + "&h=" + esc(refs[1].Hash); u != want {
+			t.Fatalf("bundleURL wrote %q, want %q", u, want)
+		}
+		parsed, err := url.Parse(u)
+		if err != nil {
+			t.Fatalf("bundleURL wrote %q, which does not parse: %v", u, err)
+		}
+		paths, hashes := bundleQuery(parsed.RawQuery)
+		if !slices.Equal(paths, []string{refs[0].Path, refs[1].Path}) || !slices.Equal(hashes, []string{refs[0].Hash, refs[1].Hash}) {
+			t.Fatalf("%q read back as paths %q, hashes %q", u, paths, hashes)
+		}
+
+		q, _ := url.ParseQuery(raw)
+		paths, hashes = bundleQuery(raw)
+		if len(paths) != len(q["o"]) || len(hashes) != len(q["h"]) ||
+			(len(paths) > 0 && !slices.Equal(paths, q["o"])) || (len(hashes) > 0 && !slices.Equal(hashes, q["h"])) {
+			t.Fatalf("raw query %q: paths %q, hashes %q; url.ParseQuery reads %q, %q", raw, paths, hashes, q["o"], q["h"])
 		}
 	})
 }

@@ -3,6 +3,7 @@ package nocdn
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -101,6 +102,39 @@ type Loader struct {
 
 	clientOnce    sync.Once
 	defaultClient *http.Client
+
+	// series holds each serving peer's Metrics names, built on its first
+	// fetch: as many entries as the registry has per-peer series.
+	seriesMu sync.Mutex
+	series   map[string]peerSeries
+}
+
+// peerSeries names one peer's loader series.
+type peerSeries struct{ bytes, fetchSeconds string }
+
+// peerSeries returns peerID's series names, building them on first use.
+func (l *Loader) peerSeries(peerID string) peerSeries {
+	l.seriesMu.Lock()
+	defer l.seriesMu.Unlock()
+	ps, ok := l.series[peerID]
+	if !ok {
+		if l.series == nil {
+			l.series = make(map[string]peerSeries)
+		}
+		ps = peerSeries{
+			bytes:        "nocdn.loader.peer." + peerID + ".bytes",
+			fetchSeconds: "nocdn.loader.peer." + peerID + ".fetch_seconds",
+		}
+		l.series[peerID] = ps
+	}
+	return ps
+}
+
+// countPeerBytes credits n verified bytes to peerID's byte series.
+func (l *Loader) countPeerBytes(peerID string, n int) {
+	if l.Metrics != nil {
+		l.Metrics.Add(l.peerSeries(peerID).bytes, float64(n))
+	}
 }
 
 // PageResult is an assembled page download.
@@ -328,15 +362,17 @@ func (l *Loader) getFrom(ctx context.Context, gate fetchGate, sp *hpop.Span, pro
 		l.Health.RecordFailure(chunk.PeerID)
 		return err
 	}
-	l.Metrics.Add("nocdn.loader.peer."+chunk.PeerID+".bytes", float64(len(data)))
+	l.countPeerBytes(chunk.PeerID, len(data))
 	l.Health.RecordSuccess(chunk.PeerID, elapsed)
 	return nil
 }
 
 // observeFetch times one request to peerID into the fetch histograms.
 func (l *Loader) observeFetch(peerID string, elapsed float64) {
-	l.Metrics.Observe("nocdn.loader.fetch_seconds", elapsed)
-	l.Metrics.Observe("nocdn.loader.peer."+peerID+".fetch_seconds", elapsed)
+	if l.Metrics != nil {
+		l.Metrics.Observe("nocdn.loader.fetch_seconds", elapsed)
+		l.Metrics.Observe(l.peerSeries(peerID).fetchSeconds, elapsed)
+	}
 }
 
 // fetchBundle asks one peer for items in one bundle, holding one gate slot
@@ -382,7 +418,7 @@ func (l *Loader) fetchBundle(ctx context.Context, gate fetchGate, sp *hpop.Span,
 		l.Metrics.Add("nocdn.loader.giveups", float64(giveups))
 	}
 	if served > 0 {
-		l.Metrics.Add("nocdn.loader.peer."+peer.PeerID+".bytes", float64(served))
+		l.countPeerBytes(peer.PeerID, served)
 	}
 }
 
@@ -419,12 +455,20 @@ func (l *Loader) originFallback(ctx context.Context, gate fetchGate, parent *hpo
 // objectResult is one object's outcome, produced by a worker and merged
 // into the PageResult in wrapper order.
 type objectResult struct {
-	data      []byte
-	fromPeers map[string]int64
-	fallback  bool
-	tampered  bool
-	degraded  bool
-	err       error
+	data     []byte
+	paid     credit
+	fallback bool
+	tampered bool
+	degraded bool
+	err      error
+}
+
+// credit names the peers an object's verified bytes are credited to: peer
+// with all of them for a whole object, or, for a chunked one, chunks: each
+// chunk's peer with its bytes. The zero credit pays no one.
+type credit struct {
+	peer   string
+	chunks map[string]int64
 }
 
 // LoadPage performs the full Fig. 2 workflow for one page view.
@@ -448,12 +492,12 @@ func (l *Loader) LoadPageContext(ctx context.Context, page string) (*PageResult,
 		sp.SetError(err)
 		return nil, err
 	}
+	refs := append([]ObjectRef{w.Container}, w.Objects...)
 	res := &PageResult{
 		Page:      page,
-		Body:      make(map[string][]byte),
+		Body:      make(map[string][]byte, len(refs)),
 		PeerBytes: make(map[string]int64),
 	}
-	refs := append([]ObjectRef{w.Container}, w.Objects...)
 	gate := make(fetchGate, l.concurrency())
 	results := make([]objectResult, len(refs))
 	items, bundles := l.planBundles(refs)
@@ -523,7 +567,10 @@ func (l *Loader) LoadPageContext(ctx context.Context, page string) (*PageResult,
 			continue // degraded objects never get a Body entry
 		}
 		res.Body[ref.Path] = r.data
-		for peer, n := range r.fromPeers {
+		if r.paid.peer != "" {
+			res.PeerBytes[r.paid.peer] += int64(len(r.data))
+		}
+		for peer, n := range r.paid.chunks {
 			res.PeerBytes[peer] += n
 		}
 	}
@@ -539,29 +586,34 @@ func (l *Loader) LoadPageContext(ctx context.Context, page string) (*PageResult,
 }
 
 // verify hash-checks fetched bytes against the wrapper, timing the check
-// into the verify histogram.
+// into the verify histogram. The digest is compared in hex, as the wrapper
+// states it, through a buffer on the stack.
 func (l *Loader) verify(data []byte, wantHash string) bool {
 	start := time.Now()
-	ok := HashBytes(data) == wantHash
+	sum := sha256.Sum256(data)
+	var got [2 * sha256.Size]byte
+	hex.Encode(got[:], sum[:])
+	ok := string(got[:]) == wantHash
 	l.Metrics.Observe("nocdn.loader.verify_seconds", time.Since(start).Seconds())
 	return ok
 }
 
-// candidates returns the peers that may serve ref whole — the assigned
-// primary plus any wrapper replicas — re-ranked by health when a registry is
-// wired, so a known-bad primary is tried last instead of first.
-func (l *Loader) candidates(ref ObjectRef) []PeerRef {
-	cands := make([]PeerRef, 0, 1+len(ref.Replicas))
+// appendCandidates appends to buf the peers that may serve ref whole — the
+// assigned primary plus any wrapper replicas — re-ranked by health when a
+// registry is wired, so a known-bad primary is tried last instead of first.
+func (l *Loader) appendCandidates(buf []PeerRef, ref ObjectRef) []PeerRef {
+	start := len(buf)
 	if ref.PeerID != "" {
-		cands = append(cands, PeerRef{PeerID: ref.PeerID, PeerURL: ref.PeerURL})
+		buf = append(buf, PeerRef{PeerID: ref.PeerID, PeerURL: ref.PeerURL})
 	}
 	for _, rep := range ref.Replicas {
 		if rep.PeerID != "" && rep.PeerID != ref.PeerID {
-			cands = append(cands, rep)
+			buf = append(buf, rep)
 		}
 	}
+	cands := buf[start:]
 	if l.Health == nil || len(cands) < 2 {
-		return cands
+		return buf
 	}
 	ids := make([]string, len(cands))
 	byID := make(map[string]PeerRef, len(cands))
@@ -569,11 +621,10 @@ func (l *Loader) candidates(ref ObjectRef) []PeerRef {
 		ids[i] = c.PeerID
 		byID[c.PeerID] = c
 	}
-	out := make([]PeerRef, 0, len(cands))
-	for _, id := range l.Health.Rank(ids) {
-		out = append(out, byID[id])
+	for i, id := range l.Health.Rank(ids) {
+		cands[i] = byID[id]
 	}
-	return out
+	return buf
 }
 
 // planBundles groups the unchunked refs by their first admitted candidate —
@@ -587,12 +638,27 @@ func (l *Loader) candidates(ref ObjectRef) []PeerRef {
 // for a chunked ref and for one no candidate was admitted for.
 func (l *Loader) planBundles(refs []ObjectRef) (items []bundleItem, bundles [][]int) {
 	items = make([]bundleItem, len(refs))
-	var sums []int // sums[b]: bundles[b]'s sizes, summed
+	// Every ref's candidates, in one allocation for the page.
+	n := 0
+	for i := range refs {
+		n += 1 + len(refs[i].Replicas)
+	}
+	all := make([]PeerRef, 0, n)
+	// First each ref's bundle (in[i]: 1 + its index into plan, 0 for none),
+	// then each bundle's refs, out of one array for the page.
+	type bundlePlan struct {
+		peer        string
+		refs, bytes int
+	}
+	var plan []bundlePlan
+	in := make([]int, len(refs))
 	for i := range refs {
 		if len(refs[i].Chunks) > 0 {
 			continue
 		}
-		cands := l.candidates(refs[i])
+		start := len(all)
+		all = l.appendCandidates(all, refs[i])
+		cands := all[start:len(all):len(all)]
 		for k, c := range cands {
 			if !l.Health.Allow(c.PeerID) {
 				l.Metrics.Inc("nocdn.loader.circuit_skips")
@@ -606,25 +672,39 @@ func (l *Loader) planBundles(refs []ObjectRef) (items []bundleItem, bundles [][]
 				size = it.ref.Size
 			}
 			b := 0
-			for b < len(bundles) && (items[bundles[b][0]].peer.PeerID != c.PeerID ||
-				len(bundles[b]) == maxBundleItems || sums[b]+size > maxBundleBytes) {
+			for b < len(plan) && (plan[b].peer != c.PeerID ||
+				plan[b].refs == maxBundleItems || plan[b].bytes+size > maxBundleBytes) {
 				b++
 			}
-			if b == len(bundles) {
-				bundles, sums = append(bundles, nil), append(sums, 0)
+			if b == len(plan) {
+				plan = append(plan, bundlePlan{peer: c.PeerID})
 			}
-			bundles[b], sums[b] = append(bundles[b], i), sums[b]+size
+			plan[b].refs++
+			plan[b].bytes += size
+			in[i] = b + 1
 			break
+		}
+	}
+	bundles = make([][]int, len(plan))
+	idx := make([]int, len(refs))
+	at := 0
+	for b := range plan {
+		bundles[b] = idx[at : at : at+plan[b].refs]
+		at += plan[b].refs
+	}
+	for i, b := range in {
+		if b > 0 {
+			bundles[b-1] = append(bundles[b-1], i)
 		}
 	}
 	return items, bundles
 }
 
 // fetchFromCandidates returns ref's body from the first candidate peer
-// that serves it, with the serving peer's ID. first is ref's item of a
-// bundle already fetched (nil when no candidate was admitted); when it
-// failed, the candidates after it are tried in turn, each as a bundle of
-// one, skipping open-circuit ones. On total failure, reason is
+// that serves it, the peers it credits, and the serving peer's ID. first is
+// ref's item of a bundle already fetched (nil when no candidate was
+// admitted); when it failed, the candidates after it are tried in turn, each
+// as a bundle of one, skipping open-circuit ones. On total failure, reason is
 // "circuit_open" when no candidate was even admitted by its breaker
 // (nothing hit the network) and "peer_failure" otherwise. Chunked refs keep
 // their multi-peer fan-out into dst.
@@ -634,28 +714,28 @@ func (l *Loader) planBundles(refs []ObjectRef) (items []bundleItem, bundles [][]
 // it would have been had the bytes been kept: the transfer returns that peer
 // with no data and no credit, and loadObject's verification fails it into
 // the tampered fallback.
-func (l *Loader) fetchFromCandidates(ctx context.Context, gate fetchGate, sp *hpop.Span, provider string, ref ObjectRef, dst []byte, first *bundleItem) (data []byte, fromPeers map[string]int64, servedBy, reason string, err error) {
+func (l *Loader) fetchFromCandidates(ctx context.Context, gate fetchGate, sp *hpop.Span, provider string, ref ObjectRef, dst []byte, first *bundleItem) (data []byte, paid credit, servedBy, reason string, err error) {
 	if len(ref.Chunks) > 0 {
-		fromPeers, err = l.fetchChunks(ctx, gate, sp, provider, ref, dst)
-		return dst, fromPeers, "", "peer_failure", err
+		paid.chunks, err = l.fetchChunks(ctx, gate, sp, provider, ref, dst)
+		return dst, paid, "", "peer_failure", err
 	}
 	if first == nil {
-		return nil, nil, "", "circuit_open",
+		return nil, credit{}, "", "circuit_open",
 			fmt.Errorf("nocdn: every candidate peer open-circuit for %s", ref.Path)
 	}
 	for it := first; it != nil; it = l.nextCandidate(ctx, gate, sp, provider, it) {
 		if errors.Is(it.err, errBodyLength) {
-			return nil, nil, it.peer.PeerID, "", nil
+			return nil, credit{}, it.peer.PeerID, "", nil
 		}
 		if it.data != nil {
 			if it.peer.PeerID != ref.PeerID {
 				sp.SetLabel("served_by", it.peer.PeerID)
 			}
-			return it.data, map[string]int64{it.peer.PeerID: int64(len(it.data))}, it.peer.PeerID, "", nil
+			return it.data, credit{peer: it.peer.PeerID}, it.peer.PeerID, "", nil
 		}
 		err = it.err
 	}
-	return nil, nil, "", "peer_failure", err
+	return nil, credit{}, "", "peer_failure", err
 }
 
 // nextCandidate asks the first admitted candidate after it's peer for its
@@ -692,7 +772,7 @@ func (l *Loader) loadObject(ctx context.Context, gate fetchGate, parent *hpop.Sp
 		osp.SetError(err)
 		out.degraded = true
 		out.data = nil
-		out.fromPeers = nil
+		out.paid = credit{}
 		out.err = nil
 		return out
 	}
@@ -706,7 +786,7 @@ func (l *Loader) loadObject(ctx context.Context, gate fetchGate, parent *hpop.Sp
 	} else if ref.Size > 0 {
 		dst = make([]byte, ref.Size)
 	}
-	data, fromPeers, servedBy, reason, err := l.fetchFromCandidates(ctx, gate, osp, provider, ref, dst, first)
+	data, paid, servedBy, reason, err := l.fetchFromCandidates(ctx, gate, osp, provider, ref, dst, first)
 	if err != nil {
 		// Every candidate peer unreachable, failing, or open-circuit: fall
 		// back to the origin, exactly as for tampered content — "one
@@ -722,7 +802,7 @@ func (l *Loader) loadObject(ctx context.Context, gate fetchGate, parent *hpop.Sp
 			return out
 		}
 		data = fallback
-		fromPeers = nil
+		paid = credit{}
 		servedBy = ""
 		out.fallback = true
 	}
@@ -750,10 +830,10 @@ func (l *Loader) loadObject(ctx context.Context, gate fetchGate, parent *hpop.Sp
 		}
 		data = fallback
 		out.fallback = true
-		fromPeers = nil // peers get no credit for corrupted bytes
+		paid = credit{} // peers get no credit for corrupted bytes
 	}
 	out.data = data
-	out.fromPeers = fromPeers
+	out.paid = paid
 	return out
 }
 

@@ -378,14 +378,26 @@ const (
 	tierDiskStream
 )
 
-func (t cacheTier) label() string {
+func (t cacheTier) label() string { return t.series().label }
+
+// tierSeries is a tier's label and the names of its nocdn.cache series,
+// spelled out so that counting a serve builds no string.
+type tierSeries struct{ label, hits, hitSeconds, bytes string }
+
+var (
+	memSeries    = tierSeries{"mem", "nocdn.cache.hits.mem", "nocdn.cache.hit_seconds.mem", "nocdn.cache.bytes.mem"}
+	diskSeries   = tierSeries{"disk", "nocdn.cache.hits.disk", "nocdn.cache.hit_seconds.disk", "nocdn.cache.bytes.disk"}
+	originSeries = tierSeries{"origin", "nocdn.cache.hits.origin", "nocdn.cache.hit_seconds.origin", "nocdn.cache.bytes.origin"}
+)
+
+func (t cacheTier) series() *tierSeries {
 	switch t {
 	case tierMem:
-		return "mem"
+		return &memSeries
 	case tierDisk, tierDiskStream:
-		return "disk"
+		return &diskSeries
 	default:
-		return "origin"
+		return &originSeries
 	}
 }
 

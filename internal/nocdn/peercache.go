@@ -451,6 +451,9 @@ type serveOutcome struct {
 // and its bookkeeping; only writing the answer differs between the two.
 type objectServe struct {
 	origin, provider, path string
+	// base is the object's cache key before Vary, provider|path, built once
+	// per serve.
+	base string
 	// expect is the loader's wrapper hash for the object ("" for plain HTTP
 	// clients); hdr supplies the Vary-named headers.
 	expect string
@@ -478,8 +481,8 @@ func (s *objectServe) size() int64 {
 // newServe starts a serve of path for provider, as the request r asks.
 func (p *Peer) newServe(r *http.Request, provider, path, expect string) objectServe {
 	origin, signed := p.originOf(provider)
-	return objectServe{origin: origin, provider: provider, path: path, expect: expect,
-		signed: signed, hdr: r.Header, start: time.Now()}
+	return objectServe{origin: origin, provider: provider, path: path, base: provider + "|" + path,
+		expect: expect, signed: signed, hdr: r.Header, start: time.Now()}
 }
 
 // lookup is the part of a serve that never waits on the origin (serveCached).
@@ -491,7 +494,7 @@ func (p *Peer) lookup(s *objectServe) bool {
 		return false
 	}
 	var ok bool
-	s.out, ok = p.serveCached(s.origin, s.provider, s.path, s.expect, s.hdr)
+	s.out, ok = p.serveCached(s)
 	s.fill = !ok
 	return s.fill || s.out.data == nil
 }
@@ -511,15 +514,17 @@ func (p *Peer) finish(s *objectServe, r *http.Request, sp *hpop.Span) {
 	if s.fill {
 		fsp := sp.Child("origin_fill")
 		fsp.SetLabel("path", s.path)
-		s.out, s.err = p.serveOrigin(s.origin, s.provider, s.path, s.expect, s.hdr, s.out)
+		s.out, s.err = p.serveOrigin(s)
 		fsp.SetError(s.err)
 		fsp.End()
 	}
 	p.countServe(s.out, s.err, time.Since(s.start).Seconds())
-	p.reporter.Load().ObserveKey(s.provider+s.path, 1)
+	if rep := p.reporter.Load(); rep != nil {
+		rep.ObserveKey(s.provider+s.path, 1)
+	}
 	if s.err == nil && s.out.tier == tierDiskStream && s.out.data == nil {
 		if s.win = p.openStream(r, s.path, s.out); s.win == nil {
-			s.out, s.err = p.serveMiss(s.origin, s.provider+"|"+s.path, s.out.key, s.path, s.expect, s.hdr)
+			s.out, s.err = p.serveMiss(s.origin, s.base, s.out.key, s.path, s.expect, s.hdr)
 		}
 	}
 	if s.err != nil {
@@ -527,14 +532,13 @@ func (p *Peer) finish(s *objectServe, r *http.Request, sp *hpop.Span) {
 	}
 }
 
-// serveCached is the half of serveObject that never waits on the origin
-// (a stale-while-revalidate serve kicks its refresh off in the background).
+// serveCached is the half of s's serve that never waits on the origin (a
+// stale-while-revalidate serve kicks its refresh off in the background).
 // ok false means the origin must be asked, by serveOrigin: a fill when
 // out.meta is nil — a miss, a hash-epoch refetch, an entry gone since the
 // lookup — else a revalidation of the cached out.
-func (p *Peer) serveCached(origin, provider, path, expect string, reqHdr http.Header) (out serveOutcome, ok bool) {
-	base := provider + "|" + path
-	key := varyKey(base, p.varyNamesFor(base), reqHdr)
+func (p *Peer) serveCached(s *objectServe) (out serveOutcome, ok bool) {
+	key := varyKey(s.base, p.varyNamesFor(s.base), s.hdr)
 	data, tier, found := p.cacheGet(key)
 	if !found {
 		return serveOutcome{key: key}, false
@@ -554,7 +558,7 @@ func (p *Peer) serveCached(origin, provider, path, expect string, reqHdr http.He
 		age = 0
 	}
 	cached := serveOutcome{key: key, data: data, meta: m, tier: tier, xcache: XCacheStale, age: age}
-	switch decide(m, expect, age) {
+	switch decide(m, s.expect, age) {
 	case decHit:
 		cached.xcache = XCacheHit
 		return cached, true
@@ -563,7 +567,7 @@ func (p *Peer) serveCached(origin, provider, path, expect string, reqHdr http.He
 		return cached, true
 	case decStaleSWR:
 		p.metrics.Inc("nocdn.peer.stale_serves")
-		p.revalidateAsync(origin, base, key, path, m, reqHdr)
+		p.revalidateAsync(s.origin, s.base, key, s.path, m, s.hdr)
 		return cached, true
 	case decRefetch:
 		// Wrong hash epoch: the cached bytes can never satisfy this loader.
@@ -573,15 +577,16 @@ func (p *Peer) serveCached(origin, provider, path, expect string, reqHdr http.He
 	}
 }
 
-// serveOrigin finishes a request serveCached could not answer alone.
-func (p *Peer) serveOrigin(origin, provider, path, expect string, reqHdr http.Header, cached serveOutcome) (serveOutcome, error) {
-	base := provider + "|" + path
+// serveOrigin finishes a serve serveCached could not answer alone; s.out is
+// what serveCached found.
+func (p *Peer) serveOrigin(s *objectServe) (serveOutcome, error) {
+	cached := s.out
 	if cached.meta == nil {
-		return p.serveMiss(origin, base, cached.key, path, expect, reqHdr)
+		return p.serveMiss(s.origin, s.base, cached.key, s.path, s.expect, s.hdr)
 	}
-	nd, nm, notModified, err := p.originGet(origin, base, cached.key, path, cached.meta, reqHdr)
+	nd, nm, notModified, err := p.originGet(s.origin, s.base, cached.key, s.path, cached.meta, s.hdr)
 	if err != nil {
-		if expect == "" && cached.meta.withinSIE(cached.age) {
+		if s.expect == "" && cached.meta.withinSIE(cached.age) {
 			// Origin down or erroring: serve the stale copy inside the
 			// granted window rather than failing the edge.
 			p.metrics.Inc("nocdn.peer.stale_serves")
@@ -659,7 +664,7 @@ func (p *Peer) countServe(out serveOutcome, err error, elapsed float64) {
 	// reports and merge bucket-exactly at the origin.
 	p.metrics.Observe("nocdn.peer.serve_seconds", elapsed)
 	if err == nil {
-		p.metrics.Inc("nocdn.peer.xcache." + strings.ToLower(out.xcache))
+		p.metrics.Inc(xcacheSeries(out.xcache))
 	}
 	hit := err == nil && out.xcache != XCacheMiss
 	if hit {
@@ -671,13 +676,31 @@ func (p *Peer) countServe(out serveOutcome, err error, elapsed float64) {
 			p.diskHits.Add(1)
 		}
 		p.metrics.Inc("nocdn.peer.hits")
-		p.metrics.Inc("nocdn.cache.hits." + out.tier.label())
-		p.metrics.Observe("nocdn.cache.hit_seconds."+out.tier.label(), elapsed)
+		ts := out.tier.series()
+		p.metrics.Inc(ts.hits)
+		p.metrics.Observe(ts.hitSeconds, elapsed)
 		return
 	}
 	p.misses.Add(1)
 	p.metrics.Inc("nocdn.peer.misses")
 	p.metrics.Observe("nocdn.peer.miss_seconds", elapsed)
+}
+
+// xcacheSeries names the nocdn.peer.xcache counter of an X-Cache verdict:
+// the verdict lower-cased, spelled out for the four a serve gives so that
+// counting one builds no string.
+func xcacheSeries(xcache string) string {
+	switch xcache {
+	case XCacheHit:
+		return "nocdn.peer.xcache.hit"
+	case XCacheMiss:
+		return "nocdn.peer.xcache.miss"
+	case XCacheStale:
+		return "nocdn.peer.xcache.stale"
+	case XCacheRevalidated:
+		return "nocdn.peer.xcache.revalidated"
+	}
+	return "nocdn.peer.xcache." + strings.ToLower(xcache)
 }
 
 // streamWindow is the span [lo, hi) of a disk-tier entry that a serve
@@ -803,5 +826,5 @@ func (p *Peer) writeOutcome(w http.ResponseWriter, r *http.Request, out serveOut
 // countBytes charges n served bytes of out to the peer's ledger.
 func (p *Peer) countBytes(out serveOutcome, n int64) {
 	p.servedBytes.Add(n)
-	p.metrics.Add("nocdn.cache.bytes."+out.tier.label(), float64(n))
+	p.metrics.Add(out.tier.series().bytes, float64(n))
 }
