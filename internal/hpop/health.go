@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 )
@@ -74,6 +75,9 @@ func breakerGauge(s BreakerState) float64 {
 func (r *HealthRegistry) get(id string) *peerHealth {
 	ph, ok := r.peers[id]
 	if !ok {
+		// A copy: id may be a substring of a whole response body (the
+		// loader's decoded wrapper), which the registry must not pin.
+		id = strings.Clone(id)
 		ph = &peerHealth{
 			breaker: NewBreaker(r.cfg),
 			latency: NewHistogram(nil),

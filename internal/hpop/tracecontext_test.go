@@ -94,6 +94,21 @@ func TestParseTraceparentAbsentAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestExtractTraceparentAbsentAllocatesNothing: every request a daemon
+// serves is asked for its traceparent, and most carry none. The header is
+// looked up under its canonical key, so the lookup builds no key string.
+func TestExtractTraceparentAbsentAllocatesNothing(t *testing.T) {
+	h := http.Header{"Accept": {"*/*"}, "User-Agent": {"Go-http-client/1.1"}}
+	allocs := testing.AllocsPerRun(100, func() {
+		if ExtractTraceparent(h).Valid() {
+			t.Fatal("absent traceparent extracted")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("ExtractTraceparent of a header without one allocates %v times, want 0", allocs)
+	}
+}
+
 // TestInjectExtractTraceparent exercises the HTTP header half: inject from a
 // live span, extract on the "other side", and check the zero value comes back
 // for absent or corrupted headers.
@@ -102,8 +117,8 @@ func TestInjectExtractTraceparent(t *testing.T) {
 	sp := tr.Start("svc", "op")
 	h := http.Header{}
 	InjectTraceparent(h, sp)
-	if h.Get(TraceparentHeader) == "" {
-		t.Fatal("no traceparent injected from live span")
+	if h["Traceparent"] == nil {
+		t.Fatalf("no traceparent injected from live span under its canonical key: %v", h)
 	}
 	tc := ExtractTraceparent(h)
 	if !tc.Valid() || !tc.Sampled {

@@ -6,7 +6,7 @@ package nocdn
 //	GET /proxy/PROVIDER?o=PATH&h=HASH&o=PATH&h=HASH...
 //
 // names each object by its path and the wrapper's hash for it (the
-// X-NoCDN-Hash a single GET would carry). The request is a GET, so net/http
+// X-Nocdn-Hash a single GET would carry). The request is a GET, so net/http
 // may replay it on a stale keep-alive connection. The answer is 200 under a
 // declared Content-Length: BundleHeader lists, in request order, each item's
 // length, or -STATUS for an item that failed, and the bodies of the items
@@ -30,8 +30,9 @@ import (
 )
 
 // BundleHeader carries a bundle response's item lengths: comma-separated,
-// in request order, -STATUS for an item the peer could not serve.
-const BundleHeader = "X-NoCDN-Bundle"
+// in request order, -STATUS for an item the peer could not serve. It is in
+// canonical form, as net/http writes it.
+const BundleHeader = "X-Nocdn-Bundle"
 
 // errBadBundle reports a bundle answer that does not follow the format.
 var errBadBundle = errors.New("nocdn: malformed bundle response")

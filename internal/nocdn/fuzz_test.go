@@ -69,10 +69,22 @@ func FuzzRecordLine(f *testing.F) {
 	})
 }
 
+// The wire decoders (decodeWrapper, decodeBatch) are fuzzed against
+// encoding/json (refDecodeWrapper, refDecodeBatch): a body the decoder
+// accepts, json.Unmarshal accepts, and the two results are reflect.DeepEqual.
+// The converse does not hold on purpose. json.Unmarshal takes a repeated key
+// (the last one wins, and a repeated "keys" object merges into the first)
+// and a key that matches a field only in another case ("PeerId" for
+// "peerId"); the decoders refuse both, so a batch spelling "records" in
+// another case answers 400 where encoding/json made it 415. No encoder here
+// writes either.
+
 // FuzzDecodeRecords hardens the usage-record batch parser (the body of POST
-// /usage/batch): arbitrary bytes must never panic; every accepted leaf is
-// byte for byte the LeafBytes of the record parsed from it; and a decoded
-// batch re-encodes and decodes again to equal records.
+// /usage/batch): arbitrary bytes must never panic; a batch it accepts,
+// refDecodeBatch accepts with equal records and leaves, and a legacy batch
+// is legacy to both; every accepted leaf is byte for byte the LeafBytes of
+// the record parsed from it; and a decoded batch re-encodes and decodes
+// again to equal records.
 func FuzzDecodeRecords(f *testing.F) {
 	good, _ := EncodeBatch(NewRecordBatch("x", []UsageRecord{{Provider: "p", PeerID: "x", Bytes: 5}}))
 	f.Add(good)
@@ -91,10 +103,22 @@ func FuzzDecodeRecords(f *testing.F) {
 	if legacy, err := os.ReadFile(filepath.Join("testdata", "legacy_batch.json")); err == nil {
 		f.Add(legacy)
 	}
+	f.Add([]byte(`{"peerId":"x","root":"00","leaves":["v2|p|x|k|a\u0026b \u003cx\u003e|5|0|n|2026-01-01T00:00:00Z||ab"],"future":[1.5,{"a":null}]}`))
+	f.Add([]byte(`{"leaves":null,"peerId":null}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		batch, leaves, err := decodeBatch(data)
+		refBatch, refLeaves, refErr := refDecodeBatch(data)
+		if errors.Is(err, errLegacyBatch) && !errors.Is(refErr, errLegacyBatch) {
+			t.Fatalf("legacy here, %v to encoding/json", refErr)
+		}
 		if err != nil {
 			return
+		}
+		if refErr != nil {
+			t.Fatalf("accepted a batch encoding/json refuses: %v", refErr)
+		}
+		if !reflect.DeepEqual(batch, refBatch) || !reflect.DeepEqual(leaves, refLeaves) {
+			t.Fatalf("decoded %+v %q, encoding/json %+v %q", batch, leaves, refBatch, refLeaves)
 		}
 		for i, r := range batch.Records {
 			if got := r.LeafBytes(); !bytes.Equal(got, leaves[i]) {
@@ -111,6 +135,53 @@ func FuzzDecodeRecords(f *testing.F) {
 		}
 		if again.PeerID != batch.PeerID || again.Root != batch.Root || !slices.Equal(again.Records, batch.Records) {
 			t.Fatalf("round trip changed the batch: %+v, want %+v", again, batch)
+		}
+	})
+}
+
+// FuzzWrapperDecode hardens the loader's wrapper decoder: arbitrary bytes
+// must never panic; a wrapper it accepts, refDecodeWrapper accepts with a
+// DeepEqual result; and json.Marshal of any wrapper encoding/json decodes is
+// accepted, decodes as encoding/json decodes it, and re-encodes to the same
+// bytes.
+func FuzzWrapperDecode(f *testing.F) {
+	for _, w := range sampleWrappers() {
+		b, err := json.Marshal(w)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Add([]byte(`{"objects":null,"keys":null,"future":{"a":[1,-0.5e+3,true,"\ud800"]}}`))
+	f.Add([]byte(`{"objects":[{"size":1.0}],"Page":"x","page":"y","page":"z"}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		w, err := decodeWrapper(data)
+		ref, refErr := refDecodeWrapper(data)
+		if err == nil {
+			if refErr != nil {
+				t.Fatalf("accepted a wrapper encoding/json refuses: %v", refErr)
+			}
+			if !reflect.DeepEqual(w, ref) {
+				t.Fatalf("decoded %+v, encoding/json %+v", w, ref)
+			}
+		}
+		if refErr != nil {
+			return
+		}
+		enc, err := json.Marshal(ref)
+		if err != nil {
+			return // a time json.Marshal cannot write
+		}
+		again, err := decodeWrapper(enc)
+		if err != nil {
+			t.Fatalf("a marshalled wrapper does not decode: %v\n%s", err, enc)
+		}
+		refAgain, _ := refDecodeWrapper(enc)
+		if !reflect.DeepEqual(again, refAgain) {
+			t.Fatalf("marshalled wrapper decoded %+v, encoding/json %+v", again, refAgain)
+		}
+		if re, _ := json.Marshal(again); !bytes.Equal(re, enc) {
+			t.Fatalf("round trip changed the bytes:\n%s\n%s", enc, re)
 		}
 	})
 }
@@ -418,7 +489,7 @@ func FuzzSettleRecords(f *testing.F) {
 }
 
 // FuzzBundleItems hardens the loader's split of a bundle answer, whose
-// X-NoCDN-Bundle lengths and body both come from an untrusted peer: any
+// X-Nocdn-Bundle lengths and body both come from an untrusted peer: any
 // input must not panic, and an accepted split must cover the body exactly —
 // each served item the next sub-slice of body (capped, so appending to one
 // cannot overwrite the next), their lengths summing to len(body), and each

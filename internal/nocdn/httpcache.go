@@ -32,8 +32,10 @@ const (
 	// ExpectHashHeader carries the loader's wrapper hash for the object on
 	// peer fetches (request) and the served entry's hash (response). A
 	// cached entry matching the request's expected hash is fresh at any
-	// age; a mismatch forces a refetch — never a stale serve.
-	ExpectHashHeader = "X-NoCDN-Hash"
+	// age; a mismatch forces a refetch — never a stale serve. Like every
+	// header name here it is in canonical form, so net/http's Set and Get
+	// take it as it is instead of building the canonical key each time.
+	ExpectHashHeader = "X-Nocdn-Hash"
 
 	XCacheMiss        = "MISS"        // origin round trip fetched the body
 	XCacheHit         = "HIT"         // fresh cache entry

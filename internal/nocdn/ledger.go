@@ -46,6 +46,8 @@ type ledgerShard struct {
 func (sh *ledgerShard) rowLocked(peerID string) *peerRow {
 	r := sh.rows[peerID]
 	if r == nil {
+		// A copy: peerID may be a substring of a whole upload's body.
+		peerID = strings.Clone(peerID)
 		r = &peerRow{ledgerRow: ledgerRow{ID: peerID}, peerAudit: peerAudit{PeerID: peerID}}
 		sh.rows[peerID] = r
 	}

@@ -359,7 +359,7 @@ func (p *Peer) recoveredMeta(key string) *entryMeta {
 // 304s — whether or not one arrived: the backfill's rule. (Revalidations
 // used to count only their 200s, so an origin failing them looked idle.)
 func (p *Peer) originGet(origin, base, key, path string, old *entryMeta, reqHdr http.Header) (data []byte, m *entryMeta, notModified bool, err error) {
-	req, err := http.NewRequest(http.MethodGet, origin+"/content"+path, nil)
+	req, err := http.NewRequest(http.MethodGet, origin+"/content"+escapePath(path), nil)
 	if err != nil {
 		return nil, nil, false, fmt.Errorf("nocdn: origin fetch: %w", err)
 	}
