@@ -564,7 +564,6 @@ func (o *Origin) settle(parent hpop.TraceContext, b RecordBatch, leaves [][]byte
 	o.metrics.Inc("nocdn.origin.batches")
 	sp := o.tracer.StartRemote("nocdn.origin", "settle_batch", parent)
 	sp.SetLabel("records", strconv.Itoa(len(b.Records)))
-	sp.SetLabel("peer", b.PeerID)
 	defer func() {
 		if err != nil {
 			sp.SetError(err)
@@ -574,11 +573,14 @@ func (o *Origin) settle(parent hpop.TraceContext, b RecordBatch, leaves [][]byte
 	start := time.Now()
 
 	// The upload is not authenticated, so a refusal leaves nothing behind:
-	// only a batch that commits can open or move a ledger row.
+	// only a batch that commits can open or move a ledger row. Nor does a
+	// span, which outlives the request in the tracer's ring: it is labelled
+	// only with a registered ID, and quotes at most 64 characters of another.
 	if _, ok := o.registry.get(b.PeerID); !ok {
 		o.metrics.Inc("nocdn.origin.batches_rejected")
-		return 0, fmt.Errorf("%w: uploader %q is not a registered peer", ErrBadBatch, b.PeerID)
+		return 0, fmt.Errorf("%w: uploader %.64q is not a registered peer", ErrBadBatch, b.PeerID)
 	}
+	sp.SetLabel("peer", b.PeerID)
 	if MerkleRoot(leaves) != b.Root {
 		o.metrics.Inc("nocdn.origin.batches_rejected")
 		return 0, fmt.Errorf("%w: root mismatch", ErrBadBatch)
@@ -598,7 +600,7 @@ func (o *Origin) settle(parent hpop.TraceContext, b RecordBatch, leaves [][]byte
 		} else {
 			rsp = sp.Child("settle_record")
 		}
-		rsp.SetLabel("peer", r.PeerID)
+		rsp.SetLabel("peer", b.PeerID) // who the outcome is charged to
 		rsp.SetLabel("bytes", strconv.FormatInt(r.Bytes, 10))
 		oc := settleOutcome{rec: r, err: o.checkRecord(&v, r, b.PeerID, leaves[i])}
 		if oc.err != nil {
@@ -744,7 +746,7 @@ func (o *Origin) checkRecord(v *leafVerifier, r UsageRecord, batchPeer string, l
 		return ErrBadRecord
 	}
 	if r.PeerID != batchPeer {
-		return fmt.Errorf("%w: record peer %q in batch from %q", ErrBadRecord, r.PeerID, batchPeer)
+		return fmt.Errorf("%w: record peer %.64q in batch from %q", ErrBadRecord, r.PeerID, batchPeer)
 	}
 	k, ok := parseKeyID(r.KeyID)
 	if !ok {
