@@ -37,6 +37,8 @@ import (
 // skipped journal records, and internal/hpop keeps no audit flag in its
 // health registry. The wrapper and the batch envelope are read in place:
 // loader.go uses no encoding/json, and merkle.go decodes nothing with it.
+// A cached object's HTTP metadata lives on its cache entry: internal/nocdn
+// keeps no peer-wide metadata map, its cap, its accessors or its lock.
 func TestDeletedForksStayDeleted(t *testing.T) {
 	scorer := regexp.MustCompile(`welford|scoreLocked|rescoreAll|nocdn\.audit\.peer\.|tamper_flags|DefaultAudit(Threshold|MinRecords)|populationMeanBytes`)
 	recordJSON := regexp.MustCompile(`json\.(Marshal|Unmarshal|NewDecoder)\((rec|recs|record|records|leaf|leaves|body|line|r\.Body)\b|json\.\w+\(.*&(rec|recs|record|records)\b`)
@@ -61,6 +63,7 @@ func TestDeletedForksStayDeleted(t *testing.T) {
 		{"internal/nocdn/merkle.go", regexp.MustCompile(`json\.(Unmarshal|NewDecoder)`)},
 		{"internal/nocdn", regexp.MustCompile(`legacyKeys|legacyLeaf|SecretHex|walAuditFlagRec|unknown_records|\(l \*ledger\) flag\(`)},
 		{"internal/hpop", regexp.MustCompile(`SetFlagged|\.flagged\b`)},
+		{"internal/nocdn", regexp.MustCompile(`maxMetaEntries|metaFor\(|setMeta\(|metaMu|map\[string\]\*entryMeta`)},
 	} {
 		err := filepath.WalkDir(c.root, func(path string, d fs.DirEntry, err error) error {
 			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {

@@ -14,12 +14,13 @@ type flightGroup struct {
 type flightCall struct {
 	done chan struct{}
 	data []byte
+	meta *entryMeta
 	err  error
 }
 
 // do runs fn once per key among concurrent callers; latecomers block until
-// the leader finishes and receive its result.
-func (g *flightGroup) do(key string, fn func() ([]byte, error)) ([]byte, error) {
+// the leader finishes and receive its result, the body with its metadata.
+func (g *flightGroup) do(key string, fn func() ([]byte, *entryMeta, error)) ([]byte, *entryMeta, error) {
 	g.mu.Lock()
 	if g.calls == nil {
 		g.calls = make(map[string]*flightCall)
@@ -27,17 +28,17 @@ func (g *flightGroup) do(key string, fn func() ([]byte, error)) ([]byte, error) 
 	if c, ok := g.calls[key]; ok {
 		g.mu.Unlock()
 		<-c.done
-		return c.data, c.err
+		return c.data, c.meta, c.err
 	}
 	c := &flightCall{done: make(chan struct{})}
 	g.calls[key] = c
 	g.mu.Unlock()
 
-	c.data, c.err = fn()
+	c.data, c.meta, c.err = fn()
 
 	g.mu.Lock()
 	delete(g.calls, key)
 	g.mu.Unlock()
 	close(c.done)
-	return c.data, c.err
+	return c.data, c.meta, c.err
 }

@@ -504,32 +504,32 @@ func TestByteLRUEviction(t *testing.T) {
 	c := newByteLRU(100)
 	put := func(key string, n int) []lruEntry {
 		data := bytes.Repeat([]byte(key[:1]), n)
-		return c.put(key, data, sha256.Sum256(data))
+		return c.put(key, data, sha256.Sum256(data), &entryMeta{etag: key})
 	}
 	put("a", 40)
 	put("b", 40)
 	c.get("a") // refresh a
-	// Evicts b (LRU), handing back the sum it was stored with: a spill
-	// writes that, it does not hash the entry again.
+	// Evicts b (LRU), handing back the sum and metadata it was stored with:
+	// a spill writes those, it does not hash the entry again.
 	evicted := put("c", 40)
-	if len(evicted) != 1 || evicted[0].key != "b" || evicted[0].sum != sha256.Sum256(evicted[0].data) {
-		t.Errorf("evicted = %v, want b with the SHA-256 of its bytes", evicted)
+	if len(evicted) != 1 || evicted[0].key != "b" || evicted[0].sum != sha256.Sum256(evicted[0].data) || evicted[0].meta.etag != "b" {
+		t.Errorf("evicted = %v, want b with the SHA-256 of its bytes and its metadata", evicted)
 	}
-	if _, ok := c.get("b"); ok {
+	if _, _, ok := c.get("b"); ok {
 		t.Error("b survived eviction")
 	}
-	if _, ok := c.get("a"); !ok {
-		t.Error("recently used a evicted")
+	if _, m, ok := c.get("a"); !ok || m.etag != "a" {
+		t.Error("recently used a evicted, or returned without its metadata")
 	}
 	// Oversized object is not cached.
 	put("huge", 1000)
-	if _, ok := c.get("huge"); ok {
+	if _, _, ok := c.get("huge"); ok {
 		t.Error("oversized object cached")
 	}
 	// Replacing a key adjusts usage, and the sum follows the bytes.
 	put("a", 10)
 	put("d", 50)
-	if _, ok := c.get("a"); !ok {
+	if _, _, ok := c.get("a"); !ok {
 		t.Error("a lost after shrink-replace")
 	}
 	for _, e := range put("e", 90) {

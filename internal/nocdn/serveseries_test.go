@@ -79,7 +79,7 @@ func TestServeSeriesNames(t *testing.T) {
 	for _, path := range evict {
 		get(path, "", XCacheMiss)
 	}
-	if _, tier, ok := p.cacheGet(key); !ok || tier != tierDisk {
+	if _, _, tier, ok := p.cacheGet(key); !ok || tier != tierDisk {
 		t.Fatalf("/small: tier %v, found %v; want a promoted disk hit", tier, ok)
 	}
 	p.cache.remove(key) // cacheGet promoted it; serve it off the disk tier again

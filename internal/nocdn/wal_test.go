@@ -833,6 +833,52 @@ func TestNonceWindowReanchoredOnRecovery(t *testing.T) {
 	}
 }
 
+// TestRecordSpoolCountsFailedWrites: an append whose flush fails counts in
+// nocdn.peer.spool_errors and not in spool_appends, and so does every later
+// one until a rewrite reopens the file; a rewrite that cannot write its
+// temporary file counts too, and leaves the appends failing.
+func TestRecordSpoolCountsFailedWrites(t *testing.T) {
+	dir := t.TempDir()
+	m := hpop.NewMetrics()
+	p := NewPeer("peer-a", 1<<20)
+	p.SetMetrics(m)
+	if err := p.AttachRecordSpool(dir); err != nil {
+		t.Fatal(err)
+	}
+	defer p.CloseRecordSpool()
+	counts := func(appends, errs float64) {
+		t.Helper()
+		if a, e := m.Counter("nocdn.peer.spool_appends"), m.Counter("nocdn.peer.spool_errors"); a != appends || e != errs {
+			t.Fatalf("spool_appends %v, spool_errors %v; want %v, %v", a, e, appends, errs)
+		}
+	}
+	s := p.spool
+	s.append(spoolLeaf(1, "n0"))
+	counts(1, 0)
+	s.f.Close() // the handle dies under the spool
+	s.append(spoolLeaf(2, "n1"))
+	s.append(spoolLeaf(3, "n2"))
+	counts(1, 2)
+
+	tmp := filepath.Join(dir, spoolFileName+".tmp")
+	if err := os.Mkdir(tmp, 0o755); err != nil { // a rewrite cannot create its file
+		t.Fatal(err)
+	}
+	s.rewrite([]string{spoolLeaf(1, "n0")})
+	s.append(spoolLeaf(4, "n3"))
+	counts(1, 4)
+
+	if err := os.Remove(tmp); err != nil {
+		t.Fatal(err)
+	}
+	s.rewrite([]string{spoolLeaf(1, "n0")})
+	s.append(spoolLeaf(5, "n4"))
+	counts(2, 4)
+	if got, want := dirFiles(t, dir)[spoolFileName], spoolLeaf(1, "n0")+"\n"+spoolLeaf(5, "n4")+"\n"; got != want {
+		t.Errorf("spool = %q, want %q", got, want)
+	}
+}
+
 // TestRecordSpoolRoundTrip: AttachRecordSpool requeues a spool of leaves,
 // one a line, in order. An unterminated last line is the torn tail a crash
 // mid-append leaves, and it is dropped. It is torn inside a leaf's
