@@ -104,6 +104,10 @@ func run(args []string) error {
 	}
 
 	if *peerID != "" {
+		// A name holding a leaf's separator could never settle a record.
+		if err := nocdn.CheckName(*peerID); err != nil {
+			return fmt.Errorf("-nocdn-peer: %w", err)
+		}
 		peer := nocdn.NewPeer(*peerID, *cacheMB<<20)
 		peer.SetFetchTimeout(*fetchTimeout)
 		if *maxInflight > 0 {
@@ -117,6 +121,9 @@ func run(args []string) error {
 			kv := strings.SplitN(pair, "=", 2)
 			if len(kv) != 2 {
 				return fmt.Errorf("bad -nocdn-provider entry %q (want name=url)", pair)
+			}
+			if err := nocdn.CheckName(kv[0]); err != nil {
+				return fmt.Errorf("-nocdn-provider: %w", err)
 			}
 			peer.SignUp(kv[0], kv[1])
 			if telemetryOrigin == "" {

@@ -40,6 +40,26 @@ func TestRunValidation(t *testing.T) {
 	if err := run([]string{"-unknown-flag"}); err == nil {
 		t.Error("unknown flag accepted")
 	}
+	// A peer or provider name holding '|' could never travel in a leaf. It
+	// must fail before the daemon binds; a run that boots instead is cut
+	// off by the timeout rather than left to serve.
+	for _, args := range [][]string{
+		{"-nocdn-peer", "peer|x"},
+		{"-nocdn-peer", "p", "-nocdn-provider", "a|b=http://127.0.0.1:9"},
+	} {
+		done := make(chan error, 1)
+		go func() {
+			done <- run(append([]string{"-listen", "127.0.0.1:0", "-password", "x"}, args...))
+		}()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), args[len(args)-2]) {
+				t.Errorf("run %v = %v, want an error naming %s", args, err, args[len(args)-2])
+			}
+		case <-time.After(5 * time.Second):
+			t.Errorf("run %v booted a peer whose records could never settle", args)
+		}
+	}
 }
 
 // TestMetricsDebugAddrEndpoints boots the daemon with -debug-addr and

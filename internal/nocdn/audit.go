@@ -38,20 +38,12 @@ type peerAudit struct {
 type Auditor struct {
 	ledger  *ledger
 	metrics *hpop.Metrics
-	tracer  *hpop.Tracer
 }
 
 // SetMetrics wires the nocdn.audit.* exports.
 func (a *Auditor) SetMetrics(m *hpop.Metrics) {
 	if a != nil {
 		a.metrics = m
-	}
-}
-
-// SetTracer wires the tracer audit spans are emitted into.
-func (a *Auditor) SetTracer(t *hpop.Tracer) {
-	if a != nil {
-		a.tracer = t
 	}
 }
 

@@ -1,0 +1,91 @@
+package nocdn
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
+	"net/url"
+	"strconv"
+	"strings"
+	"time"
+)
+
+// gossiper is the peer's neighbour-gossip part: the background loop
+// StartGossip runs, which locks itself.
+type gossiper struct {
+	gossipLoop loop
+}
+
+// GossipOnce runs one delegated-probing cycle: fetch this peer's ring
+// neighbors from the origin, probe each neighbor's /health directly, and
+// upload the verdicts as a GossipReport. Returns how many neighbors were
+// observed. Each peer watches O(neighbors); the origin believes none of it,
+// but probes the peers whose reported verdict disagrees with its own first,
+// so a sampled probe pass reaches a failing peer without scanning the fleet.
+func (p *Peer) GossipOnce(originURL string) (int, error) {
+	base := strings.TrimSuffix(originURL, "/")
+	sp := p.tracer.Start("nocdn.peer", "gossip")
+	sp.SetLabel("peer", p.ID)
+	defer sp.End()
+
+	resp, err := p.httpClient.Get(base + "/neighbors?peer=" + url.QueryEscape(p.ID))
+	if err != nil {
+		sp.SetError(err)
+		return 0, err
+	}
+	var neighbors []PeerInfo
+	err = json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&neighbors)
+	resp.Body.Close()
+	if err != nil {
+		sp.SetError(err)
+		return 0, err
+	}
+	if len(neighbors) == 0 {
+		return 0, nil
+	}
+
+	rep := GossipReport{From: p.ID}
+	for _, nbr := range neighbors {
+		ok, _, _ := probeHealth(context.Background(), p.httpClient, nbr.URL)
+		rep.Observations = append(rep.Observations, PeerObservation{PeerID: nbr.ID, Healthy: ok})
+	}
+	sp.SetLabel("observations", strconv.Itoa(len(rep.Observations)))
+
+	body, err := json.Marshal(rep)
+	if err != nil {
+		sp.SetError(err)
+		return 0, err
+	}
+	pr, err := p.httpClient.Post(base+"/gossip", "application/json", bytes.NewReader(body))
+	if err != nil {
+		sp.SetError(err)
+		p.metrics.Inc("nocdn.peer.gossip_failures")
+		return 0, err
+	}
+	io.Copy(io.Discard, io.LimitReader(pr.Body, 4<<10))
+	pr.Body.Close()
+	if pr.StatusCode != http.StatusOK {
+		err = fmt.Errorf("nocdn: gossip upload status %d", pr.StatusCode)
+		sp.SetError(err)
+		p.metrics.Inc("nocdn.peer.gossip_failures")
+		return 0, err
+	}
+	p.metrics.Inc("nocdn.peer.gossip_reports")
+	return len(rep.Observations), nil
+}
+
+// StartGossip launches the background neighbor-gossip loop against
+// originURL (<= 0 interval picks 15s). Restarting replaces the previous
+// loop.
+func (p *Peer) StartGossip(originURL string, interval time.Duration) {
+	if interval <= 0 {
+		interval = 15 * time.Second
+	}
+	p.gossipLoop.start(interval, func() { p.GossipOnce(originURL) })
+}
+
+// StopGossip halts the background gossip loop (no-op when not running).
+func (p *Peer) StopGossip() { p.gossipLoop.halt() }

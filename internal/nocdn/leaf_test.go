@@ -626,6 +626,50 @@ func TestFlushToUnknownOriginSendsNothing(t *testing.T) {
 	}
 }
 
+// TestFlushGateIsPerOrigin: a peer signed up for provider a at an origin
+// that answers 503, and for provider b at a live one, holds one record for
+// each. The failed flush to a's origin closes that origin's backoff gate
+// only: b's flush still uploads its record, and a's stays queued behind its
+// own gate.
+func TestFlushGateIsPerOrigin(t *testing.T) {
+	var deadRequests atomic.Int32
+	dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		deadRequests.Add(1)
+		http.Error(w, "down", http.StatusServiceUnavailable)
+	}))
+	t.Cleanup(dead.Close)
+	oa, _ := leafOrigin(t, "a.example")
+	ob, sb := leafOrigin(t, "b.example")
+	p := NewPeer("peer-a", 0)
+	p.SignUp("a.example", dead.URL)
+	p.SignUp("b.example", sb.URL)
+	srv := httptest.NewServer(p.Handler())
+	t.Cleanup(srv.Close)
+	for _, rec := range []UsageRecord{viewRecord(t, oa, 100, "a-0"), viewRecord(t, ob, 200, "b-0")} {
+		if code := postRecord(t, srv.URL, rec); code != http.StatusAccepted {
+			t.Fatalf("%s record: /record answered %d", rec.Provider, code)
+		}
+	}
+	if n, err := p.Flush(dead.URL); err == nil || errors.Is(err, ErrFlushDeferred) || n != 0 {
+		t.Fatalf("flush a = %d, %v; want 0 and the upload's failure", n, err)
+	}
+	if n, err := p.Flush(sb.URL + "/"); err != nil || n != 1 {
+		t.Fatalf("flush b after a failed = %d, %v; want 1, nil", n, err)
+	}
+	if acct := ob.AccountingFor("peer-a"); acct.CreditedBytes != 200 {
+		t.Errorf("b credited %d bytes, want 200", acct.CreditedBytes)
+	}
+	if n, err := p.Flush(dead.URL + "/"); !errors.Is(err, ErrFlushDeferred) || n != 0 {
+		t.Errorf("flush a again = %d, %v; want 0, ErrFlushDeferred", n, err)
+	}
+	if got := deadRequests.Load(); got != 1 {
+		t.Errorf("a's origin saw %d uploads, want 1", got)
+	}
+	if got := p.PendingRecords(); got != 1 {
+		t.Errorf("%d records queued, want a's 1", got)
+	}
+}
+
 // TestParentLoaderRecordSettles: a loader from before records traveled as
 // leaves posts the record as JSON. The peer answers 400 as it does to any
 // body that is not a leaf, and queues and spools nothing.

@@ -305,86 +305,3 @@ func (l *ledger) floorAssigned(peerID string, n int64) {
 	}
 	sh.mu.Unlock()
 }
-
-// registry is the origin's peer directory: registration-ordered for Peers
-// and probe sampling, indexed by ID for the ring's id→URL resolution. Static
-// fields only (ID, URL, RTT) — the mutable settlement state lives in the
-// sharded ledger.
-type registry struct {
-	mu   sync.RWMutex
-	list []peerStatic
-	byID map[string]int
-}
-
-type peerStatic struct {
-	id  string
-	url string
-	rtt float64
-}
-
-func newRegistry() *registry {
-	return &registry{byID: make(map[string]int)}
-}
-
-// add registers a peer (re-registering updates the URL/RTT in place).
-func (r *registry) add(id, url string, rtt float64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if i, ok := r.byID[id]; ok {
-		r.list[i].url, r.list[i].rtt = url, rtt
-		return
-	}
-	r.byID[id] = len(r.list)
-	r.list = append(r.list, peerStatic{id: id, url: url, rtt: rtt})
-}
-
-// get resolves one peer.
-func (r *registry) get(id string) (peerStatic, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	i, ok := r.byID[id]
-	if !ok {
-		return peerStatic{}, false
-	}
-	return r.list[i], true
-}
-
-// snapshot copies the directory in registration order.
-func (r *registry) snapshot() []peerStatic {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return append([]peerStatic(nil), r.list...)
-}
-
-// count returns the registered-peer count.
-func (r *registry) count() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.list)
-}
-
-// sample returns up to k peers picked by the caller's index source (rnd
-// returns a value in [0, n)), deduplicated — a probe sample, not a
-// full scan.
-func (r *registry) sample(k int, rnd func(n int) int) []peerStatic {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	n := len(r.list)
-	if n == 0 || k <= 0 {
-		return nil
-	}
-	if k >= n {
-		return append([]peerStatic(nil), r.list...)
-	}
-	seen := make(map[int]bool, k)
-	out := make([]peerStatic, 0, k)
-	for len(out) < k {
-		i := rnd(n)
-		if seen[i] {
-			continue
-		}
-		seen[i] = true
-		out = append(out, r.list[i])
-	}
-	return out
-}

@@ -1,17 +1,11 @@
 package nocdn
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/json"
-	"errors"
-	"fmt"
 	"io"
 	"net/http"
-	"net/url"
-	"runtime/pprof"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -23,20 +17,9 @@ import (
 )
 
 // DefaultPeerFetchTimeout bounds the peer's outbound requests (origin
-// backfill and record uploads); the previous http.DefaultClient was
-// unbounded, so one stalled origin could pin every proxy goroutine.
+// backfill and record uploads), so one stalled origin cannot pin every
+// proxy goroutine.
 const DefaultPeerFetchTimeout = 10 * time.Second
-
-// DefaultMaxPendingRecords caps the usage-record queue. A dead origin must
-// not grow the pending queue without bound on a memory-constrained home
-// box; beyond the cap the oldest records are shed (they are also the first
-// to exceed the origin's nonce horizon anyway).
-const DefaultMaxPendingRecords = 4096
-
-// maxRecordBody caps a POST /record body, and so the leaf queued from it.
-// JSON escaping at most sextuples a leaf's bytes, so any one leaf uploads
-// well under maxBatchBody.
-const maxRecordBody = 1 << 20
 
 // DefaultMaxInflight caps simultaneous proxy requests per peer. A home
 // uplink saturates long before a data center's would; shedding the excess
@@ -44,15 +27,6 @@ const maxRecordBody = 1 << 20
 // lets loaders fail over to replicas instead of queueing behind a melted
 // box.
 const DefaultMaxInflight = 256
-
-// ErrFlushDeferred is returned by Flush while the backoff gate from a
-// previous failed upload is still closed; no network attempt was made.
-var ErrFlushDeferred = errors.New("nocdn: record flush deferred by backoff")
-
-// ErrUnknownOrigin is returned by Flush for a URL at which no provider
-// signed this peer up: nothing was sent, and the queue, the spool and the
-// backoff gate are as they were.
-var ErrUnknownOrigin = errors.New("nocdn: no provider signed up at this origin")
 
 // Peer is the HPoP-resident NoCDN edge: "a normal reverse proxy ... the
 // peer serves the requested object from its cache if available or, if not,
@@ -92,27 +66,12 @@ type Peer struct {
 	// next AttachDiskCache hands back (adoptMeta); a restart has none.
 	closedIndex atomic.Pointer[map[string]segEntry]
 
-	// The background loops (loop.go): segment scrubber, neighbor gossip,
-	// fleet telemetry.
-	scrubLoop, gossipLoop, telemetryLoop loop
+	// The background loops (loop.go): segment scrubber and fleet
+	// telemetry. Neighbour gossip's is in gossiper (gossip.go).
+	scrubLoop, telemetryLoop loop
 
-	// recordsMu guards the usage-record queue (and the flush backoff
-	// state), which has its own lock so record drops never contend with
-	// content serving.
-	recordsMu sync.Mutex
-	records   []string // leaves (LeafBytes), oldest first
-	// flushFailures counts consecutive failed uploads; nextFlushAt is the
-	// backoff gate armed after each failure.
-	flushFailures int
-	nextFlushAt   time.Time
-	// maxPending caps len(records); <= 0 means DefaultMaxPendingRecords.
-	maxPending int
-	// spool, when attached, persists the unflushed queue across restarts
-	// (AttachRecordSpool); guarded by recordsMu like the queue it mirrors.
-	spool *recordSpool
-
-	// FlushBackoff shapes the gate delay between failed uploads. The zero
-	// value applies the faults package defaults. Set before serving.
+	// FlushBackoff shapes each origin's gate delay between failed uploads
+	// (the zero value applies the faults package defaults). Set before serving.
 	FlushBackoff faults.Policy
 
 	// metrics receives nocdn.peer.* counters and the cache hit/miss
@@ -122,8 +81,6 @@ type Peer struct {
 	tracer *hpop.Tracer
 	// nowFn is injectable for backoff tests.
 	nowFn func() time.Time
-
-	droppedRecords atomic.Int64
 
 	// reporter is the attached fleet-telemetry delta reporter (atomic so the
 	// serving hot path can charge hot keys without a lock).
@@ -146,6 +103,9 @@ type Peer struct {
 	shed        atomic.Int64
 
 	httpClient *http.Client
+
+	recordLane
+	gossiper
 }
 
 // newPeerTransport builds the tuned upstream transport: a deep idle pool
@@ -172,6 +132,7 @@ func NewPeer(id string, cacheBytes int) *Peer {
 		cache:      newShardedLRU(cacheBytes),
 		vary:       make(map[string][]string),
 		httpClient: &http.Client{Timeout: DefaultPeerFetchTimeout, Transport: newPeerTransport()},
+		recordLane: recordLane{maxPending: DefaultMaxPendingRecords, gates: make(map[string]flushGate)},
 	}
 }
 
@@ -268,14 +229,6 @@ func (p *Peer) SetTracer(t *hpop.Tracer) { p.tracer = t }
 // SetClock injects a time source (backoff tests).
 func (p *Peer) SetClock(now func() time.Time) { p.nowFn = now }
 
-// SetMaxPendingRecords caps the usage-record queue (<= 0 restores the
-// default).
-func (p *Peer) SetMaxPendingRecords(n int) {
-	p.recordsMu.Lock()
-	defer p.recordsMu.Unlock()
-	p.maxPending = n
-}
-
 // SetMaxInflight caps simultaneous proxy requests (<= 0 restores the
 // default).
 func (p *Peer) SetMaxInflight(n int) { p.maxInflight.Store(int64(n)) }
@@ -297,22 +250,11 @@ func (p *Peer) Saturation() float64 {
 	return float64(p.inflight.Load()) / float64(p.maxInflightCap())
 }
 
-// DroppedRecords returns how many usage records were shed by the queue cap.
-func (p *Peer) DroppedRecords() int64 { return p.droppedRecords.Load() }
-
 func (p *Peer) now() time.Time {
 	if p.nowFn != nil {
 		return p.nowFn()
 	}
 	return time.Now()
-}
-
-// maxPendingLocked returns the queue cap; recordsMu must be held.
-func (p *Peer) maxPendingLocked() int {
-	if p.maxPending > 0 {
-		return p.maxPending
-	}
-	return DefaultMaxPendingRecords
 }
 
 // SignUp registers this peer to serve content for a provider whose origin
@@ -331,21 +273,6 @@ func (p *Peer) originOf(provider string) (string, bool) {
 	return origin, ok
 }
 
-// providersAt returns the providers SignUp registered at originURL, compared
-// with the trailing '/' trimmed as SignUp stores it.
-func (p *Peer) providersAt(originURL string) []string {
-	originURL = strings.TrimSuffix(originURL, "/")
-	p.providersMu.RLock()
-	defer p.providersMu.RUnlock()
-	var out []string
-	for name, origin := range p.providers {
-		if origin == originURL {
-			out = append(out, name)
-		}
-	}
-	return out
-}
-
 // Stats reports cache effectiveness and volume served.
 func (p *Peer) Stats() (hits, misses, servedBytes int64) {
 	return p.hits.Load(), p.misses.Load(), p.servedBytes.Load()
@@ -355,13 +282,6 @@ func (p *Peer) Stats() (hits, misses, servedBytes int64) {
 // backfills (misses minus coalesced waiters) and the revalidations it did
 // not answer 304, failed ones included.
 func (p *Peer) OriginFetches() int64 { return p.originFetches.Load() }
-
-// PendingRecords returns how many usage records await upload.
-func (p *Peer) PendingRecords() int {
-	p.recordsMu.Lock()
-	defer p.recordsMu.Unlock()
-	return len(p.records)
-}
 
 // cacheTier identifies which layer satisfied a fetch.
 type cacheTier uint8
@@ -576,293 +496,6 @@ func (c *countingResponseWriter) ReadFrom(src io.Reader) (int64, error) {
 	c.n += n
 	return n, err
 }
-
-func (p *Peer) handleRecord(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return
-	}
-	body, ok := readUpload(w, r, maxRecordBody)
-	if !ok {
-		return
-	}
-	// The leaf is queued, spooled and uploaded as it came. A record that
-	// could never settle is refused now rather than at the origin, where it
-	// would count against this peer, or sit queued until it is shed.
-	leaf, rec, err := parseRecordLine(body)
-	_, signed := p.originOf(rec.Provider)
-	switch {
-	case err != nil:
-		err = fmt.Errorf("record does not travel as a leaf: %w", err)
-	case rec.PeerID != p.ID:
-		err = fmt.Errorf("record names peer %q, not %q", rec.PeerID, p.ID)
-	case !signed:
-		err = fmt.Errorf("peer is not signed up for provider %q", rec.Provider)
-	}
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	sp := p.tracer.StartRemote("nocdn.peer", "receive_record", hpop.ExtractTraceparent(r.Header))
-	sp.SetLabel("peer", p.ID)
-	sp.SetLabel("provider", rec.Provider)
-	defer sp.End()
-	p.recordsMu.Lock()
-	if len(p.records) >= p.maxPendingLocked() {
-		p.recordsMu.Unlock()
-		p.droppedRecords.Add(1)
-		p.metrics.Inc("nocdn.peer.records_rejected")
-		w.Header().Set("Retry-After", "1")
-		http.Error(w, "record queue full", http.StatusServiceUnavailable)
-		return
-	}
-	p.records = append(p.records, leaf)
-	// Spooled while still holding recordsMu so the append is ordered with
-	// any concurrent Flush compaction (rewrite also runs under recordsMu):
-	// a record accepted during a settling flush must land after the
-	// rewrite, not be erased by it or duplicated.
-	p.spool.append(leaf)
-	p.recordsMu.Unlock()
-	w.WriteHeader(http.StatusAccepted)
-}
-
-func (p *Peer) handleFlush(w http.ResponseWriter, r *http.Request) {
-	origin := r.URL.Query().Get("origin")
-	if origin == "" {
-		http.Error(w, "origin required", http.StatusBadRequest)
-		return
-	}
-	n, err := p.Flush(origin)
-	switch {
-	case errors.Is(err, ErrUnknownOrigin):
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	case errors.Is(err, ErrFlushDeferred):
-		w.Header().Set("Retry-After", "1")
-		http.Error(w, err.Error(), http.StatusServiceUnavailable)
-		return
-	case err != nil:
-		http.Error(w, err.Error(), http.StatusBadGateway)
-		return
-	}
-	fmt.Fprintf(w, `{"uploaded":%d}`, n)
-}
-
-// Flush uploads the queued records of the providers signed up at originURL,
-// returning how many were settled; the other providers' records stay queued
-// and spooled, in order. A URL no provider signed up at is refused with
-// ErrUnknownOrigin before anything is touched. The records go up as
-// consecutive Merkle-committed batches, each under the origin's body limit,
-// so no size of queue is ever refused whole. A batch is cleared only on a
-// settled decision — 2xx, or the origin's 400 "rejected or replayed, do not
-// retry"; settlement disputes are the provider's ledger, not the peer's
-// queue. Anything else (transport failure, 5xx, a 415 from an origin that
-// wants another batch shape, or a 404/405/408/429 from a mis-routed URL or a
-// proxy) decides nothing about the records: Flush stops, the unsettled rest
-// is requeued (capped at the pending limit, oldest shed first) and a backoff
-// gate opens, so further Flush calls return ErrFlushDeferred without
-// touching the network until it expires and a dead origin is never
-// hot-retried.
-func (p *Peer) Flush(originURL string) (int, error) {
-	providers := p.providersAt(originURL)
-	if len(providers) == 0 {
-		return 0, fmt.Errorf("%w: %s", ErrUnknownOrigin, originURL)
-	}
-	now := p.now()
-	p.recordsMu.Lock()
-	if now.Before(p.nextFlushAt) {
-		p.recordsMu.Unlock()
-		return 0, ErrFlushDeferred
-	}
-	batch := make([]string, 0, len(p.records))
-	others := p.records[:0]
-	for _, leaf := range p.records {
-		if slices.Contains(providers, leafProvider(leaf)) {
-			batch = append(batch, leaf)
-		} else {
-			others = append(others, leaf)
-		}
-	}
-	clear(p.records[len(others):])
-	p.records = others
-	p.recordsMu.Unlock()
-	if len(batch) == 0 {
-		return 0, nil
-	}
-	// One span per real flush cycle (deferred and empty flushes don't
-	// open spans, so a dead origin can't spam the ring via its own gate).
-	sp := p.tracer.Start("nocdn.peer", "flush")
-	sp.SetLabel("peer", p.ID)
-	sp.SetLabel("records", strconv.Itoa(len(batch)))
-	defer sp.End()
-	start := time.Now()
-	settled := 0
-	var err error
-	for len(batch) > 0 {
-		var n int
-		var body []byte
-		if n, body, err = nextUpload(p.ID, batch); err != nil {
-			break
-		}
-		var resp *http.Response
-		if resp, err = p.postRecords(sp, originURL, body); err != nil {
-			break
-		}
-		code := resp.StatusCode
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4<<10))
-		resp.Body.Close()
-		if code/100 != 2 && code != http.StatusBadRequest {
-			err = fmt.Errorf("nocdn: usage upload status %d", code)
-			break
-		}
-		batch = batch[n:]
-		settled += n
-		p.recordsMu.Lock()
-		p.flushFailures = 0
-		p.nextFlushAt = time.Time{}
-		// The batch is settled: compact the spool down to the unsent rest
-		// and whatever else is queued, so a restart doesn't re-upload it.
-		// Runs under recordsMu so no handleRecord append can slip between
-		// the queue snapshot and the file swap.
-		rest := p.records
-		if len(batch) > 0 {
-			rest = append(batch[:len(batch):len(batch)], p.records...)
-		}
-		p.spool.rewrite(rest)
-		p.recordsMu.Unlock()
-	}
-	p.metrics.Observe("nocdn.peer.flush_seconds", time.Since(start).Seconds())
-	sp.SetLabel("uploaded", strconv.Itoa(settled))
-	if err == nil {
-		return settled, nil
-	}
-	sp.SetError(err)
-	// Requeue the unsettled rest ahead of everything else queued, shed the
-	// oldest overflow, and arm the backoff gate.
-	p.recordsMu.Lock()
-	p.records = append(batch, p.records...)
-	over := len(p.records) - p.maxPendingLocked()
-	if over > 0 {
-		p.records = append([]string(nil), p.records[over:]...)
-		p.droppedRecords.Add(int64(over))
-	}
-	p.flushFailures++
-	p.nextFlushAt = now.Add(p.FlushBackoff.Delay(p.flushFailures))
-	if over > 0 {
-		// Only a shed changes what should replay on boot — a plain requeue
-		// leaves the spool contents correct as-is.
-		p.spool.rewrite(p.records)
-	}
-	p.recordsMu.Unlock()
-	if over > 0 {
-		// Shed records are unpaid work — surface them on the flush span and
-		// as a counter, not just the lifetime drop total.
-		p.metrics.Add("nocdn.peer.records_shed", float64(over))
-		sp.SetLabel("shed", strconv.Itoa(over))
-	}
-	p.metrics.Inc("nocdn.peer.flush_failures")
-	return settled, err
-}
-
-// leafProvider returns a queued leaf's provider, its field 1.
-func leafProvider(leaf string) string {
-	_, rest, _ := strings.Cut(leaf, "|")
-	provider, _, _ := strings.Cut(rest, "|")
-	return provider
-}
-
-// postRecords uploads one settlement batch. The flush span's context
-// rides the upload, so the origin's batch settlement span parents under
-// this flush cycle; the goroutine carries pprof labels for the duration of
-// the network round trip.
-func (p *Peer) postRecords(sp *hpop.Span, originURL string, body []byte) (*http.Response, error) {
-	var resp *http.Response
-	var err error
-	pprof.Do(context.Background(), pprof.Labels("service", "nocdn.peer", "span", "flush"),
-		func(ctx context.Context) {
-			var req *http.Request
-			req, err = http.NewRequestWithContext(ctx, http.MethodPost,
-				strings.TrimSuffix(originURL, "/")+"/usage/batch", bytes.NewReader(body))
-			if err != nil {
-				return
-			}
-			req.Header.Set("Content-Type", "application/json")
-			hpop.InjectTraceparent(req.Header, sp)
-			resp, err = p.httpClient.Do(req)
-		})
-	return resp, err
-}
-
-// GossipOnce runs one delegated-probing cycle: fetch this peer's ring
-// neighbors from the origin, probe each neighbor's /health directly, and
-// upload the verdicts as a GossipReport. Returns how many neighbors were
-// observed. Each peer watches O(neighbors); the origin believes none of it,
-// but probes the peers whose reported verdict disagrees with its own first,
-// so a sampled probe pass reaches a failing peer without scanning the fleet.
-func (p *Peer) GossipOnce(originURL string) (int, error) {
-	base := strings.TrimSuffix(originURL, "/")
-	sp := p.tracer.Start("nocdn.peer", "gossip")
-	sp.SetLabel("peer", p.ID)
-	defer sp.End()
-
-	resp, err := p.httpClient.Get(base + "/neighbors?peer=" + url.QueryEscape(p.ID))
-	if err != nil {
-		sp.SetError(err)
-		return 0, err
-	}
-	var neighbors []PeerInfo
-	err = json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&neighbors)
-	resp.Body.Close()
-	if err != nil {
-		sp.SetError(err)
-		return 0, err
-	}
-	if len(neighbors) == 0 {
-		return 0, nil
-	}
-
-	rep := GossipReport{From: p.ID}
-	for _, nbr := range neighbors {
-		ok, _, _ := probeHealth(context.Background(), p.httpClient, nbr.URL)
-		rep.Observations = append(rep.Observations, PeerObservation{PeerID: nbr.ID, Healthy: ok})
-	}
-	sp.SetLabel("observations", strconv.Itoa(len(rep.Observations)))
-
-	body, err := json.Marshal(rep)
-	if err != nil {
-		sp.SetError(err)
-		return 0, err
-	}
-	pr, err := p.httpClient.Post(base+"/gossip", "application/json", bytes.NewReader(body))
-	if err != nil {
-		sp.SetError(err)
-		p.metrics.Inc("nocdn.peer.gossip_failures")
-		return 0, err
-	}
-	io.Copy(io.Discard, io.LimitReader(pr.Body, 4<<10))
-	pr.Body.Close()
-	if pr.StatusCode != http.StatusOK {
-		err = fmt.Errorf("nocdn: gossip upload status %d", pr.StatusCode)
-		sp.SetError(err)
-		p.metrics.Inc("nocdn.peer.gossip_failures")
-		return 0, err
-	}
-	p.metrics.Inc("nocdn.peer.gossip_reports")
-	return len(rep.Observations), nil
-}
-
-// StartGossip launches the background neighbor-gossip loop against
-// originURL (<= 0 interval picks 15s). Restarting replaces the previous
-// loop.
-func (p *Peer) StartGossip(originURL string, interval time.Duration) {
-	if interval <= 0 {
-		interval = 15 * time.Second
-	}
-	p.gossipLoop.start(interval, func() { p.GossipOnce(originURL) })
-}
-
-// StopGossip halts the background gossip loop (no-op when not running).
-func (p *Peer) StopGossip() { p.gossipLoop.halt() }
 
 // parseRange parses a single "bytes=a-b" range against size, returning
 // [start, end).

@@ -6,13 +6,23 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"os"
 	"path/filepath"
+	"slices"
 	"sort"
-	"strings"
 	"sync/atomic"
 	"time"
 )
+
+// journal is the origin's durable part, set once by AttachWAL before
+// anything is served: the control-plane journal (it locks itself), the
+// attach configuration and startup replay, and the gate that lets one
+// automatic snapshot run at a time.
+type journal struct {
+	wal          *controlWAL
+	walOpts      WALOptions
+	walRecovery  RecoveryStats
+	snapshotGate atomic.Bool
+}
 
 // WALOptions configures the origin's durable control plane.
 type WALOptions struct {
@@ -220,32 +230,10 @@ func (o *Origin) AttachWAL(dir string, opts WALOptions) (RecoveryStats, error) {
 }
 
 // snapshotCandidates lists snapshot files newest-first.
-func snapshotCandidates(dir string) []struct {
-	seq  uint64
-	path string
-} {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil
-	}
-	var out []struct {
-		seq  uint64
-		path string
-	}
-	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasPrefix(name, "snap-") || !strings.HasSuffix(name, ".json") {
-			continue
-		}
-		if seq, ok := parseSeqName(name, "snap-", ".json"); ok {
-			out = append(out, struct {
-				seq  uint64
-				path string
-			}{seq, filepath.Join(dir, name)})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].seq > out[j].seq })
-	return out
+func snapshotCandidates(dir string) []seqFile {
+	snaps, _ := listSeqFiles(dir, "snap-", ".json")
+	slices.Reverse(snaps)
+	return snaps
 }
 
 // restoreSnapshot loads one compacted snapshot into the (fresh) origin.
@@ -377,18 +365,6 @@ func (o *Origin) walWait(seq uint64) {
 	if o.wal != nil {
 		o.wal.waitDurable(seq)
 	}
-}
-
-func (o *Origin) journalPeerRegister(id, url string, rtt float64, epoch int64) {
-	o.walWait(o.journalAppend(walPeerRegister, walPeerRegisterRec{ID: id, URL: url, RTT: rtt, AssignEpoch: epoch}))
-}
-
-func (o *Origin) journalEpochTick(epoch int64) {
-	o.walWait(o.journalAppend(walEpochTick, walEpochTickRec{AssignEpoch: epoch}))
-}
-
-func (o *Origin) journalSuspend(id string) {
-	o.journalAppend(walPeerSuspend, walPeerSuspendRec{ID: id, AssignEpoch: o.assignEpoch.Load()})
 }
 
 // journalKeysIssued makes a wrapper build's assignment floors durable

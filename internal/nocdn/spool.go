@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 
 	"hpop/internal/hpop"
 )
@@ -28,9 +27,9 @@ const spoolFileName = "records.spool"
 // crash mid-append leaves, exactly like the segment store tolerates a torn
 // tail: a cut leaf may still parse, but it has no '\n'. A complete line that
 // is not a leaf — the JSON shape of older peers included — refuses the load
-// with errStateFormat, before anything is queued or rewritten.
+// with errStateFormat, before anything is queued or rewritten. The peer's
+// recordsMu orders every call, so the spool takes no lock of its own.
 type recordSpool struct {
-	mu      sync.Mutex
 	path    string
 	f       *os.File
 	bw      *bufio.Writer
@@ -109,12 +108,7 @@ func (s *recordSpool) openAppend() error {
 
 // append spools one newly accepted leaf.
 func (s *recordSpool) append(leaf string) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.bw == nil {
+	if s == nil || s.bw == nil {
 		return
 	}
 	s.bw.WriteString(leaf)
@@ -129,12 +123,7 @@ func (s *recordSpool) append(leaf string) {
 // rewrite compacts the spool to exactly the given queue (tmp + rename), so
 // settled or shed records stop being replayed on the next boot.
 func (s *recordSpool) rewrite(leaves []string) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.bw == nil {
+	if s == nil || s.bw == nil {
 		return
 	}
 	var buf bytes.Buffer
@@ -162,53 +151,9 @@ func (s *recordSpool) rewrite(leaves []string) {
 
 // close flushes and closes the spool handle (the file stays for next boot).
 func (s *recordSpool) close() {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.bw != nil {
+	if s != nil && s.bw != nil {
 		s.bw.Flush()
 		s.f.Close()
 		s.bw, s.f = nil, nil
 	}
-}
-
-// AttachRecordSpool makes the peer's usage-record queue durable under dir
-// (typically the same -cache-dir as the disk tier): previously spooled
-// records are requeued — flowing to the origin through the normal Flush
-// path, backoff gate included — and every accepted record is spooled until
-// its batch settles. A requeued leaf is not checked against the current
-// sign-ups: it waits for a Flush to its provider's origin. A spool holding
-// a complete line that is not a leaf fails with errStateFormat, and the
-// file and the queue stay as they were.
-func (p *Peer) AttachRecordSpool(dir string) error {
-	spool, leaves, err := openRecordSpool(dir, p.metrics)
-	if err != nil {
-		return err
-	}
-	p.recordsMu.Lock()
-	p.spool = spool
-	if len(leaves) > 0 {
-		p.records = append(leaves, p.records...)
-		if over := len(p.records) - p.maxPendingLocked(); over > 0 {
-			p.records = append([]string(nil), p.records[over:]...)
-			p.droppedRecords.Add(int64(over))
-		}
-	}
-	// Compact immediately (still under recordsMu, ordered with appends):
-	// drops any torn tail and the over-cap shed.
-	spool.rewrite(p.records)
-	p.recordsMu.Unlock()
-	return nil
-}
-
-// CloseRecordSpool persists the current queue and detaches the spool.
-func (p *Peer) CloseRecordSpool() {
-	p.recordsMu.Lock()
-	spool := p.spool
-	p.spool = nil
-	spool.rewrite(p.records)
-	spool.close()
-	p.recordsMu.Unlock()
 }

@@ -165,6 +165,7 @@ type walFrame struct {
 	typ     walRecType
 	seq     uint64
 	payload []byte
+	chain   [32]byte // the hash chain through this record, as verified
 }
 
 // walFrameHeaderLen is magic(4) + type(1) + seq(8) + payloadLen(4).
@@ -255,7 +256,7 @@ func decodeWALFrame(buf []byte, prevChain [32]byte, wantSeq uint64) (walFrame, i
 	if wantSeq != 0 && seq != wantSeq {
 		return walFrame{}, 0, errWALBadSeq
 	}
-	return walFrame{typ: typ, seq: seq, payload: payload}, total, nil
+	return walFrame{typ: typ, seq: seq, payload: payload, chain: chain}, total, nil
 }
 
 // walFileHeader heads every journal file: the first sequence number it holds
@@ -574,46 +575,54 @@ func (w *controlWAL) rotateAfterSnapshot(snapSeq uint64, takenAt time.Time) erro
 	w.appendedSinceSnap = 0
 	// Durability handoff, one snapshot behind: everything the previous
 	// snapshot covers is safe to drop, because recovery never needs to reach
-	// further back than the second-newest snapshot.
-	entries, err := os.ReadDir(w.dir)
-	if err != nil {
-		return nil // cleanup is best-effort; the new journal is already live
-	}
-	type walFile struct {
-		firstSeq uint64
-		name     string
-	}
-	var logs []walFile
-	for _, e := range entries {
-		name := e.Name()
-		switch {
-		case strings.HasPrefix(name, "wal-") && strings.HasSuffix(name, ".log"):
-			if fs, ok := parseSeqName(name, "wal-", ".log"); ok {
-				logs = append(logs, walFile{firstSeq: fs, name: name})
-			}
-		case strings.HasPrefix(name, "snap-") && strings.HasSuffix(name, ".json"):
-			if fs, ok := parseSeqName(name, "snap-", ".json"); ok && fs < prevSnapSeq {
-				os.Remove(filepath.Join(w.dir, name))
-			}
+	// further back than the second-newest snapshot. Cleanup is best-effort;
+	// the new journal is already live.
+	snaps, _ := listSeqFiles(w.dir, "snap-", ".json")
+	for _, s := range snaps {
+		if s.seq < prevSnapSeq {
+			os.Remove(s.path)
 		}
 	}
 	// A journal file is disposable only when the NEXT file already starts at
 	// or before prevSnapSeq+1 — i.e. every record it holds is covered by the
 	// retained previous snapshot. Comparing the file's own first sequence
 	// would discard records past the cut that a pre-rotation file still holds.
-	sort.Slice(logs, func(i, j int) bool { return logs[i].firstSeq < logs[j].firstSeq })
+	logs, _ := listSeqFiles(w.dir, "wal-", ".log")
 	for i := 0; i+1 < len(logs); i++ {
-		if logs[i+1].firstSeq <= prevSnapSeq+1 {
-			os.Remove(filepath.Join(w.dir, logs[i].name))
+		if logs[i+1].seq <= prevSnapSeq+1 {
+			os.Remove(logs[i].path)
 		}
 	}
 	return nil
 }
 
-func parseSeqName(name, prefix, suffix string) (uint64, bool) {
-	hexPart := strings.TrimSuffix(strings.TrimPrefix(name, prefix), suffix)
-	v, err := strconv.ParseUint(hexPart, 16, 64)
-	return v, err == nil
+// seqFile is a state file named by a sequence number in hex: a journal
+// file (wal-<first seq>.log) or a snapshot (snap-<cut seq>.json).
+type seqFile struct {
+	seq  uint64
+	path string
+}
+
+// listSeqFiles returns dir's files named prefix, a hex sequence number and
+// suffix, in ascending sequence order.
+func listSeqFiles(dir, prefix, suffix string) ([]seqFile, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var out []seqFile
+	for _, e := range entries {
+		name := e.Name()
+		if !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, suffix) {
+			continue
+		}
+		hexPart := strings.TrimSuffix(strings.TrimPrefix(name, prefix), suffix)
+		if seq, err := strconv.ParseUint(hexPart, 16, 64); err == nil {
+			out = append(out, seqFile{seq: seq, path: filepath.Join(dir, name)})
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].seq < out[j].seq })
+	return out, nil
 }
 
 // close flushes, fsyncs, and closes the journal.
@@ -747,29 +756,13 @@ type walScanResult struct {
 // by then.
 func scanWALDir(dir string, afterSeq uint64, afterChain [32]byte, apply func(walFrame) error) (walScanResult, error) {
 	res := walScanResult{lastSeq: afterSeq, chain: afterChain}
-	entries, err := os.ReadDir(dir)
+	files, err := listSeqFiles(dir, "wal-", ".log")
 	if err != nil {
 		if os.IsNotExist(err) {
 			return res, nil
 		}
 		return res, err
 	}
-	type walFile struct {
-		firstSeq uint64
-		path     string
-	}
-	var files []walFile
-	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasPrefix(name, "wal-") || !strings.HasSuffix(name, ".log") {
-			continue
-		}
-		if fs, ok := parseSeqName(name, "wal-", ".log"); ok {
-			files = append(files, walFile{firstSeq: fs, path: filepath.Join(dir, name)})
-		}
-	}
-	sort.Slice(files, func(i, j int) bool { return files[i].firstSeq < files[j].firstSeq })
-
 	for i, wf := range files {
 		lastFile := i == len(files)-1
 		raw, err := os.ReadFile(wf.path)
@@ -815,7 +808,7 @@ func scanWALDir(dir string, afterSeq uint64, afterChain [32]byte, apply func(wal
 				broken = true
 				break
 			}
-			chain = walChain(chain, fr.typ, fr.seq, fr.payload)
+			chain = fr.chain
 			wantSeq = fr.seq + 1
 			off += int64(n)
 			if fr.seq <= afterSeq {

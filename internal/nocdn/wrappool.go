@@ -2,14 +2,42 @@ package nocdn
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"net"
+	"net/http"
 	"slices"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"hpop/internal/auth"
+	"hpop/internal/hpop"
 )
+
+// assignment is the origin's wrapper part. poolMu guards the pooled
+// wrapper maps, one slot array per page. The peer directory and the
+// consistent-hash ring that assigns clients' objects to peers lock
+// themselves; a wrapper serve takes no origin-wide lock.
+type assignment struct {
+	poolMu sync.RWMutex
+	pool   map[string][]*poolEntry
+
+	registry *registry
+	ring     *hashRing
+
+	// assignEpoch advances whenever the assignable peer set changes
+	// (registration, ejection, readmission, anomaly suspension) and on
+	// every EpochTick. Pooled wrapper maps are valid for one assignEpoch.
+	assignEpoch atomic.Int64
+	// wrapperGenerations counts actual wrapper builds (vs pooled serves) for
+	// the reuse experiment and the control-plane sweep's hot-path assertion.
+	wrapperGenerations atomic.Int64
+	// wrapperBytes counts the wrapper bytes served, half of the origin's
+	// bytes out that E4 reports.
+	wrapperBytes atomic.Int64
+}
 
 // DefaultPoolSlots is how many precomputed wrapper variants the pool keeps
 // per page. Clients hash onto a slot, so one page's audience spreads over
@@ -34,43 +62,33 @@ type poolEntry struct {
 	renew   time.Time // build time + keyTTL/2
 }
 
-// wrapperPool holds the per-page slot arrays of precomputed wrapper maps.
-type wrapperPool struct {
-	mu    sync.RWMutex
-	pages map[string][]*poolEntry
-}
-
-func newWrapperPool() *wrapperPool {
-	return &wrapperPool{pages: make(map[string][]*poolEntry)}
-}
-
-func (p *wrapperPool) get(page string, slot int) *poolEntry {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	arr := p.pages[page]
+func (a *assignment) poolGet(page string, slot int) *poolEntry {
+	a.poolMu.RLock()
+	defer a.poolMu.RUnlock()
+	arr := a.pool[page]
 	if slot >= len(arr) {
 		return nil
 	}
 	return arr[slot]
 }
 
-func (p *wrapperPool) put(page string, slot int, e *poolEntry) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	arr := p.pages[page]
+func (a *assignment) poolPut(page string, slot int, e *poolEntry) {
+	a.poolMu.Lock()
+	defer a.poolMu.Unlock()
+	arr := a.pool[page]
 	if arr == nil {
 		arr = make([]*poolEntry, DefaultPoolSlots)
-		p.pages[page] = arr
+		a.pool[page] = arr
 	}
 	arr[slot] = e
 }
 
-// filled lists the (page, slot) positions currently holding an entry.
-func (p *wrapperPool) filled() map[string][]int {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	out := make(map[string][]int, len(p.pages))
-	for page, arr := range p.pages {
+// poolFilled lists the (page, slot) positions currently holding an entry.
+func (a *assignment) poolFilled() map[string][]int {
+	a.poolMu.RLock()
+	defer a.poolMu.RUnlock()
+	out := make(map[string][]int, len(a.pool))
+	for page, arr := range a.pool {
 		for slot, e := range arr {
 			if e != nil {
 				out[page] = append(out[page], slot)
@@ -105,7 +123,7 @@ func (o *Origin) assignEntry(page, client string) (*poolEntry, error) {
 	slot := int(fnv64a("slot|"+client) % uint64(DefaultPoolSlots))
 	cep := o.contentEpoch.Load()
 	aep := o.assignEpoch.Load()
-	if e := o.pool.get(page, slot); e != nil &&
+	if e := o.poolGet(page, slot); e != nil &&
 		e.content == cep && e.assign == aep && o.now().Before(e.renew) && o.entryServable(e) {
 		o.ledger.assignCharges(e.charges)
 		o.metrics.Inc("nocdn.origin.pool_hits")
@@ -115,7 +133,7 @@ func (o *Origin) assignEntry(page, client string) (*poolEntry, error) {
 	if err != nil {
 		return nil, err
 	}
-	o.pool.put(page, slot, e)
+	o.poolPut(page, slot, e)
 	o.ledger.assignCharges(e.charges)
 	return e, nil
 }
@@ -310,15 +328,174 @@ func (o *Origin) buildPoolEntry(page string, slot int) (*poolEntry, error) {
 // current health) so wrapper generation stays off the request hot path.
 func (o *Origin) EpochTick() {
 	ep := o.assignEpoch.Add(1)
-	o.journalEpochTick(ep)
+	o.walWait(o.journalAppend(walEpochTick, walEpochTickRec{AssignEpoch: ep}))
 	o.metrics.Inc("nocdn.origin.epoch_ticks")
-	for page, slots := range o.pool.filled() {
+	for page, slots := range o.poolFilled() {
 		for _, slot := range slots {
 			e, err := o.buildPoolEntry(page, slot)
 			if err != nil {
 				continue // page unpublished or fleet empty: drop on next serve
 			}
-			o.pool.put(page, slot, e)
+			o.poolPut(page, slot, e)
 		}
 	}
+}
+
+// RegisterPeer recruits a peer: directory row, health enrollment, and a set
+// of virtual nodes on the assignment ring. Fleet changes advance the
+// assignment epoch so pooled wrapper maps refresh to include (or drop) the
+// peer on their next serve. An ID that fails CheckName is refused.
+func (o *Origin) RegisterPeer(id, url string, rttMillis float64) error {
+	if err := CheckName(id); err != nil {
+		return err
+	}
+	o.health.Register(id)
+	o.registry.add(id, url, rttMillis)
+	o.ring.add(id)
+	ep := o.assignEpoch.Add(1)
+	// Apply-then-journal: every effect above replays idempotently, so a
+	// crash between apply and append loses nothing that was acknowledged.
+	o.walWait(o.journalAppend(walPeerRegister, walPeerRegisterRec{ID: id, URL: url, RTT: rttMillis, AssignEpoch: ep}))
+	return nil
+}
+
+// Peers returns a snapshot of the registry: directory rows with the mutable
+// Assigned/Suspended state filled from the ledger.
+func (o *Origin) Peers() []PeerInfo {
+	static := o.registry.snapshot()
+	out := make([]PeerInfo, len(static))
+	for i, p := range static {
+		row := o.ledger.row(p.id)
+		out[i] = PeerInfo{
+			ID:        p.id,
+			URL:       p.url,
+			RTTMillis: p.rtt,
+			Assigned:  int(row.AssignCount),
+			Suspended: row.Suspended,
+		}
+	}
+	return out
+}
+
+// WrapperGenerations returns how many wrappers were actually built (pooled
+// serves do not count) — the savings metric for wrapper reuse and the
+// control-plane sweep's hot-path assertion.
+func (o *Origin) WrapperGenerations() int64 { return o.wrapperGenerations.Load() }
+
+// WrapperBytes returns bytes served as wrapper pages.
+func (o *Origin) WrapperBytes() int64 { return o.wrapperBytes.Load() }
+
+// invalidateWrappers advances the assignment epoch so pooled maps rebuild
+// on their next serve.
+func (o *Origin) invalidateWrappers() { o.assignEpoch.Add(1) }
+
+func (o *Origin) handleWrapper(w http.ResponseWriter, r *http.Request) {
+	sp := o.tracer.StartRemote("nocdn.origin", "wrapper", hpop.ExtractTraceparent(r.Header))
+	defer sp.End()
+	q := r.URL.Query()
+	page := q.Get("page")
+	client := q.Get("client")
+	sp.SetLabel("page", page)
+	if client == "" {
+		// An anonymous view is its remote host ("" when unparsable).
+		client, _, _ = net.SplitHostPort(r.RemoteAddr)
+	}
+	sp.SetLabel("client", client)
+	e, err := o.assignEntry(page, client)
+	if err != nil {
+		sp.SetError(err)
+		status := http.StatusNotFound
+		if errors.Is(err, ErrNoPeers) {
+			status = http.StatusServiceUnavailable
+		}
+		http.Error(w, err.Error(), status)
+		return
+	}
+	o.wrapperBytes.Add(int64(len(e.body)))
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(e.body)))
+	w.Write(e.body)
+}
+
+// registry is the origin's peer directory: registration-ordered for Peers
+// and probe sampling, indexed by ID for the ring's id→URL resolution. Static
+// fields only (ID, URL, RTT) — the mutable settlement state lives in the
+// sharded ledger.
+type registry struct {
+	mu   sync.RWMutex
+	list []peerStatic
+	byID map[string]int
+}
+
+type peerStatic struct {
+	id  string
+	url string
+	rtt float64
+}
+
+func newRegistry() *registry {
+	return &registry{byID: make(map[string]int)}
+}
+
+// add registers a peer (re-registering updates the URL/RTT in place).
+func (r *registry) add(id, url string, rtt float64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if i, ok := r.byID[id]; ok {
+		r.list[i].url, r.list[i].rtt = url, rtt
+		return
+	}
+	r.byID[id] = len(r.list)
+	r.list = append(r.list, peerStatic{id: id, url: url, rtt: rtt})
+}
+
+// get resolves one peer.
+func (r *registry) get(id string) (peerStatic, bool) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	i, ok := r.byID[id]
+	if !ok {
+		return peerStatic{}, false
+	}
+	return r.list[i], true
+}
+
+// snapshot copies the directory in registration order.
+func (r *registry) snapshot() []peerStatic {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return append([]peerStatic(nil), r.list...)
+}
+
+// count returns the registered-peer count.
+func (r *registry) count() int {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return len(r.list)
+}
+
+// sample returns up to k peers picked by the caller's index source (rnd
+// returns a value in [0, n)), deduplicated — a probe sample, not a
+// full scan.
+func (r *registry) sample(k int, rnd func(n int) int) []peerStatic {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	n := len(r.list)
+	if n == 0 || k <= 0 {
+		return nil
+	}
+	if k >= n {
+		return append([]peerStatic(nil), r.list...)
+	}
+	seen := make(map[int]bool, k)
+	out := make([]peerStatic, 0, k)
+	for len(out) < k {
+		i := rnd(n)
+		if seen[i] {
+			continue
+		}
+		seen[i] = true
+		out = append(out, r.list[i])
+	}
+	return out
 }
