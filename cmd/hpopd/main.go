@@ -17,7 +17,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 
 	"hpop/internal/attic"
@@ -108,62 +107,45 @@ func run(args []string) error {
 		if err := nocdn.CheckName(*peerID); err != nil {
 			return fmt.Errorf("-nocdn-peer: %w", err)
 		}
-		peer := nocdn.NewPeer(*peerID, *cacheMB<<20)
-		peer.SetFetchTimeout(*fetchTimeout)
-		if *maxInflight > 0 {
-			peer.SetMaxInflight(*maxInflight)
+		signUps, err := nocdn.ParseProviders(*providers)
+		if err != nil {
+			return fmt.Errorf("-nocdn-provider: %w", err)
 		}
-		telemetryOrigin := ""
-		for _, pair := range strings.Split(*providers, ",") {
-			if pair == "" {
-				continue
-			}
-			kv := strings.SplitN(pair, "=", 2)
-			if len(kv) != 2 {
-				return fmt.Errorf("bad -nocdn-provider entry %q (want name=url)", pair)
-			}
-			if err := nocdn.CheckName(kv[0]); err != nil {
-				return fmt.Errorf("-nocdn-provider: %w", err)
-			}
-			peer.SignUp(kv[0], kv[1])
-			if telemetryOrigin == "" {
-				telemetryOrigin = kv[1]
-			}
+		cfg := nocdn.PeerConfig{
+			ID:             *peerID,
+			Providers:      signUps,
+			CacheBytes:     *cacheMB << 20,
+			FetchTimeout:   *fetchTimeout,
+			MaxInflight:    *maxInflight,
+			StateDir:       *cacheDir,
+			DiskCacheBytes: int64(*diskCacheMB) << 20,
+			SegmentBytes:   int64(*segmentMB) << 20,
+			// The appliance's one scrub cadence covers both the attic
+			// placements and the peer's segment store.
+			ScrubInterval:     *scrubInterval,
+			TelemetryInterval: *telemetryInterval,
 		}
+		var peer *nocdn.Peer
 		svc := &hpop.FuncService{
 			ServiceName: "nocdn-peer",
 			OnStart: func(ctx *hpop.ServiceContext) error {
-				peer.SetMetrics(ctx.Metrics)
-				peer.SetTracer(ctx.Tracer)
-				if *cacheDir != "" {
-					if err := peer.AttachDiskCache(*cacheDir,
-						int64(*diskCacheMB)<<20, int64(*segmentMB)<<20); err != nil {
-						return err
-					}
-					// The appliance's one scrub cadence covers both the
-					// attic placements and the peer's segment store.
-					peer.StartCacheScrub(*scrubInterval)
-					// Spool unflushed usage records alongside the segments
-					// so an appliance restart keeps earned credit queued.
-					if err := peer.AttachRecordSpool(*cacheDir); err != nil {
-						return err
-					}
-					ctx.Events.Logf("nocdn-peer", "disk cache tier at %s (%d MB)", *cacheDir, *diskCacheMB)
+				cfg.Metrics, cfg.Tracer = ctx.Metrics, ctx.Tracer
+				var err error
+				if peer, err = nocdn.OpenPeer(cfg); err != nil {
+					return err
 				}
 				ctx.Mux.Handle("/nocdn/", http.StripPrefix("/nocdn", peer.Handler()))
-				if *telemetryInterval > 0 && telemetryOrigin != "" {
-					// SetMetrics ran above, so the reporter snapshots the
-					// appliance registry the peer actually writes to.
-					peer.StartTelemetry(telemetryOrigin, *telemetryInterval)
+				if *cacheDir != "" {
+					ctx.Events.Logf("nocdn-peer", "disk cache tier at %s (%d MB)", *cacheDir, *diskCacheMB)
+				}
+				if *telemetryInterval > 0 && len(signUps) > 0 {
 					ctx.Events.Logf("nocdn-peer", "shipping telemetry deltas to %s every %v",
-						telemetryOrigin, *telemetryInterval)
+						signUps[0][1], *telemetryInterval)
 				}
 				return nil
 			},
 			OnStop: func() error {
-				peer.StopTelemetry()
-				peer.CloseRecordSpool()
-				peer.CloseDiskCache()
+				peer.Close()
 				return nil
 			},
 		}

@@ -66,9 +66,10 @@ func (f *kvFlags) Set(v string) error {
 	return nil
 }
 
-// checkNameFlags refuses a provider name or peer ID that could not travel
-// as a field of a usage record's leaf (nocdn.CheckName), before anything
-// starts.
+// checkNameFlags refuses an origin's provider name or peer IDs, or a peer's
+// ID, that could not travel as a field of a usage record's leaf
+// (nocdn.CheckName), before anything starts. A peer's provider names are
+// checked as nocdn.ParseProviders reads them.
 func checkNameFlags(mode, provider, id string, peers [][2]string) error {
 	check := func(flag, name string) error {
 		if err := nocdn.CheckName(name); err != nil {
@@ -87,15 +88,7 @@ func checkNameFlags(mode, provider, id string, peers [][2]string) error {
 			}
 		}
 	case "peer":
-		if err := check("-id", id); err != nil {
-			return err
-		}
-		for _, pair := range strings.Split(provider, ",") {
-			name, _, _ := strings.Cut(pair, "=")
-			if err := check("-provider", name); err != nil {
-				return err
-			}
-		}
+		return check("-id", id)
 	}
 	return nil
 }
@@ -183,6 +176,16 @@ func run(args []string) error {
 	if err := checkNameFlags(*mode, *provider, *id, peers.pairs); err != nil {
 		return err
 	}
+	var signUps [][2]string
+	if *mode == "peer" {
+		var err error
+		if signUps, err = nocdn.ParseProviders(*provider); err != nil {
+			return fmt.Errorf("-provider: %w", err)
+		}
+		if len(signUps) == 0 {
+			return fmt.Errorf("peer mode wants -provider name=originURL[,...]")
+		}
+	}
 
 	metrics := hpop.NewMetrics()
 	tracer := hpop.NewTracer(0)
@@ -249,103 +252,69 @@ func run(args []string) error {
 				return err
 			}
 		}
-		if *probeInterval > 0 {
-			sample := *probeSample
-			go func() {
-				ticker := time.NewTicker(*probeInterval)
-				defer ticker.Stop()
-				for range ticker.C {
-					o.ProbeSample(context.Background(), sample) // 0 probes every peer
-				}
-			}()
-			if sample > 0 {
-				fmt.Printf("probing %d peers every %v, gossip-nominated first (delegated probing)\n", sample, *probeInterval)
-			} else {
-				fmt.Printf("probing peer health every %v\n", *probeInterval)
-			}
+		o.StartLoops(*probeInterval, *probeSample, *epochTick)
+		switch {
+		case *probeInterval > 0 && *probeSample > 0:
+			fmt.Printf("probing %d peers every %v, gossip-nominated first (delegated probing)\n", *probeSample, *probeInterval)
+		case *probeInterval > 0:
+			fmt.Printf("probing peer health every %v\n", *probeInterval)
 		}
 		if *epochTick > 0 {
-			go func() {
-				ticker := time.NewTicker(*epochTick)
-				defer ticker.Stop()
-				for range ticker.C {
-					o.EpochTick()
-				}
-			}()
 			fmt.Printf("refreshing pooled wrapper maps every %v\n", *epochTick)
 		}
 		fmt.Printf("nocdn origin %q on %s (%d peers)\n", *provider, *listen, len(peers.pairs))
-		// SIGTERM drains in-flight settlements, takes a final snapshot, and
-		// closes the WAL — a clean restart replays the snapshot, not the log.
+		// SIGTERM drains in-flight settlements, stops the probe and epoch
+		// loops, takes a final snapshot, and closes the WAL — a clean restart
+		// replays the snapshot, not the log.
 		return serveUntilSignal(*listen, observabilityMux(*mode, o.Handler(), metrics, tracer, health), func() {
 			if err := o.Shutdown(); err != nil {
 				fmt.Fprintln(os.Stderr, "nocdnd: shutdown snapshot:", err)
 			}
 		})
 	case "peer":
-		p := nocdn.NewPeer(*id, *cacheMB<<20)
-		p.SetFetchTimeout(*fetchTimeout)
-		p.SetMetrics(metrics)
-		p.SetTracer(tracer)
+		cfg := nocdn.PeerConfig{
+			ID:                *id,
+			Providers:         signUps,
+			CacheBytes:        *cacheMB << 20,
+			FetchTimeout:      *fetchTimeout,
+			MaxInflight:       *maxInflight,
+			StateDir:          *cacheDir,
+			DiskCacheBytes:    int64(*diskCacheMB) << 20,
+			SegmentBytes:      int64(*segmentMB) << 20,
+			ScrubInterval:     *cacheScrub,
+			GossipInterval:    *gossipInterval,
+			TelemetryInterval: *telemetryInterval,
+			Metrics:           metrics,
+			Tracer:            tracer,
+		}
 		if *chaos != "" {
 			// Degrade this peer's own origin fetches — the fault-injected
 			// peer shows up in the origin's /debug/fleet worst rankings and
 			// burns the fleet SLO budgets once telemetry ships.
-			sched, err := faults.ParseSchedule(*chaos)
-			if err != nil {
-				return fmt.Errorf("-chaos: %w", err)
+			var err error
+			if cfg.Transport, err = chaosTransport(*chaos, *chaosSeed, metrics); err != nil {
+				return err
 			}
-			if *chaosSeed != 0 {
-				sched.Seed = *chaosSeed
-			}
-			inj := faults.NewInjector(sched)
-			inj.Metrics = metrics
-			p.SetHTTPClient(&http.Client{Timeout: *fetchTimeout, Transport: inj.Transport(nil)})
-			fmt.Printf("chaos: %d rule(s), seed %d on outbound fetches\n", len(sched.Rules), sched.Seed)
 		}
-		if *maxInflight > 0 {
-			p.SetMaxInflight(*maxInflight)
+		p, err := nocdn.OpenPeer(cfg)
+		if err != nil {
+			return err
 		}
+		// SIGTERM stops the listener, then Close stops the loops and
+		// persists the record queue and the disk tier.
+		defer p.Close()
 		if *cacheDir != "" {
-			if err := p.AttachDiskCache(*cacheDir,
-				int64(*diskCacheMB)<<20, int64(*segmentMB)<<20); err != nil {
-				return err
-			}
-			p.StartCacheScrub(*cacheScrub)
-			defer p.CloseDiskCache()
-			// Spool unflushed usage records next to the disk tier so a peer
-			// restart doesn't vaporize earned-but-unsettled credit.
-			if err := p.AttachRecordSpool(*cacheDir); err != nil {
-				return err
-			}
-			defer p.CloseRecordSpool()
 			fmt.Printf("disk cache tier at %s (%d MB budget, %d MB segments)\n",
 				*cacheDir, *diskCacheMB, *segmentMB)
 		}
-		gossipOrigin := ""
-		for _, pair := range strings.Split(*provider, ",") {
-			kv := strings.SplitN(pair, "=", 2)
-			if len(kv) != 2 {
-				return fmt.Errorf("peer mode wants -provider name=originURL, got %q", pair)
-			}
-			p.SignUp(kv[0], kv[1])
-			if gossipOrigin == "" {
-				gossipOrigin = kv[1]
-			}
+		origin := signUps[0][1]
+		if *gossipInterval > 0 {
+			fmt.Printf("gossiping neighbor health to %s every %v\n", origin, *gossipInterval)
 		}
-		if *gossipInterval > 0 && gossipOrigin != "" {
-			p.StartGossip(gossipOrigin, *gossipInterval)
-			defer p.StopGossip()
-			fmt.Printf("gossiping neighbor health to %s every %v\n", gossipOrigin, *gossipInterval)
-		}
-		if *telemetryInterval > 0 && gossipOrigin != "" {
-			p.StartTelemetry(gossipOrigin, *telemetryInterval)
-			defer p.StopTelemetry()
-			fmt.Printf("shipping telemetry deltas to %s every %v\n", gossipOrigin, *telemetryInterval)
+		if *telemetryInterval > 0 {
+			fmt.Printf("shipping telemetry deltas to %s every %v\n", origin, *telemetryInterval)
 		}
 		fmt.Printf("nocdn peer %q on %s\n", *id, *listen)
-		// SIGTERM stops the listener and lets the deferred CloseRecordSpool /
-		// CloseDiskCache persist the queue and the disk tier manifest.
 		return serveUntilSignal(*listen, observabilityMux(*mode, p.Handler(), metrics, tracer, health), nil)
 	case "load":
 		if *originURL == "" {
@@ -366,25 +335,32 @@ func run(args []string) error {
 			Brownout:     *brownout,
 		}
 		if *chaos != "" {
-			sched, err := faults.ParseSchedule(*chaos)
+			transport, err := chaosTransport(*chaos, *chaosSeed, metrics)
 			if err != nil {
-				return fmt.Errorf("-chaos: %w", err)
+				return err
 			}
-			if *chaosSeed != 0 {
-				sched.Seed = *chaosSeed
-			}
-			inj := faults.NewInjector(sched)
-			inj.Metrics = metrics
-			loader.HTTPClient = &http.Client{
-				Timeout:   *fetchTimeout,
-				Transport: inj.Transport(nil),
-			}
-			fmt.Printf("chaos: %d rule(s), seed %d\n", len(sched.Rules), sched.Seed)
+			loader.HTTPClient = &http.Client{Timeout: *fetchTimeout, Transport: transport}
 		}
 		return runLoads(os.Stdout, loader, *page, *views)
 	default:
 		return fmt.Errorf("unknown -mode %q", *mode)
 	}
+}
+
+// chaosTransport builds the -chaos fault injector's transport for outbound
+// fetches (a non-zero seed overrides the schedule's) and announces it.
+func chaosTransport(schedule string, seed uint64, metrics *hpop.Metrics) (http.RoundTripper, error) {
+	sched, err := faults.ParseSchedule(schedule)
+	if err != nil {
+		return nil, fmt.Errorf("-chaos: %w", err)
+	}
+	if seed != 0 {
+		sched.Seed = seed
+	}
+	inj := faults.NewInjector(sched)
+	inj.Metrics = metrics
+	fmt.Printf("chaos: %d rule(s), seed %d on outbound fetches\n", len(sched.Rules), sched.Seed)
+	return inj.Transport(nil), nil
 }
 
 // serveUntilSignal serves handler on addr until SIGINT/SIGTERM, then drains

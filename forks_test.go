@@ -38,10 +38,15 @@ import (
 // health registry. The wrapper and the batch envelope are read in place:
 // loader.go uses no encoding/json, and merkle.go decodes nothing with it.
 // A cached object's HTTP metadata lives on its cache entry: internal/nocdn
-// keeps no peer-wide metadata map, its cap, its accessors or its lock.
+// keeps no peer-wide metadata map, its cap, its accessors or its lock. A
+// daemon boots its peer only through nocdn.OpenPeer and starts no ticker of
+// its own: nocdnd and hpopd build no peer, attach no disk tier or spool and
+// make no ticker, and internal/nocdn exports no loop starter or stopper and
+// no fetch-timeout setter.
 func TestDeletedForksStayDeleted(t *testing.T) {
 	scorer := regexp.MustCompile(`welford|scoreLocked|rescoreAll|nocdn\.audit\.peer\.|tamper_flags|DefaultAudit(Threshold|MinRecords)|populationMeanBytes`)
 	recordJSON := regexp.MustCompile(`json\.(Marshal|Unmarshal|NewDecoder)\((rec|recs|record|records|leaf|leaves|body|line|r\.Body)\b|json\.\w+\(.*&(rec|recs|record|records)\b`)
+	handBoot := regexp.MustCompile(`nocdn\.NewPeer\(|\.AttachDiskCache\(|\.AttachRecordSpool\(|time\.NewTicker\(`)
 	gossipAndFlag := regexp.MustCompile(`gossipMismatch|DefaultGossipMismatchLimit|gossip_mismatches|gossip_quarantined|FlagTampered|OnFlag|ejectFlagged|journalAuditFlag|nocdn\.audit\.flagged`)
 	for _, c := range []struct {
 		root    string
@@ -64,6 +69,9 @@ func TestDeletedForksStayDeleted(t *testing.T) {
 		{"internal/nocdn", regexp.MustCompile(`legacyKeys|legacyLeaf|SecretHex|walAuditFlagRec|unknown_records|\(l \*ledger\) flag\(`)},
 		{"internal/hpop", regexp.MustCompile(`SetFlagged|\.flagged\b`)},
 		{"internal/nocdn", regexp.MustCompile(`maxMetaEntries|metaFor\(|setMeta\(|metaMu|map\[string\]\*entryMeta`)},
+		{"cmd/nocdnd", handBoot},
+		{"cmd/hpopd", handBoot},
+		{"internal/nocdn", regexp.MustCompile(`\b(Start|Stop)(CacheScrub|Gossip|Telemetry)\b|\bSetFetchTimeout\b`)},
 	} {
 		err := filepath.WalkDir(c.root, func(path string, d fs.DirEntry, err error) error {
 			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {

@@ -250,9 +250,18 @@ func TestFaultLoaderDefaultClientBounded(t *testing.T) {
 	if p.httpClient.Timeout != DefaultPeerFetchTimeout {
 		t.Errorf("peer client timeout = %v, want %v", p.httpClient.Timeout, DefaultPeerFetchTimeout)
 	}
-	p.SetFetchTimeout(2 * time.Second)
+	// OpenPeer applies a daemon's -fetch-timeout and keeps the pooled
+	// transport.
+	p, err := OpenPeer(PeerConfig{ID: "p", FetchTimeout: 2 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
 	if p.httpClient.Timeout != 2*time.Second {
-		t.Errorf("SetFetchTimeout not applied: %v", p.httpClient.Timeout)
+		t.Errorf("FetchTimeout not applied: %v", p.httpClient.Timeout)
+	}
+	if p.httpClient.Transport == nil {
+		t.Error("OpenPeer dropped the peer's pooled transport")
 	}
 }
 

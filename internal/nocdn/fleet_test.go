@@ -297,8 +297,8 @@ func TestFleetTelemetryEndToEnd(t *testing.T) {
 	}
 
 	// The background loop lifecycle survives start/stop/restart.
-	peer.StartTelemetry(originSrv.URL, 50*time.Millisecond)
-	peer.StartTelemetry(originSrv.URL, 50*time.Millisecond)
-	peer.StopTelemetry()
-	peer.StopTelemetry()
+	peer.startTelemetry(originSrv.URL, 50*time.Millisecond)
+	peer.startTelemetry(originSrv.URL, 50*time.Millisecond)
+	peer.Close()
+	peer.Close()
 }

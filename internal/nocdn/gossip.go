@@ -13,12 +13,6 @@ import (
 	"time"
 )
 
-// gossiper is the peer's neighbour-gossip part: the background loop
-// StartGossip runs, which locks itself.
-type gossiper struct {
-	gossipLoop loop
-}
-
 // GossipOnce runs one delegated-probing cycle: fetch this peer's ring
 // neighbors from the origin, probe each neighbor's /health directly, and
 // upload the verdicts as a GossipReport. Returns how many neighbors were
@@ -77,15 +71,8 @@ func (p *Peer) GossipOnce(originURL string) (int, error) {
 	return len(rep.Observations), nil
 }
 
-// StartGossip launches the background neighbor-gossip loop against
-// originURL (<= 0 interval picks 15s). Restarting replaces the previous
-// loop.
-func (p *Peer) StartGossip(originURL string, interval time.Duration) {
-	if interval <= 0 {
-		interval = 15 * time.Second
-	}
-	p.gossipLoop.start(interval, func() { p.GossipOnce(originURL) })
+// startGossip launches the background neighbor-gossip loop against
+// originURL. Restarting replaces the previous loop.
+func (p *Peer) startGossip(originURL string, interval time.Duration) {
+	p.gossipLoop.start(interval, func(context.Context) { p.GossipOnce(originURL) })
 }
-
-// StopGossip halts the background gossip loop (no-op when not running).
-func (p *Peer) StopGossip() { p.gossipLoop.halt() }

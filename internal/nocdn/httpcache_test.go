@@ -36,6 +36,11 @@ func TestParseCacheControl(t *testing.T) {
 		{"empty parts tolerated", ",,, max-age=7 ,,", CacheControl{MaxAge: sec(7), HasMaxAge: true}},
 		{"duplicate directive last wins", "max-age=10, max-age=20",
 			CacheControl{MaxAge: sec(20), HasMaxAge: true}},
+		// Known departure: RFC 9111 §4.2.1 says to use a repeated
+		// directive's first value or to treat the response as stale. The
+		// last value wins, so this response is fresh for a minute.
+		{"repeated max-age=0 then 60 (known departure)", "max-age=0, max-age=60",
+			CacheControl{MaxAge: sec(60), HasMaxAge: true}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

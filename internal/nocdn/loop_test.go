@@ -1,6 +1,7 @@
 package nocdn
 
 import (
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -23,8 +24,8 @@ func quiet(count func() int64) bool {
 // fixes: Start* used to call Stop* and only then take the lifecycle mutex, so
 // concurrent starts all passed the stop, each overwrote the last one's
 // channels, and every goroutine but the final one ticked for ever with nobody
-// holding its stop. Through the public methods of all three loops: N
-// concurrent starts, one stop, and nothing ticks afterwards.
+// holding its stop. Through the start method of each of the three loops: N
+// concurrent starts, one halt, and nothing ticks afterwards.
 func TestBackgroundLoopConcurrentStarts(t *testing.T) {
 	const starts = 8
 	for _, tc := range []struct {
@@ -32,9 +33,9 @@ func TestBackgroundLoopConcurrentStarts(t *testing.T) {
 		start func(p *Peer, originURL string)
 		stop  func(p *Peer)
 	}{
-		{"scrub", func(p *Peer, _ string) { p.StartCacheScrub(time.Millisecond) }, (*Peer).StopCacheScrub},
-		{"gossip", func(p *Peer, u string) { p.StartGossip(u, time.Millisecond) }, (*Peer).StopGossip},
-		{"telemetry", func(p *Peer, u string) { p.StartTelemetry(u, time.Millisecond) }, (*Peer).StopTelemetry},
+		{"scrub", func(p *Peer, _ string) { p.startCacheScrub(time.Millisecond) }, func(p *Peer) { p.scrubLoop.halt() }},
+		{"gossip", func(p *Peer, u string) { p.startGossip(u, time.Millisecond) }, func(p *Peer) { p.gossipLoop.halt() }},
+		{"telemetry", func(p *Peer, u string) { p.startTelemetry(u, time.Millisecond) }, func(p *Peer) { p.telemetryLoop.halt() }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			// Every tick is visible from outside: a scrub pass moves a counter,
@@ -107,8 +108,8 @@ func TestBackgroundLoopRestartReplaces(t *testing.T) {
 	var l loop
 	l.halt()
 	var first, second atomic.Int64
-	l.start(time.Millisecond, func() { first.Add(1) })
-	l.start(time.Millisecond, func() { second.Add(1) })
+	l.start(time.Millisecond, func(context.Context) { first.Add(1) })
+	l.start(time.Millisecond, func(context.Context) { second.Add(1) })
 	if !quiet(first.Load) {
 		t.Fatal("the replaced loop is still ticking")
 	}

@@ -1,6 +1,7 @@
 package nocdn
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"time"
@@ -243,6 +244,19 @@ func (o *Origin) DeclareFleetSLOs(availability, latency, thresholdSeconds float6
 		Description: "unverified bytes caught at peers (quarantines); any event empties the budget",
 		Objective:   1,
 	})
+}
+
+// StartLoops runs the origin's background loops: a ProbeSample pass over
+// probeSample peers (0: every peer) each probeEvery, and an EpochTick each
+// epochEvery. A zero interval leaves that loop off. Shutdown halts both
+// before its final snapshot.
+func (o *Origin) StartLoops(probeEvery time.Duration, probeSample int, epochEvery time.Duration) {
+	if probeEvery > 0 {
+		o.probeLoop.start(probeEvery, func(ctx context.Context) { o.ProbeSample(ctx, probeSample) })
+	}
+	if epochEvery > 0 {
+		o.epochLoop.start(epochEvery, func(context.Context) { o.EpochTick() })
+	}
 }
 
 // Fleet returns the origin's telemetry aggregator.

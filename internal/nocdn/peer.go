@@ -66,9 +66,9 @@ type Peer struct {
 	// next AttachDiskCache hands back (adoptMeta); a restart has none.
 	closedIndex atomic.Pointer[map[string]segEntry]
 
-	// The background loops (loop.go): segment scrubber and fleet
-	// telemetry. Neighbour gossip's is in gossiper (gossip.go).
-	scrubLoop, telemetryLoop loop
+	// The background loops (loop.go), which OpenPeer starts and Close stops:
+	// segment scrubber, neighbour gossip and fleet telemetry.
+	scrubLoop, gossipLoop, telemetryLoop loop
 
 	// FlushBackoff shapes each origin's gate delay between failed uploads
 	// (the zero value applies the faults package defaults). Set before serving.
@@ -105,7 +105,6 @@ type Peer struct {
 	httpClient *http.Client
 
 	recordLane
-	gossiper
 }
 
 // newPeerTransport builds the tuned upstream transport: a deep idle pool
@@ -159,7 +158,7 @@ func (p *Peer) AttachDiskCache(dir string, maxBytes, segBytes int64) error {
 
 // CloseDiskCache detaches and closes the disk tier (tests, shutdown).
 func (p *Peer) CloseDiskCache() {
-	p.StopCacheScrub()
+	p.scrubLoop.halt()
 	if st := p.store.Swap(nil); st != nil {
 		index := st.close()
 		p.closedIndex.Store(&index)
@@ -193,26 +192,17 @@ func (p *Peer) ScrubCache() (checked, quarantined int) {
 // DefaultCacheScrubInterval paces the background segment scrubber.
 const DefaultCacheScrubInterval = time.Hour
 
-// StartCacheScrub launches the background segment scrubber (<= 0 interval
+// startCacheScrub launches the background segment scrubber (<= 0 interval
 // means DefaultCacheScrubInterval). Restarting replaces the previous loop.
-func (p *Peer) StartCacheScrub(interval time.Duration) {
+func (p *Peer) startCacheScrub(interval time.Duration) {
 	if interval <= 0 {
 		interval = DefaultCacheScrubInterval
 	}
-	p.scrubLoop.start(interval, func() { p.ScrubCache() })
+	p.scrubLoop.start(interval, func(context.Context) { p.ScrubCache() })
 }
-
-// StopCacheScrub halts the background scrubber (no-op when not running).
-func (p *Peer) StopCacheScrub() { p.scrubLoop.halt() }
 
 // SetHTTPClient overrides the outbound client (tests, chaos harnesses).
 func (p *Peer) SetHTTPClient(c *http.Client) { p.httpClient = c }
-
-// SetFetchTimeout rebounds the outbound client's per-request timeout,
-// preserving any custom transport.
-func (p *Peer) SetFetchTimeout(d time.Duration) {
-	p.httpClient = &http.Client{Timeout: d, Transport: p.httpClient.Transport}
-}
 
 // SetMetrics wires a metrics registry for nocdn.peer.* counters (and the
 // nocdn.cache.* / nocdn.scrub.* families once a disk tier is attached).

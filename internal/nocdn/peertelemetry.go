@@ -22,9 +22,6 @@ import (
 // delta simply rides along in the next report — telemetry must never make
 // a degraded peer worse.
 
-// DefaultTelemetryInterval paces the background telemetry loop.
-const DefaultTelemetryInterval = 15 * time.Second
-
 // DefaultPeerHotKeys bounds the peer-side hot-key sketch drained into each
 // report.
 const DefaultPeerHotKeys = 128
@@ -117,21 +114,13 @@ func (p *Peer) TelemetryOnce(ctx context.Context, originURL string) (bool, error
 	return true, nil
 }
 
-// StartTelemetry launches the background reporter loop against originURL
-// (<= 0 interval picks DefaultTelemetryInterval). Restarting replaces the
-// previous loop.
-func (p *Peer) StartTelemetry(originURL string, interval time.Duration) {
-	if interval <= 0 {
-		interval = DefaultTelemetryInterval
-	}
+// startTelemetry launches the background reporter loop against originURL.
+// Restarting replaces the previous loop.
+func (p *Peer) startTelemetry(originURL string, interval time.Duration) {
 	p.EnableTelemetry(0)
-	p.telemetryLoop.start(interval, func() {
-		ctx, cancel := context.WithTimeout(context.Background(), interval)
+	p.telemetryLoop.start(interval, func(ctx context.Context) {
+		ctx, cancel := context.WithTimeout(ctx, interval)
 		p.TelemetryOnce(ctx, originURL)
 		cancel()
 	})
 }
-
-// StopTelemetry halts the background reporter loop (no-op when not
-// running).
-func (p *Peer) StopTelemetry() { p.telemetryLoop.halt() }

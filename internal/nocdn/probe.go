@@ -29,6 +29,9 @@ type probing struct {
 
 	// probeClient bounds every direct probe.
 	probeClient *http.Client
+
+	// probeLoop runs ProbeSample on the daemon's -probe-interval cadence.
+	probeLoop loop
 }
 
 // ProbeSample runs one health-probe pass over k registered peers: first

@@ -459,9 +459,13 @@ func (o *Origin) captureState(seq uint64, chain [32]byte) originSnapshot {
 	return snap
 }
 
-// Shutdown drains the durable control plane: one final snapshot, then the
-// journal is fsynced and closed. Idempotent; a nil-WAL origin is a no-op.
+// Shutdown halts the probe and epoch loops, then drains the durable control
+// plane: one final snapshot, then the journal is fsynced and closed. So no
+// tick moves state the snapshot has already captured. Idempotent; without a
+// WAL only the loops stop.
 func (o *Origin) Shutdown() error {
+	o.probeLoop.halt()
+	o.epochLoop.halt()
 	if o.wal == nil {
 		return nil
 	}

@@ -37,6 +37,9 @@ type assignment struct {
 	// wrapperBytes counts the wrapper bytes served, half of the origin's
 	// bytes out that E4 reports.
 	wrapperBytes atomic.Int64
+
+	// epochLoop runs EpochTick on the daemon's -epoch-tick cadence.
+	epochLoop loop
 }
 
 // DefaultPoolSlots is how many precomputed wrapper variants the pool keeps
