@@ -42,7 +42,9 @@ import (
 // daemon boots its peer only through nocdn.OpenPeer and starts no ticker of
 // its own: nocdnd and hpopd build no peer, attach no disk tier or spool and
 // make no ticker, and internal/nocdn exports no loop starter or stopper and
-// no fetch-timeout setter.
+// no fetch-timeout setter. The peer's records sit in one lane per provider:
+// no shared queue filtered per flush, no gate map beside it, and no setter
+// for the cap.
 func TestDeletedForksStayDeleted(t *testing.T) {
 	scorer := regexp.MustCompile(`welford|scoreLocked|rescoreAll|nocdn\.audit\.peer\.|tamper_flags|DefaultAudit(Threshold|MinRecords)|populationMeanBytes`)
 	recordJSON := regexp.MustCompile(`json\.(Marshal|Unmarshal|NewDecoder)\((rec|recs|record|records|leaf|leaves|body|line|r\.Body)\b|json\.\w+\(.*&(rec|recs|record|records)\b`)
@@ -72,6 +74,7 @@ func TestDeletedForksStayDeleted(t *testing.T) {
 		{"cmd/nocdnd", handBoot},
 		{"cmd/hpopd", handBoot},
 		{"internal/nocdn", regexp.MustCompile(`\b(Start|Stop)(CacheScrub|Gossip|Telemetry)\b|\bSetFetchTimeout\b`)},
+		{"internal/nocdn", regexp.MustCompile(`flushGate|\.gates\b|SetMaxPendingRecords|slices\.Contains\(providers`)},
 	} {
 		err := filepath.WalkDir(c.root, func(path string, d fs.DirEntry, err error) error {
 			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {

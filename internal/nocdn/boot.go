@@ -19,7 +19,7 @@ type PeerConfig struct {
 
 	CacheBytes   int
 	MaxInflight  int
-	FetchTimeout time.Duration     // as http.Client.Timeout: 0 is unbounded
+	FetchTimeout time.Duration     // as http.Client.Timeout; <= 0: DefaultPeerFetchTimeout
 	Transport    http.RoundTripper // nil: the peer's pooled transport
 
 	StateDir                     string // disk tier and record spool (empty: memory only)
@@ -63,7 +63,9 @@ func OpenPeer(cfg PeerConfig) (*Peer, error) {
 	if cfg.Transport != nil {
 		p.httpClient.Transport = cfg.Transport
 	}
-	p.httpClient.Timeout = cfg.FetchTimeout
+	if cfg.FetchTimeout > 0 {
+		p.httpClient.Timeout = cfg.FetchTimeout
+	}
 	p.SetMaxInflight(cfg.MaxInflight)
 	for _, s := range cfg.Providers {
 		p.SignUp(s[0], s[1])
@@ -90,7 +92,7 @@ func OpenPeer(cfg PeerConfig) (*Peer, error) {
 	return p, nil
 }
 
-// Close stops the peer's loops, then writes the record queue to the spool
+// Close stops the peer's loops, then writes the record lanes to the spool
 // and closes it, then closes the disk tier. A part that is not running is
 // skipped, so Close also undoes a partial boot.
 func (p *Peer) Close() {

@@ -230,3 +230,51 @@ func TestOriginShutdownCancelsProbePass(t *testing.T) {
 		t.Errorf("Shutdown took %v behind a blocked probe (probe timeout %v)", took, o.probeClient.Timeout)
 	}
 }
+
+// TestCloseDoesNotWaitOutGossip: a gossip cycle blocked on an origin that
+// never answers ends when Close halts the loop, well before any fetch
+// timeout would cut it.
+func TestCloseDoesNotWaitOutGossip(t *testing.T) {
+	gossiping, release := make(chan struct{}, 1), make(chan struct{})
+	origin := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case gossiping <- struct{}{}:
+		default:
+		}
+		<-release
+	}))
+	defer origin.Close()
+	defer close(release)
+	p, err := OpenPeer(PeerConfig{ID: "p", Providers: [][2]string{{"x", origin.URL}}, GossipInterval: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-gossiping:
+	case <-time.After(5 * time.Second):
+		t.Fatal("no gossip request reached the origin")
+	}
+	closed := make(chan struct{})
+	go func() {
+		p.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Close still waiting on a gossip cycle after 2s")
+	}
+}
+
+// TestOpenPeerZeroFetchTimeoutIsDefault: a zero FetchTimeout leaves the
+// peer's outbound client at DefaultPeerFetchTimeout, not unbounded.
+func TestOpenPeerZeroFetchTimeoutIsDefault(t *testing.T) {
+	p, err := OpenPeer(PeerConfig{ID: "p"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	if got := p.httpClient.Timeout; got != DefaultPeerFetchTimeout {
+		t.Errorf("client timeout = %v, want %v", got, DefaultPeerFetchTimeout)
+	}
+}

@@ -119,7 +119,7 @@ func TestFaultFlushBackoffGrows(t *testing.T) {
 func TestFaultRecordQueueCap(t *testing.T) {
 	p := NewPeer("p", 0)
 	p.SignUp("x", "http://127.0.0.1:1")
-	p.SetMaxPendingRecords(3)
+	p.maxPending = 3
 	srv := httptest.NewServer(p.Handler())
 	defer srv.Close()
 
@@ -153,7 +153,7 @@ func TestFaultRecordQueueCap(t *testing.T) {
 	// requeued batch plus the arrival exceed the cap and the oldest record
 	// is shed instead of growing the queue.
 	p2 := NewPeer("p2", 0)
-	p2.SetMaxPendingRecords(2)
+	p2.maxPending = 2
 	p2.FlushBackoff = faults.Policy{Base: time.Millisecond, Max: time.Millisecond, Jitter: -1}
 	srv2 := httptest.NewServer(p2.Handler())
 	defer srv2.Close()

@@ -19,13 +19,18 @@ import (
 // observed. Each peer watches O(neighbors); the origin believes none of it,
 // but probes the peers whose reported verdict disagrees with its own first,
 // so a sampled probe pass reaches a failing peer without scanning the fleet.
-func (p *Peer) GossipOnce(originURL string) (int, error) {
+// ctx rides every request of the cycle, so cancelling it ends the cycle.
+func (p *Peer) GossipOnce(ctx context.Context, originURL string) (int, error) {
 	base := strings.TrimSuffix(originURL, "/")
 	sp := p.tracer.Start("nocdn.peer", "gossip")
 	sp.SetLabel("peer", p.ID)
 	defer sp.End()
 
-	resp, err := p.httpClient.Get(base + "/neighbors?peer=" + url.QueryEscape(p.ID))
+	var resp *http.Response
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/neighbors?peer="+url.QueryEscape(p.ID), nil)
+	if err == nil {
+		resp, err = p.httpClient.Do(req)
+	}
 	if err != nil {
 		sp.SetError(err)
 		return 0, err
@@ -43,7 +48,7 @@ func (p *Peer) GossipOnce(originURL string) (int, error) {
 
 	rep := GossipReport{From: p.ID}
 	for _, nbr := range neighbors {
-		ok, _, _ := probeHealth(context.Background(), p.httpClient, nbr.URL)
+		ok, _, _ := probeHealth(ctx, p.httpClient, nbr.URL)
 		rep.Observations = append(rep.Observations, PeerObservation{PeerID: nbr.ID, Healthy: ok})
 	}
 	sp.SetLabel("observations", strconv.Itoa(len(rep.Observations)))
@@ -53,7 +58,12 @@ func (p *Peer) GossipOnce(originURL string) (int, error) {
 		sp.SetError(err)
 		return 0, err
 	}
-	pr, err := p.httpClient.Post(base+"/gossip", "application/json", bytes.NewReader(body))
+	var pr *http.Response
+	req, err = http.NewRequestWithContext(ctx, http.MethodPost, base+"/gossip", bytes.NewReader(body))
+	if err == nil {
+		req.Header.Set("Content-Type", "application/json")
+		pr, err = p.httpClient.Do(req)
+	}
 	if err != nil {
 		sp.SetError(err)
 		p.metrics.Inc("nocdn.peer.gossip_failures")
@@ -74,5 +84,5 @@ func (p *Peer) GossipOnce(originURL string) (int, error) {
 // startGossip launches the background neighbor-gossip loop against
 // originURL. Restarting replaces the previous loop.
 func (p *Peer) startGossip(originURL string, interval time.Duration) {
-	p.gossipLoop.start(interval, func(context.Context) { p.GossipOnce(originURL) })
+	p.gossipLoop.start(interval, func(ctx context.Context) { p.GossipOnce(ctx, originURL) })
 }

@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"runtime/pprof"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -18,10 +17,10 @@ import (
 	"hpop/internal/hpop"
 )
 
-// DefaultMaxPendingRecords caps the usage-record queue. A dead origin must
-// not grow the pending queue without bound on a memory-constrained home
-// box; beyond the cap the oldest records are shed (they are also the first
-// to exceed the origin's nonce horizon anyway).
+// DefaultMaxPendingRecords caps each provider's record lane. A dead origin
+// must not grow its lane without bound on a memory-constrained home box;
+// beyond the cap the oldest records are shed (they are also the first to
+// exceed the origin's nonce horizon anyway).
 const DefaultMaxPendingRecords = 4096
 
 // maxRecordBody caps a POST /record body, and so the leaf queued from it.
@@ -29,72 +28,79 @@ const DefaultMaxPendingRecords = 4096
 // well under maxBatchBody.
 const maxRecordBody = 1 << 20
 
-// ErrFlushDeferred is returned by Flush while the backoff gate from a
-// previous failed upload to the same origin is still closed; no network
-// attempt was made.
+// ErrFlushDeferred is returned by Flush while the backoff gate a lane's
+// previous failed upload closed is still closed; that lane sent nothing.
 var ErrFlushDeferred = errors.New("nocdn: record flush deferred by backoff")
 
 // ErrUnknownOrigin is returned by Flush for a URL at which no provider
-// signed this peer up: nothing was sent, and the queue, the spool and the
-// backoff gates are as they were.
+// signed this peer up: nothing was sent, and the lanes, their gates and the
+// spool are as they were.
 var ErrUnknownOrigin = errors.New("nocdn: no provider signed up at this origin")
 
-// recordLane is the peer's record half. recordsMu guards the usage-record
-// queue, its cap, its spool and the flush backoff gates, and no serve takes
-// it. The queue, the cap and the spool serve every origin; each origin has
-// its own gate.
+// recordLane is the peer's record half. recordsMu guards every provider's
+// lane, the cap and the spool, and no serve takes it. One spool holds every
+// lane's leaves.
 type recordLane struct {
 	recordsMu  sync.Mutex
-	records    []string     // leaves (LeafBytes), oldest first
-	maxPending int          // caps len(records)
-	spool      *recordSpool // set by AttachRecordSpool
-	// gates holds the backoff gate of each origin whose last upload failed,
-	// keyed by its URL with the trailing '/' trimmed, as SignUp stores it.
-	gates map[string]flushGate
+	lanes      map[string]*lane // by provider, made on its first leaf
+	maxPending int              // caps each lane's records
+	spool      *recordSpool     // set by AttachRecordSpool
 
 	droppedRecords atomic.Int64
 }
 
-// flushGate is one origin's backoff: its consecutive failed uploads, and
-// the time before which Flush sends it nothing.
-type flushGate struct {
+// lane is one provider's queued leaves and its backoff gate: its failed
+// uploads in a row, and the time before which Flush sends it nothing.
+type lane struct {
+	records  []string // leaves (LeafBytes), oldest first
 	failures int
 	next     time.Time
 }
 
-// SetMaxPendingRecords caps the usage-record queue (<= 0 restores the
-// default).
-func (p *Peer) SetMaxPendingRecords(n int) {
-	if n <= 0 {
-		n = DefaultMaxPendingRecords
+// laneLocked returns provider's lane, making it if need be; recordsMu must
+// be held.
+func (p *Peer) laneLocked(provider string) *lane {
+	if p.lanes[provider] == nil {
+		p.lanes[provider] = &lane{}
 	}
-	p.recordsMu.Lock()
-	defer p.recordsMu.Unlock()
-	p.maxPending = n
+	return p.lanes[provider]
 }
 
-// requeueLocked puts leaves back at the head of the queue and sheds the
-// oldest records past the cap, returning how many it shed; recordsMu must
-// be held.
-func (p *Peer) requeueLocked(leaves []string) int {
-	p.records = append(leaves, p.records...)
-	over := len(p.records) - p.maxPending
+// requeueLocked puts leaves back at the head of l and sheds its oldest
+// records past the cap, returning how many it shed; recordsMu must be held.
+func (p *Peer) requeueLocked(l *lane, leaves []string) int {
+	l.records = append(leaves, l.records...)
+	over := len(l.records) - p.maxPending
 	if over <= 0 {
 		return 0
 	}
-	p.records = append([]string(nil), p.records[over:]...)
+	l.records = append([]string(nil), l.records[over:]...)
 	p.droppedRecords.Add(int64(over))
 	return over
+}
+
+// rewriteSpoolLocked compacts the spool to held, a flush's unsettled rest,
+// then every lane's records, each in order; recordsMu must be held.
+func (p *Peer) rewriteSpoolLocked(held []string) {
+	all := held[:len(held):len(held)]
+	for _, l := range p.lanes {
+		all = append(all, l.records...)
+	}
+	p.spool.rewrite(all)
 }
 
 // PendingRecords returns how many usage records await upload.
 func (p *Peer) PendingRecords() int {
 	p.recordsMu.Lock()
 	defer p.recordsMu.Unlock()
-	return len(p.records)
+	n := 0
+	for _, l := range p.lanes {
+		n += len(l.records)
+	}
+	return n
 }
 
-// DroppedRecords returns how many usage records were shed by the queue cap.
+// DroppedRecords returns how many usage records were shed by the lane cap.
 func (p *Peer) DroppedRecords() int64 { return p.droppedRecords.Load() }
 
 // providersAt returns the providers SignUp registered at origin, a URL
@@ -142,7 +148,8 @@ func (p *Peer) handleRecord(w http.ResponseWriter, r *http.Request) {
 	sp.SetLabel("provider", rec.Provider)
 	defer sp.End()
 	p.recordsMu.Lock()
-	if len(p.records) >= p.maxPending {
+	l := p.laneLocked(rec.Provider)
+	if len(l.records) >= p.maxPending {
 		p.recordsMu.Unlock()
 		p.droppedRecords.Add(1)
 		p.metrics.Inc("nocdn.peer.records_rejected")
@@ -150,7 +157,7 @@ func (p *Peer) handleRecord(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "record queue full", http.StatusServiceUnavailable)
 		return
 	}
-	p.records = append(p.records, leaf)
+	l.records = append(l.records, leaf)
 	// Spooled while still holding recordsMu so the append is ordered with
 	// any concurrent Flush compaction (rewrite also runs under recordsMu):
 	// a record accepted during a settling flush must land after the
@@ -182,45 +189,44 @@ func (p *Peer) handleFlush(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, `{"uploaded":%d}`, n)
 }
 
-// Flush uploads the queued records of the providers signed up at originURL,
-// returning how many were settled; the other providers' records stay queued
-// and spooled, in order. A URL no provider signed up at is refused with
-// ErrUnknownOrigin before anything is touched. The records go up as
+// Flush uploads the lane of each provider signed up at originURL,
+// returning how many records were settled; the other lanes stay queued and
+// spooled, in order. A URL no provider signed up at is refused with
+// ErrUnknownOrigin before anything is touched. A lane goes up as
 // consecutive Merkle-committed batches, each under the origin's body limit,
 // so no size of queue is ever refused whole. A batch is cleared only on a
 // settled decision — 2xx, or the origin's 400 "rejected or replayed, do not
 // retry"; settlement disputes are the provider's ledger, not the peer's
 // queue. Anything else (transport failure, 5xx, a 415 from an origin that
 // wants another batch shape, or a 404/405/408/429 from a mis-routed URL or a
-// proxy) decides nothing about the records: Flush stops, the unsettled rest
-// is requeued (capped at the pending limit, oldest shed first) and that
-// origin's backoff gate closes, so further Flush calls to it return
-// ErrFlushDeferred without touching the network until it expires and a dead
-// origin is never hot-retried. The gate is the origin's alone: a dead origin
-// defers no other origin's flush.
-func (p *Peer) Flush(originURL string) (int, error) {
+// proxy) decides nothing: the lane's unsettled rest is requeued (capped,
+// oldest shed first) and its backoff gate closes, so Flush sends it nothing
+// (ErrFlushDeferred) until the gate expires. No lane's gate defers another.
+func (p *Peer) Flush(originURL string) (settled int, err error) {
 	origin := strings.TrimSuffix(originURL, "/")
 	providers := p.providersAt(origin)
 	if len(providers) == 0 {
 		return 0, fmt.Errorf("%w: %s", ErrUnknownOrigin, originURL)
 	}
+	for _, provider := range providers {
+		n, lerr := p.flushLane(provider, origin)
+		settled, err = settled+n, errors.Join(err, lerr)
+	}
+	return settled, err
+}
+
+// flushLane uploads provider's lane to origin, a URL with its trailing '/'
+// trimmed.
+func (p *Peer) flushLane(provider, origin string) (int, error) {
 	now := p.now()
 	p.recordsMu.Lock()
-	if now.Before(p.gates[origin].next) {
+	l := p.laneLocked(provider)
+	if now.Before(l.next) {
 		p.recordsMu.Unlock()
 		return 0, ErrFlushDeferred
 	}
-	batch := make([]string, 0, len(p.records))
-	others := p.records[:0]
-	for _, leaf := range p.records {
-		if slices.Contains(providers, leafProvider(leaf)) {
-			batch = append(batch, leaf)
-		} else {
-			others = append(others, leaf)
-		}
-	}
-	clear(p.records[len(others):])
-	p.records = others
+	batch := l.records
+	l.records = nil
 	p.recordsMu.Unlock()
 	if len(batch) == 0 {
 		return 0, nil
@@ -254,16 +260,12 @@ func (p *Peer) Flush(originURL string) (int, error) {
 		batch = batch[n:]
 		settled += n
 		p.recordsMu.Lock()
-		delete(p.gates, origin)
+		l.failures, l.next = 0, time.Time{}
 		// The batch is settled: compact the spool down to the unsent rest
 		// and whatever else is queued, so a restart doesn't re-upload it.
 		// Runs under recordsMu so no handleRecord append can slip between
 		// the queue snapshot and the file swap.
-		rest := p.records
-		if len(batch) > 0 {
-			rest = append(batch[:len(batch):len(batch)], p.records...)
-		}
-		p.spool.rewrite(rest)
+		p.rewriteSpoolLocked(batch)
 		p.recordsMu.Unlock()
 	}
 	p.metrics.Observe("nocdn.peer.flush_seconds", time.Since(start).Seconds())
@@ -272,18 +274,16 @@ func (p *Peer) Flush(originURL string) (int, error) {
 		return settled, nil
 	}
 	sp.SetError(err)
-	// Requeue the unsettled rest ahead of everything else queued, shed the
-	// oldest overflow, and close this origin's backoff gate.
+	// Requeue the unsettled rest ahead of what the lane took meanwhile,
+	// shed its oldest overflow, and close its backoff gate.
 	p.recordsMu.Lock()
-	over := p.requeueLocked(batch)
-	g := p.gates[origin]
-	g.failures++
-	g.next = now.Add(p.FlushBackoff.Delay(g.failures))
-	p.gates[origin] = g
+	over := p.requeueLocked(l, batch)
+	l.failures++
+	l.next = now.Add(p.FlushBackoff.Delay(l.failures))
 	if over > 0 {
 		// Only a shed changes what should replay on boot — a plain requeue
 		// leaves the spool contents correct as-is.
-		p.spool.rewrite(p.records)
+		p.rewriteSpoolLocked(nil)
 	}
 	p.recordsMu.Unlock()
 	if over > 0 {
@@ -326,37 +326,39 @@ func (p *Peer) postRecords(sp *hpop.Span, origin string, body []byte) (*http.Res
 	return resp, err
 }
 
-// AttachRecordSpool makes the peer's usage-record queue durable under dir
+// AttachRecordSpool makes the peer's record lanes durable under dir
 // (typically the same -cache-dir as the disk tier): previously spooled
-// records are requeued — flowing to the origin through the normal Flush
-// path, backoff gate included — and every accepted record is spooled until
-// its batch settles. A requeued leaf is not checked against the current
-// sign-ups: it waits for a Flush to its provider's origin. A spool holding
-// a complete line that is not a leaf fails with errStateFormat, and the
-// file and the queue stay as they were.
+// records are requeued at the head of their provider's lane, unchecked
+// against the current sign-ups, and every accepted record is spooled until
+// its batch settles. A spool holding a complete line that is not a leaf
+// fails with errStateFormat, and the file and the lanes stay as they were.
 func (p *Peer) AttachRecordSpool(dir string) error {
 	spool, leaves, err := openRecordSpool(dir, p.metrics)
 	if err != nil {
 		return err
 	}
+	spooled := make(map[string][]string)
+	for _, leaf := range leaves {
+		provider := leafProvider(leaf)
+		spooled[provider] = append(spooled[provider], leaf)
+	}
 	p.recordsMu.Lock()
 	p.spool = spool
-	if len(leaves) > 0 {
-		p.requeueLocked(leaves)
+	for provider, leaves := range spooled {
+		p.requeueLocked(p.laneLocked(provider), leaves)
 	}
 	// Compact immediately (still under recordsMu, ordered with appends):
 	// drops any torn tail and the over-cap shed.
-	spool.rewrite(p.records)
+	p.rewriteSpoolLocked(nil)
 	p.recordsMu.Unlock()
 	return nil
 }
 
-// CloseRecordSpool persists the current queue and detaches the spool.
+// CloseRecordSpool persists every lane and detaches the spool.
 func (p *Peer) CloseRecordSpool() {
 	p.recordsMu.Lock()
-	spool := p.spool
+	p.rewriteSpoolLocked(nil)
+	p.spool.close()
 	p.spool = nil
-	spool.rewrite(p.records)
-	spool.close()
 	p.recordsMu.Unlock()
 }

@@ -670,7 +670,7 @@ func TestFlushKeepsRecordsOnOversizeBatch(t *testing.T) {
 	p.recordsMu.Lock()
 	huge := UsageRecord{Provider: "example.com", PeerID: p.ID,
 		Page: strings.Repeat("x", 9<<20), Bytes: 1, Nonce: auth.NewNonce()}
-	p.records = append([]string{string(huge.LeafBytes())}, p.records...)
+	p.lanes["example.com"].records = append([]string{string(huge.LeafBytes())}, p.lanes["example.com"].records...)
 	p.recordsMu.Unlock()
 	pending := p.PendingRecords()
 	now := time.Now()

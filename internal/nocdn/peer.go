@@ -131,7 +131,7 @@ func NewPeer(id string, cacheBytes int) *Peer {
 		cache:      newShardedLRU(cacheBytes),
 		vary:       make(map[string][]string),
 		httpClient: &http.Client{Timeout: DefaultPeerFetchTimeout, Transport: newPeerTransport()},
-		recordLane: recordLane{maxPending: DefaultMaxPendingRecords, gates: make(map[string]flushGate)},
+		recordLane: recordLane{lanes: make(map[string]*lane), maxPending: DefaultMaxPendingRecords},
 	}
 }
 

@@ -285,7 +285,7 @@ func TestHealthProbeOutcomes(t *testing.T) {
 				}
 			}))
 			defer fakeOrigin.Close()
-			if n, err := NewPeer("gossiper", 0).GossipOnce(fakeOrigin.URL); err != nil || n != 1 {
+			if n, err := NewPeer("gossiper", 0).GossipOnce(context.Background(), fakeOrigin.URL); err != nil || n != 1 {
 				t.Fatalf("GossipOnce = %d, %v", n, err)
 			}
 			body := <-uploaded

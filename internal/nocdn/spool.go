@@ -17,8 +17,8 @@ const spoolFileName = "records.spool"
 // recordSpool persists a peer's unflushed usage records so a peer crash
 // doesn't vaporize earned-but-unsettled credit. The format is one leaf per
 // line, each the bytes the peer took at /record and will upload, appended
-// as records arrive and compacted (tmp + rename) whenever the in-memory
-// queue is rewritten — after a flush settles or sheds. Appends are
+// as records arrive and compacted (tmp + rename) whenever a lane's queue
+// is rewritten — after a flush settles or sheds. Appends are
 // buffered-write best-effort (no per-record fsync: this is a credit spool on
 // a home appliance, not a ledger; the origin's WAL is the settlement
 // authority). A failed append or rewrite counts in nocdn.peer.spool_errors;

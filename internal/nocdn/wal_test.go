@@ -933,7 +933,7 @@ func TestRecordSpoolRoundTrip(t *testing.T) {
 			}
 			defer p.CloseRecordSpool()
 			p.recordsMu.Lock()
-			got := slices.Clone(p.records)
+			got := slices.Clone(p.lanes["x"].records)
 			p.recordsMu.Unlock()
 			if !slices.Equal(got, tc.want) {
 				t.Fatalf("requeued %q, want %q", got, tc.want)
