@@ -44,11 +44,15 @@ import (
 // make no ticker, and internal/nocdn exports no loop starter or stopper and
 // no fetch-timeout setter. The peer's records sit in one lane per provider:
 // no shared queue filtered per flush, no gate map beside it, and no setter
-// for the cap.
+// for the cap. A peer calls its origin only through callOrigin: lane.go,
+// gossip.go and peertelemetry.go build no request, nothing brings back
+// postRecords, telemetry retries under no policy of its own, and /gossip
+// reads its body only through readUpload.
 func TestDeletedForksStayDeleted(t *testing.T) {
 	scorer := regexp.MustCompile(`welford|scoreLocked|rescoreAll|nocdn\.audit\.peer\.|tamper_flags|DefaultAudit(Threshold|MinRecords)|populationMeanBytes`)
 	recordJSON := regexp.MustCompile(`json\.(Marshal|Unmarshal|NewDecoder)\((rec|recs|record|records|leaf|leaves|body|line|r\.Body)\b|json\.\w+\(.*&(rec|recs|record|records)\b`)
 	handBoot := regexp.MustCompile(`nocdn\.NewPeer\(|\.AttachDiskCache\(|\.AttachRecordSpool\(|time\.NewTicker\(`)
+	handBuilt := regexp.MustCompile(`http\.NewRequest`)
 	gossipAndFlag := regexp.MustCompile(`gossipMismatch|DefaultGossipMismatchLimit|gossip_mismatches|gossip_quarantined|FlagTampered|OnFlag|ejectFlagged|journalAuditFlag|nocdn\.audit\.flagged`)
 	for _, c := range []struct {
 		root    string
@@ -75,6 +79,12 @@ func TestDeletedForksStayDeleted(t *testing.T) {
 		{"cmd/hpopd", handBoot},
 		{"internal/nocdn", regexp.MustCompile(`\b(Start|Stop)(CacheScrub|Gossip|Telemetry)\b|\bSetFetchTimeout\b`)},
 		{"internal/nocdn", regexp.MustCompile(`flushGate|\.gates\b|SetMaxPendingRecords|slices\.Contains\(providers`)},
+		{"internal/nocdn/lane.go", handBuilt},
+		{"internal/nocdn/gossip.go", handBuilt},
+		{"internal/nocdn/peertelemetry.go", handBuilt},
+		{"internal/nocdn", regexp.MustCompile(`postRecords`)},
+		{"internal/nocdn/peertelemetry.go", regexp.MustCompile(`faults\.Policy`)},
+		{"internal/nocdn/probe.go", regexp.MustCompile(`json\.NewDecoder\(io\.LimitReader\(r\.Body`)},
 	} {
 		err := filepath.WalkDir(c.root, func(path string, d fs.DirEntry, err error) error {
 			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {

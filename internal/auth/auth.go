@@ -133,6 +133,16 @@ func (c *NonceCache) Use(nonce string) error {
 	return nil
 }
 
+// Release forgets nonces that Use just accepted, when the message they
+// came with was not acted on after all: the next Use of each is accepted.
+func (c *NonceCache) Release(nonces ...string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, n := range nonces {
+		delete(c.seen, n)
+	}
+}
+
 // Len returns the number of remembered nonces (diagnostics).
 func (c *NonceCache) Len() int {
 	c.mu.Lock()

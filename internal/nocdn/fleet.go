@@ -189,7 +189,7 @@ func (a *FleetAggregator) Ingest(rep *hpop.TelemetryReport) (bool, error) {
 	if a == nil {
 		return false, fmt.Errorf("nocdn: no fleet aggregator")
 	}
-	if rep == nil || rep.Source == "" || rep.Seq == 0 {
+	if !wellFormed(rep) {
 		a.malformed.Add(1)
 		return false, fmt.Errorf("nocdn: telemetry report needs source and seq")
 	}
@@ -296,8 +296,20 @@ func (a *FleetAggregator) feedSLOs(rep *hpop.TelemetryReport, requests, bad floa
 	}
 }
 
-// IngestBatch applies every report in a batch and returns the ack.
+// wellFormed reports whether rep names its source and a sequence.
+func wellFormed(rep *hpop.TelemetryReport) bool {
+	return rep != nil && rep.Source != "" && rep.Seq != 0
+}
+
+// IngestBatch applies every report in a batch and returns the ack. A batch
+// holding a malformed report applies none of them.
 func (a *FleetAggregator) IngestBatch(batch TelemetryBatch) (TelemetryAck, error) {
+	for _, rep := range batch.Reports {
+		if !wellFormed(rep) {
+			_, err := a.Ingest(rep) // counts and refuses it
+			return TelemetryAck{}, err
+		}
+	}
 	ack := TelemetryAck{Acks: make(map[string]uint64, len(batch.Reports))}
 	for _, rep := range batch.Reports {
 		applied, err := a.Ingest(rep)
@@ -537,14 +549,10 @@ func (a *FleetAggregator) Handler() http.HandlerFunc {
 }
 
 // BatchHandler serves POST /telemetry/batch: decode, ingest, ack. Malformed
-// JSON or reports are a 400, an upload past 8 MiB a 413; applied and
-// duplicate reports both ack so retrying peers converge.
+// JSON or reports are a 400 that applies nothing, an upload past 8 MiB a
+// 413; applied and duplicate reports both ack so retrying peers converge.
 func (a *FleetAggregator) BatchHandler() http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "POST required", http.StatusMethodNotAllowed)
-			return
-		}
 		body, ok := readUpload(w, r, 8<<20)
 		if !ok {
 			return

@@ -374,6 +374,39 @@ func FuzzGossipReport(f *testing.F) {
 	})
 }
 
+// FuzzTelemetryBatch hardens POST /telemetry/batch: no body panics it, and
+// a batch it does not answer 200 changes nothing — /debug/fleet counts the
+// same sources and reports, and the origin's registry holds the same metric
+// names — so a peer that retries a refused batch is never counted twice.
+func FuzzTelemetryBatch(f *testing.F) {
+	o := controlOrigin(f, 0)
+	m := hpop.NewMetrics()
+	o.SetMetrics(m)
+	handler := o.Handler()
+	f.Add([]byte(`{"reports":[{"source":"good","seq":1,"counters":{"nocdn.peer.hits":1}},{"source":"","seq":0}]}`))
+	f.Add([]byte(`{"reports":[{"source":"a","seq":2,"counters":{"nocdn.peer.shed":1}},null]}`))
+	f.Add([]byte(`{"reports":[{"source":"b","seq":1,"histograms":{"nocdn.peer.serve_seconds":{"bounds":[0.1],"counts":[1,0],"sum":0.05}}}]}`))
+	f.Add([]byte(`{"reports":[]}`))
+	f.Add([]byte(`{"reports":[{"source":"c","seq":1}]} trailing`))
+	f.Add([]byte("not json"))
+	f.Add([]byte(""))
+	state := func() string {
+		snap := o.Fleet().Snapshot(1)
+		return fmt.Sprint(snap.Sources, snap.Reports, m.Names())
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		before := state()
+		rec := httptest.NewRecorder()
+		handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/telemetry/batch", bytes.NewReader(body)))
+		if rec.Code == http.StatusOK {
+			return
+		}
+		if after := state(); after != before {
+			t.Fatalf("a batch answered %d moved the fleet (sources, reports, names):\n%s\n->\n%s", rec.Code, before, after)
+		}
+	})
+}
+
 // FuzzParseRange hardens the Range-header parser used by the peer proxy.
 func FuzzParseRange(f *testing.F) {
 	f.Add("bytes=0-10", 100)

@@ -1,15 +1,12 @@
 package nocdn
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"strconv"
-	"strings"
 	"time"
 )
 
@@ -21,23 +18,15 @@ import (
 // so a sampled probe pass reaches a failing peer without scanning the fleet.
 // ctx rides every request of the cycle, so cancelling it ends the cycle.
 func (p *Peer) GossipOnce(ctx context.Context, originURL string) (int, error) {
-	base := strings.TrimSuffix(originURL, "/")
 	sp := p.tracer.Start("nocdn.peer", "gossip")
 	sp.SetLabel("peer", p.ID)
 	defer sp.End()
 
-	var resp *http.Response
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/neighbors?peer="+url.QueryEscape(p.ID), nil)
-	if err == nil {
-		resp, err = p.httpClient.Do(req)
-	}
-	if err != nil {
-		sp.SetError(err)
-		return 0, err
-	}
 	var neighbors []PeerInfo
-	err = json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&neighbors)
-	resp.Body.Close()
+	status, err := p.callOrigin(ctx, sp, originURL, http.MethodGet, "/neighbors?peer="+url.QueryEscape(p.ID), nil, &neighbors)
+	if err == nil && status/100 != 2 {
+		err = fmt.Errorf("nocdn: neighbors status %d", status)
+	}
 	if err != nil {
 		sp.SetError(err)
 		return 0, err
@@ -58,21 +47,11 @@ func (p *Peer) GossipOnce(ctx context.Context, originURL string) (int, error) {
 		sp.SetError(err)
 		return 0, err
 	}
-	var pr *http.Response
-	req, err = http.NewRequestWithContext(ctx, http.MethodPost, base+"/gossip", bytes.NewReader(body))
-	if err == nil {
-		req.Header.Set("Content-Type", "application/json")
-		pr, err = p.httpClient.Do(req)
+	status, err = p.callOrigin(ctx, sp, originURL, http.MethodPost, "/gossip", body, nil)
+	if err == nil && status != http.StatusOK {
+		err = fmt.Errorf("nocdn: gossip upload status %d", status)
 	}
 	if err != nil {
-		sp.SetError(err)
-		p.metrics.Inc("nocdn.peer.gossip_failures")
-		return 0, err
-	}
-	io.Copy(io.Discard, io.LimitReader(pr.Body, 4<<10))
-	pr.Body.Close()
-	if pr.StatusCode != http.StatusOK {
-		err = fmt.Errorf("nocdn: gossip upload status %d", pr.StatusCode)
 		sp.SetError(err)
 		p.metrics.Inc("nocdn.peer.gossip_failures")
 		return 0, err

@@ -1,13 +1,10 @@
 package nocdn
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
-	"runtime/pprof"
 	"strconv"
 	"strings"
 	"sync"
@@ -118,10 +115,6 @@ func (p *Peer) providersAt(origin string) []string {
 }
 
 func (p *Peer) handleRecord(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return
-	}
 	body, ok := readUpload(w, r, maxRecordBody)
 	if !ok {
 		return
@@ -246,13 +239,12 @@ func (p *Peer) flushLane(provider, origin string) (int, error) {
 		if n, body, err = nextUpload(p.ID, batch); err != nil {
 			break
 		}
-		var resp *http.Response
-		if resp, err = p.postRecords(sp, origin, body); err != nil {
+		// The flush span's context rides the upload, so the origin's batch
+		// settlement span parents under this flush cycle.
+		var code int
+		if code, err = p.callOrigin(context.TODO(), sp, origin, http.MethodPost, "/usage/batch", body, nil); err != nil {
 			break
 		}
-		code := resp.StatusCode
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4<<10))
-		resp.Body.Close()
 		if code/100 != 2 && code != http.StatusBadRequest {
 			err = fmt.Errorf("nocdn: usage upload status %d", code)
 			break
@@ -301,29 +293,6 @@ func leafProvider(leaf string) string {
 	_, rest, _ := strings.Cut(leaf, "|")
 	provider, _, _ := strings.Cut(rest, "|")
 	return provider
-}
-
-// postRecords uploads one settlement batch to origin, a URL with its
-// trailing '/' trimmed. The flush span's context
-// rides the upload, so the origin's batch settlement span parents under
-// this flush cycle; the goroutine carries pprof labels for the duration of
-// the network round trip.
-func (p *Peer) postRecords(sp *hpop.Span, origin string, body []byte) (*http.Response, error) {
-	var resp *http.Response
-	var err error
-	pprof.Do(context.Background(), pprof.Labels("service", "nocdn.peer", "span", "flush"),
-		func(ctx context.Context) {
-			var req *http.Request
-			req, err = http.NewRequestWithContext(ctx, http.MethodPost,
-				origin+"/usage/batch", bytes.NewReader(body))
-			if err != nil {
-				return
-			}
-			req.Header.Set("Content-Type", "application/json")
-			hpop.InjectTraceparent(req.Header, sp)
-			resp, err = p.httpClient.Do(req)
-		})
-	return resp, err
 }
 
 // AttachRecordSpool makes the peer's record lanes durable under dir

@@ -703,6 +703,7 @@ func TestOversizeUploadIs413(t *testing.T) {
 		{s.originSrv.URL + "/usage/batch", 8 << 20},
 		{s.originSrv.URL + "/telemetry/batch", 8 << 20},
 		{s.peerSrvs[0].URL + "/record", 1 << 20},
+		{s.originSrv.URL + "/gossip", 1 << 20},
 	} {
 		// A JSON string one byte past the cap: well-formed, were it read whole.
 		body := []byte(`"` + strings.Repeat("x", ep.cap-1) + `"`)

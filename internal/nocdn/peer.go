@@ -1,11 +1,13 @@
 package nocdn
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/json"
 	"io"
 	"net/http"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 	"sync"
@@ -406,6 +408,45 @@ func probeHealth(ctx context.Context, c *http.Client, peerURL string) (ok bool, 
 		return true, 0, nil
 	}
 	return rep.Saturation < 1, rep.Saturation, nil
+}
+
+// callOrigin is the one request a peer makes of an origin's control
+// surface: method on origin (a URL, its trailing '/' trimmed as SignUp
+// stores it) joined with target, a path and query. A body goes up as JSON;
+// sp's trace position rides the request, so the origin's span parents under
+// the peer's cycle; the round trip runs under pprof labels naming the path.
+// A 2xx answer is decoded into out (when non-nil) through a 1 MiB limit,
+// any other answer is drained through 4 KiB, and the body is closed. status
+// is 0 when nothing answered; the verdict on any other status is the
+// caller's.
+func (p *Peer) callOrigin(ctx context.Context, sp *hpop.Span, origin, method, target string, body []byte, out any) (status int, err error) {
+	path, _, _ := strings.Cut(target, "?")
+	pprof.Do(ctx, pprof.Labels("service", "nocdn.peer", "span", path), func(ctx context.Context) {
+		var rdr io.Reader
+		if body != nil {
+			rdr = bytes.NewReader(body)
+		}
+		var req *http.Request
+		if req, err = http.NewRequestWithContext(ctx, method, strings.TrimSuffix(origin, "/")+target, rdr); err != nil {
+			return
+		}
+		if body != nil {
+			req.Header.Set("Content-Type", "application/json")
+		}
+		hpop.InjectTraceparent(req.Header, sp)
+		var resp *http.Response
+		if resp, err = p.httpClient.Do(req); err != nil {
+			return
+		}
+		defer resp.Body.Close()
+		status = resp.StatusCode
+		if status/100 == 2 && out != nil {
+			err = json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(out)
+			return
+		}
+		io.Copy(io.Discard, io.LimitReader(resp.Body, 4<<10))
+	})
+	return status, err
 }
 
 func (p *Peer) handleProxy(w http.ResponseWriter, r *http.Request) {

@@ -1,26 +1,22 @@
 package nocdn
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
-	"strings"
 	"time"
 
-	"hpop/internal/faults"
 	"hpop/internal/hpop"
 )
 
 // Peer-side fleet telemetry: a background reporter builds idempotent
 // hpop.TelemetryReport deltas from the peer's own metrics registry and
 // ships them to the origin's POST /telemetry/batch on the gossip/flush
-// cadence. The shared faults retry policy shapes the per-cycle attempts;
-// when the origin is dark the cycle gives up silently and the unshipped
-// delta simply rides along in the next report — telemetry must never make
-// a degraded peer worse.
+// cadence, one attempt per cycle. When the origin is dark the cycle gives
+// up silently and the pending report is the retry: the next cycle resends
+// it unchanged, and the unshipped delta rides along in the report after
+// the ack — telemetry must never make a degraded peer worse.
 
 // DefaultPeerHotKeys bounds the peer-side hot-key sketch drained into each
 // report.
@@ -54,7 +50,7 @@ func (p *Peer) TelemetryReporter() *hpop.TelemetryReporter {
 }
 
 // TelemetryOnce builds (or re-uses the pending) delta report and ships it
-// to the origin, retrying under the faults package's default policy.
+// to the origin once; a failed ship waits for the next cycle.
 // Returns whether a report was acknowledged this cycle; (false, nil) means
 // there was nothing to report. EnableTelemetry is implied.
 func (p *Peer) TelemetryOnce(ctx context.Context, originURL string) (bool, error) {
@@ -73,33 +69,11 @@ func (p *Peer) TelemetryOnce(ctx context.Context, originURL string) (bool, error
 		sp.SetError(err)
 		return false, err
 	}
-	base := strings.TrimSuffix(originURL, "/")
 	var ack TelemetryAck
-	attempts, err := faults.Policy{}.Do(ctx, func(ctx context.Context) error {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/telemetry/batch", bytes.NewReader(body))
-		if err != nil {
-			return err
-		}
-		req.Header.Set("Content-Type", "application/json")
-		hpop.InjectTraceparent(req.Header, sp)
-		resp, err := p.httpClient.Do(req)
-		if err != nil {
-			return err
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			io.Copy(io.Discard, io.LimitReader(resp.Body, 4<<10))
-			err = fmt.Errorf("nocdn: telemetry upload status %d", resp.StatusCode)
-			if resp.StatusCode >= 400 && resp.StatusCode < 500 {
-				// A 4xx will not improve on retry; the report stays
-				// pending for the next cycle anyway.
-				return faults.Permanent(err)
-			}
-			return err
-		}
-		return json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&ack)
-	})
-	sp.SetLabel("attempts", fmt.Sprintf("%d", attempts))
+	status, err := p.callOrigin(ctx, sp, originURL, http.MethodPost, "/telemetry/batch", body, &ack)
+	if err == nil && status != http.StatusOK {
+		err = fmt.Errorf("nocdn: telemetry upload status %d", status)
+	}
 	if err != nil {
 		// Degrade silently: count it, keep the report pending (same bytes,
 		// same seq next cycle — that is what makes retries idempotent).

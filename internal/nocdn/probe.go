@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"slices"
 	"strconv"
@@ -209,12 +208,12 @@ func (o *Origin) Neighbors(peerID string, n int) []PeerInfo {
 }
 
 func (o *Origin) handleGossip(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
+	body, ok := readUpload(w, r, 1<<20)
+	if !ok {
 		return
 	}
 	var rep GossipReport
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&rep); err != nil {
+	if err := json.Unmarshal(body, &rep); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}

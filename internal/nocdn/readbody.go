@@ -76,7 +76,8 @@ func readBody(r io.Reader, dst []byte, declared, limit int64) ([]byte, error) {
 	return dst, nil
 }
 
-// readUpload reads a POST body of at most limit bytes with readBody and
+// readUpload is every upload route's one door: it answers anything but a
+// POST with 405, reads the body, at most limit bytes, with readBody, and
 // answers a failure itself; ok false means the response is written. An
 // oversize upload is 413 — refused on its Content-Length alone, or on
 // reading past limit when it declared none — never a silent cut that then
@@ -84,6 +85,10 @@ func readBody(r io.Reader, dst []byte, declared, limit int64) ([]byte, error) {
 // retry" and would discard the batch's paid-for records, while a 413
 // requeues them.
 func readUpload(w http.ResponseWriter, r *http.Request, limit int64) (body []byte, ok bool) {
+	if r.Method != http.MethodPost {
+		http.Error(w, "POST required", http.StatusMethodNotAllowed)
+		return nil, false
+	}
 	body, err := readBody(r.Body, nil, r.ContentLength, limit)
 	switch {
 	case errors.Is(err, errBodyTooLarge):

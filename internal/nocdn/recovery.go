@@ -346,9 +346,10 @@ func (o *Origin) applyWALRecord(fr walFrame) error {
 
 // ---- journaling (live-path write side) ----
 
-// journalAppend appends one record, nil-WAL safe. Journal failures never
-// fail the control-plane operation itself (availability over durability);
-// they surface on nocdn.wal.append_errors.
+// journalAppend appends one record, nil-WAL safe. Its failures never fail
+// the control-plane operation itself (availability over durability); they
+// surface on nocdn.wal.append_errors. Settlement alone fails closed, so it
+// appends without this (commitSettlement).
 func (o *Origin) journalAppend(typ walRecType, payload any) uint64 {
 	if o.wal == nil {
 		return 0
@@ -360,11 +361,13 @@ func (o *Origin) journalAppend(typ walRecType, payload any) uint64 {
 	return seq
 }
 
-// walWait blocks until seq is durable per policy, nil-WAL safe.
-func (o *Origin) walWait(seq uint64) {
-	if o.wal != nil {
-		o.wal.waitDurable(seq)
+// walWait blocks until seq is durable per policy, nil-WAL safe; an error
+// means it may not survive a crash.
+func (o *Origin) walWait(seq uint64) error {
+	if o.wal == nil {
+		return nil
 	}
+	return o.wal.waitDurable(seq)
 }
 
 // journalKeysIssued makes a wrapper build's assignment floors durable
@@ -409,6 +412,9 @@ func (o *Origin) maybeSnapshot() {
 func (o *Origin) SnapshotNow() error {
 	if o.wal == nil {
 		return fmt.Errorf("nocdn: no wal attached")
+	}
+	if err := o.wal.failure(); err != nil {
+		return err
 	}
 	start := time.Now()
 	// The commit lock orders the capture against settlement commits: every

@@ -57,8 +57,10 @@ type settlement struct {
 // credit, rejection, audit evidence — is charged to b.PeerID, whatever peer
 // a record names; nobody is flagged for a record. It returns how many
 // records were credited, and an error exactly when that is fewer than the
-// batch holds: ErrBadBatch for a refused batch, else the rejected records'
-// errors joined, each wrapping ErrBadRecord.
+// batch holds: ErrBadBatch for a refused batch, the journal's error when it
+// could not make the commit durable (then nothing is acknowledged and
+// POST /usage/batch answers 503), else the rejected records' errors joined,
+// each wrapping ErrBadRecord.
 func (o *Origin) SettleBatch(b RecordBatch) (int, error) {
 	return o.settle(hpop.TraceContext{}, b, recordLeaves(b.Records))
 }
@@ -135,9 +137,12 @@ func (o *Origin) settle(parent hpop.TraceContext, b RecordBatch, leaves [][]byte
 	// nonce consumed before the journal cut could strand the peer's credit
 	// across a crash.
 	credited, cerr := o.commitSettlement(rec, outcomes)
-	if cerr != nil {
+	if errors.Is(cerr, auth.ErrReplayed) {
 		o.metrics.Inc("nocdn.origin.batches_replayed")
 		return 0, fmt.Errorf("%w: %w", ErrBadBatch, cerr)
+	}
+	if cerr != nil {
+		return 0, cerr
 	}
 	sp.SetLabel("credited", strconv.Itoa(credited))
 	o.metrics.Observe("nocdn.origin.settle_seconds", time.Since(start).Seconds())
@@ -173,11 +178,25 @@ func (o *Origin) settle(parent hpop.TraceContext, b RecordBatch, leaves [][]byte
 // rejection in both the journal record and the applied delta. Returns how
 // many records were actually credited. Every outcome belongs to rec.PeerID,
 // the batch's uploader.
+//
+// A journal error (errJournalFailed) means the commit is not acknowledged.
+// A journal that has failed refuses the commit before the replay check; an
+// append that fails applies nothing and releases the nonces this commit
+// consumed. A failed fsync comes after the commit applied: whether it
+// survives is the disk's to say, and the peer's retry after the restart
+// settles it once either way — as a replay if the record reached the disk,
+// as new if it did not.
 func (o *Origin) commitSettlement(rec walSettleRec, outcomes []settleOutcome) (int, error) {
 	var endSeq uint64
 	rec.At = o.now().UnixNano()
 	batchNonce := "batch|" + rec.Root
 	o.commitMu.Lock()
+	if err := o.wal.failure(); err != nil {
+		// Before the replay check: a retried batch whose fsync failed must
+		// hear "not yet", never the 400 a peer takes as settled.
+		o.commitMu.Unlock()
+		return 0, err
+	}
 	if err := o.nonces.Use(batchNonce); err != nil {
 		o.commitMu.Unlock()
 		return 0, err
@@ -215,7 +234,13 @@ func (o *Origin) commitSettlement(rec walSettleRec, outcomes []settleOutcome) (i
 		// the running total and replay floors it — the anomaly ratio stays
 		// sane across a restart.
 		rec.Assigned = map[string]int64{rec.PeerID: o.ledger.row(rec.PeerID).Assigned}
-		o.journalAppend(walSettle, rec)
+		if _, err := o.wal.appendJSON(walSettle, rec); err != nil {
+			// Nothing is applied, and the nonces go back: the retry after a
+			// restart settles this batch as if it never came.
+			o.nonces.Release(rec.Nonces...)
+			o.commitMu.Unlock()
+			return 0, err
+		}
 	}
 	if o.ledger.settle(rec.PeerID, rec.Credits[rec.PeerID], rec.Rejects[rec.PeerID], ev, true) {
 		// Newly suspended as anomalous: pooled maps naming it rebuild.
@@ -230,7 +255,9 @@ func (o *Origin) commitSettlement(rec walSettleRec, outcomes []settleOutcome) (i
 		endSeq, _ = o.wal.position()
 	}
 	o.commitMu.Unlock()
-	o.walWait(endSeq)
+	if err := o.walWait(endSeq); err != nil {
+		return 0, err
+	}
 	o.maybeSnapshot()
 	return credited, nil
 }
@@ -337,10 +364,6 @@ func (o *Origin) AccountingFor(peerID string) Accounting {
 }
 
 func (o *Origin) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return
-	}
 	body, ok := readUpload(w, r, maxBatchBody)
 	if !ok {
 		return
@@ -360,6 +383,12 @@ func (o *Origin) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	n, err := o.settle(hpop.ExtractTraceparent(r.Header), batch, leaves)
+	if errors.Is(err, errJournalFailed) {
+		// Not durable, so not acknowledged: the peer keeps the batch.
+		w.Header().Set("Retry-After", "1")
+		http.Error(w, err.Error(), http.StatusServiceUnavailable)
+		return
+	}
 	if errors.Is(err, ErrBadBatch) {
 		// 400: the batch is settled from the peer's perspective (it must
 		// not retry a refused or replayed commitment).

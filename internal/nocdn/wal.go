@@ -221,6 +221,11 @@ var (
 	errWALUnrecoverable = errors.New("nocdn: unrecoverable wal damage")
 )
 
+// errJournalFailed marks a journal that a write or an fsync failed: it takes
+// no append until a restart, and an upload it could not make durable is
+// answered 503, never acknowledged.
+var errJournalFailed = errors.New("nocdn: control journal failed; it takes no writes until a restart")
+
 // decodeWALFrame parses one frame from buf, verifying CRC, chain continuity
 // from prevChain, and sequence continuity (wantSeq, 0 = accept any). It
 // returns the frame and how many bytes it consumed. Never panics on
@@ -312,6 +317,10 @@ type controlWAL struct {
 	seq   uint64 // last appended sequence
 	chain [32]byte
 	bytes int64 // bytes written to the active file (incl. header)
+	// failed is the first write or fsync error, wrapping errJournalFailed:
+	// from then on the journal takes no append and no snapshot until a
+	// restart recovers what reached the disk.
+	failed error
 
 	// Group commit: one goroutine fsyncs at a time; everyone whose record
 	// was buffered before the flush rides the same fsync.
@@ -319,6 +328,7 @@ type controlWAL struct {
 	syncCond  *sync.Cond
 	syncedSeq uint64
 	syncing   bool
+	syncErr   error // a failed fsync, handed to every waiter it leaves unsynced
 
 	// Snapshot bookkeeping.
 	snapSeq           uint64 // last snapshot's sequence
@@ -408,27 +418,40 @@ func (w *controlWAL) append(typ walRecType, payload []byte) (uint64, error) {
 		w.mu.Unlock()
 		return 0, errors.New("nocdn: wal closed")
 	}
+	if w.failed != nil {
+		err := w.failed
+		w.mu.Unlock()
+		return 0, err
+	}
+	var err error
 	if w.f == nil {
 		// First append into an empty directory: start the journal at seq 1.
-		if err := w.openFileAt(w.seq+1, w.chain, filepath.Join(w.dir, walFileName(w.seq+1)), 0); err != nil {
-			w.mu.Unlock()
-			return 0, err
+		err = w.openFileAt(w.seq+1, w.chain, filepath.Join(w.dir, walFileName(w.seq+1)), 0)
+	}
+	// The position moves only once the frame is written: a record the
+	// journal could not take has no sequence, and the next boot's chain
+	// never expects it.
+	seq := w.seq + 1
+	chain := walChain(w.chain, typ, seq, payload)
+	if err == nil {
+		frame := encodeWALFrame(typ, seq, payload, chain)
+		if _, err = w.bw.Write(frame); err == nil {
+			err = w.bw.Flush()
+		}
+		if err == nil {
+			w.seq, w.chain = seq, chain
+			w.bytes += int64(len(frame))
+			w.appendedSinceSnap++
 		}
 	}
-	w.seq++
-	seq := w.seq
-	w.chain = walChain(w.chain, typ, seq, payload)
-	frame := encodeWALFrame(typ, seq, payload, w.chain)
-	_, err := w.bw.Write(frame)
-	if err == nil {
-		err = w.bw.Flush()
+	if err != nil {
+		w.failed = fmt.Errorf("%w: %w", errJournalFailed, err)
+		err = w.failed
 	}
-	w.bytes += int64(len(frame))
-	w.appendedSinceSnap++
 	w.mu.Unlock()
 	if err != nil {
 		w.metrics.Inc("nocdn.wal.append_errors")
-		return seq, err
+		return 0, err
 	}
 	w.metrics.Inc("nocdn.wal.appends")
 	w.metrics.Observe("nocdn.wal.append_seconds", time.Since(start).Seconds())
@@ -438,19 +461,26 @@ func (w *controlWAL) append(typ walRecType, payload []byte) (uint64, error) {
 // waitDurable blocks until every record with sequence <= seq is as durable
 // as the policy promises: FsyncAlways waits for a covering (group-commit)
 // fsync; the other policies return immediately — the append already flushed
-// to the OS.
-func (w *controlWAL) waitDurable(seq uint64) {
+// to the OS. An error means the records it names may not survive a crash.
+func (w *controlWAL) waitDurable(seq uint64) error {
 	if w.policy == FsyncAlways && seq > 0 {
-		w.syncUpTo(seq)
+		return w.syncUpTo(seq)
 	}
+	return nil
 }
 
-// syncUpTo blocks until every record with sequence <= target is fsynced.
-// Group commit: whichever waiter arrives first performs the fsync for every
-// record buffered by then; late waiters ride it or run the next one.
-func (w *controlWAL) syncUpTo(target uint64) {
+// syncUpTo blocks until every record with sequence <= target is fsynced,
+// or returns the fsync error that left it unsynced; a failed fsync also
+// fails the journal. Group commit: whichever waiter arrives first performs
+// the fsync for every record buffered by then; late waiters ride it or run
+// the next one.
+func (w *controlWAL) syncUpTo(target uint64) error {
 	w.syncMu.Lock()
+	defer w.syncMu.Unlock()
 	for w.syncedSeq < target {
+		if w.syncErr != nil {
+			return w.syncErr
+		}
 		if w.syncing {
 			w.syncCond.Wait()
 			continue
@@ -466,22 +496,43 @@ func (w *controlWAL) syncUpTo(target uint64) {
 		upto := w.seq
 		f := w.f
 		w.mu.Unlock()
+		var err error
 		if f != nil {
-			f.Sync()
+			if err = f.Sync(); err != nil {
+				err = fmt.Errorf("%w: %w", errJournalFailed, err)
+				w.mu.Lock()
+				if w.failed == nil {
+					w.failed = err
+				}
+				w.mu.Unlock()
+			}
 		}
 
 		w.syncMu.Lock()
 		w.syncing = false
-		if upto > w.syncedSeq {
+		if err != nil {
+			w.syncErr = err
+		} else if upto > w.syncedSeq {
 			w.syncedSeq = upto
 		}
 		w.metrics.Inc("nocdn.wal.fsyncs")
-		if upto > prevSynced {
+		if err == nil && upto > prevSynced {
 			w.metrics.Observe("nocdn.wal.fsync_batch", float64(upto-prevSynced))
 		}
 		w.syncCond.Broadcast()
 	}
-	w.syncMu.Unlock()
+	return nil
+}
+
+// failure returns the error that failed the journal, nil while it works or
+// when there is none.
+func (w *controlWAL) failure() error {
+	if w == nil {
+		return nil
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.failed
 }
 
 // appendJSON marshals payload and appends it.
