@@ -47,7 +47,9 @@ import (
 // for the cap. A peer calls its origin only through callOrigin: lane.go,
 // gossip.go and peertelemetry.go build no request, nothing brings back
 // postRecords, telemetry retries under no policy of its own, and /gossip
-// reads its body only through readUpload.
+// reads its body only through readUpload. A disk hit is served one way, off
+// the segment file: internal/nocdn copies no disk hit into memory, keeps no
+// second disk tier for the streamed serve, and counts no promotions.
 func TestDeletedForksStayDeleted(t *testing.T) {
 	scorer := regexp.MustCompile(`welford|scoreLocked|rescoreAll|nocdn\.audit\.peer\.|tamper_flags|DefaultAudit(Threshold|MinRecords)|populationMeanBytes`)
 	recordJSON := regexp.MustCompile(`json\.(Marshal|Unmarshal|NewDecoder)\((rec|recs|record|records|leaf|leaves|body|line|r\.Body)\b|json\.\w+\(.*&(rec|recs|record|records)\b`)
@@ -85,6 +87,7 @@ func TestDeletedForksStayDeleted(t *testing.T) {
 		{"internal/nocdn", regexp.MustCompile(`postRecords`)},
 		{"internal/nocdn/peertelemetry.go", regexp.MustCompile(`faults\.Policy`)},
 		{"internal/nocdn/probe.go", regexp.MustCompile(`json\.NewDecoder\(io\.LimitReader\(r\.Body`)},
+		{"internal/nocdn", regexp.MustCompile(`nocdn\.cache\.promotions|tierDiskStream|cachePut\(key, promoted`)},
 	} {
 		err := filepath.WalkDir(c.root, func(path string, d fs.DirEntry, err error) error {
 			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {

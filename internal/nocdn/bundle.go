@@ -148,8 +148,8 @@ var bundleBufs = sync.Pool{New: func() any { return new([bundleBufSize]byte) }}
 // concurrently, at most DefaultConcurrency at a time (as many as a loader
 // would have had in flight as single GETs), misses coalescing through the
 // flight group and each origin leg recorded as an origin_fill span. A
-// disk-tier entry too large for the memory tier streams off its segment
-// file as a single GET's does; its length is known before it is read. The
+// disk-tier entry streams off its segment file as a single GET's does; its
+// length is known before it is read. The
 // bundle holds the one admission slot its caller took and records one proxy
 // span.
 func (p *Peer) serveBundle(w http.ResponseWriter, r *http.Request, provider string) {

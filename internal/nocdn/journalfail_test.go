@@ -2,6 +2,7 @@ package nocdn
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -11,6 +12,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"hpop/internal/hpop"
+	"hpop/internal/sim"
 )
 
 // breakJournal closes the journal's file under its lock, so the next write
@@ -187,5 +191,70 @@ func TestFlushKeepsRecordsOnJournalFailure(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
 		t.Errorf("batch on a failed journal answered %d (Retry-After %q), want 503 with Retry-After",
 			resp.StatusCode, resp.Header.Get("Retry-After"))
+	}
+}
+
+// TestWrapperBuildFailsClosedOnJournalError: a wrapper build whose
+// assignment floors the failed journal could not take is not served. The
+// build answers the journal's error, /wrapper answers it 503 with
+// Retry-After, and a map pooled before the failure, whose floors are
+// journaled, keeps serving. /debug/wal names the failure and the
+// nocdn.wal.failed gauge reads 1.
+func TestWrapperBuildFailsClosedOnJournalError(t *testing.T) {
+	m := hpop.NewMetrics()
+	o := NewOrigin("x", WithRNG(sim.NewRNG(7)))
+	o.SetMetrics(m)
+	if _, err := o.AttachWAL(t.TempDir(), WALOptions{Fsync: FsyncAlways}); err != nil {
+		t.Fatal(err)
+	}
+	o.AddObject("/c", make([]byte, 400))
+	if err := o.AddPage(Page{Name: "p", Container: "/c"}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		o.RegisterPeer(fmt.Sprintf("peer-%02d", i), fmt.Sprintf("http://peer-%02d", i), 10)
+	}
+	pooled, err := o.AssignWrapper("p", "c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A client on another pool slot needs a build of its own.
+	fresh := ""
+	for i := 0; fresh == ""; i++ {
+		if c := fmt.Sprintf("c%d", i); fnv64a("slot|"+c)%DefaultPoolSlots != fnv64a("slot|c")%DefaultPoolSlots {
+			fresh = c
+		}
+	}
+	breakJournal(o)
+
+	if w, err := o.AssignWrapper("p", fresh); w != nil || !errors.Is(err, errJournalFailed) {
+		t.Errorf("a build on a failed journal = %v, %v; want no wrapper and the journal's error", w != nil, err)
+	}
+	if w, err := o.AssignWrapper("p", "c"); w != pooled || err != nil {
+		t.Errorf("the map pooled before the failure = %v, %v; want it served", w == pooled, err)
+	}
+	srv := httptest.NewServer(o.Handler())
+	defer srv.Close()
+	resp, err := http.Get(srv.URL + "/wrapper?page=p&client=" + fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+		t.Errorf("/wrapper on a failed journal answered %d (Retry-After %q), want 503 with Retry-After",
+			resp.StatusCode, resp.Header.Get("Retry-After"))
+	}
+	var st WALStatus
+	resp, err = http.Get(srv.URL + "/debug/wal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	if err != nil || !strings.Contains(st.Failed, errJournalFailed.Error()) {
+		t.Errorf("/debug/wal failed = %q (%v), want the journal's error", st.Failed, err)
+	}
+	if got := m.Gauge("nocdn.wal.failed"); got != 1 {
+		t.Errorf("nocdn.wal.failed = %v, want 1", got)
 	}
 }

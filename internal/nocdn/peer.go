@@ -90,8 +90,8 @@ type Peer struct {
 
 	// stats
 	hits, misses, servedBytes atomic.Int64
-	// Tier split: hits = memHits + diskHits. Disk hits include both
-	// promoted reads and streams off the segment files.
+	// Tier split: hits = memHits + diskHits. Disk hits are streams off the
+	// segment files.
 	memHits, diskHits atomic.Int64
 	// originFetches counts the requests that asked the origin for a body
 	// (originGet); with miss coalescing it can be far below misses under
@@ -139,8 +139,8 @@ func NewPeer(id string, cacheBytes int) *Peer {
 
 // AttachDiskCache adds the warm tier: an append-only segment store under
 // dir. Objects evicted from the memory LRU spill there; disk hits are
-// hash-verified and promoted back (or streamed when they don't
-// fit a memory shard). maxBytes caps the tier's disk footprint and
+// hash-verified and streamed off the segment files, never copied back into
+// memory. maxBytes caps the tier's disk footprint and
 // segBytes the per-segment rotation size (<= 0 picks the defaults).
 // Without this call the peer caches in memory only.
 func (p *Peer) AttachDiskCache(dir string, maxBytes, segBytes int64) error {
@@ -283,13 +283,10 @@ const (
 	tierOrigin cacheTier = iota
 	// tierMem: served from the in-memory LRU.
 	tierMem
-	// tierDisk: found in the segment store, hash-verified and promoted to
-	// the memory tier (the returned slice is the promoted copy).
+	// tierDisk: found in the segment store; cacheGet returns no data and
+	// the serve streams it off the segment file, verified over the bytes it
+	// carries (openStream).
 	tierDisk
-	// tierDiskStream: found in the segment store but larger than a memory
-	// shard; cacheGet returns no data and the serve streams it off the
-	// segment file (streamOutcome).
-	tierDiskStream
 )
 
 func (t cacheTier) label() string { return t.series().label }
@@ -308,7 +305,7 @@ func (t cacheTier) series() *tierSeries {
 	switch t {
 	case tierMem:
 		return &memSeries
-	case tierDisk, tierDiskStream:
+	case tierDisk:
 		return &diskSeries
 	default:
 		return &originSeries
@@ -497,15 +494,17 @@ func (p *Peer) handleProxy(w http.ResponseWriter, r *http.Request) {
 	case s.win != nil:
 		p.writeStream(w, r, path, s.out, s.win)
 	default:
-		p.writeOutcome(w, r, s.out)
+		p.writeOutcome(w, r, path, s.out)
 	}
 }
 
 // countingResponseWriter counts bytes written so streamed serves still
-// feed the servedBytes ledger. It forwards ReadFrom when the underlying
-// writer supports it, so ServeContent's io.Copy uses net/http's pooled copy
-// buffer. (Not sendfile: that needs the source to be an *os.File, and a
-// verified window of one is not.)
+// feed the servedBytes ledger. Its ReadFrom, which ServeContent's copy
+// calls, copies through one pooled block buffer: net/http's own ReadFrom
+// pools only the first 512 bytes and hands the rest to the connection,
+// whose copy from anything but a file allocates a 32 KiB buffer per serve.
+// (Not sendfile: that needs the source to be an *os.File, and a verified
+// window of one is not.)
 type countingResponseWriter struct {
 	http.ResponseWriter
 	n int64
@@ -518,12 +517,9 @@ func (c *countingResponseWriter) Write(b []byte) (int, error) {
 }
 
 func (c *countingResponseWriter) ReadFrom(src io.Reader) (int64, error) {
-	if rf, ok := c.ResponseWriter.(io.ReaderFrom); ok {
-		n, err := rf.ReadFrom(src)
-		c.n += n
-		return n, err
-	}
-	n, err := io.Copy(struct{ io.Writer }{c.ResponseWriter}, src)
+	buf := chunkPool.Get().(*[]byte)
+	defer chunkPool.Put(buf)
+	n, err := io.CopyBuffer(struct{ io.Writer }{c.ResponseWriter}, src, *buf)
 	c.n += n
 	return n, err
 }

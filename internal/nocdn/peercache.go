@@ -258,12 +258,13 @@ func varyKey(base string, names []string, reqHdr http.Header) string {
 
 // ---- cache lookup / fill ----
 
-// cacheGet resolves key to its bytes and metadata in the memory or disk
-// tier without ever contacting the origin. A disk hit small enough for the
-// memory tier is verified and promoted; a larger one reports tierDiskStream
-// with no data (the caller streams it straight off the segment file). No
-// hit/miss counters move here — the serve path counts once per request
-// after it knows how the request was satisfied.
+// cacheGet resolves key to its metadata, and to its bytes when the memory
+// tier holds them, without ever contacting the origin. A disk hit returns no
+// data: the serve streams it off the segment file (openStream), and it is
+// never copied into memory. Its lookup marks the disk entry served, for a
+// second lap at reclaim, whatever the serve then decides. No hit/miss
+// counters move here — the serve path counts once per request after it
+// knows how the request was satisfied.
 func (p *Peer) cacheGet(key string) (data []byte, m *entryMeta, tier cacheTier, ok bool) {
 	if data, m, ok := p.cache.get(key); ok {
 		return data, m, tierMem, true
@@ -272,7 +273,7 @@ func (p *Peer) cacheGet(key string) (data []byte, m *entryMeta, tier cacheTier, 
 	if st == nil {
 		return nil, nil, tierOrigin, false
 	}
-	e, seg, found := st.get(key)
+	e, found := st.hit(key)
 	if !found {
 		return nil, nil, tierOrigin, false
 	}
@@ -283,20 +284,7 @@ func (p *Peer) cacheGet(key string) (data []byte, m *entryMeta, tier cacheTier, 
 		e.meta = &entryMeta{hash: hash, etag: `"` + hash + `"`, fetchedAt: p.now(), recovered: true}
 		st.refresh(key, nil, e.meta)
 	}
-	if e.n > int64(p.cache.maxObjectBytes()) {
-		seg.release()
-		return nil, e.meta, tierDiskStream, true
-	}
-	promoted, err := st.readVerify(key, e, seg)
-	seg.release()
-	if err != nil {
-		// Corrupt at rest: readVerify quarantined the entry; the caller
-		// sees a clean miss and refetches — corrupt bytes are never served.
-		return nil, nil, tierOrigin, false
-	}
-	p.cachePut(key, promoted, e.sum, e.meta)
-	p.metrics.Inc("nocdn.cache.promotions")
-	return promoted, e.meta, tierDisk, true
+	return nil, e.meta, tierDisk, true
 }
 
 // originGet is the one function that asks the origin for /content and the
@@ -391,8 +379,8 @@ func (p *Peer) revalidateAsync(origin, base, key, path string, old *entryMeta, r
 // ---- the semantic serve path ----
 
 // serveOutcome is everything handleProxy needs to finish one request:
-// the variant key it resolved to, the body (nil for tierDiskStream — stream
-// off the segment file), its metadata, the X-Cache verdict, and the Age to
+// the variant key it resolved to, the body (nil for tierDisk — stream off
+// the segment file), its metadata, the X-Cache verdict, and the Age to
 // report.
 type serveOutcome struct {
 	key    string
@@ -422,8 +410,8 @@ type objectServe struct {
 	// fill marks a serve the cache could not answer alone: finish asks the
 	// origin.
 	fill bool
-	// win is the verified, pinned span of a disk-tier entry too large for
-	// the memory tier, which the answer streams in place of out.data.
+	// win is the verified, pinned span of a disk-tier entry, which the
+	// answer streams in place of out.data.
 	win *streamWindow
 }
 
@@ -462,9 +450,9 @@ func (p *Peer) lookup(s *objectServe) bool {
 // hit/miss latency split: memory hits in the microsecond buckets, disk hits
 // one verified read, misses the origin round trip — and the hot-key sketch,
 // every proxy request charging its object key so the origin's /debug/fleet
-// can rank the hottest pages. An entry too large for the memory tier is
-// verified at rest over the bytes r asks for (a nil r: all of them) and
-// pinned for streaming; when that fails it is refetched from the origin
+// can rank the hottest pages. A disk-tier entry is verified at rest over
+// the bytes r asks for (a nil r: all of them) and pinned for streaming;
+// when that fails it is refetched from the origin
 // inside the same request. It never yields unverifiable bytes: a hash-epoch
 // mismatch refetches or fails, it never serves the old copy.
 func (p *Peer) finish(s *objectServe, r *http.Request, sp *hpop.Span) {
@@ -479,7 +467,7 @@ func (p *Peer) finish(s *objectServe, r *http.Request, sp *hpop.Span) {
 	if rep := p.reporter.Load(); rep != nil {
 		rep.ObserveKey(s.provider+s.path, 1)
 	}
-	if s.err == nil && s.out.tier == tierDiskStream && s.out.data == nil {
+	if s.err == nil && s.out.tier == tierDisk {
 		if s.win = p.openStream(r, s.path, s.out); s.win == nil {
 			s.out, s.err = p.serveMiss(s.origin, s.base, s.out.key, s.path, s.expect, s.hdr)
 		}
@@ -663,7 +651,7 @@ type streamWindow struct {
 func (w *streamWindow) reader() *windowReader { return newWindowReader(w.e, w.seg, w.lo, w.hi) }
 func (w *streamWindow) release()              { w.seg.release() }
 
-// openStream readies a tierDiskStream serve. It resolves the bytes the
+// openStream readies a tierDisk serve. It resolves the bytes the
 // response to r will carry (serveWindow; all of them for a nil r) and
 // verifies at rest the blocks that cover them — all of them without a
 // Range, and for an entry's first streamed serve, which checks the whole
@@ -751,18 +739,28 @@ func serveWindow(r *http.Request, n int64) (start, end int64) {
 }
 
 // writeOutcome writes an in-memory serve. A plain GET is one direct write
-// under a declared Content-Length; a request carrying Range, If-Match or
-// If-None-Match goes through http.ServeContent, so it gets the answer a
-// disk-tier serve gives. out.data aliases the cache entry and is only ever
-// read, so a cached object can never be poisoned in place.
-func (p *Peer) writeOutcome(w http.ResponseWriter, r *http.Request, out serveOutcome) {
+// under a declared Content-Length and the Accept-Ranges ServeContent would
+// add; a request carrying Range, If-Match or If-None-Match goes through
+// http.ServeContent. Either way it gets the answer a disk-tier serve gives,
+// down to a Content-Type named as streamedType names it when the entry has
+// no stored one. out.data aliases the cache entry and is only ever read, so
+// a cached object can never be poisoned in place.
+func (p *Peer) writeOutcome(w http.ResponseWriter, r *http.Request, path string, out serveOutcome) {
 	writeCacheHeaders(w.Header(), out)
+	if out.meta.contentType == "" {
+		ctype := mime.TypeByExtension(filepath.Ext(path))
+		if ctype == "" {
+			ctype = http.DetectContentType(out.data)
+		}
+		w.Header().Set("Content-Type", ctype)
+	}
 	n := int64(len(out.data))
 	if r.Header.Get("Range") != "" || r.Header.Get("If-Match") != "" || r.Header.Get("If-None-Match") != "" {
 		cw := &countingResponseWriter{ResponseWriter: w}
 		http.ServeContent(cw, r, "", time.Time{}, bytes.NewReader(out.data))
 		n = cw.n
 	} else {
+		w.Header().Set("Accept-Ranges", "bytes")
 		w.Header().Set("Content-Length", strconv.FormatInt(n, 10))
 		w.Write(out.data)
 	}

@@ -348,8 +348,9 @@ func (o *Origin) applyWALRecord(fr walFrame) error {
 
 // journalAppend appends one record, nil-WAL safe. Its failures never fail
 // the control-plane operation itself (availability over durability); they
-// surface on nocdn.wal.append_errors. Settlement alone fails closed, so it
-// appends without this (commitSettlement).
+// surface on nocdn.wal.append_errors. Settlement and a wrapper build's
+// floors fail closed, so they append without this (commitSettlement,
+// journalKeysIssued).
 func (o *Origin) journalAppend(typ walRecType, payload any) uint64 {
 	if o.wal == nil {
 		return 0
@@ -377,16 +378,21 @@ func (o *Origin) walWait(seq uint64) error {
 // a restart would replay as credited-with-no-assignment and be suspended as
 // anomalous. pending holds this build's charges, one per peer the wrapper
 // names, which the serve that triggered the build has not applied to the
-// ledger yet.
-func (o *Origin) journalKeysIssued(pending []charge) {
+// ledger yet. An error means the floors may not survive a crash, and the
+// wrapper must not be served.
+func (o *Origin) journalKeysIssued(pending []charge) error {
 	if o.wal == nil || len(pending) == 0 {
-		return
+		return nil
 	}
 	rec := walKeysIssuedRec{Assigned: make(map[string]int64, len(pending))}
 	for _, c := range pending {
 		rec.Assigned[c.peerID] = o.ledger.row(c.peerID).Assigned + c.bytes
 	}
-	o.walWait(o.journalAppend(walKeysIssued, rec))
+	seq, err := o.wal.appendJSON(walKeysIssued, rec)
+	if err != nil {
+		return err
+	}
+	return o.walWait(seq)
 }
 
 // maybeSnapshot compacts the journal when it has grown past the configured
@@ -493,6 +499,9 @@ type WALStatus struct {
 	SnapshotAt       int64         `json:"snapshotAtUnixNano,omitempty"`
 	AppendsSinceSnap int64         `json:"appendsSinceSnapshot"`
 	Recovery         RecoveryStats `json:"recovery"`
+	// Failed is the error that failed the journal, empty while it works:
+	// until a restart it takes no append, and what needs one is refused.
+	Failed string `json:"failed,omitempty"`
 }
 
 // WALStatusSnapshot reports the durable control plane's live status.
@@ -502,6 +511,10 @@ func (o *Origin) WALStatusSnapshot() WALStatus {
 	}
 	seq, _ := o.wal.position()
 	snapSeq, snapAt := o.wal.snapshotInfo()
+	var failed string
+	if err := o.wal.failure(); err != nil {
+		failed = err.Error()
+	}
 	return WALStatus{
 		Attached:         true,
 		Dir:              o.wal.dir,
@@ -512,6 +525,7 @@ func (o *Origin) WALStatusSnapshot() WALStatus {
 		SnapshotAt:       snapAt,
 		AppendsSinceSnap: o.wal.sinceSnapshot(),
 		Recovery:         o.walRecovery,
+		Failed:           failed,
 	}
 }
 

@@ -17,26 +17,35 @@ import (
 
 // The warm tier of the two-tier peer cache: an append-only segment store on
 // real disk. The paper's HPoP is a home appliance — "a big disk and a modest
-// RAM budget" — so the working set must not be capped by RAM. Hot objects
-// live in the sharded memory LRU; on eviction they spill here, into
-// fixed-cap segment files with an in-memory index (key -> segment, offset,
-// length, SHA-256). Disk hits are hash-verified before a single byte leaves
-// the box (the PR 2 "no unverified bytes" invariant, now held at rest), and
-// either promoted back to the memory tier or streamed off the segment file
-// by http.ServeContent without ever being held whole in memory.
+// RAM budget" — so the working set must not be capped by RAM. What the
+// origin filled last lives in the sharded memory LRU; on eviction it spills
+// here, into fixed-cap segment files with an in-memory index (key ->
+// segment, offset, length, SHA-256). A disk hit is never copied back into
+// memory: it is hash-verified before a single byte leaves the box (the "no
+// unverified bytes" invariant, held at rest) and streamed off the
+// segment file without ever being held whole in memory. So memory and disk
+// hold distinct objects, and the peer's whole budget holds its working set.
+//
+// The disk evicts by reclaiming its oldest sealed segment, FIFO; an entry
+// served since it was written gets a second lap instead of being dropped:
+// the reclaim appends a copy of it to the active segment (secondLapLocked).
 //
 // What is verified when:
 //
-//   - promotion (readVerify) and the scrubber (verifyAtRest) hash the whole
-//     object against the SHA-256 the record header carries;
-//   - a streamed serve (verifyWindow) hashes the segBlockSize blocks that
-//     cover the bytes the response will carry, against per-block sums kept in
-//     the index entry. The sums are not on disk: the first streamed serve of
-//     an entry (or a scrub pass that gets there first) earns them in the same
-//     pass that checks the whole object against the header's sum, so they
-//     are exactly as trustworthy as it is, and a restart, a supersede or a
-//     refetch starts over from that check. Entries of one block or less keep
-//     none and verify whole.
+//   - the flight re-check (readVerify) and the scrubber (verifyAtRest) hash
+//     the whole object against the SHA-256 the record header carries;
+//   - a serve (verifyWindow) hashes the segBlockSize blocks that cover the
+//     bytes the response will carry, against per-block sums kept in the
+//     index entry. The sums are not on disk: the first serve of an entry (or
+//     a scrub pass that gets there first) earns them in the same pass that
+//     checks the whole object against the header's sum, so they are exactly
+//     as trustworthy as it is, and a restart, a supersede or a refetch
+//     starts over from that check. Entries of one block or less keep none
+//     and verify whole;
+//   - a second-lap copy verifies nothing as it is written: it carries its
+//     sum and block sums, and every serve of it is checked against them
+//     exactly as the original would have been, so a bad copy is quarantined
+//     on its first serve.
 //
 // Every path quarantines on a mismatch, on every serve, before a byte is
 // written; nothing is remembered as "already verified".
@@ -83,6 +92,10 @@ type segEntry struct {
 	// published: readers share it without a lock.
 	blocks [][sha256.Size]byte
 	meta   *entryMeta // in the index only: nil after a restart, until cacheGet
+	// hit marks an entry a serve's lookup found since it was written (see
+	// segmentStore.hit). It is in the index only, so a restart clears it. A
+	// reclaim copies a marked entry forward instead of dropping it.
+	hit bool
 }
 
 // sameRecord reports whether o is the record e locates. This, not ==, is
@@ -190,7 +203,7 @@ func (s *segmentStore) setMetrics(m *hpop.Metrics) {
 	for _, c := range []string{
 		"nocdn.cache.hits.mem", "nocdn.cache.hits.disk",
 		"nocdn.cache.bytes.mem", "nocdn.cache.bytes.disk", "nocdn.cache.bytes.origin",
-		"nocdn.cache.spills", "nocdn.cache.spill_bytes", "nocdn.cache.promotions",
+		"nocdn.cache.spills", "nocdn.cache.spill_bytes",
 		"nocdn.cache.quarantined", "nocdn.cache.segments_rotated", "nocdn.cache.segments_reclaimed",
 		"nocdn.scrub.passes", "nocdn.scrub.checked", "nocdn.scrub.quarantined",
 	} {
@@ -350,14 +363,13 @@ func (s *segmentStore) retireLocked(key string, e segEntry) {
 }
 
 // put appends one record carrying meta. A key already stored with the same
-// hash only takes meta, unless it is older than the one held, so
-// memory<->disk ping-pong (evict, promote, evict again) costs one write.
+// hash only takes meta, unless it is older than the one held, so a refill
+// of bytes the disk already holds costs no write.
 func (s *segmentStore) put(key string, data []byte, sum [sha256.Size]byte, meta *entryMeta) error {
 	if int64(len(key)) > maxSegKeyLen {
 		return fmt.Errorf("nocdn: cache key too long (%d bytes)", len(key))
 	}
-	recLen := int64(segHeaderSize + len(key) + len(data))
-	if recLen > s.segMax {
+	if int64(segHeaderSize+len(key)+len(data)) > s.segMax {
 		return nil // never store an object bigger than a whole segment
 	}
 
@@ -373,47 +385,60 @@ func (s *segmentStore) put(key string, data []byte, sum [sha256.Size]byte, meta 
 		}
 		s.supersedeLocked(key, prev)
 	}
+	err := s.appendLocked(key, segEntry{n: int64(len(data)), sum: sum, meta: meta}, func(f *os.File, off int64) error {
+		_, err := f.WriteAt(data, off)
+		return err
+	})
+	if err == nil {
+		s.reclaimLocked()
+	}
+	s.mu.Unlock()
+	if err == nil {
+		s.publishGauges()
+	}
+	return err
+}
+
+// appendLocked appends key's record for e — its header and key, then the
+// e.n data bytes that body writes at the offset it is handed — to the
+// active segment, rotating first when the record would not fit, and indexes
+// e at its new place (mu held). Two sequential writes, header+key from a
+// small buffer and then the payload, instead of assembling the record in a
+// payload-sized copy under mu: a crash between (or inside) them leaves a
+// record whose declared end lies past EOF, which is the torn tail
+// scanSegment already truncates (end > size); a failed write leaves
+// seg.size unmoved, so the next append overwrites the orphaned header.
+// Every append counts as a spill.
+func (s *segmentStore) appendLocked(key string, e segEntry, body func(f *os.File, off int64) error) error {
+	recLen := segHeaderSize + int64(len(key)) + e.n
 	if s.active == nil || s.active.size+recLen > s.segMax {
 		if err := s.rotateLocked(); err != nil {
-			s.mu.Unlock()
 			return err
 		}
 	}
 	seg := s.active
 	off := seg.size
-
-	// Two sequential writes — header+key from a small buffer, then the
-	// payload straight from the caller's slice — instead of assembling the
-	// record in a payload-sized copy under mu. A crash between (or inside)
-	// them leaves a record whose declared end lies past EOF, which is the
-	// torn tail scanSegment already truncates (end > size); a failed second
-	// write leaves seg.size unmoved, so the next append overwrites the
-	// orphaned header.
 	head := make([]byte, segHeaderSize+len(key))
 	copy(head, segMagic)
 	binary.LittleEndian.PutUint16(head[4:6], uint16(len(key)))
-	binary.LittleEndian.PutUint32(head[6:10], uint32(len(data)))
-	copy(head[10:10+sha256.Size], sum[:])
+	binary.LittleEndian.PutUint32(head[6:10], uint32(e.n))
+	copy(head[10:10+sha256.Size], e.sum[:])
 	copy(head[segHeaderSize:], key)
 	_, err := seg.f.WriteAt(head, off)
 	if err == nil {
-		_, err = seg.f.WriteAt(data, off+int64(len(head)))
+		err = body(seg.f, off+int64(len(head)))
 	}
 	if err != nil {
-		s.mu.Unlock()
 		return fmt.Errorf("nocdn: segment append: %w", err)
 	}
 	seg.size += recLen
 	s.total += recLen
-	s.index[key] = segEntry{seg: seg.id, off: off + int64(segHeaderSize+len(key)), n: int64(len(data)), sum: sum, meta: meta}
+	e.seg, e.off = seg.id, off+int64(len(head))
+	s.index[key] = e
 	seg.live[key] = struct{}{}
-	s.reclaimLocked()
-	s.mu.Unlock()
-
 	m := s.met()
 	m.Inc("nocdn.cache.spills")
-	m.Add("nocdn.cache.spill_bytes", float64(len(data)))
-	s.publishGauges()
+	m.Add("nocdn.cache.spill_bytes", float64(e.n))
 	return nil
 }
 
@@ -479,9 +504,13 @@ func (s *segmentStore) rotateLocked() error {
 }
 
 // reclaimLocked frees disk space (mu held): first any fully-dead sealed
-// segment, then — while still over budget — whole oldest segments, dropping
-// whatever live keys they carry (the disk tier's eviction is FIFO by
-// segment, which is exactly what an append-only log can do cheaply).
+// segment, then — while still over budget — whole oldest segments. The
+// disk tier's eviction is FIFO by segment, which is exactly what an
+// append-only log can do cheaply, with a second lap: a live entry served
+// since it was written is copied to the active segment, its hit bit clear,
+// and any other is dropped. A copy that fails is dropped too. So the loop
+// ends (a copy comes round again unmarked), and one call copies at most one
+// segment's worth of bytes under mu: past that, served entries drop.
 func (s *segmentStore) reclaimLocked() {
 	keep := s.order[:0]
 	for _, id := range s.order {
@@ -493,18 +522,44 @@ func (s *segmentStore) reclaimLocked() {
 		keep = append(keep, id)
 	}
 	s.order = keep
+	lap := s.segMax
 	for s.total > s.maxBytes && len(s.order) > 0 {
 		seg := s.segments[s.order[0]]
 		if seg == s.active {
 			break // never drop the segment being appended to
 		}
 		for key := range seg.live {
+			e := s.index[key]
+			rec := segHeaderSize + int64(len(key)) + e.n
+			if e.hit && rec <= lap && s.secondLapLocked(key, e, seg) == nil {
+				lap -= rec
+				continue
+			}
 			delete(s.index, key)
 		}
 		seg.live = make(map[string]struct{})
 		s.condemnLocked(seg)
 		s.order = s.order[1:]
 	}
+}
+
+// secondLapLocked appends a copy of key's served entry e, read block by
+// block out of the sealed segment seg that a reclaim is about to drop, to
+// the active segment (mu held). The copy carries e's sum, block sums and
+// metadata, and its hit bit is clear. It verifies nothing: every serve of
+// the copy is checked against the sums it carries.
+func (s *segmentStore) secondLapLocked(key string, e segEntry, seg *segment) error {
+	from := sectionReader(e, seg)
+	e.hit = false
+	return s.appendLocked(key, e, func(f *os.File, off int64) error {
+		buf := chunkPool.Get().(*[]byte)
+		defer chunkPool.Put(buf)
+		n, err := io.CopyBuffer(io.NewOffsetWriter(f, off), from, *buf)
+		if err == nil && n != e.n {
+			err = io.ErrUnexpectedEOF
+		}
+		return err
+	})
 }
 
 // condemnLocked unlinks a segment and drops the store's reference; readers
@@ -516,6 +571,21 @@ func (s *segmentStore) condemnLocked(seg *segment) {
 	os.Remove(seg.path)
 	seg.release()
 	s.met().Inc("nocdn.cache.segments_reclaimed")
+}
+
+// hit resolves key to its entry for a serve's lookup and marks the entry
+// served, in the one critical section, so that a reclaim gives it a second
+// lap. Nothing else marks an entry: not the scrubber, not the flight
+// re-check, not the serve's own get that pins the segment for streaming.
+func (s *segmentStore) hit(key string) (segEntry, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e, ok := s.index[key]
+	if ok && !e.hit {
+		e.hit = true
+		s.index[key] = e
+	}
+	return e, ok
 }
 
 // get resolves key to its entry and pins the segment for reading. The
@@ -547,8 +617,7 @@ func sectionReader(e segEntry, seg *segment) *io.SectionReader {
 // readVerify reads the entry's data into a fresh exact-size slice and
 // checks it against the indexed SHA-256. A mismatch quarantines the entry
 // and returns ErrCacheCorrupt: corrupt disk bytes are never handed to a
-// caller. The returned slice is the caller's to own (it goes straight into
-// the memory LRU on promotion).
+// caller. The returned slice is the caller's to own.
 func (s *segmentStore) readVerify(key string, e segEntry, seg *segment) ([]byte, error) {
 	data := make([]byte, e.n)
 	if _, err := seg.f.ReadAt(data, e.off); err != nil {
@@ -668,6 +737,30 @@ func newWindowReader(e segEntry, seg *segment, lo, hi int64) *windowReader {
 
 func (w *windowReader) Seek(offset int64, whence int) (int64, error) {
 	return w.sec.Seek(offset, whence)
+}
+
+// WriteTo copies the rest of the window to dst through one pooled block
+// buffer, so that io.Copy allocates no buffer of its own; past the window it
+// fails as Read does.
+func (w *windowReader) WriteTo(dst io.Writer) (n int64, err error) {
+	buf := chunkPool.Get().(*[]byte)
+	defer chunkPool.Put(buf)
+	for {
+		k, rerr := w.Read(*buf)
+		if k > 0 {
+			k, err = dst.Write((*buf)[:k])
+			n += int64(k)
+			if err != nil {
+				return n, err
+			}
+		}
+		if rerr == io.EOF {
+			return n, nil
+		}
+		if rerr != nil {
+			return n, rerr
+		}
+	}
 }
 
 func (w *windowReader) Read(p []byte) (int, error) {

@@ -1,7 +1,6 @@
 package nocdn
 
 import (
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -14,24 +13,13 @@ import (
 // TestServeSeriesNames pins the names of the series a serve moves. Fleet
 // telemetry ships them and the SLOs read them, and the serve path spells
 // them out as constants, so a typo there must fail here. After a miss, a
-// memory hit, a disk hit (promoted), a streamed disk hit, a hash-epoch stale
-// serve and a revalidation, exactly these nocdn.peer.xcache.*,
+// memory hit, a disk hit, a hash-epoch stale serve and a revalidation,
+// exactly these nocdn.peer.xcache.*,
 // nocdn.cache.hits.*, nocdn.cache.hit_seconds.* and nocdn.cache.bytes.*
 // series have moved.
 func TestServeSeriesNames(t *testing.T) {
 	objects := map[string][]byte{"/small": obj(70, 1<<10), "/big": obj(71, 300<<10), "/expired": obj(72, 1<<10)}
-	// Two 3 KiB objects in /small's memory shard push it out into the disk
-	// tier.
-	const key = "prov|/small"
-	p := NewPeer("series", 64<<10) // 4 KiB memory shards: /big streams off disk
-	var evict []string
-	for i := 0; len(evict) < 2; i++ {
-		path := fmt.Sprintf("/evict/%d", i)
-		if p.cache.shardFor("prov|"+path) == p.cache.shardFor(key) {
-			objects[path] = obj(80+i, 3<<10)
-			evict = append(evict, path)
-		}
-	}
+	p := NewPeer("series", 64<<10) // 4 KiB memory shards: /big goes to disk
 	origin := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		path := strings.TrimPrefix(r.URL.Path, "/content")
 		data, ok := objects[path]
@@ -75,19 +63,6 @@ func TestServeSeriesNames(t *testing.T) {
 	get("/small", "", XCacheHit) // memory
 	get("/big", "", XCacheMiss)
 	get("/big", "", XCacheHit) // streamed off the disk tier
-	// A disk hit small enough to promote.
-	for _, path := range evict {
-		get(path, "", XCacheMiss)
-	}
-	if _, _, tier, ok := p.cacheGet(key); !ok || tier != tierDisk {
-		t.Fatalf("/small: tier %v, found %v; want a promoted disk hit", tier, ok)
-	}
-	p.cache.remove(key) // cacheGet promoted it; serve it off the disk tier again
-	memHits, diskHits, _ := p.TierStats()
-	get("/small", "", XCacheHit)
-	if mem, disk, _ := p.TierStats(); mem != memHits || disk != diskHits+1 {
-		t.Fatalf("the promoted serve moved mem %d→%d, disk %d→%d; want a disk hit", memHits, mem, diskHits, disk)
-	}
 	get("/expired", "", XCacheMiss)
 	get("/expired", HashBytes(objects["/expired"]), XCacheStale)
 	get("/expired", "", XCacheRevalidated)

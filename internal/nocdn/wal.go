@@ -319,7 +319,8 @@ type controlWAL struct {
 	bytes int64 // bytes written to the active file (incl. header)
 	// failed is the first write or fsync error, wrapping errJournalFailed:
 	// from then on the journal takes no append and no snapshot until a
-	// restart recovers what reached the disk.
+	// restart recovers what reached the disk. The nocdn.wal.failed gauge
+	// reads 1 once it is set.
 	failed error
 
 	// Group commit: one goroutine fsyncs at a time; everyone whose record
@@ -451,6 +452,7 @@ func (w *controlWAL) append(typ walRecType, payload []byte) (uint64, error) {
 	w.mu.Unlock()
 	if err != nil {
 		w.metrics.Inc("nocdn.wal.append_errors")
+		w.metrics.Set("nocdn.wal.failed", 1)
 		return 0, err
 	}
 	w.metrics.Inc("nocdn.wal.appends")
@@ -505,6 +507,7 @@ func (w *controlWAL) syncUpTo(target uint64) error {
 					w.failed = err
 				}
 				w.mu.Unlock()
+				w.metrics.Set("nocdn.wal.failed", 1)
 			}
 		}
 

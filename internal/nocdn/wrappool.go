@@ -320,7 +320,9 @@ func (o *Origin) buildPoolEntry(page string, slot int) (*poolEntry, error) {
 	}
 	// Durable assignment floors before the map can serve: a restart between
 	// the serve and the flush must not make its settlement look anomalous.
-	o.journalKeysIssued(charges)
+	if err := o.journalKeysIssued(charges); err != nil {
+		return nil, err
+	}
 	return &poolEntry{w: w, body: body, charges: charges, content: cep, assign: aep, renew: now.Add(keyTTL / 2)}, nil
 }
 
@@ -408,7 +410,12 @@ func (o *Origin) handleWrapper(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		sp.SetError(err)
 		status := http.StatusNotFound
-		if errors.Is(err, ErrNoPeers) {
+		switch {
+		case errors.Is(err, ErrNoPeers):
+			status = http.StatusServiceUnavailable
+		case errors.Is(err, errJournalFailed):
+			// Its floors are not durable, so it is not served: ask again.
+			w.Header().Set("Retry-After", "1")
 			status = http.StatusServiceUnavailable
 		}
 		http.Error(w, err.Error(), status)
